@@ -50,7 +50,7 @@ def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     u = fld.values
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
-    lu = g.lap @ u
+    lu = g.lap_apply(u)
     au = np.abs(u)
     return NormBundle(
         mass=float(np.sum(g.weights * u * u)),
@@ -92,7 +92,7 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
     u = fld.values
-    bend_part = (g.lap_t @ (g.weights * (g.lap @ u))) / g.weights
+    bend_part = g.lap_t_apply(g.weights * g.lap_apply(u)) / g.weights
     return RadialField(g, bend_part - _nonlinearity(params, u))
 
 

@@ -11,9 +11,18 @@ of the first cell's linear hat against r^{N-1}, and the five nodes adjacent to
 each endpoint receive exact-rational Euler-Maclaurin corrections (Bernoulli
 closed form on the left, moment matching against the Beta closed form on the
 right). All corrections are computed in Fraction arithmetic, so the rule is
-exact for integrands r^m * r^{N-1}, m <= 4, to float rounding. Weights stay
+exact for integrands r^m * r^{N-1}, m <= 4, to float rounding. The interior
+moment sums the right corrections need are closed-form power sums
+(Faulhaber's formula) in exact rationals, so their cost does not depend on n;
+only the final float conversion of the nodes is O(n). Weights stay
 nonnegative; interior smoothness matters because the energy gradient divides
 by them.
+
+Operator layout: the Laplacian L is pentadiagonal and is stored once, as a
+(5, n) band array D with D[k, i] = L[i, i + k - 2]. Row 0 is the origin
+limit, row 1 folds the even reflection of u_{-1} onto u_1, and entries whose
+column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
+minimizer's preconditioner) are all computed by slicing this one array.
 """
 from __future__ import annotations
 
@@ -23,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.interpolate import PchipInterpolator
 
 from .landscape import DomainError
 
@@ -73,16 +80,19 @@ def _solve5(A, b):
     return [M[r][5] for r in range(5)]
 
 
+def _power_sum(m: int, X: int) -> Fraction:
+    # Faulhaber: sum_{i=1}^{X} i^m for m >= 1, exact (B_1 = -1/2 convention)
+    return X ** m + sum(math.comb(m + 1, j) * _bernoulli(j) * X ** (m + 1 - j)
+                        for j in range(m + 1)) / (m + 1)
+
+
 @lru_cache(maxsize=16)
 def _weight_core(N: int, n: int) -> np.ndarray:
     # r_max enters only through the h^N prefactor, so the exact-arithmetic
     # part is cached per (N, n); callers must not mutate the result
     X = n - 1
-    v = [Fraction(i) ** (N - 1) for i in range(n)]
-    v[X] /= 2
     # node 0: integral of the linear hat on [0, h] against x^{N-1}
     pin = Fraction(1, N * (N + 1))
-    v[0] = pin
     # left corrections d_1..d_5: match moments x^m, m = 0..4, whose exact
     # trapezoid defect is the Euler-Maclaurin boundary value at x = 0
     A = [[Fraction(i) ** m for i in range(1, 6)] for m in range(5)]
@@ -94,21 +104,33 @@ def _weight_core(N: int, n: int) -> np.ndarray:
         bL.append(t)
     dL = _solve5(A, bL)
     # right corrections in the shifted basis (x - X)^k, matched against the
-    # exact Beta-function integral of (x - X)^k x^{N-1} over [0, X]
+    # exact Beta-function integral of (x - X)^k x^{N-1} over [0, X]. The
+    # trapezoid moment sum_i v_i (i - X)^k of the uncorrected nodes (v_i =
+    # i^{N-1}, halved at X, pinned at 0) expands binomially into power sums
+    P = [_power_sum(N - 1 + j, X) for j in range(5)]
     bR = []
     for k in range(5):
         T = (Fraction((-1) ** k) * Fraction(X) ** (k + N)
              * Fraction(math.factorial(k) * math.factorial(N - 1),
                         math.factorial(k + N)))
-        S = sum(v[i] * Fraction(i - X) ** k for i in range(n))
+        S = (sum(math.comb(k, j) * (-X) ** (k - j) * P[j] for j in range(k + 1))
+             + pin * (-X) ** k)
+        if k == 0:
+            S -= Fraction(X ** (N - 1), 2)
         dLq = sum(dL[j] * Fraction(j + 1 - X) ** k for j in range(5))
         bR.append(T - S - dLq)
     AR = [[Fraction(t) ** k for t in range(-4, 1)] for k in range(5)]
     dR = _solve5(AR, bR)
+    # interior nodes are powers of Python ints (object dtype), so each float
+    # is correctly rounded
+    w = (np.arange(n).astype(object) ** (N - 1)).astype(float)
+    w[0] = float(pin)
+    w[X] = float(Fraction(X ** (N - 1), 2) + dR[4])
     for j in range(5):
-        v[1 + j] += dL[j]
-        v[X - 4 + j] += dR[j]
-    return np.array([float(x) for x in v])
+        w[1 + j] = float((1 + j) ** (N - 1) + dL[j])
+    for j in range(4):
+        w[X - 4 + j] = float((X - 4 + j) ** (N - 1) + dR[j])
+    return w
 
 
 def _weights(N: int, n: int, r_max: float) -> np.ndarray:
@@ -116,30 +138,19 @@ def _weights(N: int, n: int, r_max: float) -> np.ndarray:
     return _weight_core(N, n) * (h ** N * sphere_area(N))
 
 
-def _laplacian_matrix(N: int, n: int, r_max: float) -> sp.csr_matrix:
+def _laplacian_band(N: int, n: int, r_max: float) -> np.ndarray:
+    # D[k, i] = L[i, i + k - 2]
     h = r_max / (n - 1)
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    rows, cols, vals = [0, 0, 0], [0, 1, 2], [
-        # r = 0: N * u''(0), second-derivative stencil folded evenly
-        N * (-30.0) / (12.0 * h * h),
-        N * 32.0 / (12.0 * h * h),
-        N * (-2.0) / (12.0 * h * h),
-    ]
-    for i in range(1, n):
-        r = i * h
-        for off in range(-2, 3):
-            j = i + off
-            coeff = c2[off + 2] + (N - 1) / r * c1[off + 2]
-            if j < 0:
-                j = -j          # even extension through the origin
-            if j < n:           # zero extension past R
-                rows.append(i)
-                cols.append(j)
-                vals.append(coeff)
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    m.sum_duplicates()
-    return m
+    D = np.zeros((5, n))
+    # r = 0: N * u''(0), second-derivative stencil folded evenly
+    D[2:, 0] = N * np.array([-30.0, 32.0, -2.0]) / (12.0 * h * h)
+    D[:, 1:] = c2[:, None] + (N - 1) / (np.arange(1, n) * h) * c1[:, None]
+    D[2, 1] += D[0, 1]      # even extension through the origin: u_{-1} = u_1
+    D[0, 1] = 0.0
+    D[3, n - 1] = D[4, n - 2:] = 0.0    # zero extension past R
+    return D
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,7 @@ class RadialGrid:
     r_max: float
     nodes: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
-    lap: sp.csr_matrix = field(repr=False, compare=False)
-    lap_t: sp.csr_matrix = field(repr=False, compare=False)
+    lap_band: np.ndarray = field(repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -158,6 +168,44 @@ class RadialGrid:
 
     def same_as(self, other: "RadialGrid") -> bool:
         return (self.dim, self.n, self.r_max) == (other.dim, other.n, other.r_max)
+
+    def lap_apply(self, u: np.ndarray) -> np.ndarray:
+        """L u; each row sums its stencil terms by ascending column."""
+        n = self.n
+        padded = np.zeros(n + 4)
+        padded[2:n + 2] = u
+        out, term = np.zeros(n), np.empty(n)
+        for k in range(5):
+            np.multiply(self.lap_band[k], padded[k:k + n], out=term)
+            out += term
+        return out
+
+    def lap_t_apply(self, v: np.ndarray) -> np.ndarray:
+        """L^T v; each entry sums its terms by ascending row of L."""
+        n = self.n
+        out, term = np.zeros(n + 4), np.empty(n)
+        for k in range(4, -1, -1):
+            np.multiply(self.lap_band[k], v, out=term)
+            out[k:k + n] += term
+        return out[2:n + 2]
+
+    def normal_band(self, a: float) -> np.ndarray:
+        """a W + L^T W L in upper band storage: row 4 - d holds P[j, j+d].
+
+        P[j, j+d] sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in
+        descending order, and a w_j is added last.
+        """
+        n, D, w = self.n, self.lap_band, self.weights
+        DW = D * w
+        ab = np.zeros((5, n))
+        for d in range(5):
+            acc = np.zeros(n + 4)   # acc[2 + j] = P[j, j+d]; j < 0, j >= n: pad
+            for t in range(-2, 3 - d):
+                acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
+            if d == 0:
+                acc[2:n + 2] += a * w
+            ab[4 - d, d:] = acc[2:n + 2 - d]
+        return ab
 
 
 @dataclass(frozen=True)
@@ -187,13 +235,11 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     if not (float(r_max) > 0):
         raise DomainError(f"r_max must be positive, got {r_max!r}")
     r_max = float(r_max)
-    lap = _laplacian_matrix(dim, n, r_max)
     return RadialGrid(
         dim=dim, n=n, r_max=r_max,
         nodes=np.linspace(0.0, r_max, n),
         weights=_weights(dim, n, r_max),
-        lap=lap,
-        lap_t=sp.csr_matrix(lap.T),
+        lap_band=_laplacian_band(dim, n, r_max),
     )
 
 
@@ -212,10 +258,12 @@ def laplacian(fld: RadialField) -> RadialField:
     Origin row is the symmetry limit N u''(0); fields are extended evenly
     through r = 0 and by zero past r = R.
     """
-    return RadialField(fld.grid, fld.grid.lap @ fld.values)
+    return RadialField(fld.grid, fld.grid.lap_apply(fld.values))
 
 
 def _pchip_eval(grid: RadialGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # imported here: only the dilations need it, and it is slow to import
+    from scipy.interpolate import PchipInterpolator
     # flat zero tails make pchip's slope ratios divide by zero; harmless
     with np.errstate(all="ignore"):
         interp = PchipInterpolator(grid.nodes, values, extrapolate=False)

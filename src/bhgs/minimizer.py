@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fiber import analyze_fiber
@@ -121,14 +120,7 @@ def seed(params: LandscapeParams, thresholds, c: float, grid: RadialGrid,
 
 def _banded_factor(grid: RadialGrid, a: float):
     # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4
-    n = grid.n
-    K = (grid.lap_t @ sp.diags(grid.weights) @ grid.lap
-         + sp.diags(a * grid.weights)).todia()
-    ab = np.zeros((5, n))
-    for off, diag in zip(K.offsets, K.data):
-        if off >= 0:
-            ab[4 - off, :] = diag
-    return cholesky_banded(ab, lower=False)
+    return cholesky_banded(grid.normal_band(a), lower=False)
 
 
 def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
@@ -171,9 +163,9 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     iters = 0
 
     for iters in range(1, config.max_iter + 1):
-        lu = grid.lap @ u
+        lu = grid.lap_apply(u)
         au = np.abs(u)
-        grad = ((grid.lap_t @ (w * lu)) / w
+        grad = (grid.lap_t_apply(w * lu) / w
                 - params.mu * np.sign(u) * au ** (params.q - 1.0)
                 - np.sign(u) * au ** (params.p_crit - 1.0))
         lam_hat = _wdot(grid, grad, u) / c
@@ -251,7 +243,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 def _quotient_gn(params: LandscapeParams, grid: RadialGrid, q: float,
                  u: np.ndarray) -> float:
     beta = params.N * (q - 2.0) / (4.0 * q)
-    lu = grid.lap @ u
+    lu = grid.lap_apply(u)
     B = float(np.sum(grid.weights * np.abs(u) ** q))
     A = float(np.sum(grid.weights * lu * lu))
     mass = float(np.sum(grid.weights * u * u))
@@ -277,7 +269,7 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
     u /= math.sqrt(_wdot(grid, u, u))
 
     def logF(vec: np.ndarray) -> float:
-        lu = grid.lap @ vec
+        lu = grid.lap_apply(vec)
         B = float(np.sum(w * np.abs(vec) ** q))
         A = float(np.sum(w * lu * lu))
         mass = float(np.sum(w * vec * vec))
@@ -287,13 +279,13 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
     F = logF(u)
     tau = 1.0
     for _ in range(max_iter):
-        lu = grid.lap @ u
+        lu = grid.lap_apply(u)
         au = np.abs(u)
         B = float(np.sum(w * au ** q))
         A = float(np.sum(w * lu * lu))
         mass = float(np.sum(w * u * u))
         grad = (np.sign(u) * au ** (q - 1.0) / B
-                - beta * (grid.lap_t @ (w * lu)) / w / A
+                - beta * grid.lap_t_apply(w * lu) / w / A
                 - (1.0 - beta) * u / mass)
         d = cho_solve_banded((factor, False), w * grad)
         gnorm2 = _wdot(grid, grad, d)
@@ -325,7 +317,7 @@ def _sobolev_quotient(params: LandscapeParams, grid: RadialGrid,
     u = (eps + r ** 2) ** (-(N - 4) / 2.0)
     t = np.clip((r - R / 2.0) / (R / 2.0), 0.0, 1.0)
     u *= 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-    lu = grid.lap @ u
+    lu = grid.lap_apply(u)
     p = params.p_crit
     C = float(np.sum(grid.weights * np.abs(u) ** p))
     A = float(np.sum(grid.weights * lu * lu))

@@ -133,18 +133,22 @@ class TestLaplacian:
         # the five-point stencil differentiates quartics exactly; rows near
         # r = R see the zero extension, so restrict to the interior
         g = build_grid(5, 257, 12.0)
-        got = (g.lap @ (g.nodes ** 2))[: g.n - 3]
+        got = g.lap_apply(g.nodes ** 2)[: g.n - 3]
         assert np.max(np.abs(got - 10.0)) <= 1e-8
 
     def test_exact_on_r_fourth(self):
         g = build_grid(5, 257, 12.0)
         want = 28.0 * g.nodes ** 2
-        got = g.lap @ (g.nodes ** 4)
+        got = g.lap_apply(g.nodes ** 4)
         assert np.max(np.abs((got - want)[: g.n - 3])) <= 1e-7
 
-    def test_transpose_is_cached(self, grid12):
-        d = abs(grid12.lap_t - grid12.lap.T)
-        assert d.max() == 0.0
+    def test_transpose_is_exact(self):
+        # dense L and L^T, column by column from unit vectors
+        g = build_grid(5, 257, 12.0)
+        eye = np.eye(g.n)
+        L = np.column_stack([g.lap_apply(e) for e in eye])
+        Lt = np.column_stack([g.lap_t_apply(e) for e in eye])
+        assert np.array_equal(Lt, L.T)
 
 
 class TestRadialField:
