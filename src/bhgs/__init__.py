@@ -4,8 +4,9 @@ Library layout:
 
 - landscape: closed-form energy-landscape layer (exponents, f(c, rho), the
   maximizer rho_c, the mass threshold c0).
-- grid: radial discretization (quadrature, Laplacian, dilations, field CSV).
-- functionals: norms, energy, Pohozaev value, gradients, multiplier.
+- grid: radial discretization (quadrature, Laplacian, field CSV).
+- functionals: norms, energy, Pohozaev value, gradient, multiplier, and the
+  exact bundle rescaling under amplitude and dilation.
 - fiber: scalar fiber-map analysis (psi, psi', xi, zero structure).
 - minimizer: the constrained solver and the constant estimators.
 - config / verify / cli: front end.
@@ -14,11 +15,10 @@ from .landscape import (DomainError, ExponentSet, LandscapeParams,
                         comparison_check, derive_exponents, f_landscape,
                         mass_threshold, rho_star)
 from .grid import (RadialField, RadialGrid, build_grid, integrate, laplacian,
-                   load_field, mass_dilate, save_field, scale_field,
-                   sphere_area)
+                   load_field, save_field, sphere_area)
 from .functionals import (NormBundle, energy, l2_gradient,
                           lagrange_multiplier, norm_bundle, pohozaev,
-                          projected_gradient)
+                          rescale_bundle)
 from .fiber import FiberAnalysis, analyze_fiber, psi, psi_prime, xi, \
     xi_turning_point
 from .minimizer import (ConvergenceError, GroundState, SolverConfig,
@@ -32,9 +32,9 @@ __all__ = [
     "DomainError", "ExponentSet", "LandscapeParams", "comparison_check",
     "derive_exponents", "f_landscape", "mass_threshold", "rho_star",
     "RadialField", "RadialGrid", "build_grid", "integrate", "laplacian",
-    "load_field", "mass_dilate", "save_field", "scale_field", "sphere_area",
+    "load_field", "save_field", "sphere_area",
     "NormBundle", "energy", "l2_gradient", "lagrange_multiplier",
-    "norm_bundle", "pohozaev", "projected_gradient",
+    "norm_bundle", "pohozaev", "rescale_bundle",
     "FiberAnalysis", "analyze_fiber", "psi", "psi_prime", "xi",
     "xi_turning_point",
     "ConvergenceError", "GroundState", "SolverConfig",

@@ -21,7 +21,7 @@ import numpy as np
 from . import verify as verify_mod
 from .config import ConfigError, load_config, resolve_params, sweep_masses
 from .fiber import analyze_fiber, psi, psi_prime, xi
-from .functionals import NormBundle, energy, norm_bundle
+from .functionals import energy, norm_bundle, rescale_bundle
 from .grid import build_grid, load_field, save_field
 from .landscape import (DomainError, derive_exponents, f_landscape,
                         mass_threshold, rho_star)
@@ -94,10 +94,12 @@ def evaluate_sweep_flags(c_values, m_values, mono_tol: float = 1e-8,
                          match_tol: float = 1e-9) -> dict:
     """Lemma flags as a pure function of the (c, m) arrays.
 
-    Strict decrease demands a drop of more than mono_tol*|m_i| between
-    neighbors. Subadditivity runs over grid-expressible triples
-    c_i = c_j + c_k (matched to match_tol relative); sub-homogeneity over
-    ordered pairs c_i < c_j, checking m(c_j) <= (c_j/c_i) m(c_i) + add_tol.
+    Every tolerance is relative to |m|. Strict decrease demands a drop of
+    more than mono_tol*|m_i| between neighbors. Subadditivity runs over
+    grid-expressible triples c_i = c_j + c_k (matched to match_tol
+    relative), checking m(c_i) <= m(c_j) + m(c_k) + add_tol |m(c_i)|;
+    sub-homogeneity over ordered pairs c_i < c_j, checking
+    m(c_j) <= (c_j/c_i) m(c_i) + add_tol |m(c_j)|.
     """
     c = [float(x) for x in c_values]
     m = [float(x) for x in m_values]
@@ -111,14 +113,14 @@ def evaluate_sweep_flags(c_values, m_values, mono_tol: float = 1e-8,
         for j in range(k):
             for l in range(j, k):
                 if abs(c[i] - (c[j] + c[l])) <= match_tol * c[i]:
-                    if m[i] > m[j] + m[l] + add_tol:
+                    if m[i] > m[j] + m[l] + add_tol * abs(m[i]):
                         sub_viol.append([i, j, l])
     hom_viol = []
     for i in range(k):
         for j in range(k):
             if c[i] < c[j]:
                 theta = c[j] / c[i]
-                if m[j] > theta * m[i] + add_tol:
+                if m[j] > theta * m[i] + add_tol * abs(m[j]):
                     hom_viol.append([i, j])
     return {
         "monotone_decreasing": not offending,
@@ -133,23 +135,13 @@ def _boundary_scan(params, grid, c: float, rho0: float, count: int,
                    seed: int) -> tuple[int, float, float]:
     """(positives, min J, analytic bound) over random fields rescaled to
     mass c and bend rho0. The rescale acts on the norm bundle through the
-    exact amplitude/dilation laws, so no interpolation enters."""
+    exact amplitude/dilation laws (rescale_bundle), so no field is rescaled."""
     rng = np.random.default_rng(seed)
-    ex = derive_exponents(params)
     min_j = math.inf
     positives = 0
     for _ in range(count):
-        fld = verify_mod.bump_field(grid, rng)
-        b = norm_bundle(params, fld)
-        t2 = c / b.mass
-        s2 = rho0 * b.mass / (c * b.bend)
-        scaled = NormBundle(
-            mass=c,
-            bend=rho0,
-            subcrit=b.subcrit * t2 ** (params.q / 2.0) * s2 ** (ex.gamma_q / 2.0),
-            crit=b.crit * t2 ** (ex.p_crit / 2.0) * s2 ** (ex.p_crit / 2.0),
-        )
-        j = energy(params, scaled)
+        b = norm_bundle(params, verify_mod.bump_field(grid, rng))
+        j = energy(params, rescale_bundle(params, b, c, rho0))
         min_j = min(min_j, j)
         if j > 0:
             positives += 1

@@ -2,7 +2,9 @@
 
 Everything downstream (fiber analysis, the constrained minimizer, the
 verification suite) consumes fields only through the four norms collected in
-a NormBundle, the energy J, the Pohozaev value Q, and the two gradients.
+a NormBundle, the energy J, the Pohozaev value Q, and the energy gradient.
+rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
+laws, so no rescaled field is ever materialized.
 
 The bending term of the gradient is the exact gradient of the *discrete*
 energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialField, integrate
-from .landscape import DomainError, LandscapeParams
+from .grid import RadialField
+from .landscape import DomainError, LandscapeParams, derive_exponents
 
 __all__ = [
     "NormBundle",
@@ -25,7 +27,7 @@ __all__ = [
     "pohozaev",
     "pohozaev_coefficient",
     "l2_gradient",
-    "projected_gradient",
+    "rescale_bundle",
     "lagrange_multiplier",
 ]
 
@@ -75,45 +77,45 @@ def pohozaev(params: LandscapeParams, b: NormBundle) -> float:
     return b.bend - pohozaev_coefficient(params) * b.subcrit - b.crit
 
 
-def _nonlinearity(params: LandscapeParams, u: np.ndarray) -> np.ndarray:
-    # sign(u)|u|^{p-1} with value 0 at u = 0 (p > 2 keeps it well defined)
-    au = np.abs(u)
-    return np.sign(u) * (params.mu * au ** (params.q - 1.0)
-                         + au ** (params.p_crit - 1.0))
-
-
 def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     """Gradient of J in the weighted-quadrature inner product.
 
     The constraint multiplier term lambda*u is deliberately absent; it lives
-    in the projection.
+    in the projection. The nonlinear terms read sign(u)|u|^{p-1}, which is 0
+    at u = 0 since p > 2.
     """
     g = fld.grid
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
     u = fld.values
-    bend_part = g.lap_t_apply(g.weights * g.lap_apply(u)) / g.weights
-    return RadialField(g, bend_part - _nonlinearity(params, u))
+    w = g.weights
+    au = np.abs(u)
+    return RadialField(g, g.lap_t_apply(w * g.lap_apply(u)) / w
+                       - params.mu * np.sign(u) * au ** (params.q - 1.0)
+                       - np.sign(u) * au ** (params.p_crit - 1.0))
 
 
-def projected_gradient(params: LandscapeParams, fld: RadialField, c: float,
-                       mass_rtol: float = 1e-8) -> RadialField:
-    """Tangent-space component g - (<g,u>/c) u of the energy gradient.
+def rescale_bundle(params: LandscapeParams, b: NormBundle, mass: float,
+                   bend: float) -> NormBundle:
+    """Bundle of t u_s, the amplitude-t fiber dilation, with mass and bend
+    moved to the given targets.
 
-    The field must carry mass c to within mass_rtol; quadrature-orthogonal to
-    u by construction.
+    Exact laws, no field needed: t u_s scales mass by t^2, bend by t^2 s^2,
+    the subcritical norm by t^q s^{gamma_q} and the critical norm by
+    t^{4*} s^{4*}; the targets fix t^2 = mass/b.mass and
+    s^2 = bend b.mass/(mass b.bend).
     """
-    if c <= 0:
-        raise DomainError(f"constraint mass must be positive, got {c}")
-    g = fld.grid
-    u = fld.values
-    have = float(np.sum(g.weights * u * u))
-    if abs(have - c) > mass_rtol * c:
-        raise DomainError(
-            f"field mass {have} drifted from constraint c={c} beyond rtol {mass_rtol}")
-    grad = l2_gradient(params, fld).values
-    coef = float(np.sum(g.weights * grad * u)) / c
-    return RadialField(g, grad - coef * u)
+    if not (b.mass > 0 and b.bend > 0 and mass > 0 and bend > 0):
+        raise DomainError("rescale_bundle needs positive masses and bends")
+    ex = derive_exponents(params)
+    t2 = mass / b.mass
+    s2 = bend * b.mass / (mass * b.bend)
+    return NormBundle(
+        mass=mass,
+        bend=bend,
+        subcrit=b.subcrit * t2 ** (params.q / 2.0) * s2 ** (ex.gamma_q / 2.0),
+        crit=b.crit * t2 ** (ex.p_crit / 2.0) * s2 ** (ex.p_crit / 2.0),
+    )
 
 
 def lagrange_multiplier(params: LandscapeParams, b: NormBundle) -> float:

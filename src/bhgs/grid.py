@@ -2,8 +2,9 @@
 
 Uniform mesh on [0, R], quadrature weights that carry the full spherical
 measure omega_{N-1} r^{N-1} dr, a fourth-order radial Laplacian with the
-symmetry limit at the origin, and the two field-rescaling maps (fiber dilation
-and the bend-preserving mass dilation).
+symmetry limit at the origin, and field CSV input/output. Fields are never
+rescaled on the grid: dilations act on norm bundles through exact laws
+(functionals.rescale_bundle, the fiber module).
 
 Quadrature design: interior weights are the smooth product h * omega * r^{N-1}
 (trapezoid measure, half weight at r = R), node 0 carries the exact integral
@@ -41,8 +42,6 @@ __all__ = [
     "build_grid",
     "integrate",
     "laplacian",
-    "scale_field",
-    "mass_dilate",
     "sphere_area",
     "save_field",
     "load_field",
@@ -259,57 +258,6 @@ def laplacian(fld: RadialField) -> RadialField:
     through r = 0 and by zero past r = R.
     """
     return RadialField(fld.grid, fld.grid.lap_apply(fld.values))
-
-
-def _pchip_eval(grid: RadialGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # imported here: only the dilations need it, and it is slow to import
-    from scipy.interpolate import PchipInterpolator
-    # flat zero tails make pchip's slope ratios divide by zero; harmless
-    with np.errstate(all="ignore"):
-        interp = PchipInterpolator(grid.nodes, values, extrapolate=False)
-        out = interp(x)
-    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-def scale_field(fld: RadialField, s: float) -> RadialField:
-    """Fiber dilation u_s(r) = s^{N/4} u(s^{1/2} r), zero beyond R.
-
-    Monotone cubic interpolation; preserves mass up to interpolation and
-    truncation error.
-    """
-    if not (s > 0):
-        raise DomainError(f"dilation factor must be positive, got {s!r}")
-    if s == 1.0:
-        return RadialField(fld.grid, fld.values.copy())
-    g = fld.grid
-    x = math.sqrt(s) * g.nodes
-    vals = s ** (g.dim / 4.0) * np.where(x <= g.r_max,
-                                         _pchip_eval(g, fld.values, x), 0.0)
-    return RadialField(g, vals)
-
-
-def mass_dilate(fld: RadialField, c_from: float, c_to: float,
-                mass_rtol: float = 1e-6) -> RadialField:
-    """Bend-preserving dilation v(r) = a^{(N-4)/2} u(a r), a = (c_from/c_to)^{1/4}.
-
-    Moves mass c_from to c_to while leaving the bending norm unchanged (up to
-    interpolation error); the q-norm picks up the factor
-    (c_to/c_from)^{(2N-q(N-4))/8}.
-    """
-    if c_from <= 0 or c_to <= 0:
-        raise DomainError("masses must be positive")
-    g = fld.grid
-    have = integrate(g, fld.values ** 2)
-    if abs(have - c_from) > mass_rtol * max(c_from, 1e-300):
-        raise DomainError(
-            f"field mass {have} is not c_from={c_from} within {mass_rtol}")
-    if c_from == c_to:
-        return RadialField(g, fld.values.copy())
-    a = (c_from / c_to) ** 0.25
-    amp = (c_from / c_to) ** ((g.dim - 4) / 8.0)
-    x = a * g.nodes
-    vals = amp * np.where(x <= g.r_max, _pchip_eval(g, fld.values, x), 0.0)
-    return RadialField(g, vals)
 
 
 def save_field(fld: RadialField, path) -> None:

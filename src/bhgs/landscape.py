@@ -122,15 +122,20 @@ def f_landscape(params: LandscapeParams, c: float, rho: float) -> float:
     return 0.5 - t_sub - t_crit
 
 
+def _log_D(params: LandscapeParams, es: ExponentSet) -> float:
+    # log of the constant D in rho_star(c) = (D c^alpha1)^{1/(alpha2 - alpha0)}
+    return (math.log(-es.alpha0 / es.alpha2)
+            + math.log(params.mu) + params.q * math.log(params.C_gn)
+            + math.log(es.p_crit) - math.log(params.q)
+            - es.p_crit * math.log(params.S_sob))
+
+
 def rho_star(params: LandscapeParams, c: float) -> float:
     """Unique maximizer of rho -> f(c, rho) over (0, inf), in closed form."""
     if c <= 0:
         raise DomainError("c must be positive")
     es = derive_exponents(params)
-    log_D = (math.log(-es.alpha0 / es.alpha2)
-             + math.log(params.mu) + params.q * math.log(params.C_gn)
-             + math.log(es.p_crit) - math.log(params.q)
-             - es.p_crit * math.log(params.S_sob))
+    log_D = _log_D(params, es)
     return math.exp((log_D + es.alpha1 * math.log(c)) / (es.alpha2 - es.alpha0))
 
 
@@ -138,10 +143,7 @@ def mass_threshold(params: LandscapeParams):
     """(M, c0, rho0): the constant M with max_rho f(c, rho) = 1/2 - M c^{4/N},
     the mass threshold c0 = (2M)^{-N/4}, and rho0 = rho_star(c0)."""
     es = derive_exponents(params)
-    log_D = (math.log(-es.alpha0 / es.alpha2)
-             + math.log(params.mu) + params.q * math.log(params.C_gn)
-             + math.log(es.p_crit) - math.log(params.q)
-             - es.p_crit * math.log(params.S_sob))
+    log_D = _log_D(params, es)
     span = es.alpha2 - es.alpha0
     m_sub = math.exp(math.log(params.mu / params.q)
                      + params.q * math.log(params.C_gn)

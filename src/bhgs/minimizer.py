@@ -26,9 +26,9 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fiber import analyze_fiber
-from .functionals import (NormBundle, energy, lagrange_multiplier, norm_bundle,
-                          pohozaev, pohozaev_coefficient)
-from .grid import RadialField, RadialGrid
+from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
+                          norm_bundle, pohozaev)
+from .grid import RadialField, RadialGrid, build_grid
 from .landscape import DomainError, LandscapeParams, mass_threshold
 
 __all__ = ["SolverConfig", "GroundState", "ConvergenceError", "seed",
@@ -146,8 +146,6 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 
     u = seed(params, thresholds, c, grid, config.seed_shape).values
     bend_cap = rho0 * (1.0 - config.safeguard_margin)
-    w = grid.weights
-    kq = pohozaev_coefficient(params)
 
     def bundle_of(vec: np.ndarray) -> NormBundle:
         return norm_bundle(params, RadialField(grid, vec))
@@ -163,11 +161,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     iters = 0
 
     for iters in range(1, config.max_iter + 1):
-        lu = grid.lap_apply(u)
-        au = np.abs(u)
-        grad = (grid.lap_t_apply(w * lu) / w
-                - params.mu * np.sign(u) * au ** (params.q - 1.0)
-                - np.sign(u) * au ** (params.p_crit - 1.0))
+        grad = l2_gradient(params, RadialField(grid, u)).values
         lam_hat = _wdot(grid, grad, u) / c
         g_proj = grad - lam_hat * u
         gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
@@ -240,13 +234,18 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         constraint_active=n_safe > 0)
 
 
+def _gn_norms(grid: RadialGrid, q: float, u: np.ndarray):
+    # (Lu, |u|_q^q, |Du|_2^2, |u|_2^2): the norms of the interpolation quotient
+    w = grid.weights
+    lu = grid.lap_apply(u)
+    return (lu, float(np.sum(w * np.abs(u) ** q)), float(np.sum(w * lu * lu)),
+            float(np.sum(w * u * u)))
+
+
 def _quotient_gn(params: LandscapeParams, grid: RadialGrid, q: float,
                  u: np.ndarray) -> float:
     beta = params.N * (q - 2.0) / (4.0 * q)
-    lu = grid.lap_apply(u)
-    B = float(np.sum(grid.weights * np.abs(u) ** q))
-    A = float(np.sum(grid.weights * lu * lu))
-    mass = float(np.sum(grid.weights * u * u))
+    _, B, A, mass = _gn_norms(grid, q, u)
     return (B ** (1.0 / q)) / (A ** (beta / 2.0) * mass ** ((1.0 - beta) / 2.0))
 
 
@@ -269,22 +268,15 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
     u /= math.sqrt(_wdot(grid, u, u))
 
     def logF(vec: np.ndarray) -> float:
-        lu = grid.lap_apply(vec)
-        B = float(np.sum(w * np.abs(vec) ** q))
-        A = float(np.sum(w * lu * lu))
-        mass = float(np.sum(w * vec * vec))
+        _, B, A, mass = _gn_norms(grid, q, vec)
         return (math.log(B) / q - beta * math.log(A) / 2.0
                 - (1.0 - beta) * math.log(mass) / 2.0)
 
     F = logF(u)
     tau = 1.0
     for _ in range(max_iter):
-        lu = grid.lap_apply(u)
-        au = np.abs(u)
-        B = float(np.sum(w * au ** q))
-        A = float(np.sum(w * lu * lu))
-        mass = float(np.sum(w * u * u))
-        grad = (np.sign(u) * au ** (q - 1.0) / B
+        lu, B, A, mass = _gn_norms(grid, q, u)
+        grad = (np.sign(u) * np.abs(u) ** (q - 1.0) / B
                 - beta * grid.lap_t_apply(w * lu) / w / A
                 - (1.0 - beta) * u / mass)
         d = cho_solve_banded((factor, False), w * grad)
@@ -357,7 +349,6 @@ def estimate_sobolev_constant(params: LandscapeParams, grid: RadialGrid,
 
     val = best_on(grid)
     if check_truncation:
-        from .grid import build_grid
         doubled = best_on(build_grid(grid.dim, grid.n, 2.0 * grid.r_max))
         if abs(doubled - val) > 1e-3 * val:
             raise DomainError(

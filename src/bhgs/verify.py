@@ -18,7 +18,8 @@ import numpy as np
 
 from . import fiber as fb
 from . import landscape as ls
-from .functionals import NormBundle, energy, l2_gradient, norm_bundle
+from .functionals import (NormBundle, energy, l2_gradient, norm_bundle,
+                          pohozaev_coefficient)
 from .grid import RadialField, RadialGrid, build_grid, integrate, laplacian
 
 __all__ = ["CheckResult", "run_all", "random_params", "golden_argmax",
@@ -134,7 +135,6 @@ def fiber_sign_scan(params: ls.LandscapeParams, b: NormBundle,
     else:
         lo, hi = fa.s_turn / 100.0, fa.s_turn * 100.0
     ex = ls.derive_exponents(params)
-    from .functionals import pohozaev_coefficient
     k = pohozaev_coefficient(params)
     s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
     with np.errstate(over="ignore"):

@@ -12,7 +12,6 @@ import pytest
 
 from bhgs import (
     LandscapeParams,
-    NormBundle,
     RadialField,
     analyze_fiber,
     build_grid,
@@ -26,6 +25,7 @@ from bhgs import (
     mass_threshold,
     minimize,
     norm_bundle,
+    rescale_bundle,
     rho_star,
 )
 from bhgs.cli import evaluate_sweep_flags
@@ -210,22 +210,14 @@ def test_criterion_7_mass_sweep(capsys, p53, thresholds53, grid_solve):
 def test_criterion_8_boundary_positivity(capsys, p53, thresholds53, grid30):
     _, c0, rho0 = thresholds53
     rng = np.random.default_rng(20260404)
-    ex = derive_exponents(p53)
     worst_j = math.inf
     worst_slack = math.inf
     for _ in range(100):
         u = bump_field(grid30, rng)
         b = norm_bundle(p53, u)
         c = float(rng.uniform(0.05, 0.95)) * c0
-        # exact scaling of t u(s x): pick (t, s) putting the bundle on the
-        # slice mass = c, bend = rho0
-        s = (rho0 * b.mass / (c * b.bend)) ** 0.25
-        t_sq = c * s ** p53.N / b.mass
-        scaled = NormBundle(
-            mass=c, bend=rho0,
-            subcrit=t_sq ** (p53.q / 2.0) * s ** (-p53.N) * b.subcrit,
-            crit=t_sq ** (ex.p_crit / 2.0) * s ** (-p53.N) * b.crit)
-        j = energy(p53, scaled)
+        # exact scaling of t u(s x) onto the slice mass = c, bend = rho0
+        j = energy(p53, rescale_bundle(p53, b, c, rho0))
         bound = rho0 * f_landscape(p53, c, rho0)
         worst_j = min(worst_j, j)
         worst_slack = min(worst_slack, j - bound + 1e-8 * max(1.0, abs(j)))

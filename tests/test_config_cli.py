@@ -201,6 +201,15 @@ class TestSweepFlags:
             evaluate_sweep_flags([1.0, 2.0], [-1.0])
 
 
+class TestSweepFlagsAtSolverScale(TestSweepFlags):
+    # the same corruptions at the scale of the default solves: m = -K c^{7/3}
+    # with K = 1.164719e-6 at 0.1-0.4 c0 (c0 = 1.3102), so every |m| is below
+    # 2e-6 and an absolute add_tol of 1e-6 would pass the subadditivity and
+    # sub-homogeneity corruptions
+    CS = [f * 1.310217148542877 for f in (0.1, 0.2, 0.3, 0.4)]
+    GOOD_M = [-1.164719e-06 * c ** (7.0 / 3.0) for c in CS]
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()

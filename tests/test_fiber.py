@@ -14,7 +14,6 @@ from bhgs import (
     pohozaev,
     psi,
     psi_prime,
-    scale_field,
     xi,
     xi_turning_point,
 )
@@ -202,8 +201,10 @@ class TestAgainstMaterializedFields:
     def test_psi_matches_scaled_field_energy(self, p53, grid30, s):
         from bhgs import energy
 
-        fld = RadialField(grid30, np.exp(-0.5 * grid30.nodes ** 2))
-        b = norm_bundle(p53, fld)
+        # the fiber dilation s^{N/4} u(s^{1/2} r) of e^{-r^2/2}, analytically
+        r = grid30.nodes
+        b = norm_bundle(p53, RadialField(grid30, np.exp(-0.5 * r ** 2)))
         closed = psi(p53, b, s)
-        materialized = energy(p53, norm_bundle(p53, scale_field(fld, s)))
+        dilated = RadialField(grid30, s ** 1.25 * np.exp(-0.5 * s * r ** 2))
+        materialized = energy(p53, norm_bundle(p53, dilated))
         assert materialized == pytest.approx(closed, rel=1e-3)

@@ -11,12 +11,11 @@ from bhgs import (
     build_grid,
     energy,
     f_landscape,
-    integrate,
     l2_gradient,
     lagrange_multiplier,
     norm_bundle,
     pohozaev,
-    projected_gradient,
+    rescale_bundle,
 )
 from bhgs.functionals import pohozaev_coefficient
 from bhgs.verify import bump_field
@@ -138,27 +137,35 @@ class TestGradient:
         assert np.max(np.abs((bend_grad - want)[window])) <= 1e-5
 
 
-class TestProjectedGradient:
-    def test_orthogonality(self, p53, grid30, rng):
-        c = 2.0
-        raw = bump_field(grid30, rng)
-        m = integrate(grid30, raw.values ** 2)
-        u = RadialField(grid30, raw.values * math.sqrt(c / m))
-        gp = projected_gradient(p53, u, c)
-        ip = float(np.sum(grid30.weights * gp.values * u.values))
-        gn = math.sqrt(float(np.sum(grid30.weights * gp.values ** 2)))
-        un = math.sqrt(c)
-        assert abs(ip) <= 1e-10 * max(gn * un, 1e-300)
+class TestRescaleBundle:
+    # t e^{-s^2 r^2/2} is t u(s x) for the unit Gaussian u; its bundle is
+    # built on the grid and compared with rescale_bundle of u's bundle
+    @pytest.fixture(scope="class")
+    def grid_wide(self):
+        return build_grid(5, 2049, 30.0)
 
-    def test_rejects_mass_drift(self, p53, grid30, rng):
-        raw = bump_field(grid30, rng)
-        m = integrate(grid30, raw.values ** 2)
-        with pytest.raises(DomainError, match="drifted"):
-            projected_gradient(p53, raw, 2.0 * m)
+    @pytest.mark.parametrize("mass,bend", [(0.3, 2.0), (2.0, 0.5),
+                                           (1.0, 500.0)])
+    def test_matches_materialized_field(self, p53, grid_wide, mass, bend):
+        r = grid_wide.nodes
+        b = norm_bundle(p53, RadialField(grid_wide, np.exp(-0.5 * r ** 2)))
+        # mass scales by t^2 s^-N and bend by t^2 s^{4-N} under t u(s x)
+        s = (bend * b.mass / (mass * b.bend)) ** 0.25
+        t = math.sqrt(mass * s ** 5 / b.mass)
+        made = norm_bundle(p53, RadialField(
+            grid_wide, t * np.exp(-0.5 * s * s * r ** 2)))
+        got = rescale_bundle(p53, b, mass, bend)
+        for name in ("mass", "bend", "subcrit", "crit"):
+            assert getattr(got, name) == pytest.approx(getattr(made, name),
+                                                       rel=1e-6), name
 
-    def test_rejects_nonpositive_mass(self, p53, grid30, rng):
+    def test_needs_positive_mass_and_bend(self, p53):
         with pytest.raises(DomainError):
-            projected_gradient(p53, bump_field(grid30, rng), 0.0)
+            rescale_bundle(p53, NormBundle(0.0, 1.0, 1.0, 1.0), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            rescale_bundle(p53, NormBundle(1.0, 0.0, 1.0, 1.0), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            rescale_bundle(p53, ONES, 0.0, 1.0)
 
 
 class TestLandscapeBound:

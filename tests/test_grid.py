@@ -11,9 +11,7 @@ from bhgs import (
     integrate,
     laplacian,
     load_field,
-    mass_dilate,
     save_field,
-    scale_field,
     sphere_area,
 )
 
@@ -166,84 +164,6 @@ class TestRadialField:
         fld = gaussian(grid12)
         with pytest.raises(dataclasses.FrozenInstanceError):
             fld.values = np.zeros(grid12.n)
-
-
-class TestScaleField:
-    def test_rejects_nonpositive(self, grid30):
-        with pytest.raises(DomainError):
-            scale_field(gaussian(grid30), 0.0)
-        with pytest.raises(DomainError):
-            scale_field(gaussian(grid30), -1.0)
-
-    def test_identity(self, grid30):
-        u = gaussian(grid30)
-        v = scale_field(u, 1.0)
-        assert v.values is not u.values
-        assert np.array_equal(v.values, u.values)
-
-    @pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
-    def test_matches_analytic_gaussian(self, grid30, s):
-        # the Gaussian family is closed under the dilation
-        r = grid30.nodes
-        got = scale_field(gaussian(grid30), s).values
-        want = s ** 1.25 * np.exp(-0.5 * s * r ** 2)
-        assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("s", [0.5, 2.0])
-    def test_mass_preserved(self, grid30, s):
-        u = gaussian(grid30)
-        m0 = integrate(grid30, u.values ** 2)
-        m1 = integrate(grid30, scale_field(u, s).values ** 2)
-        assert m1 == pytest.approx(m0, rel=1e-6)
-
-    def test_bend_scaling_law(self, grid30):
-        u = gaussian(grid30)
-        b0 = integrate(grid30, laplacian(u).values ** 2)
-        b2 = integrate(grid30, laplacian(scale_field(u, 2.0)).values ** 2)
-        assert b2 == pytest.approx(4.0 * b0, rel=1e-4)
-
-    def test_composition(self, grid30):
-        u = gaussian(grid30)
-        via = scale_field(scale_field(u, 2.0), 3.0)
-        direct = scale_field(u, 6.0)
-        peak = np.max(np.abs(direct.values))
-        assert np.max(np.abs(via.values - direct.values)) <= 1e-4 * peak
-
-
-class TestMassDilate:
-    def test_moves_mass(self, grid30):
-        u = gaussian(grid30)
-        v = mass_dilate(u, PI_52, 2.0)
-        assert integrate(grid30, v.values ** 2) == pytest.approx(2.0, rel=1e-6)
-
-    def test_preserves_bend(self, grid30):
-        u = gaussian(grid30)
-        v = mass_dilate(u, PI_52, 2.0)
-        b0 = integrate(grid30, laplacian(u).values ** 2)
-        b1 = integrate(grid30, laplacian(v).values ** 2)
-        assert b1 == pytest.approx(b0, rel=1e-5)
-
-    def test_q_norm_law(self, grid30):
-        u = gaussian(grid30)
-        c_to = 2.0
-        v = mass_dilate(u, PI_52, c_to)
-        s0 = integrate(grid30, np.abs(u.values) ** 3)
-        s1 = integrate(grid30, np.abs(v.values) ** 3)
-        # exponent (2N - q(N-4))/8 = 7/8 for N=5, q=3
-        assert s1 / s0 == pytest.approx((c_to / PI_52) ** 0.875, rel=1e-5)
-
-    def test_identity_when_masses_equal(self, grid30):
-        u = gaussian(grid30)
-        v = mass_dilate(u, PI_52, PI_52)
-        assert np.array_equal(v.values, u.values)
-
-    def test_rejects_wrong_declared_mass(self, grid30):
-        with pytest.raises(DomainError):
-            mass_dilate(gaussian(grid30), 1.0, 2.0)
-
-    def test_rejects_nonpositive_masses(self, grid30):
-        with pytest.raises(DomainError):
-            mass_dilate(gaussian(grid30), PI_52, 0.0)
 
 
 class TestFieldCsv:

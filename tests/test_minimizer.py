@@ -154,6 +154,22 @@ class TestMinimize:
             minimize(p53, grid_solve, 0.5 * c0, cfg)
 
 
+class TestScalingLaw:
+    def test_pure_subcritical_scaling(self, p53, grid_solve, thresholds53):
+        # the critical term is negligible at these masses, and for the pure
+        # subcritical problem t u(s x) maps minimizers onto minimizers, so
+        # m(c) / c^theta is common, theta = 1 + 4(q-2)/(8 - N(q-2)) = 7/3
+        _, c0, _ = thresholds53
+        N, q = p53.N, p53.q
+        theta = 1.0 + 4.0 * (q - 2.0) / (8.0 - N * (q - 2.0))
+        ratios = []
+        for k in range(1, 10):
+            c = 0.1 * k * c0
+            ratios.append(minimize(p53, grid_solve, c).m / c ** theta)
+        spread = (max(ratios) - min(ratios)) / abs(np.median(ratios))
+        assert spread <= 1e-7
+
+
 class TestFiberConsistency:
     def test_raises_without_fiber_minimum(self, p53, grid30):
         # amplitude pushes the negative terms past the bend: no crossing
