@@ -21,7 +21,8 @@ import numpy as np
 
 from .grid import RadialGrid, build_grid
 from .landscape import LandscapeParams
-from .minimizer import SolverConfig
+from .minimizer import (SolverConfig, estimate_gn_constant,
+                        estimate_sobolev_constant)
 
 __all__ = ["ConfigError", "Config", "load_config", "resolve_params",
            "sweep_masses", "DEFAULTS", "ENV_PREFIX"]
@@ -183,7 +184,6 @@ def resolve_params(cfg: Config) -> tuple[LandscapeParams, dict]:
         s_sob = cfg.get_float("constants", "s_sob")
         info = {"mode": mode, "C_gn": c_gn, "S_sob": s_sob}
         return cfg.problem(c_gn, s_sob), info
-    from .minimizer import estimate_gn_constant, estimate_sobolev_constant
     probe = cfg.problem()
     gn_grid = build_grid(probe.N, cfg.get_int("constants", "gn_n"),
                          cfg.get_float("constants", "gn_r_max"))

@@ -16,6 +16,12 @@ Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
 rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
+
+scipy.linalg is imported on the first banded factorization or solve, not
+with this module: the closed-form commands (constants, landscape, fiber,
+verify) never load it. `cholesky_banded` and `cho_solve_banded` stay module
+attributes, and every call site looks them up as globals at call time, so
+rebinding them (for tracing or testing) catches every call.
 """
 from __future__ import annotations
 
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fiber import analyze_fiber
 from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
@@ -118,6 +123,18 @@ def seed(params: LandscapeParams, thresholds, c: float, grid: RadialGrid,
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
+def cholesky_banded(ab, overwrite_ab=False, lower=False, check_finite=True):
+    """scipy.linalg.cholesky_banded, importing scipy.linalg on first use."""
+    from scipy.linalg import cholesky_banded
+    return cholesky_banded(ab, overwrite_ab, lower, check_finite)
+
+
+def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
+    """scipy.linalg.cho_solve_banded, importing scipy.linalg on first use."""
+    from scipy.linalg import cho_solve_banded
+    return cho_solve_banded(cb_and_lower, b, overwrite_b, check_finite)
+
+
 def _banded_factor(grid: RadialGrid, a: float):
     # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4
     return cholesky_banded(grid.normal_band(a), lower=False)
@@ -202,10 +219,13 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         if J - J2 <= 1e-16 * abs(J):
             stall += 1
             if stall >= config.stall_iters:
+                floor = ("; the gradient criterion is met and the Pohozaev "
+                         "residual is at the discretization floor of this grid"
+                         if gnorm <= config.grad_tol else "")
                 raise ConvergenceError(
                     f"stalled for {config.stall_iters} steps at "
                     f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
-                    f"(tolerances {config.grad_tol}, {config.q_tol})")
+                    f"(tolerances {config.grad_tol}, {config.q_tol}){floor}")
         else:
             stall = 0
         u, b, J = cand, b2, J2

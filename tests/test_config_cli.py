@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,6 +309,22 @@ class TestCliSolveAndFiber:
         assert rc == 3
         (rec,) = json_lines(err)
         assert rec["error"] == "domain-error"
+
+    def test_solve_stall_at_discretization_floor(self, capsys, tmp_path):
+        # at 0.0777 c0 the gradient meets grad_tol by four decades while the
+        # Pohozaev residual sits just above the absolute q_tol on this grid
+        rc, out, err = run_cli(capsys, "solve", "--c", "0.10173884969332775",
+                               "--out", str(tmp_path / "no.csv"))
+        assert rc == 4 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "non-convergence"
+        msg = rec["message"]
+        hit = re.match(r"stalled for 30 steps at gnorm=(\S+), "
+                       r"q_residual=(\S+) \(tolerances 1e-08, 5e-07\)", msg)
+        assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
+        assert msg.endswith("; the gradient criterion is met and the Pohozaev "
+                            "residual is at the discretization floor of this "
+                            "grid")
 
     def test_solve_unwritable_output(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "solve", "--c", "0.655",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,8 +151,13 @@ class TestMinimize:
         _, c0, _ = thresholds53
         cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30, stall_iters=5,
                            max_iter=400)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.5 * c0, cfg)
+        # gnorm is above grad_tol, so the message names no discretization floor
+        msg = str(err.value)
+        hit = re.fullmatch(r"stalled for 5 steps at gnorm=(\S+), "
+                           r"q_residual=\S+ \(tolerances 1e-30, 1e-30\)", msg)
+        assert hit and float(hit.group(1)) > cfg.grad_tol
 
 
 class TestScalingLaw:

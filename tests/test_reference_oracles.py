@@ -6,6 +6,7 @@ implementations kept below as references: the O(n) Fraction weight loop, the
 CSR Laplacian with its cached CSR transpose, and the sparse triple product
 that fed the banded Cholesky.
 """
+import json
 import math
 import os
 import subprocess
@@ -147,14 +148,103 @@ def test_factor_input_matches_sparse_assembly(N, n, r_max, a, monkeypatch):
 # ------------------------------------------------------------ import footprint
 
 
-def test_cli_import_skips_sparse_and_interpolate():
+LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate")
+
+
+def run_fresh(code, cwd=None, env_extra=None):
+    """stdout of `code` run in a fresh interpreter that imports bhgs from
+    this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = ("import sys, bhgs.cli; "
-            "print(sorted(m for m in ('scipy.sparse', 'scipy.interpolate') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def loaded_after(code, cwd=None, env_extra=None):
+    report = f"import sys; print(sorted(m for m in {LAZY!r} if m in sys.modules))"
+    out = run_fresh(code + "\n" + report, cwd, env_extra)
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_skips_sparse_and_interpolate():
+    # nor scipy.linalg: the first banded factorization loads it
+    for code in ("import bhgs", "import bhgs.cli"):
+        assert loaded_after(code) == "[]", code
+
+
+@pytest.mark.parametrize("argv,env_extra,want", [
+    (["constants"], None, "[]"),
+    (["landscape"], None, "[]"),
+    (["fiber", "--field", "gs.csv"], None, "[]"),
+    (["verify"], None, "[]"),
+    (["solve", "--c", "0.6", "--out", "out.csv"], None, "['scipy.linalg']"),
+    (["constants"], {"BHGS_CONSTANTS__MODE": "estimated"}, "['scipy.linalg']"),
+], ids=["constants", "landscape", "fiber", "verify", "solve",
+        "constants-estimated"])
+def test_command_import_footprint(argv, env_extra, want, tmp_path):
+    # only the commands that factor the banded preconditioner load scipy.linalg
+    if argv[0] == "fiber":
+        g = build_grid(5, 2049, 1000.0)
+        bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
+                        str(tmp_path / "gs.csv"))
+    code = f"import bhgs.cli; rc = bhgs.cli.main({argv!r}); assert rc == 0, rc"
+    assert loaded_after(code, tmp_path, env_extra) == want
+
+
+# -------------------------------------------------------------- trace contract
+
+TRACE_CONTRACT = """
+import json, sys
+import numpy as np
+from bhgs import LandscapeParams, build_grid, mass_threshold, minimizer
+
+names = ("cholesky_banded", "cho_solve_banded")
+resolved = [callable(getattr(minimizer, n)) for n in names]
+linalg_before = "scipy.linalg" in sys.modules
+
+# rebind the module attributes, as an outside tracer does
+calls = dict.fromkeys(names, 0)
+orig = {n: getattr(minimizer, n) for n in names}
+def counting(n):
+    def wrapper(*args, **kwargs):
+        calls[n] += 1
+        return orig[n](*args, **kwargs)
+    return wrapper
+for n in names:
+    setattr(minimizer, n, counting(n))
+
+p = LandscapeParams(N=5, q=3.0, mu=1.0)
+grid = build_grid(5, 2049, 1000.0)
+c = 0.5 * mass_threshold(p)[1]
+traced = minimizer.minimize(p, grid, c)
+solve_calls = dict(calls)
+calls.update(dict.fromkeys(names, 0))
+minimizer.estimate_gn_constant(p, build_grid(5, 1025, 40.0), p.q)
+gn_calls = dict(calls)
+
+for n in names:
+    setattr(minimizer, n, orig[n])
+plain = minimizer.minimize(p, grid, c)
+same = (np.array_equal(traced.field.values, plain.field.values)
+        and all(getattr(traced, k) == getattr(plain, k)
+                for k in ("c", "m", "lam", "q_residual", "bend", "iters",
+                          "constraint_active")))
+print(json.dumps({"resolved": resolved, "linalg_before": linalg_before,
+                  "iters": traced.iters, "solve_calls": solve_calls,
+                  "gn_calls": gn_calls, "same": same}))
+"""
+
+
+def test_banded_kernels_are_traceable_before_any_solve():
+    out = json.loads(run_fresh(TRACE_CONTRACT))
+    assert out["resolved"] == [True, True]
+    assert out["linalg_before"] is False
+    calls = out["solve_calls"]
+    assert calls["cho_solve_banded"] == out["iters"] - 1
+    assert calls["cholesky_banded"] >= 1
+    assert out["gn_calls"]["cholesky_banded"] >= 1
+    assert out["gn_calls"]["cho_solve_banded"] >= 1
+    assert out["same"] is True
