@@ -175,7 +175,7 @@ def _cmd_landscape(args) -> int:
     params, info = resolve_params(cfg)
     M, c0, rho0 = mass_threshold(params)
     cs = sweep_masses(cfg, c0)
-    count = cfg.get_int("sweep", "boundary_samples")
+    count = cfg.boundary_samples()
     grid = cfg.solve_grid()
     header = f"# M={M!r} c0={c0!r} rho0={rho0!r}\n"
 
@@ -254,7 +254,7 @@ def _cmd_sweep(args) -> int:
         "add_tol": cfg.get_float("sweep", "add_tol"),
         "triple_match_tol": cfg.get_float("sweep", "triple_match_tol"),
     }
-    count = cfg.get_int("sweep", "boundary_samples")
+    count = cfg.boundary_samples()
     per_c = max(1, count // len(cs))
 
     states = []
@@ -318,6 +318,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    if args.points < 1:
+        raise ConfigError("config-value",
+                          f"--points must be >= 1, got {args.points}")
     cfg = load_config(args.config)
     params, _ = resolve_params(cfg)
     fld = load_field(args.field)

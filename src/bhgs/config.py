@@ -113,6 +113,14 @@ class Config:
                 f"[constants] mode must be synthetic or estimated, got {mode!r}")
         return mode
 
+    def boundary_samples(self) -> int:
+        count = self.get_int("sweep", "boundary_samples")
+        if count < 1:
+            raise ConfigError(
+                "config-value",
+                f"[sweep] boundary_samples must be >= 1, got {count}")
+        return count
+
     def solve_grid(self) -> RadialGrid:
         return build_grid(self.get_int("problem", "n"),
                           self.get_int("grid", "n"),

@@ -10,6 +10,16 @@ The bending term of the gradient is the exact gradient of the *discrete*
 energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
 profiles this coincides with L(Lu) to the scheme order, but unlike the plain
 composition it passes directional-derivative tests down to solver precision.
+
+Every nonlinear term is a power |u|^e (e = q, 4*, q-1, 4*-1; 4* = 10 at
+N = 5), and on the decaying tails of seeds and iterates these powers
+underflow. On AVX-512 hosts numpy's vectorized power sends each lane whose
+result underflows, and each exact zero, to a scalar fallback: at n = 2049 a
+power that underflows everywhere costs about 25x one on O(1) values.
+nonneg_power writes those lanes itself. Where |u| <= 2^(-1080/e) the true
+power is below 2^-1075, half the smallest subnormal, so the rounded result
+is +0 and numpy returns +0 as well. Every other lane, NaN included, still
+goes through np.power, so the result equals |u| ** e bit for bit.
 """
 from __future__ import annotations
 
@@ -23,6 +33,7 @@ from .landscape import DomainError, LandscapeParams, derive_exponents
 __all__ = [
     "NormBundle",
     "norm_bundle",
+    "nonneg_power",
     "energy",
     "pohozaev",
     "pohozaev_coefficient",
@@ -47,6 +58,18 @@ class NormBundle:
                 raise DomainError(f"NormBundle.{name} must be finite and >= 0, got {v}")
 
 
+def nonneg_power(au: np.ndarray, e: float) -> np.ndarray:
+    """au ** e, bitwise, for au >= 0 and e > 0, without numpy's underflow
+    slow path: lanes at or below 2^(-1080/e) are set to +0 directly."""
+    cut = 2.0 ** (-1080.0 / e)
+    if au.min(initial=np.inf) > cut:
+        return au ** e
+    out = np.zeros_like(au)
+    # ~(au <= cut), not au > cut: NaN lanes must reach np.power
+    np.power(au, e, out=out, where=~(au <= cut))
+    return out
+
+
 def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     g = fld.grid
     u = fld.values
@@ -57,8 +80,8 @@ def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     return NormBundle(
         mass=float(np.sum(g.weights * u * u)),
         bend=float(np.sum(g.weights * lu * lu)),
-        subcrit=float(np.sum(g.weights * au ** params.q)),
-        crit=float(np.sum(g.weights * au ** params.p_crit)),
+        subcrit=float(np.sum(g.weights * nonneg_power(au, params.q))),
+        crit=float(np.sum(g.weights * nonneg_power(au, params.p_crit))),
     )
 
 
@@ -90,9 +113,10 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     u = fld.values
     w = g.weights
     au = np.abs(u)
+    sgn = np.sign(u)
     return RadialField(g, g.lap_t_apply(w * g.lap_apply(u)) / w
-                       - params.mu * np.sign(u) * au ** (params.q - 1.0)
-                       - np.sign(u) * au ** (params.p_crit - 1.0))
+                       - params.mu * sgn * nonneg_power(au, params.q - 1.0)
+                       - sgn * nonneg_power(au, params.p_crit - 1.0))
 
 
 def rescale_bundle(params: LandscapeParams, b: NormBundle, mass: float,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fiber import analyze_fiber
 from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
-                          norm_bundle, pohozaev)
+                          nonneg_power, norm_bundle, pohozaev)
 from .grid import RadialField, RadialGrid, build_grid
 from .landscape import DomainError, LandscapeParams, mass_threshold
 
@@ -258,7 +258,8 @@ def _gn_norms(grid: RadialGrid, q: float, u: np.ndarray):
     # (Lu, |u|_q^q, |Du|_2^2, |u|_2^2): the norms of the interpolation quotient
     w = grid.weights
     lu = grid.lap_apply(u)
-    return (lu, float(np.sum(w * np.abs(u) ** q)), float(np.sum(w * lu * lu)),
+    return (lu, float(np.sum(w * nonneg_power(np.abs(u), q))),
+            float(np.sum(w * lu * lu)),
             float(np.sum(w * u * u)))
 
 
@@ -296,7 +297,7 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
     tau = 1.0
     for _ in range(max_iter):
         lu, B, A, mass = _gn_norms(grid, q, u)
-        grad = (np.sign(u) * np.abs(u) ** (q - 1.0) / B
+        grad = (np.sign(u) * nonneg_power(np.abs(u), q - 1.0) / B
                 - beta * grid.lap_t_apply(w * lu) / w / A
                 - (1.0 - beta) * u / mass)
         d = cho_solve_banded((factor, False), w * grad)
@@ -331,7 +332,7 @@ def _sobolev_quotient(params: LandscapeParams, grid: RadialGrid,
     u *= 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
     lu = grid.lap_apply(u)
     p = params.p_crit
-    C = float(np.sum(grid.weights * np.abs(u) ** p))
+    C = float(np.sum(grid.weights * nonneg_power(np.abs(u), p)))
     A = float(np.sum(grid.weights * lu * lu))
     return C ** (1.0 / p) / math.sqrt(A)
 

@@ -153,6 +153,18 @@ class TestSweepMasses:
             sweep_masses(cfg, 1.0)
 
 
+class TestBoundarySamples:
+    def test_default(self):
+        assert load_config(env={}).boundary_samples() == 100
+
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    def test_below_one_rejected(self, bad):
+        cfg = load_config(env={"BHGS_SWEEP__BOUNDARY_SAMPLES": bad})
+        with pytest.raises(ConfigError) as ei:
+            cfg.boundary_samples()
+        assert kind_of(ei) == "config-value"
+
+
 class TestSweepFlags:
     CS = [1.0, 2.0, 3.0, 4.0]
     GOOD_M = [-(c ** (7.0 / 3.0)) for c in CS]
@@ -345,6 +357,21 @@ class TestCliSolveAndFiber:
         (rec,) = json_lines(out)
         assert rec["s1"] is None and rec["kind1"] is None
 
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_fiber_rejects_points_below_one(self, capsys, tmp_path, grid30,
+                                            points):
+        from bhgs import RadialField, save_field
+
+        path = str(tmp_path / "g.csv")
+        save_field(RadialField(grid30, np.exp(-0.5 * grid30.nodes ** 2)), path)
+        curve = tmp_path / "c.csv"
+        rc, out, err = run_cli(capsys, "fiber", "--field", path,
+                               "--curve-out", str(curve), "--points", points)
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert not curve.exists()
+
     def test_fiber_dimension_mismatch(self, capsys, tmp_path, monkeypatch):
         from bhgs import RadialField, build_grid, save_field
 
@@ -393,6 +420,19 @@ class TestCliSweep:
         assert on_disk["c"] == []
 
 
+    def test_negative_boundary_samples_rejected(self, capsys, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("BHGS_SWEEP__K", "4")
+        monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "-5")
+        report = tmp_path / "rep.json"
+        rc, out, err = run_cli(capsys, "sweep", "--out", str(report))
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert "boundary_samples" in rec["message"]
+        assert not report.exists()
+
+
 class TestCliLandscape:
     def test_tables(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__K", "4")
@@ -412,6 +452,17 @@ class TestCliLandscape:
         grid_lines = open(rec["grid_csv"]).read().splitlines()
         assert grid_lines[1] == "c,rho,f"
         assert len(grid_lines) == 2 + 4 * 41
+
+
+    def test_zero_boundary_samples_rejected(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "0")
+        rc, out, err = run_cli(capsys, "landscape", "--out-dir", str(tmp_path))
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert "boundary_samples" in rec["message"]
+        assert not (tmp_path / "landscape_summary.csv").exists()
 
 
 class TestCliVerify:

@@ -17,7 +17,7 @@ from bhgs import (
     pohozaev,
     rescale_bundle,
 )
-from bhgs.functionals import pohozaev_coefficient
+from bhgs.functionals import nonneg_power, pohozaev_coefficient
 from bhgs.verify import bump_field
 
 PI_52 = math.pi ** 2.5
@@ -180,3 +180,53 @@ class TestLandscapeBound:
             j = energy(p53, b)
             bound = b.bend * f_landscape(p53, b.mass, b.bend)
             assert j >= bound - 1e-8 * max(1.0, abs(j))
+
+
+class TestNonnegPower:
+    """nonneg_power must equal au ** e bit for bit, NaN and the subnormal
+    results just above its 2^(-1080/e) cut included."""
+
+    SPECIALS = np.array([0.0, 5e-324, 2.2250738585072014e-308, np.inf, np.nan])
+
+    @staticmethod
+    def exponents():
+        # q, q-1, 4*, 4*-1 for N = 5..12, q drawn from the admissible range
+        rng = np.random.default_rng(20240605)
+        out = []
+        for N in range(5, 13):
+            q = 2.0 + (0.05 + 0.9 * rng.random()) * (8.0 / N)
+            p = LandscapeParams(N=N, q=q).p_crit
+            out += [q, q - 1.0, p, p - 1.0]
+        return out
+
+    def test_bitwise_equal_to_plain_power(self):
+        rng = np.random.default_rng(1080)
+        exps = self.exponents()
+        masked = subnormal = 0
+        for n in range(1, 9001):
+            e = exps[n % len(exps)]
+            # up to one lane in four has its log2 straddle the cut at
+            # -1080/e, the rest are O(1): masked and kept lanes come in runs
+            # of many lengths, while the reference spends little time on
+            # numpy's slow path for subnormal results
+            lg = rng.uniform(-8.0, 4.0, n)
+            tail = rng.random(n) < rng.uniform(0.0, 0.25)
+            lg[tail] = rng.uniform(-1100.0 / e, -1000.0 / e, int(tail.sum()))
+            au = np.exp2(lg)
+            hit = rng.random(n) < 0.02
+            au[hit] = rng.choice(self.SPECIALS, int(hit.sum()))
+            got = nonneg_power(au, e)
+            want = au ** e
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, e)
+            assert np.array_equal(np.isnan(got), np.isnan(au))
+            masked += int(np.sum(au <= 2.0 ** (-1080.0 / e)))
+            subnormal += int(np.sum((want > 0) & (want < 2.2250738585072014e-308)))
+        assert masked > 10 ** 5 and subnormal > 10 ** 5
+
+    def test_clean_and_degenerate_inputs(self):
+        for e in self.exponents():
+            for au in (np.linspace(0.5, 2.0, 33), np.zeros(7), np.empty(0),
+                       self.SPECIALS.copy()):
+                got = nonneg_power(au, e)
+                assert np.array_equal(got.view(np.int64),
+                                      (au ** e).view(np.int64))

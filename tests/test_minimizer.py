@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from bhgs import (
     norm_bundle,
     seed,
 )
+from bhgs import functionals
+from bhgs.config import load_config
 from bhgs.minimizer import _quotient_gn
+from bhgs.verify import random_params
 
 GN_REF = 0.2820814861937604      # quotient ascent fixed point, N=5, q=3
 
@@ -240,3 +244,82 @@ class TestSobolevEstimate:
         g = build_grid(5, 64, 200.0)
         with pytest.raises(DomainError, match="coarse"):
             estimate_sobolev_constant(p53, g)
+
+
+class TestNonnegPowerEndToEnd:
+    """Solver and estimator results are bitwise those of plain au ** e."""
+
+    @staticmethod
+    def rebind(monkeypatch, fn):
+        # every module binding of the helper, as `from .functionals import`
+        # binds it under several module names
+        orig = functionals.nonneg_power
+        mods = [m for name, m in list(sys.modules.items())
+                if name.startswith("bhgs")
+                and getattr(m, "nonneg_power", None) is orig]
+        assert {m.__name__ for m in mods} >= {"bhgs.functionals",
+                                              "bhgs.minimizer"}
+        for m in mods:
+            monkeypatch.setattr(m, "nonneg_power", fn)
+
+    def run_both(self, monkeypatch, fn):
+        """(plain result, helper result, calls with lanes at or below the
+        cut during the helper run)."""
+        nonneg_power = functionals.nonneg_power
+        masked = []
+
+        def counting(au, e):
+            if au.min() <= 2.0 ** (-1080.0 / e):
+                masked.append(e)
+            return nonneg_power(au, e)
+
+        with monkeypatch.context() as m:
+            self.rebind(m, lambda au, e: au ** e)
+            plain = fn()
+        with monkeypatch.context() as m:
+            self.rebind(m, counting)
+            real = fn()
+        return plain, real, len(masked)
+
+    @staticmethod
+    def solve(params, grid, c):
+        try:
+            st = minimize(params, grid, c)
+        except ConvergenceError as exc:
+            return ("error", str(exc))
+        return ("ok", st.field.values.tobytes(), st.m, st.lam, st.iters)
+
+    @pytest.mark.parametrize("case, outcome", [
+        ("default", "ok"),
+        (4, "ok"),
+        (3, "stalled for"),
+        (1, "seed contraction"),
+    ])
+    def test_minimize(self, monkeypatch, case, outcome):
+        cfg = load_config(env={})
+        params = (cfg.problem() if case == "default"
+                  else random_params(np.random.default_rng(case)))
+        grid = build_grid(params.N, cfg.get_int("grid", "n"),
+                          cfg.get_float("grid", "r_max"))
+        _, c0, _ = mass_threshold(params)
+        plain, real, masked = self.run_both(
+            monkeypatch, lambda: self.solve(params, grid, 0.5 * c0))
+        assert real == plain
+        assert masked > 0
+        if outcome == "ok":
+            assert real[0] == "ok"
+        else:
+            assert real[0] == "error" and outcome in real[1]
+
+    def test_estimators(self, monkeypatch):
+        cfg = load_config(env={"BHGS_CONSTANTS__MODE": "estimated"})
+        probe = cfg.problem()
+        gn_grid = build_grid(probe.N, cfg.get_int("constants", "gn_n"),
+                             cfg.get_float("constants", "gn_r_max"))
+        sob_grid = build_grid(probe.N, cfg.get_int("constants", "sob_n"),
+                              cfg.get_float("constants", "sob_r_max"))
+        for fn in (lambda: estimate_gn_constant(probe, gn_grid, probe.q),
+                   lambda: estimate_sobolev_constant(probe, sob_grid)):
+            plain, real, masked = self.run_both(monkeypatch, fn)
+            assert real.hex() == plain.hex()
+            assert masked > 0
