@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .landscape import (DomainError, derive_exponents, f_landscape,
                         mass_threshold, rho_star)
 from .minimizer import ConvergenceError, fiber_consistency, minimize
 
-__all__ = ["main", "SweepReport", "evaluate_sweep_flags"]
+__all__ = ["main", "evaluate_sweep_flags"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,45 +48,6 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 # ------------------------------------------------------------------- sweep
-
-@dataclass(frozen=True)
-class SweepReport:
-    c: list[float]
-    m: list[float]
-    lam: list[float]
-    bend: list[float]
-    q_residual: list[float]
-    iters: list[int]
-    constraint_active: list[bool]
-    monotone_decreasing: bool
-    monotone_offending: list[int]
-    all_negative: bool
-    subadditivity_violations: list[list[int]]
-    sub_homogeneity_violations: list[list[int]]
-    boundary_positive_samples: int
-    boundary_samples_total: int
-    tolerances: dict
-    partial: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "c": self.c, "m": self.m, "lambda": self.lam, "bend": self.bend,
-            "q_residual": self.q_residual, "iters": self.iters,
-            "constraint_active": self.constraint_active,
-            "monotone_decreasing": self.monotone_decreasing,
-            "monotone_offending": self.monotone_offending,
-            "all_negative": self.all_negative,
-            "subadditivity_violations": self.subadditivity_violations,
-            "sub_homogeneity_violations": self.sub_homogeneity_violations,
-            "boundary_positive_samples": self.boundary_positive_samples,
-            "boundary_samples_total": self.boundary_samples_total,
-            "tolerances": self.tolerances,
-            "partial": self.partial,
-        }
-        out.update(self.extra)
-        return out
-
 
 def evaluate_sweep_flags(c_values, m_values, mono_tol: float = 1e-8,
                          add_tol: float = 1e-6,
@@ -258,44 +218,40 @@ def _cmd_sweep(args) -> int:
     per_c = max(1, count // len(cs))
 
     states = []
-    def report(partial: bool) -> SweepReport:
+    def report(partial: bool) -> dict:
+        # the lemma flags and boundary samples over the solved masses,
+        # written to args.out
         done = len(states)
-        flags = evaluate_sweep_flags(cs[:done], [s.m for s in states],
-                                     tols["mono_tol"], tols["add_tol"],
-                                     tols["triple_match_tol"])
+        ms = [s.m for s in states]
+        rep = evaluate_sweep_flags(cs[:done], ms, tols["mono_tol"],
+                                   tols["add_tol"], tols["triple_match_tol"])
         positives = 0
-        total = 0
         for idx in range(done):
             pos, _, _ = _boundary_scan(params, grid, cs[idx], rho0, per_c,
                                        _SAMPLE_SEED + idx)
             positives += pos
-            total += per_c
-        return SweepReport(
-            c=cs[:done], m=[s.m for s in states], lam=[s.lam for s in states],
-            bend=[s.bend for s in states],
-            q_residual=[s.q_residual for s in states],
-            iters=[s.iters for s in states],
-            constraint_active=[s.constraint_active for s in states],
-            monotone_decreasing=flags["monotone_decreasing"],
-            monotone_offending=flags["monotone_offending"],
-            all_negative=flags["all_negative"],
-            subadditivity_violations=flags["subadditivity_violations"],
-            sub_homogeneity_violations=flags["sub_homogeneity_violations"],
-            boundary_positive_samples=positives,
-            boundary_samples_total=total,
-            tolerances=tols, partial=partial,
-            extra={"record": "sweep", "M": M, "c0": c0, "rho0": rho0,
-                   "mode": info["mode"], "C_gn": info["C_gn"],
-                   "S_sob": info["S_sob"]})
+        rep.update({
+            "record": "sweep", "c": cs[:done], "m": ms,
+            "lambda": [s.lam for s in states],
+            "bend": [s.bend for s in states],
+            "q_residual": [s.q_residual for s in states],
+            "iters": [s.iters for s in states],
+            "constraint_active": [s.constraint_active for s in states],
+            "boundary_positive_samples": positives,
+            "boundary_samples_total": per_c * done,
+            "tolerances": tols, "partial": partial,
+            "M": M, "c0": c0, "rho0": rho0, "mode": info["mode"],
+            "C_gn": info["C_gn"], "S_sob": info["S_sob"]})
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(rep, fh, sort_keys=True)
+            fh.write("\n")
+        return rep
 
     for c in cs:
         try:
             state = minimize(params, grid, c, solver)
         except ConvergenceError as exc:
-            rep = report(partial=True)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(rep.to_json(), fh, sort_keys=True)
-                fh.write("\n")
+            report(partial=True)
             return _fail("non-convergence",
                          f"solve at c={c} failed ({exc}); partial report "
                          f"written to {args.out}", EXIT_NONCONV)
@@ -306,14 +262,11 @@ def _cmd_sweep(args) -> int:
                "constraint_active": state.constraint_active})
 
     rep = report(partial=False)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_json(), fh, sort_keys=True)
-        fh.write("\n")
-    _emit(rep.to_json())
-    ok = (rep.monotone_decreasing and rep.all_negative
-          and not rep.subadditivity_violations
-          and not rep.sub_homogeneity_violations
-          and rep.boundary_positive_samples == rep.boundary_samples_total)
+    _emit(rep)
+    ok = (rep["monotone_decreasing"] and rep["all_negative"]
+          and not rep["subadditivity_violations"]
+          and not rep["sub_homogeneity_violations"]
+          and rep["boundary_positive_samples"] == rep["boundary_samples_total"])
     return EXIT_OK if ok else EXIT_VERIFY
 
 

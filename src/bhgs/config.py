@@ -2,9 +2,9 @@
 
 Sections and keys mirror the problem structure: [problem] N/q/mu,
 [constants] working-constant mode and values, [grid] the solve mesh,
-[solver] descent controls, [sweep] the mass grid. Any key can be overridden
-per process with BHGS_<SECTION>__<KEY> (two underscores), e.g.
-BHGS_SOLVER__GRAD_TOL=1e-9.
+[solver] tolerances and iteration budget, [sweep] the mass grid and its
+checks. Any key can be overridden per process with BHGS_<SECTION>__<KEY>
+(two underscores), e.g. BHGS_SOLVER__GRAD_TOL=1e-9.
 
 Numeric validation that encodes the admissible parameter ranges lives in the
 domain types themselves (LandscapeParams, SolverConfig, build_grid); this
@@ -13,7 +13,6 @@ module only parses, applies precedence, and rejects unknown keys.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -41,23 +40,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "sob_r_max": "256.0",
     },
     "grid": {"n": "2049", "r_max": "1000.0"},
-    "solver": {
-        "step0": "1.0",
-        "shrink": "0.5",
-        "grow": "1.3",
-        "grad_tol": "1e-8",
-        "q_tol": "5e-7",
-        "max_iter": "2000",
-        "seed_shape": "1.0",
-        "safeguard_margin": "1e-3",
-        "safeguard_max_frac": "0.5",
-        "stall_iters": "30",
-    },
+    "solver": {"grad_tol": "1e-8", "q_tol": "5e-7", "max_iter": "2000"},
     "sweep": {
-        "k": "8",
-        "c_min_frac": "0.05",
-        "c_max_frac": "0.95",
-        "c_grid": "",               # optional comma list of c/c0 fractions
+        "c_grid": "0.1,0.15,0.2,0.25,0.3,0.4,0.5,0.9",  # c/c0 fractions
         "boundary_samples": "100",
         "mono_tol": "1e-8",
         "add_tol": "1e-6",
@@ -127,18 +112,9 @@ class Config:
                           self.get_float("grid", "r_max"))
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            step0=self.get_float("solver", "step0"),
-            shrink=self.get_float("solver", "shrink"),
-            grow=self.get_float("solver", "grow"),
-            grad_tol=self.get_float("solver", "grad_tol"),
-            q_tol=self.get_float("solver", "q_tol"),
-            max_iter=self.get_int("solver", "max_iter"),
-            seed_shape=self.get_float("solver", "seed_shape"),
-            safeguard_margin=self.get_float("solver", "safeguard_margin"),
-            safeguard_max_frac=self.get_float("solver", "safeguard_max_frac"),
-            stall_iters=self.get_int("solver", "stall_iters"),
-        )
+        return SolverConfig(grad_tol=self.get_float("solver", "grad_tol"),
+                            q_tol=self.get_float("solver", "q_tol"),
+                            max_iter=self.get_int("solver", "max_iter"))
 
 
 def load_config(path: str | None = None,
@@ -208,29 +184,17 @@ def resolve_params(cfg: Config) -> tuple[LandscapeParams, dict]:
 
 
 def sweep_masses(cfg: Config, c0: float) -> np.ndarray:
-    """Ascending mass grid: explicit c_grid fractions of c0, else k
-    log-spaced points in (c_min_frac, c_max_frac) * c0."""
-    listing = cfg.get_str("sweep", "c_grid").strip()
-    if listing:
-        try:
-            fracs = sorted(float(tok) for tok in listing.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                "config-value", "[sweep] c_grid is not a comma list of numbers"
-            ) from exc
-        if len(fracs) < 4:
-            raise ConfigError("config-value", "[sweep] c_grid needs >= 4 points")
-        if fracs[0] <= 0 or fracs[-1] >= 1:
-            raise ConfigError(
-                "config-value", "[sweep] c_grid fractions must lie in (0, 1)")
-        return c0 * np.array(fracs)
-    k = cfg.get_int("sweep", "k")
-    if k < 4:
-        raise ConfigError("config-value", f"[sweep] k must be >= 4, got {k}")
-    lo = cfg.get_float("sweep", "c_min_frac")
-    hi = cfg.get_float("sweep", "c_max_frac")
-    if not (0 < lo < hi < 1):
+    """Ascending mass grid: the c_grid fractions of c0."""
+    try:
+        fracs = sorted(float(tok) for tok in
+                       cfg.get_str("sweep", "c_grid").split(","))
+    except ValueError as exc:
         raise ConfigError(
-            "config-value",
-            f"[sweep] need 0 < c_min_frac < c_max_frac < 1, got {lo}, {hi}")
-    return c0 * np.exp(np.linspace(math.log(lo), math.log(hi), k))
+            "config-value", "[sweep] c_grid is not a comma list of numbers"
+        ) from exc
+    if len(fracs) < 4:
+        raise ConfigError("config-value", "[sweep] c_grid needs >= 4 points")
+    if fracs[0] <= 0 or fracs[-1] >= 1:
+        raise ConfigError(
+            "config-value", "[sweep] c_grid fractions must lie in (0, 1)")
+    return c0 * np.array(fracs)

@@ -165,9 +165,6 @@ class RadialGrid:
     def h(self) -> float:
         return self.r_max / (self.n - 1)
 
-    def same_as(self, other: "RadialGrid") -> bool:
-        return (self.dim, self.n, self.r_max) == (other.dim, other.n, other.r_max)
-
     def lap_apply(self, u: np.ndarray) -> np.ndarray:
         """L u; each row sums its stencil terms by ascending column."""
         n = self.n

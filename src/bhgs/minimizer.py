@@ -45,37 +45,28 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted or invariants unattainable at this setup."""
 
 
+# fixed descent controls: initial step, line-search shrink/grow factors, the
+# bend-ball margin, the share of accepted steps the safeguard may bind, and
+# the count of steps without energy progress that stops the descent
+STEP0 = 1.0
+SHRINK = 0.5
+GROW = 1.3
+SAFEGUARD_MARGIN = 1e-3
+SAFEGUARD_MAX_FRAC = 0.5
+STALL_ITERS = 30
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    step0: float = 1.0
-    shrink: float = 0.5
-    grow: float = 1.3
     grad_tol: float = 1e-8
     q_tol: float = 5e-7
     max_iter: int = 2000
-    seed_shape: float = 1.0
-    safeguard_margin: float = 1e-3
-    safeguard_max_frac: float = 0.5
-    stall_iters: int = 30
 
     def __post_init__(self):
-        if not (self.step0 > 0):
-            raise DomainError(f"step0 must be positive, got {self.step0}")
-        if not (0 < self.shrink < 1 < self.grow):
-            raise DomainError(
-                f"need 0 < shrink < 1 < grow, got {self.shrink}, {self.grow}")
         if not (self.grad_tol > 0 and self.q_tol > 0):
             raise DomainError("tolerances must be positive")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.seed_shape > 0):
-            raise DomainError(f"seed_shape must be positive, got {self.seed_shape}")
-        if not (0 < self.safeguard_margin < 1):
-            raise DomainError("safeguard_margin must lie in (0, 1)")
-        if not (0 < self.safeguard_max_frac <= 1):
-            raise DomainError("safeguard_max_frac must lie in (0, 1]")
-        if self.stall_iters < 1:
-            raise DomainError("stall_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,12 +85,12 @@ def _wdot(g: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(g.weights * a * b))
 
 
-def seed(params: LandscapeParams, thresholds, c: float, grid: RadialGrid,
-         shape: float = 1.0) -> RadialField:
+def seed(params: LandscapeParams, thresholds, c: float,
+         grid: RadialGrid) -> RadialField:
     """Gaussian at mass c, fiber-contracted until J < 0 and bend < rho0.
 
     The dilation acts on the Gaussian family analytically, so no
-    interpolation enters: u_s(r) = s^{N/4} t exp(-s r^2 / (2 shape^2)),
+    interpolation enters: u_s(r) = s^{N/4} t exp(-s r^2 / 2),
     renormalized to mass c on the grid at every trial s. Termination is
     guaranteed since psi -> 0- while bend shrinks like s^2.
     """
@@ -108,15 +99,15 @@ def seed(params: LandscapeParams, thresholds, c: float, grid: RadialGrid,
         raise DomainError(f"mass must lie in (0, c0={c0}), got {c}")
     N = grid.dim
     r2 = grid.nodes ** 2
-    margin = 1.0 - 1e-3
+    bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
     s = 1.0
     for _ in range(60):
-        prof = s ** (N / 4.0) * np.exp(-s * r2 / (2.0 * shape * shape))
+        prof = s ** (N / 4.0) * np.exp(-s * r2 / 2.0)
         mass = _wdot(grid, prof, prof)
         prof *= math.sqrt(c / mass)
         fld = RadialField(grid, prof)
         b = norm_bundle(params, fld)
-        if energy(params, b) < 0.0 and b.bend < rho0 * margin:
+        if energy(params, b) < 0.0 and b.bend < bend_cap:
             return fld
         s *= 0.5
     raise ConvergenceError(
@@ -152,7 +143,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 
     Raises ConvergenceError if the residuals are not met within max_iter,
     the line search dies, or the bend safeguard bound more than
-    safeguard_max_frac of accepted steps.
+    SAFEGUARD_MAX_FRAC of accepted steps.
     """
     thresholds = mass_threshold(params)
     _, c0, rho0 = thresholds
@@ -161,15 +152,15 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     if grid.dim != params.N:
         raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
 
-    u = seed(params, thresholds, c, grid, config.seed_shape).values
-    bend_cap = rho0 * (1.0 - config.safeguard_margin)
+    u = seed(params, thresholds, c, grid).values
+    bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
 
     def bundle_of(vec: np.ndarray) -> NormBundle:
         return norm_bundle(params, RadialField(grid, vec))
 
     b = bundle_of(u)
     J = energy(params, b)
-    tau = config.step0
+    tau = STEP0
     a_shift = None
     factor = None
     n_safe = 0
@@ -197,19 +188,19 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
             d = -g_proj
             slope = -gnorm * gnorm
 
-        tau = min(tau * config.grow, 1e3)
+        tau = min(tau * GROW, 1e3)
         for _ in range(60):
             cand = u + tau * d
             cand *= math.sqrt(c / _wdot(grid, cand, cand))
             b2 = bundle_of(cand)
             if b2.bend >= bend_cap:
                 n_safe += 1
-                tau *= config.shrink
+                tau *= SHRINK
                 continue
             J2 = energy(params, b2)
             if J2 <= J + 1e-4 * tau * slope:
                 break
-            tau *= config.shrink
+            tau *= SHRINK
         else:
             raise ConvergenceError(
                 f"line search failed at iteration {iters} "
@@ -218,12 +209,12 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         accepted += 1
         if J - J2 <= 1e-16 * abs(J):
             stall += 1
-            if stall >= config.stall_iters:
+            if stall >= STALL_ITERS:
                 floor = ("; the gradient criterion is met and the Pohozaev "
                          "residual is at the discretization floor of this grid"
                          if gnorm <= config.grad_tol else "")
                 raise ConvergenceError(
-                    f"stalled for {config.stall_iters} steps at "
+                    f"stalled for {STALL_ITERS} steps at "
                     f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
                     f"(tolerances {config.grad_tol}, {config.q_tol}){floor}")
         else:
@@ -234,7 +225,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
             f"no convergence in {config.max_iter} iterations "
             f"(gnorm={gnorm:.3e}, q_residual={qres:.3e})")
 
-    if accepted and n_safe > config.safeguard_max_frac * accepted:
+    if accepted and n_safe > SAFEGUARD_MAX_FRAC * accepted:
         raise ConvergenceError(
             f"bend safeguard bound {n_safe} times over {accepted} accepted "
             "steps; constants look inconsistent with this mass")

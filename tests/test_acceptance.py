@@ -29,6 +29,7 @@ from bhgs import (
     rho_star,
 )
 from bhgs.cli import evaluate_sweep_flags
+from bhgs.config import load_config, sweep_masses
 from bhgs.verify import (
     bisect_threshold,
     bump_field,
@@ -181,9 +182,9 @@ def test_criterion_6_ground_state_solve(capsys, p53, thresholds53, grid_solve):
 
 
 def test_criterion_7_mass_sweep(capsys, p53, thresholds53, grid_solve):
+    # the CLI's default masses, so `bhgs sweep` checks what this gate checks
     _, c0, _ = thresholds53
-    fracs = [0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9]
-    cs = [f * c0 for f in fracs]
+    cs = [float(c) for c in sweep_masses(load_config(env={}), c0)]
     ms = [minimize(p53, grid_solve, c).m for c in cs]
 
     triples = sum(
@@ -199,8 +200,8 @@ def test_criterion_7_mass_sweep(capsys, p53, thresholds53, grid_solve):
           and not flags["sub_homogeneity_violations"]
           and triples >= 5)
     line = report(capsys, 7, "mass sweep", ok,
-                  f"8 masses, {triples} grid-expressible triples; monotone ="
-                  f" {flags['monotone_decreasing']}, negative ="
+                  f"{len(cs)} masses, {triples} grid-expressible triples; "
+                  f"monotone = {flags['monotone_decreasing']}, negative ="
                   f" {flags['all_negative']}, violations ="
                   f" {len(flags['subadditivity_violations'])} subadd /"
                   f" {len(flags['sub_homogeneity_violations'])} subhom")

@@ -1,5 +1,7 @@
+import configparser
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -11,10 +13,20 @@ from bhgs.config import DEFAULTS, resolve_params, sweep_masses
 
 C0_REF = 1.3102171485428768328
 GN_REF = 0.2820814861937604
+DEFAULT_FRACS = [0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9]
+SMALL_GRID = "0.1,0.2,0.3,0.4"       # four masses, four exact triples
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def kind_of(err):
     return err.value.kind
+
+
+def parsed(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 class TestLoadConfig:
@@ -116,13 +128,9 @@ class TestResolveParams:
 
 
 class TestSweepMasses:
-    def test_default_log_spacing(self):
-        cs = sweep_masses(load_config(env={}), 1.0)
-        assert len(cs) == 8
-        assert cs[0] == pytest.approx(0.05)
-        assert cs[-1] == pytest.approx(0.95)
-        ratios = cs[1:] / cs[:-1]
-        assert np.allclose(ratios, ratios[0], rtol=1e-12)
+    def test_default_grid(self):
+        cs = sweep_masses(load_config(env={}), 2.0)
+        assert list(cs) == [2.0 * f for f in DEFAULT_FRACS]
 
     def test_explicit_grid(self):
         cfg = load_config(env={"BHGS_SWEEP__C_GRID": "0.5,0.25,0.125,0.0625"})
@@ -130,6 +138,7 @@ class TestSweepMasses:
         assert np.allclose(cs, [0.125, 0.25, 0.5, 1.0])
 
     @pytest.mark.parametrize("bad", [
+        "",                        # empty
         "0.5,0.25,0.125",          # too few
         "0.5,0.25,0.125,0",        # nonpositive fraction
         "0.5,0.25,0.125,1.0",      # fraction at 1
@@ -140,17 +149,6 @@ class TestSweepMasses:
         with pytest.raises(ConfigError) as err:
             sweep_masses(cfg, 1.0)
         assert kind_of(err) == "config-value"
-
-    def test_small_k(self):
-        cfg = load_config(env={"BHGS_SWEEP__K": "3"})
-        with pytest.raises(ConfigError):
-            sweep_masses(cfg, 1.0)
-
-    def test_bad_range(self):
-        cfg = load_config(env={"BHGS_SWEEP__C_MIN_FRAC": "0.9",
-                               "BHGS_SWEEP__C_MAX_FRAC": "0.5"})
-        with pytest.raises(ConfigError):
-            sweep_masses(cfg, 1.0)
 
 
 class TestBoundarySamples:
@@ -163,6 +161,58 @@ class TestBoundarySamples:
         with pytest.raises(ConfigError) as ei:
             cfg.boundary_samples()
         assert kind_of(ei) == "config-value"
+
+
+class TestReadmeConfig:
+    # the README's INI sample must load as written and list every key
+    def test_sample_loads_to_defaults(self, tmp_path):
+        readme = open(README, encoding="utf-8").read()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        assert {sec: list(parser[sec]) for sec in parser.sections()} == {
+            sec: list(kv) for sec, kv in DEFAULTS.items()}
+
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block)
+        cfg = load_config(str(ini), env={})
+        for sec, kv in DEFAULTS.items():
+            for key, default in kv.items():
+                assert parsed(cfg.get_str(sec, key)) == parsed(default), (
+                    sec, key)
+
+
+REMOVED_KEYS = [
+    ("solver", "step0"), ("solver", "shrink"), ("solver", "grow"),
+    ("solver", "seed_shape"), ("solver", "safeguard_margin"),
+    ("solver", "safeguard_max_frac"), ("solver", "stall_iters"),
+    ("sweep", "k"), ("sweep", "c_min_frac"), ("sweep", "c_max_frac"),
+]
+
+
+class TestRemovedKeys:
+    def test_defaults_hold_twenty_keys(self):
+        assert sum(len(kv) for kv in DEFAULTS.values()) == 20
+
+    @pytest.mark.parametrize("sec, key", REMOVED_KEYS)
+    def test_ini_key_rejected(self, capsys, tmp_path, sec, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{sec}]\n{key} = 1\n")
+        rc, out, err = run_cli(capsys, "constants", "--config", str(ini))
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert f"unknown key [{sec}] {key}" in rec["message"]
+
+    @pytest.mark.parametrize("sec, key", REMOVED_KEYS)
+    def test_env_key_rejected(self, capsys, monkeypatch, sec, key):
+        name = f"BHGS_{sec.upper()}__{key.upper()}"
+        monkeypatch.setenv(name, "1")
+        rc, out, err = run_cli(capsys, "constants")
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert name in rec["message"]
 
 
 class TestSweepFlags:
@@ -221,6 +271,25 @@ class TestSweepFlagsAtSolverScale(TestSweepFlags):
     # sub-homogeneity corruptions
     CS = [f * 1.310217148542877 for f in (0.1, 0.2, 0.3, 0.4)]
     GOOD_M = [-1.164719e-06 * c ** (7.0 / 3.0) for c in CS]
+
+
+class TestSweepFlagsAtDefaultMasses:
+    # the default masses hold exact triples, so a corrupted m at one of
+    # them must reach subadditivity_violations
+    def test_corrupted_subadditivity(self):
+        cs = [float(c) for c in sweep_masses(load_config(env={}), C0_REF)]
+        m = [-1.164719e-06 * c ** (7.0 / 3.0) for c in cs]
+
+        def at(frac):
+            hits = [i for i, c in enumerate(cs)
+                    if abs(c - frac * C0_REF) <= 1e-12 * c]
+            assert len(hits) == 1, f"{frac} c0 is not a default sweep mass"
+            return hits[0]
+
+        i, j, l = at(0.3), at(0.1), at(0.2)
+        m[i] = 0.9 * (m[j] + m[l])      # m(0.3 c0) above m(0.1) + m(0.2)
+        flags = evaluate_sweep_flags(cs, m)
+        assert [i, j, l] in flags["subadditivity_violations"]
 
 
 def run_cli(capsys, *argv):
@@ -387,7 +456,7 @@ class TestCliSolveAndFiber:
 
 class TestCliSweep:
     def test_small_sweep_passes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BHGS_SWEEP__K", "4")
+        monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "20")
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)
@@ -408,7 +477,7 @@ class TestCliSweep:
 
     def test_nonconvergence_writes_partial_report(self, capsys, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setenv("BHGS_SWEEP__K", "4")
+        monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         monkeypatch.setenv("BHGS_SOLVER__MAX_ITER", "2")
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)
@@ -422,7 +491,7 @@ class TestCliSweep:
 
     def test_negative_boundary_samples_rejected(self, capsys, tmp_path,
                                                 monkeypatch):
-        monkeypatch.setenv("BHGS_SWEEP__K", "4")
+        monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "-5")
         report = tmp_path / "rep.json"
         rc, out, err = run_cli(capsys, "sweep", "--out", str(report))
@@ -435,7 +504,7 @@ class TestCliSweep:
 
 class TestCliLandscape:
     def test_tables(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BHGS_SWEEP__K", "4")
+        monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "12")
         rc, out, err = run_cli(capsys, "landscape", "--out-dir", str(tmp_path))
         assert rc == 0, err

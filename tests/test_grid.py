@@ -56,7 +56,8 @@ class TestBuildValidation:
         a = build_grid(5, 128, 10.0)
         b = build_grid(5, 128, 10.0)
         c = build_grid(5, 128, 12.0)
-        assert a.same_as(b) and not a.same_as(c)
+        assert (a.dim, a.n, a.r_max) == (b.dim, b.n, b.r_max)
+        assert (a.dim, a.n, a.r_max) != (c.dim, c.n, c.r_max)
 
 
 class TestSphereArea:
@@ -183,7 +184,8 @@ class TestFieldCsv:
         path = tmp_path / "f.csv"
         save_field(gaussian(small), path)
         back = load_field(path)
-        assert back.grid.same_as(small)
+        assert ((back.grid.dim, back.grid.n, back.grid.r_max)
+                == (small.dim, small.n, small.r_max))
         assert np.array_equal(back.values, gaussian(small).values)
 
     def test_rejects_grid_mismatch(self, small, tmp_path):
