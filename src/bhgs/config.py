@@ -2,13 +2,19 @@
 
 Sections and keys mirror the problem structure: [problem] N/q/mu,
 [constants] working-constant mode and values, [grid] the solve mesh,
-[solver] tolerances and iteration budget, [sweep] the mass grid and its
-checks. Any key can be overridden per process with BHGS_<SECTION>__<KEY>
-(two underscores), e.g. BHGS_SOLVER__GRAD_TOL=1e-9.
+[solver] tolerances and iteration budget, [sweep] the mass grid shared by
+`landscape` and `sweep`, the per-mass boundary draws of `landscape`, and
+the sweep's lemma tolerances. Any key can be overridden per process with
+BHGS_<SECTION>__<KEY> (two underscores), e.g. BHGS_SOLVER__GRAD_TOL=1e-9.
 
-Numeric validation that encodes the admissible parameter ranges lives in the
-domain types themselves (LandscapeParams, SolverConfig, build_grid); this
-module only parses, applies precedence, and rejects unknown keys.
+A missing file is `config-not-found`; an unparsable or non-UTF-8 one is
+`config-parse`; any other read failure (a directory, no permission) is left
+to the caller as OSError. `resolve_params` turns a Config into the one
+LandscapeParams a command works with, estimating the constants in
+estimated mode. Numeric validation that encodes the admissible parameter
+ranges lives in the domain types themselves (LandscapeParams, SolverConfig,
+build_grid); this module only parses, applies precedence, and rejects
+unknown keys.
 """
 from __future__ import annotations
 
@@ -122,12 +128,14 @@ def load_config(path: str | None = None,
     """Defaults, then the INI file at path (if given), then BHGS_ env keys."""
     raw = {sec: dict(kv) for sec, kv in DEFAULTS.items()}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError("config-not-found", f"config file not found: {path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(
+                "config-not-found", f"config file not found: {path}") from exc
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError("config-parse", f"{path}: {exc}") from exc
         for sec in parser.sections():
             if sec not in raw:
@@ -155,32 +163,22 @@ def load_config(path: str | None = None,
     return Config(raw=raw)
 
 
-def resolve_params(cfg: Config) -> tuple[LandscapeParams, dict]:
+def resolve_params(cfg: Config) -> LandscapeParams:
     """LandscapeParams with working constants per the configured mode.
 
     In estimated mode the constants are numerical lower bounds, so the
-    derived c0 and rho0 sit above their true values; the info dict carries
-    that caveat for the CLI to surface.
+    derived c0 and rho0 sit above their true values; the CLI records say so.
     """
-    mode = cfg.constants_mode
-    if mode == "synthetic":
-        c_gn = cfg.get_float("constants", "c_gn")
-        s_sob = cfg.get_float("constants", "s_sob")
-        info = {"mode": mode, "C_gn": c_gn, "S_sob": s_sob}
-        return cfg.problem(c_gn, s_sob), info
+    if cfg.constants_mode == "synthetic":
+        return cfg.problem(cfg.get_float("constants", "c_gn"),
+                           cfg.get_float("constants", "s_sob"))
     probe = cfg.problem()
     gn_grid = build_grid(probe.N, cfg.get_int("constants", "gn_n"),
                          cfg.get_float("constants", "gn_r_max"))
     sob_grid = build_grid(probe.N, cfg.get_int("constants", "sob_n"),
                           cfg.get_float("constants", "sob_r_max"))
-    c_gn = estimate_gn_constant(probe, gn_grid, probe.q)
-    s_sob = estimate_sobolev_constant(probe, sob_grid)
-    info = {
-        "mode": mode, "C_gn": c_gn, "S_sob": s_sob,
-        "warning": ("constants are certified lower bounds; the derived c0 and "
-                    "rho0 overestimate their true values"),
-    }
-    return cfg.problem(c_gn, s_sob), info
+    return cfg.problem(estimate_gn_constant(probe, gn_grid, probe.q),
+                       estimate_sobolev_constant(probe, sob_grid))
 
 
 def sweep_masses(cfg: Config, c0: float) -> np.ndarray:

@@ -273,14 +273,17 @@ def load_field(path, grid: RadialGrid | None = None) -> RadialField:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise DomainError(f"{path}: missing grid header line")
-        meta = dict(kv.split("=", 1) for kv in header[2:].split())
         try:
+            meta = dict(kv.split("=", 1) for kv in header[2:].split())
             dim, n, r_max = int(meta["dim"]), int(meta["n"]), float(meta["r_max"])
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{path}: malformed grid header: {header}") from exc
         if fh.readline().strip() != "r,value":
             raise DomainError(f"{path}: expected 'r,value' column header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"{path}: malformed data row: {exc}") from exc
     if grid is None:
         grid = build_grid(dim, n, r_max)
     elif (grid.dim, grid.n, grid.r_max) != (dim, n, r_max):
@@ -288,7 +291,8 @@ def load_field(path, grid: RadialGrid | None = None) -> RadialField:
             f"{path}: header dim={dim} n={n} r_max={r_max} does not match "
             f"target grid dim={grid.dim} n={grid.n} r_max={grid.r_max}")
     if data.shape != (grid.n, 2):
-        raise DomainError(f"{path}: expected {grid.n} rows, got {data.shape[0]}")
+        raise DomainError(f"{path}: expected {grid.n} rows of 2 columns, "
+                          f"got {data.shape[0]} of {data.shape[1]}")
     if not np.allclose(data[:, 0], grid.nodes, rtol=0, atol=1e-9 * grid.r_max):
         raise DomainError(f"{path}: r column disagrees with the grid nodes")
     return RadialField(grid, data[:, 1])

@@ -328,8 +328,8 @@ def _sobolev_quotient(params: LandscapeParams, grid: RadialGrid,
     return C ** (1.0 / p) / math.sqrt(A)
 
 
-def estimate_sobolev_constant(params: LandscapeParams, grid: RadialGrid,
-                              check_truncation: bool = True) -> float:
+def estimate_sobolev_constant(params: LandscapeParams,
+                              grid: RadialGrid) -> float:
     """Critical-embedding quotient over the tapered bubble family.
 
     Golden-section maximization over log eps; the window floor keeps the
@@ -360,12 +360,11 @@ def estimate_sobolev_constant(params: LandscapeParams, grid: RadialGrid,
         return max(f1, f2)
 
     val = best_on(grid)
-    if check_truncation:
-        doubled = best_on(build_grid(grid.dim, grid.n, 2.0 * grid.r_max))
-        if abs(doubled - val) > 1e-3 * val:
-            raise DomainError(
-                f"truncation sensitivity {abs(doubled - val) / val:.2e} above "
-                "1e-3; increase r_max")
+    doubled = best_on(build_grid(grid.dim, grid.n, 2.0 * grid.r_max))
+    if abs(doubled - val) > 1e-3 * val:
+        raise DomainError(
+            f"truncation sensitivity {abs(doubled - val) / val:.2e} above "
+            "1e-3; increase r_max")
     return val
 
 

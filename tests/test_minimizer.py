@@ -238,10 +238,8 @@ class TestSobolevEstimate:
     def test_doubling_invariance(self, p53):
         # family, taper window, and eps window all commute with dilation,
         # so doubling R at fixed n reproduces the value to rounding
-        v64 = estimate_sobolev_constant(p53, build_grid(5, 1025, 64.0),
-                                        check_truncation=False)
-        v128 = estimate_sobolev_constant(p53, build_grid(5, 1025, 128.0),
-                                         check_truncation=False)
+        v64 = estimate_sobolev_constant(p53, build_grid(5, 1025, 64.0))
+        v128 = estimate_sobolev_constant(p53, build_grid(5, 1025, 128.0))
         assert v128 == pytest.approx(v64, rel=1e-12)
 
     def test_too_coarse_to_resolve_core(self, p53):

@@ -148,7 +148,7 @@ def test_factor_input_matches_sparse_assembly(N, n, r_max, a, monkeypatch):
 # ------------------------------------------------------------ import footprint
 
 
-LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate")
+LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate", "mpmath")
 
 
 def run_fresh(code, cwd=None, env_extra=None):
@@ -185,7 +185,8 @@ def test_cli_import_skips_sparse_and_interpolate():
 ], ids=["constants", "landscape", "fiber", "verify", "solve",
         "constants-estimated"])
 def test_command_import_footprint(argv, env_extra, want, tmp_path):
-    # only the commands that factor the banded preconditioner load scipy.linalg
+    # only the commands that factor the banded preconditioner load
+    # scipy.linalg; none loads mpmath
     if argv[0] == "fiber":
         g = build_grid(5, 2049, 1000.0)
         bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
