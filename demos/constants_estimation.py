@@ -16,6 +16,7 @@ from bhgs import (
     estimate_sobolev_constant,
     mass_threshold,
 )
+from bhgs.config import GN_GRID, SOB_GRID
 
 
 def main():
@@ -25,10 +26,9 @@ def main():
     print(f"  M={M_syn:.6f}  c0={c0_syn:.6f}  rho0={rho0_syn:.6f}")
     print()
 
-    gn_grid = build_grid(5, 1025, 40.0)
-    c_gn = estimate_gn_constant(base, gn_grid, base.q)
-    sob_grid = build_grid(5, 8193, 256.0)
-    s_sob = estimate_sobolev_constant(base, sob_grid)
+    # the grids `bhgs constants` uses in estimated mode
+    c_gn = estimate_gn_constant(base, build_grid(5, *GN_GRID))
+    s_sob = estimate_sobolev_constant(base, build_grid(5, *SOB_GRID))
     print(f"estimated constants:  C_gn={c_gn:.12f}  S_sob={s_sob:.6f}")
 
     est = LandscapeParams(N=5, q=3.0, mu=1.0, C_gn=c_gn, S_sob=s_sob)

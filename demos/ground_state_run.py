@@ -44,7 +44,7 @@ def main():
 
     path = os.path.join(tempfile.mkdtemp(), "ground_state.csv")
     save_field(state.field, path)
-    back = load_field(path, grid)
+    back = load_field(path)
     same = np.array_equal(back.values, state.field.values)
     print(f"CSV round trip at {path}: bitwise identical = {same}")
 

@@ -21,7 +21,7 @@ from . import verify as verify_mod
 from .config import ConfigError, load_config, resolve_params, sweep_masses
 from .fiber import analyze_fiber, psi, psi_prime, xi
 from .functionals import energy, norm_bundle, rescale_bundle
-from .grid import build_grid, load_field, save_field
+from .grid import load_field, save_field
 from .landscape import (DomainError, derive_exponents, f_landscape,
                         mass_threshold, rho_star)
 from .minimizer import ConvergenceError, fiber_consistency, minimize
@@ -35,6 +35,10 @@ EXIT_NONCONV = 4
 EXIT_VERIFY = 5
 
 _SAMPLE_SEED = 20260816
+
+# the sweep's lemma tolerances, each relative (see evaluate_sweep_flags)
+SWEEP_TOLERANCES = {"mono_tol": 1e-8, "add_tol": 1e-6,
+                    "triple_match_tol": 1e-9}
 
 
 def _emit(obj) -> None:
@@ -60,18 +64,20 @@ def _header(cfg, params) -> dict:
 
 # ------------------------------------------------------------------- sweep
 
-def evaluate_sweep_flags(c_values, m_values, mono_tol: float = 1e-8,
-                         add_tol: float = 1e-6,
-                         match_tol: float = 1e-9) -> dict:
+def evaluate_sweep_flags(c_values, m_values) -> dict:
     """Lemma flags as a pure function of the (c, m) arrays.
 
-    Every tolerance is relative to |m|. Strict decrease demands a drop of
-    more than mono_tol*|m_i| between neighbors. Subadditivity runs over
-    grid-expressible triples c_i = c_j + c_k (matched to match_tol
-    relative), checking m(c_i) <= m(c_j) + m(c_k) + add_tol |m(c_i)|;
-    sub-homogeneity over ordered pairs c_i < c_j, checking
-    m(c_j) <= (c_j/c_i) m(c_i) + add_tol |m(c_j)|.
+    The SWEEP_TOLERANCES are relative to |m|. Strict decrease demands a
+    drop of more than mono_tol*|m_i| between neighbors. Subadditivity runs
+    over grid-expressible triples c_i = c_j + c_k (matched to
+    triple_match_tol relative to c_i), checking
+    m(c_i) <= m(c_j) + m(c_k) + add_tol |m(c_i)|; sub-homogeneity over
+    ordered pairs c_i < c_j, checking m(c_j) <= (c_j/c_i) m(c_i) +
+    add_tol |m(c_j)|.
     """
+    mono_tol = SWEEP_TOLERANCES["mono_tol"]
+    add_tol = SWEEP_TOLERANCES["add_tol"]
+    match_tol = SWEEP_TOLERANCES["triple_match_tol"]
     c = [float(x) for x in c_values]
     m = [float(x) for x in m_values]
     k = len(c)
@@ -140,7 +146,7 @@ def _cmd_constants(args, cfg, params) -> int:
 def _cmd_landscape(args, cfg, params) -> int:
     M, c0, rho0 = mass_threshold(params)
     cs = sweep_masses(cfg, c0)
-    count = cfg.boundary_samples()
+    count = 100                 # random fields per mass
     grid = cfg.solve_grid()
     header = f"# M={M!r} c0={c0!r} rho0={rho0!r}\n"
 
@@ -186,7 +192,7 @@ def _cmd_solve(args, cfg, params) -> int:
         return _fail("domain-error", f"mass must be positive, got {c}",
                      EXIT_DOMAIN)
     grid = cfg.solve_grid()
-    state = minimize(params, grid, c, cfg.solver())
+    state = minimize(params, grid, c)
     out = args.out or f"ground_state_c{c:.6g}.csv"
     save_field(state.field, out)
     rec = {
@@ -205,20 +211,13 @@ def _cmd_sweep(args, cfg, params) -> int:
     M, c0, rho0 = mass_threshold(params)
     cs = [float(c) for c in sweep_masses(cfg, c0)]
     grid = cfg.solve_grid()
-    solver = cfg.solver()
-    tols = {
-        "mono_tol": cfg.get_float("sweep", "mono_tol"),
-        "add_tol": cfg.get_float("sweep", "add_tol"),
-        "triple_match_tol": cfg.get_float("sweep", "triple_match_tol"),
-    }
 
     states = []
     def report(partial: bool) -> dict:
         # the lemma flags over the solved masses, written to args.out
         done = len(states)
         ms = [s.m for s in states]
-        rep = evaluate_sweep_flags(cs[:done], ms, tols["mono_tol"],
-                                   tols["add_tol"], tols["triple_match_tol"])
+        rep = evaluate_sweep_flags(cs[:done], ms)
         rep.update({
             "record": "sweep", "c": cs[:done], "m": ms,
             "lambda": [s.lam for s in states],
@@ -226,7 +225,7 @@ def _cmd_sweep(args, cfg, params) -> int:
             "q_residual": [s.q_residual for s in states],
             "iters": [s.iters for s in states],
             "constraint_active": [s.constraint_active for s in states],
-            "tolerances": tols, "partial": partial,
+            "tolerances": SWEEP_TOLERANCES, "partial": partial,
             "M": M, "c0": c0, "rho0": rho0, **_header(cfg, params)})
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rep, fh, sort_keys=True)
@@ -235,7 +234,7 @@ def _cmd_sweep(args, cfg, params) -> int:
 
     for c in cs:
         try:
-            state = minimize(params, grid, c, solver)
+            state = minimize(params, grid, c)
         except ConvergenceError as exc:
             report(partial=True)
             return _fail("non-convergence",

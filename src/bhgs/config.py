@@ -1,20 +1,19 @@
 """Configuration: INI file over defaults, environment variables over both.
 
-Sections and keys mirror the problem structure: [problem] N/q/mu,
-[constants] working-constant mode and values, [grid] the solve mesh,
-[solver] tolerances and iteration budget, [sweep] the mass grid shared by
-`landscape` and `sweep`, the per-mass boundary draws of `landscape`, and
-the sweep's lemma tolerances. Any key can be overridden per process with
-BHGS_<SECTION>__<KEY> (two underscores), e.g. BHGS_SOLVER__GRAD_TOL=1e-9.
+The keys are problem data only: [problem] N/q/mu, [constants] the
+working-constant mode and the synthetic values, [grid] the solve mesh, and
+[sweep] the mass grid shared by `landscape` and `sweep`. Numerical controls
+(solver tolerances, estimation grids, sample counts, lemma tolerances) are
+constants where they are used. Any key can be overridden per process with
+BHGS_<SECTION>__<KEY> (two underscores), e.g. BHGS_PROBLEM__Q=2.8.
 
 A missing file is `config-not-found`; an unparsable or non-UTF-8 one is
 `config-parse`; any other read failure (a directory, no permission) is left
 to the caller as OSError. `resolve_params` turns a Config into the one
 LandscapeParams a command works with, estimating the constants in
 estimated mode. Numeric validation that encodes the admissible parameter
-ranges lives in the domain types themselves (LandscapeParams, SolverConfig,
-build_grid); this module only parses, applies precedence, and rejects
-unknown keys.
+ranges lives in the domain types themselves (LandscapeParams, build_grid);
+this module only parses, applies precedence, and rejects unknown keys.
 """
 from __future__ import annotations
 
@@ -26,8 +25,7 @@ import numpy as np
 
 from .grid import RadialGrid, build_grid
 from .landscape import LandscapeParams
-from .minimizer import (SolverConfig, estimate_gn_constant,
-                        estimate_sobolev_constant)
+from .minimizer import estimate_gn_constant, estimate_sobolev_constant
 
 __all__ = ["ConfigError", "Config", "load_config", "resolve_params",
            "sweep_masses", "DEFAULTS", "ENV_PREFIX"]
@@ -36,25 +34,15 @@ ENV_PREFIX = "BHGS_"
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "problem": {"n": "5", "q": "3.0", "mu": "1.0"},
-    "constants": {
-        "mode": "synthetic",        # synthetic: use c_gn/s_sob below as-is
-        "c_gn": "1.0",
-        "s_sob": "1.0",
-        "gn_n": "1025",             # estimation grids (mode = estimated)
-        "gn_r_max": "40.0",
-        "sob_n": "8193",
-        "sob_r_max": "256.0",
-    },
+    # synthetic: use c_gn/s_sob as-is
+    "constants": {"mode": "synthetic", "c_gn": "1.0", "s_sob": "1.0"},
     "grid": {"n": "2049", "r_max": "1000.0"},
-    "solver": {"grad_tol": "1e-8", "q_tol": "5e-7", "max_iter": "2000"},
-    "sweep": {
-        "c_grid": "0.1,0.15,0.2,0.25,0.3,0.4,0.5,0.9",  # c/c0 fractions
-        "boundary_samples": "100",
-        "mono_tol": "1e-8",
-        "add_tol": "1e-6",
-        "triple_match_tol": "1e-9",
-    },
+    "sweep": {"c_grid": "0.1,0.15,0.2,0.25,0.3,0.4,0.5,0.9"},  # c/c0 fractions
 }
+
+# (n, r_max) of the estimated-mode grids: interpolation and Sobolev quotients
+GN_GRID = (1025, 40.0)
+SOB_GRID = (8193, 256.0)
 
 
 class ConfigError(Exception):
@@ -104,23 +92,10 @@ class Config:
                 f"[constants] mode must be synthetic or estimated, got {mode!r}")
         return mode
 
-    def boundary_samples(self) -> int:
-        count = self.get_int("sweep", "boundary_samples")
-        if count < 1:
-            raise ConfigError(
-                "config-value",
-                f"[sweep] boundary_samples must be >= 1, got {count}")
-        return count
-
     def solve_grid(self) -> RadialGrid:
         return build_grid(self.get_int("problem", "n"),
                           self.get_int("grid", "n"),
                           self.get_float("grid", "r_max"))
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(grad_tol=self.get_float("solver", "grad_tol"),
-                            q_tol=self.get_float("solver", "q_tol"),
-                            max_iter=self.get_int("solver", "max_iter"))
 
 
 def load_config(path: str | None = None,
@@ -173,16 +148,14 @@ def resolve_params(cfg: Config) -> LandscapeParams:
         return cfg.problem(cfg.get_float("constants", "c_gn"),
                            cfg.get_float("constants", "s_sob"))
     probe = cfg.problem()
-    gn_grid = build_grid(probe.N, cfg.get_int("constants", "gn_n"),
-                         cfg.get_float("constants", "gn_r_max"))
-    sob_grid = build_grid(probe.N, cfg.get_int("constants", "sob_n"),
-                          cfg.get_float("constants", "sob_r_max"))
-    return cfg.problem(estimate_gn_constant(probe, gn_grid, probe.q),
+    gn_grid = build_grid(probe.N, *GN_GRID)
+    sob_grid = build_grid(probe.N, *SOB_GRID)
+    return cfg.problem(estimate_gn_constant(probe, gn_grid),
                        estimate_sobolev_constant(probe, sob_grid))
 
 
 def sweep_masses(cfg: Config, c0: float) -> np.ndarray:
-    """Ascending mass grid: the c_grid fractions of c0."""
+    """Ascending mass grid: the c_grid fractions of c0, distinct and finite."""
     try:
         fracs = sorted(float(tok) for tok in
                        cfg.get_str("sweep", "c_grid").split(","))
@@ -192,7 +165,11 @@ def sweep_masses(cfg: Config, c0: float) -> np.ndarray:
         ) from exc
     if len(fracs) < 4:
         raise ConfigError("config-value", "[sweep] c_grid needs >= 4 points")
-    if fracs[0] <= 0 or fracs[-1] >= 1:
+    if not (0 < fracs[0] and fracs[-1] < 1):
         raise ConfigError(
             "config-value", "[sweep] c_grid fractions must lie in (0, 1)")
+    # NaN compares false, so it fails here along with repeated fractions
+    if not all(a < b for a, b in zip(fracs, fracs[1:])):
+        raise ConfigError(
+            "config-value", "[sweep] c_grid fractions must be distinct numbers")
     return c0 * np.array(fracs)

@@ -142,20 +142,19 @@ def _bisect(fn, lo: float, hi: float) -> float:
     return math.exp(0.5 * (tlo + thi))
 
 
-def analyze_fiber(params: LandscapeParams, b: NormBundle,
-                  tangency_tol: float = 1e-12) -> FiberAnalysis:
+def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
     """Locate the at-most-two zeros of psi' and classify them.
 
     xi(s_turn) > 0 gives two crossings: s1 on the rising branch (psi' goes
     from - to +, local minimum) and s2 on the falling branch (local maximum).
-    xi(s_turn) < 0 gives none. A vanishing maximum, to tangency_tol relative
+    xi(s_turn) < 0 gives none. A vanishing maximum, to 1e-12 relative
     to the term magnitudes, is the repeated-zero case and both kinds read
     "degenerate-tangency".
     """
     _require_nondegenerate(b)
     s_star = xi_turning_point(params, b)
     xs = _xi_scaled(params, b, s_star)
-    if abs(xs) <= tangency_tol:
+    if abs(xs) <= 1e-12:
         p = psi(params, b, s_star)
         return FiberAnalysis(s_turn=s_star, s1=s_star, s2=s_star,
                              kind1=KIND_TANGENT, kind2=KIND_TANGENT,

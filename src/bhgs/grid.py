@@ -222,14 +222,14 @@ class RadialField:
 def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     """Uniform radial grid with spherical quadrature weights.
 
-    dim >= 5 integer, n >= 64 nodes, r_max > 0.
+    dim >= 5 integer, n >= 64 nodes, r_max positive and finite.
     """
     if not isinstance(dim, int) or dim < 5:
         raise DomainError(f"dim must be an integer >= 5, got {dim!r}")
     if not isinstance(n, int) or n < 64:
         raise DomainError(f"n must be an integer >= 64, got {n!r}")
-    if not (float(r_max) > 0):
-        raise DomainError(f"r_max must be positive, got {r_max!r}")
+    if not 0 < float(r_max) < math.inf:
+        raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     r_max = float(r_max)
     return RadialGrid(
         dim=dim, n=n, r_max=r_max,
@@ -267,8 +267,12 @@ def save_field(fld: RadialField, path) -> None:
             fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
-def load_field(path, grid: RadialGrid | None = None) -> RadialField:
-    """Load a field CSV; the header must agree with the target grid."""
+def load_field(path) -> RadialField:
+    """Load a field CSV onto the grid its header names.
+
+    The row count is checked against the header's n before the grid is
+    built, so a header claiming a huge grid costs nothing to reject.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
@@ -284,15 +288,10 @@ def load_field(path, grid: RadialGrid | None = None) -> RadialField:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DomainError(f"{path}: malformed data row: {exc}") from exc
-    if grid is None:
-        grid = build_grid(dim, n, r_max)
-    elif (grid.dim, grid.n, grid.r_max) != (dim, n, r_max):
-        raise DomainError(
-            f"{path}: header dim={dim} n={n} r_max={r_max} does not match "
-            f"target grid dim={grid.dim} n={grid.n} r_max={grid.r_max}")
-    if data.shape != (grid.n, 2):
-        raise DomainError(f"{path}: expected {grid.n} rows of 2 columns, "
+    if data.shape != (n, 2):
+        raise DomainError(f"{path}: expected {n} rows of 2 columns, "
                           f"got {data.shape[0]} of {data.shape[1]}")
+    grid = build_grid(dim, n, r_max)
     if not np.allclose(data[:, 0], grid.nodes, rtol=0, atol=1e-9 * grid.r_max):
         raise DomainError(f"{path}: r column disagrees with the grid nodes")
     return RadialField(grid, data[:, 1])

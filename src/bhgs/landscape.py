@@ -43,10 +43,10 @@ class LandscapeParams:
         if not (2.0 < self.q < 2.0 + 8.0 / self.N):
             raise DomainError(
                 f"q must lie in (2, 2+8/N) = (2, {2 + 8 / self.N}), got {self.q}")
-        if self.mu <= 0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
-        if self.C_gn <= 0 or self.S_sob <= 0:
-            raise DomainError("inequality constants must be positive")
+        if not 0 < self.mu < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {self.mu}")
+        if not (0 < self.C_gn < math.inf and 0 < self.S_sob < math.inf):
+            raise DomainError("inequality constants must be positive and finite")
 
     @property
     def p_crit(self) -> float:
@@ -157,9 +157,9 @@ def mass_threshold(params: LandscapeParams):
 
 
 def comparison_check(params: LandscapeParams, c1: float, rho1: float,
-                     c2: float, samples: int = 1000) -> bool:
+                     c2: float) -> bool:
     """Monotone-comparison predicate: f(c2, .) >= f(c1, rho1) on the segment
-    rho in [(c2/c1) rho1, rho1], sampled densely.
+    rho in [(c2/c1) rho1, rho1], sampled at 1000 evenly spaced points.
 
     True for any valid parameters; exposed as a testable claim rather than
     assumed.
@@ -170,8 +170,8 @@ def comparison_check(params: LandscapeParams, c1: float, rho1: float,
         raise DomainError("need 0 < c2 <= c1")
     ref = f_landscape(params, c1, rho1)
     lo = (c2 / c1) * rho1
-    for k in range(samples):
-        rho = lo + (rho1 - lo) * k / max(samples - 1, 1)
+    for k in range(1000):
+        rho = lo + (rho1 - lo) * k / 999
         if f_landscape(params, c2, rho) < ref - 1e-12 * max(1.0, abs(ref)):
             return False
     return True

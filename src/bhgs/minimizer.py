@@ -261,17 +261,16 @@ def _quotient_gn(params: LandscapeParams, grid: RadialGrid, q: float,
     return (B ** (1.0 / q)) / (A ** (beta / 2.0) * mass ** ((1.0 - beta) / 2.0))
 
 
-def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
-                         max_iter: int = 500, tol: float = 1e-14) -> float:
+def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
     """Best interpolation-quotient over radial fields, by preconditioned ascent.
 
-    Maximizes log |u|_q - beta log |Du|_2 - (1-beta) log |u|_2 starting from
-    the unit Gaussian, renormalizing mass to 1 every step. The returned value
-    is the achieved quotient: a certified lower bound on the true constant,
-    used as the working constant.
+    Maximizes log |u|_q - beta log |Du|_2 - (1-beta) log |u|_2 at q =
+    params.q, starting from the unit Gaussian and renormalizing mass to 1
+    every step, until a step gains less than 1e-14 relative (at most 500
+    steps). The returned value is the achieved quotient: a certified lower
+    bound on the true constant, used as the working constant.
     """
-    if not (2.0 < q < params.p_crit):
-        raise DomainError(f"q must lie in (2, 4*={params.p_crit}), got {q}")
+    q = params.q
     beta = params.N * (q - 2.0) / (4.0 * q)
     w = grid.weights
     factor = _banded_factor(grid, 1.0)
@@ -286,7 +285,7 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
 
     F = logF(u)
     tau = 1.0
-    for _ in range(max_iter):
+    for _ in range(500):
         lu, B, A, mass = _gn_norms(grid, q, u)
         grad = (np.sign(u) * nonneg_power(np.abs(u), q - 1.0) / B
                 - beta * grid.lap_t_apply(w * lu) / w / A
@@ -303,11 +302,11 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid, q: float,
                 improved = True
                 break
             tau *= 0.5
-        if not improved or F2 - F <= tol * max(1.0, abs(F)):
+        if not improved or F2 - F <= 1e-14 * max(1.0, abs(F)):
             u = cand if improved else u
             return _quotient_gn(params, grid, q, u)
         u, F = cand, F2
-    raise ConvergenceError(f"quotient ascent did not settle in {max_iter} steps")
+    raise ConvergenceError("quotient ascent did not settle in 500 steps")
 
 
 def _sobolev_quotient(params: LandscapeParams, grid: RadialGrid,

@@ -6,8 +6,8 @@ always produces one line per check. Parameter validation happens before any
 check body runs: an inadmissible (N, q, mu) aborts immediately.
 
 The helpers (random parameter draws, brute-force landscape argmax, threshold
-bisection, the fiber sign scan) are module-level so heavier test harnesses
-can drive them at larger sample counts.
+bisection, the fiber sign scan, bump fields) are module-level so the CLI and
+the tests can reuse them.
 """
 from __future__ import annotations
 
@@ -46,10 +46,9 @@ def random_params(rng: np.random.Generator) -> ls.LandscapeParams:
     return ls.LandscapeParams(N=N, q=q, mu=mu, C_gn=c_gn, S_sob=s_sob)
 
 
-def golden_argmax(params: ls.LandscapeParams, c: float,
-                  scan_points: int = 100, dps: int = 40) -> float:
-    """Brute-force maximizer of rho -> f(c, rho): log grid scan, then
-    golden-section refinement inside the best cell's neighbors.
+def golden_argmax(params: ls.LandscapeParams, c: float) -> float:
+    """Brute-force maximizer of rho -> f(c, rho): 100-point log grid scan,
+    then golden-section refinement inside the best cell's neighbors.
 
     Runs in 40-digit decimal arithmetic: comparing float values of f can
     only localize a smooth maximum to about sqrt(machine eps), far short of
@@ -59,7 +58,7 @@ def golden_argmax(params: ls.LandscapeParams, c: float,
 
     ex = ls.derive_exponents(params)
     with localcontext() as ctx:
-        ctx.prec = dps
+        ctx.prec = 40
         a0, a2 = D(ex.alpha0), D(ex.alpha2)
         coef_sub = (D(params.mu) / D(params.q)
                     * (D(params.q) * D(params.C_gn).ln()).exp()
@@ -72,12 +71,11 @@ def golden_argmax(params: ls.LandscapeParams, c: float,
                     - coef_crit * (a2 * logr).exp())
 
         span_lo, span_hi = D("1e-6").ln(), D("1e6").ln()
-        logs = [span_lo + (span_hi - span_lo) * k / (scan_points - 1)
-                for k in range(scan_points)]
+        logs = [span_lo + (span_hi - span_lo) * k / 99 for k in range(100)]
         vals = [F(t) for t in logs]
-        k = max(range(scan_points), key=lambda i: vals[i])
+        k = max(range(100), key=lambda i: vals[i])
         lo = logs[max(k - 1, 0)]
-        hi = logs[min(k + 1, scan_points - 1)]
+        hi = logs[min(k + 1, 99)]
         gr = (D(5).sqrt() - 1) / 2
         x1 = hi - gr * (hi - lo)
         x2 = lo + gr * (hi - lo)
@@ -96,8 +94,9 @@ def golden_argmax(params: ls.LandscapeParams, c: float,
         return float(((lo + hi) / 2).exp())
 
 
-def bisect_threshold(params: ls.LandscapeParams, rel: float = 1e-12) -> float:
-    """Zero of c -> max_rho f(c, rho), bracketed from scratch."""
+def bisect_threshold(params: ls.LandscapeParams) -> float:
+    """Zero of c -> max_rho f(c, rho), bracketed from scratch and bisected
+    to 1e-12 relative."""
     def peak(c: float) -> float:
         return ls.f_landscape(params, c, ls.rho_star(params, c))
 
@@ -112,7 +111,7 @@ def bisect_threshold(params: ls.LandscapeParams, rel: float = 1e-12) -> float:
         if lo < 1e-300:
             raise ls.DomainError("threshold bracket expansion failed")
     for _ in range(200):
-        if hi - lo <= rel * hi:
+        if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if peak(mid) > 0:
@@ -129,15 +128,16 @@ def random_bundle(rng: np.random.Generator) -> NormBundle:
 
 
 def fiber_sign_scan(params: ls.LandscapeParams, b: NormBundle,
-                    fa: fb.FiberAnalysis, points: int = 1500) -> int:
-    """Sign changes of psi' on a dense log grid around the analysis output."""
+                    fa: fb.FiberAnalysis) -> int:
+    """Sign changes of psi' on a 1500-point log grid around the analysis
+    output."""
     if fa.s1 is not None:
         lo, hi = fa.s1 / 8.0, fa.s2 * 8.0
     else:
         lo, hi = fa.s_turn / 100.0, fa.s_turn * 100.0
     ex = ls.derive_exponents(params)
     k = pohozaev_coefficient(params)
-    s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
+    s = np.exp(np.linspace(math.log(lo), math.log(hi), 1500))
     with np.errstate(over="ignore"):
         vals = (s * b.bend - k * s ** (ex.gamma_q - 1.0) * b.subcrit
                 - s ** (ex.p_crit - 1.0) * b.crit)
@@ -146,13 +146,13 @@ def fiber_sign_scan(params: ls.LandscapeParams, b: NormBundle,
     return int(np.count_nonzero(np.diff(signs)))
 
 
-def bump_field(grid: RadialGrid, rng: np.random.Generator,
-               n_bumps: int = 3, r_scale: float = 20.0) -> RadialField:
-    """Random sum of Gaussians, supported well inside the domain."""
+def bump_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
+    """Random sum of three Gaussians centred in [0, 20], supported well
+    inside the domain."""
     r = grid.nodes
     u = np.zeros_like(r)
-    for _ in range(n_bumps):
-        center = rng.uniform(0.0, r_scale)
+    for _ in range(3):
+        center = rng.uniform(0.0, 20.0)
         width = rng.uniform(1.0, 3.0)
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
         u += amp * np.exp(-((r - center) / width) ** 2)

@@ -148,7 +148,7 @@ def test_criterion_5_fiber_zero_structure(capsys):
         p = random_params(rng)
         b = random_bundle(rng)
         fa = analyze_fiber(p, b)
-        if fiber_sign_scan(p, b, fa, points=800) > 2:
+        if fiber_sign_scan(p, b, fa) > 2:
             bad += 1
             continue
         if fa.s1 is None:

@@ -35,7 +35,6 @@ class TestLoadConfig:
         assert cfg.get_int("problem", "n") == 5
         assert cfg.get_float("problem", "q") == 3.0
         assert cfg.constants_mode == "synthetic"
-        assert cfg.solver() == SolverConfig()
 
     def test_defaults_are_complete(self):
         cfg = load_config(env={})
@@ -120,13 +119,7 @@ class TestResolveParams:
         assert (params.C_gn, params.S_sob) == (1.0, 1.0)
 
     def test_estimated(self):
-        env = {
-            "BHGS_CONSTANTS__MODE": "estimated",
-            "BHGS_CONSTANTS__GN_N": "513",
-            "BHGS_CONSTANTS__GN_R_MAX": "20.0",
-            "BHGS_CONSTANTS__SOB_N": "1025",
-            "BHGS_CONSTANTS__SOB_R_MAX": "64.0",
-        }
+        env = {"BHGS_CONSTANTS__MODE": "estimated"}
         params = resolve_params(load_config(env=env))
         assert params.C_gn == pytest.approx(GN_REF, rel=1e-12)
         assert 0.08 < params.S_sob < 0.11
@@ -148,24 +141,15 @@ class TestSweepMasses:
         "0.5,0.25,0.125,0",        # nonpositive fraction
         "0.5,0.25,0.125,1.0",      # fraction at 1
         "0.5,0.25,abc,0.125",      # not a number
+        "0.1,0.2,nan,0.3",         # NaN
+        "0.1,0.1,0.2,0.3",         # repeated fraction
+        "0.1,0.2,0.3,inf",         # infinite
     ])
     def test_bad_explicit_grid(self, bad):
         cfg = load_config(env={"BHGS_SWEEP__C_GRID": bad})
         with pytest.raises(ConfigError) as err:
             sweep_masses(cfg, 1.0)
         assert kind_of(err) == "config-value"
-
-
-class TestBoundarySamples:
-    def test_default(self):
-        assert load_config(env={}).boundary_samples() == 100
-
-    @pytest.mark.parametrize("bad", ["0", "-5"])
-    def test_below_one_rejected(self, bad):
-        cfg = load_config(env={"BHGS_SWEEP__BOUNDARY_SAMPLES": bad})
-        with pytest.raises(ConfigError) as ei:
-            cfg.boundary_samples()
-        assert kind_of(ei) == "config-value"
 
 
 class TestReadmeConfig:
@@ -192,12 +176,19 @@ REMOVED_KEYS = [
     ("solver", "seed_shape"), ("solver", "safeguard_margin"),
     ("solver", "safeguard_max_frac"), ("solver", "stall_iters"),
     ("sweep", "k"), ("sweep", "c_min_frac"), ("sweep", "c_max_frac"),
+    # numerical controls that only ever took one value
+    ("constants", "gn_n"), ("constants", "gn_r_max"),
+    ("constants", "sob_n"), ("constants", "sob_r_max"),
+    ("solver", "grad_tol"), ("solver", "q_tol"), ("solver", "max_iter"),
+    ("sweep", "boundary_samples"), ("sweep", "mono_tol"),
+    ("sweep", "add_tol"), ("sweep", "triple_match_tol"),
 ]
 
 
 class TestRemovedKeys:
-    def test_defaults_hold_twenty_keys(self):
-        assert sum(len(kv) for kv in DEFAULTS.values()) == 20
+    def test_defaults_hold_nine_keys(self):
+        assert sum(len(kv) for kv in DEFAULTS.values()) == 9
+        assert "solver" not in DEFAULTS
 
     @pytest.mark.parametrize("sec, key", REMOVED_KEYS)
     def test_ini_key_rejected(self, capsys, tmp_path, sec, key):
@@ -207,7 +198,10 @@ class TestRemovedKeys:
         assert rc == 2 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "config-value"
-        assert f"unknown key [{sec}] {key}" in rec["message"]
+        # the whole [solver] section is gone
+        want = ("unknown section [solver]" if sec == "solver"
+                else f"unknown key [{sec}] {key}")
+        assert want in rec["message"]
 
     @pytest.mark.parametrize("sec, key", REMOVED_KEYS)
     def test_env_key_rejected(self, capsys, monkeypatch, sec, key):
@@ -218,6 +212,22 @@ class TestRemovedKeys:
         (rec,) = json_lines(err)
         assert rec["error"] == "config-value"
         assert name in rec["message"]
+
+    @pytest.mark.parametrize("name, value, argv", [
+        # a loose Pohozaev target would pass a 4-iteration field
+        ("BHGS_SOLVER__Q_TOL", "1", ["solve", "--c", "0.6"]),
+        # NaN would make the subadditivity test unable to fail
+        ("BHGS_SWEEP__ADD_TOL", "nan", ["sweep"]),
+    ])
+    def test_checks_cannot_be_loosened(self, capsys, monkeypatch, tmp_path,
+                                       name, value, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, value)
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "config-value"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepFlags:
@@ -507,8 +517,6 @@ class TestCliSolveAndFiber:
 class TestCliSweep:
     def test_small_sweep_passes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
-        # the per-mass draw count is landscape's; sweep does not read it
-        monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "-5")
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)
         assert rc == 0, err
@@ -527,8 +535,13 @@ class TestCliSweep:
 
     def test_nonconvergence_writes_partial_report(self, capsys, tmp_path,
                                                   monkeypatch):
+        import bhgs.cli
+        from bhgs.minimizer import minimize
+
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
-        monkeypatch.setenv("BHGS_SOLVER__MAX_ITER", "2")
+        monkeypatch.setattr(
+            bhgs.cli, "minimize",
+            lambda p, g, c: minimize(p, g, c, SolverConfig(max_iter=2)))
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)
         assert rc == 4
@@ -542,7 +555,6 @@ class TestCliSweep:
 class TestCliLandscape:
     def test_tables(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
-        monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "12")
         rc, out, err = run_cli(capsys, "landscape", "--out-dir", str(tmp_path))
         assert rc == 0, err
         (rec,) = json_lines(out)
@@ -561,16 +573,19 @@ class TestCliLandscape:
         assert grid_lines[1] == "c,rho,f"
         assert len(grid_lines) == 2 + 4 * 41
 
-
-    def test_zero_boundary_samples_rejected(self, capsys, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("BHGS_SWEEP__BOUNDARY_SAMPLES", "0")
-        rc, out, err = run_cli(capsys, "landscape", "--out-dir", str(tmp_path))
+    @pytest.mark.parametrize("command", ["landscape", "sweep"])
+    @pytest.mark.parametrize("c_grid", ["0.1,0.2,nan,0.3", "0.1,0.1,0.2,0.3"])
+    def test_bad_mass_grid_rejected_before_numerics(self, capsys, tmp_path,
+                                                    monkeypatch, command,
+                                                    c_grid):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BHGS_SWEEP__C_GRID", c_grid)
+        rc, out, err = run_cli(capsys, command)
         assert rc == 2 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "config-value"
-        assert "boundary_samples" in rec["message"]
-        assert not (tmp_path / "landscape_summary.csv").exists()
+        assert "c_grid" in rec["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliVerify:
@@ -600,6 +615,20 @@ class TestCliVerify:
         assert rc == 3 and out == ""
         (rec,) = json_lines(err)
         assert "(2, 3.6)" in rec["message"]
+
+
+class TestCliNonFiniteData:
+    @pytest.mark.parametrize("name", ["BHGS_PROBLEM__MU",
+                                      "BHGS_CONSTANTS__C_GN",
+                                      "BHGS_CONSTANTS__S_SOB"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejected_as_domain_error(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        rc, out, err = run_cli(capsys, "constants")
+        assert rc == 3 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "domain-error"
+        assert "finite" in rec["message"]
 
 
 class TestCliParser:

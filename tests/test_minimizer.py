@@ -25,7 +25,7 @@ from bhgs import (
     seed,
 )
 from bhgs import functionals
-from bhgs.config import load_config
+from bhgs.config import GN_GRID, SOB_GRID, load_config
 from bhgs.minimizer import _quotient_gn
 from bhgs.verify import random_params
 
@@ -201,7 +201,7 @@ class TestGnEstimate:
     def test_reference_value(self, p53, gn_grid):
         # the ascent fixed point is grid-insensitive once the optimizer
         # profile is resolved; reference from an n=1025, R=40 run
-        got = estimate_gn_constant(p53, gn_grid, 3.0)
+        got = estimate_gn_constant(p53, gn_grid)
         assert got == pytest.approx(GN_REF, rel=1e-12)
 
     def test_quotient_amplitude_invariance(self, p53, gn_grid):
@@ -220,13 +220,8 @@ class TestGnEstimate:
 
     def test_improves_on_gaussian_start(self, p53, gn_grid):
         u = np.exp(-0.5 * gn_grid.nodes ** 2)
-        assert estimate_gn_constant(p53, gn_grid, 3.0) >= _quotient_gn(
+        assert estimate_gn_constant(p53, gn_grid) >= _quotient_gn(
             p53, gn_grid, 3.0, u) - 1e-15
-
-    def test_rejects_exponent_outside_range(self, p53, gn_grid):
-        for bad in (2.0, 10.0, 12.0):
-            with pytest.raises(DomainError):
-                estimate_gn_constant(p53, gn_grid, bad)
 
 
 class TestSobolevEstimate:
@@ -314,13 +309,10 @@ class TestNonnegPowerEndToEnd:
             assert real[0] == "error" and outcome in real[1]
 
     def test_estimators(self, monkeypatch):
-        cfg = load_config(env={"BHGS_CONSTANTS__MODE": "estimated"})
-        probe = cfg.problem()
-        gn_grid = build_grid(probe.N, cfg.get_int("constants", "gn_n"),
-                             cfg.get_float("constants", "gn_r_max"))
-        sob_grid = build_grid(probe.N, cfg.get_int("constants", "sob_n"),
-                              cfg.get_float("constants", "sob_r_max"))
-        for fn in (lambda: estimate_gn_constant(probe, gn_grid, probe.q),
+        probe = load_config(env={}).problem()
+        gn_grid = build_grid(probe.N, *GN_GRID)
+        sob_grid = build_grid(probe.N, *SOB_GRID)
+        for fn in (lambda: estimate_gn_constant(probe, gn_grid),
                    lambda: estimate_sobolev_constant(probe, sob_grid)):
             plain, real, masked = self.run_both(monkeypatch, fn)
             assert real.hex() == plain.hex()

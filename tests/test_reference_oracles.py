@@ -223,7 +223,7 @@ c = 0.5 * mass_threshold(p)[1]
 traced = minimizer.minimize(p, grid, c)
 solve_calls = dict(calls)
 calls.update(dict.fromkeys(names, 0))
-minimizer.estimate_gn_constant(p, build_grid(5, 1025, 40.0), p.q)
+minimizer.estimate_gn_constant(p, build_grid(5, 1025, 40.0))
 gn_calls = dict(calls)
 
 for n in names:
