@@ -222,7 +222,8 @@ class RadialField:
 def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     """Uniform radial grid with spherical quadrature weights.
 
-    dim >= 5 integer, n >= 64 nodes, r_max positive and finite.
+    dim >= 5 integer, n >= 64 nodes, r_max positive and finite, with
+    every quadrature weight a normal float.
     """
     if not isinstance(dim, int) or dim < 5:
         raise DomainError(f"dim must be an integer >= 5, got {dim!r}")
@@ -231,6 +232,13 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     if not 0 < float(r_max) < math.inf:
         raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     r_max = float(r_max)
+    # the weights run from h^N / (N (N+1)) at the origin to about R^(N-1) h,
+    # times the sphere area: both ends must be normal floats
+    log_h = math.log2(r_max / (n - 1))
+    log_top = dim * log_h + (dim - 1) * math.log2(n - 1)
+    if not (dim * log_h > -1000.0 and log_top < 1000.0):
+        raise DomainError(f"r_max={r_max!r} with n={n} puts the dim-{dim} "
+                          "quadrature weights outside the float range")
     return RadialGrid(
         dim=dim, n=n, r_max=r_max,
         nodes=np.linspace(0.0, r_max, n),

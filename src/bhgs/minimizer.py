@@ -12,6 +12,23 @@ Two residuals gate convergence: the weighted norm of the projected gradient
 and |Q|/bend. Both are cheap and the second is the necessary condition the
 analysis itself provides.
 
+The descent converges linearly, and its tail is most of its cost, so it
+hands the iterate to a bordered Newton finish: Newton on (u, lambda) for
+grad J = lambda u on the mass sphere (Keller 1977), which converges
+quadratically near a constrained critical point. Each step is one banded
+LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
+sides. There are two triggers:
+
+- the loose point, the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and
+  q_residual <= LOOSE_Q. If Newton fails there, the descent resumes from
+  the same iterate and state, so it ends where the descent alone would;
+- a stall, STALL_ITERS accepted steps in a row without energy progress.
+  If Newton fails there, the stall is reported as a ConvergenceError.
+
+Newton stops at the descent's own convergence test, and its result is kept
+only if its energy is not above the iterate it started from (up to
+NEWTON_J_SLACK bend) and its bend is below the safeguard cap.
+
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
 rejections is reported; a run dominated by them signals constants that are
@@ -19,9 +36,10 @@ inconsistent with the requested mass.
 
 scipy.linalg is imported on the first banded factorization or solve, not
 with this module: the closed-form commands (constants, landscape, fiber,
-verify) never load it. `cholesky_banded` and `cho_solve_banded` stay module
-attributes, and every call site looks them up as globals at call time, so
-rebinding them (for tracing or testing) catches every call.
+verify) never load it. `cholesky_banded`, `cho_solve_banded` and
+`solve_banded` stay module attributes, and every call site looks them up
+as globals at call time, so rebinding them (for tracing or testing) catches
+every call.
 """
 from __future__ import annotations
 
@@ -53,7 +71,16 @@ SHRINK = 0.5
 GROW = 1.3
 SAFEGUARD_MARGIN = 1e-3
 SAFEGUARD_MAX_FRAC = 0.5
-STALL_ITERS = 30
+STALL_ITERS = 3
+
+# Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
+# q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
+# and the energy slack, in units of bend, a Newton result may rise above the
+# iterate it started from (J cancels terms far larger than itself)
+LOOSE_GRAD = 1e-6
+LOOSE_Q = 1e-3
+NEWTON_STEPS = 8
+NEWTON_J_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +104,7 @@ class GroundState:
     lam: float             # serialized under the key "lambda"
     q_residual: float
     bend: float
-    iters: int
+    iters: int             # linear solves (descent, then Newton) + 1
     constraint_active: bool
 
 
@@ -126,6 +153,14 @@ def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
     return cho_solve_banded(cb_and_lower, b, overwrite_b, check_finite)
 
 
+def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
+                 check_finite=True):
+    """scipy.linalg.solve_banded, importing scipy.linalg on first use."""
+    from scipy.linalg import solve_banded
+    return solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b,
+                        check_finite)
+
+
 def _banded_factor(grid: RadialGrid, a: float):
     # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4
     return cholesky_banded(grid.normal_band(a), lower=False)
@@ -137,12 +172,82 @@ def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     return cho_solve_banded((factor, False), grid.weights * v)
 
 
+def _residuals(params: LandscapeParams, grid: RadialGrid, c: float,
+               u: np.ndarray, b: NormBundle):
+    # (projected gradient, lambda_hat, its weighted norm, |Q|/bend) at the
+    # mass-c iterate u with bundle b
+    grad = l2_gradient(params, RadialField(grid, u)).values
+    lam_hat = _wdot(grid, grad, u) / c
+    g_proj = grad - lam_hat * u
+    gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
+    return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
+
+
+def _newton_finish(params: LandscapeParams, grid: RadialGrid, c: float,
+                   u: np.ndarray, b: NormBundle, res, config: SolverConfig,
+                   bend_cap: float):
+    """Bordered Newton steps in (u, lambda) from the mass-c iterate u.
+
+    Each step solves K x = -R and K y = W u in one banded LU, where
+    R = W (grad J - lambda_hat u) and K = L^T W L - lambda_hat W - W f'(u),
+    then eliminates the multiplier update from the linearized mass
+    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c.
+    Returns ((u, b), steps) once the descent's convergence test holds, the
+    energy is at most NEWTON_J_SLACK bend above that of the starting
+    iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
+    singular or non-finite step, and when a step after the second fails to
+    halve gnorm. steps counts the linear solves made.
+    """
+    n, w = grid.n, grid.weights
+    q, p = params.q, params.p_crit
+    J0 = energy(params, b)
+    g_proj, lam_hat, gnorm, _ = res
+    # K in general band storage, K[4 + i - j, j] = K_ij; the corners past
+    # the matrix stay zero
+    K = np.zeros((9, n))
+    for steps in range(1, NEWTON_STEPS + 1):
+        K[:5] = grid.normal_band(-lam_hat)
+        for d in range(1, 5):
+            K[4 + d, :n - d] = K[4 - d, d:]
+        au = np.abs(u)
+        K[4] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+                     + (p - 1.0) * nonneg_power(au, p - 2.0))
+        wu = w * u
+        try:
+            xy = solve_banded((4, 4), K, np.column_stack((-w * g_proj, wu)))
+        except (np.linalg.LinAlgError, ValueError):
+            # singular K, or a non-finite entry (ValueError from check_finite)
+            return None, steps - 1
+        x, y = xy[:, 0], xy[:, 1]
+        cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
+        mass = _wdot(grid, cand, cand)
+        if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
+            return None, steps
+        cand *= math.sqrt(c / mass)
+        try:
+            b = norm_bundle(params, RadialField(grid, cand))
+        except DomainError:
+            return None, steps
+        u, prev = cand, gnorm
+        g_proj, lam_hat, gnorm, qres = _residuals(params, grid, c, u, b)
+        if gnorm <= config.grad_tol and qres <= config.q_tol:
+            if (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
+                    and b.bend < bend_cap):
+                return (u, b), steps
+            return None, steps
+        if steps > 2 and not gnorm <= 0.5 * prev:
+            return None, steps
+    return None, NEWTON_STEPS
+
+
 def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
              config: SolverConfig = SolverConfig()) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Raises ConvergenceError if the residuals are not met within max_iter,
-    the line search dies, or the bend safeguard bound more than
+    Preconditioned descent, finished by bordered Newton steps at the loose
+    point or at a stall. Raises ConvergenceError if the residuals are not
+    met within max_iter, the line search dies, the descent stalls and
+    Newton cannot finish it, or the bend safeguard bound more than
     SAFEGUARD_MAX_FRAC of accepted steps.
     """
     thresholds = mass_threshold(params)
@@ -158,6 +263,18 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     def bundle_of(vec: np.ndarray) -> NormBundle:
         return norm_bundle(params, RadialField(grid, vec))
 
+    def finish(res):
+        # hand (u, b) to Newton; count its solves as iterations
+        nonlocal u, b, J, solves
+        done, steps = _newton_finish(params, grid, c, u, b, res, config,
+                                     bend_cap)
+        solves += steps
+        if done is None:
+            return False
+        u, b = done
+        J = energy(params, b)
+        return True
+
     b = bundle_of(u)
     J = energy(params, b)
     tau = STEP0
@@ -166,22 +283,25 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     n_safe = 0
     accepted = 0
     stall = 0
-    iters = 0
+    solves = 0
+    loose = True
 
     for iters in range(1, config.max_iter + 1):
-        grad = l2_gradient(params, RadialField(grid, u)).values
-        lam_hat = _wdot(grid, grad, u) / c
-        g_proj = grad - lam_hat * u
-        gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
-        qres = abs(pohozaev(params, b)) / b.bend
+        res = _residuals(params, grid, c, u, b)
+        g_proj, lam_hat, gnorm, qres = res
         if gnorm <= config.grad_tol and qres <= config.q_tol:
             break
+        if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
+            loose = False
+            if finish(res):
+                break
 
         a_new = max(abs(lam_hat), 1e-12)
         if factor is None or not (0.5 < a_new / a_shift < 2.0):
             a_shift = a_new
             factor = _banded_factor(grid, a_shift)
         d = _precond_apply(factor, grid, g_proj)
+        solves += 1
         d = -(d - (_wdot(grid, d, u) / c) * u)
         slope = _wdot(grid, g_proj, d)
         if slope >= 0.0:
@@ -210,6 +330,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         if J - J2 <= 1e-16 * abs(J):
             stall += 1
             if stall >= STALL_ITERS:
+                if finish(res):
+                    break
                 floor = ("; the gradient criterion is met and the Pohozaev "
                          "residual is at the discretization floor of this grid"
                          if gnorm <= config.grad_tol else "")
@@ -241,7 +363,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         field=RadialField(grid, u), c=c, m=J,
         lam=lagrange_multiplier(params, b),
         q_residual=abs(pohozaev(params, b)) / b.bend,
-        bend=b.bend, iters=iters,
+        bend=b.bend, iters=solves + 1,
         constraint_active=n_safe > 0)
 
 

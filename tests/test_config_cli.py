@@ -7,9 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from bhgs import ConfigError, DomainError, SolverConfig, load_config
+from bhgs import (ConfigError, DomainError, SolverConfig, load_config,
+                  mass_threshold, minimizer)
 from bhgs.cli import evaluate_sweep_flags, main
 from bhgs.config import DEFAULTS, resolve_params, sweep_masses
+from bhgs.verify import random_params
 
 C0_REF = 1.3102171485428768328
 GN_REF = 0.2820814861937604
@@ -428,17 +430,34 @@ class TestCliSolveAndFiber:
         (rec,) = json_lines(err)
         assert rec["error"] == "domain-error"
 
-    def test_solve_stall_at_discretization_floor(self, capsys, tmp_path):
-        # at 0.0777 c0 the gradient meets grad_tol by four decades while the
-        # Pohozaev residual sits just above the absolute q_tol on this grid
+    def test_solve_finishes_past_the_descent_floor(self, capsys, tmp_path):
+        # at 0.0777 c0 the descent stalls with the gradient four decades
+        # below grad_tol and |Q|/bend at 6.3e-7; Newton takes it below q_tol
         rc, out, err = run_cli(capsys, "solve", "--c", "0.10173884969332775",
+                               "--out", str(tmp_path / "f.csv"))
+        assert rc == 0, err
+        (rec,) = json_lines(out)
+        assert rec["q_residual"] <= 5e-7
+
+    def test_solve_stall_at_discretization_floor(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # this draw's Pohozaev residual stays near 6e-5 on the default grid,
+        # Newton steps included, while the gradient meets grad_tol
+        p = random_params(np.random.default_rng(3))
+        for name, value in (("PROBLEM__N", p.N), ("PROBLEM__Q", p.q),
+                            ("PROBLEM__MU", p.mu), ("CONSTANTS__C_GN", p.C_gn),
+                            ("CONSTANTS__S_SOB", p.S_sob)):
+            monkeypatch.setenv(f"BHGS_{name}", repr(value))
+        c = 0.5 * mass_threshold(p)[1]
+        rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
                                "--out", str(tmp_path / "no.csv"))
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
         msg = rec["message"]
-        hit = re.match(r"stalled for 30 steps at gnorm=(\S+), "
-                       r"q_residual=(\S+) \(tolerances 1e-08, 5e-07\)", msg)
+        hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
+                       r"gnorm=(\S+), q_residual=(\S+) "
+                       r"\(tolerances 1e-08, 5e-07\)", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
         assert msg.endswith("; the gradient criterion is met and the Pohozaev "
                             "residual is at the discretization floor of this "
@@ -629,6 +648,23 @@ class TestCliNonFiniteData:
         (rec,) = json_lines(err)
         assert rec["error"] == "domain-error"
         assert "finite" in rec["message"]
+
+
+class TestCliGridRange:
+    # h^N overflowed (1e300) or underflowed (1e-300) in the weights
+    @pytest.mark.parametrize("r_max", ["1e300", "1e-300"])
+    @pytest.mark.parametrize("command", [["solve", "--c", "0.6"],
+                                         ["landscape"]])
+    def test_rejected_as_domain_error(self, capsys, monkeypatch, tmp_path,
+                                      r_max, command):
+        monkeypatch.setenv("BHGS_GRID__R_MAX", r_max)
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(capsys, *command)
+        assert rc == 3 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "domain-error"
+        assert "float range" in rec["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliParser:

@@ -50,6 +50,12 @@ class TestBuildValidation:
         with pytest.raises(DomainError, match="finite"):
             build_grid(5, 128, math.inf)
 
+    @pytest.mark.parametrize("r_max", [1e300, 1e100, 1e-150, 1e-300])
+    def test_rejects_r_max_outside_float_range(self, r_max):
+        # h^N would overflow or underflow in the quadrature weights
+        with pytest.raises(DomainError, match="float range"):
+            build_grid(5, 2049, r_max)
+
     def test_grid_shape(self):
         g = build_grid(5, 128, 10.0)
         assert g.nodes.shape == (128,) and g.weights.shape == (128,)

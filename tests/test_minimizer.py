@@ -24,12 +24,15 @@ from bhgs import (
     norm_bundle,
     seed,
 )
-from bhgs import functionals
+from bhgs import functionals, minimizer
 from bhgs.config import GN_GRID, SOB_GRID, load_config
 from bhgs.minimizer import _quotient_gn
 from bhgs.verify import random_params
 
 GN_REF = 0.2820814861937604      # quotient ascent fixed point, N=5, q=3
+# the descent alone at 0.5 c0 on the production grid, N=5, q=3
+DESCENT_M = "-0x1.d224874daeda2p-22"
+DESCENT_LAM = "-0x1.9f1224d8200c0p-19"
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +166,46 @@ class TestMinimize:
             minimize(p53, grid_solve, 0.5 * c0, cfg)
         # gnorm is above grad_tol, so the message names no discretization floor
         msg = str(err.value)
-        hit = re.fullmatch(r"stalled for 30 steps at gnorm=(\S+), "
-                           r"q_residual=\S+ \(tolerances 1e-30, 1e-30\)", msg)
+        hit = re.fullmatch(rf"stalled for {minimizer.STALL_ITERS} steps at "
+                           r"gnorm=(\S+), q_residual=\S+ "
+                           r"\(tolerances 1e-30, 1e-30\)", msg)
         assert hit and float(hit.group(1)) > cfg.grad_tol
+
+
+class TestNewtonFinish:
+    def test_descent_alone_when_newton_cannot_solve(
+            self, monkeypatch, p53, grid_solve, thresholds53):
+        # every Newton attempt fails at its first solve, so the descent runs
+        # to the default tolerances by itself and returns the descent-only
+        # result bit for bit
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(minimizer, "solve_banded", singular)
+        _, c0, _ = thresholds53
+        st = minimize(p53, grid_solve, 0.5 * c0)
+        assert st.m.hex() == DESCENT_M
+        assert st.lam.hex() == DESCENT_LAM
+        assert st.iters == 18
+
+    def test_rejected_finish_resumes_the_descent(
+            self, monkeypatch, p53, grid_solve, thresholds53):
+        # an energy guard no Newton result can pass: the loose-point finish
+        # is thrown away and the descent goes on from the same state; its
+        # solves still count as iterations
+        monkeypatch.setattr(minimizer, "NEWTON_J_SLACK", -math.inf)
+        _, c0, _ = thresholds53
+        st = minimize(p53, grid_solve, 0.5 * c0)
+        assert (st.m.hex(), st.lam.hex()) == (DESCENT_M, DESCENT_LAM)
+        assert st.iters > 18
+
+    def test_newton_agrees_with_descent(self, solved):
+        # the finish lands on the descent-only minimizer above in fewer
+        # iterations; the descent's lambda carried a 3e-7 relative error
+        assert solved.iters < 18
+        assert solved.m == pytest.approx(float.fromhex(DESCENT_M), rel=1e-11)
+        assert solved.lam == pytest.approx(float.fromhex(DESCENT_LAM),
+                                           rel=1e-6)
 
 
 class TestScalingLaw:

@@ -202,7 +202,7 @@ import json, sys
 import numpy as np
 from bhgs import LandscapeParams, build_grid, mass_threshold, minimizer
 
-names = ("cholesky_banded", "cho_solve_banded")
+names = ("cholesky_banded", "cho_solve_banded", "solve_banded")
 resolved = [callable(getattr(minimizer, n)) for n in names]
 linalg_before = "scipy.linalg" in sys.modules
 
@@ -241,10 +241,13 @@ print(json.dumps({"resolved": resolved, "linalg_before": linalg_before,
 
 def test_banded_kernels_are_traceable_before_any_solve():
     out = json.loads(run_fresh(TRACE_CONTRACT))
-    assert out["resolved"] == [True, True]
+    assert out["resolved"] == [True, True, True]
     assert out["linalg_before"] is False
     calls = out["solve_calls"]
-    assert calls["cho_solve_banded"] == out["iters"] - 1
+    # one linear solve per iteration but the last: preconditioned descent
+    # steps, then the Newton finish
+    assert calls["cho_solve_banded"] + calls["solve_banded"] == out["iters"] - 1
+    assert calls["solve_banded"] >= 1
     assert calls["cholesky_banded"] >= 1
     assert out["gn_calls"]["cholesky_banded"] >= 1
     assert out["gn_calls"]["cho_solve_banded"] >= 1
