@@ -57,8 +57,9 @@ def _header(cfg, params) -> dict:
     head = {"mode": cfg.constants_mode, "C_gn": params.C_gn,
             "S_sob": params.S_sob}
     if head["mode"] == "estimated":
-        head["warning"] = ("constants are certified lower bounds; the derived "
-                           "c0 and rho0 overestimate their true values")
+        head["warning"] = ("constants are certified lower bounds: C_gn from "
+                           "a grid ascent, S_sob sharp; the derived c0 and "
+                           "rho0 can only overestimate their true values")
     return head
 
 

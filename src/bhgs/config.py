@@ -3,17 +3,19 @@
 The keys are problem data only: [problem] N/q/mu, [constants] the
 working-constant mode and the synthetic values, [grid] the solve mesh, and
 [sweep] the mass grid shared by `landscape` and `sweep`. Numerical controls
-(solver tolerances, estimation grids, sample counts, lemma tolerances) are
-constants where they are used. Any key can be overridden per process with
-BHGS_<SECTION>__<KEY> (two underscores), e.g. BHGS_PROBLEM__Q=2.8.
+(solver tolerances, the interpolation-estimate grid, sample counts, lemma
+tolerances) are constants where they are used. Any key can be overridden
+per process with BHGS_<SECTION>__<KEY> (two underscores), e.g.
+BHGS_PROBLEM__Q=2.8.
 
 A missing file is `config-not-found`; an unparsable or non-UTF-8 one is
 `config-parse`; any other read failure (a directory, no permission) is left
 to the caller as OSError. `resolve_params` turns a Config into the one
-LandscapeParams a command works with, estimating the constants in
-estimated mode. Numeric validation that encodes the admissible parameter
-ranges lives in the domain types themselves (LandscapeParams, build_grid);
-this module only parses, applies precedence, and rejects unknown keys.
+LandscapeParams a command works with, estimating C_gn and taking the sharp
+S_sob in estimated mode. Numeric validation that encodes the admissible
+parameter ranges lives in the domain types themselves (LandscapeParams,
+build_grid); this module only parses, applies precedence, and rejects
+unknown keys.
 """
 from __future__ import annotations
 
@@ -40,9 +42,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "sweep": {"c_grid": "0.1,0.15,0.2,0.25,0.3,0.4,0.5,0.9"},  # c/c0 fractions
 }
 
-# (n, r_max) of the estimated-mode grids: interpolation and Sobolev quotients
+# (n, r_max) of the estimated-mode interpolation-quotient grid
 GN_GRID = (1025, 40.0)
-SOB_GRID = (8193, 256.0)
 
 
 class ConfigError(Exception):
@@ -141,17 +142,16 @@ def load_config(path: str | None = None,
 def resolve_params(cfg: Config) -> LandscapeParams:
     """LandscapeParams with working constants per the configured mode.
 
-    In estimated mode the constants are numerical lower bounds, so the
+    In estimated mode C_gn is a lower bound and S_sob is sharp, so the
     derived c0 and rho0 sit above their true values; the CLI records say so.
     """
     if cfg.constants_mode == "synthetic":
         return cfg.problem(cfg.get_float("constants", "c_gn"),
                            cfg.get_float("constants", "s_sob"))
     probe = cfg.problem()
-    gn_grid = build_grid(probe.N, *GN_GRID)
-    sob_grid = build_grid(probe.N, *SOB_GRID)
-    return cfg.problem(estimate_gn_constant(probe, gn_grid),
-                       estimate_sobolev_constant(probe, sob_grid))
+    return cfg.problem(
+        estimate_gn_constant(probe, build_grid(probe.N, *GN_GRID)),
+        estimate_sobolev_constant(probe))
 
 
 def sweep_masses(cfg: Config, c0: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Constrained minimization inside the bend ball, plus constant estimation.
+"""Constrained minimization inside the bend ball, plus the two constants:
+C_gn by a quotient ascent on a grid, S_sob in closed form.
 
 The solver runs projected gradient descent on the mass sphere with a
 renormalization retraction and Armijo backtracking. Raw descent is useless
@@ -51,7 +52,7 @@ import numpy as np
 from .fiber import analyze_fiber
 from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
                           nonneg_power, norm_bundle, pohozaev)
-from .grid import RadialField, RadialGrid, build_grid
+from .grid import RadialField, RadialGrid
 from .landscape import DomainError, LandscapeParams, mass_threshold
 
 __all__ = ["SolverConfig", "GroundState", "ConvergenceError", "seed",
@@ -431,62 +432,19 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
     raise ConvergenceError("quotient ascent did not settle in 500 steps")
 
 
-def _sobolev_quotient(params: LandscapeParams, grid: RadialGrid,
-                      eps: float) -> float:
-    # (eps + r^2)^{-(N-4)/2} tapered to zero on [R/2, R] by a C^2 smoothstep;
-    # the family, taper window, and eps search window all commute with
-    # dilation, so the estimate is invariant under doubling R at fixed n
-    N = grid.dim
-    r = grid.nodes
-    R = grid.r_max
-    u = (eps + r ** 2) ** (-(N - 4) / 2.0)
-    t = np.clip((r - R / 2.0) / (R / 2.0), 0.0, 1.0)
-    u *= 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-    lu = grid.lap_apply(u)
-    p = params.p_crit
-    C = float(np.sum(grid.weights * nonneg_power(np.abs(u), p)))
-    A = float(np.sum(grid.weights * lu * lu))
-    return C ** (1.0 / p) / math.sqrt(A)
+def estimate_sobolev_constant(params: LandscapeParams) -> float:
+    """Sharp constant of the embedding D^{2,2} -> L^{4*}, in closed form.
 
-
-def estimate_sobolev_constant(params: LandscapeParams,
-                              grid: RadialGrid) -> float:
-    """Critical-embedding quotient over the tapered bubble family.
-
-    Golden-section maximization over log eps; the window floor keeps the
-    core resolvable at the grid spacing. Raises if doubling R moves the
-    value by more than 1e-3 relative (truncation-dominated setup).
+    |u|_{4*} <= S^{-1/2} |Du|_2 with
+    S = pi^2 (N+2) N (N-2) (N-4) (Gamma(N/2) / Gamma(N))^{4/N},
+    attained by the bubbles (eps + r^2)^{-(N-4)/2} (Lieb 1983; Edmunds,
+    Fortunato and Jannelli 1990). Returns S^{-1/2}; the Gamma ratio is taken
+    through lgamma so every N >= 5 stays in float range.
     """
-    def best_on(g: RadialGrid) -> float:
-        lo = math.log(max(1e-2, (4.0 * g.h) ** 2))
-        hi = math.log(1e2)
-        if lo >= hi:
-            raise DomainError("grid too coarse to resolve the bubble core")
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - gr * (hi - lo)
-        x2 = lo + gr * (hi - lo)
-        f1 = _sobolev_quotient(params, g, math.exp(x1))
-        f2 = _sobolev_quotient(params, g, math.exp(x2))
-        for _ in range(80):
-            if hi - lo < 1e-12:
-                break
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + gr * (hi - lo)
-                f2 = _sobolev_quotient(params, g, math.exp(x2))
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - gr * (hi - lo)
-                f1 = _sobolev_quotient(params, g, math.exp(x1))
-        return max(f1, f2)
-
-    val = best_on(grid)
-    doubled = best_on(build_grid(grid.dim, grid.n, 2.0 * grid.r_max))
-    if abs(doubled - val) > 1e-3 * val:
-        raise DomainError(
-            f"truncation sensitivity {abs(doubled - val) / val:.2e} above "
-            "1e-3; increase r_max")
-    return val
+    N = params.N
+    S = (math.pi ** 2 * (N + 2) * N * (N - 2) * (N - 4)
+         * math.exp(4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(N))))
+    return 1.0 / math.sqrt(S)
 
 
 def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:

@@ -124,7 +124,7 @@ class TestResolveParams:
         env = {"BHGS_CONSTANTS__MODE": "estimated"}
         params = resolve_params(load_config(env=env))
         assert params.C_gn == pytest.approx(GN_REF, rel=1e-12)
-        assert 0.08 < params.S_sob < 0.11
+        assert params.S_sob == minimizer.estimate_sobolev_constant(params)
 
 
 class TestSweepMasses:
@@ -328,6 +328,18 @@ class TestCliConstants:
         assert rec["c0"] == pytest.approx(C0_REF, rel=1e-12)
         assert rec["alpha2"] == 4.0
         assert "warning" not in rec
+
+    def test_estimated_record_carries_the_sharp_sobolev_constant(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("BHGS_CONSTANTS__MODE", "estimated")
+        rc, out, err = run_cli(capsys, "constants")
+        assert rc == 0 and err == ""
+        (rec,) = json_lines(out)
+        sharp = minimizer.estimate_sobolev_constant(
+            load_config(env={}).problem())
+        assert rec["S_sob"] == sharp
+        assert rec["C_gn"] == pytest.approx(GN_REF, rel=1e-12)
+        assert "lower bounds" in rec["warning"] and "sharp" in rec["warning"]
 
     def test_byte_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "constants")

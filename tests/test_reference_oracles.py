@@ -6,6 +6,7 @@ implementations kept below as references: the O(n) Fraction weight loop, the
 CSR Laplacian with its cached CSR transpose, and the sparse triple product
 that fed the banded Cholesky.
 """
+import importlib.util
 import json
 import math
 import os
@@ -196,6 +197,24 @@ def test_command_import_footprint(argv, env_extra, want, tmp_path):
 
 
 # -------------------------------------------------------------- trace contract
+
+def test_traced_layer_names_resolve(monkeypatch):
+    # the benchmark's tracer wraps bench/spans.py LAYERS by name, so a
+    # rename in bhgs would otherwise break only the traced benchmark run;
+    # load the file without writing bytecode next to it
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "spans.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.LAYERS.items():
+        mod = importlib.import_module(f"bhgs.{layer}")
+        missing += [f"{layer}.{name}" for name in names
+                    if not callable(getattr(mod, name, None))]
+    assert missing == []
+
 
 TRACE_CONTRACT = """
 import json, sys
