@@ -5,8 +5,9 @@ to stdout as one JSON object per line (keys sorted, so a run with fixed
 config is byte-reproducible); errors go to stderr as a single JSON object
 with a machine-readable kind. Tables are plain CSV files.
 
-Exit codes: 0 success, 2 configuration error, 3 domain error (inadmissible
-parameters or masses), 4 numerical non-convergence, 5 verification failure.
+Exit codes: 0 success, 2 configuration or installation error, 3 domain
+error (inadmissible parameters or masses), 4 numerical non-convergence, 5
+verification failure.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from .functionals import energy, norm_bundle, rescale_bundle
 from .grid import load_field, save_field
 from .landscape import (DomainError, derive_exponents, f_landscape,
                         mass_threshold, rho_star)
-from .minimizer import ConvergenceError, fiber_consistency, minimize
+from .minimizer import (ConvergenceError, KernelsUnavailable,
+                        fiber_consistency, minimize)
 
 __all__ = ["main", "evaluate_sweep_flags"]
 
@@ -345,6 +347,8 @@ def main(argv=None) -> int:
         return _fail("non-convergence", str(exc), EXIT_NONCONV)
     except OSError as exc:
         return _fail("io-error", str(exc), EXIT_CONFIG)
+    except KernelsUnavailable as exc:
+        return _fail("no-lapack", str(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ right). All corrections are computed in Fraction arithmetic, so the rule is
 exact for integrands r^m * r^{N-1}, m <= 4, to float rounding. The interior
 moment sums the right corrections need are closed-form power sums
 (Faulhaber's formula) in exact rationals, so their cost does not depend on n;
-only the final float conversion of the nodes is O(n). Weights stay
-nonnegative; interior smoothness matters because the energy gradient divides
+only the final float conversion of the nodes is O(n). build_grid accepts
+only all-positive weights (the corrections outgrow the node-1 weight from
+dim 17 on); interior smoothness matters because the energy gradient divides
 by them.
 
 Operator layout: the Laplacian L is pentadiagonal and is stored once, as a
@@ -223,7 +224,10 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     """Uniform radial grid with spherical quadrature weights.
 
     dim >= 5 integer, n >= 64 nodes, r_max positive and finite, with
-    every quadrature weight a normal float.
+    every quadrature weight a positive normal float. The float range is
+    checked from logarithms before the exact-rational weight work; the
+    sign after it. From dim = 17 on, the left corrections make the node-1
+    weight negative on every n, so those dimensions are rejected.
     """
     if not isinstance(dim, int) or dim < 5:
         raise DomainError(f"dim must be an integer >= 5, got {dim!r}")
@@ -232,17 +236,27 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     if not 0 < float(r_max) < math.inf:
         raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     r_max = float(r_max)
-    # the weights run from h^N / (N (N+1)) at the origin to about R^(N-1) h,
-    # times the sphere area: both ends must be normal floats
+    # the weights are (n-1)^(N-1) at most before the h^N scaling, and after
+    # it run from h^N / (N (N+1)) at the origin to about R^(N-1) h, times
+    # the sphere area: all three must be normal floats
+    log_x = (dim - 1) * math.log2(n - 1)
+    if not log_x < 1000.0:
+        raise DomainError(f"n={n} puts the dim-{dim} quadrature weights "
+                          "outside the float range before scaling")
     log_h = math.log2(r_max / (n - 1))
-    log_top = dim * log_h + (dim - 1) * math.log2(n - 1)
-    if not (dim * log_h > -1000.0 and log_top < 1000.0):
+    if not (dim * log_h > -1000.0 and dim * log_h + log_x < 1000.0):
         raise DomainError(f"r_max={r_max!r} with n={n} puts the dim-{dim} "
                           "quadrature weights outside the float range")
+    weights = _weights(dim, n, r_max)
+    if not np.all(weights > 0.0):
+        raise DomainError(
+            f"the dim-{dim} quadrature on n={n} nodes has a weight <= 0 at "
+            f"node {int(np.argmin(weights > 0.0))}: its endpoint corrections "
+            "outgrow the trapezoid weights")
     return RadialGrid(
         dim=dim, n=n, r_max=r_max,
         nodes=np.linspace(0.0, r_max, n),
-        weights=_weights(dim, n, r_max),
+        weights=weights,
         lap_band=_laplacian_band(dim, n, r_max),
     )
 

@@ -35,12 +35,14 @@ rho0 (1 - margin) is rejected and the step shrunk. The count of such
 rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
 
-scipy.linalg is imported on the first banded factorization or solve, not
-with this module: the closed-form commands (constants, landscape, fiber,
-verify) never load it. `cholesky_banded`, `cho_solve_banded` and
-`solve_banded` stay module attributes, and every call site looks them up
-as globals at call time, so rebinding them (for tracing or testing) catches
-every call.
+The three band kernels come from LAPACK through the private _lapack module:
+numpy's bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise
+(KernelsUnavailable if neither loads). That module is imported on the first
+banded factorization or solve, not with this one: the closed-form commands
+(constants, landscape, fiber, verify) never load it. `cholesky_banded`,
+`cho_solve_banded` and `solve_banded` stay module attributes, and every call
+site looks them up as globals at call time, so rebinding them (for tracing
+or testing) catches every call.
 """
 from __future__ import annotations
 
@@ -55,13 +57,18 @@ from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
 from .grid import RadialField, RadialGrid
 from .landscape import DomainError, LandscapeParams, mass_threshold
 
-__all__ = ["SolverConfig", "GroundState", "ConvergenceError", "seed",
+__all__ = ["SolverConfig", "GroundState", "ConvergenceError",
+           "KernelsUnavailable", "seed",
            "minimize", "estimate_gn_constant", "estimate_sobolev_constant",
            "fiber_consistency"]
 
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted or invariants unattainable at this setup."""
+
+
+class KernelsUnavailable(RuntimeError):
+    """Neither numpy's bundled LAPACK nor scipy.linalg can be loaded."""
 
 
 # fixed descent controls: initial step, line-search shrink/grow factors, the
@@ -142,24 +149,31 @@ def seed(params: LandscapeParams, thresholds, c: float,
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
+def _kernels():
+    # the band-kernel module, imported on the first factorization or solve
+    try:
+        from . import _lapack
+    except ImportError as exc:
+        raise KernelsUnavailable(str(exc)) from exc
+    return _lapack
+
+
 def cholesky_banded(ab, overwrite_ab=False, lower=False, check_finite=True):
-    """scipy.linalg.cholesky_banded, importing scipy.linalg on first use."""
-    from scipy.linalg import cholesky_banded
-    return cholesky_banded(ab, overwrite_ab, lower, check_finite)
+    """Banded Cholesky factor, as scipy.linalg.cholesky_banded."""
+    return _kernels().cholesky_banded(ab, overwrite_ab, lower, check_finite)
 
 
 def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
-    """scipy.linalg.cho_solve_banded, importing scipy.linalg on first use."""
-    from scipy.linalg import cho_solve_banded
-    return cho_solve_banded(cb_and_lower, b, overwrite_b, check_finite)
+    """Banded Cholesky solve, as scipy.linalg.cho_solve_banded."""
+    return _kernels().cho_solve_banded(cb_and_lower, b, overwrite_b,
+                                       check_finite)
 
 
 def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
                  check_finite=True):
-    """scipy.linalg.solve_banded, importing scipy.linalg on first use."""
-    from scipy.linalg import solve_banded
-    return solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b,
-                        check_finite)
+    """Banded LU solve, as scipy.linalg.solve_banded."""
+    return _kernels().solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b,
+                                   check_finite)
 
 
 def _banded_factor(grid: RadialGrid, a: float):

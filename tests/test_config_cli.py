@@ -679,6 +679,23 @@ class TestCliGridRange:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCliLargeDimension:
+    # estimated mode builds the C_gn grid (1025, 40) at the configured N:
+    # at N = 100 its node-1 weight is negative (the ascent's Cholesky then
+    # failed), at N = 172 its exact weights overflowed a float
+    @pytest.mark.parametrize("N,why", [("100", "weight <= 0"),
+                                       ("172", "float range")])
+    def test_rejected_as_domain_error(self, capsys, monkeypatch, N, why):
+        monkeypatch.setenv("BHGS_PROBLEM__N", N)
+        monkeypatch.setenv("BHGS_PROBLEM__Q", "2.01")
+        monkeypatch.setenv("BHGS_CONSTANTS__MODE", "estimated")
+        rc, out, err = run_cli(capsys, "constants")
+        assert rc == 3 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "domain-error"
+        assert why in rec["message"] and f"dim-{N}" in rec["message"]
+
+
 class TestCliParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bhgs.grid as grid_mod
 from bhgs import (
     DomainError,
     RadialField,
@@ -55,6 +56,20 @@ class TestBuildValidation:
         # h^N would overflow or underflow in the quadrature weights
         with pytest.raises(DomainError, match="float range"):
             build_grid(5, 2049, r_max)
+
+    def test_rejects_unscaled_weights_outside_float_range(self, monkeypatch):
+        # (n-1)^(N-1) overflows before h^N scales it back; the check runs
+        # on logarithms, before any exact-rational weight work
+        monkeypatch.setattr(grid_mod, "_weights", None)
+        with pytest.raises(DomainError, match="before scaling"):
+            build_grid(172, 1025, 40.0)
+
+    def test_rejects_dims_with_a_negative_weight(self):
+        # the left corrections outgrow the node-1 weight from dim 17 on
+        assert np.all(build_grid(16, 1025, 40.0).weights > 0)
+        for dim in (17, 30, 100):
+            with pytest.raises(DomainError, match="weight <= 0 at node 1"):
+                build_grid(dim, 1025, 40.0)
 
     def test_grid_shape(self):
         g = build_grid(5, 128, 10.0)

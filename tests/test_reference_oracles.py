@@ -171,9 +171,37 @@ def loaded_after(code, cwd=None, env_extra=None):
 
 
 def test_cli_import_skips_sparse_and_interpolate():
-    # nor scipy.linalg: the first banded factorization loads it
+    # nor scipy.linalg: no command loads it
     for code in ("import bhgs", "import bhgs.cli"):
         assert loaded_after(code) == "[]", code
+
+
+# runs {code}, recording the libraries ctypes opens, then prints whether
+# bhgs._lapack is loaded and whether an OpenBLAS library was opened
+KERNEL_PROBE = """
+import ctypes, sys
+opened = []
+class Counting(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        opened.append(name)
+        super().__init__(name, *args, **kwargs)
+ctypes.CDLL = Counting
+{code}
+print("bhgs._lapack" in sys.modules,
+      any("openblas" in str(name) for name in opened))
+"""
+
+
+def test_import_leaves_the_band_kernels_unloaded(tmp_path):
+    # the kernel module and its library load on the first factorization,
+    # so importing the package costs no set-up time for them
+    for code in ("import bhgs", "import bhgs.cli"):
+        out = run_fresh(KERNEL_PROBE.format(code=code), tmp_path)
+        assert out.split() == ["False", "False"], code
+    solve = ("import bhgs.cli; "
+             "assert bhgs.cli.main(['solve', '--c', '0.6']) == 0")
+    out = run_fresh(KERNEL_PROBE.format(code=solve), tmp_path)
+    assert out.splitlines()[-1].split() == ["True", "True"]
 
 
 @pytest.mark.parametrize("argv,env_extra,want", [
@@ -181,13 +209,15 @@ def test_cli_import_skips_sparse_and_interpolate():
     (["landscape"], None, "[]"),
     (["fiber", "--field", "gs.csv"], None, "[]"),
     (["verify"], None, "[]"),
-    (["solve", "--c", "0.6", "--out", "out.csv"], None, "['scipy.linalg']"),
-    (["constants"], {"BHGS_CONSTANTS__MODE": "estimated"}, "['scipy.linalg']"),
-], ids=["constants", "landscape", "fiber", "verify", "solve",
+    (["solve", "--c", "0.6", "--out", "out.csv"], None, "[]"),
+    (["sweep"], None, "[]"),
+    (["constants"], {"BHGS_CONSTANTS__MODE": "estimated"}, "[]"),
+], ids=["constants", "landscape", "fiber", "verify", "solve", "sweep",
         "constants-estimated"])
 def test_command_import_footprint(argv, env_extra, want, tmp_path):
-    # only the commands that factor the banded preconditioner load
-    # scipy.linalg; none loads mpmath
+    # the band kernels come from numpy's bundled LAPACK, so no command
+    # loads scipy.linalg, scipy.sparse or scipy.interpolate; none loads
+    # mpmath
     if argv[0] == "fiber":
         g = build_grid(5, 2049, 1000.0)
         bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
