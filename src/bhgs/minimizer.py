@@ -18,13 +18,11 @@ hands the iterate to a bordered Newton finish: Newton on (u, lambda) for
 grad J = lambda u on the mass sphere (Keller 1977), which converges
 quadratically near a constrained critical point. Each step is one banded
 LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
-sides. There are two triggers:
-
-- the loose point, the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and
-  q_residual <= LOOSE_Q. If Newton fails there, the descent resumes from
-  the same iterate and state, so it ends where the descent alone would;
-- a stall, STALL_ITERS accepted steps in a row without energy progress.
-  If Newton fails there, the stall is reported as a ConvergenceError.
+sides. The hand-off happens once, at the loose point: the first iterate
+with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <= LOOSE_Q. If Newton fails
+there, the descent resumes from the same iterate and state, so it ends where
+the descent alone would. STALL_ITERS accepted steps in a row without energy
+progress end the descent with a ConvergenceError.
 
 Newton stops at the descent's own convergence test, and its result is kept
 only if its energy is not above the iterate it started from (up to
@@ -126,8 +124,10 @@ def seed(params: LandscapeParams, thresholds, c: float,
 
     The dilation acts on the Gaussian family analytically, so no
     interpolation enters: u_s(r) = s^{N/4} t exp(-s r^2 / 2),
-    renormalized to mass c on the grid at every trial s. Termination is
-    guaranteed since psi -> 0- while bend shrinks like s^2.
+    renormalized to mass c on the grid at every trial s. In the continuum
+    psi -> 0- while bend shrinks like s^2, but on a grid of finite radius a
+    wide enough Gaussian is truncated, so the loop can fail: it raises
+    ConvergenceError after 60 halvings.
     """
     _, c0, rho0 = thresholds
     if not (0 < c < c0):
@@ -259,11 +259,10 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
              config: SolverConfig = SolverConfig()) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Preconditioned descent, finished by bordered Newton steps at the loose
-    point or at a stall. Raises ConvergenceError if the residuals are not
-    met within max_iter, the line search dies, the descent stalls and
-    Newton cannot finish it, or the bend safeguard bound more than
-    SAFEGUARD_MAX_FRAC of accepted steps.
+    Preconditioned descent, finished by bordered Newton steps from the loose
+    point. Raises ConvergenceError if the residuals are not met within
+    max_iter, the line search dies, the descent stalls, or the bend
+    safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps.
     """
     thresholds = mass_threshold(params)
     _, c0, rho0 = thresholds
@@ -277,18 +276,6 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 
     def bundle_of(vec: np.ndarray) -> NormBundle:
         return norm_bundle(params, RadialField(grid, vec))
-
-    def finish(res):
-        # hand (u, b) to Newton; count its solves as iterations
-        nonlocal u, b, J, solves
-        done, steps = _newton_finish(params, grid, c, u, b, res, config,
-                                     bend_cap)
-        solves += steps
-        if done is None:
-            return False
-        u, b = done
-        J = energy(params, b)
-        return True
 
     b = bundle_of(u)
     J = energy(params, b)
@@ -307,8 +294,14 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         if gnorm <= config.grad_tol and qres <= config.q_tol:
             break
         if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
+            # hand (u, b) to Newton once; its solves count as iterations
             loose = False
-            if finish(res):
+            done, steps = _newton_finish(params, grid, c, u, b, res, config,
+                                         bend_cap)
+            solves += steps
+            if done is not None:
+                u, b = done
+                J = energy(params, b)
                 break
 
         a_new = max(abs(lam_hat), 1e-12)
@@ -319,9 +312,6 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         solves += 1
         d = -(d - (_wdot(grid, d, u) / c) * u)
         slope = _wdot(grid, g_proj, d)
-        if slope >= 0.0:
-            d = -g_proj
-            slope = -gnorm * gnorm
 
         tau = min(tau * GROW, 1e3)
         for _ in range(60):
@@ -345,15 +335,12 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         if J - J2 <= 1e-16 * abs(J):
             stall += 1
             if stall >= STALL_ITERS:
-                if finish(res):
-                    break
-                floor = ("; the gradient criterion is met and the Pohozaev "
-                         "residual is at the discretization floor of this grid"
-                         if gnorm <= config.grad_tol else "")
+                met = ("; the gradient criterion is met"
+                       if gnorm <= config.grad_tol else "")
                 raise ConvergenceError(
                     f"stalled for {STALL_ITERS} steps at "
                     f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
-                    f"(tolerances {config.grad_tol}, {config.q_tol}){floor}")
+                    f"(tolerances {config.grad_tol}, {config.q_tol}){met}")
         else:
             stall = 0
         u, b, J = cand, b2, J2

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestSweepMasses:
 class TestReadmeConfig:
     # the README's INI sample must load as written and list every key
     def test_sample_loads_to_defaults(self, tmp_path):
-        readme = open(README, encoding="utf-8").read()
+        readme = Path(README).read_text(encoding="utf-8")
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(block)
@@ -399,7 +400,7 @@ class TestCliSolveAndFiber:
         assert rec["kind1"] == "local-minimum"
         assert abs(rec["s1"] - 1.0) <= 1e-3
         assert rec["psi_at_s1"] < 0.0
-        lines = open(curve_csv).read().splitlines()
+        lines = Path(curve_csv).read_text().splitlines()
         assert lines[0] == "s,psi,psi_prime,xi"
         assert len(lines) == 22
 
@@ -471,9 +472,26 @@ class TestCliSolveAndFiber:
                        r"gnorm=(\S+), q_residual=(\S+) "
                        r"\(tolerances 1e-08, 5e-07\)", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
-        assert msg.endswith("; the gradient criterion is met and the Pohozaev "
-                            "residual is at the discretization floor of this "
-                            "grid")
+        assert msg.endswith("; the gradient criterion is met")
+
+    def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
+                                             monkeypatch):
+        # at N = 14 the Pohozaev residual stalls near 3.4e2 with the
+        # gradient met; the message claims no discretization floor
+        env = {"BHGS_PROBLEM__N": "14", "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / 14)}
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        c = 0.5 * mass_threshold(load_config(env=env).problem())[1]
+        rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
+                               "--out", str(tmp_path / "no.csv"))
+        assert rc == 4 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "non-convergence"
+        msg = rec["message"]
+        hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
+                       r"gnorm=(\S+), q_residual=(\S+) ", msg)
+        assert hit and float(hit.group(2)) > 1e2
+        assert "floor" not in msg
 
     def test_solve_unwritable_output(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "solve", "--c", "0.655",
@@ -561,7 +579,7 @@ class TestCliSweep:
         assert final["sub_homogeneity_violations"] == []
         assert not [key for key in final if key.startswith("boundary")]
         assert final["partial"] is False
-        on_disk = json.loads(open(report).read())
+        on_disk = json.loads(Path(report).read_text())
         assert on_disk == final
 
     def test_nonconvergence_writes_partial_report(self, capsys, tmp_path,
@@ -578,7 +596,7 @@ class TestCliSweep:
         assert rc == 4
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
-        on_disk = json.loads(open(report).read())
+        on_disk = json.loads(Path(report).read_text())
         assert on_disk["partial"] is True
         assert on_disk["c"] == []
 
@@ -591,7 +609,7 @@ class TestCliLandscape:
         (rec,) = json_lines(out)
         assert (rec["mode"], rec["C_gn"], rec["S_sob"]) == ("synthetic",
                                                             1.0, 1.0)
-        summary = open(rec["summary_csv"]).read().splitlines()
+        summary = Path(rec["summary_csv"]).read_text().splitlines()
         assert summary[0].startswith("# M=")
         assert summary[1] == ("c,rho_c,h_at_rho_c,boundary_min_j,"
                               "boundary_bound,boundary_positive")
@@ -600,7 +618,7 @@ class TestCliLandscape:
         assert all(row[5] == "true" for row in rows)
         # h(rho_c) > 0 strictly below the threshold
         assert all(float(row[2]) > 0 for row in rows)
-        grid_lines = open(rec["grid_csv"]).read().splitlines()
+        grid_lines = Path(rec["grid_csv"]).read_text().splitlines()
         assert grid_lines[1] == "c,rho,f"
         assert len(grid_lines) == 2 + 4 * 41
 

@@ -33,12 +33,20 @@ GN_REF = 0.2820814861937604      # quotient ascent fixed point, N=5, q=3
 # the descent alone at 0.5 c0 on the production grid, N=5, q=3
 DESCENT_M = "-0x1.d224874daeda2p-22"
 DESCENT_LAM = "-0x1.9f1224d8200c0p-19"
+# the default `bhgs solve --c 0.6`: energy and iteration count
+DEFAULT_M = "-0x1.7bbab4d239424p-22"
+DEFAULT_ITERS = 7
 
 
 @pytest.fixture(scope="module")
 def solved(p53, grid_solve, thresholds53):
     _, c0, _ = thresholds53
     return minimize(p53, grid_solve, 0.5 * c0)
+
+
+@pytest.fixture(scope="module")
+def solved06(p53, grid_solve):
+    return minimize(p53, grid_solve, 0.6)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +214,69 @@ class TestNewtonFinish:
         assert solved.m == pytest.approx(float.fromhex(DESCENT_M), rel=1e-11)
         assert solved.lam == pytest.approx(float.fromhex(DESCENT_LAM),
                                            rel=1e-6)
+
+    @staticmethod
+    def count_finishes(monkeypatch):
+        calls = []
+        real = minimizer._newton_finish
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(minimizer, "_newton_finish", counting)
+        return calls
+
+    def test_default_solve_hands_off_once(self, monkeypatch, p53, grid_solve,
+                                          solved06):
+        calls = self.count_finishes(monkeypatch)
+        st = minimize(p53, grid_solve, 0.6)
+        assert len(calls) == 1
+        assert (st.m.hex(), st.iters) == (DEFAULT_M, DEFAULT_ITERS)
+        assert np.array_equal(st.field.values, solved06.field.values)
+
+    def test_stall_raises_without_another_newton_attempt(self, monkeypatch):
+        # this draw reaches the loose point, Newton fails there, and the
+        # resumed descent stalls: the stall is reported at once
+        p = random_params(np.random.default_rng(3))
+        grid = build_grid(p.N, 2049, 1000.0)
+        calls = self.count_finishes(monkeypatch)
+        with pytest.raises(ConvergenceError, match="stalled for"):
+            minimize(p, grid, 0.5 * mass_threshold(p)[1])
+        assert len(calls) == 1
+
+
+class TestBendSafeguard:
+    # the cap rho0 (1 - SAFEGUARD_MARGIN) binds only below the minimizer's
+    # bend B: it is lowered to a fraction of B, above the seed's bend, and
+    # the tolerances are loosened so that the descent can stop near the
+    # cap, where the projected gradient cannot vanish
+    LOOSE = SolverConfig(grad_tol=1e-7, q_tol=0.1)
+
+    @staticmethod
+    def cap_at(monkeypatch, p53, grid_solve, frac, bend):
+        M, c0, _ = mass_threshold(p53)
+        rho0 = frac * bend / (1.0 - minimizer.SAFEGUARD_MARGIN)
+        monkeypatch.setattr(minimizer, "mass_threshold",
+                            lambda params: (M, c0, rho0))
+        start = seed(p53, (M, c0, rho0), 0.6, grid_solve)
+        assert norm_bundle(p53, start).bend < rho0 < bend
+        return rho0
+
+    def test_binding_cap_is_reported(self, monkeypatch, p53, grid_solve,
+                                     solved06):
+        rho0 = self.cap_at(monkeypatch, p53, grid_solve, 0.95, solved06.bend)
+        st = minimize(p53, grid_solve, 0.6, self.LOOSE)
+        assert st.constraint_active is True
+        assert st.bend < rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
+
+    def test_cap_binding_most_steps_raises(self, monkeypatch, p53, grid_solve,
+                                           solved06):
+        self.cap_at(monkeypatch, p53, grid_solve, 0.93, solved06.bend)
+        with pytest.raises(ConvergenceError,
+                           match=r"bend safeguard bound \d+ times over \d+ "
+                                 "accepted steps"):
+            minimize(p53, grid_solve, 0.6, self.LOOSE)
 
 
 class TestScalingLaw:
