@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .config import ConfigError, load_config, resolve_params, sweep_masses
 from .fiber import analyze_fiber, psi, psi_prime, xi
 from .functionals import energy, norm_bundle, rescale_bundle
@@ -116,6 +115,7 @@ def _boundary_scan(params, grid, c: float, rho0: float, count: int,
     """(positives, min J, analytic bound) over random fields rescaled to
     mass c and bend rho0. The rescale acts on the norm bundle through the
     exact amplitude/dilation laws (rescale_bundle), so no field is rescaled."""
+    from . import verify as verify_mod     # only landscape and verify load it
     rng = np.random.default_rng(seed)
     min_j = math.inf
     positives = 0
@@ -291,6 +291,7 @@ def _cmd_fiber(args, cfg, params) -> int:
 
 
 def _cmd_verify(args, cfg, params) -> int:
+    from . import verify as verify_mod
     results = verify_mod.run_all(cfg, params)
     for res in results:
         _emit({"check": res.name, "passed": res.passed, "detail": res.detail})

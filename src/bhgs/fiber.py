@@ -109,17 +109,24 @@ def xi_turning_point(params: LandscapeParams, b: NormBundle) -> float:
     return math.exp(log_ratio / (2.0 * (ex.alpha2 - ex.alpha0)))
 
 
-def _xi_scaled(params: LandscapeParams, b: NormBundle, s: float) -> float:
-    # xi(s) divided by its largest term in magnitude; same sign and zeros as
-    # xi, bounded in [-2, 1], immune to overflow anywhere in float range
+def _xi_scaled(params: LandscapeParams, b: NormBundle):
+    # s -> xi(s) divided by its largest term in magnitude; same sign and
+    # zeros as xi, bounded in [-2, 1], immune to overflow anywhere in float
+    # range. The bundle's logarithms are taken once, here
     ex = derive_exponents(params)
     k = pohozaev_coefficient(params)
-    ls = math.log(s)
     l1 = math.log(b.bend) if b.bend > 0 else -math.inf
-    l2 = math.log(k * b.subcrit) + 2.0 * ex.alpha0 * ls
-    l3 = math.log(b.crit) + 2.0 * ex.alpha2 * ls
-    m = max(l1, l2, l3)
-    return math.exp(l1 - m) - math.exp(l2 - m) - math.exp(l3 - m)
+    l2_0 = math.log(k * b.subcrit)
+    l3_0 = math.log(b.crit)
+    e2, e3 = 2.0 * ex.alpha0, 2.0 * ex.alpha2
+
+    def scaled(s: float) -> float:
+        ls = math.log(s)
+        l2 = l2_0 + e2 * ls
+        l3 = l3_0 + e3 * ls
+        m = max(l1, l2, l3)
+        return math.exp(l1 - m) - math.exp(l2 - m) - math.exp(l3 - m)
+    return scaled
 
 
 def _bisect(fn, lo: float, hi: float) -> float:
@@ -153,7 +160,8 @@ def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
     """
     _require_nondegenerate(b)
     s_star = xi_turning_point(params, b)
-    xs = _xi_scaled(params, b, s_star)
+    f = _xi_scaled(params, b)
+    xs = f(s_star)
     if abs(xs) <= 1e-12:
         p = psi(params, b, s_star)
         return FiberAnalysis(s_turn=s_star, s1=s_star, s2=s_star,
@@ -163,9 +171,6 @@ def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
         return FiberAnalysis(s_turn=s_star, s1=None, s2=None,
                              kind1=None, kind2=None,
                              psi_at_s1=None, psi_at_s2=None)
-
-    def f(s: float) -> float:
-        return _xi_scaled(params, b, s)
 
     lo = s_star
     while f(lo) > 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "LandscapeParams",
@@ -52,6 +53,21 @@ class LandscapeParams:
     def p_crit(self) -> float:
         return 2.0 * self.N / (self.N - 4)
 
+    # Held once per instance: cached_property writes the instance __dict__
+    # directly, which a frozen dataclass allows, and dataclasses.replace
+    # builds a new instance with an empty cache.
+    @cached_property
+    def _exponents(self) -> ExponentSet:
+        return _exponent_set(self)
+
+    @cached_property
+    def _log_coefs(self) -> tuple[float, float]:
+        # the rho-free leading sums of the two terms of f, in _terms' order:
+        # log(mu/q) + q log C_gn and log(1/4*) + 4* log S_sob
+        es = self._exponents
+        return (math.log(self.mu / self.q) + self.q * math.log(self.C_gn),
+                math.log(1.0 / es.p_crit) + es.p_crit * math.log(self.S_sob))
+
 
 @dataclass(frozen=True)
 class ExponentSet:
@@ -68,7 +84,12 @@ def derive_exponents(params: LandscapeParams) -> ExponentSet:
 
     alpha0 = N(q-2)/8 - 1 (negative), alpha1 = (2N - q(N-4))/8,
     alpha2 = 4/(N-4), beta = N(q-2)/(4q), gamma_q = N(q-2)/4.
+    Computed once per params instance and held on it.
     """
+    return params._exponents
+
+
+def _exponent_set(params: LandscapeParams) -> ExponentSet:
     N, q = params.N, params.q
     alpha0 = N * (q - 2) / 8.0 - 1.0
     alpha1 = (2 * N - q * (N - 4)) / 8.0
@@ -98,14 +119,11 @@ def _terms(params: LandscapeParams, c: float, rho: float):
     power; exp of the assembled logarithm avoids intermediate blowup, and
     values past float range saturate to inf.
     """
-    es = derive_exponents(params)
-    t_sub = (math.log(params.mu / params.q)
-             + params.q * math.log(params.C_gn)
-             + es.alpha0 * math.log(rho)
-             + es.alpha1 * math.log(c))
-    t_crit = (math.log(1.0 / es.p_crit)
-              + es.p_crit * math.log(params.S_sob)
-              + es.alpha2 * math.log(rho))
+    es = params._exponents
+    log_sub, log_crit = params._log_coefs
+    log_rho = math.log(rho)
+    t_sub = log_sub + es.alpha0 * log_rho + es.alpha1 * math.log(c)
+    t_crit = log_crit + es.alpha2 * log_rho
     return _exp_total(t_sub), _exp_total(t_crit)
 
 
@@ -145,12 +163,9 @@ def mass_threshold(params: LandscapeParams):
     es = derive_exponents(params)
     log_D = _log_D(params, es)
     span = es.alpha2 - es.alpha0
-    m_sub = math.exp(math.log(params.mu / params.q)
-                     + params.q * math.log(params.C_gn)
-                     + es.alpha0 * log_D / span)
-    m_crit = math.exp(math.log(1.0 / es.p_crit)
-                      + es.p_crit * math.log(params.S_sob)
-                      + es.alpha2 * log_D / span)
+    log_sub, log_crit = params._log_coefs
+    m_sub = math.exp(log_sub + es.alpha0 * log_D / span)
+    m_crit = math.exp(log_crit + es.alpha2 * log_D / span)
     M = m_sub + m_crit
     c0 = math.exp(-params.N / 4.0 * math.log(2.0 * M))
     return M, c0, rho_star(params, c0)

@@ -285,6 +285,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     n_safe = 0
     accepted = 0
     stall = 0
+    stall_safe = 0      # safeguard rejections during the current stall
     solves = 0
     loose = True
 
@@ -314,6 +315,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         slope = _wdot(grid, g_proj, d)
 
         tau = min(tau * GROW, 1e3)
+        safe_before = n_safe
         for _ in range(60):
             cand = u + tau * d
             cand *= math.sqrt(c / _wdot(grid, cand, cand))
@@ -334,15 +336,23 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         accepted += 1
         if J - J2 <= 1e-16 * abs(J):
             stall += 1
+            stall_safe += n_safe - safe_before
             if stall >= STALL_ITERS:
+                # a descent pinned at the bend cap stalls before the
+                # safeguard check after convergence can see it
+                capped = (f"; the bend safeguard rejected {stall_safe} trial "
+                          f"steps during them, {n_safe} over {accepted} "
+                          "accepted steps" if n_safe else "")
                 met = ("; the gradient criterion is met"
                        if gnorm <= config.grad_tol else "")
                 raise ConvergenceError(
                     f"stalled for {STALL_ITERS} steps at "
                     f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
-                    f"(tolerances {config.grad_tol}, {config.q_tol}){met}")
+                    f"(tolerances {config.grad_tol}, {config.q_tol})"
+                    f"{capped}{met}")
         else:
             stall = 0
+            stall_safe = 0
         u, b, J = cand, b2, J2
     else:
         raise ConvergenceError(

@@ -46,13 +46,41 @@ def random_params(rng: np.random.Generator) -> ls.LandscapeParams:
     return ls.LandscapeParams(N=N, q=q, mu=mu, C_gn=c_gn, S_sob=s_sob)
 
 
+def _f_terms(t, a0, a2, coef_sub, coef_crit, exp):
+    # the two subtracted terms of f(c, e^t) = 1/2 - coef_sub e^{a0 t}
+    # - coef_crit e^{a2 t}, in the arithmetic of the arguments: floats with
+    # math.exp, or decimals with Decimal.exp in the current context
+    return coef_sub * exp(a0 * t), coef_crit * exp(a2 * t)
+
+
+# unit roundoff of float arithmetic
+_U = 2.0 ** -53
+
+
 def golden_argmax(params: ls.LandscapeParams, c: float) -> float:
     """Brute-force maximizer of rho -> f(c, rho): 100-point log grid scan,
     then golden-section refinement inside the best cell's neighbors.
 
-    Runs in 40-digit decimal arithmetic: comparing float values of f can
-    only localize a smooth maximum to about sqrt(machine eps), far short of
-    the 1e-8 agreement demanded of the closed form.
+    The search is defined in 40-digit decimal arithmetic: comparing float
+    values of f can only localize a smooth maximum to about sqrt(machine
+    eps), far short of the 1e-8 agreement demanded of the closed form. Every
+    abscissa is a 40-digit decimal; each comparison of F(t) = f(c, e^t) at
+    two of them is decided in floats when that is provably the decimal
+    outcome. The float value at t carries the bound
+
+        |F_float(t) - F_40(t)| <= 8u (1/2 + T1 (1 + |a0 t|) + T2 (1 + |a2 t|))
+                                  + 2^-1070 (1 + e^{|a0 t|} + e^{|a2 t|}),
+
+    u = 2^-53, T1 and T2 the float terms: the rounding of t and of the
+    products a t (amplified by exp to |a t| u each), math.exp's error of at
+    most one ulp, the rounding of the coefficients and of the three sums
+    and products; the last term covers coefficients or terms in the
+    subnormal range, and the slack in 8u covers the rounding of the
+    comparison and the 40-digit values' own error. A comparison whose float
+    gap exceeds the sum of the two bounds is decided in floats, and so is a
+    pre-scan point whose upper bound lies below the best lower bound. The
+    40-digit value is computed only for the rest, and for any t whose float
+    terms overflow, so the result is the all-decimal search's bit for bit.
     """
     from decimal import Decimal as D, localcontext
 
@@ -65,32 +93,61 @@ def golden_argmax(params: ls.LandscapeParams, c: float) -> float:
                     * (D(ex.alpha1) * D(c).ln()).exp())
         p_crit = D(ex.p_crit)
         coef_crit = (p_crit * D(params.S_sob).ln()).exp() / p_crit
+        half = D("0.5")
+        cs, cc = float(coef_sub), float(coef_crit)
 
-        def F(logr):
-            return (D("0.5") - coef_sub * (a0 * logr).exp()
-                    - coef_crit * (a2 * logr).exp())
+        def point(t):
+            # [t, float F, its error bound, 40-digit F once computed]
+            x = float(t)
+            try:
+                t1, t2 = _f_terms(x, ex.alpha0, ex.alpha2, cs, cc, math.exp)
+            except OverflowError:
+                return [t, 0.0, math.inf, None]
+            y1, y2 = abs(ex.alpha0 * x), abs(ex.alpha2 * x)
+            err = (8.0 * _U * (0.5 + t1 * (1.0 + y1) + t2 * (1.0 + y2))
+                   + 2.0 ** -1070 * (1.0 + math.exp(y1) + math.exp(y2)))
+            if not err < math.inf:
+                return [t, 0.0, math.inf, None]
+            return [t, 0.5 - t1 - t2, err, None]
+
+        def exact(pt):
+            if pt[3] is None:
+                t1, t2 = _f_terms(pt[0], a0, a2, coef_sub, coef_crit, D.exp)
+                pt[3] = half - t1 - t2
+            return pt[3]
+
+        def less(p1, p2):
+            gap = p1[1] - p2[1]
+            if abs(gap) > p1[2] + p2[2]:
+                return gap < 0
+            return exact(p1) < exact(p2)
 
         span_lo, span_hi = D("1e-6").ln(), D("1e6").ln()
         logs = [span_lo + (span_hi - span_lo) * k / 99 for k in range(100)]
-        vals = [F(t) for t in logs]
-        k = max(range(100), key=lambda i: vals[i])
+        pts = [point(t) for t in logs]
+        # first maximal index: points whose float upper bound is below the
+        # best float lower bound lose to it; the rest go to 40 digits
+        floor = max(p[1] - p[2] for p in pts)
+        near = [i for i, p in enumerate(pts) if p[1] + p[2] >= floor]
+        k = near[0] if len(near) == 1 else max(near,
+                                               key=lambda i: exact(pts[i]))
         lo = logs[max(k - 1, 0)]
         hi = logs[min(k + 1, 99)]
         gr = (D(5).sqrt() - 1) / 2
         x1 = hi - gr * (hi - lo)
         x2 = lo + gr * (hi - lo)
-        f1, f2 = F(x1), F(x2)
+        p1, p2 = point(x1), point(x2)
         for _ in range(200):
             if hi - lo < D("1e-13"):
                 break
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
+            if less(p1, p2):
+                lo, x1, p1 = x1, x2, p2
                 x2 = lo + gr * (hi - lo)
-                f2 = F(x2)
+                p2 = point(x2)
             else:
-                hi, x2, f2 = x2, x1, f1
+                hi, x2, p2 = x2, x1, p1
                 x1 = hi - gr * (hi - lo)
-                f1 = F(x1)
+                p1 = point(x1)
         return float(((lo + hi) / 2).exp())
 
 
@@ -146,6 +203,10 @@ def fiber_sign_scan(params: ls.LandscapeParams, b: NormBundle,
     return int(np.count_nonzero(np.diff(signs)))
 
 
+# z^2 = 760 > 745.2, past the point where exp(-z^2) rounds to +0
+_BUMP_REACH = math.sqrt(760.0)
+
+
 def bump_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
     """Random sum of three Gaussians centred in [0, 20], supported well
     inside the domain."""
@@ -154,8 +215,15 @@ def bump_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
     for _ in range(3):
         center = rng.uniform(0.0, 20.0)
         width = rng.uniform(1.0, 3.0)
-        amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-        u += amp * np.exp(-((r - center) / width) ** 2)
+        # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
+        amp = rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(2)]
+        # exp(-z^2) is +0 for z^2 > 745.2; adding it changes no node, so
+        # only the nodes with z^2 <= _BUMP_REACH^2 are evaluated
+        lo, hi = np.searchsorted(r, (center - _BUMP_REACH * width,
+                                     center + _BUMP_REACH * width),
+                                 side="right")
+        seg = r[lo:hi]
+        u[lo:hi] += amp * np.exp(-((seg - center) / width) ** 2)
     return RadialField(grid, u)
 
 

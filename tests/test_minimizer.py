@@ -278,6 +278,35 @@ class TestBendSafeguard:
                                  "accepted steps"):
             minimize(p53, grid_solve, 0.6, self.LOOSE)
 
+    @pytest.mark.parametrize("frac", [0.3, 0.95])
+    def test_stall_at_the_cap_counts_the_rejections(self, monkeypatch, p53,
+                                                    grid_solve, solved06,
+                                                    frac):
+        # under the default tolerances a descent pinned at the cap stalls
+        # before the safeguard check can run; the stall message still
+        # starts with "stalled" and counts the safeguard's rejections,
+        # during the stalled steps and over the run
+        self.cap_at(monkeypatch, p53, grid_solve, frac, solved06.bend)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p53, grid_solve, 0.6, SolverConfig())
+        hit = re.fullmatch(
+            rf"stalled for {minimizer.STALL_ITERS} steps at gnorm=\S+, "
+            r"q_residual=\S+ \(tolerances 1e-08, 5e-07\); the bend "
+            r"safeguard rejected (\d+) trial steps during them, (\d+) over "
+            r"(\d+) accepted steps", str(err.value))
+        assert hit, str(err.value)
+        during, total, accepted = map(int, hit.groups())
+        assert during <= total and total > 0 and accepted > 0
+        assert (during > 0) == (frac == 0.3)
+
+    def test_stall_away_from_the_cap_names_no_safeguard(self, p53,
+                                                        grid_solve):
+        cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30, max_iter=400)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p53, grid_solve, 0.6, cfg)
+        assert str(err.value).startswith("stalled for")
+        assert "safeguard" not in str(err.value)
+
 
 class TestScalingLaw:
     def test_pure_subcritical_scaling(self, p53, grid_solve, thresholds53):

@@ -149,7 +149,8 @@ def test_factor_input_matches_sparse_assembly(N, n, r_max, a, monkeypatch):
 # ------------------------------------------------------------ import footprint
 
 
-LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate", "mpmath")
+LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate", "mpmath",
+        "bhgs.verify")
 
 
 def run_fresh(code, cwd=None, env_extra=None):
@@ -171,7 +172,7 @@ def loaded_after(code, cwd=None, env_extra=None):
 
 
 def test_cli_import_skips_sparse_and_interpolate():
-    # nor scipy.linalg: no command loads it
+    # nor scipy.linalg: no command loads it; nor bhgs.verify
     for code in ("import bhgs", "import bhgs.cli"):
         assert loaded_after(code) == "[]", code
 
@@ -206,9 +207,9 @@ def test_import_leaves_the_band_kernels_unloaded(tmp_path):
 
 @pytest.mark.parametrize("argv,env_extra,want", [
     (["constants"], None, "[]"),
-    (["landscape"], None, "[]"),
+    (["landscape"], None, "['bhgs.verify']"),
     (["fiber", "--field", "gs.csv"], None, "[]"),
-    (["verify"], None, "[]"),
+    (["verify"], None, "['bhgs.verify']"),
     (["solve", "--c", "0.6", "--out", "out.csv"], None, "[]"),
     (["sweep"], None, "[]"),
     (["constants"], {"BHGS_CONSTANTS__MODE": "estimated"}, "[]"),
@@ -217,7 +218,7 @@ def test_import_leaves_the_band_kernels_unloaded(tmp_path):
 def test_command_import_footprint(argv, env_extra, want, tmp_path):
     # the band kernels come from numpy's bundled LAPACK, so no command
     # loads scipy.linalg, scipy.sparse or scipy.interpolate; none loads
-    # mpmath
+    # mpmath; only landscape and verify load bhgs.verify
     if argv[0] == "fiber":
         g = build_grid(5, 2049, 1000.0)
         bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
