@@ -4,7 +4,8 @@ Everything downstream (fiber analysis, the constrained minimizer, the
 verification suite) consumes fields only through the four norms collected in
 a NormBundle, the energy J, the Pohozaev value Q, and the energy gradient.
 rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
-laws, so no rescaled field is ever materialized.
+laws, so no rescaled field is ever materialized; scaled_norms is the one
+copy of those laws, which the minimizer's seed also uses.
 
 The bending term of the gradient is the exact gradient of the *discrete*
 energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
@@ -39,6 +40,7 @@ __all__ = [
     "pohozaev_coefficient",
     "l2_gradient",
     "rescale_bundle",
+    "scaled_norms",
     "lagrange_multiplier",
 ]
 
@@ -119,27 +121,36 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
                        - sgn * nonneg_power(au, params.p_crit - 1.0))
 
 
+def scaled_norms(params: LandscapeParams, b: NormBundle, t2: float,
+                 s2: float) -> tuple[float, float, float, float]:
+    """(mass, bend, subcrit, crit) of t u_s, the amplitude-t fiber dilation
+    of the field with bundle b, from t^2 and s^2.
+
+    Exact laws, no field needed: t u_s scales mass by t^2, bend by t^2 s^2,
+    the subcritical norm by t^q s^{gamma_q} and the critical norm by
+    t^{4*} s^{4*}. Plain floats, unchecked: a product may be inf or 0,
+    and a power past float range raises OverflowError.
+    """
+    ex = derive_exponents(params)
+    return (b.mass * t2, b.bend * t2 * s2,
+            b.subcrit * t2 ** (params.q / 2.0) * s2 ** (ex.gamma_q / 2.0),
+            b.crit * t2 ** (ex.p_crit / 2.0) * s2 ** (ex.p_crit / 2.0))
+
+
 def rescale_bundle(params: LandscapeParams, b: NormBundle, mass: float,
                    bend: float) -> NormBundle:
     """Bundle of t u_s, the amplitude-t fiber dilation, with mass and bend
     moved to the given targets.
 
-    Exact laws, no field needed: t u_s scales mass by t^2, bend by t^2 s^2,
-    the subcritical norm by t^q s^{gamma_q} and the critical norm by
-    t^{4*} s^{4*}; the targets fix t^2 = mass/b.mass and
-    s^2 = bend b.mass/(mass b.bend).
+    The targets fix t^2 = mass/b.mass and s^2 = bend b.mass/(mass b.bend);
+    scaled_norms moves the two power norms.
     """
     if not (b.mass > 0 and b.bend > 0 and mass > 0 and bend > 0):
         raise DomainError("rescale_bundle needs positive masses and bends")
-    ex = derive_exponents(params)
     t2 = mass / b.mass
     s2 = bend * b.mass / (mass * b.bend)
-    return NormBundle(
-        mass=mass,
-        bend=bend,
-        subcrit=b.subcrit * t2 ** (params.q / 2.0) * s2 ** (ex.gamma_q / 2.0),
-        crit=b.crit * t2 ** (ex.p_crit / 2.0) * s2 ** (ex.p_crit / 2.0),
-    )
+    _, _, subcrit, crit = scaled_norms(params, b, t2, s2)
+    return NormBundle(mass=mass, bend=bend, subcrit=subcrit, crit=crit)
 
 
 def lagrange_multiplier(params: LandscapeParams, b: NormBundle) -> float:

@@ -25,19 +25,26 @@ Operator layout: the Laplacian L is pentadiagonal and is stored once, as a
 limit, row 1 folds the even reflection of u_{-1} onto u_1, and entries whose
 column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
 minimizer's preconditioner) are all computed by slicing this one array.
+
+Held per grid: the shift-free band L^T W L, to which normal_band adds a W,
+and the minimizer's seed families. Both are filled on first use and live
+and die with the grid instance (cached_property writes the instance
+__dict__, which a frozen dataclass allows); no module-level cache holds
+them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .landscape import DomainError
 
 __all__ = [
+    "EXP_REACH",
     "RadialGrid",
     "RadialField",
     "build_grid",
@@ -47,6 +54,12 @@ __all__ = [
     "save_field",
     "load_field",
 ]
+
+
+# exp(-x) rounds to +0 from x = 745.2 on, so a Gaussian evaluated only where
+# its argument is at most EXP_REACH equals the full-grid one bit for bit,
+# without numpy's slow path for underflowing lanes
+EXP_REACH = 760.0
 
 
 def sphere_area(N: int) -> float:
@@ -190,8 +203,16 @@ class RadialGrid:
         """a W + L^T W L in upper band storage: row 4 - d holds P[j, j+d].
 
         P[j, j+d] sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in
-        descending order, and a w_j is added last.
+        descending order, and a w_j is added last. The shift-free band is
+        held on the grid; each call returns a fresh array.
         """
+        ab = self._normal_band0.copy()
+        ab[4] += a * self.weights
+        return ab
+
+    @cached_property
+    def _normal_band0(self) -> np.ndarray:
+        # L^T W L, summed as normal_band documents, read-only
         n, D, w = self.n, self.lap_band, self.weights
         DW = D * w
         ab = np.zeros((5, n))
@@ -199,10 +220,15 @@ class RadialGrid:
             acc = np.zeros(n + 4)   # acc[2 + j] = P[j, j+d]; j < 0, j >= n: pad
             for t in range(-2, 3 - d):
                 acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
-            if d == 0:
-                acc[2:n + 2] += a * w
             ab[4 - d, d:] = acc[2:n + 2 - d]
+        ab.flags.writeable = False
         return ab
+
+    @cached_property
+    def seed_families(self) -> dict:
+        """The minimizer's seed families on this grid, by q, filled by
+        minimizer.seed."""
+        return {}
 
 
 @dataclass(frozen=True)

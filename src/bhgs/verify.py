@@ -20,7 +20,8 @@ from . import fiber as fb
 from . import landscape as ls
 from .functionals import (NormBundle, energy, l2_gradient, norm_bundle,
                           pohozaev_coefficient)
-from .grid import RadialField, RadialGrid, build_grid, integrate, laplacian
+from .grid import (EXP_REACH, RadialField, RadialGrid, build_grid, integrate,
+                   laplacian)
 
 __all__ = ["CheckResult", "run_all", "random_params", "golden_argmax",
            "bisect_threshold", "fiber_sign_scan", "random_bundle",
@@ -203,8 +204,8 @@ def fiber_sign_scan(params: ls.LandscapeParams, b: NormBundle,
     return int(np.count_nonzero(np.diff(signs)))
 
 
-# z^2 = 760 > 745.2, past the point where exp(-z^2) rounds to +0
-_BUMP_REACH = math.sqrt(760.0)
+# the half-width, in widths, past which exp(-z^2) is +0
+_BUMP_REACH = math.sqrt(EXP_REACH)
 
 
 def bump_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
