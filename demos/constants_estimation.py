@@ -2,13 +2,13 @@
 
 The interpolation and critical-embedding constants enter every landscape
 formula.  Synthetic mode pins both to 1.  Estimated mode maximizes the
-interpolation quotient over grid fields, which can only produce a lower
-bound for the optimal C_gn: some admissible profile always does a little
-better than the best grid field.  The critical-embedding constant is known
-in closed form (the bubbles attain it), so S_sob is sharp.  A smaller C_gn
-makes M smaller and therefore c0 = (2M)^(-N/4) larger, so the
-estimated-mode threshold errs on the optimistic side.  That is why the CLI
-attaches a warning to every estimated-mode record.
+interpolation quotient over radial grid fields, which gives a grid estimate
+of the radial constant C_gn.  The estimate has no error bar yet, and its
+grid error has either sign: the discrete quotient is not bounded by the
+continuum one.  The critical-embedding constant is known in closed form
+(the bubbles attain it), so S_sob is sharp.  Since c0 = (2M)^(-N/4) and M
+grows with C_gn, the derived c0 and rho0 inherit C_gn's error.  That is why
+the CLI attaches a warning to every estimated-mode record.
 """
 from bhgs import (
     LandscapeParams,
@@ -37,9 +37,9 @@ def main():
     print(f"  M={M_est:.6f}  c0={c0_est:.6f}  rho0={rho0_est:.6f}")
     print()
     print(f"threshold ratio c0_est/c0_syn = {c0_est / c0_syn:.2f}")
-    print("C_gn is a lower bound for the optimal constant and S_sob is sharp,")
-    print("so the derived c0 and rho0 can only overestimate their true")
-    print("values: masses close to c0_est are not certified to sit inside")
+    print("C_gn is a grid estimate of the radial constant, with no error bar")
+    print("yet, and S_sob is sharp; the derived c0 and rho0 inherit C_gn's")
+    print("error, so masses close to c0_est are not certified to sit inside")
     print("the well")
 
 

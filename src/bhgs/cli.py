@@ -58,9 +58,9 @@ def _header(cfg, params) -> dict:
     head = {"mode": cfg.constants_mode, "C_gn": params.C_gn,
             "S_sob": params.S_sob}
     if head["mode"] == "estimated":
-        head["warning"] = ("constants are certified lower bounds: C_gn from "
-                           "a grid ascent, S_sob sharp; the derived c0 and "
-                           "rho0 can only overestimate their true values")
+        head["warning"] = ("C_gn is a grid estimate of the radial constant, "
+                           "with no error bar yet; S_sob is sharp; the "
+                           "derived c0 and rho0 inherit C_gn's error")
     return head
 
 

@@ -142,8 +142,9 @@ def load_config(path: str | None = None,
 def resolve_params(cfg: Config) -> LandscapeParams:
     """LandscapeParams with working constants per the configured mode.
 
-    In estimated mode C_gn is a lower bound and S_sob is sharp, so the
-    derived c0 and rho0 sit above their true values; the CLI records say so.
+    In estimated mode C_gn is a grid estimate of the radial constant with no
+    error bar yet, of either sign, and S_sob is sharp; the derived c0 and
+    rho0 inherit C_gn's error, and the CLI records say so.
     """
     if cfg.constants_mode == "synthetic":
         return cfg.problem(cfg.get_float("constants", "c_gn"),

@@ -148,8 +148,9 @@ def _wdot(g: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def seed(params: LandscapeParams, thresholds, c: float,
-         grid: RadialGrid) -> RadialField:
-    """Gaussian at mass c, fiber-contracted until J < 0 and bend < rho0.
+         grid: RadialGrid) -> tuple[RadialField, NormBundle]:
+    """Gaussian at mass c, fiber-contracted until J < 0 and bend < rho0;
+    returns the field and its bundle.
 
     The dilation acts on the Gaussian family analytically, so no
     interpolation enters: u_s(r) = s^{N/4} t exp(-s r^2 / 2),
@@ -171,22 +172,19 @@ def seed(params: LandscapeParams, thresholds, c: float,
     _, c0, rho0 = thresholds
     if not (0 < c < c0):
         raise DomainError(f"mass must lie in (0, c0={c0}), got {c}")
+    if grid.dim != params.N:
+        raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
-    family = None
-    if grid.dim == params.N:
-        family = grid.seed_families.get(params.q)
-        if family is None:
-            family = grid.seed_families[params.q] = _SeedFamily(params, grid)
+    family = grid.seed_families.get(params.q)
+    if family is None:
+        family = grid.seed_families[params.q] = _SeedFamily(params, grid)
     for k in range(SEED_TRIALS):
-        prof = None
-        if family is not None:
-            if k == len(family.trials):
-                prof = family.extend(params, grid)
-            pred = family.bounds(k, params, c)
-            if pred is not None:
-                bend_p, dB, J_p, dJ = pred
-                if bend_p - bend_cap > 2.0 * dB or J_p > 2.0 * dJ:
-                    continue
+        prof = family.extend(params, grid) if k == len(family.trials) else None
+        pred = family.bounds(k, params, c)
+        if pred is not None:
+            bend_p, dB, J_p, dJ = pred
+            if bend_p - bend_cap > 2.0 * dB or J_p > 2.0 * dJ:
+                continue
         if prof is None:
             prof = _seed_profile(grid, k)
         mass = _wdot(grid, prof, prof)
@@ -194,7 +192,7 @@ def seed(params: LandscapeParams, thresholds, c: float,
         fld = RadialField(grid, prof)
         b = norm_bundle(params, fld)
         if energy(params, b) < 0.0 and b.bend < bend_cap:
-            return fld
+            return fld, b
     raise ConvergenceError(
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
@@ -491,19 +489,12 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps.
     """
     thresholds = mass_threshold(params)
-    _, c0, rho0 = thresholds
-    if not (0 < c < c0):
-        raise DomainError(f"mass must lie in (0, c0={c0}), got {c}")
-    if grid.dim != params.N:
-        raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
-
-    u = seed(params, thresholds, c, grid).values
+    rho0 = thresholds[2]
+    # seed rejects a mass outside (0, c0) and a grid of another dimension
+    fld, b = seed(params, thresholds, c, grid)
+    u = fld.values
+    del fld     # the seed's array is freed once the iterate moves on
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
-
-    def bundle_of(vec: np.ndarray) -> NormBundle:
-        return norm_bundle(params, RadialField(grid, vec))
-
-    b = bundle_of(u)
     J = energy(params, b)
     tau = STEP0
     a_shift = None
@@ -545,7 +536,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         for _ in range(60):
             cand = u + tau * d
             cand *= math.sqrt(c / _wdot(grid, cand, cand))
-            b2 = bundle_of(cand)
+            b2 = norm_bundle(params, RadialField(grid, cand))
             if b2.bend >= bend_cap:
                 n_safe += 1
                 tau *= SHRINK
@@ -627,8 +618,10 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
     Maximizes log |u|_q - beta log |Du|_2 - (1-beta) log |u|_2 at q =
     params.q, starting from the unit Gaussian and renormalizing mass to 1
     every step, until a step gains less than 1e-14 relative (at most 500
-    steps). The returned value is the achieved quotient: a certified lower
-    bound on the true constant, used as the working constant.
+    steps). The returned value is the achieved quotient, used as the working
+    constant: a grid estimate of the radial constant with no error bar. Its
+    grid error has either sign; at N = 5, q = 2.32 it lies above the value
+    on a grid of a quarter the spacing.
     """
     q = params.q
     beta = params.N * (q - 2.0) / (4.0 * q)

@@ -7,7 +7,9 @@ check body runs: an inadmissible (N, q, mu) aborts immediately.
 
 The helpers (random parameter draws, brute-force landscape argmax, threshold
 bisection, the fiber sign scan, bump fields) are module-level so the CLI and
-the tests can reuse them.
+the tests can reuse them. All of them run in plain floats; the argmax decides
+each comparison by the sign of a difference from which f's constant 1/2
+cancels, so it needs no extended precision.
 """
 from __future__ import annotations
 
@@ -47,109 +49,61 @@ def random_params(rng: np.random.Generator) -> ls.LandscapeParams:
     return ls.LandscapeParams(N=N, q=q, mu=mu, C_gn=c_gn, S_sob=s_sob)
 
 
-def _f_terms(t, a0, a2, coef_sub, coef_crit, exp):
-    # the two subtracted terms of f(c, e^t) = 1/2 - coef_sub e^{a0 t}
-    # - coef_crit e^{a2 t}, in the arithmetic of the arguments: floats with
-    # math.exp, or decimals with Decimal.exp in the current context
-    return coef_sub * exp(a0 * t), coef_crit * exp(a2 * t)
-
-
-# unit roundoff of float arithmetic
-_U = 2.0 ** -53
-
-
 def golden_argmax(params: ls.LandscapeParams, c: float) -> float:
-    """Brute-force maximizer of rho -> f(c, rho): 100-point log grid scan,
-    then golden-section refinement inside the best cell's neighbors.
+    """Brute-force maximizer of rho -> f(c, rho): a 100-point scan of
+    t = log rho over [log 1e-6, log 1e6], then golden-section refinement
+    inside the best point's neighbours until the bracket is below 1e-13.
 
-    The search is defined in 40-digit decimal arithmetic: comparing float
-    values of f can only localize a smooth maximum to about sqrt(machine
-    eps), far short of the 1e-8 agreement demanded of the closed form. Every
-    abscissa is a 40-digit decimal; each comparison of F(t) = f(c, e^t) at
-    two of them is decided in floats when that is provably the decimal
-    outcome. The float value at t carries the bound
+    Derivative-free, and independent of rho_star's closed form. With
+    F(t) = f(c, e^t) = 1/2 - e^{l_sub + a0 t} - e^{l_crit + a2 t},
+    l_sub = log(mu/q) + q log C_gn + a1 log c and
+    l_crit = 4* log S_sob - log 4*, each comparison is decided by the sign of
 
-        |F_float(t) - F_40(t)| <= 8u (1/2 + T1 (1 + |a0 t|) + T2 (1 + |a2 t|))
-                                  + 2^-1070 (1 + e^{|a0 t|} + e^{|a2 t|}),
+        F(y) - F(x) = -(e^{l_sub + a0 x} expm1(a0 (y - x))
+                        + e^{l_crit + a2 x} expm1(a2 (y - x))),
 
-    u = 2^-53, T1 and T2 the float terms: the rounding of t and of the
-    products a t (amplified by exp to |a t| u each), math.exp's error of at
-    most one ulp, the rounding of the coefficients and of the three sums
-    and products; the last term covers coefficients or terms in the
-    subnormal range, and the slack in 8u covers the rounding of the
-    comparison and the 40-digit values' own error. A comparison whose float
-    gap exceeds the sum of the two bounds is decided in floats, and so is a
-    pre-scan point whose upper bound lies below the best lower bound. The
-    40-digit value is computed only for the rest, and for any t whose float
-    terms overflow, so the result is the all-decimal search's bit for bit.
+    in which the 1/2 has cancelled exactly. Both terms are divided by the
+    larger exponential, so nothing overflows anywhere in float range.
+    Comparing float values of F itself would localize the maximum only to
+    about sqrt(machine eps). Here, near the maximizer t*, the two terms
+    cancel to about F''(t*) (y - x) (t* - m), m the midpoint of x and y,
+    while each carries a few ulps; so a comparison can go wrong only when
+    m lies within about 1e-15 of t*, inside the 1e-13 stopping width.
     """
-    from decimal import Decimal as D, localcontext
-
     ex = ls.derive_exponents(params)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        a0, a2 = D(ex.alpha0), D(ex.alpha2)
-        coef_sub = (D(params.mu) / D(params.q)
-                    * (D(params.q) * D(params.C_gn).ln()).exp()
-                    * (D(ex.alpha1) * D(c).ln()).exp())
-        p_crit = D(ex.p_crit)
-        coef_crit = (p_crit * D(params.S_sob).ln()).exp() / p_crit
-        half = D("0.5")
-        cs, cc = float(coef_sub), float(coef_crit)
+    a0, a2 = ex.alpha0, ex.alpha2
+    l_sub = (math.log(params.mu / params.q) + params.q * math.log(params.C_gn)
+             + ex.alpha1 * math.log(c))
+    l_crit = ex.p_crit * math.log(params.S_sob) - math.log(ex.p_crit)
 
-        def point(t):
-            # [t, float F, its error bound, 40-digit F once computed]
-            x = float(t)
-            try:
-                t1, t2 = _f_terms(x, ex.alpha0, ex.alpha2, cs, cc, math.exp)
-            except OverflowError:
-                return [t, 0.0, math.inf, None]
-            y1, y2 = abs(ex.alpha0 * x), abs(ex.alpha2 * x)
-            err = (8.0 * _U * (0.5 + t1 * (1.0 + y1) + t2 * (1.0 + y2))
-                   + 2.0 ** -1070 * (1.0 + math.exp(y1) + math.exp(y2)))
-            if not err < math.inf:
-                return [t, 0.0, math.inf, None]
-            return [t, 0.5 - t1 - t2, err, None]
+    def rises(x: float, y: float) -> bool:
+        # F(y) > F(x)
+        e_sub, e_crit = l_sub + a0 * x, l_crit + a2 * x
+        top = max(e_sub, e_crit)
+        return (math.exp(e_sub - top) * math.expm1(a0 * (y - x))
+                + math.exp(e_crit - top) * math.expm1(a2 * (y - x))) < 0.0
 
-        def exact(pt):
-            if pt[3] is None:
-                t1, t2 = _f_terms(pt[0], a0, a2, coef_sub, coef_crit, D.exp)
-                pt[3] = half - t1 - t2
-            return pt[3]
-
-        def less(p1, p2):
-            gap = p1[1] - p2[1]
-            if abs(gap) > p1[2] + p2[2]:
-                return gap < 0
-            return exact(p1) < exact(p2)
-
-        span_lo, span_hi = D("1e-6").ln(), D("1e6").ln()
-        logs = [span_lo + (span_hi - span_lo) * k / 99 for k in range(100)]
-        pts = [point(t) for t in logs]
-        # first maximal index: points whose float upper bound is below the
-        # best float lower bound lose to it; the rest go to 40 digits
-        floor = max(p[1] - p[2] for p in pts)
-        near = [i for i, p in enumerate(pts) if p[1] + p[2] >= floor]
-        k = near[0] if len(near) == 1 else max(near,
-                                               key=lambda i: exact(pts[i]))
-        lo = logs[max(k - 1, 0)]
-        hi = logs[min(k + 1, 99)]
-        gr = (D(5).sqrt() - 1) / 2
-        x1 = hi - gr * (hi - lo)
-        x2 = lo + gr * (hi - lo)
-        p1, p2 = point(x1), point(x2)
-        for _ in range(200):
-            if hi - lo < D("1e-13"):
-                break
-            if less(p1, p2):
-                lo, x1, p1 = x1, x2, p2
-                x2 = lo + gr * (hi - lo)
-                p2 = point(x2)
-            else:
-                hi, x2, p2 = x2, x1, p1
-                x1 = hi - gr * (hi - lo)
-                p1 = point(x1)
-        return float(((lo + hi) / 2).exp())
+    span_lo, span_hi = math.log(1e-6), math.log(1e6)
+    logs = [span_lo + (span_hi - span_lo) * k / 99 for k in range(100)]
+    k = 0                                   # first maximal scan point
+    for i in range(1, 100):
+        if rises(logs[k], logs[i]):
+            k = i
+    lo = logs[max(k - 1, 0)]
+    hi = logs[min(k + 1, 99)]
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - gr * (hi - lo)
+    x2 = lo + gr * (hi - lo)
+    for _ in range(200):
+        if hi - lo < 1e-13:
+            break
+        if rises(x1, x2):
+            lo, x1 = x1, x2
+            x2 = lo + gr * (hi - lo)
+        else:
+            hi, x2 = x2, x1
+            x1 = hi - gr * (hi - lo)
+    return math.exp((lo + hi) / 2.0)
 
 
 def bisect_threshold(params: ls.LandscapeParams) -> float:

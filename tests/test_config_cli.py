@@ -340,7 +340,8 @@ class TestCliConstants:
             load_config(env={}).problem())
         assert rec["S_sob"] == sharp
         assert rec["C_gn"] == pytest.approx(GN_REF, rel=1e-12)
-        assert "lower bounds" in rec["warning"] and "sharp" in rec["warning"]
+        assert ("no error bar" in rec["warning"]
+                and "S_sob is sharp" in rec["warning"])
 
     def test_byte_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "constants")
@@ -423,7 +424,7 @@ class TestCliSolveAndFiber:
         (rec,) = json_lines(out)
         assert rec["mode"] == mode
         if mode == "estimated":
-            assert "lower bounds" in rec["warning"]
+            assert "no error bar" in rec["warning"]
         else:
             assert "warning" not in rec
 

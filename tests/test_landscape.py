@@ -193,7 +193,7 @@ class TestMassThreshold:
         assert peak == pytest.approx(want, rel=1e-11, abs=1e-13)
 
     def test_smaller_constants_raise_threshold(self, p53, thresholds53):
-        # certified lower bounds for C_gn, S_sob may only overestimate c0
+        # smaller constants give a larger threshold
         _, c0, _ = thresholds53
         shrunk = LandscapeParams(N=5, q=3.0, C_gn=0.9, S_sob=0.9)
         _, c0_shrunk, _ = mass_threshold(shrunk)

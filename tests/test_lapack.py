@@ -19,8 +19,8 @@ import pytest
 sl = pytest.importorskip("scipy.linalg")
 
 import bhgs  # noqa: E402
-from bhgs import (LandscapeParams, RadialField, build_grid,  # noqa: E402
-                  mass_threshold, minimizer, norm_bundle)
+from bhgs import (LandscapeParams, build_grid, mass_threshold,  # noqa: E402
+                  minimizer)
 from bhgs import _lapack  # noqa: E402
 from bhgs.minimizer import (SolverConfig, _newton_finish,  # noqa: E402
                             _residuals)
@@ -182,8 +182,8 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     # (None, steps) and the descent carries on
     _, c0, rho0 = mass_threshold(P53)
     c = 0.5 * c0
-    u = minimizer.seed(P53, mass_threshold(P53), c, grid_solve).values
-    b = norm_bundle(P53, RadialField(grid_solve, u))
+    fld, b = minimizer.seed(P53, mass_threshold(P53), c, grid_solve)
+    u = fld.values
     res = _residuals(P53, grid_solve, c, u, b)
     orig = minimizer.solve_banded
 

@@ -94,8 +94,9 @@ class TestSeed:
     def test_lands_in_admissible_set(self, p53, thresholds53, grid_solve, frac):
         _, c0, rho0 = thresholds53
         c = frac * c0
-        fld = seed(p53, thresholds53, c, grid_solve)
-        b = norm_bundle(p53, fld)
+        fld, b = seed(p53, thresholds53, c, grid_solve)
+        # the bundle handed to minimize is the field's own, bit for bit
+        assert b == norm_bundle(p53, fld)
         assert b.mass == pytest.approx(c, rel=1e-12)
         assert energy(p53, b) < 0.0
         assert b.bend < rho0 * (1.0 - 1e-3)
@@ -259,8 +260,8 @@ class TestBendSafeguard:
         rho0 = frac * bend / (1.0 - minimizer.SAFEGUARD_MARGIN)
         monkeypatch.setattr(minimizer, "mass_threshold",
                             lambda params: (M, c0, rho0))
-        start = seed(p53, (M, c0, rho0), 0.6, grid_solve)
-        assert norm_bundle(p53, start).bend < rho0 < bend
+        _, start = seed(p53, (M, c0, rho0), 0.6, grid_solve)
+        assert start.bend < rho0 < bend
         return rho0
 
     def test_binding_cap_is_reported(self, monkeypatch, p53, grid_solve,
@@ -357,6 +358,16 @@ class TestGnEstimate:
         q1 = _quotient_gn(p53, gn_grid, 3.0, np.exp(-0.5 * r2))
         q2 = _quotient_gn(p53, gn_grid, 3.0, np.exp(-0.5 * 1.7 * r2))
         assert q2 == pytest.approx(q1, rel=1e-6)
+
+    def test_grid_estimate_can_lie_above_the_finer_grid(self):
+        # no lower bound: at N = 5, q = 2.32 the estimate on the
+        # estimated-mode grid GN_GRID exceeds the one at a quarter of its
+        # spacing by 8.6e-9 relative
+        p = LandscapeParams(N=5, q=2.0 + 0.2 * 8.0 / 5.0, mu=1.0)
+        n, r_max = GN_GRID
+        coarse = estimate_gn_constant(p, build_grid(5, n, r_max))
+        fine = estimate_gn_constant(p, build_grid(5, 4 * n - 3, r_max))
+        assert coarse / fine - 1.0 == pytest.approx(8.6e-9, rel=0.01)
 
     def test_improves_on_gaussian_start(self, p53, gn_grid):
         u = np.exp(-0.5 * gn_grid.nodes ** 2)

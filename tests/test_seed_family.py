@@ -45,7 +45,7 @@ def ref_seed(params, thresholds, c, grid):
         fld = RadialField(grid, prof)
         b = norm_bundle(params, fld)
         if energy(params, b) < 0.0 and b.bend < bend_cap:
-            return fld
+            return fld, b
         s *= 0.5
     raise ConvergenceError(
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
@@ -66,9 +66,10 @@ def ref_normal_band(grid, a):
 
 
 def outcome(fn, *args):
-    # the field's bytes, or the error's type and message
+    # the field's bytes and its bundle, or the error's type and message
     try:
-        return ("ok", fn(*args).values.tobytes())
+        fld, b = fn(*args)
+        return ("ok", fld.values.tobytes(), b)
     except (ConvergenceError, DomainError, ZeroDivisionError) as exc:
         return (type(exc).__name__, str(exc))
 
@@ -164,10 +165,9 @@ def test_warm_calls_make_at_most_two_bundle_evaluations(params, bundle_count):
     assert cold >= len(grid.seed_families[params.q].trials)
     for frac in fracs:
         bundle_count[0] = 0
-        got = minimizer.seed(params, th, frac * th[1], grid)
+        got = outcome(minimizer.seed, params, th, frac * th[1], grid)
         assert bundle_count[0] <= 2
-        want = ref_seed(params, th, frac * th[1], grid)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got == outcome(ref_seed, params, th, frac * th[1], grid)
 
 
 def test_ascending_and_descending_masses_solve_alike(p53, thresholds53):
