@@ -16,9 +16,11 @@ exact for integrands r^m * r^{N-1}, m <= 4, to float rounding. The interior
 moment sums the right corrections need are closed-form power sums
 (Faulhaber's formula) in exact rationals, so their cost does not depend on n;
 only the final float conversion of the nodes is O(n). build_grid accepts
-only all-positive weights (the corrections outgrow the node-1 weight from
-dim 17 on); interior smoothness matters because the energy gradient divides
-by them.
+only all-positive weights, because the energy gradient divides by them.
+The left corrections are rational multiples of h^N, so their sign pattern
+depends on dim alone: they outgrow the node-1 or node-2 weight at dims 17,
+18, 22, 23, 26, 27 and every dim from 29 to 91 (the largest checked), while
+5-16, 19-21, 24, 25 and 28 build.
 
 Operator layout: the Laplacian L is pentadiagonal and is stored once, as a
 (5, n) band array D with D[k, i] = L[i, i + k - 2]. Row 0 is the origin
@@ -252,8 +254,10 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     dim >= 5 integer, n >= 64 nodes, r_max positive and finite, with
     every quadrature weight a positive normal float. The float range is
     checked from logarithms before the exact-rational weight work; the
-    sign after it. From dim = 17 on, the left corrections make the node-1
-    weight negative on every n, so those dimensions are rejected.
+    sign after it, naming the first node whose weight is not positive.
+    The left corrections make a weight near the origin negative at dims 17,
+    18, 22, 23, 26, 27 and every dim from 29 to 91 (the largest checked),
+    on every n; dims 5-16, 19-21, 24, 25 and 28 build.
     """
     if not isinstance(dim, int) or dim < 5:
         raise DomainError(f"dim must be an integer >= 5, got {dim!r}")

@@ -30,14 +30,11 @@ NEWTON_J_SLACK bend) and its bend is below the safeguard cap.
 
 The seed halves the width parameter of a Gaussian until J < 0 and bend is
 below the cap. Its unnormalized trial profiles depend on the grid alone, so
-their masses, bundles and error aggregates are held on the grid, per q, and
-grown only as far as a call reaches (_SeedFamily). A trial is skipped only
-where its held bundle, scaled to mass c, fails J < 0 or the cap by more
-than twice a proven bound on the rounding between it and the full trial
-(_SeedFamily's docstring); every other trial runs in full. The seed field
-and its errors are therefore bitwise those of running every trial, and a
-call whose trials are already held makes one or two bundle evaluations
-instead of one per trial.
+their masses and bundles are held on the grid, per q, and grown only as far
+as a call reaches (_SeedFamily). A trial whose held bundle, scaled to mass
+c, fails either condition is skipped, and the trial returned is always
+checked in full; seed's docstring says where this can differ from running
+every trial.
 The family lives and dies with its grid, like the grid's held band
 L^T W L, to which normal_band adds the preconditioner's shift.
 
@@ -95,18 +92,8 @@ STALL_ITERS = 3
 # the seed's trials: s = 2^-k for k < SEED_TRIALS
 SEED_TRIALS = 60
 
-# the seed's error bound (_SeedFamily): unit roundoff; the largest error of
-# a rounding whose result is subnormal or zero; the accuracy of float64 pow,
-# numpy's and the C library's, |pow(x, e) - x^e| <= POW_REL x^e + POW_ABS
-# for x >= 0 and 1 <= e <= 10 (measured at most 1.2 u and one subnormal
-# ulp; tests/test_seed_family.py); and the ranges that keep its scalars
-# normal and the trial's arrays finite
-_U = 2.0 ** -53
-_ETA = 2.0 ** -1075
-POW_REL = 2.0 ** -50
-POW_ABS = 2.0 ** -1072
-_TINY, _HUGE = 2.0 ** -900, 2.0 ** 900
-_T_MAX = 2.0 ** 90
+# the descent's budget of iterations, read at call time
+MAX_ITER = 2000
 
 # Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
 # q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
@@ -122,13 +109,10 @@ NEWTON_J_SLACK = 1e-12
 class SolverConfig:
     grad_tol: float = 1e-8
     q_tol: float = 5e-7
-    max_iter: int = 2000
 
     def __post_init__(self):
         if not (self.grad_tol > 0 and self.q_tol > 0):
             raise DomainError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -160,14 +144,17 @@ def seed(params: LandscapeParams, thresholds, c: float,
     fail: it raises ConvergenceError after 60 halvings.
 
     The unnormalized profile of trial k depends on the grid alone, so its
-    mass, bundle and error aggregates are held on the grid per q
-    (_SeedFamily, grown only as far as a call reaches). A trial runs in
-    full, exactly as it always did, unless the held bundle scaled to mass c
-    by the amplitude law (functionals.scaled_norms) fails J < 0 or the bend
-    cap by more than twice the error bound _SeedFamily.bounds proves; such a
-    trial would fail in full too, so it is skipped. The first full trial
-    that passes is returned, so the field is bitwise the one the plain loop
-    returns, and every error is the plain loop's.
+    mass and bundle are held on the grid per q (_SeedFamily, grown only as
+    far as a call reaches). A trial whose held bundle, scaled to mass c by
+    the amplitude law (functionals.scaled_norms), fails J < 0 or the bend
+    cap is skipped; every other trial runs in full, and the first that
+    passes in full is returned. Where the
+    prediction is unsettled (no held bundle, a power past float range, a
+    scaled norm outside [2^-900, 2^900]) the trial runs in full. The field
+    and every error are the plain loop's, except within a few hundred ulps
+    of a mass where trial k's J or bend crosses its bound: there the
+    prediction may fail where the full trial passes, and seed returns a
+    later trial, which still meets both conditions in full.
     """
     _, c0, rho0 = thresholds
     if not (0 < c < c0):
@@ -177,18 +164,14 @@ def seed(params: LandscapeParams, thresholds, c: float,
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
     family = grid.seed_families.get(params.q)
     if family is None:
-        family = grid.seed_families[params.q] = _SeedFamily(params, grid)
+        family = grid.seed_families[params.q] = _SeedFamily()
     for k in range(SEED_TRIALS):
         prof = family.extend(params, grid) if k == len(family.trials) else None
-        pred = family.bounds(k, params, c)
-        if pred is not None:
-            bend_p, dB, J_p, dJ = pred
-            if bend_p - bend_cap > 2.0 * dB or J_p > 2.0 * dJ:
-                continue
+        if family.fails(k, params, c, bend_cap):
+            continue
         if prof is None:
             prof = _seed_profile(grid, k)
-        mass = _wdot(grid, prof, prof)
-        prof *= math.sqrt(c / mass)
+        prof *= math.sqrt(c / family.trials[k][0])
         fld = RadialField(grid, prof)
         b = norm_bundle(params, fld)
         if energy(params, b) < 0.0 and b.bend < bend_cap:
@@ -209,168 +192,47 @@ def _seed_profile(grid: RadialGrid, k: int) -> np.ndarray:
     return prof
 
 
-def _gamma(m: int) -> float:
-    # gamma_m = m u / (1 - m u): m roundings compound to at most this
-    return m * _U / (1.0 - m * _U)
-
-
 class _SeedFamily:
-    """The seed's unnormalized trial profiles P_k on one grid at one q, and
-    the error bound that decides a trial from them.
+    """The seed's unnormalized trial profiles P_k on one grid at one q.
 
-    trials[k] holds P_k's mass and bundle, exactly as the full trial
-    computes them (the bundle is None where a norm leaves float range; such
-    a trial always runs in full), max P_k, and five coefficients of the
-    bound below. The family holds no reference to its grid, so the two
-    form no cycle.
-
-    Notation: u = 2^-53; eta = 2^-1075, the largest error of a rounding
-    whose result is subnormal or zero; gamma_m = m u / (1 - m u). A float
-    operation returns (x o y)(1 + d) + e with |d| <= u, |e| <= eta, and
-    e = 0 for additions. P >= 0 is the profile (P <= 1), t the float
-    sqrt(c / mass), v = fl(t P) the trial field, n the node count, w > 0
-    the weights, W = sum w, D the Laplacian's band with row sums of |D| at
-    most dmax, a = L P and G = |L| P exactly (|a| <= G <= dmax),
-    B = sum w a^2 and Q = sum w G^2. Float64 pow, numpy's and the C
-    library's alike, is taken to obey |pow(x, e) - x^e| <= POW_REL x^e
-    + POW_ABS for x >= 0 and 1 <= e <= 10 (tested); the lanes nonneg_power
-    sets to +0 have x^e <= 2^-1080 < eta.
-
-    1. Scaling: v_i = t P_i (1 + d_i) + e_i, and v_i = 0 where P_i = 0.
-    2. lap_apply adds each row's five products to 0 in turn, so a row errs
-       by at most gamma_5 sum |D| |v| + 6 eta; with step 1, the computed
-       (L v)_i lies within gamma_6 t G_i + eps_L of t a_i,
-       eps_L = (2 dmax + 6) eta.
-    3. Bend: with l the computed L v and Cauchy-Schwarz on the cross term,
-       |sum w l^2 - t^2 B| <= t^2 (2 gamma_6 sqrt(B Q) + 2 gamma_6^2 Q)
-       + 2 t eps_L sqrt(B W) + 2 eps_L^2 W. The products w l l add gamma_2
-       and, where they underflow, n eta (4 t dmax + 3) in all
-       (|l| <= 2 t dmax + 1). numpy's pairwise sum of n nonnegative terms,
-       like any order of n - 1 additions, errs by at most gamma_{n-1} times
-       their sum. So |bend - t^2 B| <= Phi(t) = gamma_{n+1} t^2 B
-       + (1 + gamma_{n+1}) (the bound above) + 2 n eta (4 t dmax + 3). At
-       t = 1 (no scaling) this bounds the held bend B_h too; solved for
-       sqrt(B) it gives beta >= sqrt(B), which stands in for sqrt(B).
-    4. Powers, e in {q, 4*}, both > 2: where v_i is normal,
-       v_i^e = (t P_i)^e (1 + d)^e with |(1 + d)^e - 1| <= gamma_ceil(e);
-       where v_i < 2^-1022 both powers are below eta. With pow's accuracy,
-       the products with w and the pairwise sum, the computed norm X obeys
-       |X - t^e S| <= Gam t^e S + A, S = sum w P^e exactly,
-       Gam = (1 + POW_REL)(1 + gamma_{n+ceil(e)}) - 1 and
-       A = 2 (4 W POW_ABS + n eta). At t = 1 this bounds the held X_h, so
-       S <= (X_h + A) / (1 - Gam).
-    5. Prediction: scaled_norms with t2 = fl(t t) and s2 = 1 gives
-       bend_p = fl(B_h t2) within gamma_2 t^2 B_h and
-       X_p = fl(X_h pow(t2, e/2)) within Lam t^e X_h,
-       Lam = (1 + 2 POW_REL)(1 + gamma_{ceil(e/2)+1}) - 1. The guards in
-       bounds keep every scalar here in [2^-900, 2^900] (t^2 <=
-       2^(1800/4*), so pow cannot overflow), where pow's absolute term is
-       below 2^-172 relative and the second POW_REL covers it, and keep
-       t max P (1 + dmax) below 2^90, so every array value of the trial is
-       finite.
-    6. Energy: J = (0.5 bend - (mu/q) subcrit) - crit/4* rounds three
-       times, so it is within gamma_3 M + 3 eta of its exact value, M the
-       sum of its terms' magnitudes, for the trial and the prediction
-       alike. Hence |J - J_p| <= 2 gamma_3 M_p + 6 eta
-       + (1 + gamma_3)(0.5 dB + (mu/q) dS + dC / 4*), where dB, dS and dC
-       bound the trial's bend, subcrit and crit against the prediction
-       (steps 3 to 5 by the triangle inequality).
-
-    Each bound is a sum of products of nonnegative floats, each within a
-    relative gamma_{n+60} of its real value, so twice its float value
-    exceeds the real bound. seed therefore skips a trial only if
-    fl(bend_p - cap) > 2 dB, which puts the trial's bend above the cap, or
-    J_p > 2 dJ, which makes the trial's J positive.
+    trials[k] holds P_k's mass, bitwise the one the full trial normalizes
+    by, and P_k's bundle (None where a norm leaves float range). The family
+    holds no reference to its grid, so the two form no cycle.
     """
 
-    def __init__(self, params: LandscapeParams, grid: RadialGrid):
+    def __init__(self):
         self.trials: list = []
-        self.n = n = grid.n
-        self.W = float(np.sum(grid.weights))
-        self.dmax = float(np.abs(grid.lap_band).sum(axis=0).max())
-        self.A_pow = 2.0 * (4.0 * self.W * POW_ABS + n * _ETA)
-        # below it pow(t2, e/2) <= 2^900 for e <= 4*, so pow cannot overflow
-        self.t2_max = 2.0 ** (1800.0 / params.p_crit)
-        # (Gam, Lam) of step 4 and 5 for q and 4*
-        self.pow_coefs = [
-            ((1.0 + POW_REL) * (1.0 + _gamma(n + math.ceil(e))) - 1.0,
-             (1.0 + 2.0 * POW_REL) * (1.0 + _gamma(math.ceil(e / 2.0) + 1))
-             - 1.0)
-            for e in (params.q, params.p_crit)]
 
     def extend(self, params: LandscapeParams, grid: RadialGrid) -> np.ndarray:
-        """Hold the next trial's data; returns its profile."""
-        n, w = grid.n, grid.weights
+        """Hold the next trial's mass and bundle; returns its profile."""
         prof = _seed_profile(grid, len(self.trials))
-        mass = _wdot(grid, prof, prof)
-        padded = np.zeros(n + 4)
-        padded[2:n + 2] = prof
-        G = np.zeros(n)
-        for k, row in enumerate(np.abs(grid.lap_band)):
-            G += row * padded[k:k + n]
         with np.errstate(over="ignore", invalid="ignore"):
-            Q = float(np.sum(w * G * G))
             try:
                 b = norm_bundle(params, RadialField(grid, prof))
             except DomainError:
                 b = None
-        if b is None or not Q < math.inf:
-            self.trials.append((mass, None, None, None))
-            return prof
-        # Phi(t) = a2 t^2 + a1 t + a0 (step 3), with beta for sqrt(B)
-        g1, g6, W = _gamma(n + 1), _gamma(6), self.W
-        eps_L = (2.0 * self.dmax + 6.0) * _ETA
-        rQ, rW = math.sqrt(Q), math.sqrt(W)
-        u1 = 8.0 * n * _ETA * self.dmax
-        a0 = 2.0 * (1.0 + g1) * eps_L * eps_L * W + 6.0 * n * _ETA
-        # B - B_h <= Phi(1) is a quadratic inequality in sqrt(B)
-        beta = ((2.0 * (1.0 + g1) * (g6 * rQ + eps_L * rW)
-                 + math.sqrt(b.bend + 2.0 * (1.0 + g1) * g6 * g6 * Q
-                             + u1 + a0))
-                / (1.0 - g1))
-        a2 = g1 * beta * beta + (1.0 + g1) * (2.0 * g6 * beta * rQ
-                                              + 2.0 * g6 * g6 * Q)
-        a1 = 2.0 * (1.0 + g1) * eps_L * rW * beta + u1
-        # dB = Phi(t) + t^2 Phi(1) + gamma_2 t^2 B_h = t^2 k2 + t a1 + a0;
-        # dX = Gam t^e S + A + t^e (Gam S + A) + Lam t^e X_h = t^e K + A
-        k2 = 2.0 * a2 + a1 + a0 + _gamma(2) * b.bend
-        A = self.A_pow
-        K = [2.0 * Gam * (X + A) / (1.0 - Gam) + A + Lam * X
-             for (Gam, Lam), X in zip(self.pow_coefs, (b.subcrit, b.crit))]
-        self.trials.append((mass, float(prof.max()), b,
-                            (k2, a1, a0, K[0], K[1])))
+        self.trials.append((_wdot(grid, prof, prof), b))
         return prof
 
-    def bounds(self, k: int, params: LandscapeParams, c: float):
-        """(bend_p, dB, J_p, dJ) for trial k at mass c: the held bundle
-        scaled to mass c, and bounds on how far the full trial's bend and J
-        lie from bend_p and J_p. None where the guards leave it unsettled.
+    def fails(self, k: int, params: LandscapeParams, c: float,
+              bend_cap: float) -> bool:
+        """Whether trial k's held bundle, scaled to mass c by the amplitude
+        law, fails J < 0 or bend < bend_cap. False, so the trial runs in
+        full, where the prediction is unsettled: no bundle, a power past
+        float range, or a scaled norm outside [2^-900, 2^900].
         """
-        mass, pmax, b, coefs = self.trials[k]
+        mass, b = self.trials[k]
         if b is None or not 0.0 < mass < math.inf:
-            return None
+            return False
         t = math.sqrt(c / mass)
-        t2 = t * t
-        if not (_TINY <= t2 <= self.t2_max
-                and t * pmax * (1.0 + self.dmax) <= _T_MAX):
-            return None
-        q, p = params.q, params.p_crit
-        m = params.mu / q
-        f_q, f_p = t2 ** (q / 2.0), t2 ** (p / 2.0)
-        _, bend_p, sub_p, crit_p = scaled_norms(params, b, t2, 1.0)
-        if not all(_TINY <= x <= _HUGE
-                   for x in (f_q, f_p, b.bend, b.subcrit, b.crit, bend_p,
-                             sub_p, crit_p, m * sub_p)):
-            return None
-        k2, a1, a0, K_q, K_p = coefs
-        dB = t2 * k2 + t * a1 + a0
-        dS = f_q * K_q + self.A_pow
-        dC = f_p * K_p + self.A_pow
-        g3 = _gamma(3)
-        dJ = (2.0 * g3 * (0.5 * bend_p + m * sub_p + crit_p / p) + 6.0 * _ETA
-              + (1.0 + g3) * (0.5 * dB + m * dS + dC / p))
-        J_p = energy(params, NormBundle(c, bend_p, sub_p, crit_p))
-        return bend_p, dB, J_p, dJ
+        try:
+            _, bend, sub, crit = scaled_norms(params, b, t * t, 1.0)
+        except OverflowError:
+            return False
+        if not all(2.0 ** -900 <= x <= 2.0 ** 900 for x in (bend, sub, crit)):
+            return False
+        return not (energy(params, NormBundle(c, bend, sub, crit)) < 0.0
+                    and bend < bend_cap)
 
 
 def _kernels():
@@ -485,7 +347,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 
     Preconditioned descent, finished by bordered Newton steps from the loose
     point. Raises ConvergenceError if the residuals are not met within
-    max_iter, the line search dies, the descent stalls, or the bend
+    MAX_ITER iterations, the line search dies, the descent stalls, or the bend
     safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps.
     """
     thresholds = mass_threshold(params)
@@ -506,7 +368,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     solves = 0
     loose = True
 
-    for iters in range(1, config.max_iter + 1):
+    max_iter = MAX_ITER
+    for iters in range(1, max_iter + 1):
         res = _residuals(params, grid, c, u, b)
         g_proj, lam_hat, gnorm, qres = res
         if gnorm <= config.grad_tol and qres <= config.q_tol:
@@ -573,7 +436,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         u, b, J = cand, b2, J2
     else:
         raise ConvergenceError(
-            f"no convergence in {config.max_iter} iterations "
+            f"no convergence in {max_iter} iterations "
             f"(gnorm={gnorm:.3e}, q_residual={qres:.3e})")
 
     if accepted and n_safe > SAFEGUARD_MAX_FRAC * accepted:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bhgs import (ConfigError, DomainError, SolverConfig, load_config,
-                  mass_threshold, minimizer)
+from bhgs import (ConfigError, DomainError, load_config, mass_threshold,
+                  minimizer)
 from bhgs.cli import evaluate_sweep_flags, main
 from bhgs.config import DEFAULTS, resolve_params, sweep_masses
 from bhgs.verify import random_params
@@ -585,13 +585,8 @@ class TestCliSweep:
 
     def test_nonconvergence_writes_partial_report(self, capsys, tmp_path,
                                                   monkeypatch):
-        import bhgs.cli
-        from bhgs.minimizer import minimize
-
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
-        monkeypatch.setattr(
-            bhgs.cli, "minimize",
-            lambda p, g, c: minimize(p, g, c, SolverConfig(max_iter=2)))
+        monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)
         assert rc == 4

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,11 +66,28 @@ class TestBuildValidation:
             build_grid(172, 1025, 40.0)
 
     def test_rejects_dims_with_a_negative_weight(self):
-        # the left corrections outgrow the node-1 weight from dim 17 on
+        # the left corrections outgrow the node-1 weight at these dims
         assert np.all(build_grid(16, 1025, 40.0).weights > 0)
         for dim in (17, 30, 100):
             with pytest.raises(DomainError, match="weight <= 0 at node 1"):
                 build_grid(dim, 1025, 40.0)
+
+    def test_dims_5_to_30_build_or_name_the_node(self):
+        # the sign pattern of the left corrections depends on dim alone
+        rejected = []
+        for dim in range(5, 31):
+            try:
+                g = build_grid(dim, 2049, 1000.0)
+            except DomainError as exc:
+                hit = re.search(r"weight <= 0 at node (\d+)", str(exc))
+                assert hit, str(exc)
+                w = grid_mod._weights(dim, 2049, 1000.0)
+                node = int(hit.group(1))
+                assert w[node] <= 0 and np.all(w[:node] > 0)
+                rejected.append(dim)
+            else:
+                assert np.all(g.weights > 0)
+        assert rejected == [17, 18, 22, 23, 26, 27, 29, 30]
 
     def test_grid_shape(self):
         g = build_grid(5, 128, 10.0)

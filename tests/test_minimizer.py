@@ -59,10 +59,10 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.grad_tol == 1e-8 and cfg.q_tol == 5e-7
 
-    # the first four and the last six cases name fields that are now the
+    # the first four and the last seven cases name fields that are now the
     # minimizer's module constants, which SolverConfig refuses to take
-    REMOVED = {"step0", "shrink", "grow", "seed_shape", "safeguard_margin",
-               "safeguard_max_frac", "stall_iters"}
+    REMOVED = {"step0", "shrink", "grow", "max_iter", "seed_shape",
+               "safeguard_margin", "safeguard_max_frac", "stall_iters"}
 
     @pytest.mark.parametrize("kw", [
         {"step0": 0.0},
@@ -86,7 +86,7 @@ class TestSolverConfig:
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "grad_tol", "q_tol", "max_iter"]
+            "grad_tol", "q_tol"]
 
 
 class TestSeed:
@@ -118,7 +118,7 @@ class TestMinimize:
         assert solved.bend < rho0
         assert solved.m < 0.0
         assert solved.q_residual <= SolverConfig().q_tol
-        assert solved.iters <= SolverConfig().max_iter
+        assert solved.iters <= minimizer.MAX_ITER
 
     def test_reported_scalars_match_field(self, p53, solved):
         b = norm_bundle(p53, solved.field)
@@ -162,15 +162,20 @@ class TestMinimize:
         with pytest.raises(DomainError, match="dim"):
             minimize(p6, grid_solve, 0.5 * c0_6)
 
-    def test_iteration_budget_raises(self, p53, grid_solve, thresholds53):
+    def test_iteration_budget_raises(self, p53, grid_solve, thresholds53,
+                                     monkeypatch):
         _, c0, _ = thresholds53
-        with pytest.raises(ConvergenceError, match="no convergence"):
-            minimize(p53, grid_solve, 0.5 * c0, SolverConfig(max_iter=2))
+        monkeypatch.setattr(minimizer, "MAX_ITER", 2)
+        with pytest.raises(ConvergenceError,
+                           match="no convergence in 2 iterations"):
+            minimize(p53, grid_solve, 0.5 * c0)
 
-    def test_unreachable_tolerance_raises(self, p53, grid_solve, thresholds53):
+    def test_unreachable_tolerance_raises(self, p53, grid_solve, thresholds53,
+                                          monkeypatch):
         # progress dies at the grid's noise floor long before 1e-30
         _, c0, _ = thresholds53
-        cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30, max_iter=400)
+        monkeypatch.setattr(minimizer, "MAX_ITER", 400)
+        cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30)
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.5 * c0, cfg)
         # gnorm is above grad_tol, so the message names no discretization floor
@@ -301,8 +306,10 @@ class TestBendSafeguard:
         assert (during > 0) == (frac == 0.3)
 
     def test_stall_away_from_the_cap_names_no_safeguard(self, p53,
-                                                        grid_solve):
-        cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30, max_iter=400)
+                                                        grid_solve,
+                                                        monkeypatch):
+        monkeypatch.setattr(minimizer, "MAX_ITER", 400)
+        cfg = SolverConfig(grad_tol=1e-30, q_tol=1e-30)
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.6, cfg)
         assert str(err.value).startswith("stalled for")

@@ -1,12 +1,14 @@
 """Oracles for the per-grid caches of the solver's fixed work.
 
-Each cache must leave every output bit unchanged; the code it replaced is
-kept below as the reference:
+The code each cache replaced is kept below as the reference:
 
-- seed, which decides most trials from the Gaussian family held on the
-  grid, against the plain loop that runs every trial in full;
-- the family's error bound against the full trials it stands for, and the
-  stated accuracy of float64 pow that the bound assumes;
+- seed, which skips a trial whose held bundle, scaled to mass c, fails
+  J < 0 or the bend cap, against the plain loop that runs every trial in
+  full. The two agree except within some hundred ulps of a mass where a
+  trial's J or bend crosses its bound; there seed may return the next
+  trial, and every seed must still pass both conditions in full. Masses
+  where the prediction is unsettled (a scaled norm out of range, a power
+  that overflows) must run the trial in full;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
 - normal_band from the held shift-free band against the loop that built
@@ -15,16 +17,15 @@ kept below as the reference:
 import gc
 import math
 import weakref
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhgs import (ConvergenceError, DomainError, LandscapeParams, RadialField,
-                  build_grid, energy, mass_threshold, minimize, minimizer,
-                  norm_bundle)
-from bhgs.functionals import nonneg_power
+from bhgs import (ConvergenceError, DomainError, LandscapeParams, NormBundle,
+                  RadialField, build_grid, energy, mass_threshold, minimize,
+                  minimizer, norm_bundle)
+from bhgs.functionals import scaled_norms
 from bhgs.verify import random_params
 
 # ---------------------------------------------------------------- references
@@ -215,13 +216,26 @@ def test_families_live_and_die_with_their_grid(p53, thresholds53):
         gc.enable()
 
 
-def full_trial(params, grid, k, c):
-    # J and bend of trial k at mass c, computed as ref_seed does
+def full_trial_field(grid, k, c):
+    # trial k's field at mass c, computed as ref_seed does
     s = 0.5 ** k
     prof = s ** (grid.dim / 4.0) * np.exp(-s * grid.nodes ** 2 / 2.0)
     prof *= math.sqrt(c / float(np.sum(grid.weights * prof * prof)))
-    b = norm_bundle(params, RadialField(grid, prof))
+    return RadialField(grid, prof)
+
+
+def full_trial(params, grid, k, c):
+    # J and bend of trial k at mass c, computed as ref_seed does
+    b = norm_bundle(params, full_trial_field(grid, k, c))
     return energy(params, b), b.bend
+
+
+def predicted_energy(params, family, k, c):
+    # J of trial k's held bundle scaled to mass c, as _SeedFamily.fails has it
+    mass, b = family.trials[k]
+    t = math.sqrt(c / mass)
+    _, bend, sub, crit = scaled_norms(params, b, t * t, 1.0)
+    return energy(params, NormBundle(c, bend, sub, crit))
 
 
 def test_seed_where_the_prediction_gets_the_sign_of_J_wrong(p53,
@@ -229,9 +243,12 @@ def test_seed_where_the_prediction_gets_the_sign_of_J_wrong(p53,
     # trial 12's J changes sign near c = 0.067 c0 on the production grid,
     # where seed's answer moves between trials 12 and 13. Within some
     # hundred ulps of that mass the held prediction and the full trial
-    # disagree on the sign of J; seed must still answer as the plain loop
+    # disagree on the sign of J, so seed may skip trial 12 where the plain
+    # loop returns it; every seed must still be trial 12 or 13 and pass
+    # J < 0 and the bend cap in full
     grid = build_grid(5, 2049, 1000.0)
-    c0 = thresholds53[1]
+    c0, rho0 = thresholds53[1:]
+    bend_cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
     lo, hi = 0.05 * c0, 0.08 * c0
     assert full_trial(p53, grid, 12, lo)[0] > 0 > full_trial(p53, grid, 12,
                                                              hi)[0]
@@ -243,81 +260,66 @@ def test_seed_where_the_prediction_gets_the_sign_of_J_wrong(p53,
     wrong_sign = 0
     for j in range(-300, 300):
         c = lo * (1.0 + j * 2.0 ** -52)
-        assert outcome(minimizer.seed, p53, thresholds53, c, grid) == \
-            outcome(ref_seed, p53, thresholds53, c, grid)
-        J_p = family.bounds(12, p53, c)[2]
+        fld, b = minimizer.seed(p53, thresholds53, c, grid)
+        assert b == norm_bundle(p53, fld)
+        assert energy(p53, b) < 0.0 and b.bend < bend_cap
+        assert fld.values.tobytes() in {
+            full_trial_field(grid, k, c).values.tobytes() for k in (12, 13)}
+        J_p = predicted_energy(p53, family, 12, c)
         wrong_sign += (J_p > 0) != (full_trial(p53, grid, 12, c)[0] > 0)
     assert wrong_sign > 0
 
 
-# ------------------------------------------------------------ error bound
+@pytest.fixture()
+def full_trials(monkeypatch):
+    """The trial indices seed runs in full, once every trial is held."""
+    runs = []
+    real = minimizer._seed_profile
 
-@pytest.mark.parametrize("draw", range(6))
-def test_bounds_hold_on_every_trial(draw):
-    rng = np.random.default_rng(1000 + draw)
-    params = random_params(rng)
-    th = mass_threshold(params)
-    n, r_max = GRID_SHAPES[draw % 3]
-    grid = build_grid(params.N, min(n, 2049), r_max)
-    family = minimizer._SeedFamily(params, grid)
-    for _ in range(60):
+    def recording(grid, k):
+        runs.append(k)
+        return real(grid, k)
+
+    monkeypatch.setattr(minimizer, "_seed_profile", recording)
+    return runs
+
+
+def held_family(params, grid):
+    family = grid.seed_families[params.q] = minimizer._SeedFamily()
+    for _ in range(minimizer.SEED_TRIALS):
         family.extend(params, grid)
-    settled = decided = 0
-    for frac in rng.uniform(0.05, 0.95, 2):
-        c = frac * th[1]
-        for k in range(60):
-            pred = family.bounds(k, params, c)
-            if pred is None:
-                continue
-            bend_p, dB, J_p, dJ = pred
-            prof = minimizer._seed_profile(grid, k)
-            prof *= math.sqrt(c / float(np.sum(grid.weights * prof * prof)))
-            b = norm_bundle(params, RadialField(grid, prof))
-            assert abs(b.bend - bend_p) <= dB
-            assert abs(energy(params, b) - J_p) <= dJ
-            settled += 1
-            decided += abs(J_p) > 2.0 * dJ
-    # the bound decides nearly every trial, so the fast path is taken
-    assert settled >= 100 and decided >= 0.9 * settled
-    # masses far outside float comfort leave a trial unsettled, never raise
-    for k in range(60):
-        assert family.bounds(k, params, 1e300) is None
-        assert family.bounds(k, params, 1e-300) is None
+    return family
 
 
-def test_bounds_leave_a_power_past_float_range_unsettled(p53):
-    # at trial 59 (max P = 2^-73.75) a mass 2^300 times the profile's puts
-    # t max P (1 + dmax) below 2^90, but t2^(4*/2) = 2^1500 would overflow
+def test_a_tiny_mass_runs_every_trial_in_full(p53, thresholds53,
+                                              full_trials):
+    # at c = 1e-300 every scaled norm lies below 2^-900, where the
+    # prediction is not trusted
     grid = build_grid(5, 2049, 1000.0)
-    family = minimizer._SeedFamily(p53, grid)
-    for _ in range(60):
-        family.extend(p53, grid)
-    assert family.bounds(59, p53, family.trials[59][0] * 2.0 ** 300) is None
+    held_family(p53, grid)
+    full_trials.clear()
+    got = outcome(minimizer.seed, p53, thresholds53, 1e-300, grid)
+    assert full_trials == list(range(minimizer.SEED_TRIALS))
+    assert got == outcome(ref_seed, p53, thresholds53, 1e-300, grid)
 
 
-def test_pow_meets_its_stated_accuracy():
-    # numpy's power through nonneg_power, with the exponents norm_bundle
-    # uses (q, 4*), and the C library's through float **, with the halves
-    # scaled_norms uses; results range from O(1) down past the subnormals
-    rng = np.random.default_rng(5)
-    exps = sorted({2.0 * N / (N - 4) for N in range(5, 17)}
-                  | {2.0 + t * 8.0 / N for N in (5, 7, 10)
-                     for t in (0.01, 0.37, 0.99)})
-    with localcontext() as ctx:
-        ctx.prec = 40
-
-        def check(x, e, got):
-            ref = Decimal(x) ** Decimal(e)
-            assert abs(Decimal(got) - ref) <= (
-                Decimal(minimizer.POW_REL) * ref + Decimal(minimizer.POW_ABS))
-
-        for e in exps:
-            x = 2.0 ** rng.uniform(-1090.0 / e, 40.0 / e, 2049)
-            got = nonneg_power(x, e)
-            for i in rng.choice(2049, 60, replace=False):
-                check(float(x[i]), e, float(got[i]))
-            for xi in 2.0 ** rng.uniform(-1090.0 / e, 40.0 / e, 20):
-                check(float(xi), e / 2.0, float(xi) ** (e / 2.0))
+def test_a_power_past_float_range_runs_the_trial_in_full(full_trials):
+    # trial 59 (max P = 2^-73.75) at a mass 2^300 times its profile's:
+    # the critical norm's factor t2^(4*/2) = 2^1500 overflows. A tiny mu
+    # puts that mass below c0
+    params = LandscapeParams(N=5, q=3.0, mu=1e-60)
+    th = mass_threshold(params)
+    grid = build_grid(5, 2049, 1000.0)
+    family = held_family(params, grid)
+    c = family.trials[59][0] * 2.0 ** 300
+    assert c < th[1]
+    with pytest.raises(OverflowError):
+        scaled_norms(params, family.trials[59][1], c / family.trials[59][0],
+                     1.0)
+    full_trials.clear()
+    got = outcome(minimizer.seed, params, th, c, grid)
+    assert 59 in full_trials
+    assert got == outcome(ref_seed, params, th, c, grid)
 
 
 # -------------------------------------------------------- profile and band
