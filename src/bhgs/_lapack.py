@@ -6,15 +6,23 @@ finish. numpy's wheels bundle an OpenBLAS, numpy.libs/libscipy_openblas64_*.so,
 that exports them as scipy_dpbtrf_64_, scipy_dpbtrs_64_ and scipy_dgbsv_64_
 with 64-bit integers; this module calls them through ctypes. That file name
 and those symbols are wheel internals, not an API, so where either is
-missing the module takes scipy.linalg's functions of the same names instead.
-BACKEND names the one taken when the module was first imported.
+missing the module takes scipy.linalg's cholesky_banded and cho_solve_banded
+and scipy.linalg.lapack's dgbsv instead. BACKEND names the one taken when
+the module was first imported.
 
-For the 2-D band storage and the one or more right-hand sides the solver
-passes, the functions keep scipy.linalg's contract: ValueError on a
-non-finite entry, LinAlgError when LAPACK finds the matrix singular or not
-positive definite, and inputs are never written. Each call copies its band
-and right-hand side into Fortran-ordered work arrays for LAPACK to overwrite;
-the overwrite flags are accepted and ignored.
+cholesky_banded and cho_solve_banded keep scipy.linalg's contract for the
+2-D band storage and the one or more right-hand sides the solver passes:
+ValueError on a non-finite entry, LinAlgError when LAPACK finds the matrix
+not positive definite, and inputs are never written. Each call copies its
+band and right-hand side into Fortran-ordered work arrays for LAPACK to
+overwrite; the overwrite flags are accepted and ignored.
+
+gbsv is LAPACK's own contract instead: it works in place on a band its
+caller has already laid out in gbsv's (2 kl + ku + 1, n) Fortran storage,
+overwriting the band with its LU factors and the right-hand side with the
+solution, so a caller that solves many systems of one shape reuses two
+arrays and copies nothing. It raises ValueError on a non-finite entry or an
+array it cannot overwrite as it stands, and LinAlgError when singular.
 """
 import ctypes
 import glob
@@ -22,7 +30,7 @@ import os
 
 import numpy as np
 
-__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "solve_banded"]
+__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "gbsv"]
 
 
 # per routine: the count of its pointer arguments, info last, and of its
@@ -103,36 +111,72 @@ def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
     return x
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
-                 check_finite=True):
-    kl, ku = l_and_u
-    a = np.asarray(ab)
-    if a.ndim != 2 or a.shape[0] != kl + ku + 1:
-        raise ValueError(f"band of shape {a.shape} does not hold "
-                         f"{kl} + {ku} + 1 diagonals")
-    n = a.shape[1]
-    # gbsv needs kl extra rows above the band for the fill-in of pivoting
-    lu = np.zeros((2 * kl + ku + 1, n), order="F")
-    lu[kl:] = a
-    _checked(lu, check_finite)
-    x, nrhs = _rhs(b, n, check_finite)
-    piv = np.empty(n, dtype=np.int64)
-    if _call(_gbsv, n, kl, ku, nrhs, lu, 2 * kl + ku + 1, piv, x, n):
+def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the band matrix A, in place, as LAPACK gbsv.
+
+    ab is a Fortran-ordered float64 array of shape (2 kl + ku + 1, n) with
+    A[i, j] at ab[kl + ku + i - j, j]; its first kl rows are LAPACK's
+    fill-in workspace, which it sets before use, so they need not be set
+    and are not read. b is a Fortran-ordered float64 array of shape (n,)
+    or (n, nrhs). On return ab holds the LU factors and b the solution,
+    which is also returned. ValueError on a non-finite entry of the band
+    or of b, or on an array of another shape, dtype or order; LinAlgError
+    when the matrix is singular.
+    """
+    _inplace(ab, 2, 2 * kl + ku + 1)
+    _inplace(b, np.ndim(b), ab.shape[1])
+    _checked(ab[kl:], True)
+    _checked(b, True)
+    if _gbsv_info(kl, ku, ab, b):
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return b
+
+
+def _inplace(a, ndim: int, rows: int) -> None:
+    # an array LAPACK may overwrite as it stands: float64, Fortran-ordered,
+    # writeable, of ndim 1 or 2 and with the given leading dimension
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.writeable
+            and a.ndim == ndim and ndim in (1, 2) and a.shape[0] == rows):
+        raise ValueError(
+            f"gbsv needs writeable Fortran-ordered float64 arrays of "
+            f"{rows} rows; got {getattr(a, 'shape', a)!r}")
+
+
+def _bundled_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> int:
+    n = ab.shape[1]
+    piv = np.empty(n, dtype=np.int64)
+    return _call(_gbsv, n, kl, ku, 1 if b.ndim == 1 else b.shape[1], ab,
+                 ab.shape[0], piv, b, n)
+
+
+def _scipy_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> int:
+    # f2py overwrites Fortran-ordered float64 arrays in place; should it
+    # ever copy, the results are written back
+    lu, _, x, info = _dgbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbsv")
+    if lu is not ab:
+        ab[...] = lu
+    if x is not b:
+        b[...] = x
+    return info
 
 
 _routines = _bundled_routines()
 if _routines is not None:
     BACKEND = "numpy.libs"
     _pbtrf, _pbtrs, _gbsv = _routines
+    _gbsv_info = _bundled_gbsv
 else:
     BACKEND = "scipy.linalg"
     try:
         from scipy.linalg import (  # noqa: F811
-            cho_solve_banded, cholesky_banded, solve_banded)
+            cho_solve_banded, cholesky_banded)
+        from scipy.linalg.lapack import dgbsv as _dgbsv
     except ImportError as exc:
         raise ImportError(
             "no LAPACK band kernels: numpy.libs holds no "
             "libscipy_openblas64_ library with pbtrf, pbtrs and gbsv, and "
             "scipy.linalg cannot be imported") from exc
+    _gbsv_info = _scipy_gbsv

@@ -3,7 +3,9 @@
 Subcommands: constants, landscape, solve, sweep, fiber, verify. Records go
 to stdout as one JSON object per line (keys sorted, so a run with fixed
 config is byte-reproducible); errors go to stderr as a single JSON object
-with a machine-readable kind. Tables are plain CSV files.
+with a machine-readable kind. A non-convergence also names the solver's
+failure kind (fail_kind, one of minimizer.FAIL_KINDS), as does the partial
+report a failed sweep writes. Tables are plain CSV files.
 
 Exit codes: 0 success, 2 configuration or installation error, 3 domain
 error (inadmissible parameters or masses), 4 numerical non-convergence, 5
@@ -46,8 +48,8 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _fail(kind: str, message: str, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": message},
+def _fail(kind: str, message: str, code: int, **extra) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "message": message, **extra},
                                 sort_keys=True) + "\n")
     return code
 
@@ -216,7 +218,7 @@ def _cmd_sweep(args, cfg, params) -> int:
     grid = cfg.solve_grid()
 
     states = []
-    def report(partial: bool) -> dict:
+    def report(partial: bool, **extra) -> dict:
         # the lemma flags over the solved masses, written to args.out
         done = len(states)
         ms = [s.m for s in states]
@@ -229,7 +231,7 @@ def _cmd_sweep(args, cfg, params) -> int:
             "iters": [s.iters for s in states],
             "constraint_active": [s.constraint_active for s in states],
             "tolerances": SWEEP_TOLERANCES, "partial": partial,
-            "M": M, "c0": c0, "rho0": rho0, **_header(cfg, params)})
+            "M": M, "c0": c0, "rho0": rho0, **_header(cfg, params), **extra})
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rep, fh, sort_keys=True)
             fh.write("\n")
@@ -239,10 +241,11 @@ def _cmd_sweep(args, cfg, params) -> int:
         try:
             state = minimize(params, grid, c)
         except ConvergenceError as exc:
-            report(partial=True)
+            report(partial=True, fail_kind=exc.kind)
             return _fail("non-convergence",
                          f"solve at c={c} failed ({exc}); partial report "
-                         f"written to {args.out}", EXIT_NONCONV)
+                         f"written to {args.out}", EXIT_NONCONV,
+                         fail_kind=exc.kind)
         states.append(state)
         _emit({"record": "sweep-point", "c": state.c, "m": state.m,
                "lambda": state.lam, "bend": state.bend,
@@ -345,7 +348,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         return _fail("domain-error", str(exc), EXIT_DOMAIN)
     except ConvergenceError as exc:
-        return _fail("non-convergence", str(exc), EXIT_NONCONV)
+        return _fail("non-convergence", str(exc), EXIT_NONCONV,
+                     fail_kind=exc.kind)
     except OSError as exc:
         return _fail("io-error", str(exc), EXIT_CONFIG)
     except KernelsUnavailable as exc:

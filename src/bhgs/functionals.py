@@ -7,6 +7,12 @@ rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
 laws, so no rescaled field is ever materialized; scaled_norms is the one
 copy of those laws, which the minimizer's seed also uses.
 
+norm_bundle and l2_gradient read L u from the field (RadialField.lap),
+where it is computed once and held, so a field that is bundled and then
+differentiated costs one Laplacian. norm_bundle's four weighted sums are
+np.add.reduce, the same pairwise sum as np.sum, without its dispatch layer;
+NormBundle checks each norm with math.isfinite.
+
 The bending term of the gradient is the exact gradient of the *discrete*
 energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
 profiles this coincides with L(Lu) to the scheme order, but unlike the plain
@@ -24,6 +30,7 @@ goes through np.power, so the result equals |u| ** e bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +63,7 @@ class NormBundle:
     def __post_init__(self):
         for name in ("mass", "bend", "subcrit", "crit"):
             v = getattr(self, name)
-            if not (v >= 0.0 and np.isfinite(v)):
+            if not (v >= 0.0 and math.isfinite(v)):
                 raise DomainError(f"NormBundle.{name} must be finite and >= 0, got {v}")
 
 
@@ -77,13 +84,15 @@ def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     u = fld.values
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
-    lu = g.lap_apply(u)
+    lu = fld.lap
+    w = g.weights
     au = np.abs(u)
+    total = np.add.reduce
     return NormBundle(
-        mass=float(np.sum(g.weights * u * u)),
-        bend=float(np.sum(g.weights * lu * lu)),
-        subcrit=float(np.sum(g.weights * nonneg_power(au, params.q))),
-        crit=float(np.sum(g.weights * nonneg_power(au, params.p_crit))),
+        mass=float(total(w * u * u)),
+        bend=float(total(w * lu * lu)),
+        subcrit=float(total(w * nonneg_power(au, params.q))),
+        crit=float(total(w * nonneg_power(au, params.p_crit))),
     )
 
 
@@ -116,7 +125,7 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     w = g.weights
     au = np.abs(u)
     sgn = np.sign(u)
-    return RadialField(g, g.lap_t_apply(w * g.lap_apply(u)) / w
+    return RadialField(g, g.lap_t_apply(w * fld.lap) / w
                        - params.mu * sgn * nonneg_power(au, params.q - 1.0)
                        - sgn * nonneg_power(au, params.p_crit - 1.0))
 

@@ -28,11 +28,18 @@ limit, row 1 folds the even reflection of u_{-1} onto u_1, and entries whose
 column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
 minimizer's preconditioner) are all computed by slicing this one array.
 
-Held per grid: the shift-free band L^T W L, to which normal_band adds a W,
-and the minimizer's seed families. Both are filled on first use and live
-and die with the grid instance (cached_property writes the instance
-__dict__, which a frozen dataclass allows); no module-level cache holds
-them.
+Held per grid: the shift-free band L^T W L, to which normal_band adds a W
+(the minimizer's Newton step reads it directly), and the minimizer's seed
+families. Both are filled on first use and live and die with the grid
+instance (cached_property writes the instance __dict__, which a frozen
+dataclass allows); no module-level cache holds them.
+
+Held per field: a RadialField's values are a read-only view, checked
+finite once when the field is made, and its L u (RadialField.lap) is
+computed on first use and held, read-only, for the field's lifetime. So
+norm_bundle, l2_gradient and laplacian share one Laplacian per field.
+integrate sums with np.add.reduce, the pairwise sum np.sum makes, without
+its Python dispatch.
 """
 from __future__ import annotations
 
@@ -235,6 +242,13 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialField:
+    """Finite samples on a grid, read-only, with their Laplacian held.
+
+    values is a read-only view of the array given (converted to float), so
+    the finiteness check made here holds for the field's lifetime; the
+    creator may still write the array it passed, and must not once the
+    field is in use. lap, L u, is computed on first use and held.
+    """
     grid: RadialGrid
     values: np.ndarray = field(repr=False, compare=False)
 
@@ -243,9 +257,18 @@ class RadialField:
         if vals.shape != (self.grid.n,):
             raise DomainError(
                 f"field length {vals.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("field values must be finite")
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        """L u, read-only: the one Laplacian of this field."""
+        lu = self.grid.lap_apply(self.values)
+        lu.flags.writeable = False
+        return lu
 
 
 def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
@@ -297,16 +320,16 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     if samples.shape != (grid.n,):
         raise DomainError(
             f"sample length {samples.shape} does not match grid n={grid.n}")
-    return float(np.sum(grid.weights * samples))
+    return float(np.add.reduce(grid.weights * samples))
 
 
 def laplacian(fld: RadialField) -> RadialField:
     """Fourth-order discrete radial Laplacian u'' + (N-1)u'/r.
 
     Origin row is the symmetry limit N u''(0); fields are extended evenly
-    through r = 0 and by zero past r = R.
+    through r = 0 and by zero past r = R. The result's values are fld.lap.
     """
-    return RadialField(fld.grid, fld.grid.lap_apply(fld.values))
+    return RadialField(fld.grid, fld.lap)
 
 
 def save_field(fld: RadialField, path) -> None:

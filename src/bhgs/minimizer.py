@@ -18,10 +18,12 @@ hands the iterate to a bordered Newton finish: Newton on (u, lambda) for
 grad J = lambda u on the mass sphere (Keller 1977), which converges
 quadratically near a constrained critical point. Each step is one banded
 LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
-sides. The hand-off happens once, at the loose point: the first iterate
-with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <= LOOSE_Q. If Newton fails
-there, the descent resumes from the same iterate and state, so it ends where
-the descent alone would. STALL_ITERS accepted steps in a row without energy
+sides, assembled in gbsv's own band layout in one work array that gbsv
+overwrites, so no step copies K or its right-hand sides. The hand-off
+happens once, at the loose point: the first iterate with gnorm <=
+LOOSE_GRAD sqrt(c) and q_residual <= LOOSE_Q. If Newton fails there, the
+descent resumes from the same iterate and state, so it ends where the
+descent alone would. STALL_ITERS accepted steps in a row without energy
 progress end the descent with a ConvergenceError.
 
 Newton stops at the descent's own convergence test, and its result is kept
@@ -43,14 +45,27 @@ rho0 (1 - margin) is rejected and the step shrunk. The count of such
 rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
 
+One evaluation per iterate: the descent and Newton carry the iterate as a
+RadialField, whose L u norm_bundle computes once and the field holds, so
+the residuals' gradient (l2_gradient) reuses it and the field's one
+finiteness check. Every trial field, accepted or not, goes through
+norm_bundle. Weighted sums are np.add.reduce, numpy's pairwise sum, the
+same as np.sum without its dispatch layer.
+
+Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
+seed, stall, line-search, budget, safeguard and invariant from minimize,
+gn-ascent from estimate_gn_constant and no-fiber-minimum from
+fiber_consistency. The messages keep their wording, so a reader of the
+text alone (the benchmark's classify) gets the same kind.
+
 The three band kernels come from LAPACK through the private _lapack module:
 numpy's bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise
 (KernelsUnavailable if neither loads). That module is imported on the first
 banded factorization or solve, not with this one: the closed-form commands
 (constants, landscape, fiber, verify) never load it. `cholesky_banded`,
-`cho_solve_banded` and `solve_banded` stay module attributes, and every call
-site looks them up as globals at call time, so rebinding them (for tracing
-or testing) catches every call.
+`cho_solve_banded` and `gbsv` stay module attributes, and every call site
+looks them up as globals at call time, so rebinding them (for tracing or
+testing) catches every call.
 """
 from __future__ import annotations
 
@@ -72,7 +87,23 @@ __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted or invariants unattainable at this setup."""
+    """Iteration budget exhausted or invariants unattainable at this setup.
+
+    kind names the failure for machines, one of FAIL_KINDS; the message is
+    for people and keeps its wording.
+    """
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+# the kinds a ConvergenceError carries: minimize's seed loop, descent stall,
+# dead line search, iteration budget, bend safeguard and a broken invariant
+# of the converged state; the C_gn ascent's budget; fiber_consistency's
+# bundle without a fiber minimum
+FAIL_KINDS = ("seed", "stall", "line-search", "budget", "safeguard",
+              "invariant", "gn-ascent", "no-fiber-minimum")
 
 
 class KernelsUnavailable(RuntimeError):
@@ -128,7 +159,7 @@ class GroundState:
 
 
 def _wdot(g: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(g.weights * a * b))
+    return float(np.add.reduce(g.weights * a * b))
 
 
 def seed(params: LandscapeParams, thresholds, c: float,
@@ -177,6 +208,7 @@ def seed(params: LandscapeParams, thresholds, c: float,
         if energy(params, b) < 0.0 and b.bend < bend_cap:
             return fld, b
     raise ConvergenceError(
+        "seed",
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
@@ -255,11 +287,9 @@ def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
                                        check_finite)
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
-                 check_finite=True):
-    """Banded LU solve, as scipy.linalg.solve_banded."""
-    return _kernels().solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b,
-                                   check_finite)
+def gbsv(kl, ku, ab, b):
+    """Banded LU solve in place, in gbsv's band layout (_lapack.gbsv)."""
+    return _kernels().gbsv(kl, ku, ab, b)
 
 
 def _banded_factor(grid: RadialGrid, a: float):
@@ -273,68 +303,84 @@ def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     return cho_solve_banded((factor, False), grid.weights * v)
 
 
-def _residuals(params: LandscapeParams, grid: RadialGrid, c: float,
-               u: np.ndarray, b: NormBundle):
+def _residuals(params: LandscapeParams, c: float, fld: RadialField,
+               b: NormBundle):
     # (projected gradient, lambda_hat, its weighted norm, |Q|/bend) at the
-    # mass-c iterate u with bundle b
-    grad = l2_gradient(params, RadialField(grid, u)).values
+    # mass-c iterate fld with bundle b; the gradient reads the L u that
+    # norm_bundle left on fld
+    grid, u = fld.grid, fld.values
+    grad = l2_gradient(params, fld).values
     lam_hat = _wdot(grid, grad, u) / c
     g_proj = grad - lam_hat * u
     gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
     return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
 
 
-def _newton_finish(params: LandscapeParams, grid: RadialGrid, c: float,
-                   u: np.ndarray, b: NormBundle, res, config: SolverConfig,
-                   bend_cap: float):
-    """Bordered Newton steps in (u, lambda) from the mass-c iterate u.
+def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
+                   b: NormBundle, res, config: SolverConfig, bend_cap: float):
+    """Bordered Newton steps in (u, lambda) from the mass-c iterate fld.
 
     Each step solves K x = -R and K y = W u in one banded LU, where
     R = W (grad J - lambda_hat u) and K = L^T W L - lambda_hat W - W f'(u),
     then eliminates the multiplier update from the linearized mass
     constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c.
-    Returns ((u, b), steps) once the descent's convergence test holds, the
-    energy is at most NEWTON_J_SLACK bend above that of the starting
+    Returns ((fld, b), steps) once the descent's convergence test holds,
+    the energy is at most NEWTON_J_SLACK bend above that of the starting
     iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
     singular or non-finite step, and when a step after the second fails to
     halve gnorm. steps counts the linear solves made.
+
+    K is assembled in place in gbsv's layout, K[i, j] at ab[8 + i - j, j],
+    from the grid's held band L^T W L, in one (13, n) work array that gbsv
+    overwrites with its factors; the two right-hand sides share one (n, 2)
+    array that gbsv overwrites with the solutions. Both are reused by every
+    step.
     """
+    grid = fld.grid
     n, w = grid.n, grid.weights
     q, p = params.q, params.p_crit
     J0 = energy(params, b)
     g_proj, lam_hat, gnorm, _ = res
-    # K in general band storage, K[4 + i - j, j] = K_ij; the corners past
-    # the matrix stay zero
-    K = np.zeros((9, n))
+    ab = np.empty((13, n), order="F")
+    rhs = np.empty((n, 2), order="F")
     for steps in range(1, NEWTON_STEPS + 1):
-        K[:5] = grid.normal_band(-lam_hat)
+        u = fld.values
+        # rows 4-8: the upper band and diagonal of L^T W L - lambda_hat W;
+        # rows 9-12: the lower band, mirrored, with the corners past the
+        # matrix zero; rows 0-3 are gbsv's fill-in, which it sets itself
+        ab[4:9] = grid._normal_band0
+        ab[8] += -lam_hat * w
         for d in range(1, 5):
-            K[4 + d, :n - d] = K[4 - d, d:]
+            ab[8 + d, :n - d] = ab[8 - d, d:]
+            ab[8 + d, n - d:] = 0.0
         au = np.abs(u)
-        K[4] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
-                     + (p - 1.0) * nonneg_power(au, p - 2.0))
+        ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+                      + (p - 1.0) * nonneg_power(au, p - 2.0))
         wu = w * u
+        rhs[:, 0] = -w * g_proj
+        rhs[:, 1] = wu
         try:
-            xy = solve_banded((4, 4), K, np.column_stack((-w * g_proj, wu)))
+            gbsv(4, 4, ab, rhs)
         except (np.linalg.LinAlgError, ValueError):
-            # singular K, or a non-finite entry (ValueError from check_finite)
+            # singular K, or a non-finite entry
             return None, steps - 1
-        x, y = xy[:, 0], xy[:, 1]
+        x, y = rhs[:, 0], rhs[:, 1]
         cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
         mass = _wdot(grid, cand, cand)
         if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
             return None, steps
         cand *= math.sqrt(c / mass)
         try:
-            b = norm_bundle(params, RadialField(grid, cand))
+            fld = RadialField(grid, cand)
+            b = norm_bundle(params, fld)
         except DomainError:
             return None, steps
-        u, prev = cand, gnorm
-        g_proj, lam_hat, gnorm, qres = _residuals(params, grid, c, u, b)
+        prev = gnorm
+        g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
         if gnorm <= config.grad_tol and qres <= config.q_tol:
             if (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
                     and b.bend < bend_cap):
-                return (u, b), steps
+                return (fld, b), steps
             return None, steps
         if steps > 2 and not gnorm <= 0.5 * prev:
             return None, steps
@@ -346,16 +392,17 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
     Preconditioned descent, finished by bordered Newton steps from the loose
-    point. Raises ConvergenceError if the residuals are not met within
-    MAX_ITER iterations, the line search dies, the descent stalls, or the bend
-    safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps.
+    point. Raises ConvergenceError if the seed loop fails (kind seed), the
+    residuals are not met within MAX_ITER iterations (budget), the line
+    search dies (line-search), the descent stalls (stall), the bend
+    safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
+    (safeguard), or the converged state breaks mass, bend or energy
+    (invariant).
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]
     # seed rejects a mass outside (0, c0) and a grid of another dimension
     fld, b = seed(params, thresholds, c, grid)
-    u = fld.values
-    del fld     # the seed's array is freed once the iterate moves on
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
     J = energy(params, b)
     tau = STEP0
@@ -370,20 +417,21 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
 
     max_iter = MAX_ITER
     for iters in range(1, max_iter + 1):
-        res = _residuals(params, grid, c, u, b)
+        res = _residuals(params, c, fld, b)
         g_proj, lam_hat, gnorm, qres = res
         if gnorm <= config.grad_tol and qres <= config.q_tol:
             break
         if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
-            # hand (u, b) to Newton once; its solves count as iterations
+            # hand (fld, b) to Newton once; its solves count as iterations
             loose = False
-            done, steps = _newton_finish(params, grid, c, u, b, res, config,
+            done, steps = _newton_finish(params, c, fld, b, res, config,
                                          bend_cap)
             solves += steps
             if done is not None:
-                u, b = done
+                fld, b = done
                 J = energy(params, b)
                 break
+        u = fld.values
 
         a_new = max(abs(lam_hat), 1e-12)
         if factor is None or not (0.5 < a_new / a_shift < 2.0):
@@ -399,7 +447,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         for _ in range(60):
             cand = u + tau * d
             cand *= math.sqrt(c / _wdot(grid, cand, cand))
-            b2 = norm_bundle(params, RadialField(grid, cand))
+            fld2 = RadialField(grid, cand)
+            b2 = norm_bundle(params, fld2)
             if b2.bend >= bend_cap:
                 n_safe += 1
                 tau *= SHRINK
@@ -410,6 +459,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
             tau *= SHRINK
         else:
             raise ConvergenceError(
+                "line-search",
                 f"line search failed at iteration {iters} "
                 f"(gnorm={gnorm:.3e}, q_residual={qres:.3e})")
 
@@ -426,6 +476,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
                 met = ("; the gradient criterion is met"
                        if gnorm <= config.grad_tol else "")
                 raise ConvergenceError(
+                    "stall",
                     f"stalled for {STALL_ITERS} steps at "
                     f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
                     f"(tolerances {config.grad_tol}, {config.q_tol})"
@@ -433,26 +484,31 @@ def minimize(params: LandscapeParams, grid: RadialGrid, c: float,
         else:
             stall = 0
             stall_safe = 0
-        u, b, J = cand, b2, J2
+        fld, b, J = fld2, b2, J2
     else:
         raise ConvergenceError(
+            "budget",
             f"no convergence in {max_iter} iterations "
             f"(gnorm={gnorm:.3e}, q_residual={qres:.3e})")
 
     if accepted and n_safe > SAFEGUARD_MAX_FRAC * accepted:
         raise ConvergenceError(
+            "safeguard",
             f"bend safeguard bound {n_safe} times over {accepted} accepted "
             "steps; constants look inconsistent with this mass")
 
     mass_err = abs(b.mass - c) / c
     if mass_err > 1e-8:
-        raise ConvergenceError(f"converged mass drifted: rel err {mass_err:.3e}")
+        raise ConvergenceError(
+            "invariant", f"converged mass drifted: rel err {mass_err:.3e}")
     if not (b.bend < rho0):
-        raise ConvergenceError(f"converged bend {b.bend} is not below rho0 {rho0}")
+        raise ConvergenceError(
+            "invariant", f"converged bend {b.bend} is not below rho0 {rho0}")
     if not (J < 0):
-        raise ConvergenceError(f"converged energy {J} is not negative")
+        raise ConvergenceError(
+            "invariant", f"converged energy {J} is not negative")
     return GroundState(
-        field=RadialField(grid, u), c=c, m=J,
+        field=fld, c=c, m=J,
         lam=lagrange_multiplier(params, b),
         q_residual=abs(pohozaev(params, b)) / b.bend,
         bend=b.bend, iters=solves + 1,
@@ -522,7 +578,8 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
             u = cand if improved else u
             return _quotient_gn(params, grid, q, u)
         u, F = cand, F2
-    raise ConvergenceError("quotient ascent did not settle in 500 steps")
+    raise ConvergenceError("gn-ascent",
+                           "quotient ascent did not settle in 500 steps")
 
 
 def estimate_sobolev_constant(params: LandscapeParams) -> float:
@@ -546,5 +603,6 @@ def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:
     b = norm_bundle(params, state.field)
     fa = analyze_fiber(params, b)
     if fa.s1 is None:
-        raise ConvergenceError("converged bundle has no fiber minimum")
+        raise ConvergenceError("no-fiber-minimum",
+                               "converged bundle has no fiber minimum")
     return abs(fa.s1 - 1.0)

@@ -468,6 +468,7 @@ class TestCliSolveAndFiber:
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
+        assert rec["fail_kind"] == "stall"
         msg = rec["message"]
         hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
                        r"gnorm=(\S+), q_residual=(\S+) "
@@ -488,6 +489,7 @@ class TestCliSolveAndFiber:
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
+        assert rec["fail_kind"] == "stall"
         msg = rec["message"]
         hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
                        r"gnorm=(\S+), q_residual=(\S+) ", msg)
@@ -580,6 +582,7 @@ class TestCliSweep:
         assert final["sub_homogeneity_violations"] == []
         assert not [key for key in final if key.startswith("boundary")]
         assert final["partial"] is False
+        assert "fail_kind" not in final
         on_disk = json.loads(Path(report).read_text())
         assert on_disk == final
 
@@ -592,8 +595,10 @@ class TestCliSweep:
         assert rc == 4
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
+        assert rec["fail_kind"] == "budget"
         on_disk = json.loads(Path(report).read_text())
         assert on_disk["partial"] is True
+        assert on_disk["fail_kind"] == "budget"
         assert on_disk["c"] == []
 
 

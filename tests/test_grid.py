@@ -209,6 +209,36 @@ class TestRadialField:
         with pytest.raises(dataclasses.FrozenInstanceError):
             fld.values = np.zeros(grid12.n)
 
+    def test_held_laplacian_is_lap_apply(self, grid12):
+        fld = gaussian(grid12)
+        assert np.array_equal(fld.lap, grid12.lap_apply(fld.values))
+        assert fld.lap.tobytes() == grid12.lap_apply(fld.values).tobytes()
+        assert fld.lap is fld.lap       # computed once, then held
+        assert np.array_equal(laplacian(fld).values, fld.lap)
+
+    def test_values_and_laplacian_are_read_only(self, grid12):
+        src = np.exp(-0.5 * grid12.nodes ** 2)
+        fld = RadialField(grid12, src)
+        for arr in (fld.values, fld.lap, laplacian(fld).values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[3] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        # the caller's own array stays writeable: values is a view of it
+        src[0] += 0.0
+        assert np.shares_memory(fld.values, src)
+
+    def test_nan_field_raises_before_any_laplacian(self, grid12, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grid_mod.RadialGrid, "lap_apply",
+                            lambda self, u: calls.append(u))
+        for bad in (np.nan, np.inf):
+            vals = np.exp(-0.5 * grid12.nodes ** 2)
+            vals[7] = bad
+            with pytest.raises(DomainError, match="finite"):
+                RadialField(grid12, vals)
+        assert calls == []
+
 
 class TestFieldCsv:
     @pytest.fixture()

@@ -4,7 +4,8 @@ commands' runs without scipy, on the scipy fallback and with no backend.
 bhgs._lapack calls pbtrf, pbtrs and gbsv in the OpenBLAS that numpy's wheel
 bundles. scipy.linalg is the reference: every kernel result must equal
 scipy's bit for bit, on the bands the solver factors and on the Newton
-matrices it solves.
+matrices it solves. gbsv works in place on the band in its own layout, so
+its factors are checked against scipy's dgbsv as well as its solution.
 """
 import ctypes
 import glob
@@ -27,31 +28,39 @@ from bhgs.minimizer import (SolverConfig, _newton_finish,  # noqa: E402
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
-KERNELS = ("cholesky_banded", "cho_solve_banded", "solve_banded")
+KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv")
 
 
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
     """(grid, K, [-W g, W u]) of the first Newton step of a solve at 0.5 c0,
-    as _newton_finish passed them to solve_banded."""
+    as _newton_finish passed them to gbsv: K is in gbsv's (13, n) layout,
+    with its fill-in rows, which gbsv does not read, zeroed here; both
+    arrays are Fortran-ordered."""
     grid = build_grid(5, request.param, 1000.0)
     seen = []
 
-    def capture(l_and_u, ab, b, *args):
-        seen.append((ab.copy(), b.copy()))
-        return orig(l_and_u, ab, b, *args)
+    def capture(kl, ku, ab, b):
+        K = ab.copy(order="F")
+        K[:kl] = 0.0
+        seen.append((K, b.copy(order="F")))
+        return orig(kl, ku, ab, b)
 
-    orig = minimizer.solve_banded
-    minimizer.solve_banded = capture
+    orig = minimizer.gbsv
+    minimizer.gbsv = capture
     try:
         minimizer.minimize(P53, grid, 0.5 * mass_threshold(P53)[1])
     finally:
-        minimizer.solve_banded = orig
+        minimizer.gbsv = orig
     return (grid,) + seen[0]
 
 
 def frozen(*arrays):
-    return [a.copy() for a in arrays]
+    return [a.copy(order="K") for a in arrays]
+
+
+def fortran(*arrays):
+    return [np.array(a, order="F") for a in arrays]
 
 
 def unchanged(before, *arrays):
@@ -95,27 +104,36 @@ def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
 
 
 def test_newton_solve_matches_scipy(newton_system):
+    # the solution equals scipy.linalg.solve_banded's on the 9-row band,
+    # and the factors gbsv leaves in the band equal scipy's dgbsv's
     _, K, rhs = newton_system
-    before = frozen(K, rhs)
-    for b in (rhs, rhs[:, 0], np.ascontiguousarray(rhs[:, 1])):
-        x = _lapack.solve_banded((4, 4), K, b)
-        want = sl.solve_banded((4, 4), K, b)
-        assert x.shape == want.shape and np.array_equal(x, want)
-    assert unchanged(before, K, rhs)
+    for b in (rhs, rhs[:, 0], rhs[:, 1]):
+        ab, x = fortran(K, b)
+        got = _lapack.gbsv(4, 4, ab, x)
+        want = sl.solve_banded((4, 4), K[4:], b)
+        assert got is x and x.shape == want.shape
+        assert np.array_equal(x, want)
+        lub, _, _, info = sl.lapack.dgbsv(4, 4, K, b)
+        assert info == 0 and np.array_equal(ab[4:], lub[4:])
 
 
 def test_fortran_ordered_inputs_are_not_written(newton_system):
     # a Fortran-ordered float64 input is exactly what LAPACK overwrites, so
-    # it must still be copied first
+    # the Cholesky kernels must still copy it first; gbsv instead
+    # overwrites its band with the LU factors and b with the solution
     grid, K, rhs = newton_system
-    ab, K, rhs = (np.asfortranarray(x) for x in
-                  (grid.normal_band(0.37), K, rhs))
+    ab, K, rhs = fortran(grid.normal_band(0.37), K, rhs)
     before = frozen(ab, K, rhs)
     cb = _lapack.cholesky_banded(ab)
     _lapack.cho_solve_banded((cb, False), rhs)
-    _lapack.solve_banded((4, 4), K, rhs)
     assert unchanged(before, ab, K, rhs)
     assert not np.shares_memory(cb, ab)
+    x = _lapack.gbsv(4, 4, K, rhs)
+    assert x is rhs
+    assert not np.array_equal(K[4:], before[1][4:])
+    assert not np.array_equal(rhs, before[2])
+    assert np.array_equal(rhs, sl.solve_banded((4, 4), before[1][4:],
+                                               before[2]))
 
 
 # ---------------------------------------------------------- error contract
@@ -128,7 +146,7 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
     cb = _lapack.cholesky_banded(ab)
 
     def planted(x, idx):
-        x = x.copy()
+        x = x.copy(order="K")
         x[idx] = bad
         return x
 
@@ -137,12 +155,19 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
         lambda: _lapack.cho_solve_banded((planted(cb, (3, 9)), False),
                                          rhs[:, 1]),
         lambda: _lapack.cho_solve_banded((cb, False), planted(rhs, (5, 0))),
-        lambda: _lapack.solve_banded((4, 4), planted(K, (6, 11)), rhs),
-        lambda: _lapack.solve_banded((4, 4), K, planted(rhs, (13, 1))),
+        lambda: _lapack.gbsv(4, 4, planted(K, (10, 11)), rhs.copy(order="F")),
+        lambda: _lapack.gbsv(4, 4, K.copy(order="F"), planted(rhs, (13, 1))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
             call()
+    # gbsv's first kl rows are workspace that LAPACK sets before use: what
+    # they hold, a non-finite value included, does not change the solution
+    for junk in (7.0, bad):
+        ws = K.copy(order="F")
+        ws[:4] = junk
+        x = _lapack.gbsv(4, 4, ws, rhs.copy(order="F"))
+        assert np.array_equal(x, sl.solve_banded((4, 4), K[4:], rhs))
 
 
 def test_band_that_is_not_positive_definite_raises(newton_system):
@@ -157,12 +182,12 @@ def test_band_that_is_not_positive_definite_raises(newton_system):
 
 def test_singular_newton_matrix_raises(newton_system):
     _, K, rhs = newton_system
-    K = K.copy()
+    K = K.copy(order="F")
     K[:, 100] = 0.0                  # column 100 of the matrix is zero
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _lapack.solve_banded((4, 4), K, rhs)
+        _lapack.gbsv(4, 4, K.copy(order="F"), rhs.copy(order="F"))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        sl.solve_banded((4, 4), K, rhs)
+        sl.solve_banded((4, 4), K[4:], rhs)
 
 
 def test_misshapen_input_is_rejected_before_lapack(newton_system):
@@ -170,11 +195,39 @@ def test_misshapen_input_is_rejected_before_lapack(newton_system):
     grid, K, rhs = newton_system
     cb = _lapack.cholesky_banded(grid.normal_band(0.37))
     with pytest.raises(ValueError):
-        _lapack.solve_banded((4, 3), K, rhs)
+        _lapack.gbsv(4, 3, K, rhs)
     with pytest.raises(ValueError):
-        _lapack.solve_banded((4, 4), K, rhs[1:])
+        _lapack.gbsv(4, 4, K, rhs[1:].copy(order="F"))
     with pytest.raises(ValueError):
         _lapack.cho_solve_banded((cb, False), rhs[1:])
+    # and gbsv takes only arrays it can overwrite as they stand
+    for ab, b in ((K, np.ascontiguousarray(rhs)), (np.ascontiguousarray(K), rhs),
+                  (K, rhs.astype(np.float32)), (K[:, :-1], rhs[:-1])):
+        before = frozen(ab, b)
+        with pytest.raises(ValueError):
+            _lapack.gbsv(4, 4, ab, b)
+        assert unchanged(before, ab, b)
+
+
+def test_scipy_fallback_gbsv_matches_in_place(newton_system, monkeypatch):
+    # the fallback through scipy.linalg.lapack.dgbsv leaves the same
+    # factors and solution, in the same arrays, and raises the same errors
+    _, K, rhs = newton_system
+    ab, b = fortran(K, rhs)
+    _lapack.gbsv(4, 4, ab, b)
+    monkeypatch.setattr(_lapack, "_dgbsv", sl.lapack.dgbsv, raising=False)
+    monkeypatch.setattr(_lapack, "_gbsv_info", _lapack._scipy_gbsv)
+    ab2, b2 = fortran(K, rhs)
+    assert _lapack.gbsv(4, 4, ab2, b2) is b2
+    assert np.array_equal(ab2[4:], ab[4:]) and np.array_equal(b2, b)
+    singular = K.copy(order="F")
+    singular[:, 100] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _lapack.gbsv(4, 4, singular, rhs.copy(order="F"))
+    bad = rhs.copy(order="F")
+    bad[13, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _lapack.gbsv(4, 4, K.copy(order="F"), bad)
 
 
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
@@ -183,18 +236,15 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     _, c0, rho0 = mass_threshold(P53)
     c = 0.5 * c0
     fld, b = minimizer.seed(P53, mass_threshold(P53), c, grid_solve)
-    u = fld.values
-    res = _residuals(P53, grid_solve, c, u, b)
-    orig = minimizer.solve_banded
+    res = _residuals(P53, c, fld, b)
+    orig = minimizer.gbsv
 
-    def planted(l_and_u, K, rhs):
-        K = K.copy()
-        K[4, 17] = np.nan
-        return orig(l_and_u, K, rhs)
+    def planted(kl, ku, ab, rhs):
+        ab[8, 17] = np.nan           # a diagonal entry of K
+        return orig(kl, ku, ab, rhs)
 
-    monkeypatch.setattr(minimizer, "solve_banded", planted)
-    done, steps = _newton_finish(P53, grid_solve, c, u, b, res,
-                                 SolverConfig(), rho0)
+    monkeypatch.setattr(minimizer, "gbsv", planted)
+    done, steps = _newton_finish(P53, c, fld, b, res, SolverConfig(), rho0)
     assert (done, steps) == (None, 0)
 
 

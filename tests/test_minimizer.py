@@ -1,7 +1,12 @@
+import ast
 import dataclasses
+import importlib.util
+import inspect
 import math
+import os
 import re
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from bhgs import (
     GroundState,
     LandscapeParams,
     RadialField,
+    RadialGrid,
     SolverConfig,
     build_grid,
     energy,
@@ -38,6 +44,50 @@ DEFAULT_M = "-0x1.7bbab4d239424p-22"
 DEFAULT_ITERS = 7
 
 
+# Bitwise pins, recorded before the field held its Laplacian and the Newton
+# band was built in gbsv's layout: (m.hex(), lam.hex(), iters) or the
+# failure kind, one draw per N at 0.1, 0.5 and 0.9 c0 on the benchmark's
+# domain grid (n = 2049, R = 1000), and three masses of N = 5, q = 3 on the
+# solve-fine grid (n = 8193, R = 1000). Any reordered sum moves some bit.
+PIN_DRAWS = [
+    ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
+      0.567948446104368),
+     [('-0x1.313a32929762ep-11', '-0x1.946586259a867p-8', 11),
+      ('-0x1.3f11cdeaf1af6p-8', '-0x1.52305e164d7bcp-7', 16),
+      'stall']),
+    ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
+      0.5397238160315453),
+     [('-0x1.62472eeb9f24ap-18', '-0x1.1474ebc669e15p-14', 8),
+      ('-0x1.0366a5eba9109p-13', '-0x1.43df6cac365e1p-12', 16),
+      ('-0x1.9a64e768759fdp-12', '-0x1.1ca9cb82bfacep-11', 16)]),
+    ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
+      0.6156253422462954),
+     ['stall',
+      'line-search',
+      'stall']),
+    ((8, 2.439367711724308, 2.1806933396881933, 0.8984868826434553,
+      1.2027766774176487),
+     [('-0x1.7e3b3302ca0dcp-18', '-0x1.ddac42f2a0be8p-11', 21),
+      ('-0x1.c0d89dc624d2ep-15', '-0x1.c0bca98530e33p-10', 20),
+      ('-0x1.fc973d30b5639p-14', '-0x1.1a7b51477bd50p-9', 25)]),
+    ((9, 2.818393206439386, 2.323430278063605, 0.8605015321594385,
+      0.6481974002195141),
+     ['seed',
+      'seed',
+      'seed']),
+    ((10, 2.289091679211648, 1.052281528926512, 1.7200122250850587,
+      1.4652307514352931),
+     [('-0x1.b1b278205529cp-21', '-0x1.471de913c4237p-10', 27),
+      ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 23),
+      'stall']),
+]
+PIN_FINE = [
+    (0.1, ('-0x1.5cee30b3d48c8p-27', '-0x1.846040ac315cdp-22', 10)),
+    (0.5, ('-0x1.d224875868f06p-22', '-0x1.9f122ce1c914cp-19', 8)),
+    (0.9, ('-0x1.cb4c560e10d40p-20', '-0x1.c66b103fc830cp-18', 10)),
+]
+
+
 @pytest.fixture(scope="module")
 def solved(p53, grid_solve, thresholds53):
     _, c0, _ = thresholds53
@@ -52,6 +102,32 @@ def solved06(p53, grid_solve):
 @pytest.fixture(scope="module")
 def gn_grid():
     return build_grid(5, 513, 20.0)
+
+
+@pytest.fixture(scope="module")
+def classify():
+    """bench/workloads.py's classify, which reads a failure kind from the
+    message text, loaded without writing bytecode next to it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    before = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = before
+    return mod.classify
+
+
+def outcome(params, grid, c):
+    """(m.hex(), lam.hex(), iters) of a solve, or its failure kind."""
+    try:
+        st = minimize(params, grid, c)
+    except ConvergenceError as exc:
+        return exc.kind
+    return (st.m.hex(), st.lam.hex(), st.iters)
 
 
 class TestSolverConfig:
@@ -195,7 +271,7 @@ class TestNewtonFinish:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(minimizer, "solve_banded", singular)
+        monkeypatch.setattr(minimizer, "gbsv", singular)
         _, c0, _ = thresholds53
         st = minimize(p53, grid_solve, 0.5 * c0)
         assert st.m.hex() == DESCENT_M
@@ -314,6 +390,128 @@ class TestBendSafeguard:
             minimize(p53, grid_solve, 0.6, cfg)
         assert str(err.value).startswith("stalled for")
         assert "safeguard" not in str(err.value)
+
+
+class TestBitwisePins:
+    @pytest.mark.parametrize("draw, want", PIN_DRAWS,
+                             ids=[f"N{d[0]}" for d, _ in PIN_DRAWS])
+    def test_domain_grid(self, draw, want):
+        N, q, mu, cgn, ssob = draw
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        c0 = mass_threshold(p)[1]
+        assert [outcome(p, grid, f * c0) for f in (0.1, 0.5, 0.9)] == want
+
+    def test_fine_grid(self, p53, thresholds53):
+        grid = build_grid(5, 8193, 1000.0)
+        _, c0, _ = thresholds53
+        got = [(f, outcome(p53, grid, f * c0)) for f, _ in PIN_FINE]
+        assert got == PIN_FINE
+
+
+class TestOneLaplacianPerField:
+    def test_minimize_applies_l_once_per_field(self, monkeypatch, p53,
+                                               thresholds53):
+        # every field minimize evaluates is bundled once, and its L u is
+        # computed there and only there: the gradient reads the held one
+        grid = build_grid(5, 2049, 1000.0)      # cold, so its seed family runs
+        applied, bundled, gradients = [], [], []
+        lap_apply = RadialGrid.lap_apply
+
+        def counting_lap(self, u):
+            applied.append(u.tobytes())
+            return lap_apply(self, u)
+
+        def counting(calls, fn):
+            def wrapper(params, fld):
+                calls.append(fld)
+                return fn(params, fld)
+            return wrapper
+
+        monkeypatch.setattr(RadialGrid, "lap_apply", counting_lap)
+        monkeypatch.setattr(minimizer, "norm_bundle",
+                            counting(bundled, minimizer.norm_bundle))
+        monkeypatch.setattr(minimizer, "l2_gradient",
+                            counting(gradients, minimizer.l2_gradient))
+        st = minimize(p53, grid, 0.5 * thresholds53[1])
+        assert len(gradients) >= st.iters
+        assert (len(applied), len(set(applied))) == (len(bundled),) * 2
+        assert {id(f) for f in gradients} <= {id(f) for f in bundled}
+
+
+class TestFailureKinds:
+    @staticmethod
+    def raise_sites(fn):
+        """(kind, message text) of each `raise ConvergenceError(kind, msg)`
+        in fn's source; an f-string's fields read as {}."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        sites = []
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", "") == "ConvergenceError"):
+                kind, msg = node.exc.args
+                parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+                sites.append((kind.value, "".join(
+                    p.value if isinstance(p, ast.Constant) else "{}"
+                    for p in parts)))
+        return sites
+
+    def test_every_minimize_raise_site_has_the_kind_classify_reads(
+            self, classify):
+        sites = (self.raise_sites(minimizer.seed)
+                 + self.raise_sites(minimizer.minimize))
+        assert len(sites) == 8
+        assert {k for k, _ in sites} == {"seed", "stall", "line-search",
+                                         "budget", "safeguard", "invariant"}
+        for kind, text in sites:
+            assert kind in minimizer.FAIL_KINDS
+            assert classify(text) == kind, text
+
+    def test_other_kinds_are_named(self):
+        kinds = [k for fn in (minimizer.estimate_gn_constant,
+                              minimizer.fiber_consistency)
+                 for k, _ in self.raise_sites(fn)]
+        assert kinds == ["gn-ascent", "no-fiber-minimum"]
+        assert set(minimizer.FAIL_KINDS) >= set(kinds)
+
+    @staticmethod
+    def misreported_mass(monkeypatch):
+        # every bundle reports its mass 1e-6 high; the descent and Newton
+        # never read it, the converged-state check does
+        bundle = minimizer.norm_bundle
+
+        def misreported(params, fld):
+            b = bundle(params, fld)
+            return dataclasses.replace(b, mass=b.mass * (1.0 + 1e-6))
+
+        monkeypatch.setattr(minimizer, "norm_bundle", misreported)
+
+    @pytest.mark.parametrize("kind", ["seed", "stall", "line-search",
+                                      "budget", "safeguard", "invariant"])
+    def test_raised_kind_is_the_one_classify_reads(
+            self, kind, monkeypatch, classify, p53, grid_solve, solved06):
+        p, c, cfg = p53, 0.5 * mass_threshold(p53)[1], SolverConfig()
+        if kind in ("seed", "stall"):
+            p = random_params(np.random.default_rng(
+                {"seed": 1, "stall": 3}[kind]))
+            c = 0.5 * mass_threshold(p)[1]
+        elif kind == "line-search":
+            N, q, mu, cgn, ssob = PIN_DRAWS[2][0]
+            p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+            c = 0.5 * mass_threshold(p)[1]
+        elif kind == "budget":
+            monkeypatch.setattr(minimizer, "MAX_ITER", 2)
+        elif kind == "safeguard":
+            TestBendSafeguard.cap_at(monkeypatch, p53, grid_solve, 0.93,
+                                     solved06.bend)
+            c, cfg = 0.6, TestBendSafeguard.LOOSE
+        else:
+            self.misreported_mass(monkeypatch)
+        grid = (grid_solve if p is p53 else build_grid(p.N, 2049, 1000.0))
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, grid, c, cfg)
+        assert err.value.kind == kind
+        assert classify(str(err.value)) == kind
 
 
 class TestScalingLaw:

@@ -49,6 +49,7 @@ def ref_seed(params, thresholds, c, grid):
             return fld, b
         s *= 0.5
     raise ConvergenceError(
+        "seed",
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
