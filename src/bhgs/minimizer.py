@@ -1,45 +1,65 @@
 """Constrained minimization inside the bend ball, plus the two constants:
 C_gn by a quotient ascent on a grid, S_sob in closed form.
 
-The solver runs projected gradient descent on the mass sphere with a
-renormalization retraction and Armijo backtracking. Raw descent is useless
-here: the bending term makes the gradient stiffness scale like h^{-4}, so
-steps are preconditioned by the banded SPD operator P = a W + L^T W L
-(Cholesky factored once per shift regime, a tracks |lambda|). The descent
-direction is the tangent projection of P^{-1} applied to the weighted
-gradient; energy still decreases strictly every accepted step.
-
 Two residuals gate convergence: the weighted norm of the projected gradient
 and |Q|/bend, at most the module constants GRAD_TOL and Q_TOL. Both are
 cheap and the second is the necessary condition the analysis itself
 provides.
 
-The descent converges linearly, and its tail is most of its cost, so it
-hands the iterate to a bordered Newton finish: Newton on (u, lambda) for
-grad J = lambda u on the mass sphere (Keller 1977), which converges
-quadratically near a constrained critical point. Each step is one banded
-LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
-sides, assembled in gbsv's own band layout in one work array that gbsv
-overwrites, so no step copies K or its right-hand sides. The hand-off
-happens once, at the loose point: the first iterate with gnorm <=
-LOOSE_GRAD sqrt(c) and q_residual <= LOOSE_Q. If Newton fails there, the
-descent resumes from the same iterate and state, so it ends where the
-descent alone would. STALL_ITERS accepted steps in a row without energy
-progress end the descent with a ConvergenceError.
+minimize tries Newton first (_newton_first). The unit Gaussian's bundle,
+scaled to mass c by the amplitude law, gives the minimum s1 of its fiber
+map, and bordered Newton on (u, lambda) for grad J = lambda u on the mass
+sphere (Keller 1977) starts from exp(-s1 r^2 / 2) at mass c on the grid.
+The ground state is a local minimum of J on the mass sphere, where the
+bordered system is nonsingular, and s1 lands inside Newton's basin. Each
+step is one banded LU of the Hessian K = L^T W L - lambda W - W f'(u) with
+two right-hand sides (_newton_step), assembled in gbsv's own band layout in
+one work array that gbsv overwrites, so no step copies K or its
+right-hand sides.
 
-Newton stops at the descent's own convergence test, and its result is kept
-only if its energy is not above the iterate it started from (up to
-NEWTON_J_SLACK bend) and its bend is below the safeguard cap.
+The try is skipped where the width s1^(-1/2) spans fewer than
+MIN_NODES_PER_WIDTH grid spacings: there the discrete Pohozaev floor, which
+falls like h^4, lies above Q_TOL. It takes at most FIRST_STEPS steps, and
+its result is kept once, after at least two steps, Deuflhard's
+a-posteriori error estimate |d_k|^3 / |d_(k-1)|^2 (d_k the k-th change of
+u in |.|_W / sqrt(c); Newton Methods for Nonlinear Problems, 2004) is at
+most FIRST_ERR_TOL, on top of GRAD_TOL, Q_TOL, the energy slack and the
+bend cap below. The absolute GRAD_TOL alone accepts two-step states whose
+lambda is off by some 3e-7.
 
-The seed halves the width parameter of a Gaussian until J < 0 and bend is
-below the cap. Its unnormalized trial profiles depend on the grid alone, so
-their masses and bundles are held on the grid, per q, and grown only as far
-as a call reaches (_SeedFamily). A trial whose held bundle, scaled to mass
-c, fails either condition is skipped, and the trial returned is always
-checked in full; seed's docstring says where this can differ from running
-every trial.
-The family lives and dies with its grid, like the grid's held band
-L^T W L, to which normal_band adds the preconditioner's shift.
+Where the try is skipped or fails, the fallback (_descend) runs bit for bit
+as without the try: the seed loop, then projected gradient descent on the
+mass sphere with a renormalization retraction and Armijo backtracking. Raw
+descent is useless here: the bending term makes the gradient stiffness
+scale like h^{-4}, so steps are preconditioned by the banded SPD operator
+P = a W + L^T W L (Cholesky factored once per shift regime, a tracks
+|lambda|). The descent direction is the tangent projection of P^{-1}
+applied to the weighted gradient; energy still decreases strictly every
+accepted step. The descent converges linearly, and its tail is most of its
+cost, so it hands the iterate to the same Newton steps once, at the loose
+point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
+LOOSE_Q. That finish takes at most NEWTON_STEPS steps and stops at the
+convergence test alone. If it fails, the descent resumes from the same
+iterate and state, so it ends where the descent alone would. STALL_ITERS
+accepted steps in a row without energy progress end the descent with a
+ConvergenceError.
+
+A Newton result, first or finish, is kept only if its energy is not above
+the iterate it started from (up to NEWTON_J_SLACK bend) and its bend is
+below the safeguard cap. GroundState.iters counts the linear solves of
+the path that returned the state, plus one: a failed try's solves are not
+counted, so a fallback solve reports the iters of the seed loop and the
+descent alone.
+
+The fallback's seed halves the width parameter of a Gaussian until J < 0
+and bend is below the cap. Its unnormalized trial profiles depend on the
+grid alone, so their masses and bundles are held on the grid, per q, and
+grown only as far as a call reaches (_SeedFamily). A trial whose held
+bundle, scaled to mass c, fails either condition is skipped, and the trial
+returned is always checked in full; seed's docstring says where this can
+differ from running every trial. The family lives and dies with its grid,
+like the grid's held band L^T W L, to which normal_band adds the
+preconditioner's shift.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -133,6 +153,14 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
+# Newton first: tried only where the fiber-minimum Gaussian's width
+# s1^(-1/2) spans at least MIN_NODES_PER_WIDTH grid spacings, for at most
+# FIRST_STEPS steps, and accepted only once the a-posteriori estimate of its
+# error in |.|_W / sqrt(c) is at most FIRST_ERR_TOL; read at call time
+MIN_NODES_PER_WIDTH = 24
+FIRST_STEPS = 4
+FIRST_ERR_TOL = 1e-10
+
 # Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
 # q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
 # and the energy slack, in units of bend, a Newton result may rise above the
@@ -153,12 +181,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class GroundState:
     field: RadialField
+    bundle: NormBundle     # the field's, which fiber_consistency reads
     c: float
     m: float
     lam: float             # serialized under the key "lambda"
     q_residual: float
     bend: float
-    iters: int             # linear solves (descent, then Newton) + 1
+    iters: int             # linear solves of the path taken + 1
     constraint_active: bool
 
 
@@ -191,12 +220,8 @@ def seed(params: LandscapeParams, thresholds, c: float,
     prediction may fail where the full trial passes, and seed returns a
     later trial, which still meets both conditions in full.
     """
-    _, c0, rho0 = thresholds
-    if not (0 < c < c0):
-        raise DomainError(f"mass must lie in (0, c0={c0}), got {c}")
-    if grid.dim != params.N:
-        raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
-    bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
+    _check_request(params, thresholds, c, grid)
+    bend_cap = thresholds[2] * (1.0 - SAFEGUARD_MARGIN)
     family = grid.seed_families.get(params.q)
     if family is None:
         family = grid.seed_families[params.q] = _SeedFamily()
@@ -216,16 +241,31 @@ def seed(params: LandscapeParams, thresholds, c: float,
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
-def _seed_profile(grid: RadialGrid, k: int) -> np.ndarray:
-    # s^{N/4} exp(-s r^2 / 2) at s = 2^-k; exp is taken only where its
-    # argument is at least -EXP_REACH (a prefix, as the nodes ascend), and
-    # the other nodes hold the +0 it would return
-    s = 0.5 ** k
+def _check_request(params: LandscapeParams, thresholds, c: float,
+                   grid: RadialGrid) -> None:
+    # a mass in (0, c0) and a grid of the params' dimension
+    c0 = thresholds[1]
+    if not (0 < c < c0):
+        raise DomainError(f"mass must lie in (0, c0={c0}), got {c}")
+    if grid.dim != params.N:
+        raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
+
+
+def _gaussian(grid: RadialGrid, s: float, amp: float = 1.0) -> np.ndarray:
+    # amp exp(-s r^2 / 2); exp is taken only where its argument is at least
+    # -EXP_REACH (a prefix, as the nodes ascend), and the other nodes hold
+    # the +0 it would return
     arg = -s * grid.nodes ** 2 / 2.0
     m = int(np.count_nonzero(arg >= -EXP_REACH))
     prof = np.zeros(grid.n)
-    prof[:m] = s ** (grid.dim / 4.0) * np.exp(arg[:m])
+    prof[:m] = amp * np.exp(arg[:m])
     return prof
+
+
+def _seed_profile(grid: RadialGrid, k: int) -> np.ndarray:
+    # s^{N/4} exp(-s r^2 / 2) at s = 2^-k
+    s = 0.5 ** k
+    return _gaussian(grid, s, s ** (grid.dim / 4.0))
 
 
 class _SeedFamily:
@@ -320,60 +360,87 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
     return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
 
 
-def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
-                   b: NormBundle, res, bend_cap: float):
-    """Bordered Newton steps in (u, lambda) from the mass-c iterate fld.
+def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
+                 g_proj: np.ndarray, lam_hat: float, ab: np.ndarray,
+                 rhs: np.ndarray):
+    """One bordered Newton step in (u, lambda) from the mass-c iterate fld:
+    the next iterate's values at mass c, or None where they are not finite.
 
-    Each step solves K x = -R and K y = W u in one banded LU, where
+    Solves K x = -R and K y = W u in one banded LU, where
     R = W (grad J - lambda_hat u) and K = L^T W L - lambda_hat W - W f'(u),
     then eliminates the multiplier update from the linearized mass
-    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c.
+    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c. gbsv's
+    errors (singular K, a non-finite entry) propagate.
+
+    K is assembled in place in gbsv's layout, K[i, j] at ab[8 + i - j, j],
+    from the grid's held band L^T W L, in the (13, n) work array ab that
+    gbsv overwrites with its factors; the two right-hand sides share the
+    (n, 2) array rhs that gbsv overwrites with the solutions. The caller
+    reuses both for every step.
+    """
+    grid = fld.grid
+    n, w = grid.n, grid.weights
+    q, p = params.q, params.p_crit
+    u = fld.values
+    # rows 4-8: the upper band and diagonal of L^T W L - lambda_hat W;
+    # rows 9-12: the lower band, mirrored, with the corners past the
+    # matrix zero; rows 0-3 are gbsv's fill-in, which it sets itself
+    ab[4:9] = grid._normal_band0
+    ab[8] += -lam_hat * w
+    for d in range(1, 5):
+        ab[8 + d, :n - d] = ab[8 - d, d:]
+        ab[8 + d, n - d:] = 0.0
+    au = np.abs(u)
+    ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+                  + (p - 1.0) * nonneg_power(au, p - 2.0))
+    wu = w * u
+    rhs[:, 0] = -w * g_proj
+    rhs[:, 1] = wu
+    gbsv(4, 4, ab, rhs)
+    x, y = rhs[:, 0], rhs[:, 1]
+    cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
+    mass = _wdot(grid, cand, cand)
+    if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
+        return None
+    cand *= math.sqrt(c / mass)
+    return cand
+
+
+def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
+                   b: NormBundle, res, bend_cap: float, first: bool = False):
+    """Bordered Newton steps (_newton_step) from the mass-c iterate fld.
+
     Returns ((fld, b), steps) once the descent's convergence test holds,
     the energy is at most NEWTON_J_SLACK bend above that of the starting
     iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
     singular or non-finite step, and when a step after the second fails to
     halve gnorm. steps counts the linear solves made.
 
-    K is assembled in place in gbsv's layout, K[i, j] at ab[8 + i - j, j],
-    from the grid's held band L^T W L, in one (13, n) work array that gbsv
-    overwrites with its factors; the two right-hand sides share one (n, 2)
-    array that gbsv overwrites with the solutions. Both are reused by every
-    step.
+    first is the Newton-first try: at most FIRST_STEPS steps, and the
+    convergence test also asks, from the second step on, that Deuflhard's
+    a-posteriori estimate of the iterate's error, |d_k|^3 / |d_(k-1)|^2
+    with d_k the k-th change of u in |.|_W / sqrt(c), be at most
+    FIRST_ERR_TOL.
     """
     grid = fld.grid
-    n, w = grid.n, grid.weights
-    q, p = params.q, params.p_crit
     J0 = energy(params, b)
     g_proj, lam_hat, gnorm, _ = res
-    ab = np.empty((13, n), order="F")
-    rhs = np.empty((n, 2), order="F")
-    for steps in range(1, NEWTON_STEPS + 1):
-        u = fld.values
-        # rows 4-8: the upper band and diagonal of L^T W L - lambda_hat W;
-        # rows 9-12: the lower band, mirrored, with the corners past the
-        # matrix zero; rows 0-3 are gbsv's fill-in, which it sets itself
-        ab[4:9] = grid._normal_band0
-        ab[8] += -lam_hat * w
-        for d in range(1, 5):
-            ab[8 + d, :n - d] = ab[8 - d, d:]
-            ab[8 + d, n - d:] = 0.0
-        au = np.abs(u)
-        ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
-                      + (p - 1.0) * nonneg_power(au, p - 2.0))
-        wu = w * u
-        rhs[:, 0] = -w * g_proj
-        rhs[:, 1] = wu
+    ab = np.empty((13, grid.n), order="F")
+    rhs = np.empty((grid.n, 2), order="F")
+    budget = FIRST_STEPS if first else NEWTON_STEPS
+    dnorm = 0.0
+    for steps in range(1, budget + 1):
         try:
-            gbsv(4, 4, ab, rhs)
+            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs)
         except (np.linalg.LinAlgError, ValueError):
             # singular K, or a non-finite entry
             return None, steps - 1
-        x, y = rhs[:, 0], rhs[:, 1]
-        cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
-        mass = _wdot(grid, cand, cand)
-        if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
+        if cand is None:
             return None, steps
-        cand *= math.sqrt(c / mass)
+        if first:
+            prev_d = dnorm
+            d = cand - fld.values
+            dnorm = math.sqrt(_wdot(grid, d, d) / c)
         try:
             fld = RadialField(grid, cand)
             b = norm_bundle(params, fld)
@@ -381,33 +448,103 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         prev = gnorm
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        if gnorm <= GRAD_TOL and qres <= Q_TOL:
+        # both iterates have mass c, so each |d| / sqrt(c) is at most 2
+        settled = not first or (steps > 1 and dnorm ** 3
+                                <= FIRST_ERR_TOL * prev_d ** 2)
+        if gnorm <= GRAD_TOL and qres <= Q_TOL and settled:
             if (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
                     and b.bend < bend_cap):
                 return (fld, b), steps
             return None, steps
         if steps > 2 and not gnorm <= 0.5 * prev:
             return None, steps
-    return None, NEWTON_STEPS
+    return None, budget
+
+
+def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
+                  bend_cap: float):
+    """Newton from the fiber-minimum Gaussian: ((fld, b), steps), or None
+    where the try is skipped or fails.
+
+    The unit Gaussian's bundle, scaled to mass c by the amplitude law, gives
+    the fiber minimum s1; the try starts from exp(-s1 r^2 / 2) at mass c on
+    the grid. It is skipped where that bundle has no fiber minimum, where
+    the width s1^(-1/2) spans fewer than MIN_NODES_PER_WIDTH grid spacings
+    (there the discrete Pohozaev floor, O(h^4), sits above Q_TOL), and
+    where the start fails J < 0 or bend < bend_cap.
+    """
+    try:
+        unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
+        s1 = analyze_fiber(params, NormBundle(*scaled_norms(
+            params, unit, c / unit.mass, 1.0))).s1
+    except (DomainError, OverflowError):
+        return None
+    if s1 is None or s1 ** -0.5 < MIN_NODES_PER_WIDTH * grid.h:
+        return None
+    prof = _gaussian(grid, s1)
+    prof *= math.sqrt(c / _wdot(grid, prof, prof))
+    fld = RadialField(grid, prof)
+    b = norm_bundle(params, fld)
+    if not (energy(params, b) < 0.0 and b.bend < bend_cap):
+        return None
+    done, steps = _newton_finish(params, c, fld, b,
+                                 _residuals(params, c, fld, b), bend_cap,
+                                 first=True)
+    return None if done is None else (done, steps)
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Preconditioned descent, finished by bordered Newton steps from the loose
-    point, until gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises
-    ConvergenceError if the seed loop fails (kind seed), the residuals are
-    not met within MAX_ITER iterations (budget), the line search dies
-    (line-search), the descent stalls (stall), the bend safeguard bound more
-    than SAFEGUARD_MAX_FRAC of accepted steps (safeguard), or the converged
-    state breaks mass, bend or energy (invariant).
+    Newton first, from the fiber-minimum Gaussian (_newton_first); where
+    that is skipped or fails, the seed loop and the preconditioned descent,
+    finished by bordered Newton steps from the loose point (_descend), until
+    gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
+    outside (0, c0) or a grid of another dimension, and ConvergenceError if
+    the seed loop fails (kind seed), the residuals are not met within
+    MAX_ITER iterations (budget), the line search dies (line-search), the
+    descent stalls (stall), the bend safeguard bound more than
+    SAFEGUARD_MAX_FRAC of accepted steps (safeguard), or the converged state
+    breaks mass, bend or energy (invariant). iters counts the linear solves
+    of the path that returned the state, plus one.
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]
-    # seed rejects a mass outside (0, c0) and a grid of another dimension
-    fld, b = seed(params, thresholds, c, grid)
+    _check_request(params, thresholds, c, grid)
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
+    first = _newton_first(params, grid, c, bend_cap)
+    if first is not None:
+        (fld, b), solves = first
+        n_safe = 0
+    else:
+        fld, b, solves, n_safe = _descend(params, grid, c, thresholds,
+                                          bend_cap)
+    J = energy(params, b)
+    mass_err = abs(b.mass - c) / c
+    if mass_err > 1e-8:
+        raise ConvergenceError(
+            "invariant", f"converged mass drifted: rel err {mass_err:.3e}")
+    if not (b.bend < rho0):
+        raise ConvergenceError(
+            "invariant", f"converged bend {b.bend} is not below rho0 {rho0}")
+    if not (J < 0):
+        raise ConvergenceError(
+            "invariant", f"converged energy {J} is not negative")
+    return GroundState(
+        field=fld, bundle=b, c=c, m=J,
+        lam=lagrange_multiplier(params, b),
+        q_residual=abs(pohozaev(params, b)) / b.bend,
+        bend=b.bend, iters=solves + 1,
+        constraint_active=n_safe > 0)
+
+
+def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
+             thresholds, bend_cap: float):
+    """The seed loop, then preconditioned descent with one Newton finish
+    from the loose point; returns (fld, b, linear solves, safeguard
+    rejections)."""
+    fld, b = seed(params, thresholds, c, grid)
     J = energy(params, b)
     tau = STEP0
     a_shift = None
@@ -432,7 +569,6 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
             solves += steps
             if done is not None:
                 fld, b = done
-                J = energy(params, b)
                 break
         u = fld.values
 
@@ -499,23 +635,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
             "safeguard",
             f"bend safeguard bound {n_safe} times over {accepted} accepted "
             "steps; constants look inconsistent with this mass")
-
-    mass_err = abs(b.mass - c) / c
-    if mass_err > 1e-8:
-        raise ConvergenceError(
-            "invariant", f"converged mass drifted: rel err {mass_err:.3e}")
-    if not (b.bend < rho0):
-        raise ConvergenceError(
-            "invariant", f"converged bend {b.bend} is not below rho0 {rho0}")
-    if not (J < 0):
-        raise ConvergenceError(
-            "invariant", f"converged energy {J} is not negative")
-    return GroundState(
-        field=fld, c=c, m=J,
-        lam=lagrange_multiplier(params, b),
-        q_residual=abs(pohozaev(params, b)) / b.bend,
-        bend=b.bend, iters=solves + 1,
-        constraint_active=n_safe > 0)
+    return fld, b, solves, n_safe
 
 
 def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
@@ -591,10 +711,9 @@ def estimate_sobolev_constant(params: LandscapeParams) -> float:
 
 
 def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:
-    """|s1 - 1| for the converged bundle; the minimizer sits at its own
+    """|s1 - 1| for the state's held bundle; the minimizer sits at its own
     fiber minimum, so this is a free end-to-end self-check."""
-    b = norm_bundle(params, state.field)
-    fa = analyze_fiber(params, b)
+    fa = analyze_fiber(params, state.bundle)
     if fa.s1 is None:
         raise ConvergenceError("no-fiber-minimum",
                                "converged bundle has no fiber minimum")

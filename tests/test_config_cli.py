@@ -589,6 +589,8 @@ class TestCliSweep:
     def test_nonconvergence_writes_partial_report(self, capsys, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
+        # the seed loop and the descent alone, on a budget of 2 iterations
+        monkeypatch.setattr(minimizer, "MIN_NODES_PER_WIDTH", math.inf)
         monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)

@@ -48,6 +48,9 @@ DEFAULT_ITERS = 7
 # failure kind, one draw per N at 0.1, 0.5 and 0.9 c0 on the benchmark's
 # domain grid (n = 2049, R = 1000), and three masses of N = 5, q = 3 on the
 # solve-fine grid (n = 8193, R = 1000). Any reordered sum moves some bit.
+# The ops Newton-first solves (N = 6 and the solve-fine grid) pin its
+# results; PIN_BEFORE_FIRST keeps their pins by the seed loop and the
+# descent, the path every other op still takes.
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
@@ -56,9 +59,9 @@ PIN_DRAWS = [
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f24ap-18', '-0x1.1474ebc669e15p-14', 8),
-      ('-0x1.0366a5eba9109p-13', '-0x1.43df6cac365e1p-12', 16),
-      ('-0x1.9a64e768759fdp-12', '-0x1.1ca9cb82bfacep-11', 16)]),
+     [('-0x1.62472eeb9f106p-18', '-0x1.1474ebc665aa2p-14', 4),
+      ('-0x1.0366a5eba90e2p-13', '-0x1.43df6cac1c9c2p-12', 4),
+      ('-0x1.9a64e76875a25p-12', '-0x1.1ca9cb82b5be7p-11', 4)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['stall',
@@ -81,10 +84,21 @@ PIN_DRAWS = [
       'stall']),
 ]
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d48c8p-27', '-0x1.846040ac315cdp-22', 10)),
-    (0.5, ('-0x1.d224875868f06p-22', '-0x1.9f122ce1c914cp-19', 8)),
-    (0.9, ('-0x1.cb4c560e10d40p-20', '-0x1.c66b103fc830cp-18', 10)),
+    (0.1, ('-0x1.5cee30b3d3748p-27', '-0x1.846040ac2a12dp-22', 4)),
+    (0.5, ('-0x1.d22487586878ap-22', '-0x1.9f122ce1a4fa4p-19', 4)),
+    (0.9, ('-0x1.cb4c560e0f916p-20', '-0x1.c66b103fc35c7p-18', 4)),
 ]
+# (draw N or "fine", c/c0) -> the pin before Newton-first
+PIN_BEFORE_FIRST = {
+    (6, 0.1): ('-0x1.62472eeb9f24ap-18', '-0x1.1474ebc669e15p-14', 8),
+    (6, 0.5): ('-0x1.0366a5eba9109p-13', '-0x1.43df6cac365e1p-12', 16),
+    (6, 0.9): ('-0x1.9a64e768759fdp-12', '-0x1.1ca9cb82bfacep-11', 16),
+    ("fine", 0.1): ('-0x1.5cee30b3d48c8p-27', '-0x1.846040ac315cdp-22', 10),
+    ("fine", 0.5): ('-0x1.d224875868f06p-22', '-0x1.9f122ce1c914cp-19', 8),
+    ("fine", 0.9): ('-0x1.cb4c560e10d40p-20', '-0x1.c66b103fc830cp-18', 10),
+}
+# c/c0 of the solve-fine masses the Newton-first tests solve
+FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +110,20 @@ def solved(p53, grid_solve, thresholds53):
 @pytest.fixture(scope="module")
 def solved06(p53, grid_solve):
     return minimize(p53, grid_solve, 0.6)
+
+
+@pytest.fixture(scope="module")
+def fallback06(p53, grid_solve):
+    # the default solve by the seed loop and the descent alone
+    with pytest.MonkeyPatch.context() as mp:
+        fallback_only(mp)
+        return minimize(p53, grid_solve, 0.6)
+
+
+def fallback_only(monkeypatch):
+    """Skip the Newton-first try: every solve takes the seed loop and the
+    descent."""
+    monkeypatch.setattr(minimizer, "MIN_NODES_PER_WIDTH", math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +226,12 @@ class TestMinimize:
         assert solved.lam == pytest.approx(lagrange_multiplier(p53, b), rel=1e-12)
         assert solved.bend == pytest.approx(b.bend, rel=1e-12)
 
+    def test_bundle_is_the_fields(self, p53, solved, fallback06):
+        # fiber_consistency reads the held bundle; it is bitwise the one
+        # the field gives, on the Newton-first path and on the fallback
+        for st in (solved, fallback06):
+            assert st.bundle == norm_bundle(p53, st.field)
+
     def test_energy_scale(self, solved):
         # anchored against an independent run of the same discretization
         assert solved.m == pytest.approx(-4.341292e-07, rel=1e-2)
@@ -237,6 +271,7 @@ class TestMinimize:
     def test_iteration_budget_raises(self, p53, grid_solve, thresholds53,
                                      monkeypatch):
         _, c0, _ = thresholds53
+        fallback_only(monkeypatch)
         monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError,
                            match="no convergence in 2 iterations"):
@@ -307,12 +342,13 @@ class TestNewtonFinish:
         return calls
 
     def test_default_solve_hands_off_once(self, monkeypatch, p53, grid_solve,
-                                          solved06):
+                                          fallback06):
+        fallback_only(monkeypatch)
         calls = self.count_finishes(monkeypatch)
         st = minimize(p53, grid_solve, 0.6)
         assert len(calls) == 1
         assert (st.m.hex(), st.iters) == (DEFAULT_M, DEFAULT_ITERS)
-        assert np.array_equal(st.field.values, solved06.field.values)
+        assert np.array_equal(st.field.values, fallback06.field.values)
 
     def test_stall_raises_without_another_newton_attempt(self, monkeypatch):
         # this draw reaches the loose point, Newton fails there, and the
@@ -366,13 +402,14 @@ class TestBendSafeguard:
 
     @pytest.mark.parametrize("frac", [0.3, 0.95])
     def test_stall_at_the_cap_counts_the_rejections(self, monkeypatch, p53,
-                                                    grid_solve, solved06,
+                                                    grid_solve, fallback06,
                                                     frac):
         # under the default tolerances a descent pinned at the cap stalls
         # before the safeguard check can run; the stall message still
         # starts with "stalled" and counts the safeguard's rejections,
         # during the stalled steps and over the run
-        self.cap_at(monkeypatch, p53, grid_solve, frac, solved06.bend)
+        fallback_only(monkeypatch)
+        self.cap_at(monkeypatch, p53, grid_solve, frac, fallback06.bend)
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.6)
         hit = re.fullmatch(
@@ -412,6 +449,129 @@ class TestBitwisePins:
         _, c0, _ = thresholds53
         got = [(f, outcome(p53, grid, f * c0)) for f, _ in PIN_FINE]
         assert got == PIN_FINE
+
+    def test_repins_keep_the_earlier_energy(self):
+        # each re-pinned m matches its pin before Newton-first to 1e-11
+        new = {(d[0], f): pin for d, pins in PIN_DRAWS
+               for f, pin in zip((0.1, 0.5, 0.9), pins)}
+        new.update({("fine", f): pin for f, pin in PIN_FINE})
+        for key, (m_old, _, _) in PIN_BEFORE_FIRST.items():
+            m_new = float.fromhex(new[key][0])
+            assert m_new == pytest.approx(float.fromhex(m_old), rel=1e-11)
+
+
+def pin_and_fine_ops():
+    """(params, grid, c) of every PIN_DRAWS op on the default grid and of
+    the FINE_FRACS masses on the solve-fine grid."""
+    ops = []
+    for (N, q, mu, cgn, ssob), _ in PIN_DRAWS:
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        c0 = mass_threshold(p)[1]
+        ops += [(p, grid, f * c0) for f in (0.1, 0.5, 0.9)]
+    p = LandscapeParams(N=5, q=3.0, mu=1.0)
+    grid = build_grid(5, 8193, 1000.0)
+    c0 = mass_threshold(p)[1]
+    return ops + [(p, grid, f * c0) for f in FINE_FRACS]
+
+
+def polished_lambda(params, c, fld, b, steps=2):
+    """lambda after `steps` more bordered Newton steps from the mass-c
+    field fld with bundle b."""
+    grid = fld.grid
+    ab = np.empty((13, grid.n), order="F")
+    rhs = np.empty((grid.n, 2), order="F")
+    for _ in range(steps):
+        g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld, b)
+        fld = RadialField(grid, minimizer._newton_step(
+            params, c, fld, g_proj, lam_hat, ab, rhs))
+        b = norm_bundle(params, fld)
+    return lagrange_multiplier(params, b)
+
+
+class TestNewtonFirst:
+    @pytest.fixture(scope="class")
+    def ops(self):
+        return pin_and_fine_ops()
+
+    @staticmethod
+    def first_results(ops):
+        """(params, c, ((fld, b), steps)) of each op Newton-first solves."""
+        out = []
+        for p, grid, c in ops:
+            cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
+            done = minimizer._newton_first(p, grid, c, cap)
+            if done is not None:
+                out.append((p, c, done))
+        return out
+
+    @staticmethod
+    def lambda_errors(results):
+        return [abs(lagrange_multiplier(p, b)
+                    / polished_lambda(p, c, fld, b) - 1.0)
+                for p, c, ((fld, b), _) in results]
+
+    def test_solves_every_op_the_fallback_solves(self, ops, monkeypatch):
+        # no op the seed loop and the descent solve is lost, and both land
+        # on the same m
+        got = []
+        for p, grid, c in ops:
+            try:
+                got.append(minimize(p, grid, c).m)
+            except ConvergenceError:
+                got.append(None)
+        fallback_only(monkeypatch)
+        solved = 0
+        for (p, grid, c), m in zip(ops, got):
+            try:
+                want = minimize(p, grid, c).m
+            except ConvergenceError:
+                continue
+            solved += 1
+            assert m == pytest.approx(want, rel=1e-11)
+        assert solved == 10 + len(FINE_FRACS)
+
+    def test_lambda_is_the_converged_one(self, ops):
+        errs = self.lambda_errors(self.first_results(ops))
+        assert len(errs) == 3 + len(FINE_FRACS)
+        assert max(errs) <= 1e-10
+
+    def test_absolute_tolerances_alone_accept_unconverged_lambda(
+            self, ops, monkeypatch):
+        # with the error estimate always met, the try stops on GRAD_TOL and
+        # Q_TOL after two steps, and lambda is off by some 3e-7
+        monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
+        results = self.first_results(ops)
+        assert [steps for _, _, (_, steps) in results] == [2] * len(results)
+        assert max(self.lambda_errors(results)) > 1e-10
+
+    def test_under_resolved_draw_goes_straight_to_seed(self, monkeypatch):
+        # the N = 5 draw's fiber-minimum width spans 14 to 17 grid spacings:
+        # no Newton step is taken before the seed loop
+        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[0]
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        events = []
+        real_gbsv, real_seed = minimizer.gbsv, minimizer.seed
+
+        def counting_gbsv(*args):
+            events.append("gbsv")
+            return real_gbsv(*args)
+
+        def counting_seed(*args):
+            events.append("seed")
+            return real_seed(*args)
+
+        monkeypatch.setattr(minimizer, "gbsv", counting_gbsv)
+        monkeypatch.setattr(minimizer, "seed", counting_seed)
+        c0 = mass_threshold(p)[1]
+        for f in (0.1, 0.5, 0.9):
+            events.clear()
+            try:
+                minimize(p, grid, f * c0)
+            except ConvergenceError:
+                pass
+            assert events[0] == "seed"
 
 
 class TestOneLaplacianPerField:
@@ -464,7 +624,8 @@ class TestFailureKinds:
     def test_every_minimize_raise_site_has_the_kind_classify_reads(
             self, classify):
         sites = (self.raise_sites(minimizer.seed)
-                 + self.raise_sites(minimizer.minimize))
+                 + self.raise_sites(minimizer.minimize)
+                 + self.raise_sites(minimizer._descend))
         assert len(sites) == 8
         assert {k for k, _ in sites} == {"seed", "stall", "line-search",
                                          "budget", "safeguard", "invariant"}
@@ -505,6 +666,7 @@ class TestFailureKinds:
             p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
             c = 0.5 * mass_threshold(p)[1]
         elif kind == "budget":
+            fallback_only(monkeypatch)
             monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         elif kind == "safeguard":
             TestBendSafeguard.cap_at(monkeypatch, p53, grid_solve, 0.93,
@@ -542,7 +704,7 @@ class TestFiberConsistency:
         vals = 100.0 * np.exp(-0.5 * grid30.nodes ** 2)
         fld = RadialField(grid30, vals)
         b = norm_bundle(p53, fld)
-        fake = GroundState(field=fld, c=b.mass, m=0.0, lam=0.0,
+        fake = GroundState(field=fld, bundle=b, c=b.mass, m=0.0, lam=0.0,
                            q_residual=1.0, bend=b.bend, iters=0,
                            constraint_active=False)
         with pytest.raises(ConvergenceError, match="no fiber minimum"):

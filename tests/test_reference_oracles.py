@@ -276,6 +276,11 @@ for n in names:
 p = LandscapeParams(N=5, q=3.0, mu=1.0)
 grid = build_grid(5, 2049, 1000.0)
 c = 0.5 * mass_threshold(p)[1]
+first = minimizer.minimize(p, grid, c)
+first_calls = dict(calls)
+calls.update(dict.fromkeys(names, 0))
+# the seed loop and the descent alone
+minimizer.MIN_NODES_PER_WIDTH = float("inf")
 traced = minimizer.minimize(p, grid, c)
 solve_calls = dict(calls)
 calls.update(dict.fromkeys(names, 0))
@@ -291,6 +296,7 @@ same = (np.array_equal(traced.field.values, plain.field.values)
                           "constraint_active")))
 print(json.dumps({"resolved": resolved, "linalg_before": linalg_before,
                   "iters": traced.iters, "solve_calls": solve_calls,
+                  "first_iters": first.iters, "first_calls": first_calls,
                   "gn_calls": gn_calls, "same": same}))
 """
 
@@ -305,6 +311,9 @@ def test_banded_kernels_are_traceable_before_any_solve():
     assert calls["cho_solve_banded"] + calls["gbsv"] == out["iters"] - 1
     assert calls["gbsv"] >= 1
     assert calls["cholesky_banded"] >= 1
+    # Newton-first: one banded LU per iteration but the last, no descent
+    assert out["first_calls"]["gbsv"] == out["first_iters"] - 1
+    assert out["first_calls"]["cho_solve_banded"] == 0
     assert out["gn_calls"]["cholesky_banded"] >= 1
     assert out["gn_calls"]["cho_solve_banded"] >= 1
     assert out["same"] is True
