@@ -10,6 +10,10 @@ report a failed sweep writes. Tables are plain CSV files.
 Exit codes: 0 success, 2 configuration or installation error, 3 domain
 error (inadmissible parameters or masses), 4 numerical non-convergence, 5
 verification failure.
+
+Each command imports what it uses when it runs: numpy, the grid, the
+functionals, the fiber map and the minimizer are imported inside the
+commands, so `constants` in synthetic mode loads none of them.
 """
 from __future__ import annotations
 
@@ -18,16 +22,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .config import ConfigError, load_config, resolve_params, sweep_masses
-from .fiber import analyze_fiber, psi, psi_prime, xi
-from .functionals import energy, norm_bundle, rescale_bundle
-from .grid import load_field, save_field
-from .landscape import (DomainError, derive_exponents, f_landscape,
-                        mass_threshold, rho_star)
-from .minimizer import (ConvergenceError, KernelsUnavailable,
-                        fiber_consistency, minimize)
+from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
+                        derive_exponents, f_landscape, mass_threshold,
+                        rho_star)
 
 __all__ = ["main", "evaluate_sweep_flags"]
 
@@ -115,14 +113,19 @@ def evaluate_sweep_flags(c_values, m_values) -> dict:
 def _boundary_scan(params, grid, c: float, rho0: float, count: int,
                    seed: int) -> tuple[int, float, float]:
     """(positives, min J, analytic bound) over random fields rescaled to
-    mass c and bend rho0. The rescale acts on the norm bundle through the
-    exact amplitude/dilation laws (rescale_bundle), so no field is rescaled."""
-    from . import verify as verify_mod     # only landscape and verify load it
-    rng = np.random.default_rng(seed)
+    mass c and bend rho0. The count bump fields are drawn as one block and
+    bundled together (verify._bump_block, functionals._block_bundles), bit
+    for bit as one bump_field and norm_bundle each; the rescale acts on the
+    bundles through the exact amplitude/dilation laws (rescale_bundle), so
+    no field is rescaled."""
+    import numpy as np
+
+    from .functionals import _block_bundles, energy, rescale_bundle
+    from .verify import _bump_block      # only landscape and verify load it
+    lo, block = _bump_block(grid, np.random.default_rng(seed), count)
     min_j = math.inf
     positives = 0
-    for _ in range(count):
-        b = norm_bundle(params, verify_mod.bump_field(grid, rng))
+    for b in _block_bundles(params, grid, lo, block):
         j = energy(params, rescale_bundle(params, b, c, rho0))
         min_j = min(min_j, j)
         if j > 0:
@@ -149,6 +152,7 @@ def _cmd_constants(args, cfg, params) -> int:
 
 
 def _cmd_landscape(args, cfg, params) -> int:
+    import numpy as np
     M, c0, rho0 = mass_threshold(params)
     cs = sweep_masses(cfg, c0)
     count = 100                 # random fields per mass
@@ -196,6 +200,8 @@ def _cmd_solve(args, cfg, params) -> int:
     if c <= 0:
         return _fail("domain-error", f"mass must be positive, got {c}",
                      EXIT_DOMAIN)
+    from .grid import save_field
+    from .minimizer import fiber_consistency, minimize
     grid = cfg.solve_grid()
     state = minimize(params, grid, c)
     out = args.out or f"ground_state_c{c:.6g}.csv"
@@ -213,6 +219,7 @@ def _cmd_solve(args, cfg, params) -> int:
 
 
 def _cmd_sweep(args, cfg, params) -> int:
+    from .minimizer import minimize
     M, c0, rho0 = mass_threshold(params)
     cs = [float(c) for c in sweep_masses(cfg, c0)]
     grid = cfg.solve_grid()
@@ -261,6 +268,11 @@ def _cmd_sweep(args, cfg, params) -> int:
 
 
 def _cmd_fiber(args, cfg, params) -> int:
+    import numpy as np
+
+    from .fiber import analyze_fiber, psi, psi_prime, xi
+    from .functionals import norm_bundle
+    from .grid import load_field
     if args.points < 1:
         raise ConfigError("config-value",
                           f"--points must be >= 1, got {args.points}")

@@ -15,7 +15,9 @@ LandscapeParams a command works with, estimating C_gn and taking the sharp
 S_sob in estimated mode. Numeric validation that encodes the admissible
 parameter ranges lives in the domain types themselves (LandscapeParams,
 build_grid); this module only parses, applies precedence, and rejects
-unknown keys.
+unknown keys. numpy, the grid and the minimizer are imported by the
+functions that use them, so loading a config and resolving synthetic
+constants import none of them.
 """
 from __future__ import annotations
 
@@ -23,11 +25,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grid import RadialGrid, build_grid
 from .landscape import LandscapeParams
-from .minimizer import estimate_gn_constant, estimate_sobolev_constant
 
 __all__ = ["ConfigError", "Config", "load_config", "resolve_params",
            "sweep_masses", "DEFAULTS", "ENV_PREFIX"]
@@ -93,7 +91,9 @@ class Config:
                 f"[constants] mode must be synthetic or estimated, got {mode!r}")
         return mode
 
-    def solve_grid(self) -> RadialGrid:
+    def solve_grid(self):
+        """The [grid] mesh for the [problem] dimension, a RadialGrid."""
+        from .grid import build_grid
         return build_grid(self.get_int("problem", "n"),
                           self.get_int("grid", "n"),
                           self.get_float("grid", "r_max"))
@@ -149,14 +149,18 @@ def resolve_params(cfg: Config) -> LandscapeParams:
     if cfg.constants_mode == "synthetic":
         return cfg.problem(cfg.get_float("constants", "c_gn"),
                            cfg.get_float("constants", "s_sob"))
+    from .grid import build_grid
+    from .minimizer import estimate_gn_constant, estimate_sobolev_constant
     probe = cfg.problem()
     return cfg.problem(
         estimate_gn_constant(probe, build_grid(probe.N, *GN_GRID)),
         estimate_sobolev_constant(probe))
 
 
-def sweep_masses(cfg: Config, c0: float) -> np.ndarray:
-    """Ascending mass grid: the c_grid fractions of c0, distinct and finite."""
+def sweep_masses(cfg: Config, c0: float):
+    """Ascending mass grid, a numpy array: the c_grid fractions of c0,
+    distinct and finite."""
+    import numpy as np
     try:
         fracs = sorted(float(tok) for tok in
                        cfg.get_str("sweep", "c_grid").split(","))

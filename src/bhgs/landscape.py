@@ -3,11 +3,18 @@
 Everything here is scalar arithmetic on problem parameters: the exponent set,
 the landscape lower-bound function f(c, rho), its maximizer rho_star, and the
 mass threshold c0 below which the local minimization region exists. No grids,
-no fields.
+no fields. f_landscape also takes an array of rho, which the comparison
+lemma's segment uses; only that path imports numpy.
+
+The package's three error types live here too, so that the front end can
+catch them without importing numpy: DomainError, ConvergenceError (the
+minimizer's, which bhgs.minimizer re-exports with FAIL_KINDS) and
+KernelsUnavailable (no LAPACK band kernels).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +32,22 @@ __all__ = [
 
 class DomainError(ValueError):
     """Parameter or argument outside the problem's admissible range."""
+
+
+class ConvergenceError(RuntimeError):
+    """Iteration budget exhausted or invariants unattainable at this setup.
+
+    kind names the failure for machines, one of minimizer.FAIL_KINDS; the
+    message is for people and keeps its wording.
+    """
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+class KernelsUnavailable(RuntimeError):
+    """Neither numpy's bundled LAPACK nor scipy.linalg can be loaded."""
 
 
 @dataclass(frozen=True)
@@ -112,29 +135,41 @@ def _exp_total(x: float) -> float:
         return math.inf
 
 
-def _terms(params: LandscapeParams, c: float, rho: float):
+def _terms(params: LandscapeParams, c: float, rho):
     """The two subtracted terms of f, evaluated in log space.
 
     Mixing alpha2 = 4/(N-4) with extreme rho under- or overflows a direct
     power; exp of the assembled logarithm avoids intermediate blowup, and
-    values past float range saturate to inf.
+    values past float range saturate to inf. A real rho takes math's log
+    and exp; an array of rho takes numpy's, elementwise, in the same order.
     """
     es = params._exponents
     log_sub, log_crit = params._log_coefs
-    log_rho = math.log(rho)
+    if isinstance(rho, numbers.Real):
+        log, exp = math.log, _exp_total
+    else:
+        import numpy as np
+        log = np.log
+
+        def exp(x):
+            with np.errstate(over="ignore"):
+                return np.exp(x)
+    log_rho = log(rho)
     t_sub = log_sub + es.alpha0 * log_rho + es.alpha1 * math.log(c)
     t_crit = log_crit + es.alpha2 * log_rho
-    return _exp_total(t_sub), _exp_total(t_crit)
+    return exp(t_sub), exp(t_crit)
 
 
-def f_landscape(params: LandscapeParams, c: float, rho: float) -> float:
+def f_landscape(params: LandscapeParams, c: float, rho):
     """f(c, rho) = 1/2 - (mu/q) C_gn^q rho^alpha0 c^alpha1
     - (S_sob^{4*}/4*) rho^alpha2.
 
     J(u) >= bend * f(mass, bend) whenever u's inequality quotients are below
-    the configured constants; f < 0 as rho -> 0+ and rho -> inf.
+    the configured constants; f < 0 as rho -> 0+ and rho -> inf. rho is a
+    real number, or a numpy array of them, for which f is an array.
     """
-    if c <= 0 or rho <= 0:
+    if c <= 0 or (rho <= 0 if isinstance(rho, numbers.Real)
+                  else (rho <= 0).any()):
         raise DomainError("c and rho must be positive")
     t_sub, t_crit = _terms(params, c, rho)
     return 0.5 - t_sub - t_crit
@@ -174,7 +209,8 @@ def mass_threshold(params: LandscapeParams):
 def comparison_check(params: LandscapeParams, c1: float, rho1: float,
                      c2: float) -> bool:
     """Monotone-comparison predicate: f(c2, .) >= f(c1, rho1) on the segment
-    rho in [(c2/c1) rho1, rho1], sampled at 1000 evenly spaced points.
+    rho in [(c2/c1) rho1, rho1], sampled at 1000 evenly spaced points
+    lo + (rho1 - lo) k / 999, lo = (c2/c1) rho1, all in one array.
 
     True for any valid parameters; exposed as a testable claim rather than
     assumed.
@@ -183,10 +219,9 @@ def comparison_check(params: LandscapeParams, c1: float, rho1: float,
         raise DomainError("c1 and rho1 must be positive")
     if not 0 < c2 <= c1:
         raise DomainError("need 0 < c2 <= c1")
+    import numpy as np
     ref = f_landscape(params, c1, rho1)
     lo = (c2 / c1) * rho1
-    for k in range(1000):
-        rho = lo + (rho1 - lo) * k / 999
-        if f_landscape(params, c2, rho) < ref - 1e-12 * max(1.0, abs(ref)):
-            return False
-    return True
+    rho = lo + (rho1 - lo) * np.arange(1000.0) / 999
+    return not (f_landscape(params, c2, rho)
+                < ref - 1e-12 * max(1.0, abs(ref))).any()

@@ -101,25 +101,13 @@ from .fiber import analyze_fiber
 from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
                           nonneg_power, norm_bundle, pohozaev, scaled_norms)
 from .grid import EXP_REACH, RadialField, RadialGrid
-from .landscape import (DomainError, LandscapeParams, derive_exponents,
-                        mass_threshold)
+from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
+                        LandscapeParams, derive_exponents, mass_threshold)
 
 __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
            "KernelsUnavailable", "seed",
            "minimize", "estimate_gn_constant", "estimate_sobolev_constant",
            "fiber_consistency"]
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted or invariants unattainable at this setup.
-
-    kind names the failure for machines, one of FAIL_KINDS; the message is
-    for people and keeps its wording.
-    """
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
 
 
 # the kinds a ConvergenceError carries: minimize's seed loop, descent stall,
@@ -128,10 +116,6 @@ class ConvergenceError(RuntimeError):
 # bundle without a fiber minimum
 FAIL_KINDS = ("seed", "stall", "line-search", "budget", "safeguard",
               "invariant", "gn-ascent", "no-fiber-minimum")
-
-
-class KernelsUnavailable(RuntimeError):
-    """Neither numpy's bundled LAPACK nor scipy.linalg can be loaded."""
 
 
 # fixed descent controls: initial step, line-search shrink/grow factors, the

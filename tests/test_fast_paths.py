@@ -7,7 +7,14 @@ reference:
   difference F(y) - F(x), against the search that evaluates F in 40-digit
   decimals at every point: they agree to 1e-12 relative;
 - bump_field evaluated on the whole grid, against the field evaluated on
-  each Gaussian's support only, bit for bit;
+  each Gaussian's support only, bit for bit, and so the rows of the
+  landscape scan's block of bump fields;
+- the landscape command's boundary scan, which draws and bundles each
+  mass's fields as one block, against one bump_field and norm_bundle per
+  field: stdout and both CSV tables byte for byte;
+- comparison_check, which evaluates its segment as one array, against the
+  loop of scalar f_landscape calls: the same abscissae bit for bit, and the
+  same verdict;
 - f_landscape and mass_threshold with every logarithm retaken per call,
   against the sums held on the params, bit for bit;
 - analyze_fiber with the bundle's logarithms retaken at every bisection
@@ -20,10 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhgs import (LandscapeParams, analyze_fiber, build_grid,
-                  derive_exponents, f_landscape, mass_threshold, rho_star)
-from bhgs import fiber, verify
-from bhgs.functionals import pohozaev_coefficient
+from bhgs import (LandscapeParams, RadialField, analyze_fiber, build_grid,
+                  comparison_check, derive_exponents, energy, f_landscape,
+                  mass_threshold, norm_bundle, rescale_bundle, rho_star)
+from bhgs import cli, fiber, landscape, verify
+from bhgs.functionals import _block_bundles, pohozaev_coefficient
 from bhgs.landscape import _exp_total
 from propstrat import bundle_st, params_st
 
@@ -82,6 +90,33 @@ def ref_bump_field(grid, rng):
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
         u += amp * np.exp(-((r - center) / width) ** 2)
     return u
+
+
+def ref_boundary_scan(params, grid, c, rho0, count, seed):
+    # one field at a time: draw, bundle, rescale onto the slice
+    rng = np.random.default_rng(seed)
+    min_j = math.inf
+    positives = 0
+    for _ in range(count):
+        b = norm_bundle(params, RadialField(grid, ref_bump_field(grid, rng)))
+        j = energy(params, rescale_bundle(params, b, c, rho0))
+        min_j = min(min_j, j)
+        if j > 0:
+            positives += 1
+    bound = rho0 * f_landscape(params, c, rho0)
+    return positives, min_j, bound
+
+
+def ref_comparison_check(params, c1, rho1, c2):
+    # one scalar call per abscissa, each through the module attribute
+    ref = landscape.f_landscape(params, c1, rho1)
+    lo = (c2 / c1) * rho1
+    for k in range(1000):
+        rho = lo + (rho1 - lo) * k / 999
+        if (landscape.f_landscape(params, c2, rho)
+                < ref - 1e-12 * max(1.0, abs(ref))):
+            return False
+    return True
 
 
 def ref_f_landscape(params, c, rho):
@@ -239,6 +274,160 @@ def test_bump_field_matches_the_full_grid_expression(n, r_max):
         assert got.tobytes() == want.tobytes()
     # both drew the same numbers from the stream
     assert rng.random() == ref_rng.random()
+
+
+# grids of the block tests: the solve grid, one where most supports reach
+# past R = 12, and the coarse R = 60 one of the landscape test
+BLOCK_GRIDS = [(5, 2049, 1000.0), (5, 1025, 12.0), (5, 257, 60.0),
+               (6, 2049, 1000.0), (9, 2049, 1000.0)]
+
+
+@pytest.mark.parametrize("dim,n,r_max", BLOCK_GRIDS)
+def test_bump_block_rows_match_the_full_grid_expression(dim, n, r_max):
+    grid = build_grid(dim, n, r_max)
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for count in (1, 7, 100):
+        lo, block = verify._bump_block(grid, rng, count)
+        m = block.shape[1]
+        assert block.shape == (count, m) and 0 <= lo and lo + m <= n
+        for row in block:
+            full = np.zeros(n)
+            full[lo:lo + m] = row
+            assert full.tobytes() == ref_bump_field(grid, ref_rng).tobytes()
+        # the two outermost block nodes at each end that are not the
+        # grid's end nodes are zero in every row
+        if lo > 0:
+            assert not block[:, :2].any()
+        if lo + m < n:
+            assert not block[:, -2:].any()
+    assert rng.random() == ref_rng.random()
+
+
+def assert_block_bundles_exact(params, grid, lo, block):
+    m = block.shape[1]
+    got = _block_bundles(params, grid, lo, block)
+    assert len(got) == len(block)
+    for row, b in zip(block, got):
+        full = np.zeros(grid.n)
+        full[lo:lo + m] = row
+        assert b == norm_bundle(params, RadialField(grid, full))
+
+
+@pytest.mark.parametrize("dim,n,r_max", BLOCK_GRIDS)
+def test_block_bundles_match_norm_bundle(dim, n, r_max):
+    grid = build_grid(dim, n, r_max)
+    params = LandscapeParams(N=dim, q=2.0 + 4.0 / dim)
+    rng = np.random.default_rng(43)
+    lo, block = verify._bump_block(grid, rng, 100)
+    assert_block_bundles_exact(params, grid, lo, block)
+    # dense rows, nonzero up to two zero nodes at each end that is not the
+    # grid's, at either end of the grid and inside it: the pairwise sums
+    # over a block and over the whole grid add in different orders
+    for lo, hi in [(0, 211), (3, 214), (n // 3, n // 3 + 97), (n - 150, n),
+                   (0, n)]:
+        block = rng.standard_normal((20, hi - lo))
+        if lo > 0:
+            block[:, :2] = 0.0
+        if hi < n:
+            block[:, -2:] = 0.0
+        assert_block_bundles_exact(params, grid, lo, block)
+
+
+LANDSCAPE_CONFIGS = {
+    "default": {},
+    "supports-reach-R": {"BHGS_GRID__R_MAX": "60", "BHGS_GRID__N": "257"},
+    "N6": {"BHGS_PROBLEM__N": "6"},
+    "N9": {"BHGS_PROBLEM__N": "9", "BHGS_PROBLEM__Q": "2.5"},
+}
+
+
+@pytest.mark.parametrize("config", list(LANDSCAPE_CONFIGS))
+def test_landscape_matches_the_one_field_scan(config, capsys, monkeypatch,
+                                              tmp_path):
+    for key, value in LANDSCAPE_CONFIGS[config].items():
+        monkeypatch.setenv(key, value)
+
+    def run():
+        assert cli.main(["landscape", "--out-dir", str(tmp_path)]) == 0
+        return (capsys.readouterr().out,
+                (tmp_path / "landscape_summary.csv").read_bytes(),
+                (tmp_path / "landscape_grid.csv").read_bytes())
+
+    got = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_boundary_scan", ref_boundary_scan)
+        want = run()
+    assert got == want
+    # every mass row of the summary is there
+    assert got[1].count(b"\n") == 2 + 8
+
+
+def comparison_draws(seed, count, theta=None):
+    # (params, c1, rho1, c2) as verify's comparison-lemma check draws them
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = verify.random_params(rng)
+        c1 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
+        rho1 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
+        th = theta if theta is not None else (
+            1.0 if i == 0 else float(rng.uniform(0.05, 1.0)))
+        yield p, c1, rho1, th * c1
+
+
+def test_comparison_check_agrees_on_the_verify_draws():
+    for p, c1, rho1, c2 in comparison_draws(1005, 20):
+        assert comparison_check(p, c1, rho1, c2) is True
+        assert ref_comparison_check(p, c1, rho1, c2) is True
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+def test_comparison_check_agrees_at_the_slack(monkeypatch, side):
+    # c2 a few ulps below c1, and f(c2, .) lowered by the slack 1e-12
+    # max(1, |ref|) times 1 + 1e-2 side: each draw misses or meets the
+    # tolerance by 1e-2 of it, and both evaluations must say which
+    f = landscape.f_landscape
+    for p, c1, rho1, c2 in comparison_draws(2024, 40, theta=1.0 - 1e-15):
+        slack = 1e-12 * max(1.0, abs(f(p, c1, rho1)))
+        shift = slack * (1.0 + 1e-2 * side)
+        with monkeypatch.context() as mp:
+            mp.setattr(landscape, "f_landscape",
+                       lambda params, c, rho: f(params, c, rho)
+                       - (shift if c == c2 else 0.0))
+            got = comparison_check(p, c1, rho1, c2)
+            want = ref_comparison_check(p, c1, rho1, c2)
+        assert got == want == (side < 0)
+
+
+def test_comparison_check_samples_the_scalar_abscissae(monkeypatch):
+    f = landscape.f_landscape
+    for p, c1, rho1, c2 in comparison_draws(1005, 20):
+        seen = []
+
+        def recording(params, c, rho):
+            if isinstance(rho, np.ndarray):
+                seen.append(np.array(rho, copy=True))
+            return f(params, c, rho)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(landscape, "f_landscape", recording)
+            comparison_check(p, c1, rho1, c2)
+        lo = (c2 / c1) * rho1
+        want = np.array([lo + (rho1 - lo) * k / 999 for k in range(1000)])
+        (got,) = seen
+        assert got.tobytes() == want.tobytes()
+
+
+def test_f_landscape_on_an_array_matches_the_scalar_calls(p53):
+    # numpy's log and exp against math's: within a few ulps, and the same
+    # saturation to -inf and rejection of rho <= 0
+    rho = np.geomspace(1e-30, 1e30, 601)
+    got = f_landscape(p53, 0.7, rho)
+    want = np.array([f_landscape(p53, 0.7, float(x)) for x in rho])
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    huge = f_landscape(p53, 0.7, np.array([1e300]))
+    assert huge[0] == f_landscape(p53, 0.7, 1e300) == -math.inf
+    with pytest.raises(landscape.DomainError):
+        f_landscape(p53, 0.7, np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------ landscape and fiber

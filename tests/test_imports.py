@@ -1,0 +1,98 @@
+"""The package namespace resolves on access and loads numpy only on use.
+
+`import bhgs` and the synthetic `constants` command import no numpy; every
+exported name is the defining submodule's object, read afresh on each
+access, so a rebinding of the submodule's attribute shows through the
+package.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bhgs
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
+
+
+def python(*args, **env_extra):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BHGS_")}
+    env.update(PYTHONPATH=SRC, **env_extra)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def imported(stderr):
+    # module names from -X importtime lines
+    return [line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
+def test_import_bhgs_loads_no_numpy():
+    proc = python("-c", "import sys, bhgs\n"
+                        "assert 'numpy' not in sys.modules\n"
+                        "print(sorted(m for m in sys.modules "
+                        "if m.startswith('bhgs')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['bhgs']"
+
+
+def test_constants_command_loads_no_numpy(tmp_path):
+    proc = python("-X", "importtime", "-m", "bhgs.cli", "constants")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["record"] == "constants"
+    names = imported(proc.stderr)
+    assert "bhgs.landscape" in names
+    assert [n for n in names if n.split(".")[0] == "numpy"] == []
+
+
+def test_estimated_constants_do_load_numpy():
+    # the check above can fail: the C_gn ascent runs on numpy
+    proc = python("-X", "importtime", "-m", "bhgs.cli", "constants",
+                  BHGS_CONSTANTS__MODE="estimated")
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" in imported(proc.stderr)
+
+
+@pytest.mark.parametrize("name", [n for n in bhgs.__all__
+                                  if n != "__version__"])
+def test_exports_are_the_submodule_objects(name):
+    obj = getattr(bhgs, name)
+    home = sys.modules[obj.__module__]
+    assert home.__name__.startswith("bhgs.")
+    assert getattr(home, name) is obj
+    # resolved, not held: the package namespace never gains the name
+    assert name not in vars(bhgs)
+
+
+def test_error_types_are_shared():
+    minimizer = importlib.import_module("bhgs.minimizer")
+    landscape = importlib.import_module("bhgs.landscape")
+    for name in ("ConvergenceError", "KernelsUnavailable", "DomainError"):
+        assert getattr(minimizer, name) is getattr(landscape, name)
+    assert bhgs.ConvergenceError is minimizer.ConvergenceError
+
+
+def test_rebinding_shows_through_the_package(monkeypatch):
+    minimizer = importlib.import_module("bhgs.minimizer")
+    orig = minimizer.minimize
+
+    def f(*args):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(minimizer, "minimize", f)
+    assert bhgs.minimize is f
+    monkeypatch.undo()
+    assert bhgs.minimize is orig
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bhgs.no_such_name
+    with pytest.raises(ImportError):
+        from bhgs import no_such_name  # noqa: F401
+    assert set(bhgs.__all__) <= set(dir(bhgs))
