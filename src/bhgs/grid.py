@@ -30,10 +30,17 @@ column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
 minimizer's preconditioner) are all computed by slicing this one array.
 
 Held per grid: the shift-free band L^T W L, to which normal_band adds a W
-(the minimizer's Newton step reads it directly), and the minimizer's seed
-families. Both are filled on first use and live and die with the grid
-instance (cached_property writes the instance __dict__, which a frozen
-dataclass allows); no module-level cache holds them.
+(the minimizer's Newton step reads it directly), the minimizer's seed
+families, and the nested grids, one per factor f, on every f-th node
+(RadialGrid.nested). All are filled on first use and live and die with the
+grid instance (cached_property writes the instance __dict__, which a frozen
+dataclass allows); no module-level cache holds them. A nested grid is
+built by build_grid, never inside it, and holds no reference back.
+RadialGrid.from_nested moves samples from a nested grid to the grid by
+4-point cubic interpolation, with the even extension through the origin
+and the zero extension past R that the Laplacian's band uses; the
+minimizer's Newton first starts from a nested grid's solution moved this
+way.
 
 Held per field: a RadialField's values are a read-only view, checked
 finite once when the field is made, and its L u (RadialField.lap) is
@@ -229,6 +236,50 @@ class RadialGrid:
         """The minimizer's seed families on this grid, by q, filled by
         minimizer.seed."""
         return {}
+
+    @cached_property
+    def _nested(self) -> dict:
+        # the nested grids by factor f, filled by nested
+        return {}
+
+    def nested(self, f: int) -> RadialGrid:
+        """The grid on every f-th node: same dim and R, (n - 1) / f + 1
+        nodes. Built by build_grid on first use and held per f; f must
+        divide n - 1."""
+        if f < 1 or (self.n - 1) % f:
+            raise DomainError(
+                f"factor {f} does not divide n - 1 = {self.n - 1}")
+        sub = self._nested.get(f)
+        if sub is None:
+            sub = self._nested[f] = build_grid(self.dim, (self.n - 1) // f + 1,
+                                               self.r_max)
+        return sub
+
+    def from_nested(self, v: np.ndarray, f: int) -> np.ndarray:
+        """Samples v on nested(f) moved to this grid by 4-point cubic
+        (Lagrange) interpolation in r.
+
+        The node at coarse position j + k/f, 0 <= k < f, reads coarse nodes
+        j-1..j+2, with v extended as lap_band extends fields: evenly through
+        the origin (v_{-1} = v_1) and by zero past R. Coarse nodes are
+        copied exactly; the rule is exact on cubics in r away from both
+        ends, and on 1 and r^2 away from R.
+        """
+        nc = (self.n - 1) // f + 1
+        t = np.arange(f) / f
+        lagrange = (-t * (t - 1.0) * (t - 2.0) / 6.0,
+                    (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                    -(t + 1.0) * t * (t - 2.0) / 2.0,
+                    (t + 1.0) * t * (t - 1.0) / 6.0)
+        padded = np.zeros(nc + 2)      # coarse nodes -1..nc
+        padded[0] = v[1]
+        padded[1:nc + 1] = v
+        out = np.zeros(self.n)
+        cells = out[:-1].reshape(nc - 1, f)     # cells[j, k]: node j f + k
+        for m, wm in enumerate(lagrange):
+            cells += padded[m:m + nc - 1, None] * wm
+        out[-1] = v[-1]
+        return out
 
 
 @dataclass(frozen=True)

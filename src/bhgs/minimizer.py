@@ -9,13 +9,12 @@ provides.
 minimize tries Newton first (_newton_first). The unit Gaussian's bundle,
 scaled to mass c by the amplitude law, gives the minimum s1 of its fiber
 map, and bordered Newton on (u, lambda) for grad J = lambda u on the mass
-sphere (Keller 1977) starts from exp(-s1 r^2 / 2) at mass c on the grid.
-The ground state is a local minimum of J on the mass sphere, where the
-bordered system is nonsingular, and s1 lands inside Newton's basin. Each
-step is one banded LU of the Hessian K = L^T W L - lambda W - W f'(u) with
-two right-hand sides (_newton_step), assembled in gbsv's own band layout in
-one work array that gbsv overwrites, so no step copies K or its
-right-hand sides.
+sphere (Keller 1977) starts from exp(-s1 r^2 / 2) at mass c. The ground
+state is a local minimum of J on the mass sphere, where the bordered system
+is nonsingular, and s1 lands inside Newton's basin. Each step is one banded
+LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
+sides (_newton_step), assembled in gbsv's own band layout in one work array
+that gbsv overwrites, so no step copies K or its right-hand sides.
 
 The try is skipped where the width s1^(-1/2) spans fewer than
 MIN_NODES_PER_WIDTH grid spacings: there the discrete Pohozaev floor, which
@@ -25,7 +24,21 @@ a-posteriori error estimate |d_k|^3 / |d_(k-1)|^2 (d_k the k-th change of
 u in |.|_W / sqrt(c); Newton Methods for Nonlinear Problems, 2004) is at
 most FIRST_ERR_TOL, on top of GRAD_TOL, Q_TOL, the energy slack and the
 bend cap below. The absolute GRAD_TOL alone accepts two-step states whose
-lambda is off by some 3e-7.
+lambda is off by some 3e-7. A try that has settled with gnorm <= GRAD_TOL
+but q_residual above Q_TOL ends there, as no later step can pass.
+
+Nested start (cascadic Newton; Deuflhard 2004, Hackbusch 1985): the
+Gaussian is 4% off the discrete solution, so from it the estimate first
+holds after three steps. Where the grid has a nested grid on every f-th
+node, f = MIN_COARSEN 2^k, with at least NESTED_MIN_NODES nodes and the
+width still spanning MIN_NODES_PER_WIDTH of its spacings (_nested_factor,
+the coarsest such f), the Gaussian starts bordered Newton there instead
+(_coarse_solve). Only the estimate stops that solve, at most FIRST_STEPS
+steps; its field, moved to the grid by 4-point cubic interpolation
+(RadialGrid.from_nested) and scaled to mass c, starts the try above, which
+then settles in two steps. A coarse step's LU costs at most 1/8 of a fine
+one's. A coarse start that fails J < 0 or the bend cap, or a coarse solve
+that does not settle, skips the try; no Gaussian start follows.
 
 Where the try is skipped or fails, the fallback (_descend) runs bit for bit
 as without the try: the seed loop, then projected gradient descent on the
@@ -47,9 +60,9 @@ ConvergenceError.
 A Newton result, first or finish, is kept only if its energy is not above
 the iterate it started from (up to NEWTON_J_SLACK bend) and its bend is
 below the safeguard cap. GroundState.iters counts the linear solves of
-the path that returned the state, plus one: a failed try's solves are not
-counted, so a fallback solve reports the iters of the seed loop and the
-descent alone.
+the path that returned the state, on every grid, plus one: a failed try's
+solves are not counted, so a fallback solve reports the iters of the seed
+loop and the descent alone.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
@@ -70,10 +83,11 @@ One evaluation per iterate: the descent and Newton carry the iterate as a
 RadialField, whose L u norm_bundle computes once and the field holds, so
 the residuals' gradient (l2_gradient) reuses it and the field's one
 finiteness check. Every trial field, accepted or not, goes through
-norm_bundle. The C_gn ascent does the same: its quotient's three norms
-are a bundle's subcrit, bend and mass, and its gradient's bending term
-reads the field's L u. Weighted sums are np.add.reduce, numpy's pairwise
-sum, the same as np.sum without its dispatch layer.
+norm_bundle. The C_gn ascent carries its fields the same way, but takes
+only its quotient's three norms, a bundle's mass, bend and subcrit summed
+as norm_bundle sums them, and not the critical norm; its gradient's
+bending term reads the field's L u. Weighted sums are np.add.reduce,
+numpy's pairwise sum, the same as np.sum without its dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
 seed, stall, line-search, budget, safeguard and invariant from minimize,
@@ -144,6 +158,14 @@ Q_TOL = 5e-7
 MIN_NODES_PER_WIDTH = 24
 FIRST_STEPS = 4
 FIRST_ERR_TOL = 1e-10
+
+# Newton first's nested start: the coarsest grid on every f-th node, f =
+# MIN_COARSEN 2^k, with at least NESTED_MIN_NODES nodes (build_grid's least
+# n) on which the width still spans MIN_NODES_PER_WIDTH spacings. From f = 8
+# on, a coarse step's LU costs at most 1/8 of a fine one's, so the coarse
+# solve costs less than the fine step it saves
+MIN_COARSEN = 8
+NESTED_MIN_NODES = 64
 
 # Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
 # q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
@@ -432,30 +454,105 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         prev = gnorm
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        # both iterates have mass c, so each |d| / sqrt(c) is at most 2
-        settled = not first or (steps > 1 and dnorm ** 3
-                                <= FIRST_ERR_TOL * prev_d ** 2)
-        if gnorm <= GRAD_TOL and qres <= Q_TOL and settled:
-            if (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
-                    and b.bend < bend_cap):
-                return (fld, b), steps
-            return None, steps
+        if gnorm <= GRAD_TOL and (not first or _settled(steps, dnorm, prev_d)):
+            if qres <= Q_TOL:
+                ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
+                      and b.bend < bend_cap)
+                return ((fld, b) if ok else None), steps
+            if first:
+                # settled above Q_TOL, on the grid's Pohozaev floor: no
+                # later step can pass
+                return None, steps
         if steps > 2 and not gnorm <= 0.5 * prev:
             return None, steps
     return None, budget
 
 
+def _settled(steps: int, dnorm: float, prev_d: float) -> bool:
+    # Deuflhard's estimate |d_k|^3 / |d_(k-1)|^2 at most FIRST_ERR_TOL, from
+    # the second step on; both iterates have mass c, so each |d| / sqrt(c)
+    # is at most 2
+    return steps > 1 and dnorm ** 3 <= FIRST_ERR_TOL * prev_d ** 2
+
+
+def _nested_factor(grid: RadialGrid, width: float):
+    """The coarsest f = MIN_COARSEN 2^k that divides n - 1, leaves at least
+    NESTED_MIN_NODES nodes and keeps width >= MIN_NODES_PER_WIDTH f h; None
+    where MIN_COARSEN itself fails."""
+    found = None
+    f = MIN_COARSEN
+    while ((grid.n - 1) % f == 0
+           and (grid.n - 1) // f + 1 >= NESTED_MIN_NODES
+           and width >= MIN_NODES_PER_WIDTH * f * grid.h):
+        found, f = f, 2 * f
+    return found
+
+
+def _start(params: LandscapeParams, grid: RadialGrid, c: float,
+           prof: np.ndarray, bend_cap: float):
+    # prof scaled to mass c on the grid, with its bundle, or None where it
+    # fails J < 0 or bend < bend_cap
+    prof *= math.sqrt(c / _wdot(grid, prof, prof))
+    fld = RadialField(grid, prof)
+    b = norm_bundle(params, fld)
+    if not (energy(params, b) < 0.0 and b.bend < bend_cap):
+        return None
+    return fld, b
+
+
+def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
+                  s1: float, bend_cap: float):
+    """Bordered Newton on a nested grid from exp(-s1 r^2 / 2) at mass c:
+    (values, steps) once Deuflhard's estimate is at most FIRST_ERR_TOL,
+    within FIRST_STEPS steps; otherwise None.
+
+    Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
+    the fine problem, and on the nested grid the Pohozaev floor may sit
+    above Q_TOL. The settled iterate is returned unbundled.
+    """
+    start = _start(params, coarse, c, _gaussian(coarse, s1), bend_cap)
+    if start is None:
+        return None
+    fld, b = start
+    ab = np.empty((13, coarse.n), order="F")
+    rhs = np.empty((coarse.n, 2), order="F")
+    dnorm = 0.0
+    for steps in range(1, FIRST_STEPS + 1):
+        g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
+        try:
+            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        if cand is None:
+            return None
+        prev_d = dnorm
+        d = cand - fld.values
+        dnorm = math.sqrt(_wdot(coarse, d, d) / c)
+        if _settled(steps, dnorm, prev_d):
+            return cand, steps
+        try:
+            fld = RadialField(coarse, cand)
+            b = norm_bundle(params, fld)
+        except DomainError:
+            return None
+    return None
+
+
 def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                   bend_cap: float):
     """Newton from the fiber-minimum Gaussian: ((fld, b), steps), or None
-    where the try is skipped or fails.
+    where the try is skipped or fails. steps counts the linear solves on
+    both grids.
 
     The unit Gaussian's bundle, scaled to mass c by the amplitude law, gives
-    the fiber minimum s1; the try starts from exp(-s1 r^2 / 2) at mass c on
-    the grid. It is skipped where that bundle has no fiber minimum, where
-    the width s1^(-1/2) spans fewer than MIN_NODES_PER_WIDTH grid spacings
-    (there the discrete Pohozaev floor, O(h^4), sits above Q_TOL), and
-    where the start fails J < 0 or bend < bend_cap.
+    the fiber minimum s1. Where a nested grid resolves the width s1^(-1/2)
+    (_nested_factor), the Newton steps start from the coarse solution
+    (_coarse_solve), moved to the grid by cubic interpolation and scaled to
+    mass c; elsewhere from exp(-s1 r^2 / 2) at mass c on the grid. The try
+    is skipped where the unit bundle has no fiber minimum, where the width
+    spans fewer than MIN_NODES_PER_WIDTH grid spacings (there the discrete
+    Pohozaev floor, O(h^4), sits above Q_TOL), where the coarse solve fails
+    or does not settle, and where a start fails J < 0 or bend < bend_cap.
     """
     try:
         unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
@@ -465,25 +562,36 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
         return None
     if s1 is None or s1 ** -0.5 < MIN_NODES_PER_WIDTH * grid.h:
         return None
-    prof = _gaussian(grid, s1)
-    prof *= math.sqrt(c / _wdot(grid, prof, prof))
-    fld = RadialField(grid, prof)
-    b = norm_bundle(params, fld)
-    if not (energy(params, b) < 0.0 and b.bend < bend_cap):
+    f = _nested_factor(grid, s1 ** -0.5)
+    if f is None:
+        coarse_steps, prof = 0, _gaussian(grid, s1)
+    else:
+        try:
+            solved = _coarse_solve(params, grid.nested(f), c, s1, bend_cap)
+        except DomainError:
+            return None
+        if solved is None:
+            return None
+        coarse, coarse_steps = solved
+        prof = grid.from_nested(coarse, f)
+    start = _start(params, grid, c, prof, bend_cap)
+    if start is None:
         return None
+    fld, b = start
     done, steps = _newton_finish(params, c, fld, b,
                                  _residuals(params, c, fld, b), bend_cap,
                                  first=True)
-    return None if done is None else (done, steps)
+    return None if done is None else (done, coarse_steps + steps)
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Newton first, from the fiber-minimum Gaussian (_newton_first); where
-    that is skipped or fails, the seed loop and the preconditioned descent,
-    finished by bordered Newton steps from the loose point (_descend), until
+    Newton first, from the fiber-minimum Gaussian or from its solve on a
+    nested grid (_newton_first); where that is skipped or fails, the seed
+    loop and the preconditioned descent, finished by bordered Newton steps
+    from the loose point (_descend), until
     gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
     outside (0, c0) or a grid of another dimension, and ConvergenceError if
     the seed loop fails (kind seed), the residuals are not met within
@@ -491,7 +599,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     descent stalls (stall), the bend safeguard bound more than
     SAFEGUARD_MAX_FRAC of accepted steps (safeguard), or the converged state
     breaks mass, bend or energy (invariant). iters counts the linear solves
-    of the path that returned the state, plus one.
+    of the path that returned the state, on every grid, plus one.
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]
@@ -632,8 +740,9 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
     constant: a grid estimate of the radial constant with no error bar. Its
     grid error has either sign; at N = 5, q = 2.32 it lies above the value
     on a grid of a quarter the spacing. Each field, trial or accepted,
-    costs one norm_bundle, whose subcrit, bend and mass are the quotient's
-    norms, and so one Laplacian, which the gradient reuses.
+    costs its three norms, summed as norm_bundle sums them (the critical
+    norm, which the quotient does not read, is not taken), and one
+    Laplacian, which the gradient reuses.
     """
     q = params.q
     beta = derive_exponents(params).beta
@@ -641,42 +750,48 @@ def estimate_gn_constant(params: LandscapeParams, grid: RadialGrid) -> float:
     factor = _banded_factor(grid, 1.0)
 
     def evaluate(vec: np.ndarray):
-        # the field, its bundle and the log of its quotient
+        # the field, its (mass, bend, subcrit) and the log of its quotient
         fld = RadialField(grid, vec)
-        b = norm_bundle(params, fld)
-        return fld, b, (math.log(b.subcrit) / q - beta * math.log(b.bend) / 2.0
-                        - (1.0 - beta) * math.log(b.mass) / 2.0)
+        u = fld.values
+        norms = (_wdot(grid, u, u), _wdot(grid, fld.lap, fld.lap),
+                 float(np.add.reduce(w * nonneg_power(np.abs(u), q))))
+        mass, bend, subcrit = norms
+        return fld, norms, (math.log(subcrit) / q
+                            - beta * math.log(bend) / 2.0
+                            - (1.0 - beta) * math.log(mass) / 2.0)
 
     u = np.exp(-grid.nodes ** 2 / 2.0)
     u /= math.sqrt(_wdot(grid, u, u))
-    fld, b, F = evaluate(u)
+    fld, norms, F = evaluate(u)
     tau = 1.0
     for _ in range(500):
         u = fld.values
-        grad = (np.sign(u) * nonneg_power(np.abs(u), q - 1.0) / b.subcrit
-                - beta * grid.lap_t_apply(w * fld.lap) / w / b.bend
-                - (1.0 - beta) * u / b.mass)
+        mass, bend, subcrit = norms
+        grad = (np.sign(u) * nonneg_power(np.abs(u), q - 1.0) / subcrit
+                - beta * grid.lap_t_apply(w * fld.lap) / w / bend
+                - (1.0 - beta) * u / mass)
         d = _precond_apply(factor, grid, grad)
         gnorm2 = _wdot(grid, grad, d)
         tau = min(tau * 1.5, 1e3)
         for _ in range(60):
             cand = u + tau * d
             cand /= math.sqrt(_wdot(grid, cand, cand))
-            fld2, b2, F2 = evaluate(cand)
+            fld2, norms2, F2 = evaluate(cand)
             if F2 > F + 1e-4 * tau * gnorm2:
                 break
             tau *= 0.5
         else:
             break               # no ascent step: settle at fld
         settled = F2 - F <= 1e-14 * max(1.0, abs(F))
-        fld, b, F = fld2, b2, F2
+        fld, norms, F = fld2, norms2, F2
         if settled:
             break
     else:
         raise ConvergenceError("gn-ascent",
                                "quotient ascent did not settle in 500 steps")
-    return b.subcrit ** (1.0 / q) / (b.bend ** (beta / 2.0)
-                                     * b.mass ** ((1.0 - beta) / 2.0))
+    mass, bend, subcrit = norms
+    return subcrit ** (1.0 / q) / (bend ** (beta / 2.0)
+                                   * mass ** ((1.0 - beta) / 2.0))
 
 
 def estimate_sobolev_constant(params: LandscapeParams) -> float:

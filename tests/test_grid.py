@@ -240,6 +240,68 @@ class TestRadialField:
         assert calls == []
 
 
+class TestNestedGrids:
+    @pytest.fixture()
+    def fine(self):
+        # h = 0.01 and R = 10.24: the nested grid for f = 8 has 129 nodes
+        return build_grid(5, 1025, 10.24)
+
+    def test_nested_grid_is_held_per_factor(self, fine):
+        sub = fine.nested(8)
+        assert (sub.dim, sub.n, sub.r_max) == (5, 129, fine.r_max)
+        assert fine.nested(8) is sub
+        assert fine.nested(16).n == 65
+        assert np.allclose(sub.nodes, fine.nodes[::8], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("f", [0, 3, 2048])
+    def test_factor_must_divide_n_minus_one(self, fine, f):
+        with pytest.raises(DomainError, match="does not divide"):
+            fine.nested(f)
+
+    @pytest.mark.parametrize("f", [2, 8, 16])
+    @pytest.mark.parametrize("profile", [
+        lambda r: np.ones_like(r),
+        lambda r: r * r,
+        lambda r: 2.0 - 0.7 * r + 0.3 * r * r - 0.05 * r ** 3,
+    ], ids=["one", "r2", "cubic"])
+    def test_exact_on_cubics_away_from_the_ends(self, fine, f, profile):
+        # the 4-point rule reads one coarse node before and two after each
+        # coarse cell: away from node 0 (where it reflects) and from R
+        # (where it reads zeros) a cubic is reproduced to rounding
+        got = fine.from_nested(profile(fine.nested(f).nodes), f)
+        want = profile(fine.nodes)
+        inner = slice(f, fine.n - 2 * f)
+        assert np.allclose(got[inner], want[inner], rtol=1e-12, atol=1e-12)
+
+    def test_coarse_nodes_are_copied_exactly(self, fine, rng):
+        v = rng.standard_normal(fine.nested(8).n)
+        assert np.array_equal(fine.from_nested(v, 8)[::8], v)
+
+    def test_even_at_the_origin(self, fine):
+        # v_{-1} = v_1 as in lap_band: the first cell reads coarse node 1
+        # twice, and r^2, being even, is exact there too
+        f = 8
+        sub = fine.nested(f)
+        got = fine.from_nested(sub.nodes ** 2, f)
+        assert np.allclose(got[:f], fine.nodes[:f] ** 2, rtol=0, atol=1e-15)
+        e1 = np.zeros(sub.n)
+        e1[1] = 1.0
+        t = np.arange(f) / f
+        reflected = -t * (t - 1.0) * (t - 2.0) / 6.0   # the weight of v_{-1}
+        direct = -(t + 1.0) * t * (t - 2.0) / 2.0      # the weight of v_1
+        assert np.allclose(fine.from_nested(e1, f)[:f], reflected + direct,
+                           rtol=0, atol=1e-15)
+
+    def test_zero_past_r(self, fine):
+        # a constant reads zeros past R: the last cell's nodes fall short
+        f = 8
+        got = fine.from_nested(np.ones(fine.nested(f).n), f)
+        t = np.arange(f) / f
+        want = 1.0 - (t + 1.0) * t * (t - 1.0) / 6.0
+        assert np.allclose(got[-f - 1:-1], want, rtol=0, atol=1e-15)
+        assert got[-1] == 1.0
+
+
 class TestFieldCsv:
     @pytest.fixture()
     def small(self):

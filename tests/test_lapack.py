@@ -32,17 +32,19 @@ KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv")
 
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
-    """(grid, K, [-W g, W u]) of the first Newton step of a solve at 0.5 c0,
-    as _newton_finish passed them to gbsv: K is in gbsv's (13, n) layout,
+    """(grid, K, [-W g, W u]) of the first Newton step on the grid itself of
+    a solve at 0.5 c0, as _newton_finish passed them to gbsv; steps on a
+    nested grid before it are passed over. K is in gbsv's (13, n) layout,
     with its fill-in rows, which gbsv does not read, zeroed here; both
     arrays are Fortran-ordered."""
     grid = build_grid(5, request.param, 1000.0)
     seen = []
 
     def capture(kl, ku, ab, b):
-        K = ab.copy(order="F")
-        K[:kl] = 0.0
-        seen.append((K, b.copy(order="F")))
+        if ab.shape[1] == grid.n:
+            K = ab.copy(order="F")
+            K[:kl] = 0.0
+            seen.append((K, b.copy(order="F")))
         return orig(kl, ku, ab, b)
 
     orig = minimizer.gbsv

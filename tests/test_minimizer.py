@@ -83,10 +83,12 @@ PIN_DRAWS = [
       ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 23),
       'stall']),
 ]
+# The solve-fine grid's pins are Newton-first's from its nested start: 3
+# solves on the nested grid and 2 on the grid itself.
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d3748p-27', '-0x1.846040ac2a12dp-22', 4)),
-    (0.5, ('-0x1.d22487586878ap-22', '-0x1.9f122ce1a4fa4p-19', 4)),
-    (0.9, ('-0x1.cb4c560e0f916p-20', '-0x1.c66b103fc35c7p-18', 4)),
+    (0.1, ('-0x1.5cee30b3d70f0p-27', '-0x1.846040ac2a7f1p-22', 6)),
+    (0.5, ('-0x1.d224875869df6p-22', '-0x1.9f122ce1a68adp-19', 6)),
+    (0.9, ('-0x1.cb4c560e0e146p-20', '-0x1.c66b103fc2686p-18', 6)),
 ]
 # (draw N or "fine", c/c0) -> the pin before Newton-first
 PIN_BEFORE_FIRST = {
@@ -539,11 +541,14 @@ class TestNewtonFirst:
     def test_absolute_tolerances_alone_accept_unconverged_lambda(
             self, ops, monkeypatch):
         # with the error estimate always met, the try stops on GRAD_TOL and
-        # Q_TOL after two steps, and lambda is off by some 3e-7
+        # Q_TOL after two steps, and from the Gaussian start (the N = 6
+        # draw) lambda is off by some 3e-7; the solve-fine ops' nested
+        # start adds the coarse solve's two steps
         monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
         results = self.first_results(ops)
-        assert [steps for _, _, (_, steps) in results] == [2] * len(results)
-        assert max(self.lambda_errors(results)) > 1e-10
+        assert [steps for _, _, (_, steps) in results] == (
+            [2] * 3 + [4] * len(FINE_FRACS))
+        assert min(self.lambda_errors(results[:3])) > 1e-10
 
     def test_under_resolved_draw_goes_straight_to_seed(self, monkeypatch):
         # the N = 5 draw's fiber-minimum width spans 14 to 17 grid spacings:
@@ -572,6 +577,85 @@ class TestNewtonFirst:
             except ConvergenceError:
                 pass
             assert events[0] == "seed"
+
+
+def count_gbsv(monkeypatch):
+    """Record the column count of every band gbsv solves."""
+    sizes = []
+    real = minimizer.gbsv
+
+    def counting(kl, ku, ab, b):
+        sizes.append(ab.shape[1])
+        return real(kl, ku, ab, b)
+
+    monkeypatch.setattr(minimizer, "gbsv", counting)
+    return sizes
+
+
+class TestNestedStart:
+    @pytest.mark.parametrize("n, r_max, width, want", [
+        # solve-fine grid, h = 1000/8192: f h MIN_NODES_PER_WIDTH = 23.4 f
+        (8193, 1000.0, 23.4, None),
+        (8193, 1000.0, 23.5, 8),
+        (8193, 1000.0, 46.8, 8),
+        (8193, 1000.0, 46.9, 16),
+        (8193, 1000.0, 1e9, 128),       # 65 nodes; f = 256 would leave 33
+        (1001, 1000.0, 1e9, 8),         # 1000 = 8 * 125: 16 does not divide
+        (1005, 1000.0, 1e9, None),      # 1004 = 4 * 251: 8 does not divide
+        (513, 1000.0, 1e9, 8),          # 65 nodes at f = 8
+        (257, 1000.0, 1e9, None),       # 33 nodes at f = 8
+    ])
+    def test_coarsest_factor(self, n, r_max, width, want):
+        assert minimizer._nested_factor(build_grid(5, n, r_max),
+                                        width) == want
+
+    def test_solve_fine_mass_takes_two_fine_solves(self, monkeypatch, p53,
+                                                   thresholds53):
+        # the nested solve settles in 3 steps, and from its interpolated
+        # field the try is accepted after 2 steps on the n = 8193 grid
+        grid = build_grid(5, 8193, 1000.0)
+        sizes = count_gbsv(monkeypatch)
+        st = minimize(p53, grid, 0.5 * thresholds53[1])
+        assert sizes.count(8193) == 2
+        assert len(sizes) == st.iters - 1 == 5
+        assert set(sizes) == {8193, grid.nested(8).n}
+
+    def test_failed_coarse_solve_skips_the_try(self, monkeypatch, p53,
+                                               thresholds53):
+        # no Gaussian start follows a coarse solve that does not settle:
+        # the seed loop and the descent run as without the try
+        grid = build_grid(5, 8193, 1000.0)
+        monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
+        sizes = count_gbsv(monkeypatch)
+        real_seed = minimizer.seed
+
+        def marking_seed(*args):
+            sizes.append("seed")
+            return real_seed(*args)
+
+        monkeypatch.setattr(minimizer, "seed", marking_seed)
+        c = 0.5 * thresholds53[1]
+        st = minimize(p53, grid, c)
+        assert sizes[0] == "seed"
+        fallback_only(monkeypatch)
+        assert st == minimize(p53, grid, c)
+
+    def test_settled_try_ends_above_q_tol(self, monkeypatch):
+        # where the grid's Pohozaev floor sits above Q_TOL (the N = 8 and
+        # N = 10 draws), the try ends on the step it settles at, not after
+        # FIRST_STEPS; the N = 8 draw at 0.9 c0 is under-resolved
+        sizes = count_gbsv(monkeypatch)
+        got = []
+        for (N, q, mu, cgn, ssob), _ in (PIN_DRAWS[3], PIN_DRAWS[5]):
+            p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+            grid = build_grid(N, 2049, 1000.0)
+            _, c0, rho0 = mass_threshold(p)
+            cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
+            for f in (0.1, 0.5, 0.9):
+                sizes.clear()
+                assert minimizer._newton_first(p, grid, f * c0, cap) is None
+                got.append(len(sizes))
+        assert got == [3, 3, 0, 4, 4, 4]
 
 
 class TestOneLaplacianPerField:
@@ -754,26 +838,41 @@ class TestGnEstimate:
 
     def test_ascent_applies_l_once_per_field(self, monkeypatch, p53,
                                              gn_grid):
-        # every trial and accepted field is bundled once, its L u computed
-        # there and only there: the gradient and the result read the held
-        # bundle and Laplacian
-        applied, bundled = [], []
+        # every trial and accepted field is made once, its L u computed
+        # for its norms and only there: the gradient and the result read
+        # the held norms and Laplacian
+        applied, fields = [], []
         lap_apply = RadialGrid.lap_apply
-        bundle = minimizer.norm_bundle
 
         def counting_lap(self, u):
             applied.append(u.tobytes())
             return lap_apply(self, u)
 
-        def counting_bundle(params, fld):
-            bundled.append(fld)
-            return bundle(params, fld)
+        def counting_field(grid, values):
+            fields.append(values)
+            return RadialField(grid, values)
 
         monkeypatch.setattr(RadialGrid, "lap_apply", counting_lap)
-        monkeypatch.setattr(minimizer, "norm_bundle", counting_bundle)
+        monkeypatch.setattr(minimizer, "RadialField", counting_field)
         assert estimate_gn_constant(p53, gn_grid) == pytest.approx(
             GN_REF, rel=1e-12)
-        assert len(applied) == len(set(applied)) == len(bundled) == 108
+        assert len(applied) == len(set(applied)) == len(fields) == 108
+
+    def test_ascent_takes_no_critical_norm(self, monkeypatch, p53, gn_grid):
+        # the quotient reads mass, bend and subcrit only: no power |u|^4*
+        # is taken for a field's norms (GN_PINS hold C_gn bit for bit)
+        exponents = []
+        power = functionals.nonneg_power
+
+        def recording(au, e):
+            exponents.append(e)
+            return power(au, e)
+
+        monkeypatch.setattr(functionals, "nonneg_power", recording)
+        monkeypatch.setattr(minimizer, "nonneg_power", recording)
+        assert estimate_gn_constant(p53, gn_grid) == pytest.approx(
+            GN_REF, rel=1e-12)
+        assert exponents and p53.p_crit not in exponents
 
     def test_quotient_amplitude_invariance(self, p53, gn_grid):
         u = np.exp(-0.5 * gn_grid.nodes ** 2)
