@@ -110,10 +110,12 @@ def _solve5(A, b):
     return [M[r][5] for r in range(5)]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _weight_core(N: int, n: int) -> np.ndarray:
     # r_max enters only through the h^N prefactor, so the exact-arithmetic
-    # part is cached per (N, n); callers must not mutate the result
+    # part is cached per (N, n); callers must not mutate the result. 64 keys
+    # hold a grid per N = 5..10 with the nested grids the minimizer's Newton
+    # first builds beside it, 4 sizes each
     X = n - 1
     # node 0: integral of the linear hat on [0, h] against x^{N-1}
     pin = Fraction(1, N * (N + 1))

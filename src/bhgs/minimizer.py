@@ -19,13 +19,14 @@ that gbsv overwrites, so no step copies K or its right-hand sides.
 The try is skipped where the width s1^(-1/2) spans fewer than
 MIN_NODES_PER_WIDTH grid spacings: there the discrete Pohozaev floor, which
 falls like h^4, lies above Q_TOL. It takes at most FIRST_STEPS steps, and
-its result is kept once, after at least two steps, Deuflhard's
-a-posteriori error estimate |d_k|^3 / |d_(k-1)|^2 (d_k the k-th change of
-u in |.|_W / sqrt(c); Newton Methods for Nonlinear Problems, 2004) is at
-most FIRST_ERR_TOL, on top of GRAD_TOL, Q_TOL, the energy slack and the
-bend cap below. The absolute GRAD_TOL alone accepts two-step states whose
-lambda is off by some 3e-7. A try that has settled with gnorm <= GRAD_TOL
-but q_residual above Q_TOL ends there, as no later step can pass.
+its result is kept once Deuflhard's a-posteriori error estimate
+rate |d_k|^2 (d_k the k-th change of u in |.|_W / sqrt(c), rate
+|d_k| / |d_(k-1)|^2; Newton Methods for Nonlinear Problems, 2004) is at
+most FIRST_ERR_TOL (_settled), on top of GRAD_TOL, Q_TOL, the energy
+slack and the bend cap below; from the Gaussian the rate needs two steps.
+The absolute GRAD_TOL alone accepts two-step states whose lambda is off
+by some 3e-7. A try that has settled with gnorm <= GRAD_TOL but
+q_residual above Q_TOL ends there, as no later step can pass.
 
 Nested start (cascadic Newton; Deuflhard 2004, Hackbusch 1985): the
 Gaussian is 4% off the discrete solution, so from it the estimate first
@@ -36,9 +37,16 @@ the coarsest such f), the Gaussian starts bordered Newton there instead
 (_coarse_solve). Only the estimate stops that solve, at most FIRST_STEPS
 steps; its field, moved to the grid by 4-point cubic interpolation
 (RadialGrid.from_nested) and scaled to mass c, starts the try above, which
-then settles in two steps. A coarse step's LU costs at most 1/8 of a fine
-one's. A coarse start that fails J < 0 or the bend cap, or a coarse solve
-that does not settle, skips the try; no Gaussian start follows.
+then settles in one step where the rate the coarse solve settled on
+certifies it; later steps use the grid's own rate. That rate estimates
+Newton's affine-covariant Lipschitz constant, which is mesh-independent in
+the problem's natural norm (Allgower, Boehmer, Potra and Rheinboldt 1986).
+In |.|_W the first step's error, mostly interpolation error, runs up to 12
+times the carried estimate: on the 8193-node grid it stays below 1e-11,
+but on 2049 nodes, with steps near 1e-5, some accepted states lie up to
+1e-9 from the converged one. A coarse step's LU costs at most 1/8 of a
+fine one's. A coarse start that fails J < 0 or the bend cap, or a coarse
+solve that does not settle, skips the try; no Gaussian start follows.
 
 Where the try is skipped or fails, the fallback (_descend) runs bit for bit
 as without the try: the seed loop, then projected gradient descent on the
@@ -413,7 +421,8 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
 
 
 def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
-                   b: NormBundle, res, bend_cap: float, first: bool = False):
+                   b: NormBundle, res, bend_cap: float, first: bool = False,
+                   rate: float | None = None):
     """Bordered Newton steps (_newton_step) from the mass-c iterate fld.
 
     Returns ((fld, b), steps) once the descent's convergence test holds,
@@ -423,10 +432,12 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     halve gnorm. steps counts the linear solves made.
 
     first is the Newton-first try: at most FIRST_STEPS steps, and the
-    convergence test also asks, from the second step on, that Deuflhard's
-    a-posteriori estimate of the iterate's error, |d_k|^3 / |d_(k-1)|^2
-    with d_k the k-th change of u in |.|_W / sqrt(c), be at most
-    FIRST_ERR_TOL.
+    convergence test also asks that Deuflhard's a-posteriori estimate of
+    the iterate's error be at most FIRST_ERR_TOL (_settled). From the
+    second step on its rate is this grid's |d_k| / |d_(k-1)|^2, d_k the
+    k-th change of u in |.|_W / sqrt(c); at the first step it is rate, the
+    one a nested grid's solve settled on (_coarse_solve), or None, and then
+    the first step cannot settle.
     """
     grid = fld.grid
     J0 = energy(params, b)
@@ -444,9 +455,7 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
         if cand is None:
             return None, steps
         if first:
-            prev_d = dnorm
-            d = cand - fld.values
-            dnorm = math.sqrt(_wdot(grid, d, d) / c)
+            dnorm, rate = _advance(grid, c, cand, fld.values, dnorm, rate)
         try:
             fld = RadialField(grid, cand)
             b = norm_bundle(params, fld)
@@ -454,7 +463,7 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         prev = gnorm
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        if gnorm <= GRAD_TOL and (not first or _settled(steps, dnorm, prev_d)):
+        if gnorm <= GRAD_TOL and (not first or _settled(rate, dnorm)):
             if qres <= Q_TOL:
                 ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
                       and b.bend < bend_cap)
@@ -468,11 +477,21 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     return None, budget
 
 
-def _settled(steps: int, dnorm: float, prev_d: float) -> bool:
-    # Deuflhard's estimate |d_k|^3 / |d_(k-1)|^2 at most FIRST_ERR_TOL, from
-    # the second step on; both iterates have mass c, so each |d| / sqrt(c)
-    # is at most 2
-    return steps > 1 and dnorm ** 3 <= FIRST_ERR_TOL * prev_d ** 2
+def _advance(grid: RadialGrid, c: float, cand: np.ndarray, u: np.ndarray,
+             dnorm: float, rate):
+    # the step's size |cand - u|_W / sqrt(c) and the rate |d_k| / |d_(k-1)|^2
+    # from it and the previous step's size dnorm; before a first step
+    # (dnorm 0.0) rate is kept
+    d = cand - u
+    d_new = math.sqrt(_wdot(grid, d, d) / c)
+    return d_new, (d_new / dnorm / dnorm if dnorm else rate)
+
+
+def _settled(rate, dnorm: float) -> bool:
+    # Deuflhard's estimate rate |d|^2 of the error left after a step of size
+    # dnorm, at most FIRST_ERR_TOL; rate is this grid's or a nested grid's
+    # (see the module docstring), and None is no estimate
+    return rate is not None and rate * dnorm ** 2 <= FIRST_ERR_TOL
 
 
 def _nested_factor(grid: RadialGrid, width: float):
@@ -503,8 +522,10 @@ def _start(params: LandscapeParams, grid: RadialGrid, c: float,
 def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
                   s1: float, bend_cap: float):
     """Bordered Newton on a nested grid from exp(-s1 r^2 / 2) at mass c:
-    (values, steps) once Deuflhard's estimate is at most FIRST_ERR_TOL,
-    within FIRST_STEPS steps; otherwise None.
+    (values, steps, rate) once Deuflhard's estimate is at most
+    FIRST_ERR_TOL (_settled), within FIRST_STEPS steps; otherwise None. rate
+    is the one the estimate settled on, |d_K| / |d_(K-1)|^2 of the last two
+    steps, which judges the grid's first step (_newton_finish).
 
     Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
     the fine problem, and on the nested grid the Pohozaev floor may sit
@@ -516,7 +537,7 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
     fld, b = start
     ab = np.empty((13, coarse.n), order="F")
     rhs = np.empty((coarse.n, 2), order="F")
-    dnorm = 0.0
+    dnorm, rate = 0.0, None
     for steps in range(1, FIRST_STEPS + 1):
         g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
         try:
@@ -525,11 +546,9 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
             return None
         if cand is None:
             return None
-        prev_d = dnorm
-        d = cand - fld.values
-        dnorm = math.sqrt(_wdot(coarse, d, d) / c)
-        if _settled(steps, dnorm, prev_d):
-            return cand, steps
+        dnorm, rate = _advance(coarse, c, cand, fld.values, dnorm, rate)
+        if _settled(rate, dnorm):
+            return cand, steps, rate
         try:
             fld = RadialField(coarse, cand)
             b = norm_bundle(params, fld)
@@ -564,7 +583,7 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
         return None
     f = _nested_factor(grid, s1 ** -0.5)
     if f is None:
-        coarse_steps, prof = 0, _gaussian(grid, s1)
+        coarse_steps, rate, prof = 0, None, _gaussian(grid, s1)
     else:
         try:
             solved = _coarse_solve(params, grid.nested(f), c, s1, bend_cap)
@@ -572,7 +591,7 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
             return None
         if solved is None:
             return None
-        coarse, coarse_steps = solved
+        coarse, coarse_steps, rate = solved
         prof = grid.from_nested(coarse, f)
     start = _start(params, grid, c, prof, bend_cap)
     if start is None:
@@ -580,7 +599,7 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     fld, b = start
     done, steps = _newton_finish(params, c, fld, b,
                                  _residuals(params, c, fld, b), bend_cap,
-                                 first=True)
+                                 first=True, rate=rate)
     return None if done is None else (done, coarse_steps + steps)
 
 

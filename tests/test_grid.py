@@ -301,6 +301,20 @@ class TestNestedGrids:
         assert np.allclose(got[-f - 1:-1], want, rtol=0, atol=1e-15)
         assert got[-1] == 1.0
 
+    def test_weight_cache_holds_nested_grids_across_dims(self):
+        # a domain-style loop: per draw, a default grid at N = 5..10 and its
+        # nested grids for f = 8, 16 and 32, twice over; each exact weight
+        # core is computed once per (N, n), and the second pass only hits
+        core = grid_mod._weight_core
+        core.cache_clear()
+        for _ in range(2):
+            for N in range(5, 11):
+                g = build_grid(N, 2049, 1000.0)
+                for f in (8, 16, 32):
+                    g.nested(f)
+        info = core.cache_info()
+        assert (info.misses, info.hits) == (24, 24)
+
 
 class TestFieldCsv:
     @pytest.fixture()

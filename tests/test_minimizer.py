@@ -84,11 +84,12 @@ PIN_DRAWS = [
       'stall']),
 ]
 # The solve-fine grid's pins are Newton-first's from its nested start: 3
-# solves on the nested grid and 2 on the grid itself.
+# solves on the nested grid and 1 on the grid itself, certified by the
+# nested solve's rate.
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d70f0p-27', '-0x1.846040ac2a7f1p-22', 6)),
-    (0.5, ('-0x1.d224875869df6p-22', '-0x1.9f122ce1a68adp-19', 6)),
-    (0.9, ('-0x1.cb4c560e0e146p-20', '-0x1.c66b103fc2686p-18', 6)),
+    (0.1, ('-0x1.5cee30b3d1754p-27', '-0x1.846040ac29f93p-22', 5)),
+    (0.5, ('-0x1.d22487586828ap-22', '-0x1.9f122ce1a63d5p-19', 5)),
+    (0.9, ('-0x1.cb4c560e0f91cp-20', '-0x1.c66b103fc2983p-18', 5)),
 ]
 # (draw N or "fine", c/c0) -> the pin before Newton-first
 PIN_BEFORE_FIRST = {
@@ -542,12 +543,12 @@ class TestNewtonFirst:
             self, ops, monkeypatch):
         # with the error estimate always met, the try stops on GRAD_TOL and
         # Q_TOL after two steps, and from the Gaussian start (the N = 6
-        # draw) lambda is off by some 3e-7; the solve-fine ops' nested
-        # start adds the coarse solve's two steps
+        # draw) lambda is off by some 3e-7; on the solve-fine ops the
+        # coarse solve settles after two steps and its rate after one more
         monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
         results = self.first_results(ops)
         assert [steps for _, _, (_, steps) in results] == (
-            [2] * 3 + [4] * len(FINE_FRACS))
+            [2] * 3 + [3] * len(FINE_FRACS))
         assert min(self.lambda_errors(results[:3])) > 1e-10
 
     def test_under_resolved_draw_goes_straight_to_seed(self, monkeypatch):
@@ -609,16 +610,89 @@ class TestNestedStart:
         assert minimizer._nested_factor(build_grid(5, n, r_max),
                                         width) == want
 
-    def test_solve_fine_mass_takes_two_fine_solves(self, monkeypatch, p53,
-                                                   thresholds53):
+    def test_solve_fine_mass_takes_one_fine_solve(self, monkeypatch, p53,
+                                                  thresholds53):
         # the nested solve settles in 3 steps, and from its interpolated
-        # field the try is accepted after 2 steps on the n = 8193 grid
+        # field the try is accepted after 1 step on the n = 8193 grid,
+        # certified by the rate the nested solve settled on
         grid = build_grid(5, 8193, 1000.0)
         sizes = count_gbsv(monkeypatch)
         st = minimize(p53, grid, 0.5 * thresholds53[1])
-        assert sizes.count(8193) == 2
-        assert len(sizes) == st.iters - 1 == 5
+        assert sizes.count(8193) == 1
+        assert len(sizes) == st.iters - 1 == 4
         assert set(sizes) == {8193, grid.nested(8).n}
+
+    def test_one_step_state_is_certified(self, monkeypatch):
+        # on every op whose try starts nested (the FINE_FRACS masses; no
+        # PIN_DRAWS op does), the state accepted after one step on the grid
+        # is within FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3 more
+        # Newton steps, and its lambda within 1e-10 of the polished one
+        sizes = count_gbsv(monkeypatch)
+        certified = 0
+        for p, grid, c in pin_and_fine_ops():
+            cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
+            sizes.clear()
+            done = minimizer._newton_first(p, grid, c, cap)
+            if set(sizes) <= {grid.n}:
+                continue                    # no nested start
+            (fld, b), steps = done
+            assert sizes.count(grid.n) == 1 and steps == len(sizes)
+            certified += 1
+            ab = np.empty((13, grid.n), order="F")
+            rhs = np.empty((grid.n, 2), order="F")
+            u, fld2, b2 = fld.values, fld, b
+            for _ in range(3):
+                g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld2, b2)
+                fld2 = RadialField(grid, minimizer._newton_step(
+                    p, c, fld2, g_proj, lam_hat, ab, rhs))
+                b2 = norm_bundle(p, fld2)
+            d = fld2.values - u
+            assert math.sqrt(np.dot(grid.weights * d, d) / c) <= (
+                minimizer.FIRST_ERR_TOL)
+            lam = lagrange_multiplier(p, b)
+            assert abs(lam / polished_lambda(p, c, fld, b) - 1.0) <= 1e-10
+        assert certified == len(FINE_FRACS)
+
+    @pytest.mark.parametrize("corrupt", [lambda rate: rate * 1e12,
+                                         lambda rate: None],
+                             ids=["rate-1e12", "no-rate"])
+    def test_uncertified_first_step_steps_on(self, monkeypatch, p53,
+                                             thresholds53, corrupt):
+        # a rate too large to certify the first step, or none, makes the
+        # try take a second step on the grid, as from the Gaussian start;
+        # both states agree on m
+        grid = build_grid(5, 8193, 1000.0)
+        c = 0.5 * thresholds53[1]
+        one = minimize(p53, grid, c)
+        real = minimizer._coarse_solve
+
+        def corrupted(*args):
+            values, steps, rate = real(*args)
+            return values, steps, corrupt(rate)
+
+        monkeypatch.setattr(minimizer, "_coarse_solve", corrupted)
+        sizes = count_gbsv(monkeypatch)
+        two = minimize(p53, grid, c)
+        assert sizes.count(8193) == 2
+        assert two.iters == one.iters + 1
+        assert two.m == pytest.approx(one.m, rel=1e-11)
+
+    def test_gaussian_start_keeps_its_steps(self, monkeypatch):
+        # the N = 6 draw starts from the Gaussian on the grid itself, with
+        # no rate to carry: 3 steps at every mass, as before the rate was
+        # carried
+        sizes = count_gbsv(monkeypatch)
+        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[1]
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        _, c0, rho0 = mass_threshold(p)
+        cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
+        got = []
+        for f in (0.1, 0.5, 0.9):
+            sizes.clear()
+            _, steps = minimizer._newton_first(p, grid, f * c0, cap)
+            got.append((steps, sizes.count(grid.n), len(sizes)))
+        assert got == [(3, 3, 3)] * 3
 
     def test_failed_coarse_solve_skips_the_try(self, monkeypatch, p53,
                                                thresholds53):
