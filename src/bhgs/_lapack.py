@@ -1,14 +1,15 @@
-"""The three LAPACK band kernels the solver needs, without scipy.
+"""The four LAPACK band kernels the solver needs, without scipy.
 
 pbtrf and pbtrs (banded Cholesky factor and solve) serve the descent
-preconditioner and the C_gn ascent; gbsv (banded LU solve) serves the Newton
-finish. numpy's wheels bundle an OpenBLAS, numpy.libs/libscipy_openblas64_*.so,
-that exports them as scipy_dpbtrf_64_, scipy_dpbtrs_64_ and scipy_dgbsv_64_
+preconditioner and the C_gn ascent; gbsv (banded LU solve) and gbtrs (a
+solve with the LU factors gbsv left) serve Newton. numpy's wheels bundle an
+OpenBLAS, numpy.libs/libscipy_openblas64_*.so, that exports them as
+scipy_dpbtrf_64_, scipy_dpbtrs_64_, scipy_dgbsv_64_ and scipy_dgbtrs_64_
 with 64-bit integers; this module calls them through ctypes. That file name
 and those symbols are wheel internals, not an API, so where either is
 missing the module takes scipy.linalg's cholesky_banded and cho_solve_banded
-and scipy.linalg.lapack's dgbsv instead. BACKEND names the one taken when
-the module was first imported.
+and scipy.linalg.lapack's dgbsv and dgbtrs instead. BACKEND names the one
+taken when the module was first imported.
 
 cholesky_banded and cho_solve_banded keep scipy.linalg's contract for the
 2-D band storage and the one or more right-hand sides the solver passes:
@@ -23,6 +24,8 @@ overwriting the band with its LU factors and the right-hand side with the
 solution, so a caller that solves many systems of one shape reuses two
 arrays and copies nothing. It raises ValueError on a non-finite entry or an
 array it cannot overwrite as it stands, and LinAlgError when singular.
+gbtrs keeps the same contract for b, and reads the factors and the pivots
+gbsv left as they stand.
 """
 import ctypes
 import glob
@@ -30,16 +33,17 @@ import os
 
 import numpy as np
 
-__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "gbsv"]
+__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs"]
 
 
 # per routine: the count of its pointer arguments, info last, and of its
 # one-character flags, whose hidden Fortran lengths follow info
-_SIGNATURES = {"pbtrf": (6, 1), "pbtrs": (9, 1), "gbsv": (10, 0)}
+_SIGNATURES = {"pbtrf": (6, 1), "pbtrs": (9, 1), "gbsv": (10, 0),
+               "gbtrs": (11, 1)}
 
 
 def _bundled_routines():
-    # [pbtrf, pbtrs, gbsv] from the OpenBLAS in numpy.libs, or None
+    # [pbtrf, pbtrs, gbsv, gbtrs] from the OpenBLAS in numpy.libs, or None
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs", "libscipy_openblas64_*.so")
     for path in sorted(glob.glob(libs)):
@@ -111,7 +115,8 @@ def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
     return x
 
 
-def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
+         piv: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for the band matrix A, in place, as LAPACK gbsv.
 
     ab is a Fortran-ordered float64 array of shape (2 kl + ku + 1, n) with
@@ -119,7 +124,8 @@ def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     fill-in workspace, which it sets before use, so they need not be set
     and are not read. b is a Fortran-ordered float64 array of shape (n,)
     or (n, nrhs). On return ab holds the LU factors and b the solution,
-    which is also returned. ValueError on a non-finite entry of the band
+    which is also returned, and piv, an int64 array of n entries if given,
+    the row interchanges. ValueError on a non-finite entry of the band
     or of b, or on an array of another shape, dtype or order; LinAlgError
     when the matrix is singular.
     """
@@ -127,56 +133,91 @@ def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     _inplace(b, np.ndim(b), ab.shape[1])
     _checked(ab[kl:], True)
     _checked(b, True)
-    if _gbsv_info(kl, ku, ab, b):
+    if piv is None:
+        piv = np.empty(ab.shape[1], dtype=np.int64)
+    _inplace(piv, 1, ab.shape[1], np.int64)
+    if _gbsv_info(kl, ku, ab, b, piv):
         raise np.linalg.LinAlgError("singular matrix")
     return b
 
 
-def _inplace(a, ndim: int, rows: int) -> None:
-    # an array LAPACK may overwrite as it stands: float64, Fortran-ordered,
+def gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
+          b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, in place in b, with the factors ab and the pivots piv
+    of A that gbsv left; b as for gbsv, and returned."""
+    _inplace(ab, 2, 2 * kl + ku + 1)
+    _inplace(piv, 1, ab.shape[1], np.int64)
+    _inplace(b, np.ndim(b), ab.shape[1])
+    _checked(b, True)
+    _gbtrs_info(kl, ku, ab, piv, b)
+    return b
+
+
+def _inplace(a, ndim: int, rows: int, dtype=np.float64) -> None:
+    # an array LAPACK may overwrite as it stands: of dtype, Fortran-ordered,
     # writeable, of ndim 1 or 2 and with the given leading dimension
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and a.flags.f_contiguous and a.flags.writeable
             and a.ndim == ndim and ndim in (1, 2) and a.shape[0] == rows):
         raise ValueError(
-            f"gbsv needs writeable Fortran-ordered float64 arrays of "
-            f"{rows} rows; got {getattr(a, 'shape', a)!r}")
+            f"gbsv and gbtrs need writeable Fortran-ordered {np.dtype(dtype)} "
+            f"arrays of {rows} rows; got {getattr(a, 'shape', a)!r}")
 
 
-def _bundled_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> int:
+def _bundled_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
+                  piv: np.ndarray) -> int:
     n = ab.shape[1]
-    piv = np.empty(n, dtype=np.int64)
     return _call(_gbsv, n, kl, ku, 1 if b.ndim == 1 else b.shape[1], ab,
                  ab.shape[0], piv, b, n)
 
 
-def _scipy_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> int:
+def _bundled_gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
+                   b: np.ndarray) -> int:
+    n = ab.shape[1]
+    return _call(_gbtrs, b"N", n, kl, ku, 1 if b.ndim == 1 else b.shape[1],
+                 ab, ab.shape[0], piv, b, n)
+
+
+def _scipy_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
+                piv: np.ndarray) -> int:
     # f2py overwrites Fortran-ordered float64 arrays in place; should it
     # ever copy, the results are written back
-    lu, _, x, info = _dgbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
+    lu, ipiv, x, info = _dgbsv(kl, ku, ab, b, overwrite_ab=True,
+                               overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgbsv")
     if lu is not ab:
         ab[...] = lu
     if x is not b:
         b[...] = x
+    piv[...] = ipiv + 1                # f2py counts pivots from 0
+    return info
+
+
+def _scipy_gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
+                 b: np.ndarray) -> int:
+    x, info = _dgbtrs(ab, kl, ku, b.reshape(b.shape[0], -1, order="F"),
+                      (piv - 1).astype(np.int32), overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+    b[...] = x.reshape(b.shape)
     return info
 
 
 _routines = _bundled_routines()
 if _routines is not None:
     BACKEND = "numpy.libs"
-    _pbtrf, _pbtrs, _gbsv = _routines
-    _gbsv_info = _bundled_gbsv
+    _pbtrf, _pbtrs, _gbsv, _gbtrs = _routines
+    _gbsv_info, _gbtrs_info = _bundled_gbsv, _bundled_gbtrs
 else:
     BACKEND = "scipy.linalg"
     try:
         from scipy.linalg import (  # noqa: F811
             cho_solve_banded, cholesky_banded)
-        from scipy.linalg.lapack import dgbsv as _dgbsv
+        from scipy.linalg.lapack import dgbsv as _dgbsv, dgbtrs as _dgbtrs
     except ImportError as exc:
         raise ImportError(
             "no LAPACK band kernels: numpy.libs holds no "
-            "libscipy_openblas64_ library with pbtrf, pbtrs and gbsv, and "
-            "scipy.linalg cannot be imported") from exc
-    _gbsv_info = _scipy_gbsv
+            "libscipy_openblas64_ library with pbtrf, pbtrs, gbsv and gbtrs, "
+            "and scipy.linalg cannot be imported") from exc
+    _gbsv_info, _gbtrs_info = _scipy_gbsv, _scipy_gbtrs

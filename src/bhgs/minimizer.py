@@ -36,17 +36,13 @@ width still spanning MIN_NODES_PER_WIDTH of its spacings (_nested_factor,
 the coarsest such f), the Gaussian starts bordered Newton there instead
 (_coarse_solve). Only the estimate stops that solve, at most FIRST_STEPS
 steps; its field, moved to the grid by 4-point cubic interpolation
-(RadialGrid.from_nested) and scaled to mass c, starts the try above, which
-then settles in one step where the rate the coarse solve settled on
-certifies it; later steps use the grid's own rate. That rate estimates
-Newton's affine-covariant Lipschitz constant, which is mesh-independent in
-the problem's natural norm (Allgower, Boehmer, Potra and Rheinboldt 1986).
-In |.|_W the first step's error, mostly interpolation error, runs up to 12
-times the carried estimate: on the 8193-node grid it stays below 1e-11,
-but on 2049 nodes, with steps near 1e-5, some accepted states lie up to
-1e-9 from the converged one. A coarse step's LU costs at most 1/8 of a
-fine one's. A coarse start that fails J < 0 or the bend cap, or a coarse
-solve that does not settle, skips the try; no Gaussian start follows.
+(RadialGrid.from_nested) and scaled to mass c, starts the try above. The
+rate the coarse solve settled on proposes settling after its first step,
+and the grid's own simplified Newton correction decides (_simplified_rate):
+the carried rate misjudges the interpolation error. A coarse step's LU
+costs at most 1/8 of a fine one's. A coarse start that fails J < 0 or the
+bend cap, or a coarse solve that does not settle, skips the try; no
+Gaussian start follows.
 
 Where the try is skipped or fails, the fallback (_descend) runs bit for bit
 as without the try: the seed loop, then projected gradient descent on the
@@ -103,14 +99,14 @@ gn-ascent from estimate_gn_constant and no-fiber-minimum from
 fiber_consistency. The messages keep their wording, so a reader of the
 text alone (the benchmark's classify) gets the same kind.
 
-The three band kernels come from LAPACK through the private _lapack module:
+The four band kernels come from LAPACK through the private _lapack module:
 numpy's bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise
 (KernelsUnavailable if neither loads). That module is imported on the first
 banded factorization or solve, not with this one: the closed-form commands
 (constants, landscape, fiber, verify) never load it. `cholesky_banded`,
-`cho_solve_banded` and `gbsv` stay module attributes, and every call site
-looks them up as globals at call time, so rebinding them (for tracing or
-testing) catches every call.
+`cho_solve_banded`, `gbsv` and `gbtrs` stay module attributes, and every
+call site looks them up as globals at call time, so rebinding them (for
+tracing or testing) catches every call.
 """
 from __future__ import annotations
 
@@ -345,9 +341,14 @@ def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
                                        check_finite)
 
 
-def gbsv(kl, ku, ab, b):
+def gbsv(kl, ku, ab, b, piv=None):
     """Banded LU solve in place, in gbsv's band layout (_lapack.gbsv)."""
-    return _kernels().gbsv(kl, ku, ab, b)
+    return _kernels().gbsv(kl, ku, ab, b, piv)
+
+
+def gbtrs(kl, ku, ab, piv, b):
+    """Banded solve in place with gbsv's LU factors (_lapack.gbtrs)."""
+    return _kernels().gbtrs(kl, ku, ab, piv, b)
 
 
 def _banded_factor(grid: RadialGrid, a: float):
@@ -376,7 +377,7 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
 
 def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
                  g_proj: np.ndarray, lam_hat: float, ab: np.ndarray,
-                 rhs: np.ndarray):
+                 rhs: np.ndarray, piv: np.ndarray | None = None):
     """One bordered Newton step in (u, lambda) from the mass-c iterate fld:
     the next iterate's values at mass c, or None where they are not finite.
 
@@ -389,8 +390,8 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     K is assembled in place in gbsv's layout, K[i, j] at ab[8 + i - j, j],
     from the grid's held band L^T W L, in the (13, n) work array ab that
     gbsv overwrites with its factors; the two right-hand sides share the
-    (n, 2) array rhs that gbsv overwrites with the solutions. The caller
-    reuses both for every step.
+    (n, 2) array rhs that gbsv overwrites with the solutions, and its
+    pivots in piv, if given. The caller reuses them for every step.
     """
     grid = fld.grid
     n, w = grid.n, grid.weights
@@ -410,7 +411,7 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     wu = w * u
     rhs[:, 0] = -w * g_proj
     rhs[:, 1] = wu
-    gbsv(4, 4, ab, rhs)
+    gbsv(4, 4, ab, rhs, piv)
     x, y = rhs[:, 0], rhs[:, 1]
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
     mass = _wdot(grid, cand, cand)
@@ -429,26 +430,29 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     the energy is at most NEWTON_J_SLACK bend above that of the starting
     iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
     singular or non-finite step, and when a step after the second fails to
-    halve gnorm. steps counts the linear solves made.
+    halve gnorm. steps counts the linear solves made; the simplified
+    correction's solve with kept LU factors is not one.
 
     first is the Newton-first try: at most FIRST_STEPS steps, and the
     convergence test also asks that Deuflhard's a-posteriori estimate of
     the iterate's error be at most FIRST_ERR_TOL (_settled). From the
     second step on its rate is this grid's |d_k| / |d_(k-1)|^2, d_k the
-    k-th change of u in |.|_W / sqrt(c); at the first step it is rate, the
+    k-th change of u in |.|_W / sqrt(c). At the first step it is rate, the
     one a nested grid's solve settled on (_coarse_solve), or None, and then
-    the first step cannot settle.
+    the first step cannot settle; where rate holds, the grid's own
+    simplified correction (_simplified_rate) replaces it and decides.
     """
     grid = fld.grid
     J0 = energy(params, b)
     g_proj, lam_hat, gnorm, _ = res
     ab = np.empty((13, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
+    piv = np.empty(grid.n, dtype=np.int64)
     budget = FIRST_STEPS if first else NEWTON_STEPS
     dnorm = 0.0
     for steps in range(1, budget + 1):
         try:
-            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs)
+            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv)
         except (np.linalg.LinAlgError, ValueError):
             # singular K, or a non-finite entry
             return None, steps - 1
@@ -463,6 +467,10 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         prev = gnorm
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
+        if (first and steps == 1 and gnorm <= GRAD_TOL
+                and _settled(rate, dnorm)):
+            # the carried rate proposes; this grid's own one decides
+            rate = _simplified_rate(fld, c, g_proj, ab, piv, rhs, dnorm)
         if gnorm <= GRAD_TOL and (not first or _settled(rate, dnorm)):
             if qres <= Q_TOL:
                 ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
@@ -487,10 +495,24 @@ def _advance(grid: RadialGrid, c: float, cand: np.ndarray, u: np.ndarray,
     return d_new, (d_new / dnorm / dnorm if dnorm else rate)
 
 
+def _simplified_rate(fld: RadialField, c: float, g_proj: np.ndarray,
+                     ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray,
+                     dnorm: float) -> float:
+    # |dbar| / dnorm^2, dbar the simplified Newton correction at fld after
+    # a step of size dnorm: the residual at fld solved with that step's LU
+    # factors (ab, piv) and its K^-1 W u (rhs[:, 1]), tangent at fld. |dbar|
+    # estimates fld's error (Deuflhard 2004) from the grid's own K
+    grid, w = fld.grid, fld.grid.weights
+    x = gbtrs(4, 4, ab, piv, -w * g_proj)
+    y, wu = rhs[:, 1], w * fld.values
+    d = x - (np.dot(wu, x) / np.dot(wu, y)) * y
+    return math.sqrt(_wdot(grid, d, d) / c) / dnorm ** 2
+
+
 def _settled(rate, dnorm: float) -> bool:
     # Deuflhard's estimate rate |d|^2 of the error left after a step of size
-    # dnorm, at most FIRST_ERR_TOL; rate is this grid's or a nested grid's
-    # (see the module docstring), and None is no estimate
+    # dnorm, at most FIRST_ERR_TOL; rate is this grid's, a nested grid's or
+    # the simplified correction's (_newton_finish), and None is no estimate
     return rate is not None and rate * dnorm ** 2 <= FIRST_ERR_TOL
 
 
@@ -525,7 +547,8 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
     (values, steps, rate) once Deuflhard's estimate is at most
     FIRST_ERR_TOL (_settled), within FIRST_STEPS steps; otherwise None. rate
     is the one the estimate settled on, |d_K| / |d_(K-1)|^2 of the last two
-    steps, which judges the grid's first step (_newton_finish).
+    steps, which proposes settling after the grid's first step
+    (_newton_finish).
 
     Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
     the fine problem, and on the nested grid the Pohozaev floor may sit

@@ -1,11 +1,12 @@
 """The band kernels against scipy.linalg, their error contract, and the
 commands' runs without scipy, on the scipy fallback and with no backend.
 
-bhgs._lapack calls pbtrf, pbtrs and gbsv in the OpenBLAS that numpy's wheel
-bundles. scipy.linalg is the reference: every kernel result must equal
-scipy's bit for bit, on the bands the solver factors and on the Newton
-matrices it solves. gbsv works in place on the band in its own layout, so
-its factors are checked against scipy's dgbsv as well as its solution.
+bhgs._lapack calls pbtrf, pbtrs, gbsv and gbtrs in the OpenBLAS that
+numpy's wheel bundles. scipy.linalg is the reference: every kernel result
+must equal scipy's bit for bit, on the bands the solver factors and on the
+Newton matrices it solves. gbsv works in place on the band in its own
+layout, so its factors and pivots are checked against scipy's dgbsv as well
+as its solution, and gbtrs solves with them.
 """
 import ctypes
 import glob
@@ -27,7 +28,7 @@ from bhgs.minimizer import _newton_finish, _residuals  # noqa: E402
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
-KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv")
+KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs")
 
 
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
@@ -40,12 +41,12 @@ def newton_system(request):
     grid = build_grid(5, request.param, 1000.0)
     seen = []
 
-    def capture(kl, ku, ab, b):
+    def capture(kl, ku, ab, b, piv=None):
         if ab.shape[1] == grid.n:
             K = ab.copy(order="F")
             K[:kl] = 0.0
             seen.append((K, b.copy(order="F")))
-        return orig(kl, ku, ab, b)
+        return orig(kl, ku, ab, b, piv)
 
     orig = minimizer.gbsv
     minimizer.gbsv = capture
@@ -76,10 +77,12 @@ def test_bundled_library_is_taken():
     # numpy.libs holds the library with all three routines, it is the backend
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs", "libscipy_openblas64_*.so")
-    names = ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dgbsv_64_")
+    names = ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dgbsv_64_",
+             "scipy_dgbtrs_64_")
     if not any(all(hasattr(ctypes.CDLL(path), s) for s in names)
                for path in glob.glob(libs)):
-        pytest.skip("numpy.libs holds no OpenBLAS with pbtrf, pbtrs, gbsv")
+        pytest.skip("numpy.libs holds no OpenBLAS with pbtrf, pbtrs, gbsv, "
+                    "gbtrs")
     assert _lapack.BACKEND == "numpy.libs"
     for name in KERNELS:
         assert getattr(minimizer._kernels(), name).__module__ == "bhgs._lapack"
@@ -116,6 +119,33 @@ def test_newton_solve_matches_scipy(newton_system):
         assert np.array_equal(x, want)
         lub, _, _, info = sl.lapack.dgbsv(4, 4, K, b)
         assert info == 0 and np.array_equal(ab[4:], lub[4:])
+
+
+def test_solve_with_kept_factors_matches_scipy(newton_system, rng):
+    # gbtrs with the factors and pivots gbsv left solves as
+    # scipy.linalg.solve_banded does, in place, for one or two columns, and
+    # leaves the factors as they are; the pivots are scipy's dgbsv's, which
+    # count from 0
+    grid, K, rhs = newton_system
+    ab, x = fortran(K, rhs)
+    piv = np.empty(grid.n, dtype=np.int64)
+    _lapack.gbsv(4, 4, ab, x, piv)
+    _, want_piv, _, _ = sl.lapack.dgbsv(4, 4, K, rhs)
+    assert np.array_equal(piv, want_piv + 1)
+    factors = frozen(ab, piv)
+    b1 = grid.weights * rng.standard_normal(grid.n)
+    for b in (b1, np.column_stack((b1, rhs[:, 1]))):
+        x = np.array(b, order="F")
+        assert _lapack.gbtrs(4, 4, ab, piv, x) is x
+        assert np.array_equal(x, sl.solve_banded((4, 4), K[4:], b))
+    assert unchanged(factors, ab, piv)
+    bad = np.array(b1)
+    bad[7] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _lapack.gbtrs(4, 4, ab, piv, bad)
+    for p in (piv.astype(np.int32), piv[:-1]):
+        with pytest.raises(ValueError):
+            _lapack.gbtrs(4, 4, ab, p, np.array(b1))
 
 
 def test_fortran_ordered_inputs_are_not_written(newton_system):
@@ -231,6 +261,30 @@ def test_scipy_fallback_gbsv_matches_in_place(newton_system, monkeypatch):
         _lapack.gbsv(4, 4, K.copy(order="F"), bad)
 
 
+def test_scipy_fallback_gbtrs_matches(newton_system, monkeypatch):
+    # through scipy.linalg.lapack's dgbsv and dgbtrs the pivots and the
+    # solutions with the kept factors are the bundled kernels', bit for bit
+    grid, K, rhs = newton_system
+    got = []
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setattr(_lapack, "_dgbsv", sl.lapack.dgbsv,
+                                raising=False)
+            monkeypatch.setattr(_lapack, "_dgbtrs", sl.lapack.dgbtrs,
+                                raising=False)
+            monkeypatch.setattr(_lapack, "_gbsv_info", _lapack._scipy_gbsv)
+            monkeypatch.setattr(_lapack, "_gbtrs_info", _lapack._scipy_gbtrs)
+        ab, x = fortran(K, rhs)
+        piv = np.empty(grid.n, dtype=np.int64)
+        _lapack.gbsv(4, 4, ab, x, piv)
+        y, y2 = np.array(grid.weights), np.array(rhs, order="F")
+        _lapack.gbtrs(4, 4, ab, piv, y)
+        _lapack.gbtrs(4, 4, ab, piv, y2)
+        got.append((piv, y, y2))
+    for a, b in zip(*got):
+        assert np.array_equal(a, b)
+
+
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     # _newton_finish reads the kernel's ValueError as "no step": it returns
     # (None, steps) and the descent carries on
@@ -240,9 +294,9 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     res = _residuals(P53, c, fld, b)
     orig = minimizer.gbsv
 
-    def planted(kl, ku, ab, rhs):
+    def planted(kl, ku, ab, rhs, piv=None):
         ab[8, 17] = np.nan           # a diagonal entry of K
-        return orig(kl, ku, ab, rhs)
+        return orig(kl, ku, ab, rhs, piv)
 
     monkeypatch.setattr(minimizer, "gbsv", planted)
     done, steps = _newton_finish(P53, c, fld, b, res, rho0)

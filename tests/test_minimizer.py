@@ -102,6 +102,23 @@ PIN_BEFORE_FIRST = {
 }
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
+# (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose tries
+# start nested, with first steps on the grid near 1e-5. The rate the nested
+# solve settled on proposes settling after that step on all five, but the
+# first four states lie 1.8e-10 to 1.06e-9 from the converged one; the last
+# lies 9.7e-11 from it
+DOMAIN_NESTED = [
+    ((8, 2.622349187911862, 3.886405763379142, 1.7167083102121452,
+      1.7559047372819967), 0.1),
+    ((7, 2.6613799386402497, 0.1791325196875883, 1.1404406622101273,
+      1.6757848809853795), 0.1),
+    ((6, 2.8810533875218107, 0.44490560432508813, 1.1793440959538883,
+      1.0593720555654818), 0.9),
+    ((8, 2.6846365573183903, 6.433694264603049, 1.6529776288674303,
+      0.7094589344009448), 0.9),
+    ((5, 3.079391011794297, 2.5976779466858195, 0.8180369817849125,
+      1.7292401414566143), 0.1),
+]
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +495,20 @@ def pin_and_fine_ops():
     return ops + [(p, grid, f * c0) for f in FINE_FRACS]
 
 
+def nested_ops():
+    """(params, grid, c) of the DOMAIN_NESTED ops and of the FINE_FRACS
+    masses on the solve-fine grid, each of whose tries starts nested."""
+    ops = []
+    for (N, q, mu, cgn, ssob), f in DOMAIN_NESTED:
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        ops.append((p, build_grid(N, 2049, 1000.0),
+                    f * mass_threshold(p)[1]))
+    p = LandscapeParams(N=5, q=3.0, mu=1.0)
+    c0 = mass_threshold(p)[1]
+    return ops + [(p, build_grid(5, 8193, 1000.0), f * c0)
+                  for f in FINE_FRACS]
+
+
 def polished_lambda(params, c, fld, b, steps=2):
     """lambda after `steps` more bordered Newton steps from the mass-c
     field fld with bundle b."""
@@ -585,9 +616,9 @@ def count_gbsv(monkeypatch):
     sizes = []
     real = minimizer.gbsv
 
-    def counting(kl, ku, ab, b):
+    def counting(kl, ku, ab, b, piv=None):
         sizes.append(ab.shape[1])
-        return real(kl, ku, ab, b)
+        return real(kl, ku, ab, b, piv)
 
     monkeypatch.setattr(minimizer, "gbsv", counting)
     return sizes
@@ -614,7 +645,7 @@ class TestNestedStart:
                                                   thresholds53):
         # the nested solve settles in 3 steps, and from its interpolated
         # field the try is accepted after 1 step on the n = 8193 grid,
-        # certified by the rate the nested solve settled on
+        # certified by the simplified correction on that step's LU
         grid = build_grid(5, 8193, 1000.0)
         sizes = count_gbsv(monkeypatch)
         st = minimize(p53, grid, 0.5 * thresholds53[1])
@@ -622,22 +653,31 @@ class TestNestedStart:
         assert len(sizes) == st.iters - 1 == 4
         assert set(sizes) == {8193, grid.nested(8).n}
 
-    def test_one_step_state_is_certified(self, monkeypatch):
-        # on every op whose try starts nested (the FINE_FRACS masses; no
-        # PIN_DRAWS op does), the state accepted after one step on the grid
-        # is within FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3 more
-        # Newton steps, and its lambda within 1e-10 of the polished one
+    def test_accepted_state_is_certified(self, monkeypatch):
+        # on every op whose try starts nested, the accepted state is within
+        # FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3 more Newton
+        # steps, and its lambda within 1e-10 of the polished one; the
+        # FINE_FRACS masses settle after one step on the grid, and of the
+        # DOMAIN_NESTED ops those the simplified correction rejects after
+        # two. Where that error stands far above the roundoff floor (the
+        # last DOMAIN_NESTED op, 9.7e-11), the correction measures it
         sizes = count_gbsv(monkeypatch)
-        certified = 0
-        for p, grid, c in pin_and_fine_ops():
+        real = minimizer._simplified_rate
+        estimates = []
+
+        def recording(fld, c, g_proj, ab, piv, rhs, dnorm):
+            rate = real(fld, c, g_proj, ab, piv, rhs, dnorm)
+            estimates.append(rate * dnorm ** 2)
+            return rate
+
+        monkeypatch.setattr(minimizer, "_simplified_rate", recording)
+        fine_steps, errors = [], []
+        for p, grid, c in nested_ops():
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             sizes.clear()
-            done = minimizer._newton_first(p, grid, c, cap)
-            if set(sizes) <= {grid.n}:
-                continue                    # no nested start
-            (fld, b), steps = done
-            assert sizes.count(grid.n) == 1 and steps == len(sizes)
-            certified += 1
+            (fld, b), steps = minimizer._newton_first(p, grid, c, cap)
+            assert set(sizes) > {grid.n} and steps == len(sizes)
+            fine_steps.append(sizes.count(grid.n))
             ab = np.empty((13, grid.n), order="F")
             rhs = np.empty((grid.n, 2), order="F")
             u, fld2, b2 = fld.values, fld, b
@@ -647,52 +687,43 @@ class TestNestedStart:
                     p, c, fld2, g_proj, lam_hat, ab, rhs))
                 b2 = norm_bundle(p, fld2)
             d = fld2.values - u
-            assert math.sqrt(np.dot(grid.weights * d, d) / c) <= (
-                minimizer.FIRST_ERR_TOL)
+            errors.append(math.sqrt(np.dot(grid.weights * d, d) / c))
+            assert errors[-1] <= minimizer.FIRST_ERR_TOL
             lam = lagrange_multiplier(p, b)
             assert abs(lam / polished_lambda(p, c, fld, b) - 1.0) <= 1e-10
-        assert certified == len(FINE_FRACS)
+        assert fine_steps == [2] * 4 + [1] + [1] * len(FINE_FRACS)
+        assert len(estimates) == len(fine_steps)
+        assert estimates[4] == pytest.approx(errors[4], rel=5e-3)
 
-    @pytest.mark.parametrize("corrupt", [lambda rate: rate * 1e12,
-                                         lambda rate: None],
-                             ids=["rate-1e12", "no-rate"])
+    @pytest.mark.parametrize("corrupt", ["rate-1e12", "no-rate",
+                                         "correction-1e12"])
     def test_uncertified_first_step_steps_on(self, monkeypatch, p53,
                                              thresholds53, corrupt):
-        # a rate too large to certify the first step, or none, makes the
-        # try take a second step on the grid, as from the Gaussian start;
-        # both states agree on m
+        # a carried rate too large to propose the first step, none, or a
+        # simplified correction too large to certify it makes the try take
+        # a second step on the grid, as from the Gaussian start; both
+        # states agree on m
         grid = build_grid(5, 8193, 1000.0)
         c = 0.5 * thresholds53[1]
         one = minimize(p53, grid, c)
-        real = minimizer._coarse_solve
+        if corrupt == "correction-1e12":
+            real_trs = minimizer.gbtrs
+            monkeypatch.setattr(minimizer, "gbtrs",
+                                lambda *args: real_trs(*args) * 1e12)
+        else:
+            real = minimizer._coarse_solve
+            scale = 1e12 if corrupt == "rate-1e12" else None
 
-        def corrupted(*args):
-            values, steps, rate = real(*args)
-            return values, steps, corrupt(rate)
+            def corrupted(*args):
+                values, steps, rate = real(*args)
+                return values, steps, None if scale is None else rate * scale
 
-        monkeypatch.setattr(minimizer, "_coarse_solve", corrupted)
+            monkeypatch.setattr(minimizer, "_coarse_solve", corrupted)
         sizes = count_gbsv(monkeypatch)
         two = minimize(p53, grid, c)
         assert sizes.count(8193) == 2
         assert two.iters == one.iters + 1
         assert two.m == pytest.approx(one.m, rel=1e-11)
-
-    def test_gaussian_start_keeps_its_steps(self, monkeypatch):
-        # the N = 6 draw starts from the Gaussian on the grid itself, with
-        # no rate to carry: 3 steps at every mass, as before the rate was
-        # carried
-        sizes = count_gbsv(monkeypatch)
-        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[1]
-        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
-        grid = build_grid(N, 2049, 1000.0)
-        _, c0, rho0 = mass_threshold(p)
-        cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        got = []
-        for f in (0.1, 0.5, 0.9):
-            sizes.clear()
-            _, steps = minimizer._newton_first(p, grid, f * c0, cap)
-            got.append((steps, sizes.count(grid.n), len(sizes)))
-        assert got == [(3, 3, 3)] * 3
 
     def test_failed_coarse_solve_skips_the_try(self, monkeypatch, p53,
                                                thresholds53):
