@@ -16,17 +16,23 @@ LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
 sides (_newton_step), assembled in gbsv's own band layout in one work array
 that gbsv overwrites, so no step copies K or its right-hand sides.
 
-The try is skipped where the width s1^(-1/2) spans fewer than
-MIN_NODES_PER_WIDTH grid spacings: there the discrete Pohozaev floor, which
-falls like h^4, lies above Q_TOL. It takes at most FIRST_STEPS steps, and
-its result is kept once Deuflhard's a-posteriori error estimate
-rate |d_k|^2 (d_k the k-th change of u in |.|_W / sqrt(c), rate
-|d_k| / |d_(k-1)|^2; Newton Methods for Nonlinear Problems, 2004) is at
-most FIRST_ERR_TOL (_settled), on top of GRAD_TOL, Q_TOL, the energy
-slack and the bend cap below; from the Gaussian the rate needs two steps.
+The try takes at most FIRST_STEPS steps, and its result is kept once
+Deuflhard's a-posteriori error estimate rate |d_k|^2 (d_k the k-th change
+of u in |.|_W / sqrt(c), rate |d_k| / |d_(k-1)|^2; Newton Methods for
+Nonlinear Problems, 2004) is at most FIRST_ERR_TOL (_settled), on top of
+GRAD_TOL, Q_TOL, the energy slack and the bend cap below; from the
+Gaussian the rate needs two steps.
 The absolute GRAD_TOL alone accepts two-step states whose lambda is off
 by some 3e-7. A try that has settled with gnorm <= GRAD_TOL but
-q_residual above Q_TOL ends there, as no later step can pass.
+q_residual above Q_TOL sits on the grid's discrete Pohozaev floor, which
+falls like h^4, and ends there, as no later step can pass. At a ground
+state, a strict local minimum of J on the mass sphere, the bordered
+Hessian is invertible, so one more solve with the last step's LU factors
+bounds, to first order, how far q_residual can fall over tangent states
+whose projected gradient is within GRAD_TOL (_floor_reach). Where
+q_residual - Q_TOL exceeds REACH_MARGIN times that reach, no state the
+fallback could accept is near, and the solve ends with ConvergenceError of
+kind under-resolved; the seed loop and the descent never run.
 
 Nested start (cascadic Newton; Deuflhard 2004, Hackbusch 1985): the
 Gaussian is 4% off the discrete solution, so from it the estimate first
@@ -44,9 +50,10 @@ costs at most 1/8 of a fine one's. A coarse start that fails J < 0 or the
 bend cap, or a coarse solve that does not settle, skips the try; no
 Gaussian start follows.
 
-Where the try is skipped or fails, the fallback (_descend) runs bit for bit
-as without the try: the seed loop, then projected gradient descent on the
-mass sphere with a renormalization retraction and Armijo backtracking. Raw
+Where the try is skipped or fails without that certificate, the fallback
+(_descend) runs bit for bit as without the try: the seed loop, then
+projected gradient descent on the mass sphere with a renormalization
+retraction and Armijo backtracking. Raw
 descent is useless here: the bending term makes the gradient stiffness
 scale like h^{-4}, so steps are preconditioned by the banded SPD operator
 P = a W + L^T W L (Cholesky factored once per shift regime, a tracks
@@ -94,10 +101,12 @@ bending term reads the field's L u. Weighted sums are np.add.reduce,
 numpy's pairwise sum, the same as np.sum without its dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
-seed, stall, line-search, budget, safeguard and invariant from minimize,
-gn-ascent from estimate_gn_constant and no-fiber-minimum from
-fiber_consistency. The messages keep their wording, so a reader of the
-text alone (the benchmark's classify) gets the same kind.
+seed, stall, line-search, budget, safeguard, invariant and under-resolved
+from minimize, gn-ascent from estimate_gn_constant and no-fiber-minimum
+from fiber_consistency. The first six messages keep their wording, so a
+reader of the text alone (the benchmark's classify) gets the same kind;
+the under-resolved message contains none of the words it reads, and reads
+as other.
 
 The four band kernels come from LAPACK through the private _lapack module:
 numpy's bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise
@@ -117,7 +126,8 @@ import numpy as np
 
 from .fiber import analyze_fiber
 from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
-                          nonneg_power, norm_bundle, pohozaev, scaled_norms)
+                          nonneg_power, norm_bundle, pohozaev,
+                          pohozaev_coefficient, scaled_norms)
 from .grid import EXP_REACH, RadialField, RadialGrid
 from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
                         LandscapeParams, derive_exponents, mass_threshold)
@@ -129,11 +139,12 @@ __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
 
 
 # the kinds a ConvergenceError carries: minimize's seed loop, descent stall,
-# dead line search, iteration budget, bend safeguard and a broken invariant
-# of the converged state; the C_gn ascent's budget; fiber_consistency's
-# bundle without a fiber minimum
+# dead line search, iteration budget, bend safeguard, a broken invariant of
+# the converged state and a grid whose Pohozaev floor is certified above
+# Q_TOL; the C_gn ascent's budget; fiber_consistency's bundle without a
+# fiber minimum
 FAIL_KINDS = ("seed", "stall", "line-search", "budget", "safeguard",
-              "invariant", "gn-ascent", "no-fiber-minimum")
+              "invariant", "under-resolved", "gn-ascent", "no-fiber-minimum")
 
 
 # fixed descent controls: initial step, line-search shrink/grow factors, the
@@ -155,21 +166,24 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
-# Newton first: tried only where the fiber-minimum Gaussian's width
-# s1^(-1/2) spans at least MIN_NODES_PER_WIDTH grid spacings, for at most
-# FIRST_STEPS steps, and accepted only once the a-posteriori estimate of its
-# error in |.|_W / sqrt(c) is at most FIRST_ERR_TOL; read at call time
-MIN_NODES_PER_WIDTH = 24
+# Newton first: at most FIRST_STEPS steps, accepted only once the
+# a-posteriori estimate of its error in |.|_W / sqrt(c) is at most
+# FIRST_ERR_TOL; a try settled above Q_TOL ends the solve as under-resolved
+# where q_residual - Q_TOL exceeds REACH_MARGIN times the first-order reach
+# of states within GRAD_TOL (_floor_reach); read at call time
 FIRST_STEPS = 4
 FIRST_ERR_TOL = 1e-10
+REACH_MARGIN = 2.0
 
 # Newton first's nested start: the coarsest grid on every f-th node, f =
 # MIN_COARSEN 2^k, with at least NESTED_MIN_NODES nodes (build_grid's least
-# n) on which the width still spans MIN_NODES_PER_WIDTH spacings. From f = 8
-# on, a coarse step's LU costs at most 1/8 of a fine one's, so the coarse
-# solve costs less than the fine step it saves
+# n) on which the fiber-minimum Gaussian's width s1^(-1/2) still spans
+# MIN_NODES_PER_WIDTH spacings. From f = 8 on, a coarse step's LU costs at
+# most 1/8 of a fine one's, so the coarse solve costs less than the fine
+# step it saves
 MIN_COARSEN = 8
 NESTED_MIN_NODES = 64
+MIN_NODES_PER_WIDTH = 24
 
 # Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
 # q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
@@ -423,7 +437,7 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
 
 def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
                    b: NormBundle, res, bend_cap: float, first: bool = False,
-                   rate: float | None = None):
+                   rate: float | None = None, width: float = math.nan):
     """Bordered Newton steps (_newton_step) from the mass-c iterate fld.
 
     Returns ((fld, b), steps) once the descent's convergence test holds,
@@ -441,6 +455,12 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     one a nested grid's solve settled on (_coarse_solve), or None, and then
     the first step cannot settle; where rate holds, the grid's own
     simplified correction (_simplified_rate) replaces it and decides.
+
+    A try that settles with q_residual above Q_TOL returns (None, steps),
+    unless q_residual - Q_TOL exceeds REACH_MARGIN times the first-order
+    reach of states within GRAD_TOL (_floor_reach): then it raises
+    ConvergenceError of kind under-resolved, whose message gives the
+    fiber-minimum width in grid spacings.
     """
     grid = fld.grid
     J0 = energy(params, b)
@@ -478,7 +498,18 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
                 return ((fld, b) if ok else None), steps
             if first:
                 # settled above Q_TOL, on the grid's Pohozaev floor: no
-                # later step can pass
+                # later step can pass, and where no state within GRAD_TOL
+                # can either, neither can the fallback
+                reach = _floor_reach(params, fld, b, ab, piv, rhs)
+                if qres - Q_TOL > REACH_MARGIN * reach:
+                    raise ConvergenceError(
+                        "under-resolved",
+                        f"under-resolved grid: Newton settled at "
+                        f"q_residual={qres:.3e}, above Q_TOL={Q_TOL} by more "
+                        f"than {REACH_MARGIN:g} times the reach {reach:.3e} "
+                        f"of states within GRAD_TOL={GRAD_TOL}; the "
+                        f"fiber-minimum width spans {width / grid.h:.3g} "
+                        "grid spacings")
                 return None, steps
         if steps > 2 and not gnorm <= 0.5 * prev:
             return None, steps
@@ -499,14 +530,50 @@ def _simplified_rate(fld: RadialField, c: float, g_proj: np.ndarray,
                      ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray,
                      dnorm: float) -> float:
     # |dbar| / dnorm^2, dbar the simplified Newton correction at fld after
-    # a step of size dnorm: the residual at fld solved with that step's LU
-    # factors (ab, piv) and its K^-1 W u (rhs[:, 1]), tangent at fld. |dbar|
-    # estimates fld's error (Deuflhard 2004) from the grid's own K
-    grid, w = fld.grid, fld.grid.weights
-    x = gbtrs(4, 4, ab, piv, -w * g_proj)
-    y, wu = rhs[:, 1], w * fld.values
+    # a step of size dnorm: the residual at fld solved with that step's K
+    # (_kept_solve). |dbar| estimates fld's error (Deuflhard 2004) from the
+    # grid's own K
+    dbar2 = _kept_solve(fld, ab, piv, rhs, -fld.grid.weights * g_proj)
+    return math.sqrt(dbar2 / c) / dnorm ** 2
+
+
+def _kept_solve(fld: RadialField, ab: np.ndarray, piv: np.ndarray,
+                rhs: np.ndarray, v: np.ndarray) -> float:
+    # |x|_W^2, x = K^-1 v made tangent at fld: a back-substitution with the
+    # last step's LU factors (ab, piv), projected along its K^-1 W u
+    # (rhs[:, 1]) as the step was
+    grid = fld.grid
+    x = gbtrs(4, 4, ab, piv, v)
+    y, wu = rhs[:, 1], grid.weights * fld.values
     d = x - (np.dot(wu, x) / np.dot(wu, y)) * y
-    return math.sqrt(_wdot(grid, d, d) / c) / dnorm ** 2
+    return _wdot(grid, d, d)
+
+
+def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
+                         b: NormBundle) -> np.ndarray:
+    """Euclidean gradient of q_residual = |Q| / bend at fld, b its bundle:
+    (sign(Q) grad Q - q_residual grad bend) / bend, with grad bend =
+    2 L^T W L u and grad Q = grad bend - a q W sgn(u)|u|^(q-1)
+    - 4* W sgn(u)|u|^(4*-1), a = pohozaev_coefficient; Q != 0."""
+    w, u = fld.grid.weights, fld.values
+    q, p = params.q, params.p_crit
+    au = np.abs(u)
+    d_bend = 2.0 * fld.grid.lap_t_apply(w * fld.lap)
+    d_q = d_bend - w * np.sign(u) * (
+        pohozaev_coefficient(params) * q * nonneg_power(au, q - 1.0)
+        + p * nonneg_power(au, p - 1.0))
+    Q = pohozaev(params, b)
+    return (math.copysign(1.0, Q) * d_q - abs(Q) / b.bend * d_bend) / b.bend
+
+
+def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
+                 ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> float:
+    # GRAD_TOL |x|_W, x = K^-1 g made tangent at fld (_kept_solve), g the
+    # gradient of q_residual (_q_residual_gradient): to first order, the
+    # most q_residual can fall over tangent states whose projected gradient
+    # is within GRAD_TOL
+    return GRAD_TOL * math.sqrt(_kept_solve(
+        fld, ab, piv, rhs, _q_residual_gradient(params, fld, b)))
 
 
 def _settled(rate, dnorm: float) -> bool:
@@ -591,10 +658,10 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     (_nested_factor), the Newton steps start from the coarse solution
     (_coarse_solve), moved to the grid by cubic interpolation and scaled to
     mass c; elsewhere from exp(-s1 r^2 / 2) at mass c on the grid. The try
-    is skipped where the unit bundle has no fiber minimum, where the width
-    spans fewer than MIN_NODES_PER_WIDTH grid spacings (there the discrete
-    Pohozaev floor, O(h^4), sits above Q_TOL), where the coarse solve fails
-    or does not settle, and where a start fails J < 0 or bend < bend_cap.
+    is skipped where the unit bundle has no fiber minimum, where the coarse
+    solve fails or does not settle, and where a start fails J < 0 or
+    bend < bend_cap. A try settled on a Pohozaev floor certified above
+    Q_TOL raises ConvergenceError of kind under-resolved (_newton_finish).
     """
     try:
         unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
@@ -602,9 +669,10 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
             params, unit, c / unit.mass, 1.0))).s1
     except (DomainError, OverflowError):
         return None
-    if s1 is None or s1 ** -0.5 < MIN_NODES_PER_WIDTH * grid.h:
+    if s1 is None:
         return None
-    f = _nested_factor(grid, s1 ** -0.5)
+    width = s1 ** -0.5
+    f = _nested_factor(grid, width)
     if f is None:
         coarse_steps, rate, prof = 0, None, _gaussian(grid, s1)
     else:
@@ -622,7 +690,7 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     fld, b = start
     done, steps = _newton_finish(params, c, fld, b,
                                  _residuals(params, c, fld, b), bend_cap,
-                                 first=True, rate=rate)
+                                 first=True, rate=rate, width=width)
     return None if done is None else (done, coarse_steps + steps)
 
 
@@ -636,12 +704,14 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     from the loose point (_descend), until
     gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
     outside (0, c0) or a grid of another dimension, and ConvergenceError if
-    the seed loop fails (kind seed), the residuals are not met within
-    MAX_ITER iterations (budget), the line search dies (line-search), the
-    descent stalls (stall), the bend safeguard bound more than
-    SAFEGUARD_MAX_FRAC of accepted steps (safeguard), or the converged state
-    breaks mass, bend or energy (invariant). iters counts the linear solves
-    of the path that returned the state, on every grid, plus one.
+    Newton first settles on a Pohozaev floor certified above Q_TOL
+    (under-resolved; no fallback runs), the seed loop fails (seed), the
+    residuals are not met within MAX_ITER iterations (budget), the line
+    search dies (line-search), the descent stalls (stall), the bend
+    safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
+    (safeguard), or the converged state breaks mass, bend or energy
+    (invariant). iters counts the linear solves of the path that returned
+    the state, on every grid, plus one.
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]

@@ -1,6 +1,5 @@
 import configparser
 import json
-import math
 import os
 import re
 from pathlib import Path
@@ -453,18 +452,25 @@ class TestCliSolveAndFiber:
         (rec,) = json_lines(out)
         assert rec["q_residual"] <= 5e-7
 
-    def test_solve_stall_at_discretization_floor(self, capsys, tmp_path,
-                                                 monkeypatch):
-        # this draw's Pohozaev residual stays near 6e-5 on the default grid,
-        # Newton steps included, while the gradient meets grad_tol
+    @staticmethod
+    def solve_draw_3(capsys, tmp_path, monkeypatch):
+        # `bhgs solve` on random_params draw 3 at 0.5 c0
         p = random_params(np.random.default_rng(3))
         for name, value in (("PROBLEM__N", p.N), ("PROBLEM__Q", p.q),
                             ("PROBLEM__MU", p.mu), ("CONSTANTS__C_GN", p.C_gn),
                             ("CONSTANTS__S_SOB", p.S_sob)):
             monkeypatch.setenv(f"BHGS_{name}", repr(value))
         c = 0.5 * mass_threshold(p)[1]
-        rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
-                               "--out", str(tmp_path / "no.csv"))
+        return run_cli(capsys, "solve", "--c", repr(c),
+                       "--out", str(tmp_path / "no.csv"))
+
+    def test_solve_stall_at_discretization_floor(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # this draw's Pohozaev residual stays near 6e-5 on the default grid,
+        # Newton steps included, while the gradient meets grad_tol; the
+        # seed loop and the descent alone run into that floor
+        monkeypatch.setattr(minimizer, "_newton_first", lambda *args: None)
+        rc, out, err = self.solve_draw_3(capsys, tmp_path, monkeypatch)
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
@@ -475,6 +481,19 @@ class TestCliSolveAndFiber:
                        r"\(tolerances 1e-08, 5e-07\)", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
         assert msg.endswith("; the gradient criterion is met")
+
+    def test_solve_under_resolved_at_discretization_floor(
+            self, capsys, tmp_path, monkeypatch):
+        # by default Newton first settles on that floor and certifies that
+        # no state within grad_tol passes q_tol: the solve ends there
+        rc, out, err = self.solve_draw_3(capsys, tmp_path, monkeypatch)
+        assert rc == 4 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "non-convergence"
+        assert rec["fail_kind"] == "under-resolved"
+        hit = re.match(r"under-resolved grid: Newton settled at "
+                       r"q_residual=(\S+), above Q_TOL=5e-07 ", rec["message"])
+        assert hit and float(hit.group(1)) > 5e-7
 
     def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
                                              monkeypatch):
@@ -590,7 +609,7 @@ class TestCliSweep:
                                                   monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         # the seed loop and the descent alone, on a budget of 2 iterations
-        monkeypatch.setattr(minimizer, "MIN_NODES_PER_WIDTH", math.inf)
+        monkeypatch.setattr(minimizer, "_newton_first", lambda *args: None)
         monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)

@@ -280,7 +280,7 @@ first = minimizer.minimize(p, grid, c)
 first_calls = dict(calls)
 calls.update(dict.fromkeys(names, 0))
 # the seed loop and the descent alone
-minimizer.MIN_NODES_PER_WIDTH = float("inf")
+minimizer._newton_first = lambda *args: None
 traced = minimizer.minimize(p, grid, c)
 solve_calls = dict(calls)
 calls.update(dict.fromkeys(names, 0))
