@@ -49,6 +49,7 @@ __all__ = [
     "rescale_bundle",
     "scaled_norms",
     "lagrange_multiplier",
+    "gaussian_bundle",
 ]
 
 
@@ -192,6 +193,17 @@ def rescale_bundle(params: LandscapeParams, b: NormBundle, mass: float,
     s2 = bend * b.mass / (mass * b.bend)
     _, _, subcrit, crit = scaled_norms(params, b, t2, s2)
     return NormBundle(mass=mass, bend=bend, subcrit=subcrit, crit=crit)
+
+
+def gaussian_bundle(params: LandscapeParams, s: float) -> NormBundle:
+    """Bundle of exp(-s r^2 / 2) on R^N, in closed form: mass (pi/s)^(N/2),
+    bend that mass times s^2 N (N+2) / 4, and |u|_e^e = (2 pi/(e s))^(N/2)
+    for e = q and e = 4*."""
+    N = params.N
+    mass = (math.pi / s) ** (N / 2.0)
+    return NormBundle(mass=mass, bend=mass * s * s * N * (N + 2) / 4.0,
+                      subcrit=(2.0 * math.pi / (params.q * s)) ** (N / 2.0),
+                      crit=(2.0 * math.pi / (params.p_crit * s)) ** (N / 2.0))
 
 
 def lagrange_multiplier(params: LandscapeParams, b: NormBundle) -> float:

@@ -2,9 +2,9 @@
 
 Uniform mesh on [0, R], quadrature weights that carry the full spherical
 measure omega_{N-1} r^{N-1} dr, a fourth-order radial Laplacian with the
-symmetry limit at the origin, and field CSV input/output. Fields are never
-rescaled on the grid: dilations act on norm bundles through exact laws
-(functionals.rescale_bundle, the fiber module).
+symmetry limit at the origin, and field CSV input/output. Dilations act on
+norm bundles through exact laws (functionals.rescale_bundle, the fiber
+module); a field is dilated only to start Newton (RadialGrid.interpolate).
 
 Quadrature design: interior weights are the smooth product h * omega * r^{N-1}
 (trapezoid measure, half weight at r = R), node 0 carries the exact integral
@@ -30,17 +30,14 @@ column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
 minimizer's preconditioner) are all computed by slicing this one array.
 
 Held per grid: the shift-free band L^T W L, to which normal_band adds a W
-(the minimizer's Newton step reads it directly), the minimizer's seed
-families, and the nested grids, one per factor f, on every f-th node
-(RadialGrid.nested). All are filled on first use and live and die with the
-grid instance (cached_property writes the instance __dict__, which a frozen
-dataclass allows); no module-level cache holds them. A nested grid is
-built by build_grid, never inside it, and holds no reference back.
-RadialGrid.from_nested moves samples from a nested grid to the grid by
-4-point cubic interpolation, with the even extension through the origin
-and the zero extension past R that the Laplacian's band uses; the
-minimizer's Newton first starts from a nested grid's solution moved this
-way.
+(the minimizer's Newton step reads it directly), and the minimizer's seed
+families. Both are filled on first use and live and die with the grid
+instance (cached_property writes the instance __dict__, which a frozen
+dataclass allows); no module-level cache holds them.
+RadialGrid.interpolate reads a grid's samples at arbitrary radii by 4-point
+cubic interpolation, with the even extension through the origin and the
+zero extension past R that the Laplacian's band uses; the minimizer's
+Newton first starts from its reference state read this way.
 
 Held per field: a RadialField's values are a read-only view, checked
 finite once when the field is made, and its L u (RadialField.lap) is
@@ -114,8 +111,8 @@ def _solve5(A, b):
 def _weight_core(N: int, n: int) -> np.ndarray:
     # r_max enters only through the h^N prefactor, so the exact-arithmetic
     # part is cached per (N, n); callers must not mutate the result. 64 keys
-    # hold a grid per N = 5..10 with the nested grids the minimizer's Newton
-    # first builds beside it, 4 sizes each
+    # hold several grid sizes per N = 5..10, among them the n = 1025 grids
+    # of the minimizer's reference states
     X = n - 1
     # node 0: integral of the linear hat on [0, h] against x^{N-1}
     pin = Fraction(1, N * (N + 1))
@@ -239,48 +236,31 @@ class RadialGrid:
         minimizer.seed."""
         return {}
 
-    @cached_property
-    def _nested(self) -> dict:
-        # the nested grids by factor f, filled by nested
-        return {}
-
-    def nested(self, f: int) -> RadialGrid:
-        """The grid on every f-th node: same dim and R, (n - 1) / f + 1
-        nodes. Built by build_grid on first use and held per f; f must
-        divide n - 1."""
-        if f < 1 or (self.n - 1) % f:
-            raise DomainError(
-                f"factor {f} does not divide n - 1 = {self.n - 1}")
-        sub = self._nested.get(f)
-        if sub is None:
-            sub = self._nested[f] = build_grid(self.dim, (self.n - 1) // f + 1,
-                                               self.r_max)
-        return sub
-
-    def from_nested(self, v: np.ndarray, f: int) -> np.ndarray:
-        """Samples v on nested(f) moved to this grid by 4-point cubic
+    def interpolate(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Samples v on this grid read at radii r >= 0 by 4-point cubic
         (Lagrange) interpolation in r.
 
-        The node at coarse position j + k/f, 0 <= k < f, reads coarse nodes
-        j-1..j+2, with v extended as lap_band extends fields: evenly through
-        the origin (v_{-1} = v_1) and by zero past R. Coarse nodes are
-        copied exactly; the rule is exact on cubics in r away from both
-        ends, and on 1 and r^2 away from R.
+        A radius in the cell [j h, (j + 1) h] reads nodes j-1..j+2, with v
+        extended as lap_band extends fields: evenly through the origin
+        (v_{-1} = v_1) and by zero past R; a radius past R reads zero. A
+        radius with r / h an integer reads that node's sample exactly; the
+        rule is exact on cubics in r away from both ends, and on 1 and r^2
+        away from R.
         """
-        nc = (self.n - 1) // f + 1
-        t = np.arange(f) / f
-        lagrange = (-t * (t - 1.0) * (t - 2.0) / 6.0,
-                    (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-                    -(t + 1.0) * t * (t - 2.0) / 2.0,
-                    (t + 1.0) * t * (t - 1.0) / 6.0)
-        padded = np.zeros(nc + 2)      # coarse nodes -1..nc
+        n = self.n
+        x = np.asarray(r, dtype=float) / self.h
+        inside = x <= n - 1
+        x = x[inside]
+        j = np.floor(x).astype(np.intp)
+        t = x - j
+        padded = np.zeros(n + 3)        # nodes -1..n+1
         padded[0] = v[1]
-        padded[1:nc + 1] = v
-        out = np.zeros(self.n)
-        cells = out[:-1].reshape(nc - 1, f)     # cells[j, k]: node j f + k
-        for m, wm in enumerate(lagrange):
-            cells += padded[m:m + nc - 1, None] * wm
-        out[-1] = v[-1]
+        padded[1:n + 1] = v
+        out = np.zeros(inside.shape)
+        out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
+                       + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
+                       - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
+                       + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
         return out
 
 

@@ -91,6 +91,12 @@ class LandscapeParams:
         return (math.log(self.mu / self.q) + self.q * math.log(self.C_gn),
                 math.log(1.0 / es.p_crit) + es.p_crit * math.log(self.S_sob))
 
+    @cached_property
+    def _reference(self):
+        # the minimizer's reference state, built on the first solve
+        from .minimizer import _reference_state
+        return _reference_state(self)
+
 
 @dataclass(frozen=True)
 class ExponentSet:

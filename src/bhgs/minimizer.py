@@ -34,21 +34,15 @@ q_residual - Q_TOL exceeds REACH_MARGIN times that reach, no state the
 fallback could accept is near, and the solve ends with ConvergenceError of
 kind under-resolved; the seed loop and the descent never run.
 
-Nested start (cascadic Newton; Deuflhard 2004, Hackbusch 1985): the
-Gaussian is 4% off the discrete solution, so from it the estimate first
-holds after three steps. Where the grid has a nested grid on every f-th
-node, f = MIN_COARSEN 2^k, with at least NESTED_MIN_NODES nodes and the
-width still spanning MIN_NODES_PER_WIDTH of its spacings (_nested_factor,
-the coarsest such f), the Gaussian starts bordered Newton there instead
-(_coarse_solve). Only the estimate stops that solve, at most FIRST_STEPS
-steps; its field, moved to the grid by 4-point cubic interpolation
-(RadialGrid.from_nested) and scaled to mass c, starts the try above. The
-rate the coarse solve settled on proposes settling after its first step,
-and the grid's own simplified Newton correction decides (_simplified_rate):
-the carried rate misjudges the interpolation error. A coarse step's LU
-costs at most 1/8 of a fine one's. A coarse start that fails J < 0 or the
-bend cap, or a coarse solve that does not settle, skips the try; no
-Gaussian start follows.
+Reference start (nested iteration; Deuflhard 2004, Hackbusch 1985): from
+the Gaussian, 4% off the discrete solution, the estimate first holds after
+three steps. While the critical term is negligible, ground states at
+different masses are dilations of one another, u -> A u(r/L) with A^(q-2)
+= L^-4, so each params object holds one reference state, solved on its
+first use (_reference_state), and the try starts from it dilated to mass
+c. The rate the reference settled on proposes settling after the first
+step, and the grid's own simplified Newton correction decides
+(_simplified_rate): the carried rate misjudges the interpolation error.
 
 Where the try is skipped or fails without that certificate, the fallback
 (_descend) runs bit for bit as without the try: the seed loop, then
@@ -70,10 +64,10 @@ ConvergenceError.
 
 A Newton result, first or finish, is kept only if its energy is not above
 the iterate it started from (up to NEWTON_J_SLACK bend) and its bend is
-below the safeguard cap. GroundState.iters counts the linear solves of
-the path that returned the state, on every grid, plus one: a failed try's
-solves are not counted, so a fallback solve reports the iters of the seed
-loop and the descent alone.
+below the safeguard cap. GroundState.iters counts the linear solves on
+the grid of the path that returned the state, plus one: the reference's
+solves are not counted, nor a failed try's, so a fallback solve reports
+the iters of the seed loop and the descent alone.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
@@ -125,10 +119,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fiber import analyze_fiber
-from .functionals import (NormBundle, energy, l2_gradient, lagrange_multiplier,
-                          nonneg_power, norm_bundle, pohozaev,
-                          pohozaev_coefficient, scaled_norms)
-from .grid import EXP_REACH, RadialField, RadialGrid
+from .functionals import (NormBundle, energy, gaussian_bundle, l2_gradient,
+                          lagrange_multiplier, nonneg_power, norm_bundle,
+                          pohozaev, pohozaev_coefficient, scaled_norms)
+from .grid import EXP_REACH, RadialField, RadialGrid, build_grid
 from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
                         LandscapeParams, derive_exponents, mass_threshold)
 
@@ -175,14 +169,9 @@ FIRST_STEPS = 4
 FIRST_ERR_TOL = 1e-10
 REACH_MARGIN = 2.0
 
-# Newton first's nested start: the coarsest grid on every f-th node, f =
-# MIN_COARSEN 2^k, with at least NESTED_MIN_NODES nodes (build_grid's least
-# n) on which the fiber-minimum Gaussian's width s1^(-1/2) still spans
-# MIN_NODES_PER_WIDTH spacings. From f = 8 on, a coarse step's LU costs at
-# most 1/8 of a fine one's, so the coarse solve costs less than the fine
-# step it saves
-MIN_COARSEN = 8
-NESTED_MIN_NODES = 64
+# Newton first's reference state: solved at REF_FRACTION c0 on a grid with
+# MIN_NODES_PER_WIDTH nodes per fiber-minimum width (_reference_state)
+REF_FRACTION = 0.2
 MIN_NODES_PER_WIDTH = 24
 
 # Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
@@ -452,8 +441,8 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     the iterate's error be at most FIRST_ERR_TOL (_settled). From the
     second step on its rate is this grid's |d_k| / |d_(k-1)|^2, d_k the
     k-th change of u in |.|_W / sqrt(c). At the first step it is rate, the
-    one a nested grid's solve settled on (_coarse_solve), or None, and then
-    the first step cannot settle; where rate holds, the grid's own
+    one the reference solve settled on (_reference_state), or None, and
+    then the first step cannot settle; where rate holds, the grid's own
     simplified correction (_simplified_rate) replaces it and decides.
 
     A try that settles with q_residual above Q_TOL returns (None, steps),
@@ -578,22 +567,9 @@ def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
 
 def _settled(rate, dnorm: float) -> bool:
     # Deuflhard's estimate rate |d|^2 of the error left after a step of size
-    # dnorm, at most FIRST_ERR_TOL; rate is this grid's, a nested grid's or
+    # dnorm, at most FIRST_ERR_TOL; rate is this grid's, the reference's or
     # the simplified correction's (_newton_finish), and None is no estimate
     return rate is not None and rate * dnorm ** 2 <= FIRST_ERR_TOL
-
-
-def _nested_factor(grid: RadialGrid, width: float):
-    """The coarsest f = MIN_COARSEN 2^k that divides n - 1, leaves at least
-    NESTED_MIN_NODES nodes and keeps width >= MIN_NODES_PER_WIDTH f h; None
-    where MIN_COARSEN itself fails."""
-    found = None
-    f = MIN_COARSEN
-    while ((grid.n - 1) % f == 0
-           and (grid.n - 1) // f + 1 >= NESTED_MIN_NODES
-           and width >= MIN_NODES_PER_WIDTH * f * grid.h):
-        found, f = f, 2 * f
-    return found
 
 
 def _start(params: LandscapeParams, grid: RadialGrid, c: float,
@@ -610,16 +586,16 @@ def _start(params: LandscapeParams, grid: RadialGrid, c: float,
 
 def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
                   s1: float, bend_cap: float):
-    """Bordered Newton on a nested grid from exp(-s1 r^2 / 2) at mass c:
-    (values, steps, rate) once Deuflhard's estimate is at most
+    """Bordered Newton on the reference grid from exp(-s1 r^2 / 2) at mass
+    c: (values, steps, rate) once Deuflhard's estimate is at most
     FIRST_ERR_TOL (_settled), within FIRST_STEPS steps; otherwise None. rate
     is the one the estimate settled on, |d_K| / |d_(K-1)|^2 of the last two
-    steps, which proposes settling after the grid's first step
-    (_newton_finish).
+    steps, which proposes settling after the first step on the caller's
+    grid (_newton_finish).
 
     Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
-    the fine problem, and on the nested grid the Pohozaev floor may sit
-    above Q_TOL. The settled iterate is returned unbundled.
+    the caller's problem, and on the reference grid the Pohozaev floor may
+    sit above Q_TOL. The settled iterate is returned unbundled.
     """
     start = _start(params, coarse, c, _gaussian(coarse, s1), bend_cap)
     if start is None:
@@ -647,21 +623,44 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
     return None
 
 
+def _reference_state(params: LandscapeParams):
+    """(grid, values, rate, c_ref): the _coarse_solve at c_ref = REF_FRACTION
+    c0 on a grid of 30 widths s1^(-1/2), s1 the closed-form Gaussian
+    bundle's fiber minimum at c_ref, with the fewest 2^k + 1 nodes giving
+    MIN_NODES_PER_WIDTH per width (1025); None where it fails. Held on
+    params (LandscapeParams._reference), so built once per params object.
+    """
+    _, c0, rho0 = mass_threshold(params)
+    c_ref = REF_FRACTION * c0
+    try:
+        unit = gaussian_bundle(params, 1.0)
+        s1 = analyze_fiber(params, NormBundle(*scaled_norms(
+            params, unit, c_ref / unit.mass, 1.0))).s1
+        if s1 is None:
+            return None
+        n = 2 ** math.ceil(math.log2(30 * MIN_NODES_PER_WIDTH)) + 1
+        grid = build_grid(params.N, n, 30.0 * s1 ** -0.5)
+        solved = _coarse_solve(params, grid, c_ref, s1,
+                               rho0 * (1.0 - SAFEGUARD_MARGIN))
+    except (DomainError, OverflowError):
+        return None
+    if solved is None:
+        return None
+    values, _, rate = solved
+    return grid, values, rate, c_ref
+
+
 def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                   bend_cap: float):
-    """Newton from the fiber-minimum Gaussian: ((fld, b), steps), or None
-    where the try is skipped or fails. steps counts the linear solves on
-    both grids.
+    """Newton steps on the grid (_newton_finish): ((fld, b), steps), or
+    None where the try is skipped or fails.
 
-    The unit Gaussian's bundle, scaled to mass c by the amplitude law, gives
-    the fiber minimum s1. Where a nested grid resolves the width s1^(-1/2)
-    (_nested_factor), the Newton steps start from the coarse solution
-    (_coarse_solve), moved to the grid by cubic interpolation and scaled to
-    mass c; elsewhere from exp(-s1 r^2 / 2) at mass c on the grid. The try
-    is skipped where the unit bundle has no fiber minimum, where the coarse
-    solve fails or does not settle, and where a start fails J < 0 or
-    bend < bend_cap. A try settled on a Pohozaev floor certified above
-    Q_TOL raises ConvergenceError of kind under-resolved (_newton_finish).
+    They start from the reference state (_reference_state) read at r / L,
+    L = (c / c_ref)^(1 / (N - 8/(q-2))) (RadialGrid.interpolate), and
+    scaled to mass c; where there is none, or that start fails J < 0 or
+    bend < bend_cap, from exp(-s1 r^2 / 2) at mass c, s1 the fiber minimum
+    of the grid's unit Gaussian bundle scaled to mass c. The try is skipped
+    where s1 or both starts fail.
     """
     try:
         unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
@@ -671,35 +670,31 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
         return None
     if s1 is None:
         return None
-    width = s1 ** -0.5
-    f = _nested_factor(grid, width)
-    if f is None:
-        coarse_steps, rate, prof = 0, None, _gaussian(grid, s1)
-    else:
-        try:
-            solved = _coarse_solve(params, grid.nested(f), c, s1, bend_cap)
-        except DomainError:
-            return None
-        if solved is None:
-            return None
-        coarse, coarse_steps, rate = solved
-        prof = grid.from_nested(coarse, f)
-    start = _start(params, grid, c, prof, bend_cap)
+    start = rate = None
+    ref = params._reference
+    if ref is not None:
+        ref_grid, values, rate, c_ref = ref
+        L = (c / c_ref) ** (1.0 / (params.N - 8.0 / (params.q - 2.0)))
+        start = _start(params, grid, c,
+                       ref_grid.interpolate(values, grid.nodes / L), bend_cap)
+    if start is None:
+        rate = None
+        start = _start(params, grid, c, _gaussian(grid, s1), bend_cap)
     if start is None:
         return None
     fld, b = start
     done, steps = _newton_finish(params, c, fld, b,
                                  _residuals(params, c, fld, b), bend_cap,
-                                 first=True, rate=rate, width=width)
-    return None if done is None else (done, coarse_steps + steps)
+                                 first=True, rate=rate, width=s1 ** -0.5)
+    return None if done is None else (done, steps)
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Newton first, from the fiber-minimum Gaussian or from its solve on a
-    nested grid (_newton_first); where that is skipped or fails, the seed
+    Newton first, from the params' reference state moved to mass c or from
+    the fiber-minimum Gaussian (_newton_first); where that fails, the seed
     loop and the preconditioned descent, finished by bordered Newton steps
     from the loose point (_descend), until
     gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
@@ -710,8 +705,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     search dies (line-search), the descent stalls (stall), the bend
     safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
     (safeguard), or the converged state breaks mass, bend or energy
-    (invariant). iters counts the linear solves of the path that returned
-    the state, on every grid, plus one.
+    (invariant). iters counts the linear solves on the grid of the path
+    that returned the state, plus one.
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import fiber as fb
 from . import landscape as ls
-from .functionals import (NormBundle, energy, l2_gradient, norm_bundle,
-                          pohozaev_coefficient)
+from .functionals import (NormBundle, energy, gaussian_bundle, l2_gradient,
+                          norm_bundle, pohozaev_coefficient)
 from .grid import (EXP_REACH, RadialField, RadialGrid, build_grid, integrate,
-                   laplacian, sphere_area)
+                   laplacian)
 
 __all__ = ["CheckResult", "run_all", "random_params", "golden_argmax",
            "bisect_threshold", "fiber_sign_scan", "random_bundle",
@@ -247,13 +247,9 @@ def _check_landscape_argmax(params, cfg) -> CheckResult:
 def _check_quadrature_oracles(params, cfg) -> CheckResult:
     N = params.N
     g = build_grid(N, cfg.get_int("grid", "n"), 12.0)
-    area = sphere_area(N)
-    mass_exact = math.pi ** (N / 2.0)
+    exact = gaussian_bundle(params, 1.0)
+    mass_exact, bend_exact = exact.mass, exact.bend
     mass_num = integrate(g, np.exp(-g.nodes ** 2))
-    # |Delta e^{-r^2/2}|_2^2 via Gaussian moments of (r^2 - N)^2
-    def mom(k: int) -> float:
-        return area * math.gamma((2 * k + N) / 2.0) / 2.0
-    bend_exact = mom(2) - 2.0 * N * mom(1) + N * N * mom(0)
     u = RadialField(g, np.exp(-g.nodes ** 2 / 2.0))
     bend_num = integrate(g, laplacian(u).values ** 2)
     e1 = abs(mass_num - mass_exact) / mass_exact

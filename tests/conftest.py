@@ -6,7 +6,11 @@ from bhgs import LandscapeParams, build_grid, mass_threshold
 
 @pytest.fixture(scope="session")
 def p53():
-    return LandscapeParams(N=5, q=3.0, mu=1.0)
+    p = LandscapeParams(N=5, q=3.0, mu=1.0)
+    # its reference state, held for the session, is built before any test
+    # patches the solver
+    p._reference
+    return p
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ from bhgs import (
     pohozaev,
     rescale_bundle,
 )
-from bhgs.functionals import nonneg_power, pohozaev_coefficient
+from bhgs.functionals import (gaussian_bundle, nonneg_power,
+                              pohozaev_coefficient)
 from bhgs.verify import bump_field
 
 PI_52 = math.pi ** 2.5
@@ -48,6 +49,27 @@ class TestNormBundle:
         assert b.bend == pytest.approx(8.75 * PI_52, rel=1e-7)
         assert b.subcrit == pytest.approx(SUBCRIT_GAUSS, rel=1e-10)
         assert b.crit == pytest.approx(CRIT_GAUSS, rel=1e-10)
+
+    def test_gaussian_bundle_closed_form(self, p53):
+        # at s = 1 and N = 5 the closed forms are the module's oracles
+        b = gaussian_bundle(p53, 1.0)
+        assert b.mass == pytest.approx(PI_52, rel=1e-15)
+        assert b.bend == pytest.approx(8.75 * PI_52, rel=1e-15)
+        assert b.subcrit == pytest.approx(SUBCRIT_GAUSS, rel=1e-15)
+        assert b.crit == pytest.approx(CRIT_GAUSS, rel=1e-15)
+
+    @pytest.mark.parametrize("N, q, s", [(5, 3.0, 1.0), (5, 2.2, 37.0),
+                                         (7, 2.9, 0.04), (10, 2.5, 2.5)])
+    def test_gaussian_bundle_matches_quadrature(self, N, q, s):
+        # exp(-s r^2 / 2) on an n = 8193 grid of 12 widths s^(-1/2)
+        p = LandscapeParams(N=N, q=q)
+        grid = build_grid(N, 8193, 12.0 / math.sqrt(s))
+        fld = RadialField(grid, np.exp(-s * grid.nodes ** 2 / 2.0))
+        got, want = norm_bundle(p, fld), gaussian_bundle(p, s)
+        for name in ("mass", "subcrit", "crit"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-12)
+        assert got.bend == pytest.approx(want.bend, rel=1e-9)
 
     def test_zero_field(self, p53, grid12):
         b = norm_bundle(p53, RadialField(grid12, np.zeros(grid12.n)))

@@ -241,22 +241,17 @@ class TestRadialField:
 
 
 class TestNestedGrids:
+    # RadialGrid.interpolate, read from the grid on every f-th node of
+    # `fine`, which shares its R
     @pytest.fixture()
     def fine(self):
-        # h = 0.01 and R = 10.24: the nested grid for f = 8 has 129 nodes
-        return build_grid(5, 1025, 10.24)
+        # h = 2^-7 and R = 8: every node's radius, over any nested grid's
+        # spacing, is an exact integer or lies strictly inside a cell
+        return build_grid(5, 1025, 8.0)
 
-    def test_nested_grid_is_held_per_factor(self, fine):
-        sub = fine.nested(8)
-        assert (sub.dim, sub.n, sub.r_max) == (5, 129, fine.r_max)
-        assert fine.nested(8) is sub
-        assert fine.nested(16).n == 65
-        assert np.allclose(sub.nodes, fine.nodes[::8], rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("f", [0, 3, 2048])
-    def test_factor_must_divide_n_minus_one(self, fine, f):
-        with pytest.raises(DomainError, match="does not divide"):
-            fine.nested(f)
+    @staticmethod
+    def nested(fine, f):
+        return build_grid(fine.dim, (fine.n - 1) // f + 1, fine.r_max)
 
     @pytest.mark.parametrize("f", [2, 8, 16])
     @pytest.mark.parametrize("profile", [
@@ -268,50 +263,68 @@ class TestNestedGrids:
         # the 4-point rule reads one coarse node before and two after each
         # coarse cell: away from node 0 (where it reflects) and from R
         # (where it reads zeros) a cubic is reproduced to rounding
-        got = fine.from_nested(profile(fine.nested(f).nodes), f)
+        sub = self.nested(fine, f)
+        got = sub.interpolate(profile(sub.nodes), fine.nodes)
         want = profile(fine.nodes)
         inner = slice(f, fine.n - 2 * f)
         assert np.allclose(got[inner], want[inner], rtol=1e-12, atol=1e-12)
 
     def test_coarse_nodes_are_copied_exactly(self, fine, rng):
-        v = rng.standard_normal(fine.nested(8).n)
-        assert np.array_equal(fine.from_nested(v, 8)[::8], v)
+        sub = self.nested(fine, 8)
+        v = rng.standard_normal(sub.n)
+        assert np.array_equal(sub.interpolate(v, fine.nodes)[::8], v)
+        assert np.array_equal(sub.interpolate(v, sub.nodes), v)
 
     def test_even_at_the_origin(self, fine):
         # v_{-1} = v_1 as in lap_band: the first cell reads coarse node 1
         # twice, and r^2, being even, is exact there too
         f = 8
-        sub = fine.nested(f)
-        got = fine.from_nested(sub.nodes ** 2, f)
+        sub = self.nested(fine, f)
+        got = sub.interpolate(sub.nodes ** 2, fine.nodes)
         assert np.allclose(got[:f], fine.nodes[:f] ** 2, rtol=0, atol=1e-15)
         e1 = np.zeros(sub.n)
         e1[1] = 1.0
         t = np.arange(f) / f
         reflected = -t * (t - 1.0) * (t - 2.0) / 6.0   # the weight of v_{-1}
         direct = -(t + 1.0) * t * (t - 2.0) / 2.0      # the weight of v_1
-        assert np.allclose(fine.from_nested(e1, f)[:f], reflected + direct,
-                           rtol=0, atol=1e-15)
+        assert np.allclose(sub.interpolate(e1, fine.nodes)[:f],
+                           reflected + direct, rtol=0, atol=1e-15)
 
     def test_zero_past_r(self, fine):
-        # a constant reads zeros past R: the last cell's nodes fall short
+        # a constant reads zeros past R: the last cell's nodes fall short,
+        # and a radius past R reads zero
         f = 8
-        got = fine.from_nested(np.ones(fine.nested(f).n), f)
+        sub = self.nested(fine, f)
+        got = sub.interpolate(np.ones(sub.n), fine.nodes)
         t = np.arange(f) / f
         want = 1.0 - (t + 1.0) * t * (t - 1.0) / 6.0
         assert np.allclose(got[-f - 1:-1], want, rtol=0, atol=1e-15)
         assert got[-1] == 1.0
+        past = sub.interpolate(np.ones(sub.n),
+                               np.array([np.nextafter(8.0, 9.0), 9.0, 1e300]))
+        assert np.array_equal(past, np.zeros(3))
+
+    def test_arbitrary_radii(self):
+        # radii off any node and out of order, on a spacing that is not a
+        # power of two: a cubic away from both ends is exact to rounding
+        src = build_grid(5, 301, 7.5)
+        cubic = lambda r: 2.0 - 0.7 * r + 0.3 * r * r - 0.05 * r ** 3
+        r = np.random.default_rng(5).uniform(0.05, 7.4, 200)
+        got = src.interpolate(cubic(src.nodes), r)
+        assert np.allclose(got, cubic(r), rtol=1e-12, atol=1e-12)
 
     def test_weight_cache_holds_nested_grids_across_dims(self):
-        # a domain-style loop: per draw, a default grid at N = 5..10 and its
-        # nested grids for f = 8, 16 and 32, twice over; each exact weight
-        # core is computed once per (N, n), and the second pass only hits
+        # a domain-style loop: per draw, a default grid at N = 5..10 and
+        # the grids on its every 8th, 16th and 32nd node, twice over; each
+        # exact weight core is computed once per (N, n), and the second
+        # pass only hits
         core = grid_mod._weight_core
         core.cache_clear()
         for _ in range(2):
             for N in range(5, 11):
-                g = build_grid(N, 2049, 1000.0)
+                build_grid(N, 2049, 1000.0)
                 for f in (8, 16, 32):
-                    g.nested(f)
+                    build_grid(N, 2048 // f + 1, 1000.0)
         info = core.cache_info()
         assert (info.misses, info.hits) == (24, 24)
 

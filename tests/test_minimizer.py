@@ -56,14 +56,14 @@ DEFAULT_ITERS = 7
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
-     [('-0x1.313a32929764dp-11', '-0x1.9465861961a64p-8', 4),
-      ('-0x1.3f11cdeaf1af1p-8', '-0x1.52305e1653402p-7', 4),
+     [('-0x1.313a329297661p-11', '-0x1.94658619581fcp-8', 2),
+      ('-0x1.3f11cdeaf1adep-8', '-0x1.52305e16487a8p-7', 2),
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f106p-18', '-0x1.1474ebc665aa2p-14', 4),
-      ('-0x1.0366a5eba90e2p-13', '-0x1.43df6cac1c9c2p-12', 4),
-      ('-0x1.9a64e76875a25p-12', '-0x1.1ca9cb82b5be7p-11', 4)]),
+     [('-0x1.62472eeb9f21dp-18', '-0x1.1474ebc66583ep-14', 2),
+      ('-0x1.0366a5eba9198p-13', '-0x1.43df6cac1c8bbp-12', 2),
+      ('-0x1.9a64e76875a6dp-12', '-0x1.1ca9cb82b5456p-11', 2)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['under-resolved',
@@ -85,13 +85,12 @@ PIN_DRAWS = [
       ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 23),
       'stall']),
 ]
-# The solve-fine grid's pins are Newton-first's from its nested start: 3
-# solves on the nested grid and 1 on the grid itself, certified by the
-# nested solve's rate.
+# The solve-fine grid's pins are Newton-first's from the params' reference
+# state: 1 solve on the grid, certified by the simplified correction.
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d1754p-27', '-0x1.846040ac29f93p-22', 5)),
-    (0.5, ('-0x1.d22487586828ap-22', '-0x1.9f122ce1a63d5p-19', 5)),
-    (0.9, ('-0x1.cb4c560e0f91cp-20', '-0x1.c66b103fc2983p-18', 5)),
+    (0.1, ('-0x1.5cee30b3d49e2p-27', '-0x1.846040ac2a215p-22', 2)),
+    (0.5, ('-0x1.d224875867d62p-22', '-0x1.9f122ce1a4edap-19', 2)),
+    (0.9, ('-0x1.cb4c560e10d20p-20', '-0x1.c66b103fc2295p-18', 2)),
 ]
 # (draw N or "fine", c/c0) -> the pin before Newton-first
 PIN_BEFORE_FIRST = {
@@ -106,12 +105,10 @@ PIN_BEFORE_FIRST = {
 }
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
-# (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose tries
-# start nested, with first steps on the grid near 1e-5. The rate the nested
-# solve settled on proposes settling after that step on all five, but the
-# first four states lie 1.8e-10 to 1.06e-9 from the converged one; the last
-# lies 9.7e-11 from it
-DOMAIN_NESTED = [
+# (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
+# steps from the reference are too large for its rate to propose settling:
+# each takes a second step on the grid
+DOMAIN_OPS = [
     ((8, 2.622349187911862, 3.886405763379142, 1.7167083102121452,
       1.7559047372819967), 0.1),
     ((7, 2.6613799386402497, 0.1791325196875883, 1.1404406622101273,
@@ -503,21 +500,29 @@ def pin_and_fine_ops():
     p = LandscapeParams(N=5, q=3.0, mu=1.0)
     grid = build_grid(5, 8193, 1000.0)
     c0 = mass_threshold(p)[1]
-    return ops + [(p, grid, f * c0) for f in FINE_FRACS]
+    return held(ops + [(p, grid, f * c0) for f in FINE_FRACS])
 
 
-def nested_ops():
-    """(params, grid, c) of the DOMAIN_NESTED ops and of the FINE_FRACS
-    masses on the solve-fine grid, each of whose tries starts nested."""
+def held(ops):
+    """ops, with each params' reference state built before a test patches
+    the solver: it is held for the params' lifetime."""
+    for p, _, _ in ops:
+        p._reference
+    return ops
+
+
+def reference_ops():
+    """(params, grid, c) of the DOMAIN_OPS and of the FINE_FRACS masses on
+    the solve-fine grid, each of whose tries starts from its reference."""
     ops = []
-    for (N, q, mu, cgn, ssob), f in DOMAIN_NESTED:
+    for (N, q, mu, cgn, ssob), f in DOMAIN_OPS:
         p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
         ops.append((p, build_grid(N, 2049, 1000.0),
                     f * mass_threshold(p)[1]))
     p = LandscapeParams(N=5, q=3.0, mu=1.0)
     c0 = mass_threshold(p)[1]
-    return ops + [(p, build_grid(5, 8193, 1000.0), f * c0)
-                  for f in FINE_FRACS]
+    return held(ops + [(p, build_grid(5, 8193, 1000.0), f * c0)
+                       for f in FINE_FRACS])
 
 
 def polished_lambda(params, c, fld, b, steps=2):
@@ -589,22 +594,27 @@ class TestNewtonFirst:
     def test_absolute_tolerances_alone_accept_unconverged_lambda(
             self, ops, monkeypatch):
         # with the error estimate always met, the try stops on GRAD_TOL and
-        # Q_TOL after two steps, and from the Gaussian start (the N = 6
-        # draw) lambda is off by some 3e-7; on the solve-fine ops the
-        # coarse solve settles after two steps and its rate after one more.
-        # The N = 5 draw's gradient first meets GRAD_TOL after three steps
+        # Q_TOL: from the reference after one step, which at 0.05 c0 on the
+        # solve-fine grid, the reference moved farthest, leaves lambda off
+        # by 1.6e-10; from the Gaussian start after two steps, or three for
+        # the N = 5 draw, with lambda off by some 2e-7 to 3e-7 elsewhere
         monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
         results = self.first_results(ops)
         assert [steps for _, _, (_, steps) in results] == (
-            [3] * 2 + [2] * 3 + [3] * len(FINE_FRACS))
-        assert min(self.lambda_errors(results[2:5])) > 1e-10
+            [1] * (5 + len(FINE_FRACS)))
+        assert self.lambda_errors(results[5:6])[0] > 1e-10
+        monkeypatch.setattr(minimizer, "_reference_state", lambda p: None)
+        results = self.first_results(pin_and_fine_ops())
+        assert [steps for _, _, (_, steps) in results] == (
+            [3] * 2 + [2] * (3 + len(FINE_FRACS)))
+        assert min(self.lambda_errors(results[2:])) > 1e-7
 
     def test_narrow_draw_tries_newton_before_the_seed(self, monkeypatch):
-        # the N = 5 draw's fiber-minimum width spans 14 to 17 grid spacings,
-        # too few for a nested start: the try takes three Newton steps from
-        # the Gaussian on the grid itself, and solves the op below 0.9 c0;
-        # at 0.9 c0 it settles on a floor it cannot certify, and the seed
-        # loop follows
+        # the N = 5 draw's fiber-minimum width spans 14 to 17 grid spacings.
+        # The first solve builds the params' reference state, in three
+        # steps on its n = 1025 grid; from it the try takes one Newton step
+        # on the grid and solves the op below 0.9 c0; at 0.9 c0 it settles
+        # on a floor it cannot certify, and the seed loop follows
         (N, q, mu, cgn, ssob), _ = PIN_DRAWS[0]
         p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
         grid = build_grid(N, 2049, 1000.0)
@@ -612,7 +622,7 @@ class TestNewtonFirst:
         real_gbsv, real_seed = minimizer.gbsv, minimizer.seed
 
         def counting_gbsv(*args):
-            events.append("gbsv")
+            events.append(args[2].shape[1])
             return real_gbsv(*args)
 
         def counting_seed(*args):
@@ -630,7 +640,8 @@ class TestNewtonFirst:
             except ConvergenceError:
                 pass
             got.append(events[:4])
-        assert got == [["gbsv"] * 3] * 2 + [["gbsv"] * 3 + ["seed"]]
+        assert got[:2] == [[1025] * 3 + [2049], [2049]]
+        assert got[2][:2] == [2049, "seed"]
 
 
 def count_gbsv(monkeypatch):
@@ -646,76 +657,116 @@ def count_gbsv(monkeypatch):
     return sizes
 
 
-class TestNestedStart:
-    @pytest.mark.parametrize("n, r_max, width, want", [
-        # solve-fine grid, h = 1000/8192: f h MIN_NODES_PER_WIDTH = 23.4 f
-        (8193, 1000.0, 23.4, None),
-        (8193, 1000.0, 23.5, 8),
-        (8193, 1000.0, 46.8, 8),
-        (8193, 1000.0, 46.9, 16),
-        (8193, 1000.0, 1e9, 128),       # 65 nodes; f = 256 would leave 33
-        (1001, 1000.0, 1e9, 8),         # 1000 = 8 * 125: 16 does not divide
-        (1005, 1000.0, 1e9, None),      # 1004 = 4 * 251: 8 does not divide
-        (513, 1000.0, 1e9, 8),          # 65 nodes at f = 8
-        (257, 1000.0, 1e9, None),       # 33 nodes at f = 8
-    ])
-    def test_coarsest_factor(self, n, r_max, width, want):
-        assert minimizer._nested_factor(build_grid(5, n, r_max),
-                                        width) == want
+def state_key(st):
+    """A GroundState's reported numbers and field, for bitwise comparison."""
+    return (st.m, st.lam, st.q_residual, st.bend, st.iters,
+            st.field.values.tobytes())
 
-    def test_solve_fine_mass_takes_one_fine_solve(self, monkeypatch, p53,
+
+class TestNestedStart:
+    """Newton first's start from a solve on a coarser grid (nested
+    iteration): the params' reference state, moved by the dilation."""
+
+    def test_solve_fine_mass_takes_one_fine_solve(self, monkeypatch,
                                                   thresholds53):
-        # the nested solve settles in 3 steps, and from its interpolated
-        # field the try is accepted after 1 step on the n = 8193 grid,
-        # certified by the simplified correction on that step's LU
+        # the first solve builds the reference in 3 steps on its n = 1025
+        # grid, and from it the try is accepted after 1 step on the
+        # n = 8193 grid, certified by the simplified correction on that
+        # step's LU; the reference's solves are not counted in iters
+        p = LandscapeParams(N=5, q=3.0, mu=1.0)
         grid = build_grid(5, 8193, 1000.0)
         sizes = count_gbsv(monkeypatch)
-        st = minimize(p53, grid, 0.5 * thresholds53[1])
-        assert sizes.count(8193) == 1
-        assert len(sizes) == st.iters - 1 == 4
-        assert set(sizes) == {8193, grid.nested(8).n}
+        st = minimize(p, grid, 0.5 * thresholds53[1])
+        assert sizes == [1025] * 3 + [8193]
+        assert st.iters == 2
+        sizes.clear()
+        assert minimize(p, grid, 0.3 * thresholds53[1]).iters == 2
+        assert sizes == [8193]
+
+    def test_one_lu_per_op(self, monkeypatch):
+        # the solve-fine masses and every op a set of draws over N = 5..10
+        # solves by Newton first take one LU on the grid, but 0.05 c0 on
+        # the solve-fine grid, the reference moved farthest, and the N = 5
+        # draw at 0.9 c0, which take two
+        ops = pin_and_fine_ops()
+        for k in (0, 6, 11, 16, 21, 23, 29, 85):
+            p = random_params(np.random.default_rng(k))
+            grid = build_grid(p.N, 2049, 1000.0)
+            ops += [(p, grid, f * mass_threshold(p)[1])
+                    for f in (0.1, 0.5, 0.9)]
+        fell_back = []
+        real_seed = minimizer.seed
+
+        def marking_seed(*args):
+            fell_back.append(True)
+            return real_seed(*args)
+
+        monkeypatch.setattr(minimizer, "seed", marking_seed)
+        got = []
+        for p, grid, c in held(ops):
+            fell_back.clear()
+            try:
+                st = minimize(p, grid, c)
+            except ConvergenceError:
+                continue
+            if not fell_back:
+                got.append((p.N, round(c / mass_threshold(p)[1], 5),
+                            st.iters))
+        assert {key[0] for key in got} == set(range(5, 11))
+        assert len(got) == 31
+        assert [key for key in got if key[2] != 2] == [(5, 0.05, 3),
+                                                        (5, 0.9, 3)]
 
     def test_accepted_state_is_certified(self, monkeypatch):
-        # on every op whose try starts nested, the accepted state is within
-        # FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3 more Newton
-        # steps, and its lambda within 1e-10 of the polished one; the
-        # FINE_FRACS masses settle after one step on the grid, and of the
-        # DOMAIN_NESTED ops those the simplified correction rejects after
-        # two. Where that error stands far above the roundoff floor (the
-        # last DOMAIN_NESTED op, 9.7e-11), the correction measures it
+        # on every op whose try starts from the reference, the accepted
+        # state is within FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3
+        # more Newton steps, and its lambda within 1e-10 of the polished
+        # one. The DOMAIN_OPS and 0.05 c0 take two steps on the grid, the
+        # other FINE_FRACS masses one. Where the reference's rate proposes
+        # a first step whose state stands far above the roundoff floor
+        # (0.05 c0, 4.5e-10), the simplified correction measures that error
+        # and rejects the step
         sizes = count_gbsv(monkeypatch)
         real = minimizer._simplified_rate
-        estimates = []
+        proposed = []
 
         def recording(fld, c, g_proj, ab, piv, rhs, dnorm):
             rate = real(fld, c, g_proj, ab, piv, rhs, dnorm)
-            estimates.append(rate * dnorm ** 2)
+            proposed.append((rate * dnorm ** 2, fld, c))
             return rate
 
-        monkeypatch.setattr(minimizer, "_simplified_rate", recording)
-        fine_steps, errors = [], []
-        for p, grid, c in nested_ops():
-            cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-            sizes.clear()
-            (fld, b), steps = minimizer._newton_first(p, grid, c, cap)
-            assert set(sizes) > {grid.n} and steps == len(sizes)
-            fine_steps.append(sizes.count(grid.n))
+        def error(p, c, fld):
+            grid = fld.grid
             ab = np.empty((13, grid.n), order="F")
             rhs = np.empty((grid.n, 2), order="F")
-            u, fld2, b2 = fld.values, fld, b
+            fld2, b2 = fld, norm_bundle(p, fld)
             for _ in range(3):
                 g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld2, b2)
                 fld2 = RadialField(grid, minimizer._newton_step(
                     p, c, fld2, g_proj, lam_hat, ab, rhs))
                 b2 = norm_bundle(p, fld2)
-            d = fld2.values - u
-            errors.append(math.sqrt(np.dot(grid.weights * d, d) / c))
+            d = fld2.values - fld.values
+            return math.sqrt(np.dot(grid.weights * d, d) / c)
+
+        monkeypatch.setattr(minimizer, "_simplified_rate", recording)
+        steps_taken, errors = [], []
+        for p, grid, c in reference_ops():
+            cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
+            sizes.clear()
+            (fld, b), steps = minimizer._newton_first(p, grid, c, cap)
+            assert sizes == [grid.n] * steps
+            steps_taken.append(steps)
+            errors.append(error(p, c, fld))
             assert errors[-1] <= minimizer.FIRST_ERR_TOL
             lam = lagrange_multiplier(p, b)
             assert abs(lam / polished_lambda(p, c, fld, b) - 1.0) <= 1e-10
-        assert fine_steps == [2] * 4 + [1] + [1] * len(FINE_FRACS)
-        assert len(estimates) == len(fine_steps)
-        assert estimates[4] == pytest.approx(errors[4], rel=5e-3)
+        assert steps_taken == [2] * 5 + [2] + [1] * (len(FINE_FRACS) - 1)
+        p = LandscapeParams(N=5, q=3.0, mu=1.0)
+        estimates = [est for est, _, _ in proposed]
+        assert len(estimates) == len(FINE_FRACS)
+        est, fld, c = proposed[0]
+        assert est > minimizer.FIRST_ERR_TOL
+        assert est == pytest.approx(error(p, c, fld), rel=5e-3)
 
     @pytest.mark.parametrize("corrupt", ["rate-1e12", "no-rate",
                                          "correction-1e12"])
@@ -742,15 +793,39 @@ class TestNestedStart:
 
             monkeypatch.setattr(minimizer, "_coarse_solve", corrupted)
         sizes = count_gbsv(monkeypatch)
-        two = minimize(p53, grid, c)
+        two = minimize(LandscapeParams(N=5, q=3.0, mu=1.0), grid, c)
         assert sizes.count(8193) == 2
         assert two.iters == one.iters + 1
         assert two.m == pytest.approx(one.m, rel=1e-11)
 
-    def test_failed_coarse_solve_skips_the_try(self, monkeypatch, p53,
-                                               thresholds53):
-        # no Gaussian start follows a coarse solve that does not settle:
-        # the seed loop and the descent run as without the try
+    def test_corrupted_reference_takes_a_second_step(self, monkeypatch, p53,
+                                                     thresholds53):
+        # a reference state off by a smooth relative distortion of 1e-3 on
+        # the scale of its width fails the simplified correction: each
+        # solve-fine op takes a second step on the grid and lands on the
+        # same m
+        grid = build_grid(5, 8193, 1000.0)
+        c0 = thresholds53[1]
+        real = minimizer._coarse_solve
+
+        def distorted(params, ref_grid, *args):
+            values, steps, rate = real(params, ref_grid, *args)
+            x = ref_grid.nodes / (ref_grid.r_max / 30.0)
+            return values * (1.0 + 1e-3 * np.sin(x)), steps, rate
+
+        monkeypatch.setattr(minimizer, "_coarse_solve", distorted)
+        p = LandscapeParams(N=5, q=3.0, mu=1.0)
+        for f in (0.1, 0.5, 0.9):
+            st = minimize(p, grid, f * c0)
+            assert st.iters == 3
+            assert st.m == pytest.approx(minimize(p53, grid, f * c0).m,
+                                         rel=1e-11)
+
+    def test_unsettled_reference_starts_from_the_gaussian(
+            self, monkeypatch, p53, thresholds53):
+        # a reference solve that does not settle leaves the params without
+        # a reference: the try starts from the Gaussian on the grid and
+        # takes three steps; no seed loop runs, and m agrees
         grid = build_grid(5, 8193, 1000.0)
         monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
         sizes = count_gbsv(monkeypatch)
@@ -762,15 +837,51 @@ class TestNestedStart:
 
         monkeypatch.setattr(minimizer, "seed", marking_seed)
         c = 0.5 * thresholds53[1]
-        st = minimize(p53, grid, c)
-        assert sizes[0] == "seed"
-        fallback_only(monkeypatch)
-        assert st == minimize(p53, grid, c)
+        p = LandscapeParams(N=5, q=3.0, mu=1.0)
+        st = minimize(p, grid, c)
+        assert p._reference is None
+        assert sizes == [8193] * 3 and st.iters == 4
+        assert st.m == pytest.approx(minimize(p53, grid, c).m, rel=1e-11)
+
+    def test_held_reference_changes_no_bit(self, thresholds53):
+        # the reference is built on the first solve, not with the params or
+        # the grid, and a solve is bitwise the same before and after other
+        # solves on the same params object, and on a fresh equal one
+        c0 = thresholds53[1]
+        fine = build_grid(5, 8193, 1000.0)
+        p = LandscapeParams(N=5, q=3.0, mu=1.0)
+        mass_threshold(p)
+        assert "_reference" not in p.__dict__
+        cold = state_key(minimize(p, fine, 0.5 * c0))
+        assert p.__dict__["_reference"] is not None
+        minimize(p, build_grid(5, 2049, 1000.0), 0.3 * c0)
+        minimize(p, fine, 0.9 * c0)
+        assert state_key(minimize(p, fine, 0.5 * c0)) == cold
+        fresh = LandscapeParams(N=5, q=3.0, mu=1.0)
+        assert state_key(minimize(fresh, fine, 0.5 * c0)) == cold
+
+    @pytest.mark.parametrize("k", [None, 0, 16, 21])
+    def test_start_at_the_answer_keeps_its_newton_result(self, monkeypatch,
+                                                         k):
+        # on the reference's own grid at its own mass the start is the
+        # reference, within ~1e-10 of the answer: Newton's result passes
+        # the energy test (J at most NEWTON_J_SLACK bend above the start's)
+        # and neither the seed loop nor the descent runs
+        p = (LandscapeParams(N=5, q=3.0, mu=1.0) if k is None
+             else random_params(np.random.default_rng(k)))
+        grid, _, _, c_ref = p._reference
+        calls = []
+        for name in ("seed", "_descend"):
+            monkeypatch.setattr(minimizer, name,
+                                lambda *a, name=name: calls.append(name))
+        st = minimize(p, grid, c_ref)
+        assert calls == [] and st.iters == 2
 
     def test_settled_try_ends_above_q_tol(self, monkeypatch):
         # where the grid's Pohozaev floor sits above Q_TOL (the N = 8 and
-        # N = 10 draws), the try ends on the step it settles at, not after
-        # FIRST_STEPS; no floor here is certified, so the fallback follows
+        # N = 10 draws), the try ends on the step it settles at, the first
+        # from the reference, not after FIRST_STEPS; no floor here is
+        # certified, so the fallback follows
         sizes = count_gbsv(monkeypatch)
         got = []
         for (N, q, mu, cgn, ssob), _ in (PIN_DRAWS[3], PIN_DRAWS[5]):
@@ -781,8 +892,8 @@ class TestNestedStart:
             for f in (0.1, 0.5, 0.9):
                 sizes.clear()
                 assert minimizer._newton_first(p, grid, f * c0, cap) is None
-                got.append(len(sizes))
-        assert got == [3, 3, 3, 4, 4, 4]
+                got.append(sizes.count(grid.n))
+        assert got == [1] * 6
 
 
 def draw_op(i, frac):

@@ -276,6 +276,10 @@ for n in names:
 p = LandscapeParams(N=5, q=3.0, mu=1.0)
 grid = build_grid(5, 2049, 1000.0)
 c = 0.5 * mass_threshold(p)[1]
+# the params' reference state, which the first solve would build
+p._reference
+ref_calls = dict(calls)
+calls.update(dict.fromkeys(names, 0))
 first = minimizer.minimize(p, grid, c)
 first_calls = dict(calls)
 calls.update(dict.fromkeys(names, 0))
@@ -297,6 +301,7 @@ same = (np.array_equal(traced.field.values, plain.field.values)
 print(json.dumps({"resolved": resolved, "linalg_before": linalg_before,
                   "iters": traced.iters, "solve_calls": solve_calls,
                   "first_iters": first.iters, "first_calls": first_calls,
+                  "ref_calls": ref_calls,
                   "gn_calls": gn_calls, "same": same}))
 """
 
@@ -311,8 +316,11 @@ def test_banded_kernels_are_traceable_before_any_solve():
     assert calls["cho_solve_banded"] + calls["gbsv"] == out["iters"] - 1
     assert calls["gbsv"] >= 1
     assert calls["cholesky_banded"] >= 1
-    # Newton-first: one banded LU per iteration but the last, no descent
+    # Newton-first: one banded LU per iteration but the last, no descent;
+    # the reference state's Newton steps are traced too, and not counted
     assert out["first_calls"]["gbsv"] == out["first_iters"] - 1
+    assert out["ref_calls"]["gbsv"] >= 1
+    assert out["ref_calls"]["cho_solve_banded"] == 0
     assert out["first_calls"]["cho_solve_banded"] == 0
     assert out["gn_calls"]["cholesky_banded"] >= 1
     assert out["gn_calls"]["cho_solve_banded"] >= 1
