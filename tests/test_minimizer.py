@@ -687,7 +687,7 @@ class TestNestedStart:
         # the solve-fine masses and every op a set of draws over N = 5..10
         # solves by Newton first take one LU on the grid, but 0.05 c0 on
         # the solve-fine grid, the reference moved farthest, and the N = 5
-        # draw at 0.9 c0, which take two
+        # draw k = 11 at 0.9 c0, which take two
         ops = pin_and_fine_ops()
         for k in (0, 6, 11, 16, 21, 23, 29, 85):
             p = random_params(np.random.default_rng(k))
