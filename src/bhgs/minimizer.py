@@ -6,43 +6,42 @@ and |Q|/bend, at most the module constants GRAD_TOL and Q_TOL. Both are
 cheap and the second is the necessary condition the analysis itself
 provides.
 
-minimize tries Newton first (_newton_first). The unit Gaussian's bundle,
-scaled to mass c by the amplitude law, gives the minimum s1 of its fiber
-map, and bordered Newton on (u, lambda) for grad J = lambda u on the mass
-sphere (Keller 1977) starts from exp(-s1 r^2 / 2) at mass c. The ground
-state is a local minimum of J on the mass sphere, where the bordered system
-is nonsingular, and s1 lands inside Newton's basin. Each step is one banded
-LU of the Hessian K = L^T W L - lambda W - W f'(u) with two right-hand
-sides (_newton_step), assembled in gbsv's own band layout in one work array
-that gbsv overwrites, so no step copies K or its right-hand sides.
+minimize tries Newton first (_newton_first): bordered Newton on (u,
+lambda) for grad J = lambda u on the mass sphere (Keller 1977). Each step
+is one banded LU of the Hessian K = L^T W L - lambda W - W f'(u) with two
+right-hand sides (_newton_step), assembled in gbsv's own band layout in one
+work array that gbsv overwrites, so no step copies K or its right-hand
+sides. The ground state is a strict local minimum of J on the mass sphere,
+where the bordered system is nonsingular.
 
-The try takes at most FIRST_STEPS steps, and its result is kept once
-Deuflhard's a-posteriori error estimate rate |d_k|^2 (d_k the k-th change
-of u in |.|_W / sqrt(c), rate |d_k| / |d_(k-1)|^2; Newton Methods for
-Nonlinear Problems, 2004) is at most FIRST_ERR_TOL (_settled), on top of
-GRAD_TOL, Q_TOL, the energy slack and the bend cap below; from the
-Gaussian the rate needs two steps.
-The absolute GRAD_TOL alone accepts two-step states whose lambda is off
-by some 3e-7. A try that has settled with gnorm <= GRAD_TOL but
-q_residual above Q_TOL sits on the grid's discrete Pohozaev floor, which
-falls like h^4, and ends there, as no later step can pass. At a ground
-state, a strict local minimum of J on the mass sphere, the bordered
-Hessian is invertible, so one more solve with the last step's LU factors
-bounds, to first order, how far q_residual can fall over tangent states
-whose projected gradient is within GRAD_TOL (_floor_reach). Where
-q_residual - Q_TOL exceeds REACH_MARGIN times that reach, no state the
-fallback could accept is near, and the solve ends with ConvergenceError of
-kind under-resolved; the seed loop and the descent never run.
-
-Reference start (nested iteration; Deuflhard 2004, Hackbusch 1985): from
-the Gaussian, 4% off the discrete solution, the estimate first holds after
-three steps. While the critical term is negligible, ground states at
+The try starts from the params' reference state, moved to mass c by the
+exact dilation. While the critical term is negligible, ground states at
 different masses are dilations of one another, u -> A u(r/L) with A^(q-2)
 = L^-4, so each params object holds one reference state, solved on its
-first use (_reference_state), and the try starts from it dilated to mass
-c. The rate the reference settled on proposes settling after the first
-step, and the grid's own simplified Newton correction decides
-(_simplified_rate): the carried rate misjudges the interpolation error.
+first use on a grid of its own (_reference_state; nested iteration,
+Deuflhard 2004, Hackbusch 1985), where the same steps stop on Deuflhard's
+two-step estimate of the error alone (_coarse_solve). Where there is no
+reference, or its moved start fails J < 0 or the bend cap, the try starts
+from exp(-s1 r^2 / 2) at mass c, s1 the fiber minimum of the unit
+Gaussian's bundle scaled to mass c.
+
+The try takes at most NEWTON_STEPS steps and accepts a state at any step
+under one test: GRAD_TOL, and the simplified Newton correction at most
+FIRST_ERR_TOL (_correction), on top of Q_TOL, the energy slack and the
+bend cap below. The correction is the residual solved with the last
+step's LU factors, one back-substitution, in |.|_W / sqrt(c); it measures
+the state's error on the grid itself (Deuflhard, Newton Methods for
+Nonlinear Problems, 2004). The absolute GRAD_TOL alone accepts states
+whose lambda is off by some 3e-7. A try that has settled so but with
+q_residual above Q_TOL sits on the grid's discrete Pohozaev floor, which
+falls like h^4, and ends there, as no later step can pass. At a ground
+state the bordered Hessian is invertible, so one more solve with the
+same LU factors bounds, to first order, how far q_residual can fall over
+tangent states whose projected gradient is within GRAD_TOL
+(_floor_reach). Where q_residual - Q_TOL exceeds REACH_MARGIN times that
+reach, no state the fallback could accept is near, and the solve ends with
+ConvergenceError of kind under-resolved; the seed loop and the descent
+never run.
 
 Where the try is skipped or fails without that certificate, the fallback
 (_descend) runs bit for bit as without the try: the seed loop, then
@@ -160,12 +159,11 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
-# Newton first: at most FIRST_STEPS steps, accepted only once the
-# a-posteriori estimate of its error in |.|_W / sqrt(c) is at most
-# FIRST_ERR_TOL; a try settled above Q_TOL ends the solve as under-resolved
-# where q_residual - Q_TOL exceeds REACH_MARGIN times the first-order reach
-# of states within GRAD_TOL (_floor_reach); read at call time
-FIRST_STEPS = 4
+# Newton first: accepted only once the simplified Newton correction, an
+# estimate of its error in |.|_W / sqrt(c), is at most FIRST_ERR_TOL; a try
+# settled above Q_TOL ends the solve as under-resolved where q_residual -
+# Q_TOL exceeds REACH_MARGIN times the first-order reach of states within
+# GRAD_TOL (_floor_reach); read at call time
 FIRST_ERR_TOL = 1e-10
 REACH_MARGIN = 2.0
 
@@ -174,13 +172,14 @@ REACH_MARGIN = 2.0
 REF_FRACTION = 0.2
 MIN_NODES_PER_WIDTH = 24
 
-# Newton finish: the loose point (gnorm <= LOOSE_GRAD sqrt(c) and
-# q_residual <= LOOSE_Q) that first hands the iterate over, the step budget,
-# and the energy slack, in units of bend, a Newton result may rise above the
-# iterate it started from (J cancels terms far larger than itself)
+# Newton: the step budget of the try, the reference solve and the finish;
+# the loose point (gnorm <= LOOSE_GRAD sqrt(c) and q_residual <= LOOSE_Q)
+# that first hands the descent's iterate over; and the energy slack, in
+# units of bend, a Newton result may rise above the iterate it started from
+# (J cancels terms far larger than itself)
+NEWTON_STEPS = 4
 LOOSE_GRAD = 1e-6
 LOOSE_Q = 1e-3
-NEWTON_STEPS = 8
 NEWTON_J_SLACK = 1e-12
 
 
@@ -426,40 +425,31 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
 
 def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
                    b: NormBundle, res, bend_cap: float, first: bool = False,
-                   rate: float | None = None, width: float = math.nan):
-    """Bordered Newton steps (_newton_step) from the mass-c iterate fld.
+                   width: float = math.nan):
+    """At most NEWTON_STEPS bordered Newton steps (_newton_step) from the
+    mass-c iterate fld.
 
     Returns ((fld, b), steps) once the descent's convergence test holds,
     the energy is at most NEWTON_J_SLACK bend above that of the starting
     iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
-    singular or non-finite step, and when a step after the second fails to
-    halve gnorm. steps counts the linear solves made; the simplified
-    correction's solve with kept LU factors is not one.
+    singular or non-finite step. steps counts the linear solves made; the
+    simplified correction's solve with kept LU factors is not one.
 
-    first is the Newton-first try: at most FIRST_STEPS steps, and the
-    convergence test also asks that Deuflhard's a-posteriori estimate of
-    the iterate's error be at most FIRST_ERR_TOL (_settled). From the
-    second step on its rate is this grid's |d_k| / |d_(k-1)|^2, d_k the
-    k-th change of u in |.|_W / sqrt(c). At the first step it is rate, the
-    one the reference solve settled on (_reference_state), or None, and
-    then the first step cannot settle; where rate holds, the grid's own
-    simplified correction (_simplified_rate) replaces it and decides.
-
-    A try that settles with q_residual above Q_TOL returns (None, steps),
-    unless q_residual - Q_TOL exceeds REACH_MARGIN times the first-order
-    reach of states within GRAD_TOL (_floor_reach): then it raises
-    ConvergenceError of kind under-resolved, whose message gives the
+    first is the Newton-first try: its convergence test also asks that the
+    simplified Newton correction (_correction) be at most FIRST_ERR_TOL,
+    and a try that settles so with q_residual above Q_TOL returns
+    (None, steps), unless q_residual - Q_TOL exceeds REACH_MARGIN times the
+    first-order reach of states within GRAD_TOL (_floor_reach): then it
+    raises ConvergenceError of kind under-resolved, whose message gives the
     fiber-minimum width in grid spacings.
     """
     grid = fld.grid
     J0 = energy(params, b)
-    g_proj, lam_hat, gnorm, _ = res
+    g_proj, lam_hat, _, _ = res
     ab = np.empty((13, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
     piv = np.empty(grid.n, dtype=np.int64)
-    budget = FIRST_STEPS if first else NEWTON_STEPS
-    dnorm = 0.0
-    for steps in range(1, budget + 1):
+    for steps in range(1, NEWTON_STEPS + 1):
         try:
             cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv)
         except (np.linalg.LinAlgError, ValueError):
@@ -467,20 +457,14 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps - 1
         if cand is None:
             return None, steps
-        if first:
-            dnorm, rate = _advance(grid, c, cand, fld.values, dnorm, rate)
         try:
             fld = RadialField(grid, cand)
             b = norm_bundle(params, fld)
         except DomainError:
             return None, steps
-        prev = gnorm
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        if (first and steps == 1 and gnorm <= GRAD_TOL
-                and _settled(rate, dnorm)):
-            # the carried rate proposes; this grid's own one decides
-            rate = _simplified_rate(fld, c, g_proj, ab, piv, rhs, dnorm)
-        if gnorm <= GRAD_TOL and (not first or _settled(rate, dnorm)):
+        if gnorm <= GRAD_TOL and (not first or _correction(
+                fld, c, g_proj, ab, piv, rhs) <= FIRST_ERR_TOL):
             if qres <= Q_TOL:
                 ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
                       and b.bend < bend_cap)
@@ -500,30 +484,16 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
                         f"fiber-minimum width spans {width / grid.h:.3g} "
                         "grid spacings")
                 return None, steps
-        if steps > 2 and not gnorm <= 0.5 * prev:
-            return None, steps
-    return None, budget
+    return None, NEWTON_STEPS
 
 
-def _advance(grid: RadialGrid, c: float, cand: np.ndarray, u: np.ndarray,
-             dnorm: float, rate):
-    # the step's size |cand - u|_W / sqrt(c) and the rate |d_k| / |d_(k-1)|^2
-    # from it and the previous step's size dnorm; before a first step
-    # (dnorm 0.0) rate is kept
-    d = cand - u
-    d_new = math.sqrt(_wdot(grid, d, d) / c)
-    return d_new, (d_new / dnorm / dnorm if dnorm else rate)
-
-
-def _simplified_rate(fld: RadialField, c: float, g_proj: np.ndarray,
-                     ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray,
-                     dnorm: float) -> float:
-    # |dbar| / dnorm^2, dbar the simplified Newton correction at fld after
-    # a step of size dnorm: the residual at fld solved with that step's K
-    # (_kept_solve). |dbar| estimates fld's error (Deuflhard 2004) from the
-    # grid's own K
-    dbar2 = _kept_solve(fld, ab, piv, rhs, -fld.grid.weights * g_proj)
-    return math.sqrt(dbar2 / c) / dnorm ** 2
+def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
+                ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> float:
+    # |dbar|_W / sqrt(c), dbar the simplified Newton correction at fld: the
+    # residual at fld solved with the last step's K (_kept_solve). It
+    # estimates fld's error from the grid's own K (Deuflhard 2004)
+    return math.sqrt(
+        _kept_solve(fld, ab, piv, rhs, -fld.grid.weights * g_proj) / c)
 
 
 def _kept_solve(fld: RadialField, ab: np.ndarray, piv: np.ndarray,
@@ -565,13 +535,6 @@ def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
         fld, ab, piv, rhs, _q_residual_gradient(params, fld, b)))
 
 
-def _settled(rate, dnorm: float) -> bool:
-    # Deuflhard's estimate rate |d|^2 of the error left after a step of size
-    # dnorm, at most FIRST_ERR_TOL; rate is this grid's, the reference's or
-    # the simplified correction's (_newton_finish), and None is no estimate
-    return rate is not None and rate * dnorm ** 2 <= FIRST_ERR_TOL
-
-
 def _start(params: LandscapeParams, grid: RadialGrid, c: float,
            prof: np.ndarray, bend_cap: float):
     # prof scaled to mass c on the grid, with its bundle, or None where it
@@ -587,15 +550,15 @@ def _start(params: LandscapeParams, grid: RadialGrid, c: float,
 def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
                   s1: float, bend_cap: float):
     """Bordered Newton on the reference grid from exp(-s1 r^2 / 2) at mass
-    c: (values, steps, rate) once Deuflhard's estimate is at most
-    FIRST_ERR_TOL (_settled), within FIRST_STEPS steps; otherwise None. rate
-    is the one the estimate settled on, |d_K| / |d_(K-1)|^2 of the last two
-    steps, which proposes settling after the first step on the caller's
-    grid (_newton_finish).
+    c: the values once Deuflhard's a-posteriori estimate of their error,
+    |d_k|^3 / |d_(k-1)|^2 with d_k the k-th change of u in |.|_W / sqrt(c),
+    is at most FIRST_ERR_TOL, within NEWTON_STEPS steps; otherwise None.
 
     Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
     the caller's problem, and on the reference grid the Pohozaev floor may
-    sit above Q_TOL. The settled iterate is returned unbundled.
+    sit above Q_TOL. Newton first's simplified correction in its place
+    leaves 4 more of 271 sampled params sets without a reference (7, not
+    3). The settled iterate is returned unbundled.
     """
     start = _start(params, coarse, c, _gaussian(coarse, s1), bend_cap)
     if start is None:
@@ -603,8 +566,8 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
     fld, b = start
     ab = np.empty((13, coarse.n), order="F")
     rhs = np.empty((coarse.n, 2), order="F")
-    dnorm, rate = 0.0, None
-    for steps in range(1, FIRST_STEPS + 1):
+    dnorm = 0.0
+    for _ in range(NEWTON_STEPS):
         g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
         try:
             cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs)
@@ -612,9 +575,11 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
             return None
         if cand is None:
             return None
-        dnorm, rate = _advance(coarse, c, cand, fld.values, dnorm, rate)
-        if _settled(rate, dnorm):
-            return cand, steps, rate
+        d = cand - fld.values
+        d_new = math.sqrt(_wdot(coarse, d, d) / c)
+        if dnorm and d_new / dnorm / dnorm * d_new ** 2 <= FIRST_ERR_TOL:
+            return cand
+        dnorm = d_new
         try:
             fld = RadialField(coarse, cand)
             b = norm_bundle(params, fld)
@@ -624,9 +589,9 @@ def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
 
 
 def _reference_state(params: LandscapeParams):
-    """(grid, values, rate, c_ref): the _coarse_solve at c_ref = REF_FRACTION
-    c0 on a grid of 30 widths s1^(-1/2), s1 the closed-form Gaussian
-    bundle's fiber minimum at c_ref, with the fewest 2^k + 1 nodes giving
+    """(grid, values, c_ref): the _coarse_solve at c_ref = REF_FRACTION c0
+    on a grid of 30 widths s1^(-1/2), s1 the closed-form Gaussian bundle's
+    fiber minimum at c_ref, with the fewest 2^k + 1 nodes giving
     MIN_NODES_PER_WIDTH per width (1025); None where it fails. Held on
     params (LandscapeParams._reference), so built once per params object.
     """
@@ -640,14 +605,11 @@ def _reference_state(params: LandscapeParams):
             return None
         n = 2 ** math.ceil(math.log2(30 * MIN_NODES_PER_WIDTH)) + 1
         grid = build_grid(params.N, n, 30.0 * s1 ** -0.5)
-        solved = _coarse_solve(params, grid, c_ref, s1,
+        values = _coarse_solve(params, grid, c_ref, s1,
                                rho0 * (1.0 - SAFEGUARD_MARGIN))
     except (DomainError, OverflowError):
         return None
-    if solved is None:
-        return None
-    values, _, rate = solved
-    return grid, values, rate, c_ref
+    return None if values is None else (grid, values, c_ref)
 
 
 def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
@@ -670,22 +632,21 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
         return None
     if s1 is None:
         return None
-    start = rate = None
+    start = None
     ref = params._reference
     if ref is not None:
-        ref_grid, values, rate, c_ref = ref
+        ref_grid, values, c_ref = ref
         L = (c / c_ref) ** (1.0 / (params.N - 8.0 / (params.q - 2.0)))
         start = _start(params, grid, c,
                        ref_grid.interpolate(values, grid.nodes / L), bend_cap)
     if start is None:
-        rate = None
         start = _start(params, grid, c, _gaussian(grid, s1), bend_cap)
     if start is None:
         return None
     fld, b = start
     done, steps = _newton_finish(params, c, fld, b,
                                  _residuals(params, c, fld, b), bend_cap,
-                                 first=True, rate=rate, width=s1 ** -0.5)
+                                 first=True, width=s1 ** -0.5)
     return None if done is None else (done, steps)
 
 

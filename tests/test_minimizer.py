@@ -71,9 +71,9 @@ PIN_DRAWS = [
       'under-resolved']),
     ((8, 2.439367711724308, 2.1806933396881933, 0.8984868826434553,
       1.2027766774176487),
-     [('-0x1.7e3b3302ca0dcp-18', '-0x1.ddac42f2a0be8p-11', 21),
-      ('-0x1.c0d89dc624d2ep-15', '-0x1.c0bca98530e33p-10', 20),
-      ('-0x1.fc973d30b5639p-14', '-0x1.1a7b51477bd50p-9', 25)]),
+     [('-0x1.7e3b3302ca0dcp-18', '-0x1.ddac42f2a0be8p-11', 22),
+      ('-0x1.c0d89dc624d2ep-15', '-0x1.c0bca98530e33p-10', 21),
+      ('-0x1.fc973d30b5639p-14', '-0x1.1a7b51477bd50p-9', 26)]),
     ((9, 2.818393206439386, 2.323430278063605, 0.8605015321594385,
       0.6481974002195141),
      ['seed',
@@ -82,7 +82,7 @@ PIN_DRAWS = [
     ((10, 2.289091679211648, 1.052281528926512, 1.7200122250850587,
       1.4652307514352931),
      [('-0x1.b1b278205529cp-21', '-0x1.471de913c4237p-10', 27),
-      ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 23),
+      ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 24),
       'stall']),
 ]
 # The solve-fine grid's pins are Newton-first's from the params' reference
@@ -106,8 +106,8 @@ PIN_BEFORE_FIRST = {
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 # (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
-# steps from the reference are too large for its rate to propose settling:
-# each takes a second step on the grid
+# steps from the reference leave an error the simplified correction
+# rejects: each takes a second step on the grid
 DOMAIN_OPS = [
     ((8, 2.622349187911862, 3.886405763379142, 1.7167083102121452,
       1.7559047372819967), 0.1),
@@ -539,6 +539,22 @@ def polished_lambda(params, c, fld, b, steps=2):
     return lagrange_multiplier(params, b)
 
 
+def polish_error(params, c, fld):
+    """|v - u|_W / sqrt(c), u the mass-c field fld and v where three more
+    bordered Newton steps take it."""
+    grid = fld.grid
+    ab = np.empty((13, grid.n), order="F")
+    rhs = np.empty((grid.n, 2), order="F")
+    fld2, b2 = fld, norm_bundle(params, fld)
+    for _ in range(3):
+        g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld2, b2)
+        fld2 = RadialField(grid, minimizer._newton_step(
+            params, c, fld2, g_proj, lam_hat, ab, rhs))
+        b2 = norm_bundle(params, fld2)
+    d = fld2.values - fld.values
+    return math.sqrt(np.dot(grid.weights * d, d) / c)
+
+
 class TestNewtonFirst:
     @pytest.fixture(scope="class")
     def ops(self):
@@ -722,80 +738,93 @@ class TestNestedStart:
         # state is within FIRST_ERR_TOL (|.|_W / sqrt(c)) of itself after 3
         # more Newton steps, and its lambda within 1e-10 of the polished
         # one. The DOMAIN_OPS and 0.05 c0 take two steps on the grid, the
-        # other FINE_FRACS masses one. Where the reference's rate proposes
-        # a first step whose state stands far above the roundoff floor
-        # (0.05 c0, 4.5e-10), the simplified correction measures that error
-        # and rejects the step
+        # other FINE_FRACS masses one. The simplified correction is taken
+        # at every step that meets GRAD_TOL; each first step it rejects
+        # stands far above the roundoff floor (4.5e-10 at 0.05 c0, the
+        # reference moved farthest; 3e-9 to 3e-7 on the DOMAIN_OPS), and
+        # the correction measures that error to 5e-3 on the solve-fine grid
+        # and to 2e-2 on the DOMAIN_OPS, where the larger errors leave a
+        # larger second-order term (up to 1.4e-2)
         sizes = count_gbsv(monkeypatch)
-        real = minimizer._simplified_rate
-        proposed = []
+        real = minimizer._correction
+        measured = []
 
-        def recording(fld, c, g_proj, ab, piv, rhs, dnorm):
-            rate = real(fld, c, g_proj, ab, piv, rhs, dnorm)
-            proposed.append((rate * dnorm ** 2, fld, c))
-            return rate
+        def recording(fld, c, *args):
+            est = real(fld, c, *args)
+            measured.append((est, fld))
+            return est
 
-        def error(p, c, fld):
-            grid = fld.grid
-            ab = np.empty((13, grid.n), order="F")
-            rhs = np.empty((grid.n, 2), order="F")
-            fld2, b2 = fld, norm_bundle(p, fld)
-            for _ in range(3):
-                g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld2, b2)
-                fld2 = RadialField(grid, minimizer._newton_step(
-                    p, c, fld2, g_proj, lam_hat, ab, rhs))
-                b2 = norm_bundle(p, fld2)
-            d = fld2.values - fld.values
-            return math.sqrt(np.dot(grid.weights * d, d) / c)
-
-        monkeypatch.setattr(minimizer, "_simplified_rate", recording)
-        steps_taken, errors = [], []
+        monkeypatch.setattr(minimizer, "_correction", recording)
+        steps_taken = []
         for p, grid, c in reference_ops():
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             sizes.clear()
+            measured.clear()
             (fld, b), steps = minimizer._newton_first(p, grid, c, cap)
             assert sizes == [grid.n] * steps
             steps_taken.append(steps)
-            errors.append(error(p, c, fld))
-            assert errors[-1] <= minimizer.FIRST_ERR_TOL
+            assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
             lam = lagrange_multiplier(p, b)
             assert abs(lam / polished_lambda(p, c, fld, b) - 1.0) <= 1e-10
+            assert len(measured) == steps
+            assert measured[-1][0] <= minimizer.FIRST_ERR_TOL
+            rel = 5e-3 if grid.n == 8193 else 2e-2
+            for est, rejected in measured[:-1]:
+                assert est > minimizer.FIRST_ERR_TOL
+                assert est == pytest.approx(polish_error(p, c, rejected),
+                                            rel=rel)
         assert steps_taken == [2] * 5 + [2] + [1] * (len(FINE_FRACS) - 1)
-        p = LandscapeParams(N=5, q=3.0, mu=1.0)
-        estimates = [est for est, _, _ in proposed]
-        assert len(estimates) == len(FINE_FRACS)
-        est, fld, c = proposed[0]
-        assert est > minimizer.FIRST_ERR_TOL
-        assert est == pytest.approx(error(p, c, fld), rel=5e-3)
 
-    @pytest.mark.parametrize("corrupt", ["rate-1e12", "no-rate",
-                                         "correction-1e12"])
-    def test_uncertified_first_step_steps_on(self, monkeypatch, p53,
-                                             thresholds53, corrupt):
-        # a carried rate too large to propose the first step, none, or a
-        # simplified correction too large to certify it makes the try take
-        # a second step on the grid, as from the Gaussian start; both
-        # states agree on m
+    @pytest.mark.parametrize("draw, frac", [
+        ((9, 2.5898162114851035, 5.531722783760496, 1.2425569835849046,
+          1.9934433268805796), 0.9),
+        ((10, 2.512772335202421, 3.846868045125429, 1.8543284367553508,
+          1.2751108431305456), 0.9),
+        ((9, 2.5648818402391984, 2.7144835881129254, 1.2795035592929376,
+          1.2045762720287128), 0.1),
+    ], ids=["N9-0.9", "N10-0.9", "N9-0.1"])
+    def test_two_step_rate_does_not_settle(self, draw, frac):
+        # benchmark domain ops whose second step from the reference passes
+        # Deuflhard's two-step estimate |d_2|^3 / |d_1|^2 while its state
+        # is 3.5e-10, 2.4e-10 and 2.0e-10 from its polish: the simplified
+        # correction rejects it, and the try settles one step later, within
+        # FIRST_ERR_TOL
+        N, q, mu, cgn, ssob = draw
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        _, c0, rho0 = mass_threshold(p)
+        c = frac * c0
+        cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
+        (fld, _), steps = minimizer._newton_first(p, grid, c, cap)
+        assert steps == 3
+        assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
+        assert minimize(p, grid, c).iters == 4
+
+    def test_uncertified_try_falls_back(self, monkeypatch, p53,
+                                        thresholds53):
+        # a simplified correction too large to certify any state makes the
+        # try spend its NEWTON_STEPS steps and fail; the seed loop and the
+        # descent follow and land on the same m
         grid = build_grid(5, 8193, 1000.0)
         c = 0.5 * thresholds53[1]
         one = minimize(p53, grid, c)
-        if corrupt == "correction-1e12":
-            real_trs = minimizer.gbtrs
-            monkeypatch.setattr(minimizer, "gbtrs",
-                                lambda *args: real_trs(*args) * 1e12)
-        else:
-            real = minimizer._coarse_solve
-            scale = 1e12 if corrupt == "rate-1e12" else None
-
-            def corrupted(*args):
-                values, steps, rate = real(*args)
-                return values, steps, None if scale is None else rate * scale
-
-            monkeypatch.setattr(minimizer, "_coarse_solve", corrupted)
+        real_trs = minimizer.gbtrs
+        monkeypatch.setattr(minimizer, "gbtrs",
+                            lambda *args: real_trs(*args) * 1e12)
+        cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
         sizes = count_gbsv(monkeypatch)
-        two = minimize(LandscapeParams(N=5, q=3.0, mu=1.0), grid, c)
-        assert sizes.count(8193) == 2
-        assert two.iters == one.iters + 1
+        assert minimizer._newton_first(p53, grid, c, cap) is None
+        assert sizes == [8193] * minimizer.NEWTON_STEPS
+        fell_back = []
+        real_seed = minimizer.seed
+
+        def marking_seed(*args):
+            fell_back.append(True)
+            return real_seed(*args)
+
+        monkeypatch.setattr(minimizer, "seed", marking_seed)
+        two = minimize(p53, grid, c)
+        assert fell_back == [True]
         assert two.m == pytest.approx(one.m, rel=1e-11)
 
     def test_corrupted_reference_takes_a_second_step(self, monkeypatch, p53,
@@ -809,9 +838,9 @@ class TestNestedStart:
         real = minimizer._coarse_solve
 
         def distorted(params, ref_grid, *args):
-            values, steps, rate = real(params, ref_grid, *args)
+            values = real(params, ref_grid, *args)
             x = ref_grid.nodes / (ref_grid.r_max / 30.0)
-            return values * (1.0 + 1e-3 * np.sin(x)), steps, rate
+            return values * (1.0 + 1e-3 * np.sin(x))
 
         monkeypatch.setattr(minimizer, "_coarse_solve", distorted)
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
@@ -869,7 +898,7 @@ class TestNestedStart:
         # and neither the seed loop nor the descent runs
         p = (LandscapeParams(N=5, q=3.0, mu=1.0) if k is None
              else random_params(np.random.default_rng(k)))
-        grid, _, _, c_ref = p._reference
+        grid, _, c_ref = p._reference
         calls = []
         for name in ("seed", "_descend"):
             monkeypatch.setattr(minimizer, name,
@@ -880,7 +909,7 @@ class TestNestedStart:
     def test_settled_try_ends_above_q_tol(self, monkeypatch):
         # where the grid's Pohozaev floor sits above Q_TOL (the N = 8 and
         # N = 10 draws), the try ends on the step it settles at, the first
-        # from the reference, not after FIRST_STEPS; no floor here is
+        # from the reference, not after NEWTON_STEPS; no floor here is
         # certified, so the fallback follows
         sizes = count_gbsv(monkeypatch)
         got = []
