@@ -33,7 +33,9 @@ Held per grid: the shift-free band L^T W L, to which normal_band adds a W
 (the minimizer's Newton step reads it directly), and the minimizer's seed
 families. Both are filled on first use and live and die with the grid
 instance (cached_property writes the instance __dict__, which a frozen
-dataclass allows); no module-level cache holds them.
+dataclass allows); no module-level cache holds them. The seed trials'
+grid-only norms are also held per geometry (minimizer._trial_norms), as
+floats that reference no grid.
 RadialGrid.interpolate reads a grid's samples at arbitrary radii by 4-point
 cubic interpolation, with the even extension through the origin and the
 zero extension past R that the Laplacian's band uses; the minimizer's

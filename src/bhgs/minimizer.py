@@ -32,16 +32,16 @@ bend cap below. The correction is the residual solved with the last
 step's LU factors, one back-substitution, in |.|_W / sqrt(c); it measures
 the state's error on the grid itself (Deuflhard, Newton Methods for
 Nonlinear Problems, 2004). The absolute GRAD_TOL alone accepts states
-whose lambda is off by some 3e-7. A try that has settled so but with
-q_residual above Q_TOL sits on the grid's discrete Pohozaev floor, which
-falls like h^4, and ends there, as no later step can pass. At a ground
-state the bordered Hessian is invertible, so one more solve with the
-same LU factors bounds, to first order, how far q_residual can fall over
-tangent states whose projected gradient is within GRAD_TOL
-(_floor_reach). Where q_residual - Q_TOL exceeds REACH_MARGIN times that
-reach, no state the fallback could accept is near, and the solve ends with
-ConvergenceError of kind under-resolved; the seed loop and the descent
-never run.
+whose lambda is off by some 3e-7. A Newton run, the try or the finish
+below, that has settled so but with q_residual above Q_TOL sits on the
+grid's discrete Pohozaev floor, which falls like h^4, and ends there, as
+no later step can pass. At a ground state the bordered Hessian is
+invertible, so one more solve with the same LU factors bounds, to first
+order, how far q_residual can fall over tangent states whose projected
+gradient is within GRAD_TOL (_floor_reach). Where the try's q_residual -
+Q_TOL exceeds that reach, no state the fallback could accept is near, and
+the solve ends with ConvergenceError of kind under-resolved; the seed loop
+and the descent never run.
 
 Where the try is skipped or fails without that certificate, the fallback
 (_descend) runs bit for bit as without the try: the seed loop, then
@@ -55,9 +55,10 @@ applied to the weighted gradient; energy still decreases strictly every
 accepted step. The descent converges linearly, and its tail is most of its
 cost, so it hands the iterate to the same Newton steps once, at the loose
 point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
-LOOSE_Q. That finish takes at most NEWTON_STEPS steps and stops at the
-convergence test alone. If it fails, the descent resumes from the same
-iterate and state, so it ends where the descent alone would. STALL_ITERS
+LOOSE_Q. That finish takes at most NEWTON_STEPS steps, accepts at the
+convergence test alone and gives up at a step settled above Q_TOL. If it
+fails, the descent resumes from the same iterate and state, so it ends
+where the descent alone would. STALL_ITERS
 accepted steps in a row without energy progress end the descent with a
 ConvergenceError.
 
@@ -76,7 +77,11 @@ bundle, scaled to mass c, fails either condition is skipped, and the trial
 returned is always checked in full; seed's docstring says where this can
 differ from running every trial. The family lives and dies with its grid,
 like the grid's held band L^T W L, to which normal_band adds the
-preconditioner's shift.
+preconditioner's shift. Of each trial's bundle only |P_k|_q^q depends on
+q; its mass, bend and critical norm depend on the grid's geometry alone
+and are held per (dim, n, r_max) in a module-level table of 64 geometries
+(_trial_norms), so a new grid of a geometry met before takes one power
+sum per trial and no Laplacian.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -114,6 +119,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,13 +165,12 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
-# Newton first: accepted only once the simplified Newton correction, an
-# estimate of its error in |.|_W / sqrt(c), is at most FIRST_ERR_TOL; a try
-# settled above Q_TOL ends the solve as under-resolved where q_residual -
-# Q_TOL exceeds REACH_MARGIN times the first-order reach of states within
-# GRAD_TOL (_floor_reach); read at call time
+# Newton: a run has settled once the simplified Newton correction, an
+# estimate of its error in |.|_W / sqrt(c), is at most FIRST_ERR_TOL; Newton
+# first accepts only a settled state, and a try settled above Q_TOL ends the
+# solve as under-resolved where q_residual - Q_TOL exceeds the first-order
+# reach of states within GRAD_TOL (_floor_reach); read at call time
 FIRST_ERR_TOL = 1e-10
-REACH_MARGIN = 2.0
 
 # Newton first's reference state: solved at REF_FRACTION c0 on a grid with
 # MIN_NODES_PER_WIDTH nodes per fiber-minimum width (_reference_state)
@@ -221,14 +226,16 @@ def seed(params: LandscapeParams, thresholds, c: float,
 
     The unnormalized profile of trial k depends on the grid alone, so its
     mass and bundle are held on the grid per q (_SeedFamily, grown only as
-    far as a call reaches). A trial whose held bundle, scaled to mass c by
-    the amplitude law (functionals.scaled_norms), fails J < 0 or the bend
-    cap is skipped; every other trial runs in full, and the first that
-    passes in full is returned. Where the
-    prediction is unsettled (no held bundle, a power past float range, a
-    scaled norm outside [2^-900, 2^900]) the trial runs in full. The field
-    and every error are the plain loop's, except within a few hundred ulps
-    of a mass where trial k's J or bend crosses its bound: there the
+    far as a call reaches); its mass, bend and critical norm are held per
+    grid geometry (_trial_norms), and a family on a new grid of a geometry
+    met before takes only |P_k|_q^q. A trial whose held bundle, scaled to
+    mass c by the amplitude law (functionals.scaled_norms), fails J < 0 or
+    the bend cap is skipped; every other trial runs in full, and the first
+    that passes in full is returned. Where the prediction is unsettled
+    (no held bundle, a power past float range, a scaled norm outside
+    [2^-900, 2^900]) the trial runs in full. The field and every error are
+    the plain loop's, except within a few hundred ulps of a mass where
+    trial k's J or bend crosses its bound: there the
     prediction may fail where the full trial passes, and seed returns a
     later trial, which still meets both conditions in full.
     """
@@ -280,26 +287,53 @@ def _seed_profile(grid: RadialGrid, k: int) -> np.ndarray:
     return _gaussian(grid, s, s ** (grid.dim / 4.0))
 
 
+@lru_cache(maxsize=64)
+def _trial_norms(dim: int, n: int, r_max: float) -> list:
+    # the one list held per grid geometry of (mass, bend, |P_k|_{4*}^{4*})
+    # of the seed's trial profiles P_k, which _SeedFamily.extend grows as far
+    # as a call reaches. None of the three depends on q, and grids of one
+    # geometry have bitwise equal weights and bands, so every grid may read
+    # the norms another computed. 64 keys, as grid._weight_core
+    return []
+
+
 class _SeedFamily:
     """The seed's unnormalized trial profiles P_k on one grid at one q.
 
     trials[k] holds P_k's mass, bitwise the one the full trial normalizes
-    by, and P_k's bundle (None where a norm leaves float range). The family
-    holds no reference to its grid, so the two form no cycle.
+    by, and P_k's bundle (None where a norm leaves float range), bitwise
+    norm_bundle's. Of the bundle only |P_k|_q^q is taken here; the other
+    norms come from the geometry's held ones (_trial_norms), which the
+    family keeps from its first extend on. The family holds no reference to
+    its grid, so the two form no cycle.
     """
 
     def __init__(self):
         self.trials: list = []
+        self.norms: list | None = None
 
     def extend(self, params: LandscapeParams, grid: RadialGrid) -> np.ndarray:
         """Hold the next trial's mass and bundle; returns its profile."""
-        prof = _seed_profile(grid, len(self.trials))
+        k = len(self.trials)
+        prof = _seed_profile(grid, k)
+        if self.norms is None:
+            self.norms = _trial_norms(grid.dim, grid.n, grid.r_max)
+        w = grid.weights
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                b = norm_bundle(params, RadialField(grid, prof))
-            except DomainError:
-                b = None
-        self.trials.append((_wdot(grid, prof, prof), b))
+            if k == len(self.norms):
+                lap = RadialField(grid, prof).lap
+                self.norms.append((
+                    _wdot(grid, prof, prof), _wdot(grid, lap, lap),
+                    float(np.add.reduce(
+                        w * nonneg_power(np.abs(prof), params.p_crit)))))
+            mass, bend, crit = self.norms[k]
+            sub = float(np.add.reduce(w * nonneg_power(np.abs(prof),
+                                                        params.q)))
+        try:
+            b = NormBundle(mass, bend, sub, crit)
+        except DomainError:
+            b = None
+        self.trials.append((mass, b))
         return prof
 
     def fails(self, k: int, params: LandscapeParams, c: float,
@@ -432,14 +466,16 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
     Returns ((fld, b), steps) once the descent's convergence test holds,
     the energy is at most NEWTON_J_SLACK bend above that of the starting
     iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
-    singular or non-finite step. steps counts the linear solves made; the
-    simplified correction's solve with kept LU factors is not one.
+    singular or non-finite step, and at a step that settles with
+    q_residual above Q_TOL: gnorm <= GRAD_TOL and the simplified Newton
+    correction (_correction) at most FIRST_ERR_TOL. Such a state sits on
+    the grid's Pohozaev floor, where no later step can pass. steps counts
+    the linear solves made; the correction's solve with kept LU factors is
+    not one.
 
     first is the Newton-first try: its convergence test also asks that the
-    simplified Newton correction (_correction) be at most FIRST_ERR_TOL,
-    and a try that settles so with q_residual above Q_TOL returns
-    (None, steps), unless q_residual - Q_TOL exceeds REACH_MARGIN times the
-    first-order reach of states within GRAD_TOL (_floor_reach): then it
+    run has settled so, and a try that settles with q_residual - Q_TOL
+    above the first-order reach of states within GRAD_TOL (_floor_reach)
     raises ConvergenceError of kind under-resolved, whose message gives the
     fiber-minimum width in grid spacings.
     """
@@ -463,27 +499,27 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
         except DomainError:
             return None, steps
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        if gnorm <= GRAD_TOL and (not first or _correction(
-                fld, c, g_proj, ab, piv, rhs) <= FIRST_ERR_TOL):
+        if gnorm <= GRAD_TOL and (
+                (qres <= Q_TOL and not first)
+                or _correction(fld, c, g_proj, ab, piv, rhs) <= FIRST_ERR_TOL):
             if qres <= Q_TOL:
                 ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
                       and b.bend < bend_cap)
                 return ((fld, b) if ok else None), steps
+            # settled above Q_TOL, on the grid's Pohozaev floor: no later
+            # step can pass, and where no state within GRAD_TOL can either,
+            # neither can the fallback
             if first:
-                # settled above Q_TOL, on the grid's Pohozaev floor: no
-                # later step can pass, and where no state within GRAD_TOL
-                # can either, neither can the fallback
                 reach = _floor_reach(params, fld, b, ab, piv, rhs)
-                if qres - Q_TOL > REACH_MARGIN * reach:
+                if qres - Q_TOL > reach:
                     raise ConvergenceError(
                         "under-resolved",
                         f"under-resolved grid: Newton settled at "
                         f"q_residual={qres:.3e}, above Q_TOL={Q_TOL} by more "
-                        f"than {REACH_MARGIN:g} times the reach {reach:.3e} "
-                        f"of states within GRAD_TOL={GRAD_TOL}; the "
-                        f"fiber-minimum width spans {width / grid.h:.3g} "
-                        "grid spacings")
-                return None, steps
+                        f"than the reach {reach:.3e} of states within "
+                        f"GRAD_TOL={GRAD_TOL}; the fiber-minimum width spans "
+                        f"{width / grid.h:.3g} grid spacings")
+            return None, steps
     return None, NEWTON_STEPS
 
 

@@ -31,7 +31,7 @@ from bhgs import (
     seed,
 )
 from bhgs import functionals, minimizer
-from bhgs.config import GN_GRID, load_config
+from bhgs.config import GN_GRID, load_config, resolve_params
 from bhgs.verify import random_params
 
 GN_REF = 0.2820814861937604      # quotient ascent fixed point, N=5, q=3
@@ -53,6 +53,9 @@ DEFAULT_ITERS = 7
 # and the descent, the path the other solved ops still take. The N = 7
 # draw's tries settle on a Pohozaev floor certified above Q_TOL; the seed
 # loop and the descent alone fail them as stall, line-search and stall.
+# The N = 8 and N = 10 draws' loose-point finishes settle above Q_TOL and
+# give up at that step, so their iters count 1-3 fewer Newton solves than
+# the finish's whole budget.
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
@@ -71,9 +74,9 @@ PIN_DRAWS = [
       'under-resolved']),
     ((8, 2.439367711724308, 2.1806933396881933, 0.8984868826434553,
       1.2027766774176487),
-     [('-0x1.7e3b3302ca0dcp-18', '-0x1.ddac42f2a0be8p-11', 22),
-      ('-0x1.c0d89dc624d2ep-15', '-0x1.c0bca98530e33p-10', 21),
-      ('-0x1.fc973d30b5639p-14', '-0x1.1a7b51477bd50p-9', 26)]),
+     [('-0x1.7e3b3302ca0dcp-18', '-0x1.ddac42f2a0be8p-11', 19),
+      ('-0x1.c0d89dc624d2ep-15', '-0x1.c0bca98530e33p-10', 19),
+      ('-0x1.fc973d30b5639p-14', '-0x1.1a7b51477bd50p-9', 24)]),
     ((9, 2.818393206439386, 2.323430278063605, 0.8605015321594385,
       0.6481974002195141),
      ['seed',
@@ -81,8 +84,8 @@ PIN_DRAWS = [
       'seed']),
     ((10, 2.289091679211648, 1.052281528926512, 1.7200122250850587,
       1.4652307514352931),
-     [('-0x1.b1b278205529cp-21', '-0x1.471de913c4237p-10', 27),
-      ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 24),
+     [('-0x1.b1b278205529cp-21', '-0x1.471de913c4237p-10', 25),
+      ('-0x1.862ed13fc3892p-18', '-0x1.d6dfafc44b99cp-10', 22),
       'stall']),
 ]
 # The solve-fine grid's pins are Newton-first's from the params' reference
@@ -103,6 +106,15 @@ PIN_BEFORE_FIRST = {
     ("fine", 0.5): ('-0x1.d224875868f06p-22', '-0x1.9f122ce1c914cp-19', 8),
     ("fine", 0.9): ('-0x1.cb4c560e10d40p-20', '-0x1.c66b103fc830cp-18', 10),
 }
+# the draw of the numpy-only CI job's loose-point canary: at 0.5 c0 on the
+# default grid its try fails, and the fallback's loose-point finish
+# converges at its first step, q_residual under Q_TOL by 2.4 %
+CANARY_ENV = {"BHGS_PROBLEM__N": "9",
+              "BHGS_PROBLEM__Q": "2.4686392387130165",
+              "BHGS_PROBLEM__MU": "3.808844990382272",
+              "BHGS_CONSTANTS__C_GN": "0.9099146525260412",
+              "BHGS_CONSTANTS__S_SOB": "0.6314746160371563"}
+CANARY_PIN = (7, 3.8082262619212204e-07, "-0x1.289b8792d46b7p-15")
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 # (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
@@ -375,6 +387,73 @@ class TestNewtonFinish:
         assert len(calls) == 1
         assert (st.m.hex(), st.iters) == (DEFAULT_M, DEFAULT_ITERS)
         assert np.array_equal(st.field.values, fallback06.field.values)
+
+    @staticmethod
+    def record_finishes(monkeypatch, n):
+        """Record (result, steps, gbsv solves on n nodes, last simplified
+        correction) of every loose-point finish."""
+        runs, corrections = [], []
+        sizes = count_gbsv(monkeypatch)
+        real, real_correction = minimizer._newton_finish, minimizer._correction
+
+        def recording(*args, **kwargs):
+            sizes.clear()
+            corrections.clear()
+            done, steps = real(*args, **kwargs)
+            if not kwargs.get("first"):
+                runs.append((done, steps, sizes.count(n),
+                             corrections[-1] if corrections else None))
+            return done, steps
+
+        def correction(*args):
+            corrections.append(real_correction(*args))
+            return corrections[-1]
+
+        monkeypatch.setattr(minimizer, "_newton_finish", recording)
+        monkeypatch.setattr(minimizer, "_correction", correction)
+        return runs
+
+    def test_ci_canary_converges_at_the_finish_first_step(self, monkeypatch):
+        # the one op of the domain censuses only the loose-point finish
+        # rescues: its first step passes the convergence test with
+        # q_residual under Q_TOL, and the settle rule must not end it
+        cfg = load_config(env=CANARY_ENV)
+        p = resolve_params(cfg)
+        grid = cfg.solve_grid()
+        runs = self.record_finishes(monkeypatch, grid.n)
+        st = minimize(p, grid, 0.5 * mass_threshold(p)[1])
+        assert (st.iters, st.q_residual, st.m.hex()) == CANARY_PIN
+        ((done, steps, solves, _),) = runs
+        assert done is not None and steps == solves == 1
+
+    @staticmethod
+    def ending(params, grid, c):
+        """(m.hex(), lam.hex()) of a solve, or its failure kind and
+        message."""
+        try:
+            st = minimize(params, grid, c)
+        except ConvergenceError as exc:
+            return exc.kind, str(exc)
+        return st.m.hex(), st.lam.hex()
+
+    @pytest.mark.parametrize("i, frac", [(0, 0.9), (3, 0.5)],
+                             ids=["N5-0.9-stall", "N8-0.5-solved"])
+    def test_settled_finish_gives_up_at_its_settle_step(self, monkeypatch, i,
+                                                        frac):
+        # the loose-point finish settles above Q_TOL (gnorm <= GRAD_TOL,
+        # the simplified correction within FIRST_ERR_TOL) before its budget
+        # runs out: it returns at that step, and the resumed descent ends
+        # as the descent alone does, with the same kind and message or the
+        # same m and lambda
+        p, grid, c = draw_op(i, frac)
+        runs = self.record_finishes(monkeypatch, grid.n)
+        got = self.ending(p, grid, c)
+        ((done, steps, solves, correction),) = runs
+        assert done is None and steps == solves < minimizer.NEWTON_STEPS
+        assert correction <= minimizer.FIRST_ERR_TOL
+        monkeypatch.setattr(minimizer, "LOOSE_GRAD", 0.0)
+        runs.clear()
+        assert self.ending(p, grid, c) == got and runs == []
 
     def test_stall_raises_without_another_newton_attempt(self, monkeypatch):
         # this draw's fallback reaches the loose point, Newton fails there,
@@ -979,17 +1058,19 @@ class TestFloorCertificate:
     def test_uncertified_floor_falls_back_bit_for_bit(self, monkeypatch):
         # the N = 8 draw at 0.1 c0 settles above Q_TOL at 1.6e-7 past it,
         # far within the reach 1.5e-4: the fallback solves it to its pin.
-        # With no margin the same floor ends the solve
+        # With no reach the same floor ends the solve
         seen = record_floors(monkeypatch)
         p, grid, c = draw_op(3, 0.1)
         assert outcome(p, grid, c) == PIN_DRAWS[3][1][0]
         ((_, b, reach),) = seen
         rho = abs(functionals.pohozaev(p, b)) / b.bend
-        assert 0.0 < rho - minimizer.Q_TOL < minimizer.REACH_MARGIN * reach
-        monkeypatch.setattr(minimizer, "REACH_MARGIN", 0.0)
+        assert 0.0 < rho - minimizer.Q_TOL < reach
+        monkeypatch.setattr(minimizer, "_floor_reach", lambda *args: 0.0)
         assert outcome(p, grid, c) == "under-resolved"
 
-    def test_certified_op_skips_seed_and_descent(self, monkeypatch, classify):
+    @staticmethod
+    def record_fallback(monkeypatch):
+        """Record each call of seed and _descend by name."""
         calls = []
         for name in ("seed", "_descend"):
             real = getattr(minimizer, name)
@@ -999,6 +1080,10 @@ class TestFloorCertificate:
                 return real(*args)
 
             monkeypatch.setattr(minimizer, name, counting)
+        return calls
+
+    def test_certified_op_skips_seed_and_descent(self, monkeypatch, classify):
+        calls = self.record_fallback(monkeypatch)
         seen = record_floors(monkeypatch)
         p, grid, c = draw_op(2, 0.5)
         with pytest.raises(ConvergenceError) as err:
@@ -1008,15 +1093,32 @@ class TestFloorCertificate:
         msg = str(err.value)
         hit = re.fullmatch(
             r"under-resolved grid: Newton settled at q_residual=(\S+), above "
-            r"Q_TOL=5e-07 by more than 2 times the reach (\S+) of states "
-            r"within GRAD_TOL=1e-08; the fiber-minimum width spans (\S+) "
-            r"grid spacings", msg)
+            r"Q_TOL=5e-07 by more than the reach (\S+) of states within "
+            r"GRAD_TOL=1e-08; the fiber-minimum width spans (\S+) grid "
+            r"spacings", msg)
         assert hit, msg
         rho, reach, nodes = map(float, hit.groups())
         assert rho - 5e-7 > 2.0 * reach
         assert 0.0 < nodes < minimizer.MIN_NODES_PER_WIDTH
         assert "stalled" not in msg and "converged" not in msg
         assert classify(msg) == "other"
+
+    def test_floor_within_twice_its_reach_is_certified(self, monkeypatch):
+        # a domain_draws(25711, 217) draw whose try settles 1.53 reaches
+        # above Q_TOL at 0.5 c0: to first order no state within GRAD_TOL
+        # passes Q_TOL, and the solve ends as under-resolved before the
+        # seed loop and the descent, which stall on it
+        calls = self.record_fallback(monkeypatch)
+        seen = record_floors(monkeypatch)
+        p = LandscapeParams(N=7, q=2.496481275988363, mu=8.083064462752647,
+                            C_gn=0.7828339180509659, S_sob=1.138496451437344)
+        grid = build_grid(7, 2049, 1000.0)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, grid, 0.5 * mass_threshold(p)[1])
+        assert err.value.kind == "under-resolved" and calls == []
+        ((_, b, reach),) = seen
+        rho = abs(functionals.pohozaev(p, b)) / b.bend
+        assert reach < rho - minimizer.Q_TOL < 2.0 * reach
 
 
 class TestOneLaplacianPerField:

@@ -9,6 +9,8 @@ The code each cache replaced is kept below as the reference:
   trial, and every seed must still pass both conditions in full. Masses
   where the prediction is unsettled (a scaled norm out of range, a power
   that overflows) must run the trial in full;
+- the trial norms held per grid geometry (_trial_norms), against
+  norm_bundle of each trial profile;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
 - normal_band from the held shift-free band against the loop that built
@@ -23,8 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhgs import (ConvergenceError, DomainError, LandscapeParams, NormBundle,
-                  RadialField, build_grid, energy, mass_threshold, minimize,
-                  minimizer, norm_bundle)
+                  RadialField, RadialGrid, build_grid, energy, mass_threshold,
+                  minimize, minimizer, norm_bundle)
 from bhgs.functionals import scaled_norms
 from bhgs.verify import random_params
 
@@ -74,6 +76,20 @@ def outcome(fn, *args):
         return ("ok", fld.values.tobytes(), b)
     except (ConvergenceError, DomainError, ZeroDivisionError) as exc:
         return (type(exc).__name__, str(exc))
+
+
+@pytest.fixture()
+def extend_count(monkeypatch):
+    """calls[0] counts the trials seed's families hold."""
+    calls = [0]
+    real = minimizer._SeedFamily.extend
+
+    def counting(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(minimizer._SeedFamily, "extend", counting)
+    return calls
 
 
 @pytest.fixture()
@@ -156,19 +172,20 @@ def test_mass_outside_range_and_dimension_mismatch(p53, thresholds53):
     LandscapeParams(N=5, q=3.0, mu=1.0),
     random_params(np.random.default_rng(4)),
 ], ids=["default", "draw4"])
-def test_warm_calls_make_at_most_two_bundle_evaluations(params, bundle_count):
+def test_warm_calls_make_at_most_two_bundle_evaluations(params, bundle_count,
+                                                       extend_count):
     grid = build_grid(params.N, 2049, 1000.0)
     th = mass_threshold(params)
     fracs = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]
     # the smallest mass contracts furthest, so it holds every trial the
-    # others reach
+    # others reach, each once
     minimizer.seed(params, th, fracs[0] * th[1], grid)
-    cold = bundle_count[0]
-    assert cold >= len(grid.seed_families[params.q].trials)
+    cold = extend_count[0]
+    assert cold == len(grid.seed_families[params.q].trials) > 0
     for frac in fracs:
-        bundle_count[0] = 0
+        bundle_count[0] = extend_count[0] = 0
         got = outcome(minimizer.seed, params, th, frac * th[1], grid)
-        assert bundle_count[0] <= 2
+        assert bundle_count[0] <= 2 and extend_count[0] == 0
         assert got == outcome(ref_seed, params, th, frac * th[1], grid)
 
 
@@ -199,6 +216,67 @@ def test_each_q_has_its_own_family():
                 == outcome(ref_seed, params, th, frac * th[1], grid)
     fam = grid.seed_families
     assert set(fam) == {3.0, 2.5} and fam[3.0] is not fam[2.5]
+
+
+def assert_trials_are_bundles(params, grid, family):
+    # each held mass and bundle is bitwise norm_bundle's of its trial
+    for k, (mass, b) in enumerate(family.trials):
+        want = norm_bundle(params, RadialField(
+            grid, minimizer._seed_profile(grid, k)))
+        assert mass.hex() == want.mass.hex()
+        assert ([x.hex() for x in (b.mass, b.bend, b.subcrit, b.crit)]
+                == [x.hex() for x in (want.mass, want.bend, want.subcrit,
+                                      want.crit)])
+
+
+@pytest.fixture()
+def lap_applies(monkeypatch):
+    """The grids, by id, of every lap_apply call."""
+    grids = []
+    real = RadialGrid.lap_apply
+
+    def recording(self, *args, **kwargs):
+        grids.append(id(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialGrid, "lap_apply", recording)
+    return grids
+
+
+@pytest.mark.parametrize("N", range(5, 11))
+def test_trial_norms_are_held_per_geometry(N, lap_applies):
+    # a second grid of one geometry reads every trial's mass, bend and
+    # critical norm from the held table: its families take no Laplacian,
+    # and every bundle is bitwise norm_bundle's of the trial profile
+    grids = [build_grid(N, 2049, 1000.0) for _ in range(2)]
+    for t in (0.1, 0.5, 0.9):
+        params = LandscapeParams(N=N, q=2.0 + t * 8.0 / N, mu=1.0)
+        for grid in grids:
+            lap_applies.clear()
+            family = held_family(params, grid)
+            assert grid is grids[0] or id(grid) not in lap_applies
+            assert_trials_are_bundles(params, grid, family)
+    info = minimizer._trial_norms.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 64
+
+
+def test_trial_norm_table_stays_within_its_bound(p53):
+    # 70 geometries, one radius apart, fill the table to its 64 keys, each
+    # with its own norms; a family whose geometry was dropped keeps its
+    # norms and grows on, bitwise
+    first = build_grid(5, 64, 1.0)
+    family = minimizer._SeedFamily()
+    family.extend(p53, first)
+    for i in range(70):
+        grid = build_grid(5, 64, 2.0 + i)
+        other = minimizer._SeedFamily()
+        other.extend(p53, grid)
+        assert_trials_are_bundles(p53, grid, other)
+    info = minimizer._trial_norms.cache_info()
+    assert info.currsize == info.maxsize == 64
+    for _ in range(4):
+        family.extend(p53, first)
+    assert_trials_are_bundles(p53, first, family)
 
 
 def test_families_live_and_die_with_their_grid(p53, thresholds53):
