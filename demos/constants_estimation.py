@@ -1,23 +1,21 @@
 """Estimate the two functional constants and see how the threshold moves.
 
 The interpolation and critical-embedding constants enter every landscape
-formula.  Synthetic mode pins both to 1.  Estimated mode maximizes the
-interpolation quotient over radial grid fields, which gives a grid estimate
-of the radial constant C_gn.  The estimate has no error bar yet, and its
-grid error has either sign: the discrete quotient is not bounded by the
-continuum one.  The critical-embedding constant is known in closed form
+formula.  Synthetic mode pins both to 1.  Estimated mode takes the
+interpolation quotient of the solver's held ground-state profile for
+(N, q), which maximizes it (Weinstein 1983): a grid estimate of the radial
+constant C_gn.  The estimate has no error bar yet, and its grid error has
+either sign: the discrete quotient is not bounded by the continuum one.  The critical-embedding constant is known in closed form
 (the bubbles attain it), so S_sob is sharp.  Since c0 = (2M)^(-N/4) and M
 grows with C_gn, the derived c0 and rho0 inherit C_gn's error.  That is why
 the CLI attaches a warning to every estimated-mode record.
 """
 from bhgs import (
     LandscapeParams,
-    build_grid,
     estimate_gn_constant,
     estimate_sobolev_constant,
     mass_threshold,
 )
-from bhgs.config import GN_GRID
 
 
 def main():
@@ -27,8 +25,9 @@ def main():
     print(f"  M={M_syn:.6f}  c0={c0_syn:.6f}  rho0={rho0_syn:.6f}")
     print()
 
-    # the grid `bhgs constants` uses in estimated mode, and the sharp law
-    c_gn = estimate_gn_constant(base, build_grid(5, *GN_GRID))
+    # the (N, q) profile's quotient `bhgs constants` uses in estimated
+    # mode, and the sharp law
+    c_gn = estimate_gn_constant(base)
     s_sob = estimate_sobolev_constant(base)
     print(f"estimated constants:  C_gn={c_gn:.12f}  S_sob={s_sob:.12f}")
 

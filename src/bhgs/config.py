@@ -3,8 +3,8 @@
 The keys are problem data only: [problem] N/q/mu, [constants] the
 working-constant mode and the synthetic values, [grid] the solve mesh, and
 [sweep] the mass grid shared by `landscape` and `sweep`. Numerical controls
-(solver tolerances, the interpolation-estimate grid, sample counts, lemma
-tolerances) are constants where they are used. Any key can be overridden
+(solver tolerances, sample counts, lemma tolerances) are constants where
+they are used. Any key can be overridden
 per process with BHGS_<SECTION>__<KEY> (two underscores), e.g.
 BHGS_PROBLEM__Q=2.8.
 
@@ -39,9 +39,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "grid": {"n": "2049", "r_max": "1000.0"},
     "sweep": {"c_grid": "0.1,0.15,0.2,0.25,0.3,0.4,0.5,0.9"},  # c/c0 fractions
 }
-
-# (n, r_max) of the estimated-mode interpolation-quotient grid
-GN_GRID = (1025, 40.0)
 
 
 class ConfigError(Exception):
@@ -142,19 +139,18 @@ def load_config(path: str | None = None,
 def resolve_params(cfg: Config) -> LandscapeParams:
     """LandscapeParams with working constants per the configured mode.
 
-    In estimated mode C_gn is a grid estimate of the radial constant with no
-    error bar yet, of either sign, and S_sob is sharp; the derived c0 and
-    rho0 inherit C_gn's error, and the CLI records say so.
+    In estimated mode C_gn is the quotient of the minimizer's held (N, q)
+    profile, a grid estimate of the radial constant with no error bar yet,
+    and S_sob is sharp; the derived c0 and rho0 inherit C_gn's error, and
+    the CLI records say so.
     """
     if cfg.constants_mode == "synthetic":
         return cfg.problem(cfg.get_float("constants", "c_gn"),
                            cfg.get_float("constants", "s_sob"))
-    from .grid import build_grid
     from .minimizer import estimate_gn_constant, estimate_sobolev_constant
     probe = cfg.problem()
-    return cfg.problem(
-        estimate_gn_constant(probe, build_grid(probe.N, *GN_GRID)),
-        estimate_sobolev_constant(probe))
+    return cfg.problem(estimate_gn_constant(probe),
+                       estimate_sobolev_constant(probe))
 
 
 def sweep_masses(cfg: Config, c0: float):

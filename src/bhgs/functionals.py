@@ -5,7 +5,10 @@ verification suite) consumes fields only through the four norms collected in
 a NormBundle, the energy J, the Pohozaev value Q, and the energy gradient.
 rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
 laws, so no rescaled field is ever materialized; scaled_norms is the one
-copy of those laws, which the minimizer's seed also uses.
+copy of those laws, which the minimizer's seed also uses. gn_quotient is
+the one copy of the Gagliardo-Nirenberg quotient, read from a bundle's
+mass, bend and subcrit; estimated C_gn is its value on the minimizer's held
+profile.
 
 norm_bundle and l2_gradient read L u from the field (RadialField.lap),
 where it is computed once and held, so a field that is bundled and then
@@ -50,6 +53,7 @@ __all__ = [
     "scaled_norms",
     "lagrange_multiplier",
     "gaussian_bundle",
+    "gn_quotient",
 ]
 
 
@@ -211,3 +215,13 @@ def lagrange_multiplier(params: LandscapeParams, b: NormBundle) -> float:
     if b.mass <= 0:
         raise DomainError("lagrange_multiplier needs positive mass")
     return (b.bend - params.mu * b.subcrit - b.crit) / b.mass
+
+
+def gn_quotient(params: LandscapeParams, b: NormBundle) -> float:
+    """|u|_q / (|Du|_2^beta |u|_2^(1-beta)), beta = N(q-2)/(4q): the
+    Gagliardo-Nirenberg quotient of the field with bundle b, from its mass,
+    bend and subcrit. It is invariant under amplitude and dilation, and the
+    subcritical ground state maximizes it (Weinstein 1983)."""
+    beta = derive_exponents(params).beta
+    return b.subcrit ** (1.0 / params.q) / (b.bend ** (beta / 2.0)
+                                            * b.mass ** ((1.0 - beta) / 2.0))

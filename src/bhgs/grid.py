@@ -4,7 +4,7 @@ Uniform mesh on [0, R], quadrature weights that carry the full spherical
 measure omega_{N-1} r^{N-1} dr, a fourth-order radial Laplacian with the
 symmetry limit at the origin, and field CSV input/output. Dilations act on
 norm bundles through exact laws (functionals.rescale_bundle, the fiber
-module); a field is dilated only to start Newton (RadialGrid.interpolate).
+module); a field is dilated only to start Newton (interpolate).
 
 Quadrature design: interior weights are the smooth product h * omega * r^{N-1}
 (trapezoid measure, half weight at r = R), node 0 carries the exact integral
@@ -36,10 +36,12 @@ instance (cached_property writes the instance __dict__, which a frozen
 dataclass allows); no module-level cache holds them. The seed trials'
 grid-only norms are also held per geometry (minimizer._trial_norms), as
 floats that reference no grid.
-RadialGrid.interpolate reads a grid's samples at arbitrary radii by 4-point
-cubic interpolation, with the even extension through the origin and the
-zero extension past R that the Laplacian's band uses; the minimizer's
-Newton first starts from its reference state read this way.
+interpolate reads samples on a grid of spacing h at arbitrary radii by
+4-point cubic interpolation, with the even extension through the origin and
+the zero extension past R that the Laplacian's band uses. It reads the
+samples and h alone, so the minimizer holds its per-(N, q) profile
+(minimizer._profile) as values and spacing, without a grid, and Newton
+first starts from that profile read this way.
 
 Held per field: a RadialField's values are a read-only view, checked
 finite once when the field is made, and its L u (RadialField.lap) is
@@ -65,6 +67,7 @@ __all__ = [
     "RadialField",
     "build_grid",
     "integrate",
+    "interpolate",
     "laplacian",
     "sphere_area",
     "save_field",
@@ -238,33 +241,6 @@ class RadialGrid:
         minimizer.seed."""
         return {}
 
-    def interpolate(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Samples v on this grid read at radii r >= 0 by 4-point cubic
-        (Lagrange) interpolation in r.
-
-        A radius in the cell [j h, (j + 1) h] reads nodes j-1..j+2, with v
-        extended as lap_band extends fields: evenly through the origin
-        (v_{-1} = v_1) and by zero past R; a radius past R reads zero. A
-        radius with r / h an integer reads that node's sample exactly; the
-        rule is exact on cubics in r away from both ends, and on 1 and r^2
-        away from R.
-        """
-        n = self.n
-        x = np.asarray(r, dtype=float) / self.h
-        inside = x <= n - 1
-        x = x[inside]
-        j = np.floor(x).astype(np.intp)
-        t = x - j
-        padded = np.zeros(n + 3)        # nodes -1..n+1
-        padded[0] = v[1]
-        padded[1:n + 1] = v
-        out = np.zeros(inside.shape)
-        out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
-                       + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
-                       - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
-                       + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
-        return out
-
 
 @dataclass(frozen=True)
 class RadialField:
@@ -338,6 +314,35 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
         weights=weights,
         lap_band=_laplacian_band(dim, n, r_max),
     )
+
+
+def interpolate(v: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
+    """Samples v on a grid of spacing h read at radii r >= 0 by 4-point
+    cubic (Lagrange) interpolation in r.
+
+    A radius in the cell [j h, (j + 1) h] reads nodes j-1..j+2, with v
+    extended as lap_band extends fields: evenly through the origin
+    (v_{-1} = v_1) and by zero past R = (len(v) - 1) h; a radius past R
+    reads zero. A radius with r / h an integer reads that node's sample
+    exactly; the rule is exact on cubics in r away from both ends, and on 1
+    and r^2 away from R. Only v and h are read, so a caller may hold a
+    profile without its grid.
+    """
+    n = len(v)
+    x = np.asarray(r, dtype=float) / h
+    inside = x <= n - 1
+    x = x[inside]
+    j = np.floor(x).astype(np.intp)
+    t = x - j
+    padded = np.zeros(n + 3)        # nodes -1..n+1
+    padded[0] = v[1]
+    padded[1:n + 1] = v
+    out = np.zeros(inside.shape)
+    out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
+                   + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
+                   - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
+                   + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
+    return out
 
 
 def integrate(grid: RadialGrid, samples: np.ndarray) -> float:

@@ -3,7 +3,9 @@
 Everything here is scalar arithmetic on problem parameters: the exponent set,
 the landscape lower-bound function f(c, rho), its maximizer rho_star, and the
 mass threshold c0 below which the local minimization region exists. No grids,
-no fields. f_landscape also takes an array of rho, which the comparison
+no fields, no solver: a params object holds only its exponents and log
+coefficients, and the minimizer keeps its reference profile per (N, q)
+itself. f_landscape also takes an array of rho, which the comparison
 lemma's segment uses; only that path imports numpy.
 
 The package's three error types live here too, so that the front end can
@@ -90,12 +92,6 @@ class LandscapeParams:
         es = self._exponents
         return (math.log(self.mu / self.q) + self.q * math.log(self.C_gn),
                 math.log(1.0 / es.p_crit) + es.p_crit * math.log(self.S_sob))
-
-    @cached_property
-    def _reference(self):
-        # the minimizer's reference state, built on the first solve
-        from .minimizer import _reference_state
-        return _reference_state(self)
 
 
 @dataclass(frozen=True)

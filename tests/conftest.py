@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
-from bhgs import LandscapeParams, build_grid, mass_threshold
+from bhgs import LandscapeParams, build_grid, mass_threshold, minimizer
 
 
 @pytest.fixture(scope="session")
 def p53():
     p = LandscapeParams(N=5, q=3.0, mu=1.0)
-    # its reference state, held for the session, is built before any test
-    # patches the solver
-    p._reference
+    # its (N, q) profile is built before any test patches the solver
+    minimizer._profile(p.N, p.q)
     return p
+
+
+@pytest.fixture()
+def fresh_profiles():
+    """An empty (N, q) profile table for the test, emptied again after it,
+    so a profile built under a patched solver is not held past the test."""
+    minimizer._profile.cache_clear()
+    yield
+    minimizer._profile.cache_clear()
 
 
 @pytest.fixture(scope="session")

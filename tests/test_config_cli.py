@@ -14,7 +14,7 @@ from bhgs.config import DEFAULTS, resolve_params, sweep_masses
 from bhgs.verify import random_params
 
 C0_REF = 1.3102171485428768328
-GN_REF = 0.2820814861937604
+GN_REF = 0.2820814898801601
 DEFAULT_FRACS = [0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9]
 SMALL_GRID = "0.1,0.2,0.3,0.4"       # four masses, four exact triples
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -155,6 +155,12 @@ class TestSweepMasses:
 
 
 class TestReadmeConfig:
+    def test_exit_table_names_every_fail_kind(self):
+        readme = Path(README).read_text(encoding="utf-8")
+        (row,) = [line for line in readme.splitlines()
+                  if line.startswith("| 4 ")]
+        assert [k for k in minimizer.FAIL_KINDS if f"`{k}`" not in row] == []
+
     # the README's INI sample must load as written and list every key
     def test_sample_loads_to_defaults(self, tmp_path):
         readme = Path(README).read_text(encoding="utf-8")
@@ -720,9 +726,9 @@ class TestCliGridRange:
 
 
 class TestCliLargeDimension:
-    # estimated mode builds the C_gn grid (1025, 40) at the configured N:
-    # at N = 100 its node-1 weight is negative (the ascent's Cholesky then
-    # failed), at N = 172 its exact weights overflowed a float
+    # estimated mode builds the (N, q) profile's grid (n = 1025) at the
+    # configured N: at N = 100 its node-1 weight is negative, at N = 172
+    # its exact weights overflow a float
     @pytest.mark.parametrize("N,why", [("100", "weight <= 0"),
                                        ("172", "float range")])
     def test_rejected_as_domain_error(self, capsys, monkeypatch, N, why):

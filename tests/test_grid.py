@@ -240,9 +240,14 @@ class TestRadialField:
         assert calls == []
 
 
+def interp(grid, v, r):
+    # v on grid read at r, from the samples and grid.h alone
+    return grid_mod.interpolate(v, grid.h, r)
+
+
 class TestNestedGrids:
-    # RadialGrid.interpolate, read from the grid on every f-th node of
-    # `fine`, which shares its R
+    # grid.interpolate, read from the grid on every f-th node of `fine`,
+    # which shares its R, given the samples and the spacing alone
     @pytest.fixture()
     def fine(self):
         # h = 2^-7 and R = 8: every node's radius, over any nested grid's
@@ -264,7 +269,7 @@ class TestNestedGrids:
         # coarse cell: away from node 0 (where it reflects) and from R
         # (where it reads zeros) a cubic is reproduced to rounding
         sub = self.nested(fine, f)
-        got = sub.interpolate(profile(sub.nodes), fine.nodes)
+        got = interp(sub, profile(sub.nodes), fine.nodes)
         want = profile(fine.nodes)
         inner = slice(f, fine.n - 2 * f)
         assert np.allclose(got[inner], want[inner], rtol=1e-12, atol=1e-12)
@@ -272,22 +277,22 @@ class TestNestedGrids:
     def test_coarse_nodes_are_copied_exactly(self, fine, rng):
         sub = self.nested(fine, 8)
         v = rng.standard_normal(sub.n)
-        assert np.array_equal(sub.interpolate(v, fine.nodes)[::8], v)
-        assert np.array_equal(sub.interpolate(v, sub.nodes), v)
+        assert np.array_equal(interp(sub, v, fine.nodes)[::8], v)
+        assert np.array_equal(interp(sub, v, sub.nodes), v)
 
     def test_even_at_the_origin(self, fine):
         # v_{-1} = v_1 as in lap_band: the first cell reads coarse node 1
         # twice, and r^2, being even, is exact there too
         f = 8
         sub = self.nested(fine, f)
-        got = sub.interpolate(sub.nodes ** 2, fine.nodes)
+        got = interp(sub, sub.nodes ** 2, fine.nodes)
         assert np.allclose(got[:f], fine.nodes[:f] ** 2, rtol=0, atol=1e-15)
         e1 = np.zeros(sub.n)
         e1[1] = 1.0
         t = np.arange(f) / f
         reflected = -t * (t - 1.0) * (t - 2.0) / 6.0   # the weight of v_{-1}
         direct = -(t + 1.0) * t * (t - 2.0) / 2.0      # the weight of v_1
-        assert np.allclose(sub.interpolate(e1, fine.nodes)[:f],
+        assert np.allclose(interp(sub, e1, fine.nodes)[:f],
                            reflected + direct, rtol=0, atol=1e-15)
 
     def test_zero_past_r(self, fine):
@@ -295,13 +300,13 @@ class TestNestedGrids:
         # and a radius past R reads zero
         f = 8
         sub = self.nested(fine, f)
-        got = sub.interpolate(np.ones(sub.n), fine.nodes)
+        got = interp(sub, np.ones(sub.n), fine.nodes)
         t = np.arange(f) / f
         want = 1.0 - (t + 1.0) * t * (t - 1.0) / 6.0
         assert np.allclose(got[-f - 1:-1], want, rtol=0, atol=1e-15)
         assert got[-1] == 1.0
-        past = sub.interpolate(np.ones(sub.n),
-                               np.array([np.nextafter(8.0, 9.0), 9.0, 1e300]))
+        past = interp(sub, np.ones(sub.n),
+                      np.array([np.nextafter(8.0, 9.0), 9.0, 1e300]))
         assert np.array_equal(past, np.zeros(3))
 
     def test_arbitrary_radii(self):
@@ -310,7 +315,7 @@ class TestNestedGrids:
         src = build_grid(5, 301, 7.5)
         cubic = lambda r: 2.0 - 0.7 * r + 0.3 * r * r - 0.05 * r ** 3
         r = np.random.default_rng(5).uniform(0.05, 7.4, 200)
-        got = src.interpolate(cubic(src.nodes), r)
+        got = interp(src, cubic(src.nodes), r)
         assert np.allclose(got, cubic(r), rtol=1e-12, atol=1e-12)
 
     def test_weight_cache_holds_nested_grids_across_dims(self):

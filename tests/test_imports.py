@@ -51,7 +51,7 @@ def test_constants_command_loads_no_numpy(tmp_path):
 
 
 def test_estimated_constants_do_load_numpy():
-    # the check above can fail: the C_gn ascent runs on numpy
+    # the check above can fail: the C_gn profile solve runs on numpy
     proc = python("-X", "importtime", "-m", "bhgs.cli", "constants",
                   BHGS_CONSTANTS__MODE="estimated")
     assert proc.returncode == 0, proc.stderr

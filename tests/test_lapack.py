@@ -34,12 +34,12 @@ KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs")
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
     """(grid, K, [-W g, W u]) of the first Newton step on the grid itself of
-    a solve at 0.5 c0, as _newton_finish passed them to gbsv; the params'
-    reference state is built first, so its steps are not seen. K is in
+    a solve at 0.5 c0, as _newton_finish passed them to gbsv; the (N, q)
+    profile is built first, so its steps are not seen. K is in
     gbsv's (13, n) layout, with its fill-in rows, which gbsv does not read,
     zeroed here; both arrays are Fortran-ordered."""
     grid = build_grid(5, request.param, 1000.0)
-    P53._reference
+    minimizer._profile(P53.N, P53.q)
     seen = []
 
     def capture(kl, ku, ab, b, piv=None):

@@ -31,10 +31,10 @@ from bhgs import (
     seed,
 )
 from bhgs import functionals, minimizer
-from bhgs.config import GN_GRID, load_config, resolve_params
+from bhgs.config import load_config, resolve_params
 from bhgs.verify import random_params
 
-GN_REF = 0.2820814861937604      # quotient ascent fixed point, N=5, q=3
+GN_REF = 0.2820814898801601      # the (5, 3) profile's quotient
 # the descent alone at 0.5 c0 on the production grid, N=5, q=3
 DESCENT_M = "-0x1.d224874daeda2p-22"
 DESCENT_LAM = "-0x1.9f1224d8200c0p-19"
@@ -49,8 +49,9 @@ DEFAULT_ITERS = 7
 # domain grid (n = 2049, R = 1000), and three masses of N = 5, q = 3 on the
 # solve-fine grid (n = 8193, R = 1000). Any reordered sum moves some bit.
 # The ops Newton-first solves (N = 6, N = 5 below 0.9 c0 and the solve-fine
-# grid) pin its results; PIN_BEFORE_FIRST keeps their pins by the seed loop
-# and the descent, the path the other solved ops still take. The N = 7
+# grid) pin its results, from the (N, q) profile moved to the op's mu and
+# c; PIN_BEFORE_FIRST keeps their pins by the seed loop and the descent,
+# the path the other solved ops still take. The N = 7
 # draw's tries settle on a Pohozaev floor certified above Q_TOL; the seed
 # loop and the descent alone fail them as stall, line-search and stall.
 # The N = 8 and N = 10 draws' loose-point finishes settle above Q_TOL and
@@ -59,14 +60,14 @@ DEFAULT_ITERS = 7
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
-     [('-0x1.313a329297661p-11', '-0x1.94658619581fcp-8', 2),
-      ('-0x1.3f11cdeaf1adep-8', '-0x1.52305e16487a8p-7', 2),
+     [('-0x1.313a32929765ap-11', '-0x1.94658619581f1p-8', 2),
+      ('-0x1.3f11cdeaf1af1p-8', '-0x1.52305e16487b7p-7', 2),
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f21dp-18', '-0x1.1474ebc66583ep-14', 2),
-      ('-0x1.0366a5eba9198p-13', '-0x1.43df6cac1c8bbp-12', 2),
-      ('-0x1.9a64e76875a6dp-12', '-0x1.1ca9cb82b5456p-11', 2)]),
+     [('-0x1.62472eeb9f2c8p-18', '-0x1.1474ebc6658a1p-14', 2),
+      ('-0x1.0366a5eba90fap-13', '-0x1.43df6cac1c8a0p-12', 2),
+      ('-0x1.9a64e768759d7p-12', '-0x1.1ca9cb82b541fp-11', 2)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['under-resolved',
@@ -583,10 +584,19 @@ def pin_and_fine_ops():
 
 
 def held(ops):
-    """ops, with each params' reference state built before a test patches
-    the solver: it is held for the params' lifetime."""
+    """ops, with each params' (N, q) profile built before a test patches
+    the solver."""
     for p, _, _ in ops:
-        p._reference
+        minimizer._profile(p.N, p.q)
+    return ops
+
+
+def pin_profiles(monkeypatch, ops):
+    """Serve the profile of each op's (N, q), built now, for the rest of
+    the test: none is evicted from the small table and built again under a
+    solver the test patches later."""
+    table = {(p.N, p.q): minimizer._profile(p.N, p.q) for p, _, _ in ops}
+    monkeypatch.setattr(minimizer, "_profile", lambda N, q: table[N, q])
     return ops
 
 
@@ -693,21 +703,23 @@ class TestNewtonFirst:
         # solve-fine grid, the reference moved farthest, leaves lambda off
         # by 1.6e-10; from the Gaussian start after two steps, or three for
         # the N = 5 draw, with lambda off by some 2e-7 to 3e-7 elsewhere
+        pin_profiles(monkeypatch, ops)
         monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
         results = self.first_results(ops)
         assert [steps for _, _, (_, steps) in results] == (
             [1] * (5 + len(FINE_FRACS)))
         assert self.lambda_errors(results[5:6])[0] > 1e-10
-        monkeypatch.setattr(minimizer, "_reference_state", lambda p: None)
+        monkeypatch.setattr(minimizer, "_profile", lambda N, q: None)
         results = self.first_results(pin_and_fine_ops())
         assert [steps for _, _, (_, steps) in results] == (
             [3] * 2 + [2] * (3 + len(FINE_FRACS)))
         assert min(self.lambda_errors(results[2:])) > 1e-7
 
-    def test_narrow_draw_tries_newton_before_the_seed(self, monkeypatch):
+    def test_narrow_draw_tries_newton_before_the_seed(self, monkeypatch,
+                                                      fresh_profiles):
         # the N = 5 draw's fiber-minimum width spans 14 to 17 grid spacings.
-        # The first solve builds the params' reference state, in three
-        # steps on its n = 1025 grid; from it the try takes one Newton step
+        # The first solve builds the (N, q) profile, in three steps on its
+        # n = 1025 grid; from it the try takes one Newton step
         # on the grid and solves the op below 0.9 c0; at 0.9 c0 it settles
         # on a floor it cannot certify, and the seed loop follows
         (N, q, mu, cgn, ssob), _ = PIN_DRAWS[0]
@@ -752,6 +764,19 @@ def count_gbsv(monkeypatch):
     return sizes
 
 
+def count_profile_solves(monkeypatch):
+    """Record the (N, q) of every profile solve (_coarse_solve)."""
+    solves = []
+    real = minimizer._coarse_solve
+
+    def counting(params, *args):
+        solves.append((params.N, params.q))
+        return real(params, *args)
+
+    monkeypatch.setattr(minimizer, "_coarse_solve", counting)
+    return solves
+
+
 def state_key(st):
     """A GroundState's reported numbers and field, for bitwise comparison."""
     return (st.m, st.lam, st.q_residual, st.bend, st.iters,
@@ -760,14 +785,15 @@ def state_key(st):
 
 class TestNestedStart:
     """Newton first's start from a solve on a coarser grid (nested
-    iteration): the params' reference state, moved by the dilation."""
+    iteration): the (N, q) profile, moved by the dilation."""
 
     def test_solve_fine_mass_takes_one_fine_solve(self, monkeypatch,
-                                                  thresholds53):
-        # the first solve builds the reference in 3 steps on its n = 1025
+                                                  thresholds53,
+                                                  fresh_profiles):
+        # the first solve builds the profile in 3 steps on its n = 1025
         # grid, and from it the try is accepted after 1 step on the
         # n = 8193 grid, certified by the simplified correction on that
-        # step's LU; the reference's solves are not counted in iters
+        # step's LU; the profile's solves are not counted in iters
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         grid = build_grid(5, 8193, 1000.0)
         sizes = count_gbsv(monkeypatch)
@@ -835,7 +861,7 @@ class TestNestedStart:
 
         monkeypatch.setattr(minimizer, "_correction", recording)
         steps_taken = []
-        for p, grid, c in reference_ops():
+        for p, grid, c in pin_profiles(monkeypatch, reference_ops()):
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             sizes.clear()
             measured.clear()
@@ -907,8 +933,9 @@ class TestNestedStart:
         assert two.m == pytest.approx(one.m, rel=1e-11)
 
     def test_corrupted_reference_takes_a_second_step(self, monkeypatch, p53,
-                                                     thresholds53):
-        # a reference state off by a smooth relative distortion of 1e-3 on
+                                                     thresholds53,
+                                                     fresh_profiles):
+        # a profile off by a smooth relative distortion of 1e-3 on
         # the scale of its width fails the simplified correction: each
         # solve-fine op takes a second step on the grid and lands on the
         # same m
@@ -930,9 +957,9 @@ class TestNestedStart:
                                          rel=1e-11)
 
     def test_unsettled_reference_starts_from_the_gaussian(
-            self, monkeypatch, p53, thresholds53):
-        # a reference solve that does not settle leaves the params without
-        # a reference: the try starts from the Gaussian on the grid and
+            self, monkeypatch, p53, thresholds53, fresh_profiles):
+        # a profile solve that does not settle leaves (N, q) without a
+        # profile: the try starts from the Gaussian on the grid and
         # takes three steps; no seed loop runs, and m agrees
         grid = build_grid(5, 8193, 1000.0)
         monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
@@ -947,37 +974,64 @@ class TestNestedStart:
         c = 0.5 * thresholds53[1]
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         st = minimize(p, grid, c)
-        assert p._reference is None
+        assert minimizer._profile(p.N, p.q) is None
         assert sizes == [8193] * 3 and st.iters == 4
         assert st.m == pytest.approx(minimize(p53, grid, c).m, rel=1e-11)
 
-    def test_held_reference_changes_no_bit(self, thresholds53):
-        # the reference is built on the first solve, not with the params or
+    def test_held_reference_changes_no_bit(self, thresholds53,
+                                           fresh_profiles):
+        # the profile is built on the first solve, not with the params or
         # the grid, and a solve is bitwise the same before and after other
         # solves on the same params object, and on a fresh equal one
         c0 = thresholds53[1]
         fine = build_grid(5, 8193, 1000.0)
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         mass_threshold(p)
-        assert "_reference" not in p.__dict__
+        assert minimizer._profile.cache_info().currsize == 0
         cold = state_key(minimize(p, fine, 0.5 * c0))
-        assert p.__dict__["_reference"] is not None
+        assert minimizer._profile.cache_info().currsize == 1
         minimize(p, build_grid(5, 2049, 1000.0), 0.3 * c0)
         minimize(p, fine, 0.9 * c0)
         assert state_key(minimize(p, fine, 0.5 * c0)) == cold
         fresh = LandscapeParams(N=5, q=3.0, mu=1.0)
         assert state_key(minimize(fresh, fine, 0.5 * c0)) == cold
 
+    def test_one_profile_serves_every_mu_and_constants(self, monkeypatch,
+                                                       fresh_profiles):
+        # two params objects of one (N, q) with other mu, C_gn and S_sob
+        # share one profile solve, and Newton first solves each op from it
+        # in one step on the grid
+        solves = count_profile_solves(monkeypatch)
+        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[1]
+        grid = build_grid(N, 2049, 1000.0)
+        for p in (LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob),
+                  LandscapeParams(N=N, q=q, mu=0.3, C_gn=1.4, S_sob=0.8)):
+            st = minimize(p, grid, 0.5 * mass_threshold(p)[1])
+            assert st.iters == 2
+        assert solves == [(N, q)]
+
+    def test_estimated_mode_solves_one_profile(self, monkeypatch,
+                                               fresh_profiles):
+        # resolve_params reads C_gn from the (N, q) profile, and a solve on
+        # the params it returns starts from the same held profile
+        solves = count_profile_solves(monkeypatch)
+        cfg = load_config(env={"BHGS_CONSTANTS__MODE": "estimated"})
+        p = resolve_params(cfg)
+        minimize(p, cfg.solve_grid(), 0.1 * mass_threshold(p)[1])
+        assert solves == [(p.N, p.q)]
+
     @pytest.mark.parametrize("k", [None, 0, 16, 21])
     def test_start_at_the_answer_keeps_its_newton_result(self, monkeypatch,
                                                          k):
-        # on the reference's own grid at its own mass the start is the
-        # reference, within ~1e-10 of the answer: Newton's result passes
-        # the energy test (J at most NEWTON_J_SLACK bend above the start's)
-        # and neither the seed loop nor the descent runs
+        # at mu = 1, on the profile's own grid at its own mass, the start
+        # is the profile, within ~1e-10 of the answer: Newton's result
+        # passes the energy test (J at most NEWTON_J_SLACK bend above the
+        # start's) and neither the seed loop nor the descent runs
         p = (LandscapeParams(N=5, q=3.0, mu=1.0) if k is None
              else random_params(np.random.default_rng(k)))
-        grid, _, c_ref = p._reference
+        p = LandscapeParams(N=p.N, q=p.q)
+        values, h, c_ref, _ = minimizer._profile(p.N, p.q)
+        grid = build_grid(p.N, len(values), h * (len(values) - 1))
         calls = []
         for name in ("seed", "_descend"):
             monkeypatch.setattr(minimizer, name,
@@ -1188,7 +1242,7 @@ class TestFailureKinds:
         kinds = [k for fn in (minimizer.estimate_gn_constant,
                               minimizer.fiber_consistency)
                  for k, _ in self.raise_sites(fn)]
-        assert kinds == ["gn-ascent", "no-fiber-minimum"]
+        assert kinds == ["no-profile", "no-fiber-minimum"]
         assert set(minimizer.FAIL_KINDS) >= set(kinds)
 
     @staticmethod
@@ -1271,82 +1325,138 @@ class TestFiberConsistency:
 
 def gn_quotient(params, grid, u):
     """|u|_q / (|Du|_2^beta |u|_2^(1-beta)) from u's norm bundle."""
-    b = norm_bundle(params, RadialField(grid, u))
+    return functionals.gn_quotient(params,
+                                   norm_bundle(params, RadialField(grid, u)))
+
+
+def ascent_quotient(params, grid):
+    """The test oracle for estimated C_gn: an optimizer of the quotient
+    independent of the solver, a preconditioned ascent on the given grid.
+
+    Maximizes log |u|_q - beta log |Du|_2 - (1-beta) log |u|_2 from the
+    unit Gaussian, renormalizing mass to 1 every step, until a step gains
+    less than 1e-14 relative; the achieved quotient, or None where 500 steps
+    do not settle it.
+    """
     q = params.q
     beta = params.N * (q - 2.0) / (4.0 * q)
-    return b.subcrit ** (1.0 / q) / (b.bend ** (beta / 2.0)
-                                     * b.mass ** ((1.0 - beta) / 2.0))
+    w = grid.weights
+    factor = minimizer._banded_factor(grid, 1.0)
+
+    def evaluate(vec):
+        fld = RadialField(grid, vec)
+        b = norm_bundle(params, fld)
+        return fld, b, (math.log(b.subcrit) / q - beta * math.log(b.bend) / 2
+                        - (1.0 - beta) * math.log(b.mass) / 2)
+
+    u = np.exp(-grid.nodes ** 2 / 2.0)
+    u /= math.sqrt(np.dot(w * u, u))
+    fld, b, F = evaluate(u)
+    tau = 1.0
+    for _ in range(500):
+        u = fld.values
+        grad = (np.sign(u) * np.abs(u) ** (q - 1.0) / b.subcrit
+                - beta * grid.lap_t_apply(w * fld.lap) / w / b.bend
+                - (1.0 - beta) * u / b.mass)
+        d = minimizer._precond_apply(factor, grid, grad)
+        gnorm2 = np.dot(w * grad, d)
+        tau = min(tau * 1.5, 1e3)
+        for _ in range(60):
+            cand = u + tau * d
+            cand /= math.sqrt(np.dot(w * cand, cand))
+            fld2, b2, F2 = evaluate(cand)
+            if F2 > F + 1e-4 * tau * gnorm2:
+                break
+            tau *= 0.5
+        else:
+            # no ascent step: settle at fld
+            return functionals.gn_quotient(params, b)
+        settled = F2 - F <= 1e-14 * max(1.0, abs(F))
+        fld, b, F = fld2, b2, F2
+        if settled:
+            return functionals.gn_quotient(params, b)
+    return None
 
 
-# estimate_gn_constant on GN_GRID at q = 2 + f 8/N, recorded before the
-# ascent carried its iterate as a field: the value's hex, or the failure's
-# kind and message
+# q = 2 + f 8/N of the 60 estimated-mode points
+GN_POINTS = [(N, round(0.05 + 0.1 * k, 2)) for N in range(5, 11)
+             for k in range(10)]
+
+# estimate_gn_constant at q = 2 + f 8/N, the (N, q) profile's quotient: the
+# value's hex. At N = 5, f = 0.05 and N = 8, f = 0.15 the ascent oracle on
+# (1025, 40) does not settle in 500 steps
 GN_PINS = [
-    ((5, 0.05), ('gn-ascent', 'quotient ascent did not settle in 500 steps')),
-    ((5, 0.15), '0x1.4f12dc73c36dep-1'),
-    ((6, 0.55), '0x1.16462f3f6fea0p-2'),
-    ((7, 0.95), '0x1.0a34fbdc10cc3p-3'),
-    ((8, 0.15), ('gn-ascent', 'quotient ascent did not settle in 500 steps')),
-    ((9, 0.45), '0x1.039050df7b10ap-2'),
-    ((10, 0.25), '0x1.b02c049b1cd70p-2'),
+    ((5, 0.05), '0x1.b70d6a4a03e37p-1'),
+    ((5, 0.15), '0x1.4f12dc51516f5p-1'),
+    ((6, 0.55), '0x1.16463093a8075p-2'),
+    ((7, 0.95), '0x1.0a34fedc7babep-3'),
+    ((8, 0.15), '0x1.35c6a724d18f7p-1'),
+    ((9, 0.45), '0x1.039053c9403d3p-2'),
+    ((10, 0.25), '0x1.b02c07df70c53p-2'),
 ]
 
 
+def gn_estimates(points):
+    """estimate_gn_constant at each (N, f) of points."""
+    return [estimate_gn_constant(LandscapeParams(N=N, q=2.0 + f * 8.0 / N))
+            for N, f in points]
+
+
 class TestGnEstimate:
-    def test_reference_value(self, p53, gn_grid):
-        # the ascent fixed point is grid-insensitive once the optimizer
-        # profile is resolved; reference from an n=1025, R=40 run
-        got = estimate_gn_constant(p53, gn_grid)
-        assert got == pytest.approx(GN_REF, rel=1e-12)
+    def test_reference_value(self, p53):
+        assert estimate_gn_constant(p53) == pytest.approx(GN_REF, rel=1e-12)
 
     @pytest.mark.parametrize("case, want", GN_PINS,
                              ids=[f"N{N}-f{f}" for (N, f), _ in GN_PINS])
     def test_bitwise_pins(self, case, want):
-        N, f = case
-        p = LandscapeParams(N=N, q=2.0 + f * 8.0 / N, mu=1.0)
-        try:
-            got = estimate_gn_constant(p, build_grid(N, *GN_GRID)).hex()
-        except ConvergenceError as exc:
-            got = (exc.kind, str(exc))
-        assert got == want
+        assert gn_estimates([case])[0].hex() == want
 
-    def test_ascent_applies_l_once_per_field(self, monkeypatch, p53,
-                                             gn_grid):
-        # every trial and accepted field is made once, its L u computed
-        # for its norms and only there: the gradient and the result read
-        # the held norms and Laplacian
-        applied, fields = [], []
-        lap_apply = RadialGrid.lap_apply
+    @pytest.fixture(scope="class")
+    def fine_estimates(self):
+        # the profiles at 8 times the nodes per width, n = 8193
+        with pytest.MonkeyPatch.context() as mp:
+            minimizer._profile.cache_clear()
+            mp.setattr(minimizer, "MIN_NODES_PER_WIDTH",
+                       8 * minimizer.MIN_NODES_PER_WIDTH)
+            try:
+                return gn_estimates(GN_POINTS)
+            finally:
+                minimizer._profile.cache_clear()
 
-        def counting_lap(self, u):
-            applied.append(u.tobytes())
-            return lap_apply(self, u)
+    def test_every_estimated_mode_point_settles(self, fine_estimates):
+        # each profile settles, and its quotient is within 3e-7 of the
+        # profile's at n = 8193 (2.2e-7 at most), of either sign
+        got = gn_estimates(GN_POINTS)
+        rel = [a / b - 1.0 for a, b in zip(got, fine_estimates)]
+        assert max(map(abs, rel)) <= 3e-7
+        assert min(rel) < 0.0 < max(rel)
 
-        def counting_field(grid, values):
-            fields.append(values)
-            return RadialField(grid, values)
+    def test_grid_estimate_can_lie_above_the_finer_grid(self,
+                                                        fine_estimates):
+        # no lower bound: at N = 5, q = 2.24 the estimate exceeds the
+        # profile's at 8 times the nodes per width by 2.4e-9 relative
+        k = GN_POINTS.index((5, 0.15))
+        rel = gn_estimates([(5, 0.15)])[0] / fine_estimates[k] - 1.0
+        assert rel == pytest.approx(2.4e-9, rel=0.01)
 
-        monkeypatch.setattr(RadialGrid, "lap_apply", counting_lap)
-        monkeypatch.setattr(minimizer, "RadialField", counting_field)
-        assert estimate_gn_constant(p53, gn_grid) == pytest.approx(
-            GN_REF, rel=1e-12)
-        assert len(applied) == len(set(applied)) == len(fields) == 108
+    @pytest.mark.parametrize("N", range(5, 11))
+    def test_matches_the_ascent_oracle(self, N):
+        # at q fraction 0.95 the ascent settles on the estimated-mode grid
+        # it ran on (n = 1025, R = 40), and there it is right (ROADMAP F13)
+        p = LandscapeParams(N=N, q=2.0 + 0.95 * 8.0 / N)
+        want = ascent_quotient(p, build_grid(N, 1025, 40.0))
+        assert want is not None
+        assert estimate_gn_constant(p) == pytest.approx(want, rel=1e-6)
 
-    def test_ascent_takes_no_critical_norm(self, monkeypatch, p53, gn_grid):
-        # the quotient reads mass, bend and subcrit only: no power |u|^4*
-        # is taken for a field's norms (GN_PINS hold C_gn bit for bit)
-        exponents = []
-        power = functionals.nonneg_power
+    def test_reads_n_and_q_alone(self, p53):
+        other = LandscapeParams(N=5, q=3.0, mu=7.0, C_gn=3.0, S_sob=0.5)
+        assert estimate_gn_constant(other) == estimate_gn_constant(p53)
 
-        def recording(au, e):
-            exponents.append(e)
-            return power(au, e)
-
-        monkeypatch.setattr(functionals, "nonneg_power", recording)
-        monkeypatch.setattr(minimizer, "nonneg_power", recording)
-        assert estimate_gn_constant(p53, gn_grid) == pytest.approx(
-            GN_REF, rel=1e-12)
-        assert exponents and p53.p_crit not in exponents
+    def test_unsettled_profile_is_named(self, monkeypatch, fresh_profiles):
+        monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
+        with pytest.raises(ConvergenceError) as err:
+            estimate_gn_constant(LandscapeParams(N=5, q=3.0))
+        assert err.value.kind == "no-profile"
 
     def test_quotient_amplitude_invariance(self, p53, gn_grid):
         u = np.exp(-0.5 * gn_grid.nodes ** 2)
@@ -1362,19 +1472,9 @@ class TestGnEstimate:
         q2 = gn_quotient(p53, gn_grid, np.exp(-0.5 * 1.7 * r2))
         assert q2 == pytest.approx(q1, rel=1e-6)
 
-    def test_grid_estimate_can_lie_above_the_finer_grid(self):
-        # no lower bound: at N = 5, q = 2.32 the estimate on the
-        # estimated-mode grid GN_GRID exceeds the one at a quarter of its
-        # spacing by 8.6e-9 relative
-        p = LandscapeParams(N=5, q=2.0 + 0.2 * 8.0 / 5.0, mu=1.0)
-        n, r_max = GN_GRID
-        coarse = estimate_gn_constant(p, build_grid(5, n, r_max))
-        fine = estimate_gn_constant(p, build_grid(5, 4 * n - 3, r_max))
-        assert coarse / fine - 1.0 == pytest.approx(8.6e-9, rel=0.01)
-
     def test_improves_on_gaussian_start(self, p53, gn_grid):
         u = np.exp(-0.5 * gn_grid.nodes ** 2)
-        assert estimate_gn_constant(p53, gn_grid) >= gn_quotient(
+        assert estimate_gn_constant(p53) >= gn_quotient(
             p53, gn_grid, u) - 1e-15
 
 
@@ -1505,11 +1605,15 @@ class TestNonnegPowerEndToEnd:
         else:
             assert real[0] == "error" and outcome in real[1]
 
-    def test_estimators(self, monkeypatch):
-        # the Sobolev constant is a closed form with no field to mask
+    def test_estimators(self, monkeypatch, fresh_profiles):
+        # the Sobolev constant is a closed form with no field to mask; each
+        # run solves the profile cold
         probe = load_config(env={}).problem()
-        gn_grid = build_grid(probe.N, *GN_GRID)
-        plain, real, masked = self.run_both(
-            monkeypatch, lambda: estimate_gn_constant(probe, gn_grid))
+
+        def cold_estimate():
+            minimizer._profile.cache_clear()
+            return estimate_gn_constant(probe)
+
+        plain, real, masked = self.run_both(monkeypatch, cold_estimate)
         assert real.hex() == plain.hex()
         assert masked > 0
