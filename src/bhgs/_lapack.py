@@ -1,8 +1,8 @@
 """The four LAPACK band kernels the solver needs, without scipy.
 
 pbtrf and pbtrs (banded Cholesky factor and solve) serve the descent
-preconditioner and the C_gn ascent; gbsv (banded LU solve) and gbtrs (a
-solve with the LU factors gbsv left) serve Newton. numpy's wheels bundle an
+preconditioner; gbsv (banded LU solve) and gbtrs (a solve with the LU
+factors gbsv left) serve Newton. numpy's wheels bundle an
 OpenBLAS, numpy.libs/libscipy_openblas64_*.so, that exports them as
 scipy_dpbtrf_64_, scipy_dpbtrs_64_, scipy_dgbsv_64_ and scipy_dgbtrs_64_
 with 64-bit integers; this module calls them through ctypes. That file name

@@ -17,6 +17,8 @@ materialized; grid error never enters the zero structure.
 Zero-finding never evaluates the power laws directly: bisection works on a
 rescaled copy of xi whose three terms are exponentiated relative to their
 common maximum, so bundles anywhere in float range bracket without overflow.
+fiber_minimum brackets s1 alone, for callers that read nothing else (the
+minimizer); analyze_fiber goes on from it to s2 and the two energies.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .functionals import NormBundle, pohozaev_coefficient
 from .landscape import DomainError, LandscapeParams, derive_exponents
 
 __all__ = ["FiberAnalysis", "psi", "psi_prime", "xi", "xi_turning_point",
-           "analyze_fiber"]
+           "analyze_fiber", "fiber_minimum"]
 
 KIND_MIN = "local-minimum"
 KIND_MAX = "local-maximum"
@@ -149,6 +151,33 @@ def _bisect(fn, lo: float, hi: float) -> float:
     return math.exp(0.5 * (tlo + thi))
 
 
+def _rising_zero(params: LandscapeParams, b: NormBundle):
+    # (s_turn, the scaled xi, its value at s_turn, s1), s1 None where xi's
+    # maximum is negative and s_turn where it vanishes (analyze_fiber)
+    _require_nondegenerate(b)
+    s_star = xi_turning_point(params, b)
+    f = _xi_scaled(params, b)
+    xs = f(s_star)
+    if abs(xs) <= 1e-12:
+        return s_star, f, xs, s_star
+    if xs < 0:
+        return s_star, f, xs, None
+    lo = s_star
+    while f(lo) > 0:
+        lo /= 10.0          # xi -> -inf as s -> 0+ because alpha0 < 0
+        if lo < 1e-300:
+            raise DomainError("fiber zero below float range")
+    return s_star, f, xs, _bisect(f, lo, s_star)
+
+
+def fiber_minimum(params: LandscapeParams, b: NormBundle) -> float | None:
+    """analyze_fiber(params, b).s1, bit for bit, without bracketing s2 or
+    evaluating psi: None where psi' has no zero. Raises as analyze_fiber
+    does before it reaches s2; where analyze_fiber raises for s2 or psi
+    leaving float range, this still returns s1."""
+    return _rising_zero(params, b)[3]
+
+
 def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
     """Locate the at-most-two zeros of psi' and classify them.
 
@@ -158,26 +187,16 @@ def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
     to the term magnitudes, is the repeated-zero case and both kinds read
     "degenerate-tangency".
     """
-    _require_nondegenerate(b)
-    s_star = xi_turning_point(params, b)
-    f = _xi_scaled(params, b)
-    xs = f(s_star)
+    s_star, f, xs, s1 = _rising_zero(params, b)
     if abs(xs) <= 1e-12:
         p = psi(params, b, s_star)
         return FiberAnalysis(s_turn=s_star, s1=s_star, s2=s_star,
                              kind1=KIND_TANGENT, kind2=KIND_TANGENT,
                              psi_at_s1=p, psi_at_s2=p)
-    if xs < 0:
+    if s1 is None:
         return FiberAnalysis(s_turn=s_star, s1=None, s2=None,
                              kind1=None, kind2=None,
                              psi_at_s1=None, psi_at_s2=None)
-
-    lo = s_star
-    while f(lo) > 0:
-        lo /= 10.0          # xi -> -inf as s -> 0+ because alpha0 < 0
-        if lo < 1e-300:
-            raise DomainError("fiber zero below float range")
-    s1 = _bisect(f, lo, s_star)
     hi = s_star
     while f(hi) > 0:
         hi *= 2.0           # xi -> -inf as s -> inf because alpha2 > 0

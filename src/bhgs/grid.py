@@ -26,11 +26,14 @@ largest checked), while 5-16, 19-21, 24, 25 and 28 build.
 Operator layout: the Laplacian L is pentadiagonal and is stored once, as a
 (5, n) band array D with D[k, i] = L[i, i + k - 2]. Row 0 is the origin
 limit, row 1 folds the even reflection of u_{-1} onto u_1, and entries whose
-column falls past R are zero. L u, L^T v and the band of a W + L^T W L (the
-minimizer's preconditioner) are all computed by slicing this one array.
+column falls past R are zero. L u, L^T v and the band L^T W L are all
+computed by slicing this one array.
 
-Held per grid: the shift-free band L^T W L, to which normal_band adds a W
-(the minimizer's Newton step reads it directly), and the minimizer's seed
+Held per grid: L^T W L, once, in the layout LAPACK's gbsv takes for the
+minimizer's Newton step (newton_band: read-only, Fortran-ordered (13, n),
+the upper band and diagonal in rows 4-8, their mirror in rows 9-12, zero
+fill-in rows 0-3), from whose rows 4-8 normal_band forms the
+preconditioner's band a W + L^T W L; and the minimizer's seed
 families. Both are filled on first use and live and die with the grid
 instance (cached_property writes the instance __dict__, which a frozen
 dataclass allows); no module-level cache holds them. The seed trials'
@@ -117,7 +120,7 @@ def _weight_core(N: int, n: int) -> np.ndarray:
     # r_max enters only through the h^N prefactor, so the exact-arithmetic
     # part is cached per (N, n); callers must not mutate the result. 64 keys
     # hold several grid sizes per N = 5..10, among them the n = 1025 grids
-    # of the minimizer's reference states
+    # of the minimizer's (N, q) profiles
     X = n - 1
     # node 0: integral of the linear hat on [0, h] against x^{N-1}
     pin = Fraction(1, N * (N + 1))
@@ -214,24 +217,31 @@ class RadialGrid:
         """a W + L^T W L in upper band storage: row 4 - d holds P[j, j+d].
 
         P[j, j+d] sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in
-        descending order, and a w_j is added last. The shift-free band is
-        held on the grid; each call returns a fresh array.
+        descending order, and a w_j is added last. It reads rows 4-8 of the
+        held band (newton_band); each call returns a fresh array.
         """
-        ab = self._normal_band0.copy()
+        ab = self.newton_band[4:9].copy()
         ab[4] += a * self.weights
         return ab
 
     @cached_property
-    def _normal_band0(self) -> np.ndarray:
-        # L^T W L, summed as normal_band documents, read-only
+    def newton_band(self) -> np.ndarray:
+        """L^T W L in gbsv's (13, n) layout for kl = ku = 4, Fortran-ordered
+        and read-only: K[i, j] at [8 + i - j, j], the upper band and the
+        diagonal in rows 4-8, summed as normal_band documents, their mirror
+        in rows 9-12 with the corners past the matrix zero, and gbsv's
+        fill-in rows 0-3 zero. The minimizer's Newton step copies it whole
+        into its work array and shifts row 8."""
         n, D, w = self.n, self.lap_band, self.weights
         DW = D * w
-        ab = np.zeros((5, n))
+        ab = np.zeros((13, n), order="F")
         for d in range(5):
             acc = np.zeros(n + 4)   # acc[2 + j] = P[j, j+d]; j < 0, j >= n: pad
             for t in range(-2, 3 - d):
                 acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
-            ab[4 - d, d:] = acc[2:n + 2 - d]
+            # P[j, j+d] and its mirror P[j+d, j]; at d = 0 both the diagonal
+            ab[8 - d, d:] = acc[2:n + 2 - d]
+            ab[8 + d, :n - d] = acc[2:n + 2 - d]
         ab.flags.writeable = False
         return ab
 
@@ -337,11 +347,31 @@ def interpolate(v: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
     padded = np.zeros(n + 3)        # nodes -1..n+1
     padded[0] = v[1]
     padded[1:n + 1] = v
+    # the four Lagrange weights share the products t(t-1), (t+1)(t-1) and
+    # (t+1)t; each term is formed in place, by the float operations of
+    # -t(t-1)(t-2)/6 v_(j-1) + (t+1)(t-1)(t-2)/2 v_j - (t+1)t(t-2)/2 v_(j+1)
+    # + (t+1)t(t-1)/6 v_(j+2) written out, so no term holds a temporary
+    tm1, tm2, tp1 = t - 1.0, t - 2.0, t + 1.0
+    acc = np.negative(t * tm1)
+    acc *= tm2
+    acc /= 6.0
+    acc *= padded[j]
+    term = tp1 * tm1
+    term *= tm2
+    term /= 2.0
+    term *= padded[j + 1]
+    acc += term
+    tp1 *= t
+    np.multiply(tp1, tm2, out=term)
+    term /= 2.0
+    term *= padded[j + 2]
+    acc -= term
+    tp1 *= tm1
+    tp1 /= 6.0
+    tp1 *= padded[j + 3]
+    acc += tp1
     out = np.zeros(inside.shape)
-    out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
-                   + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
-                   - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
-                   + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
+    out[inside] = acc
     return out
 
 

@@ -9,10 +9,12 @@ provides.
 minimize tries Newton first (_newton_first): bordered Newton on (u,
 lambda) for grad J = lambda u on the mass sphere (Keller 1977). Each step
 is one banded LU of the Hessian K = L^T W L - lambda W - W f'(u) with two
-right-hand sides (_newton_step), assembled in gbsv's own band layout in one
-work array that gbsv overwrites, so no step copies K or its right-hand
-sides. The ground state is a strict local minimum of J on the mass sphere,
-where the bordered system is nonsingular.
+right-hand sides (_newton_step). The grid holds L^T W L once, read-only,
+in gbsv's own band layout (RadialGrid.newton_band); a step copies it whole
+into one work array, shifts its diagonal row and lets gbsv overwrite it,
+so no step mirrors the band or copies K or its right-hand sides. The
+ground state is a strict local minimum of J on the mass sphere, where the
+bordered system is nonsingular.
 
 The try starts from the profile of (N, q), moved to the op's (mu, c) by
 the exact dilation. While the critical term is negligible, the ground
@@ -29,8 +31,10 @@ object of that (N, q) starts from it, whatever its mu and constants, and
 its bundle's Gagliardo-Nirenberg quotient is estimated C_gn
 (estimate_gn_constant), so the solver has one Newton method for every
 state it computes. Where there is no profile, or its moved start fails
-J < 0 or the bend cap, the try starts from exp(-s1 r^2 / 2) at mass c, s1
-the fiber minimum of the unit Gaussian's bundle scaled to mass c.
+J < 0 or the bend cap, the try is skipped. It is skipped too where s1, the
+fiber minimum of the grid's unit Gaussian bundle scaled to mass c
+(fiber.fiber_minimum), does not exist; s1^(-1/2) is the width an
+under-resolved message names.
 
 The try takes at most NEWTON_STEPS steps and accepts a state at any step
 under one test: GRAD_TOL, and the simplified Newton correction at most
@@ -83,12 +87,12 @@ grown only as far as a call reaches (_SeedFamily). A trial whose held
 bundle, scaled to mass c, fails either condition is skipped, and the trial
 returned is always checked in full; seed's docstring says where this can
 differ from running every trial. The family lives and dies with its grid,
-like the grid's held band L^T W L, to which normal_band adds the
-preconditioner's shift. Of each trial's bundle only |P_k|_q^q depends on
-q; its mass, bend and critical norm depend on the grid's geometry alone
-and are held per (dim, n, r_max) in a module-level table of 64 geometries
-(_trial_norms), so a new grid of a geometry met before takes one power
-sum per trial and no Laplacian.
+like the grid's held band L^T W L, whose upper rows normal_band copies and
+shifts for the preconditioner. Of each trial's bundle only |P_k|_q^q
+depends on q; its mass, bend and critical norm depend on the grid's
+geometry alone and are held per (dim, n, r_max) in a module-level table of
+64 geometries (_trial_norms), so a new grid of a geometry met before takes
+one power sum per trial and no Laplacian.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -127,7 +131,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fiber import analyze_fiber
+from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
                           l2_gradient, lagrange_multiplier, nonneg_power,
                           norm_bundle, pohozaev, pohozaev_coefficient,
@@ -436,17 +440,13 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     pivots in piv, if given. The caller reuses them for every step.
     """
     grid = fld.grid
-    n, w = grid.n, grid.weights
+    w = grid.weights
     q, p = params.q, params.p_crit
     u = fld.values
-    # rows 4-8: the upper band and diagonal of L^T W L - lambda_hat W;
-    # rows 9-12: the lower band, mirrored, with the corners past the
-    # matrix zero; rows 0-3 are gbsv's fill-in, which it sets itself
-    ab[4:9] = grid._normal_band0
+    # the held L^T W L in gbsv's layout, then its diagonal, row 8, less
+    # lambda_hat W and W f'(u)
+    np.copyto(ab, grid.newton_band)
     ab[8] += -lam_hat * w
-    for d in range(1, 5):
-        ab[8 + d, :n - d] = ab[8 - d, d:]
-        ab[8 + d, n - d:] = 0.0
     au = np.abs(u)
     ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
                   + (p - 1.0) * nonneg_power(au, p - 2.0))
@@ -653,8 +653,8 @@ def _profile(N: int, q: float):
     c_ref = REF_FRACTION * c0
     try:
         unit = gaussian_bundle(params, 1.0)
-        s1 = analyze_fiber(params, NormBundle(*scaled_norms(
-            params, unit, c_ref / unit.mass, 1.0))).s1
+        s1 = fiber_minimum(params, NormBundle(*scaled_norms(
+            params, unit, c_ref / unit.mass, 1.0)))
     except (DomainError, OverflowError):
         return None
     if s1 is None:
@@ -681,34 +681,32 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     They start from the (N, q) profile (_profile) read at r / L,
     L = mu^(1 / (N(q-2)/2 - 4)) (c / c_ref)^(1 / (N - 8/(q-2))) by
     grid.interpolate, and scaled to mass c; at mu = 1 the first factor is
-    1.0 and L is the mass factor bit for bit. Where there is no profile, or
-    that start fails J < 0 or bend < bend_cap, they start from
-    exp(-s1 r^2 / 2) at mass c, s1 the fiber minimum of the grid's unit
-    Gaussian bundle scaled to mass c. The try is skipped where s1 or both
-    starts fail.
+    1.0 and L is the mass factor bit for bit. The try is skipped where
+    there is no profile, where that start fails J < 0 or bend < bend_cap,
+    and where the grid's unit Gaussian bundle scaled to mass c has no
+    fiber minimum s1 (fiber_minimum); s1^(-1/2) is the width an
+    under-resolved failure reports.
     """
     try:
         unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
-        s1 = analyze_fiber(params, NormBundle(*scaled_norms(
-            params, unit, c / unit.mass, 1.0))).s1
+        s1 = fiber_minimum(params, NormBundle(*scaled_norms(
+            params, unit, c / unit.mass, 1.0)))
     except (DomainError, OverflowError):
         return None
     if s1 is None:
         return None
-    start = None
     N, q = params.N, params.q
     try:
         prof = _profile(N, q)
     except DomainError:     # no profile grid builds at dimension N
         prof = None
-    if prof is not None:
-        values, h, c_ref, _ = prof
-        L = (params.mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
-             * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
-        start = _start(params, grid, c,
-                       interpolate(values, h, grid.nodes / L), bend_cap)
-    if start is None:
-        start = _start(params, grid, c, _gaussian(grid, s1), bend_cap)
+    if prof is None:
+        return None
+    values, h, c_ref, _ = prof
+    L = (params.mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
+         * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
+    start = _start(params, grid, c,
+                   interpolate(values, h, grid.nodes / L), bend_cap)
     if start is None:
         return None
     fld, b = start
@@ -722,8 +720,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Newton first, from the (N, q) profile moved to (mu, c) or from the
-    fiber-minimum Gaussian (_newton_first); where that fails, the seed
+    Newton first, from the (N, q) profile moved to (mu, c)
+    (_newton_first); where that is skipped or fails, the seed
     loop and the preconditioned descent, finished by bordered Newton steps
     from the loose point (_descend), until
     gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
@@ -900,10 +898,11 @@ def estimate_sobolev_constant(params: LandscapeParams) -> float:
 
 
 def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:
-    """|s1 - 1| for the state's held bundle; the minimizer sits at its own
-    fiber minimum, so this is a free end-to-end self-check."""
-    fa = analyze_fiber(params, state.bundle)
-    if fa.s1 is None:
+    """|s1 - 1| for the state's held bundle (fiber_minimum); the minimizer
+    sits at its own fiber minimum, so this is a free end-to-end
+    self-check."""
+    s1 = fiber_minimum(params, state.bundle)
+    if s1 is None:
         raise ConvergenceError("no-fiber-minimum",
                                "converged bundle has no fiber minimum")
-    return abs(fa.s1 - 1.0)
+    return abs(s1 - 1.0)

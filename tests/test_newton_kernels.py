@@ -1,0 +1,267 @@
+"""Oracles for the kernels of a Newton-first solve.
+
+Each kernel is held to the code it replaced, kept below as the reference:
+
+- the grid's held Newton band (RadialGrid.newton_band), which each Newton
+  step copies whole, against the (5, n) shift-free band and the loop that
+  mirrored it into gbsv's layout on every step, bit for bit; and the
+  Newton step itself against the step that assembled K that way;
+- fiber.fiber_minimum, which brackets s1 alone, against analyze_fiber's
+  s1 computed beside s2, by float.hex, also where psi' has no zero or a
+  double one; and analyze_fiber, built on it, against the same reference;
+- grid.interpolate, whose four Lagrange weights share three products,
+  against the weights written out one by one, bit for bit.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from bhgs import (LandscapeParams, NormBundle, RadialField, build_grid,
+                  mass_threshold, minimizer)
+from bhgs import fiber, grid as grid_mod
+from bhgs.fiber import FiberAnalysis
+from bhgs.functionals import nonneg_power, pohozaev_coefficient
+from bhgs.landscape import DomainError, derive_exponents
+from propstrat import bundle_st, params_st
+
+# ---------------------------------------------------------------- references
+
+
+def ref_normal_band0(grid):
+    # L^T W L in upper band storage, row 4 - d holding P[j, j+d]
+    n, D, w = grid.n, grid.lap_band, grid.weights
+    DW = D * w
+    ab = np.zeros((5, n))
+    for d in range(5):
+        acc = np.zeros(n + 4)
+        for t in range(-2, 3 - d):
+            acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
+        ab[4 - d, d:] = acc[2:n + 2 - d]
+    return ab
+
+
+def ref_assemble(grid, ab, shift):
+    # rows 4-12 of K's band in gbsv's layout: the shift-free band, its
+    # diagonal shifted, and the lower band mirrored row by row
+    n = grid.n
+    ab[4:9] = ref_normal_band0(grid)
+    ab[8] += shift
+    for d in range(1, 5):
+        ab[8 + d, :n - d] = ab[8 - d, d:]
+        ab[8 + d, n - d:] = 0.0
+    return ab
+
+
+def ref_newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv=None):
+    grid = fld.grid
+    w = grid.weights
+    q, p = params.q, params.p_crit
+    u = fld.values
+    ref_assemble(grid, ab, -lam_hat * w)
+    au = np.abs(u)
+    ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+                  + (p - 1.0) * nonneg_power(au, p - 2.0))
+    wu = w * u
+    rhs[:, 0] = -w * g_proj
+    rhs[:, 1] = wu
+    minimizer.gbsv(4, 4, ab, rhs, piv)
+    x, y = rhs[:, 0], rhs[:, 1]
+    cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
+    mass = float(np.add.reduce(grid.weights * cand * cand))
+    if not 0.0 < mass < math.inf:
+        return None
+    cand *= math.sqrt(c / mass)
+    return cand
+
+
+def ref_analyze_fiber(params, b):
+    # analyze_fiber as it bracketed s1 and s2 in one body
+    fiber._require_nondegenerate(b)
+    s_star = fiber.xi_turning_point(params, b)
+    f = fiber._xi_scaled(params, b)
+    xs = f(s_star)
+    if abs(xs) <= 1e-12:
+        p = fiber.psi(params, b, s_star)
+        return FiberAnalysis(s_turn=s_star, s1=s_star, s2=s_star,
+                             kind1=fiber.KIND_TANGENT,
+                             kind2=fiber.KIND_TANGENT,
+                             psi_at_s1=p, psi_at_s2=p)
+    if xs < 0:
+        return FiberAnalysis(s_turn=s_star, s1=None, s2=None,
+                             kind1=None, kind2=None,
+                             psi_at_s1=None, psi_at_s2=None)
+    lo = s_star
+    while f(lo) > 0:
+        lo /= 10.0
+        if lo < 1e-300:
+            raise DomainError("fiber zero below float range")
+    s1 = fiber._bisect(f, lo, s_star)
+    hi = s_star
+    while f(hi) > 0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise DomainError("fiber zero above float range")
+    s2 = fiber._bisect(f, s_star, hi)
+    return FiberAnalysis(s_turn=s_star, s1=s1, s2=s2,
+                         kind1=fiber.KIND_MIN, kind2=fiber.KIND_MAX,
+                         psi_at_s1=fiber.psi(params, b, s1),
+                         psi_at_s2=fiber.psi(params, b, s2))
+
+
+def ref_interpolate(v, h, r):
+    n = len(v)
+    x = np.asarray(r, dtype=float) / h
+    inside = x <= n - 1
+    x = x[inside]
+    j = np.floor(x).astype(np.intp)
+    t = x - j
+    padded = np.zeros(n + 3)
+    padded[0] = v[1]
+    padded[1:n + 1] = v
+    out = np.zeros(inside.shape)
+    out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
+                   + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
+                   - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
+                   + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
+    return out
+
+
+def hexes(fa):
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in (fa.s_turn, fa.s1, fa.s2, fa.kind1, fa.kind2,
+                           fa.psi_at_s1, fa.psi_at_s2))
+
+
+# --------------------------------------------------------------- held band
+
+@pytest.mark.parametrize("n", [1025, 2049, 8193])
+@pytest.mark.parametrize("N", range(5, 11))
+def test_held_band_matches_the_mirror_loop(N, n):
+    grid = build_grid(N, n, 1000.0)
+    band = grid.newton_band
+    assert band.shape == (13, n) and band.flags.f_contiguous
+    want = ref_assemble(grid, np.zeros((13, n), order="F"), 0.0)
+    assert band.tobytes() == want.tobytes()
+    assert not band[:4].any()
+    assert grid.newton_band is band
+    with pytest.raises(ValueError):
+        band[8, 0] = 1.0
+    with pytest.raises(ValueError):
+        np.copyto(band, 0.0)
+
+
+def at_mass(grid, prof, c):
+    prof *= math.sqrt(c / float(np.add.reduce(grid.weights * prof * prof)))
+    return RadialField(grid, prof)
+
+
+def step_starts():
+    """(params, c, fld) of Newton starts: the (N, q) profile moved to a
+    solve-fine and a domain-grid draw at 0.1 and 0.9 c0, and a wide
+    Gaussian at 0.5 c0."""
+    out = []
+    for (N, q, mu, cgn, ssob), n in (((5, 3.0, 1.0, 1.0, 1.0), 8193),
+                                     ((6, 2.7867872978254513,
+                                       2.864976431462965, 0.6487804026934516,
+                                       0.5397238160315453), 2049)):
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, n, 1000.0)
+        c0 = mass_threshold(p)[1]
+        values, h, c_ref, _ = minimizer._profile(N, q)
+        for f in (0.1, 0.9):
+            c = f * c0
+            L = (mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
+                 * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
+            prof = grid_mod.interpolate(values, h, grid.nodes / L)
+            out.append((p, c, at_mass(grid, prof, c)))
+        prof = minimizer._gaussian(grid, 1e-3)
+        out.append((p, 0.5 * c0, at_mass(grid, prof, 0.5 * c0)))
+    return out
+
+
+def test_newton_step_matches_the_mirror_loop_step():
+    # three steps from each start: the same iterates bit for bit, through
+    # the same LU factors and pivots
+    for p, c, fld in step_starts():
+        n = fld.grid.n
+        work = [(np.empty((13, n), order="F"), np.empty((n, 2), order="F"),
+                 np.empty(n, dtype=np.int64)) for _ in range(2)]
+        for _ in range(3):
+            b = minimizer.norm_bundle(p, fld)
+            g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld, b)
+            got = minimizer._newton_step(p, c, fld, g_proj, lam_hat, *work[0])
+            want = ref_newton_step(p, c, fld, g_proj, lam_hat, *work[1])
+            assert got.tobytes() == want.tobytes()
+            assert work[0][0][4:].tobytes() == work[1][0][4:].tobytes()
+            assert work[0][2].tobytes() == work[1][2].tobytes()
+            fld = RadialField(fld.grid, got)
+
+
+# ------------------------------------------------------------ fiber minimum
+
+@st.composite
+def fiber_case_st(draw):
+    """(params, bundle) with two zeros of psi', none, or a double one: the
+    latter two set bend to 1/2 and 1 times k s^(2 alpha0) B + s^(2 alpha2)
+    C at the turning point s, where xi's maximum then is negative or 0."""
+    params, b = draw(params_st()), draw(bundle_st())
+    case = draw(st.sampled_from(["any", "none", "tangent"]))
+    if case != "any":
+        ex = derive_exponents(params)
+        s = fiber.xi_turning_point(params, b)
+        top = (pohozaev_coefficient(params) * s ** (2.0 * ex.alpha0)
+               * b.subcrit + s ** (2.0 * ex.alpha2) * b.crit)
+        b = NormBundle(b.mass, top * (0.5 if case == "none" else 1.0),
+                       b.subcrit, b.crit)
+    return params, b, case
+
+
+@settings(max_examples=400, deadline=None)
+@given(fiber_case_st())
+def test_fiber_minimum_matches_analyze_fibers_s1(case):
+    params, b, kind = case
+    want = ref_analyze_fiber(params, b)
+    got = fiber.fiber_minimum(params, b)
+    if kind == "tangent":
+        assume(want.kind1 == fiber.KIND_TANGENT)
+    if kind == "none":
+        assert want.s1 is None
+    if want.s1 is None:
+        assert got is None
+    else:
+        assert got.hex() == want.s1.hex()
+    assert hexes(fiber.analyze_fiber(params, b)) == hexes(want)
+
+
+def test_fiber_minimum_reads_the_tangency_and_no_zero():
+    # the two cases fiber_case_st builds, at the default params
+    p = LandscapeParams(N=5, q=3.0, mu=1.0)
+    ex = derive_exponents(p)
+    b = NormBundle(1.0, 1.0, 2.0, 3.0)
+    s = fiber.xi_turning_point(p, b)
+    top = (pohozaev_coefficient(p) * s ** (2.0 * ex.alpha0) * b.subcrit
+           + s ** (2.0 * ex.alpha2) * b.crit)
+    tangent = NormBundle(1.0, top, 2.0, 3.0)
+    assert ref_analyze_fiber(p, tangent).kind1 == fiber.KIND_TANGENT
+    assert fiber.fiber_minimum(p, tangent).hex() == s.hex()
+    assert fiber.fiber_minimum(p, NormBundle(1.0, 0.5 * top, 2.0, 3.0)) is None
+    assert fiber.fiber_minimum(p, NormBundle(1.0, 2.0 * top, 2.0, 3.0)) < s
+
+
+# ------------------------------------------------------------ interpolation
+
+@pytest.mark.parametrize("N,n", [(5, 8193), (7, 2049), (10, 2049)])
+def test_interpolate_matches_the_written_out_weights(p53, N, n):
+    # the (5, 3) profile and a random vector, read at the nodes of an
+    # (N, n) grid over L for 53 random L, log-uniform over four decades
+    rng = np.random.default_rng(5300 + N)
+    grid = build_grid(N, n, 1000.0)
+    values, h, _, _ = minimizer._profile(p53.N, p53.q)
+    noise = rng.standard_normal(len(values))
+    for L in 10.0 ** rng.uniform(-2.0, 2.0, 53):
+        r = grid.nodes / L
+        for v in (values, noise):
+            got = grid_mod.interpolate(v, h, r)
+            assert got.tobytes() == ref_interpolate(v, h, r).tobytes()

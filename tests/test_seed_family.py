@@ -13,8 +13,8 @@ The code each cache replaced is kept below as the reference:
   norm_bundle of each trial profile;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
-- normal_band from the held shift-free band against the loop that built
-  the whole band on every call.
+- normal_band from the held shift-free band (rows 4-8 of the grid's
+  Newton band) against the loop that built the whole band on every call.
 """
 import gc
 import math
@@ -425,4 +425,4 @@ def test_normal_band_matches_the_loop(N, n, r_max):
         assert grid.normal_band(a).tobytes() == \
             ref_normal_band(grid, a).tobytes()
     with pytest.raises(ValueError):
-        grid._normal_band0[4, 0] = 1.0
+        grid.newton_band[8, 0] = 1.0
