@@ -185,27 +185,45 @@ def _log_D(params: LandscapeParams, es: ExponentSet) -> float:
             - es.p_crit * math.log(params.S_sob))
 
 
+def _in_range(name: str, x: float) -> float:
+    # x, where it is a positive finite float; a DomainError naming it where
+    # it under- or overflowed
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} = {x!r} is outside float range at these "
+                          "parameters")
+    return x
+
+
 def rho_star(params: LandscapeParams, c: float) -> float:
-    """Unique maximizer of rho -> f(c, rho) over (0, inf), in closed form."""
+    """Unique maximizer of rho -> f(c, rho) over (0, inf), in closed form;
+    DomainError where it leaves float range."""
     if c <= 0:
         raise DomainError("c must be positive")
     es = derive_exponents(params)
     log_D = _log_D(params, es)
-    return math.exp((log_D + es.alpha1 * math.log(c)) / (es.alpha2 - es.alpha0))
+    return _in_range("rho_star(c)", _exp_total(
+        (log_D + es.alpha1 * math.log(c)) / (es.alpha2 - es.alpha0)))
 
 
 def mass_threshold(params: LandscapeParams):
     """(M, c0, rho0): the constant M with max_rho f(c, rho) = 1/2 - M c^{4/N},
-    the mass threshold c0 = (2M)^{-N/4}, and rho0 = rho_star(c0)."""
+    the mass threshold c0 = (2M)^{-N/4}, and rho0 = rho_star(c0).
+
+    Raises DomainError naming M, c0 or rho0 where the first of them to
+    leave float range does, which the accepted mu and constants allow."""
     es = derive_exponents(params)
     log_D = _log_D(params, es)
     span = es.alpha2 - es.alpha0
     log_sub, log_crit = params._log_coefs
-    m_sub = math.exp(log_sub + es.alpha0 * log_D / span)
-    m_crit = math.exp(log_crit + es.alpha2 * log_D / span)
-    M = m_sub + m_crit
-    c0 = math.exp(-params.N / 4.0 * math.log(2.0 * M))
-    return M, c0, rho_star(params, c0)
+    m_sub = _exp_total(log_sub + es.alpha0 * log_D / span)
+    m_crit = _exp_total(log_crit + es.alpha2 * log_D / span)
+    M = _in_range("M", m_sub + m_crit)
+    c0 = _in_range("c0", _exp_total(-params.N / 4.0 * math.log(2.0 * M)))
+    try:
+        return M, c0, rho_star(params, c0)
+    except DomainError:
+        raise DomainError(f"rho0 = rho_star(c0) at c0 = {c0!r} is outside "
+                          "float range at these parameters") from None
 
 
 def comparison_check(params: LandscapeParams, c1: float, rho1: float,

@@ -16,43 +16,42 @@ so no step mirrors the band or copies K or its right-hand sides. The
 ground state is a strict local minimum of J on the mass sphere, where the
 bordered system is nonsingular.
 
+Every Newton run, the profile's, the try's and the finish's, is one loop
+(_newton) that stops at the first step that settles: gnorm <= GRAD_TOL and
+the simplified Newton correction at most FIRST_ERR_TOL (_correction), the
+residual solved with the last step's LU factors, one back-substitution,
+in |.|_W / sqrt(c). It measures the state's error on the grid itself
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004); the absolute
+GRAD_TOL alone accepts states whose lambda is off by some 3e-7. Each
+caller judges the settled state the loop returns with its LU factors.
+
 The try starts from the profile of (N, q), moved to the op's (mu, c) by
 the exact dilation. While the critical term is negligible, the ground
 states at every mu and c are dilations of one subcritical profile per
 (N, q): u -> A u(r/L) maps a solution at (mu1, c1) to one at (mu2, c2)
 where A^(q-2) = mu1 / (mu2 L^4) and L^(N(q-2)/2 - 4) = (mu2/mu1)
 (c2/c1)^((q-2)/2). So one small table (_profile) holds, per (N, q), the
-state at mu = 1 and the synthetic constants, solved on its first use on a
-grid of its own (nested iteration, Deuflhard 2004, Hackbusch 1985), where
-the same steps, at most 2 NEWTON_STEPS of them, stop on Deuflhard's
-two-step estimate of the error alone (_coarse_solve). The table holds the
-profile's values, spacing, mass and bundle, not its grid. Every params
-object of that (N, q) starts from it, whatever its mu and constants, and
-its bundle's Gagliardo-Nirenberg quotient is estimated C_gn
-(estimate_gn_constant), so the solver has one Newton method for every
-state it computes. Where there is no profile, or its moved start fails
-J < 0 or the bend cap, the try is skipped. It is skipped too where s1, the
-fiber minimum of the grid's unit Gaussian bundle scaled to mass c
+state at mu = 1 and the synthetic constants, settled on its first use on
+a grid of its own (nested iteration, Deuflhard 2004, Hackbusch 1985). It
+holds the profile's values, spacing, mass and bundle, not its grid. Every
+params object of that (N, q) starts from it, whatever its mu and
+constants, and its bundle's Gagliardo-Nirenberg quotient is estimated
+C_gn (estimate_gn_constant), so the solver has one Newton method for
+every state it computes. Where there is no profile, or its moved start
+fails J < 0 or the bend cap, the try is skipped. It is skipped too where
+s1, the fiber minimum of the grid's unit Gaussian bundle scaled to mass c
 (fiber.fiber_minimum), does not exist; s1^(-1/2) is the width an
 under-resolved message names.
 
-The try takes at most NEWTON_STEPS steps and accepts a state at any step
-under one test: GRAD_TOL, and the simplified Newton correction at most
-FIRST_ERR_TOL (_correction), on top of Q_TOL, the energy slack and the
-bend cap below. The correction is the residual solved with the last
-step's LU factors, one back-substitution, in |.|_W / sqrt(c); it measures
-the state's error on the grid itself (Deuflhard, Newton Methods for
-Nonlinear Problems, 2004). The absolute GRAD_TOL alone accepts states
-whose lambda is off by some 3e-7. A Newton run, the try or the finish
-below, that has settled so but with q_residual above Q_TOL sits on the
-grid's discrete Pohozaev floor, which falls like h^4, and ends there, as
-no later step can pass. At a ground state the bordered Hessian is
-invertible, so one more solve with the same LU factors bounds, to first
-order, how far q_residual can fall over tangent states whose projected
-gradient is within GRAD_TOL (_floor_reach). Where the try's q_residual -
-Q_TOL exceeds that reach, no state the fallback could accept is near, and
-the solve ends with ConvergenceError of kind under-resolved; the seed loop
-and the descent never run.
+The try keeps its settled state where it meets Q_TOL, the energy slack
+and the bend cap. One settled above Q_TOL sits on the grid's discrete
+Pohozaev floor, which falls like h^4; no later step can pass. At a ground
+state the bordered Hessian is invertible, so one more solve with the same
+LU factors bounds, to first order, how far q_residual can fall over
+tangent states whose projected gradient is within GRAD_TOL (_floor_reach).
+Where the try's q_residual - Q_TOL exceeds that reach, no state the
+fallback could accept is near, and the solve ends with ConvergenceError
+of kind under-resolved; the seed loop and the descent never run.
 
 Where the try is skipped or fails without that certificate, the fallback
 (_descend) runs bit for bit as without the try: the seed loop, then
@@ -64,21 +63,19 @@ P = a W + L^T W L (Cholesky factored once per shift regime, a tracks
 |lambda|). The descent direction is the tangent projection of P^{-1}
 applied to the weighted gradient; energy still decreases strictly every
 accepted step. The descent converges linearly, and its tail is most of its
-cost, so it hands the iterate to the same Newton steps once, at the loose
-point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
-LOOSE_Q. That finish takes at most NEWTON_STEPS steps, accepts at the
-convergence test alone and gives up at a step settled above Q_TOL. If it
-fails, the descent resumes from the same iterate and state, so it ends
-where the descent alone would. STALL_ITERS
-accepted steps in a row without energy progress end the descent with a
+cost, so it hands the iterate to the Newton loop once, at the loose point:
+the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
+LOOSE_Q. There the loop stops at the convergence test too, settled or
+not. If the finish fails, the descent resumes from the same iterate and
+state, so it ends where the descent alone would. STALL_ITERS accepted
+steps in a row without energy progress end the descent with a
 ConvergenceError.
 
-A Newton result, first or finish, is kept only if its energy is not above
-the iterate it started from (up to NEWTON_J_SLACK bend) and its bend is
-below the safeguard cap. GroundState.iters counts the linear solves on
-the grid of the path that returned the state, plus one: the profile's
-solves are not counted, nor a failed try's, so a fallback solve reports
-the iters of the seed loop and the descent alone.
+A Newton result, first or finish, is kept only if it meets Q_TOL, its
+energy is not above the iterate it started from (up to NEWTON_J_SLACK
+bend) and its bend is below the safeguard cap (_kept). GroundState.iters
+counts the linear solves on the grid of the path that returned the state,
+plus one: the profile's solves are not counted, nor a failed try's.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
@@ -175,11 +172,12 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
-# Newton: a run has settled once the simplified Newton correction, an
-# estimate of its error in |.|_W / sqrt(c), is at most FIRST_ERR_TOL; Newton
-# first accepts only a settled state, and a try settled above Q_TOL ends the
-# solve as under-resolved where q_residual - Q_TOL exceeds the first-order
-# reach of states within GRAD_TOL (_floor_reach); read at call time
+# Newton: a run has settled once gnorm <= GRAD_TOL and the simplified Newton
+# correction, an estimate of its error in |.|_W / sqrt(c), is at most
+# FIRST_ERR_TOL (_newton); the profile and Newton first keep only a settled
+# state, and a try settled above Q_TOL ends the solve as under-resolved
+# where q_residual - Q_TOL exceeds the first-order reach of states within
+# GRAD_TOL (_floor_reach); read at call time
 FIRST_ERR_TOL = 1e-10
 
 # the (N, q) profile: solved at REF_FRACTION c0 on a grid with
@@ -423,7 +421,7 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
 
 def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
                  g_proj: np.ndarray, lam_hat: float, ab: np.ndarray,
-                 rhs: np.ndarray, piv: np.ndarray | None = None):
+                 rhs: np.ndarray, piv: np.ndarray):
     """One bordered Newton step in (u, lambda) from the mass-c iterate fld:
     the next iterate's values at mass c, or None where they are not finite.
 
@@ -437,7 +435,7 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     from the grid's held band L^T W L, in the (13, n) work array ab that
     gbsv overwrites with its factors; the two right-hand sides share the
     (n, 2) array rhs that gbsv overwrites with the solutions, and its
-    pivots in piv, if given. The caller reuses them for every step.
+    pivots in piv. The caller (_newton) reuses them for every step.
     """
     grid = fld.grid
     w = grid.weights
@@ -463,35 +461,25 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     return cand
 
 
-def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
-                   b: NormBundle, res, bend_cap: float, first: bool = False,
-                   width: float = math.nan):
-    """At most NEWTON_STEPS bordered Newton steps (_newton_step) from the
-    mass-c iterate fld.
+def _newton(params: LandscapeParams, c: float, fld: RadialField,
+            b: NormBundle, budget: int, loose: bool = False):
+    """At most budget bordered Newton steps (_newton_step) from the mass-c
+    iterate fld with bundle b, in one held band, rhs and pivot array.
 
-    Returns ((fld, b), steps) once the descent's convergence test holds,
-    the energy is at most NEWTON_J_SLACK bend above that of the starting
-    iterate and bend < bend_cap; otherwise (None, steps). Gives up on a
-    singular or non-finite step, and at a step that settles with
-    q_residual above Q_TOL: gnorm <= GRAD_TOL and the simplified Newton
-    correction (_correction) at most FIRST_ERR_TOL. Such a state sits on
-    the grid's Pohozaev floor, where no later step can pass. steps counts
-    the linear solves made; the correction's solve with kept LU factors is
-    not one.
-
-    first is the Newton-first try: its convergence test also asks that the
-    run has settled so, and a try that settles with q_residual - Q_TOL
-    above the first-order reach of states within GRAD_TOL (_floor_reach)
-    raises ConvergenceError of kind under-resolved, whose message gives the
-    fiber-minimum width in grid spacings.
+    Returns ((fld, b, q_residual, (ab, piv, rhs)), steps) at the first step
+    that settles: gnorm <= GRAD_TOL and the simplified Newton correction
+    (_correction) at most FIRST_ERR_TOL; (ab, piv) are that step's LU
+    factors. With loose, also at a step with gnorm <= GRAD_TOL and
+    q_residual <= Q_TOL. Otherwise (None, steps): the budget ran out, or a
+    step was singular, not finite or left float range. steps counts the
+    linear solves; the correction's back-substitution is not one.
     """
     grid = fld.grid
-    J0 = energy(params, b)
-    g_proj, lam_hat, _, _ = res
     ab = np.empty((13, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
     piv = np.empty(grid.n, dtype=np.int64)
-    for steps in range(1, NEWTON_STEPS + 1):
+    g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
+    for steps in range(1, budget + 1):
         try:
             cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv)
         except (np.linalg.LinAlgError, ValueError):
@@ -506,27 +494,18 @@ def _newton_finish(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
         if gnorm <= GRAD_TOL and (
-                (qres <= Q_TOL and not first)
+                (loose and qres <= Q_TOL)
                 or _correction(fld, c, g_proj, ab, piv, rhs) <= FIRST_ERR_TOL):
-            if qres <= Q_TOL:
-                ok = (energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
-                      and b.bend < bend_cap)
-                return ((fld, b) if ok else None), steps
-            # settled above Q_TOL, on the grid's Pohozaev floor: no later
-            # step can pass, and where no state within GRAD_TOL can either,
-            # neither can the fallback
-            if first:
-                reach = _floor_reach(params, fld, b, ab, piv, rhs)
-                if qres - Q_TOL > reach:
-                    raise ConvergenceError(
-                        "under-resolved",
-                        f"under-resolved grid: Newton settled at "
-                        f"q_residual={qres:.3e}, above Q_TOL={Q_TOL} by more "
-                        f"than the reach {reach:.3e} of states within "
-                        f"GRAD_TOL={GRAD_TOL}; the fiber-minimum width spans "
-                        f"{width / grid.h:.3g} grid spacings")
-            return None, steps
-    return None, NEWTON_STEPS
+            return (fld, b, qres, (ab, piv, rhs)), steps
+    return None, budget
+
+
+def _kept(params: LandscapeParams, J0: float, qres: float, b: NormBundle,
+          bend_cap: float) -> bool:
+    # a Newton result meets Q_TOL, its energy is at most NEWTON_J_SLACK bend
+    # above J0, its start's, and its bend is below the cap
+    return (qres <= Q_TOL and energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
+            and b.bend < bend_cap)
 
 
 def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
@@ -589,58 +568,19 @@ def _start(params: LandscapeParams, grid: RadialGrid, c: float,
     return fld, b
 
 
-def _coarse_solve(params: LandscapeParams, coarse: RadialGrid, c: float,
-                  s1: float, bend_cap: float):
-    """Bordered Newton on the profile's grid from exp(-s1 r^2 / 2) at mass
-    c: the values once Deuflhard's a-posteriori estimate of their error,
-    |d_k|^3 / |d_(k-1)|^2 with d_k the k-th change of u in |.|_W / sqrt(c),
-    is at most FIRST_ERR_TOL, within 2 NEWTON_STEPS steps; otherwise None.
-
-    Only the estimate stops it: GRAD_TOL, Q_TOL and the energy test judge
-    the caller's problem, and on the profile's grid the Pohozaev floor may
-    sit above Q_TOL. The estimate needs no back-substitution. On the 271
-    (N, q) of a sampled draw set, it settles every profile within 8 steps,
-    as Newton first's simplified correction in its place does too; within
-    4 it left 5 without a profile, the correction 6, all at q fractions
-    0.93 to 0.95. The settled iterate is returned unbundled.
-    """
-    start = _start(params, coarse, c, _gaussian(coarse, s1), bend_cap)
-    if start is None:
-        return None
-    fld, b = start
-    ab = np.empty((13, coarse.n), order="F")
-    rhs = np.empty((coarse.n, 2), order="F")
-    dnorm = 0.0
-    for _ in range(2 * NEWTON_STEPS):
-        g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
-        try:
-            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs)
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        if cand is None:
-            return None
-        d = cand - fld.values
-        d_new = math.sqrt(_wdot(coarse, d, d) / c)
-        if dnorm and d_new / dnorm / dnorm * d_new ** 2 <= FIRST_ERR_TOL:
-            return cand
-        dnorm = d_new
-        try:
-            fld = RadialField(coarse, cand)
-            b = norm_bundle(params, fld)
-        except DomainError:
-            return None
-    return None
-
-
 @lru_cache(maxsize=2)
 def _profile(N: int, q: float):
-    """(values, h, c_ref, bundle): the _coarse_solve of LandscapeParams(N,
+    """(values, h, c_ref, bundle): the settled state of LandscapeParams(N,
     q), mu = 1 with the synthetic constants, at c_ref = REF_FRACTION c0 on
     a grid of 30 widths s1^(-1/2), s1 the closed-form Gaussian bundle's
     fiber minimum at c_ref, with the fewest 2^k + 1 nodes giving
     MIN_NODES_PER_WIDTH per width (1025); h is that grid's spacing and
-    bundle the values' norm bundle. None where the solve fails; where no
-    grid of dimension N builds, build_grid's DomainError propagates.
+    bundle the values' norm bundle. The solve is at most 2 NEWTON_STEPS
+    steps (_newton) from exp(-s1 r^2 / 2) at mass c_ref, kept once they
+    settle, whatever q_residual or the energy do: on the profile's grid
+    the Pohozaev floor may sit above Q_TOL. None where the start fails J <
+    0 or the bend cap, or the run does not settle; where no grid of
+    dimension N builds, build_grid's DomainError propagates.
 
     Held for the last two (N, q), as read-only values and floats that
     reference no grid: every params object of that (N, q) starts Newton
@@ -662,21 +602,21 @@ def _profile(N: int, q: float):
     n = 2 ** math.ceil(math.log2(30 * MIN_NODES_PER_WIDTH)) + 1
     grid = build_grid(N, n, 30.0 * s1 ** -0.5)
     try:
-        values = _coarse_solve(params, grid, c_ref, s1,
-                               rho0 * (1.0 - SAFEGUARD_MARGIN))
-        if values is None:
-            return None
-        b = norm_bundle(params, RadialField(grid, values))
+        start = _start(params, grid, c_ref, _gaussian(grid, s1),
+                       rho0 * (1.0 - SAFEGUARD_MARGIN))
+        done = None if start is None else _newton(
+            params, c_ref, *start, 2 * NEWTON_STEPS)[0]
     except (DomainError, OverflowError):
         return None
-    values.flags.writeable = False
-    return values, grid.h, c_ref, b
+    if done is None:
+        return None
+    return done[0].values, grid.h, c_ref, done[1]
 
 
 def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                   bend_cap: float):
-    """Newton steps on the grid (_newton_finish): ((fld, b), steps), or
-    None where the try is skipped or fails.
+    """At most NEWTON_STEPS Newton steps on the grid (_newton): ((fld, b),
+    steps), or None where the try is skipped or fails.
 
     They start from the (N, q) profile (_profile) read at r / L,
     L = mu^(1 / (N(q-2)/2 - 4)) (c / c_ref)^(1 / (N - 8/(q-2))) by
@@ -684,8 +624,11 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     1.0 and L is the mass factor bit for bit. The try is skipped where
     there is no profile, where that start fails J < 0 or bend < bend_cap,
     and where the grid's unit Gaussian bundle scaled to mass c has no
-    fiber minimum s1 (fiber_minimum); s1^(-1/2) is the width an
-    under-resolved failure reports.
+    fiber minimum s1 (fiber_minimum). The settled state is kept where it
+    meets Q_TOL, the energy slack and the bend cap (_kept). A state settled
+    with q_residual - Q_TOL above the first-order reach of states within
+    GRAD_TOL (_floor_reach) raises ConvergenceError of kind under-resolved,
+    whose message gives the width s1^(-1/2) in grid spacings.
     """
     try:
         unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
@@ -709,11 +652,26 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                    interpolate(values, h, grid.nodes / L), bend_cap)
     if start is None:
         return None
-    fld, b = start
-    done, steps = _newton_finish(params, c, fld, b,
-                                 _residuals(params, c, fld, b), bend_cap,
-                                 first=True, width=s1 ** -0.5)
-    return None if done is None else (done, steps)
+    done, steps = _newton(params, c, *start, NEWTON_STEPS)
+    if done is None:
+        return None
+    fld, b, qres, lu = done
+    if _kept(params, energy(params, start[1]), qres, b, bend_cap):
+        return (fld, b), steps
+    if qres > Q_TOL:
+        # settled above Q_TOL, on the grid's Pohozaev floor: no later step
+        # can pass, and where no state within GRAD_TOL can either, neither
+        # can the fallback
+        reach = _floor_reach(params, fld, b, *lu)
+        if qres - Q_TOL > reach:
+            raise ConvergenceError(
+                "under-resolved",
+                f"under-resolved grid: Newton settled at "
+                f"q_residual={qres:.3e}, above Q_TOL={Q_TOL} by more "
+                f"than the reach {reach:.3e} of states within "
+                f"GRAD_TOL={GRAD_TOL}; the fiber-minimum width spans "
+                f"{s1 ** -0.5 / grid.h:.3g} grid spacings")
+    return None
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
@@ -721,10 +679,10 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
     Newton first, from the (N, q) profile moved to (mu, c)
-    (_newton_first); where that is skipped or fails, the seed
-    loop and the preconditioned descent, finished by bordered Newton steps
-    from the loose point (_descend), until
-    gnorm <= GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass
+    (_newton_first); where that is skipped or fails, the seed loop and the
+    preconditioned descent, finished from the loose point by the same
+    Newton loop (_newton) as the try (_descend), until gnorm <= GRAD_TOL
+    and q_residual <= Q_TOL. Raises DomainError for a mass
     outside (0, c0) or a grid of another dimension, and ConvergenceError if
     Newton first settles on a Pohozaev floor certified above Q_TOL
     (under-resolved; no fallback runs), the seed loop fails (seed), the
@@ -767,9 +725,9 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
 
 def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
              thresholds, bend_cap: float):
-    """The seed loop, then preconditioned descent with one Newton finish
-    from the loose point; returns (fld, b, linear solves, safeguard
-    rejections)."""
+    """The seed loop, then preconditioned descent with one loose Newton
+    finish (_newton) from the loose point; returns (fld, b, linear solves,
+    safeguard rejections)."""
     fld, b = seed(params, thresholds, c, grid)
     J = energy(params, b)
     tau = STEP0
@@ -784,17 +742,17 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
 
     max_iter = MAX_ITER
     for iters in range(1, max_iter + 1):
-        res = _residuals(params, c, fld, b)
-        g_proj, lam_hat, gnorm, qres = res
+        g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
         if gnorm <= GRAD_TOL and qres <= Q_TOL:
             break
         if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
             # hand (fld, b) to Newton once; its solves count as iterations
             loose = False
-            done, steps = _newton_finish(params, c, fld, b, res, bend_cap)
+            done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=True)
             solves += steps
-            if done is not None:
-                fld, b = done
+            if done is not None and _kept(params, J, done[2], done[1],
+                                          bend_cap):
+                fld, b = done[:2]
                 break
         u = fld.values
 

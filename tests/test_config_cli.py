@@ -708,6 +708,37 @@ class TestCliNonFiniteData:
         assert "finite" in rec["message"]
 
 
+class TestCliThresholdRange:
+    # accepted mu and constants at N = 5, q = 3 whose M, c0 or rho0 under-
+    # or overflows: each command names the quantity (before: OverflowError
+    # or ValueError with a traceback, "c must be positive" with no c given,
+    # or rho0 = 0.0 with exit 0)
+    @pytest.mark.parametrize("name, value, quantity", [
+        ("BHGS_PROBLEM__MU", "1e-300", "c0 = inf"),
+        ("BHGS_CONSTANTS__C_GN", "1e200", "M = inf"),
+        ("BHGS_CONSTANTS__S_SOB", "1e-200", "rho0 = "),
+        ("BHGS_CONSTANTS__C_GN", "1e-200", "M = 0.0"),
+        ("BHGS_PROBLEM__MU", "1e300", "c0 = 0.0"),
+        ("BHGS_CONSTANTS__S_SOB", "1e200", "rho0 = "),
+    ])
+    @pytest.mark.parametrize("command", [["constants"], ["landscape"],
+                                         ["solve", "--c", "1e-30"]],
+                             ids=["constants", "landscape", "solve"])
+    def test_rejected_as_domain_error(self, capsys, monkeypatch, tmp_path,
+                                      name, value, quantity, command):
+        monkeypatch.setenv("BHGS_PROBLEM__N", "5")
+        monkeypatch.setenv("BHGS_PROBLEM__Q", "3")
+        monkeypatch.setenv(name, value)
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(capsys, *command)
+        assert rc == 3 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "domain-error"
+        assert rec["message"].startswith(quantity)
+        assert "float range" in rec["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCliGridRange:
     # h^N overflowed (1e300) or underflowed (1e-300) in the weights
     @pytest.mark.parametrize("r_max", ["1e300", "1e-300"])

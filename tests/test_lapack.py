@@ -24,7 +24,7 @@ import bhgs  # noqa: E402
 from bhgs import (LandscapeParams, build_grid, mass_threshold,  # noqa: E402
                   minimizer)
 from bhgs import _lapack  # noqa: E402
-from bhgs.minimizer import _newton_finish, _residuals  # noqa: E402
+from bhgs.minimizer import NEWTON_STEPS, _newton  # noqa: E402
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
@@ -34,7 +34,7 @@ KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs")
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
     """(grid, K, [-W g, W u]) of the first Newton step on the grid itself of
-    a solve at 0.5 c0, as _newton_finish passed them to gbsv; the (N, q)
+    a solve at 0.5 c0, as the Newton loop passed them to gbsv; the (N, q)
     profile is built first, so its steps are not seen. K is in
     gbsv's (13, n) layout, with its fill-in rows, which gbsv does not read,
     zeroed here; both arrays are Fortran-ordered."""
@@ -287,12 +287,10 @@ def test_scipy_fallback_gbtrs_matches(newton_system, monkeypatch):
 
 
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
-    # _newton_finish reads the kernel's ValueError as "no step": it returns
-    # (None, steps) and the descent carries on
-    _, c0, rho0 = mass_threshold(P53)
-    c = 0.5 * c0
+    # the Newton loop reads the kernel's ValueError as "no step": the
+    # loose-point finish returns (None, steps) and the descent carries on
+    c = 0.5 * mass_threshold(P53)[1]
     fld, b = minimizer.seed(P53, mass_threshold(P53), c, grid_solve)
-    res = _residuals(P53, c, fld, b)
     orig = minimizer.gbsv
 
     def planted(kl, ku, ab, rhs, piv=None):
@@ -300,7 +298,7 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
         return orig(kl, ku, ab, rhs, piv)
 
     monkeypatch.setattr(minimizer, "gbsv", planted)
-    done, steps = _newton_finish(P53, c, fld, b, res, rho0)
+    done, steps = _newton(P53, c, fld, b, NEWTON_STEPS, loose=True)
     assert (done, steps) == (None, 0)
 
 

@@ -371,13 +371,13 @@ class TestNewtonFinish:
     @staticmethod
     def count_finishes(monkeypatch):
         calls = []
-        real = minimizer._newton_finish
+        real = minimizer._newton
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(minimizer, "_newton_finish", counting)
+        monkeypatch.setattr(minimizer, "_newton", counting)
         return calls
 
     def test_default_solve_hands_off_once(self, monkeypatch, p53, grid_solve,
@@ -391,17 +391,17 @@ class TestNewtonFinish:
 
     @staticmethod
     def record_finishes(monkeypatch, n):
-        """Record (result, steps, gbsv solves on n nodes, last simplified
-        correction) of every loose-point finish."""
+        """Record (the loop's result, steps, gbsv solves on n nodes, last
+        simplified correction) of every loose-point finish."""
         runs, corrections = [], []
         sizes = count_gbsv(monkeypatch)
-        real, real_correction = minimizer._newton_finish, minimizer._correction
+        real, real_correction = minimizer._newton, minimizer._correction
 
         def recording(*args, **kwargs):
             sizes.clear()
             corrections.clear()
             done, steps = real(*args, **kwargs)
-            if not kwargs.get("first"):
+            if kwargs.get("loose"):
                 runs.append((done, steps, sizes.count(n),
                              corrections[-1] if corrections else None))
             return done, steps
@@ -410,7 +410,7 @@ class TestNewtonFinish:
             corrections.append(real_correction(*args))
             return corrections[-1]
 
-        monkeypatch.setattr(minimizer, "_newton_finish", recording)
+        monkeypatch.setattr(minimizer, "_newton", recording)
         monkeypatch.setattr(minimizer, "_correction", correction)
         return runs
 
@@ -425,7 +425,8 @@ class TestNewtonFinish:
         st = minimize(p, grid, 0.5 * mass_threshold(p)[1])
         assert (st.iters, st.q_residual, st.m.hex()) == CANARY_PIN
         ((done, steps, solves, _),) = runs
-        assert done is not None and steps == solves == 1
+        assert done is not None and done[2] <= minimizer.Q_TOL
+        assert steps == solves == 1
 
     @staticmethod
     def ending(params, grid, c):
@@ -443,14 +444,15 @@ class TestNewtonFinish:
                                                         frac):
         # the loose-point finish settles above Q_TOL (gnorm <= GRAD_TOL,
         # the simplified correction within FIRST_ERR_TOL) before its budget
-        # runs out: it returns at that step, and the resumed descent ends
-        # as the descent alone does, with the same kind and message or the
-        # same m and lambda
+        # runs out: the loop returns at that step, the state is not kept,
+        # and the resumed descent ends as the descent alone does, with the
+        # same kind and message or the same m and lambda
         p, grid, c = draw_op(i, frac)
         runs = self.record_finishes(monkeypatch, grid.n)
         got = self.ending(p, grid, c)
         ((done, steps, solves, correction),) = runs
-        assert done is None and steps == solves < minimizer.NEWTON_STEPS
+        assert done is not None and done[2] > minimizer.Q_TOL
+        assert steps == solves < minimizer.NEWTON_STEPS
         assert correction <= minimizer.FIRST_ERR_TOL
         monkeypatch.setattr(minimizer, "LOOSE_GRAD", 0.0)
         runs.clear()
@@ -620,10 +622,11 @@ def polished_lambda(params, c, fld, b, steps=2):
     grid = fld.grid
     ab = np.empty((13, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
+    piv = np.empty(grid.n, dtype=np.int64)
     for _ in range(steps):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld, b)
         fld = RadialField(grid, minimizer._newton_step(
-            params, c, fld, g_proj, lam_hat, ab, rhs))
+            params, c, fld, g_proj, lam_hat, ab, rhs, piv))
         b = norm_bundle(params, fld)
     return lagrange_multiplier(params, b)
 
@@ -634,11 +637,12 @@ def polish_error(params, c, fld):
     grid = fld.grid
     ab = np.empty((13, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
+    piv = np.empty(grid.n, dtype=np.int64)
     fld2, b2 = fld, norm_bundle(params, fld)
     for _ in range(3):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld2, b2)
         fld2 = RadialField(grid, minimizer._newton_step(
-            params, c, fld2, g_proj, lam_hat, ab, rhs))
+            params, c, fld2, g_proj, lam_hat, ab, rhs, piv))
         b2 = norm_bundle(params, fld2)
     d = fld2.values - fld.values
     return math.sqrt(np.dot(grid.weights * d, d) / c)
@@ -758,16 +762,29 @@ def count_gbsv(monkeypatch):
     return sizes
 
 
-def count_profile_solves(monkeypatch):
-    """Record the (N, q) of every profile solve (_coarse_solve)."""
-    solves = []
-    real = minimizer._coarse_solve
+def patch_profile_solves(monkeypatch, solve):
+    """Run every profile solve, the Newton loop's run of 2 NEWTON_STEPS
+    steps, as solve(real, params, c, fld, b, budget); other runs as
+    they are."""
+    real = minimizer._newton
 
-    def counting(params, *args):
+    def patched(params, c, fld, b, budget, loose=False):
+        if budget == 2 * minimizer.NEWTON_STEPS:
+            return solve(real, params, c, fld, b, budget)
+        return real(params, c, fld, b, budget, loose)
+
+    monkeypatch.setattr(minimizer, "_newton", patched)
+
+
+def count_profile_solves(monkeypatch):
+    """Record the (N, q) of every profile solve."""
+    solves = []
+
+    def counting(real, params, *args):
         solves.append((params.N, params.q))
         return real(params, *args)
 
-    monkeypatch.setattr(minimizer, "_coarse_solve", counting)
+    patch_profile_solves(monkeypatch, counting)
     return solves
 
 
@@ -935,14 +952,16 @@ class TestNestedStart:
         # same m
         grid = build_grid(5, 8193, 1000.0)
         c0 = thresholds53[1]
-        real = minimizer._coarse_solve
 
-        def distorted(params, ref_grid, *args):
-            values = real(params, ref_grid, *args)
+        def distorted(real, params, *args):
+            (fld, _, qres, lu), steps = real(params, *args)
+            ref_grid = fld.grid
             x = ref_grid.nodes / (ref_grid.r_max / 30.0)
-            return values * (1.0 + 1e-3 * np.sin(x))
+            fld = RadialField(ref_grid,
+                              fld.values * (1.0 + 1e-3 * np.sin(x)))
+            return (fld, norm_bundle(params, fld), qres, lu), steps
 
-        monkeypatch.setattr(minimizer, "_coarse_solve", distorted)
+        patch_profile_solves(monkeypatch, distorted)
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         for f in (0.1, 0.5, 0.9):
             st = minimize(p, grid, f * c0)
@@ -956,7 +975,7 @@ class TestNestedStart:
         # profile: the try is skipped, so the seed loop runs before any
         # Newton step on the grid, and m agrees with the try's
         grid = build_grid(5, 8193, 1000.0)
-        monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
+        patch_profile_solves(monkeypatch, lambda *a: (None, 0))
         sizes = count_gbsv(monkeypatch)
         real_seed = minimizer.seed
 
@@ -1245,7 +1264,7 @@ class TestFailureKinds:
         sites = (self.raise_sites(minimizer.seed)
                  + self.raise_sites(minimizer.minimize)
                  + self.raise_sites(minimizer._descend)
-                 + self.raise_sites(minimizer._newton_finish))
+                 + self.raise_sites(minimizer._newton_first))
         assert len(sites) == 9
         assert {k for k, _ in sites} == {"seed", "stall", "line-search",
                                          "budget", "safeguard", "invariant",
@@ -1469,7 +1488,16 @@ class TestGnEstimate:
         assert estimate_gn_constant(other) == estimate_gn_constant(p53)
 
     def test_unsettled_profile_is_named(self, monkeypatch, fresh_profiles):
-        monkeypatch.setattr(minimizer, "_coarse_solve", lambda *a: None)
+        patch_profile_solves(monkeypatch, lambda *a: (None, 0))
+        with pytest.raises(ConvergenceError) as err:
+            estimate_gn_constant(LandscapeParams(N=5, q=3.0))
+        assert err.value.kind == "no-profile"
+
+    def test_profile_must_pass_the_settle_test(self, monkeypatch,
+                                               fresh_profiles):
+        # the profile solve keeps a state only where the simplified
+        # correction settles it: one that never settles leaves no profile
+        monkeypatch.setattr(minimizer, "_correction", lambda *a: math.inf)
         with pytest.raises(ConvergenceError) as err:
             estimate_gn_constant(LandscapeParams(N=5, q=3.0))
         assert err.value.kind == "no-profile"
