@@ -25,7 +25,8 @@ __version__ = "0.1.0"
 _SOURCES = {
     "landscape": ["DomainError", "ExponentSet", "LandscapeParams",
                   "comparison_check", "derive_exponents", "f_landscape",
-                  "mass_threshold", "rho_star", "ConvergenceError"],
+                  "mass_threshold", "rho_star", "ConvergenceError",
+                  "KernelsUnavailable"],
     "grid": ["RadialField", "RadialGrid", "build_grid", "integrate",
              "laplacian", "load_field", "save_field", "sphere_area"],
     "functionals": ["NormBundle", "energy", "l2_gradient",

@@ -12,11 +12,12 @@ and scipy.linalg.lapack's dgbsv and dgbtrs instead. BACKEND names the one
 taken when the module was first imported.
 
 cholesky_banded and cho_solve_banded keep scipy.linalg's contract for the
-2-D band storage and the one or more right-hand sides the solver passes:
-ValueError on a non-finite entry, LinAlgError when LAPACK finds the matrix
-not positive definite, and inputs are never written. Each call copies its
-band and right-hand side into Fortran-ordered work arrays for LAPACK to
-overwrite; the overwrite flags are accepted and ignored.
+2-D band storage and the one or more right-hand sides the solver passes,
+with its default arguments: cholesky_banded takes the upper band,
+cho_solve_banded the (factor, lower) pair, ValueError on a non-finite entry,
+LinAlgError when LAPACK finds the matrix not positive definite, and inputs
+are never written. Each call copies its band and right-hand side into
+Fortran-ordered work arrays for LAPACK to overwrite.
 
 gbsv is LAPACK's own contract instead: it works in place on a band its
 caller has already laid out in gbsv's (2 kl + ku + 1, n) Fortran storage,
@@ -61,8 +62,8 @@ def _bundled_routines():
     return None
 
 
-def _checked(a: np.ndarray, check_finite: bool) -> np.ndarray:
-    if check_finite and not np.isfinite(a).all():
+def _checked(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a
 
@@ -86,31 +87,31 @@ def _call(routine, *args) -> int:
     return info.value
 
 
-def _rhs(b, n: int, check_finite: bool) -> tuple[np.ndarray, int]:
+def _rhs(b, n: int) -> tuple[np.ndarray, int]:
     # a Fortran-ordered copy of b for LAPACK to overwrite, and its columns
-    x = _checked(np.array(b, dtype=np.float64, order="F"), check_finite)
+    x = _checked(np.array(b, dtype=np.float64, order="F"))
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not fit "
                          f"a band of {n} columns")
     return x, 1 if x.ndim == 1 else x.shape[1]
 
 
-def cholesky_banded(ab, overwrite_ab=False, lower=False, check_finite=True):
-    c = _checked(np.array(ab, dtype=np.float64, order="F"), check_finite)
+def cholesky_banded(ab):
+    c = _checked(np.array(ab, dtype=np.float64, order="F"))
     kd1, n = c.shape
-    info = _call(_pbtrf, b"L" if lower else b"U", n, kd1 - 1, c, kd1)
+    info = _call(_pbtrf, b"U", n, kd1 - 1, c, kd1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor not positive definite")
     return c
 
 
-def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
+def cho_solve_banded(cb_and_lower, b):
     cb, lower = cb_and_lower
     # pbtrs only reads the factor, so a Fortran-ordered one is not copied
-    c = _checked(np.asfortranarray(cb, dtype=np.float64), check_finite)
+    c = _checked(np.asfortranarray(cb, dtype=np.float64))
     kd1, n = c.shape
-    x, nrhs = _rhs(b, n, check_finite)
+    x, nrhs = _rhs(b, n)
     _call(_pbtrs, b"L" if lower else b"U", n, kd1 - 1, nrhs, c, kd1, x, n)
     return x
 
@@ -131,8 +132,8 @@ def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
     """
     _inplace(ab, 2, 2 * kl + ku + 1)
     _inplace(b, np.ndim(b), ab.shape[1])
-    _checked(ab[kl:], True)
-    _checked(b, True)
+    _checked(ab[kl:])
+    _checked(b)
     if piv is None:
         piv = np.empty(ab.shape[1], dtype=np.int64)
     _inplace(piv, 1, ab.shape[1], np.int64)
@@ -148,7 +149,7 @@ def gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
     _inplace(ab, 2, 2 * kl + ku + 1)
     _inplace(piv, 1, ab.shape[1], np.int64)
     _inplace(b, np.ndim(b), ab.shape[1])
-    _checked(b, True)
+    _checked(b)
     _gbtrs_info(kl, ku, ab, piv, b)
     return b
 

@@ -5,8 +5,12 @@ scales the four norms by exact powers of s (mass is untouched, bend by s^2,
 the subcritical norm by s^{gamma_q}, the critical norm by s^{4*}), so
 
     psi(s)  = J(u_s) = (s^2/2) A - (mu/q) s^{gamma_q} B - (s^{4*}/4*) C,
-    psi'(s) = s A - k s^{gamma_q - 1} B - s^{4* - 1} C,      k = mu N(q-2)/(4q),
-    xi(s)   = psi'(s)/s.
+    psi'(s) = Q(u_s)/s = s A - k s^{gamma_q - 1} B - s^{4* - 1} C,
+    xi(s)   = psi'(s)/s,                                  k = mu N(q-2)/(4q).
+
+psi, psi_prime and xi evaluate J and Q (functionals.energy, pohozaev) on
+the bundle of u_s, which the one copy of the dilation law
+(functionals.scaled_norms) gives.
 
 Since gamma_q - 2 < 0 < 4* - 2, xi rises to a unique interior maximum at
 s_turn and falls on either side, so psi' has at most two positive zeros: an
@@ -25,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functionals import NormBundle, pohozaev_coefficient
+from .functionals import (NormBundle, energy, pohozaev, pohozaev_coefficient,
+                          scaled_norms)
 from .landscape import DomainError, LandscapeParams, derive_exponents
 
 __all__ = ["FiberAnalysis", "psi", "psi_prime", "xi", "xi_turning_point",
@@ -50,47 +55,35 @@ class FiberAnalysis:
     psi_at_s2: float | None
 
 
-def _check_s(s: float) -> None:
+def _dilated(params: LandscapeParams, b: NormBundle, s: float) -> NormBundle:
+    # the bundle of u_s, by the one copy of the dilation law
+    # (functionals.scaled_norms); DomainError where s^2 or a dilated norm
+    # leaves float range
     if not (s > 0):
         raise DomainError(f"dilation parameter must be positive, got {s!r}")
+    s2 = s * s
+    try:
+        if 0.0 < s2 < math.inf:
+            return NormBundle(*scaled_norms(params, b, 1.0, s2))
+    except (OverflowError, DomainError):
+        pass
+    raise DomainError(
+        f"fiber dilation at s={s} overflows or underflows float range")
 
 
 def psi(params: LandscapeParams, b: NormBundle, s: float) -> float:
-    """Energy along the fiber, closed form in s."""
-    _check_s(s)
-    ex = derive_exponents(params)
-    try:
-        return (0.5 * s * s * b.bend
-                - (params.mu / params.q) * s ** ex.gamma_q * b.subcrit
-                - s ** ex.p_crit / ex.p_crit * b.crit)
-    except OverflowError as exc:
-        raise DomainError(f"fiber energy overflows float range at s={s}") from exc
+    """Energy along the fiber: J(u_s)."""
+    return energy(params, _dilated(params, b, s))
 
 
 def psi_prime(params: LandscapeParams, b: NormBundle, s: float) -> float:
-    """d psi/ds; equals Q(u_s)/s."""
-    _check_s(s)
-    ex = derive_exponents(params)
-    k = pohozaev_coefficient(params)
-    try:
-        return (s * b.bend
-                - k * s ** (ex.gamma_q - 1.0) * b.subcrit
-                - s ** (ex.p_crit - 1.0) * b.crit)
-    except OverflowError as exc:
-        raise DomainError(f"fiber derivative overflows float range at s={s}") from exc
+    """d psi/ds = Q(u_s)/s."""
+    return pohozaev(params, _dilated(params, b, s)) / s
 
 
 def xi(params: LandscapeParams, b: NormBundle, s: float) -> float:
-    """psi'(s)/s = A - k s^{2 alpha0} B - s^{2 alpha2} C."""
-    _check_s(s)
-    ex = derive_exponents(params)
-    k = pohozaev_coefficient(params)
-    try:
-        return (b.bend
-                - k * s ** (2.0 * ex.alpha0) * b.subcrit
-                - s ** (2.0 * ex.alpha2) * b.crit)
-    except OverflowError as exc:
-        raise DomainError(f"fiber slope overflows float range at s={s}") from exc
+    """psi'(s)/s = Q(u_s)/s^2 = A - k s^{2 alpha0} B - s^{2 alpha2} C."""
+    return pohozaev(params, _dilated(params, b, s)) / s / s
 
 
 def _require_nondegenerate(b: NormBundle) -> None:

@@ -5,7 +5,8 @@ verification suite) consumes fields only through the four norms collected in
 a NormBundle, the energy J, the Pohozaev value Q, and the energy gradient.
 rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
 laws, so no rescaled field is ever materialized; scaled_norms is the one
-copy of those laws, which the minimizer's seed also uses. gn_quotient is
+copy of those laws, which fiber's psi, psi_prime and xi and the
+minimizer's seed also use. gn_quotient is
 the one copy of the Gagliardo-Nirenberg quotient, read from a bundle's
 mass, bend and subcrit; estimated C_gn is its value on the minimizer's held
 profile.

@@ -33,12 +33,9 @@ Held per grid: L^T W L, once, in the layout LAPACK's gbsv takes for the
 minimizer's Newton step (newton_band: read-only, Fortran-ordered (13, n),
 the upper band and diagonal in rows 4-8, their mirror in rows 9-12, zero
 fill-in rows 0-3), from whose rows 4-8 normal_band forms the
-preconditioner's band a W + L^T W L; and the minimizer's seed
-families. Both are filled on first use and live and die with the grid
-instance (cached_property writes the instance __dict__, which a frozen
-dataclass allows); no module-level cache holds them. The seed trials'
-grid-only norms are also held per geometry (minimizer._trial_norms), as
-floats that reference no grid.
+preconditioner's band a W + L^T W L. It is filled on first use and lives
+and dies with the grid instance (cached_property writes the instance
+__dict__, which a frozen dataclass allows); no module-level cache holds it.
 interpolate reads samples on a grid of spacing h at arbitrary radii by
 4-point cubic interpolation, with the even extension through the origin and
 the zero extension past R that the Laplacian's band uses. It reads the
@@ -244,12 +241,6 @@ class RadialGrid:
             ab[8 + d, :n - d] = acc[2:n + 2 - d]
         ab.flags.writeable = False
         return ab
-
-    @cached_property
-    def seed_families(self) -> dict:
-        """The minimizer's seed families on this grid, by q, filled by
-        minimizer.seed."""
-        return {}
 
 
 @dataclass(frozen=True)

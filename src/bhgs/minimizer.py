@@ -79,17 +79,17 @@ plus one: the profile's solves are not counted, nor a failed try's.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
-grid alone, so their masses and bundles are held on the grid, per q, and
-grown only as far as a call reaches (_SeedFamily). A trial whose held
-bundle, scaled to mass c, fails either condition is skipped, and the trial
-returned is always checked in full; seed's docstring says where this can
-differ from running every trial. The family lives and dies with its grid,
-like the grid's held band L^T W L, whose upper rows normal_band copies and
-shifts for the preconditioner. Of each trial's bundle only |P_k|_q^q
-depends on q; its mass, bend and critical norm depend on the grid's
-geometry alone and are held per (dim, n, r_max) in a module-level table of
-64 geometries (_trial_norms), so a new grid of a geometry met before takes
-one power sum per trial and no Laplacian.
+grid's geometry alone, so their masses and bundles are held per (geometry,
+q) for the last two met (_seed_trials), grown only as far as a call
+reaches. A trial whose held bundle, scaled to mass c, fails either
+condition is skipped, and the trial returned is always checked in full by
+_start; seed's docstring says where this can differ from running every
+trial. Of each trial's bundle only |P_k|_q^q depends on q; its mass, bend
+and critical norm are held per geometry in a table of 64 geometries
+(_trial_norms), so a new q on a geometry met before takes one power sum
+per trial and no Laplacian. No seed state lives on the grid, which holds
+only its band L^T W L, whose upper rows normal_band copies and shifts for
+the preconditioner.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -232,37 +232,33 @@ def seed(params: LandscapeParams, thresholds, c: float,
     finite radius a wide enough Gaussian is truncated, so the loop can
     fail: it raises ConvergenceError after 60 halvings.
 
-    The unnormalized profile of trial k depends on the grid alone, so its
-    mass and bundle are held on the grid per q (_SeedFamily, grown only as
-    far as a call reaches); its mass, bend and critical norm are held per
-    grid geometry (_trial_norms), and a family on a new grid of a geometry
-    met before takes only |P_k|_q^q. A trial whose held bundle, scaled to
-    mass c by the amplitude law (functionals.scaled_norms), fails J < 0 or
-    the bend cap is skipped; every other trial runs in full, and the first
-    that passes in full is returned. Where the prediction is unsettled
-    (no held bundle, a power past float range, a scaled norm outside
-    [2^-900, 2^900]) the trial runs in full. The field and every error are
-    the plain loop's, except within a few hundred ulps of a mass where
-    trial k's J or bend crosses its bound: there the
+    The unnormalized profile P_k of trial k depends on the grid's geometry
+    alone, so its mass and bundle are held per (geometry, q) (_seed_trials,
+    grown only as far as a call reaches). A trial whose held bundle, scaled
+    to mass c by the amplitude law (functionals.scaled_norms), fails J < 0
+    or the bend cap is skipped (_trial_fails); every other trial runs in
+    full through _start, the test the profile and Newton first apply to
+    their starts, and the first that passes is returned. Where the
+    prediction is unsettled (no held bundle, a power past float range, a
+    scaled norm outside [2^-900, 2^900]) the trial runs in full. The field
+    and every error are the plain loop's, except within a few hundred ulps
+    of a mass where trial k's J or bend crosses its bound: there the
     prediction may fail where the full trial passes, and seed returns a
     later trial, which still meets both conditions in full.
     """
     _check_request(params, thresholds, c, grid)
     bend_cap = thresholds[2] * (1.0 - SAFEGUARD_MARGIN)
-    family = grid.seed_families.get(params.q)
-    if family is None:
-        family = grid.seed_families[params.q] = _SeedFamily()
+    held = _seed_trials(grid.dim, grid.n, grid.r_max, params.q)
+    trials = held[1]
     for k in range(SEED_TRIALS):
-        prof = family.extend(params, grid) if k == len(family.trials) else None
-        if family.fails(k, params, c, bend_cap):
+        prof = _hold_trial(params, grid, held) if k == len(trials) else None
+        if _trial_fails(trials[k], params, c, bend_cap):
             continue
-        if prof is None:
-            prof = _seed_profile(grid, k)
-        prof *= math.sqrt(c / family.trials[k][0])
-        fld = RadialField(grid, prof)
-        b = norm_bundle(params, fld)
-        if energy(params, b) < 0.0 and b.bend < bend_cap:
-            return fld, b
+        start = _start(params, grid, c,
+                       _seed_profile(grid, k) if prof is None else prof,
+                       bend_cap)
+        if start is not None:
+            return start
     raise ConvergenceError(
         "seed",
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
@@ -298,71 +294,69 @@ def _seed_profile(grid: RadialGrid, k: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _trial_norms(dim: int, n: int, r_max: float) -> list:
     # the one list held per grid geometry of (mass, bend, |P_k|_{4*}^{4*})
-    # of the seed's trial profiles P_k, which _SeedFamily.extend grows as far
-    # as a call reaches. None of the three depends on q, and grids of one
+    # of the seed's trial profiles P_k, which _hold_trial grows as far as a
+    # call reaches. None of the three depends on q, and grids of one
     # geometry have bitwise equal weights and bands, so every grid may read
     # the norms another computed. 64 keys, as grid._weight_core
     return []
 
 
-class _SeedFamily:
-    """The seed's unnormalized trial profiles P_k on one grid at one q.
+@lru_cache(maxsize=2)
+def _seed_trials(dim: int, n: int, r_max: float, q: float) -> tuple:
+    # (norms, trials) for the seed at one grid geometry and q: the
+    # geometry's held norms (_trial_norms), kept for the entry's lifetime,
+    # and per trial P_k reached its mass, bitwise the one _start scales by,
+    # and its bundle (None where a norm leaves float range), bitwise
+    # norm_bundle's. Floats only, no grid; held for the last two (geometry,
+    # q), as _profile is, since a command and each draw of the benchmark's
+    # domain workload use one
+    return _trial_norms(dim, n, r_max), []
 
-    trials[k] holds P_k's mass, bitwise the one the full trial normalizes
-    by, and P_k's bundle (None where a norm leaves float range), bitwise
-    norm_bundle's. Of the bundle only |P_k|_q^q is taken here; the other
-    norms come from the geometry's held ones (_trial_norms), which the
-    family keeps from its first extend on. The family holds no reference to
-    its grid, so the two form no cycle.
-    """
 
-    def __init__(self):
-        self.trials: list = []
-        self.norms: list | None = None
+def _hold_trial(params: LandscapeParams, grid: RadialGrid,
+                held: tuple) -> np.ndarray:
+    # append the next trial's mass and bundle to held (_seed_trials) and
+    # return its profile; of the bundle only |P_k|_q^q is summed here where
+    # the geometry's norms already hold P_k
+    norms, trials = held
+    k = len(trials)
+    prof = _seed_profile(grid, k)
+    w = grid.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == len(norms):
+            lap = RadialField(grid, prof).lap
+            norms.append((
+                _wdot(grid, prof, prof), _wdot(grid, lap, lap),
+                float(np.add.reduce(
+                    w * nonneg_power(np.abs(prof), params.p_crit)))))
+        mass, bend, crit = norms[k]
+        sub = float(np.add.reduce(w * nonneg_power(np.abs(prof), params.q)))
+    try:
+        b = NormBundle(mass, bend, sub, crit)
+    except DomainError:
+        b = None
+    trials.append((mass, b))
+    return prof
 
-    def extend(self, params: LandscapeParams, grid: RadialGrid) -> np.ndarray:
-        """Hold the next trial's mass and bundle; returns its profile."""
-        k = len(self.trials)
-        prof = _seed_profile(grid, k)
-        if self.norms is None:
-            self.norms = _trial_norms(grid.dim, grid.n, grid.r_max)
-        w = grid.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k == len(self.norms):
-                lap = RadialField(grid, prof).lap
-                self.norms.append((
-                    _wdot(grid, prof, prof), _wdot(grid, lap, lap),
-                    float(np.add.reduce(
-                        w * nonneg_power(np.abs(prof), params.p_crit)))))
-            mass, bend, crit = self.norms[k]
-            sub = float(np.add.reduce(w * nonneg_power(np.abs(prof),
-                                                        params.q)))
-        try:
-            b = NormBundle(mass, bend, sub, crit)
-        except DomainError:
-            b = None
-        self.trials.append((mass, b))
-        return prof
 
-    def fails(self, k: int, params: LandscapeParams, c: float,
-              bend_cap: float) -> bool:
-        """Whether trial k's held bundle, scaled to mass c by the amplitude
-        law, fails J < 0 or bend < bend_cap. False, so the trial runs in
-        full, where the prediction is unsettled: no bundle, a power past
-        float range, or a scaled norm outside [2^-900, 2^900].
-        """
-        mass, b = self.trials[k]
-        if b is None or not 0.0 < mass < math.inf:
-            return False
-        t = math.sqrt(c / mass)
-        try:
-            _, bend, sub, crit = scaled_norms(params, b, t * t, 1.0)
-        except OverflowError:
-            return False
-        if not all(2.0 ** -900 <= x <= 2.0 ** 900 for x in (bend, sub, crit)):
-            return False
-        return not (energy(params, NormBundle(c, bend, sub, crit)) < 0.0
-                    and bend < bend_cap)
+def _trial_fails(trial: tuple, params: LandscapeParams, c: float,
+                 bend_cap: float) -> bool:
+    # whether a held trial's (mass, bundle), scaled to mass c by the
+    # amplitude law, fails J < 0 or bend < bend_cap. False, so the trial
+    # runs in full, where the prediction is unsettled: no bundle, a power
+    # past float range, or a scaled norm outside [2^-900, 2^900]
+    mass, b = trial
+    if b is None or not 0.0 < mass < math.inf:
+        return False
+    t = math.sqrt(c / mass)
+    try:
+        _, bend, sub, crit = scaled_norms(params, b, t * t, 1.0)
+    except OverflowError:
+        return False
+    if not all(2.0 ** -900 <= x <= 2.0 ** 900 for x in (bend, sub, crit)):
+        return False
+    return not (energy(params, NormBundle(c, bend, sub, crit)) < 0.0
+                and bend < bend_cap)
 
 
 def _kernels():
@@ -374,15 +368,14 @@ def _kernels():
     return _lapack
 
 
-def cholesky_banded(ab, overwrite_ab=False, lower=False, check_finite=True):
-    """Banded Cholesky factor, as scipy.linalg.cholesky_banded."""
-    return _kernels().cholesky_banded(ab, overwrite_ab, lower, check_finite)
+def cholesky_banded(ab):
+    """Upper banded Cholesky factor, as scipy.linalg.cholesky_banded."""
+    return _kernels().cholesky_banded(ab)
 
 
-def cho_solve_banded(cb_and_lower, b, overwrite_b=False, check_finite=True):
+def cho_solve_banded(cb_and_lower, b):
     """Banded Cholesky solve, as scipy.linalg.cho_solve_banded."""
-    return _kernels().cho_solve_banded(cb_and_lower, b, overwrite_b,
-                                       check_finite)
+    return _kernels().cho_solve_banded(cb_and_lower, b)
 
 
 def gbsv(kl, ku, ab, b, piv=None):
@@ -397,7 +390,7 @@ def gbtrs(kl, ku, ab, piv, b):
 
 def _banded_factor(grid: RadialGrid, a: float):
     # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4
-    return cholesky_banded(grid.normal_band(a), lower=False)
+    return cholesky_banded(grid.normal_band(a))
 
 
 def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
@@ -568,6 +561,21 @@ def _start(params: LandscapeParams, grid: RadialGrid, c: float,
     return fld, b
 
 
+def _gaussian_s1(params: LandscapeParams, c: float,
+                 grid: RadialGrid | None = None) -> float | None:
+    # s1, the fiber minimum (fiber_minimum) of the unit Gaussian
+    # exp(-r^2 / 2) scaled to mass c: of its closed-form bundle
+    # (functionals.gaussian_bundle), or of norm_bundle's on grid where one
+    # is given. None where there is none or a norm leaves float range
+    try:
+        unit = (gaussian_bundle(params, 1.0) if grid is None else
+                norm_bundle(params, RadialField(grid, _seed_profile(grid, 0))))
+        return fiber_minimum(params, NormBundle(*scaled_norms(
+            params, unit, c / unit.mass, 1.0)))
+    except (DomainError, OverflowError):
+        return None
+
+
 @lru_cache(maxsize=2)
 def _profile(N: int, q: float):
     """(values, h, c_ref, bundle): the settled state of LandscapeParams(N,
@@ -591,12 +599,7 @@ def _profile(N: int, q: float):
     params = LandscapeParams(N, q)
     _, c0, rho0 = mass_threshold(params)
     c_ref = REF_FRACTION * c0
-    try:
-        unit = gaussian_bundle(params, 1.0)
-        s1 = fiber_minimum(params, NormBundle(*scaled_norms(
-            params, unit, c_ref / unit.mass, 1.0)))
-    except (DomainError, OverflowError):
-        return None
+    s1 = _gaussian_s1(params, c_ref)
     if s1 is None:
         return None
     n = 2 ** math.ceil(math.log2(30 * MIN_NODES_PER_WIDTH)) + 1
@@ -630,12 +633,7 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     GRAD_TOL (_floor_reach) raises ConvergenceError of kind under-resolved,
     whose message gives the width s1^(-1/2) in grid spacings.
     """
-    try:
-        unit = norm_bundle(params, RadialField(grid, _seed_profile(grid, 0)))
-        s1 = fiber_minimum(params, NormBundle(*scaled_norms(
-            params, unit, c / unit.mass, 1.0)))
-    except (DomainError, OverflowError):
-        return None
+    s1 = _gaussian_s1(params, c, grid)
     if s1 is None:
         return None
     N, q = params.N, params.q

@@ -67,6 +67,13 @@ class TestClosedForms:
         with pytest.raises(DomainError, match="overflow"):
             psi(p53, ONES, 1e40)
 
+    def test_underflowing_dilation_raises_domain_error(self, p53):
+        # s^2 below the smallest subnormal: the dilated bundle would read
+        # bend, subcrit and crit as 0
+        for fn in (psi, psi_prime, xi):
+            with pytest.raises(DomainError, match="underflow"):
+                fn(p53, ONES, 1e-170)
+
     @given(params_st(), bundle_st())
     def test_pohozaev_is_slope_at_one(self, params, b):
         # Q(u) = psi'(1) exactly, term by term

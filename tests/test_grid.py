@@ -318,20 +318,19 @@ class TestNestedGrids:
         got = interp(src, cubic(src.nodes), r)
         assert np.allclose(got, cubic(r), rtol=1e-12, atol=1e-12)
 
-    def test_weight_cache_holds_nested_grids_across_dims(self):
-        # a domain-style loop: per draw, a default grid at N = 5..10 and
-        # the grids on its every 8th, 16th and 32nd node, twice over; each
-        # exact weight core is computed once per (N, n), and the second
-        # pass only hits
+    def test_weight_cache_holds_default_and_profile_grids_across_dims(self):
+        # a domain-style loop: per draw, the default grid at N = 5..10 and
+        # the 1025-node grid of the draw's (N, q) profile, whose radius
+        # differs from draw to draw, twice over; each exact weight core is
+        # computed once per (N, n), and the second pass only hits
         core = grid_mod._weight_core
         core.cache_clear()
-        for _ in range(2):
+        for r_profile in (31.5, 7.25):
             for N in range(5, 11):
                 build_grid(N, 2049, 1000.0)
-                for f in (8, 16, 32):
-                    build_grid(N, 2048 // f + 1, 1000.0)
+                build_grid(N, 1025, r_profile * N)
         info = core.cache_info()
-        assert (info.misses, info.hits) == (24, 24)
+        assert (info.misses, info.hits) == (12, 12)
 
 
 class TestFieldCsv:

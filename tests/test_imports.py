@@ -75,6 +75,7 @@ def test_error_types_are_shared():
     for name in ("ConvergenceError", "KernelsUnavailable", "DomainError"):
         assert getattr(minimizer, name) is getattr(landscape, name)
     assert bhgs.ConvergenceError is minimizer.ConvergenceError
+    assert bhgs.KernelsUnavailable is minimizer.KernelsUnavailable
 
 
 def test_rebinding_shows_through_the_package(monkeypatch):

@@ -146,7 +146,7 @@ def test_factor_input_matches_sparse_assembly(N, n, r_max, a, monkeypatch):
     g = build_grid(N, n, r_max)
     seen = []
     monkeypatch.setattr(minimizer, "cholesky_banded",
-                        lambda ab, lower: seen.append(ab.copy()))
+                        lambda ab: seen.append(ab.copy()))
     minimizer._banded_factor(g, a)
     want = ref_band_input(ref_laplacian(N, n, r_max), g.weights, a)
     assert len(seen) == 1 and np.array_equal(seen[0], want)

@@ -9,8 +9,9 @@ The code each cache replaced is kept below as the reference:
   trial, and every seed must still pass both conditions in full. Masses
   where the prediction is unsettled (a scaled norm out of range, a power
   that overflows) must run the trial in full;
-- the trial norms held per grid geometry (_trial_norms), against
-  norm_bundle of each trial profile;
+- the trials held per (grid geometry, q) (_seed_trials) and the norms held
+  per grid geometry (_trial_norms), against norm_bundle of each trial
+  profile;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
 - normal_band from the held shift-free band (rows 4-8 of the grid's
@@ -80,16 +81,30 @@ def outcome(fn, *args):
 
 @pytest.fixture()
 def extend_count(monkeypatch):
-    """calls[0] counts the trials seed's families hold."""
+    """calls[0] counts the trials seed adds to the held table."""
     calls = [0]
-    real = minimizer._SeedFamily.extend
+    real = minimizer._hold_trial
 
-    def counting(self, *args):
+    def counting(*args):
         calls[0] += 1
-        return real(self, *args)
+        return real(*args)
 
-    monkeypatch.setattr(minimizer._SeedFamily, "extend", counting)
+    monkeypatch.setattr(minimizer, "_hold_trial", counting)
     return calls
+
+
+@pytest.fixture()
+def fresh_trials():
+    """An empty table of held seed trials for the test, emptied again
+    after it."""
+    minimizer._seed_trials.cache_clear()
+    yield
+    minimizer._seed_trials.cache_clear()
+
+
+def held(params, grid):
+    """The trials held for the grid's geometry and params.q."""
+    return minimizer._seed_trials(grid.dim, grid.n, grid.r_max, params.q)[1]
 
 
 @pytest.fixture()
@@ -108,7 +123,7 @@ def bundle_count(monkeypatch):
 
 # ------------------------------------------------------------- seed family
 
-# grids shared by the draws below, so later draws meet warm families; the
+# grids shared by the draws below, so later draws meet held trials; the
 # short grid is one on which the contraction fails for most draws
 GRID_SHAPES = [(2049, 1000.0), (8193, 1000.0), (1025, 12.0)]
 _GRIDS = {}
@@ -147,7 +162,8 @@ def test_seed_matches_the_plain_loop(params, frac, shape):
         outcome(ref_seed, params, th, c, grid)
 
 
-def test_short_grid_fails_as_the_plain_loop_does(p53, thresholds53):
+def test_short_grid_fails_as_the_plain_loop_does(p53, thresholds53,
+                                                 fresh_trials):
     grid = build_grid(5, 1025, 12.0)
     for frac in (0.05, 0.5, 0.95):
         c = frac * thresholds53[1]
@@ -155,17 +171,18 @@ def test_short_grid_fails_as_the_plain_loop_does(p53, thresholds53):
         assert want[0] == "ConvergenceError"
         # cold, then with all 60 trials held
         assert outcome(minimizer.seed, p53, thresholds53, c, grid) == want
-    assert len(grid.seed_families[p53.q].trials) == 60
+    assert len(held(p53, grid)) == 60
 
 
-def test_mass_outside_range_and_dimension_mismatch(p53, thresholds53):
+def test_mass_outside_range_and_dimension_mismatch(p53, thresholds53,
+                                                   fresh_trials):
     grid = build_grid(6, 2049, 1000.0)
     for c in (0.0, thresholds53[1], 0.5 * thresholds53[1]):
         got = outcome(minimizer.seed, p53, thresholds53, c, grid)
         assert got == outcome(ref_seed, p53, thresholds53, c, grid)
         assert got[0] == "DomainError"
-    # a grid of another dimension holds no family for these params
-    assert grid.seed_families == {}
+    # a rejected request holds no trials
+    assert minimizer._seed_trials.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("params", [
@@ -173,7 +190,8 @@ def test_mass_outside_range_and_dimension_mismatch(p53, thresholds53):
     random_params(np.random.default_rng(4)),
 ], ids=["default", "draw4"])
 def test_warm_calls_make_at_most_two_bundle_evaluations(params, bundle_count,
-                                                       extend_count):
+                                                       extend_count,
+                                                       fresh_trials):
     grid = build_grid(params.N, 2049, 1000.0)
     th = mass_threshold(params)
     fracs = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]
@@ -181,7 +199,7 @@ def test_warm_calls_make_at_most_two_bundle_evaluations(params, bundle_count,
     # others reach, each once
     minimizer.seed(params, th, fracs[0] * th[1], grid)
     cold = extend_count[0]
-    assert cold == len(grid.seed_families[params.q].trials) > 0
+    assert cold == len(held(params, grid)) > 0
     for frac in fracs:
         bundle_count[0] = extend_count[0] = 0
         got = outcome(minimizer.seed, params, th, frac * th[1], grid)
@@ -194,6 +212,7 @@ def test_ascending_and_descending_masses_solve_alike(p53, thresholds53):
     masses = [f * c0 for f in (0.07, 0.2, 0.45, 0.8)]
 
     def solve_all(order):
+        minimizer._seed_trials.cache_clear()
         grid = build_grid(5, 2049, 1000.0)
         out = {}
         for c in order:
@@ -205,7 +224,7 @@ def test_ascending_and_descending_masses_solve_alike(p53, thresholds53):
     assert solve_all(masses) == solve_all(masses[::-1])
 
 
-def test_each_q_has_its_own_family():
+def test_each_q_has_its_own_family(fresh_trials):
     grid = build_grid(5, 2049, 1000.0)
     a = LandscapeParams(N=5, q=3.0, mu=1.0)
     b = LandscapeParams(N=5, q=2.5, mu=1.0)
@@ -214,13 +233,15 @@ def test_each_q_has_its_own_family():
         for frac in (0.2, 0.6):
             assert outcome(minimizer.seed, params, th, frac * th[1], grid) \
                 == outcome(ref_seed, params, th, frac * th[1], grid)
-    fam = grid.seed_families
-    assert set(fam) == {3.0, 2.5} and fam[3.0] is not fam[2.5]
+    # two entries, each made once while the four params alternate
+    info = minimizer._seed_trials.cache_info()
+    assert info.currsize == info.misses == 2
+    assert held(a, grid) is not held(b, grid)
 
 
-def assert_trials_are_bundles(params, grid, family):
+def assert_trials_are_bundles(params, grid, trials):
     # each held mass and bundle is bitwise norm_bundle's of its trial
-    for k, (mass, b) in enumerate(family.trials):
+    for k, (mass, b) in enumerate(trials):
         want = norm_bundle(params, RadialField(
             grid, minimizer._seed_profile(grid, k)))
         assert mass.hex() == want.mass.hex()
@@ -245,54 +266,85 @@ def lap_applies(monkeypatch):
 
 @pytest.mark.parametrize("N", range(5, 11))
 def test_trial_norms_are_held_per_geometry(N, lap_applies):
-    # a second grid of one geometry reads every trial's mass, bend and
-    # critical norm from the held table: its families take no Laplacian,
-    # and every bundle is bitwise norm_bundle's of the trial profile
+    # trials held anew on a second grid of one geometry read every trial's
+    # mass, bend and critical norm from the geometry's table: they take no
+    # Laplacian, and every bundle is bitwise norm_bundle's of the trial
+    # profile
     grids = [build_grid(N, 2049, 1000.0) for _ in range(2)]
     for t in (0.1, 0.5, 0.9):
         params = LandscapeParams(N=N, q=2.0 + t * 8.0 / N, mu=1.0)
         for grid in grids:
             lap_applies.clear()
-            family = held_family(params, grid)
+            trials = held_trials(params, grid)
             assert grid is grids[0] or id(grid) not in lap_applies
-            assert_trials_are_bundles(params, grid, family)
+            assert_trials_are_bundles(params, grid, trials)
     info = minimizer._trial_norms.cache_info()
     assert 0 < info.currsize <= info.maxsize == 64
 
 
-def test_trial_norm_table_stays_within_its_bound(p53):
-    # 70 geometries, one radius apart, fill the table to its 64 keys, each
-    # with its own norms; a family whose geometry was dropped keeps its
-    # norms and grows on, bitwise
+def test_trial_norm_table_stays_within_its_bound(p53, fresh_trials):
+    # 70 geometries, one radius apart, fill the geometry table to its 64
+    # keys, each with its own norms, and the trial table to its 2; an
+    # entry whose geometry was dropped from both keeps its norms and grows
+    # on, bitwise
     first = build_grid(5, 64, 1.0)
-    family = minimizer._SeedFamily()
-    family.extend(p53, first)
+    entry = minimizer._seed_trials(5, 64, 1.0, p53.q)
+    minimizer._hold_trial(p53, first, entry)
     for i in range(70):
         grid = build_grid(5, 64, 2.0 + i)
-        other = minimizer._SeedFamily()
-        other.extend(p53, grid)
-        assert_trials_are_bundles(p53, grid, other)
+        other = minimizer._seed_trials(5, 64, grid.r_max, p53.q)
+        minimizer._hold_trial(p53, grid, other)
+        assert_trials_are_bundles(p53, grid, other[1])
     info = minimizer._trial_norms.cache_info()
     assert info.currsize == info.maxsize == 64
+    info = minimizer._seed_trials.cache_info()
+    assert info.currsize == info.maxsize == 2
     for _ in range(4):
-        family.extend(p53, first)
-    assert_trials_are_bundles(p53, first, family)
+        minimizer._hold_trial(p53, first, entry)
+    assert_trials_are_bundles(p53, first, entry[1])
 
 
-def test_families_live_and_die_with_their_grid(p53, thresholds53):
+def test_held_trials_reference_no_grid(p53, thresholds53, fresh_trials):
     grid = build_grid(5, 2049, 1000.0)
     minimizer.seed(p53, thresholds53, 0.3 * thresholds53[1], grid)
-    family = weakref.ref(grid.seed_families[p53.q])
-    held = weakref.ref(grid)
-    # an equal grid starts empty
-    assert build_grid(5, 2049, 1000.0).seed_families == {}
+    norms, trials = minimizer._seed_trials(5, 2049, 1000.0, p53.q)
+    assert trials and all(
+        type(mass) is float and (b is None or type(b) is NormBundle)
+        for mass, b in trials)
+    assert all(type(x) is float for row in norms for x in row)
+    ref = weakref.ref(grid)
     gc.disable()
     try:
         del grid
-        # no cycle and no module-level reference keeps either alive
-        assert held() is None and family() is None
+        # no cycle and no module-level reference keeps the grid alive
+        assert ref() is None
     finally:
         gc.enable()
+
+
+def test_second_grid_of_one_geometry_and_q_sums_no_power(
+        p53, thresholds53, fresh_trials, monkeypatch):
+    # trials held on one grid serve every grid of its geometry and q: a
+    # second grid's seed takes no power sum for them, and its seed is
+    # still the plain loop's
+    c = 0.05 * thresholds53[1]
+    minimizer.seed(p53, thresholds53, c, build_grid(5, 2049, 1000.0))
+    reached = len(held(p53, build_grid(5, 2049, 1000.0)))
+    calls = [0]
+    real = minimizer.nonneg_power
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(minimizer, "nonneg_power", counting)
+    grid = build_grid(5, 2049, 1000.0)
+    for frac in (0.05, 0.3, 0.9):
+        got = outcome(minimizer.seed, p53, thresholds53,
+                      frac * thresholds53[1], grid)
+        assert got == outcome(ref_seed, p53, thresholds53,
+                              frac * thresholds53[1], grid)
+    assert calls[0] == 0 and len(held(p53, grid)) == reached > 0
 
 
 def full_trial_field(grid, k, c):
@@ -309,9 +361,9 @@ def full_trial(params, grid, k, c):
     return energy(params, b), b.bend
 
 
-def predicted_energy(params, family, k, c):
-    # J of trial k's held bundle scaled to mass c, as _SeedFamily.fails has it
-    mass, b = family.trials[k]
+def predicted_energy(params, trials, k, c):
+    # J of trial k's held bundle scaled to mass c, as _trial_fails has it
+    mass, b = trials[k]
     t = math.sqrt(c / mass)
     _, bend, sub, crit = scaled_norms(params, b, t * t, 1.0)
     return energy(params, NormBundle(c, bend, sub, crit))
@@ -335,7 +387,7 @@ def test_seed_where_the_prediction_gets_the_sign_of_J_wrong(p53,
         lo, hi = (mid, hi) if full_trial(p53, grid, 12, mid)[0] > 0 \
             else (lo, mid)
     minimizer.seed(p53, thresholds53, lo, grid)
-    family = grid.seed_families[p53.q]
+    trials = held(p53, grid)
     wrong_sign = 0
     for j in range(-300, 300):
         c = lo * (1.0 + j * 2.0 ** -52)
@@ -344,7 +396,7 @@ def test_seed_where_the_prediction_gets_the_sign_of_J_wrong(p53,
         assert energy(p53, b) < 0.0 and b.bend < bend_cap
         assert fld.values.tobytes() in {
             full_trial_field(grid, k, c).values.tobytes() for k in (12, 13)}
-        J_p = predicted_energy(p53, family, 12, c)
+        J_p = predicted_energy(p53, trials, 12, c)
         wrong_sign += (J_p > 0) != (full_trial(p53, grid, 12, c)[0] > 0)
     assert wrong_sign > 0
 
@@ -363,11 +415,14 @@ def full_trials(monkeypatch):
     return runs
 
 
-def held_family(params, grid):
-    family = grid.seed_families[params.q] = minimizer._SeedFamily()
+def held_trials(params, grid):
+    # every trial held for the grid's geometry and params.q, in a table
+    # emptied first
+    minimizer._seed_trials.cache_clear()
+    entry = minimizer._seed_trials(grid.dim, grid.n, grid.r_max, params.q)
     for _ in range(minimizer.SEED_TRIALS):
-        family.extend(params, grid)
-    return family
+        minimizer._hold_trial(params, grid, entry)
+    return entry[1]
 
 
 def test_a_tiny_mass_runs_every_trial_in_full(p53, thresholds53,
@@ -375,7 +430,7 @@ def test_a_tiny_mass_runs_every_trial_in_full(p53, thresholds53,
     # at c = 1e-300 every scaled norm lies below 2^-900, where the
     # prediction is not trusted
     grid = build_grid(5, 2049, 1000.0)
-    held_family(p53, grid)
+    held_trials(p53, grid)
     full_trials.clear()
     got = outcome(minimizer.seed, p53, thresholds53, 1e-300, grid)
     assert full_trials == list(range(minimizer.SEED_TRIALS))
@@ -389,12 +444,11 @@ def test_a_power_past_float_range_runs_the_trial_in_full(full_trials):
     params = LandscapeParams(N=5, q=3.0, mu=1e-60)
     th = mass_threshold(params)
     grid = build_grid(5, 2049, 1000.0)
-    family = held_family(params, grid)
-    c = family.trials[59][0] * 2.0 ** 300
+    trials = held_trials(params, grid)
+    c = trials[59][0] * 2.0 ** 300
     assert c < th[1]
     with pytest.raises(OverflowError):
-        scaled_norms(params, family.trials[59][1], c / family.trials[59][0],
-                     1.0)
+        scaled_norms(params, trials[59][1], c / trials[59][0], 1.0)
     full_trials.clear()
     got = outcome(minimizer.seed, params, th, c, grid)
     assert 59 in full_trials
