@@ -8,7 +8,8 @@ and the preconditioned descent run only where that try is skipped or
 fails. The demo then checks the two variational signatures of a ground
 state: the Pohozaev residual vanishes, and the converged field sits at
 s = 1 on its own fiber (dilating it in either direction raises energy).
-The field round-trips through CSV bit for bit.
+The field round-trips through CSV bit for bit, in a temporary directory
+that is removed afterwards.
 """
 import os
 import tempfile
@@ -46,9 +47,10 @@ def main():
     print(f"  |s1 - 1|    = {fiber_consistency(params, state):.3e}")
     print(f"  constraint boundary touched: {state.constraint_active}")
 
-    path = os.path.join(tempfile.mkdtemp(), "ground_state.csv")
-    save_field(state.field, path)
-    back = load_field(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ground_state.csv")
+        save_field(state.field, path)
+        back = load_field(path)
     same = np.array_equal(back.values, state.field.values)
     print(f"CSV round trip at {path}: bitwise identical = {same}")
 

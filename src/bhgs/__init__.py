@@ -3,12 +3,13 @@
 Library layout:
 
 - landscape: closed-form energy-landscape layer (exponents, f(c, rho), the
-  maximizer rho_c, the mass threshold c0) and the package's error types.
+  maximizer rho_c, the mass threshold c0, the sharp Sobolev constant) and
+  the package's error types.
 - grid: radial discretization (quadrature, Laplacian, field CSV).
 - functionals: norms, energy, Pohozaev value, gradient, multiplier, and the
   exact bundle rescaling under amplitude and dilation.
 - fiber: scalar fiber-map analysis (psi, psi', xi, zero structure).
-- minimizer: the constrained solver and the constant estimators.
+- minimizer: the constrained solver and the estimated C_gn.
 - config / verify / cli: front end.
 
 The names in __all__ are resolved on access (PEP 562): `bhgs.minimize`
@@ -25,8 +26,8 @@ __version__ = "0.1.0"
 _SOURCES = {
     "landscape": ["DomainError", "ExponentSet", "LandscapeParams",
                   "comparison_check", "derive_exponents", "f_landscape",
-                  "mass_threshold", "rho_star", "ConvergenceError",
-                  "KernelsUnavailable"],
+                  "mass_threshold", "rho_star", "estimate_sobolev_constant",
+                  "ConvergenceError", "KernelsUnavailable"],
     "grid": ["RadialField", "RadialGrid", "build_grid", "integrate",
              "laplacian", "load_field", "save_field", "sphere_area"],
     "functionals": ["NormBundle", "energy", "l2_gradient",
@@ -35,8 +36,7 @@ _SOURCES = {
     "fiber": ["FiberAnalysis", "analyze_fiber", "psi", "psi_prime", "xi",
               "xi_turning_point"],
     "minimizer": ["GroundState", "SolverConfig", "estimate_gn_constant",
-                  "estimate_sobolev_constant", "fiber_consistency",
-                  "minimize", "seed"],
+                  "fiber_consistency", "minimize", "seed"],
     "config": ["Config", "ConfigError", "load_config", "resolve_params"],
 }
 _EXPORTS = {name: module for module, names in _SOURCES.items()

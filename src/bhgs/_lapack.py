@@ -9,7 +9,9 @@ with 64-bit integers; this module calls them through ctypes. That file name
 and those symbols are wheel internals, not an API, so where either is
 missing the module takes scipy.linalg's cholesky_banded and cho_solve_banded
 and scipy.linalg.lapack's dgbsv and dgbtrs instead. BACKEND names the one
-taken when the module was first imported.
+taken when the module was first imported. Where neither loads, importing
+the module raises landscape.KernelsUnavailable, which the CLI reports as
+no-lapack.
 
 cholesky_banded and cho_solve_banded keep scipy.linalg's contract for the
 2-D band storage and the one or more right-hand sides the solver passes,
@@ -33,6 +35,8 @@ import glob
 import os
 
 import numpy as np
+
+from .landscape import KernelsUnavailable
 
 __all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs"]
 
@@ -217,7 +221,7 @@ else:
             cho_solve_banded, cholesky_banded)
         from scipy.linalg.lapack import dgbsv as _dgbsv, dgbtrs as _dgbtrs
     except ImportError as exc:
-        raise ImportError(
+        raise KernelsUnavailable(
             "no LAPACK band kernels: numpy.libs holds no "
             "libscipy_openblas64_ library with pbtrf, pbtrs, gbsv and gbtrs, "
             "and scipy.linalg cannot be imported") from exc

@@ -25,7 +25,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .landscape import LandscapeParams
+from .landscape import LandscapeParams, estimate_sobolev_constant
 
 __all__ = ["ConfigError", "Config", "load_config", "resolve_params",
            "sweep_masses", "DEFAULTS", "ENV_PREFIX"]
@@ -147,7 +147,7 @@ def resolve_params(cfg: Config) -> LandscapeParams:
     if cfg.constants_mode == "synthetic":
         return cfg.problem(cfg.get_float("constants", "c_gn"),
                            cfg.get_float("constants", "s_sob"))
-    from .minimizer import estimate_gn_constant, estimate_sobolev_constant
+    from .minimizer import estimate_gn_constant
     probe = cfg.problem()
     return cfg.problem(estimate_gn_constant(probe),
                        estimate_sobolev_constant(probe))

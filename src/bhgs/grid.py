@@ -32,7 +32,7 @@ computed by slicing this one array.
 Held per grid: L^T W L, once, in the layout LAPACK's gbsv takes for the
 minimizer's Newton step (newton_band: read-only, Fortran-ordered (13, n),
 the upper band and diagonal in rows 4-8, their mirror in rows 9-12, zero
-fill-in rows 0-3), from whose rows 4-8 normal_band forms the
+fill-in rows 0-3), from whose rows 4-8 the minimizer forms the
 preconditioner's band a W + L^T W L. It is filled on first use and lives
 and dies with the grid instance (cached_property writes the instance
 __dict__, which a frozen dataclass allows); no module-level cache holds it.
@@ -210,25 +210,16 @@ class RadialGrid:
             out[k:k + n] += term
         return out[2:n + 2]
 
-    def normal_band(self, a: float) -> np.ndarray:
-        """a W + L^T W L in upper band storage: row 4 - d holds P[j, j+d].
-
-        P[j, j+d] sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in
-        descending order, and a w_j is added last. It reads rows 4-8 of the
-        held band (newton_band); each call returns a fresh array.
-        """
-        ab = self.newton_band[4:9].copy()
-        ab[4] += a * self.weights
-        return ab
-
     @cached_property
     def newton_band(self) -> np.ndarray:
         """L^T W L in gbsv's (13, n) layout for kl = ku = 4, Fortran-ordered
         and read-only: K[i, j] at [8 + i - j, j], the upper band and the
-        diagonal in rows 4-8, summed as normal_band documents, their mirror
-        in rows 9-12 with the corners past the matrix zero, and gbsv's
-        fill-in rows 0-3 zero. The minimizer's Newton step copies it whole
-        into its work array and shifts row 8."""
+        diagonal in rows 4-8, their mirror in rows 9-12 with the corners
+        past the matrix zero, and gbsv's fill-in rows 0-3 zero. K[j, j+d]
+        sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in descending
+        order. The minimizer's Newton step copies it whole into its work
+        array and shifts row 8; its preconditioner copies rows 4-8 and
+        shifts row 4."""
         n, D, w = self.n, self.lap_band, self.weights
         DW = D * w
         ab = np.zeros((13, n), order="F")

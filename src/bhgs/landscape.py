@@ -2,9 +2,10 @@
 
 Everything here is scalar arithmetic on problem parameters: the exponent set,
 the landscape lower-bound function f(c, rho), its maximizer rho_star, and the
-mass threshold c0 below which the local minimization region exists. No grids,
-no fields, no solver: a params object holds only its exponents and log
-coefficients, and the minimizer keeps its reference profile per (N, q)
+mass threshold c0 below which the local minimization region exists, and the
+sharp Sobolev constant S_sob in closed form (estimate_sobolev_constant). No
+grids, no fields, no solver: a params object holds only its exponents and
+log coefficients, and the minimizer keeps its reference profile per (N, q)
 itself. f_landscape also takes an array of rho, which the comparison
 lemma's segment uses; only that path imports numpy.
 
@@ -28,6 +29,7 @@ __all__ = [
     "rho_star",
     "mass_threshold",
     "comparison_check",
+    "estimate_sobolev_constant",
     "DomainError",
 ]
 
@@ -245,3 +247,18 @@ def comparison_check(params: LandscapeParams, c1: float, rho1: float,
     rho = lo + (rho1 - lo) * np.arange(1000.0) / 999
     return not (f_landscape(params, c2, rho)
                 < ref - 1e-12 * max(1.0, abs(ref))).any()
+
+
+def estimate_sobolev_constant(params: LandscapeParams) -> float:
+    """Sharp constant of the embedding D^{2,2} -> L^{4*}, in closed form.
+
+    |u|_{4*} <= S^{-1/2} |Du|_2 with
+    S = pi^2 (N+2) N (N-2) (N-4) (Gamma(N/2) / Gamma(N))^{4/N},
+    attained by the bubbles (eps + r^2)^{-(N-4)/2} (Lieb 1983; Edmunds,
+    Fortunato and Jannelli 1990). Returns S^{-1/2}; the Gamma ratio is taken
+    through lgamma so every N >= 5 stays in float range.
+    """
+    N = params.N
+    S = (math.pi ** 2 * (N + 2) * N * (N - 2) * (N - 4)
+         * math.exp(4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(N))))
+    return 1.0 / math.sqrt(S)

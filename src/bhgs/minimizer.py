@@ -1,5 +1,6 @@
-"""Constrained minimization inside the bend ball, plus the two constants:
-C_gn as the quotient of a held ground-state profile, S_sob in closed form.
+"""Constrained minimization inside the bend ball, plus estimated C_gn as
+the quotient of a held ground-state profile (S_sob's closed form is
+landscape's).
 
 Two residuals gate convergence: the weighted norm of the projected gradient
 and |Q|/bend, at most the module constants GRAD_TOL and Q_TOL. Both are
@@ -88,8 +89,8 @@ trial. Of each trial's bundle only |P_k|_q^q depends on q; its mass, bend
 and critical norm are held per geometry in a table of 64 geometries
 (_trial_norms), so a new q on a geometry met before takes one power sum
 per trial and no Laplacian. No seed state lives on the grid, which holds
-only its band L^T W L, whose upper rows normal_band copies and shifts for
-the preconditioner.
+only its band L^T W L, whose upper rows _banded_factor copies and shifts
+for the preconditioner.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -111,14 +112,16 @@ reader of the text alone (the benchmark's classify) gets the same kind;
 the under-resolved message contains none of the words it reads, and reads
 as other.
 
-The four band kernels come from LAPACK through the private _lapack module:
-numpy's bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise
-(KernelsUnavailable if neither loads). That module is imported on the first
-banded factorization or solve, not with this one: the closed-form commands
-(constants, landscape, fiber, verify) never load it. `cholesky_banded`,
-`cho_solve_banded`, `gbsv` and `gbtrs` stay module attributes, and every
-call site looks them up as globals at call time, so rebinding them (for
-tracing or testing) catches every call.
+The four band kernels come from LAPACK through the private _lapack module,
+imported with this one: numpy's bundled OpenBLAS where the wheel ships it,
+scipy.linalg otherwise, and KernelsUnavailable from the import if neither
+loads. Only solve, sweep and estimated-mode constants import this module;
+the closed-form commands (synthetic constants, landscape, fiber, verify)
+load neither it nor the kernels. `cholesky_banded`, `cho_solve_banded`,
+`gbsv` and `gbtrs` are bound here from _lapack at import, and every call
+site looks them up as globals at call time, so rebinding them (for tracing
+or testing) catches every call. estimate_sobolev_constant is the closed
+form landscape defines, bound here too.
 """
 from __future__ import annotations
 
@@ -128,6 +131,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._lapack import cho_solve_banded, cholesky_banded, gbsv, gbtrs
 from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
                           l2_gradient, lagrange_multiplier, nonneg_power,
@@ -135,7 +139,8 @@ from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
                           scaled_norms)
 from .grid import EXP_REACH, RadialField, RadialGrid, build_grid, interpolate
 from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
-                        LandscapeParams, mass_threshold)
+                        LandscapeParams, estimate_sobolev_constant,
+                        mass_threshold)
 
 __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
            "KernelsUnavailable", "seed",
@@ -359,38 +364,13 @@ def _trial_fails(trial: tuple, params: LandscapeParams, c: float,
                 and bend < bend_cap)
 
 
-def _kernels():
-    # the band-kernel module, imported on the first factorization or solve
-    try:
-        from . import _lapack
-    except ImportError as exc:
-        raise KernelsUnavailable(str(exc)) from exc
-    return _lapack
-
-
-def cholesky_banded(ab):
-    """Upper banded Cholesky factor, as scipy.linalg.cholesky_banded."""
-    return _kernels().cholesky_banded(ab)
-
-
-def cho_solve_banded(cb_and_lower, b):
-    """Banded Cholesky solve, as scipy.linalg.cho_solve_banded."""
-    return _kernels().cho_solve_banded(cb_and_lower, b)
-
-
-def gbsv(kl, ku, ab, b, piv=None):
-    """Banded LU solve in place, in gbsv's band layout (_lapack.gbsv)."""
-    return _kernels().gbsv(kl, ku, ab, b, piv)
-
-
-def gbtrs(kl, ku, ab, piv, b):
-    """Banded solve in place with gbsv's LU factors (_lapack.gbtrs)."""
-    return _kernels().gbtrs(kl, ku, ab, piv, b)
-
-
 def _banded_factor(grid: RadialGrid, a: float):
-    # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4
-    return cholesky_banded(grid.normal_band(a))
+    # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4: rows 4-8 of
+    # the grid's held band, row 4 - d holding P[j, j+d], with a w added to
+    # the diagonal last, in a fresh array
+    ab = grid.newton_band[4:9].copy()
+    ab[4] += a * grid.weights
+    return cholesky_banded(ab)
 
 
 def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
@@ -836,21 +816,6 @@ def estimate_gn_constant(params: LandscapeParams) -> float:
             "no-profile", f"no settled profile at N={params.N}, "
             f"q={params.q}: its Newton solve gave up")
     return gn_quotient(params, prof[3])
-
-
-def estimate_sobolev_constant(params: LandscapeParams) -> float:
-    """Sharp constant of the embedding D^{2,2} -> L^{4*}, in closed form.
-
-    |u|_{4*} <= S^{-1/2} |Du|_2 with
-    S = pi^2 (N+2) N (N-2) (N-4) (Gamma(N/2) / Gamma(N))^{4/N},
-    attained by the bubbles (eps + r^2)^{-(N-4)/2} (Lieb 1983; Edmunds,
-    Fortunato and Jannelli 1990). Returns S^{-1/2}; the Gamma ratio is taken
-    through lgamma so every N >= 5 stays in float range.
-    """
-    N = params.N
-    S = (math.pi ** 2 * (N + 2) * N * (N - 2) * (N - 4)
-         * math.exp(4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(N))))
-    return 1.0 / math.sqrt(S)
 
 
 def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:

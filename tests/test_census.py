@@ -1,0 +1,87 @@
+"""tools/census.py --compare on hand-written records, with no solve.
+
+Two files that agree on every op exit 0; an op that moved, was lost, was
+gained or is in one file only exits 1, counted under its group and named
+by (seed, draw, fraction).
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+
+
+def record(seed, draw, frac, ok=True, m=-0.25, **extra):
+    rec = {"seed": seed, "draw": draw, "frac": frac,
+           "params": [5, 3.0, 1.0, 1.0, 1.0], "outcome": "ok", "kind": None,
+           "message": None, "m": m.hex(), "lambda": (-0.5).hex(),
+           "q_residual": (1e-9).hex(), "iters": 2}
+    if not ok:
+        rec.update(outcome="ConvergenceError", kind="stall",
+                   message="descent stalled", m=None, q_residual=None,
+                   iters=None)
+        rec["lambda"] = None
+    rec.update(extra)
+    return rec
+
+
+BASE = [record(29811, 0, 0.1), record(29811, 0, 0.5),
+        record(29811, 1, 0.9, ok=False), record(29812, 3, 0.5)]
+
+
+def compare(tmp_path, first, second):
+    paths = []
+    for name, recs in (("a.jsonl", first), ("b.jsonl", second)):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        paths.append(str(path))
+    return subprocess.run([sys.executable, str(CENSUS), "--compare", *paths],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_equal_files_exit_zero(tmp_path):
+    proc = compare(tmp_path, BASE, list(reversed(BASE)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "4 equal on every field" in proc.stdout
+    for group in ("moved", "lost", "gained", "only in first",
+                  "only in second"):
+        assert f"{group}: 0\n" in proc.stdout
+
+
+def test_estimated_records_compare(tmp_path):
+    # the estimated census's records, keyed by seed "estimated" and with
+    # crit/bend beside the common fields, compare as they are
+    est = [record("estimated", d, f, **{"crit/bend": (1e-3).hex()})
+           for d in range(2) for f in (0.1, 0.5, 0.9)]
+    assert compare(tmp_path, est, est).returncode == 0
+    moved = [*est[:-1], record("estimated", 1, 0.9, m=-0.3)]
+    proc = compare(tmp_path, est, moved)
+    assert proc.returncode == 1
+    assert "  seed estimated draw 1 frac 0.9" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("group,second,name", [
+    ("moved", [BASE[0], record(29811, 0, 0.5, m=-0.2500001), *BASE[2:]],
+     "seed 29811 draw 0 frac 0.5"),
+    ("lost", [record(29811, 0, 0.1, ok=False), *BASE[1:]],
+     "seed 29811 draw 0 frac 0.1"),
+    ("gained", [*BASE[:2], record(29811, 1, 0.9), BASE[3]],
+     "seed 29811 draw 1 frac 0.9"),
+    ("only in first", BASE[:3], "seed 29812 draw 3 frac 0.5"),
+    ("only in second", [*BASE, record(29812, 7, 0.1)],
+     "seed 29812 draw 7 frac 0.1"),
+], ids=["moved", "lost", "gained", "only-in-first", "only-in-second"])
+def test_one_differing_op_exits_one_and_is_named(tmp_path, group, second,
+                                                 name):
+    proc = compare(tmp_path, BASE, second)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    start = lines.index(f"{group}: 1")
+    assert lines[start + 1] == f"  {name}"
+    for other in ("moved", "lost", "gained", "only in first",
+                  "only in second"):
+        if other != group:
+            assert f"{other}: 0" in lines

@@ -78,6 +78,19 @@ def test_error_types_are_shared():
     assert bhgs.KernelsUnavailable is minimizer.KernelsUnavailable
 
 
+def test_kernels_and_sobolev_constant_have_one_owner():
+    # the minimizer binds the band kernels from _lapack and the sharp
+    # Sobolev constant from landscape; the package exports landscape's
+    minimizer = importlib.import_module("bhgs.minimizer")
+    landscape = importlib.import_module("bhgs.landscape")
+    lapack = importlib.import_module("bhgs._lapack")
+    for name in ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs"):
+        assert getattr(minimizer, name) is getattr(lapack, name)
+    sob = landscape.estimate_sobolev_constant
+    assert bhgs.estimate_sobolev_constant is sob
+    assert minimizer.estimate_sobolev_constant is sob
+
+
 def test_rebinding_shows_through_the_package(monkeypatch):
     minimizer = importlib.import_module("bhgs.minimizer")
     orig = minimizer.minimize

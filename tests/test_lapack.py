@@ -58,6 +58,19 @@ def newton_system(request):
     return (grid,) + seen[0]
 
 
+def precond_band(grid, a):
+    """a W + L^T W L in upper band storage, the band the descent factors
+    (minimizer._banded_factor; its build is pinned in test_seed_family)."""
+    seen = []
+    orig = minimizer.cholesky_banded
+    minimizer.cholesky_banded = seen.append
+    try:
+        minimizer._banded_factor(grid, a)
+    finally:
+        minimizer.cholesky_banded = orig
+    return seen[0]
+
+
 def frozen(*arrays):
     return [a.copy(order="K") for a in arrays]
 
@@ -86,7 +99,7 @@ def test_bundled_library_is_taken():
                     "gbtrs")
     assert _lapack.BACKEND == "numpy.libs"
     for name in KERNELS:
-        assert getattr(minimizer._kernels(), name).__module__ == "bhgs._lapack"
+        assert getattr(minimizer, name).__module__ == "bhgs._lapack"
 
 
 # ------------------------------------------------------- bitwise against scipy
@@ -95,7 +108,7 @@ def test_bundled_library_is_taken():
 @pytest.mark.parametrize("a", SHIFTS)
 def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
     grid = newton_system[0]
-    ab = grid.normal_band(a)
+    ab = precond_band(grid, a)
     b1 = grid.weights * rng.standard_normal(grid.n)
     b2 = np.column_stack((b1, grid.weights))
     before = frozen(ab, b1, b2)
@@ -154,7 +167,7 @@ def test_fortran_ordered_inputs_are_not_written(newton_system):
     # the Cholesky kernels must still copy it first; gbsv instead
     # overwrites its band with the LU factors and b with the solution
     grid, K, rhs = newton_system
-    ab, K, rhs = fortran(grid.normal_band(0.37), K, rhs)
+    ab, K, rhs = fortran(precond_band(grid, 0.37), K, rhs)
     before = frozen(ab, K, rhs)
     cb = _lapack.cholesky_banded(ab)
     _lapack.cho_solve_banded((cb, False), rhs)
@@ -174,7 +187,7 @@ def test_fortran_ordered_inputs_are_not_written(newton_system):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises_value_error(newton_system, bad):
     grid, K, rhs = newton_system
-    ab = grid.normal_band(0.37)
+    ab = precond_band(grid, 0.37)
     cb = _lapack.cholesky_banded(ab)
 
     def planted(x, idx):
@@ -204,7 +217,7 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
 
 def test_band_that_is_not_positive_definite_raises(newton_system):
     grid = newton_system[0]
-    ab = -grid.normal_band(0.37)
+    ab = -precond_band(grid, 0.37)
     with pytest.raises(np.linalg.LinAlgError) as got:
         _lapack.cholesky_banded(ab)
     with pytest.raises(np.linalg.LinAlgError) as want:
@@ -225,7 +238,7 @@ def test_singular_newton_matrix_raises(newton_system):
 def test_misshapen_input_is_rejected_before_lapack(newton_system):
     # LAPACK would read past the buffers; the shapes are checked first
     grid, K, rhs = newton_system
-    cb = _lapack.cholesky_banded(grid.normal_band(0.37))
+    cb = _lapack.cholesky_banded(precond_band(grid, 0.37))
     with pytest.raises(ValueError):
         _lapack.gbsv(4, 3, K, rhs)
     with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from propstrat import bundle_st, params_st
 # ---------------------------------------------------------------- references
 
 
-def ref_normal_band0(grid):
+def ref_upper_band0(grid):
     # L^T W L in upper band storage, row 4 - d holding P[j, j+d]
     n, D, w = grid.n, grid.lap_band, grid.weights
     DW = D * w
@@ -46,7 +46,7 @@ def ref_assemble(grid, ab, shift):
     # rows 4-12 of K's band in gbsv's layout: the shift-free band, its
     # diagonal shifted, and the lower band mirrored row by row
     n = grid.n
-    ab[4:9] = ref_normal_band0(grid)
+    ab[4:9] = ref_upper_band0(grid)
     ab[8] += shift
     for d in range(1, 5):
         ab[8 + d, :n - d] = ab[8 - d, d:]

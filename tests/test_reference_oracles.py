@@ -184,7 +184,8 @@ def test_cli_import_skips_sparse_and_interpolate():
 
 
 # runs {code}, recording the libraries ctypes opens, then prints whether
-# bhgs._lapack is loaded and whether an OpenBLAS library was opened
+# bhgs.minimizer and bhgs._lapack are loaded and whether an OpenBLAS
+# library was opened
 KERNEL_PROBE = """
 import ctypes, sys
 opened = []
@@ -194,21 +195,33 @@ class Counting(ctypes.CDLL):
         super().__init__(name, *args, **kwargs)
 ctypes.CDLL = Counting
 {code}
-print("bhgs._lapack" in sys.modules,
+print("bhgs.minimizer" in sys.modules, "bhgs._lapack" in sys.modules,
       any("openblas" in str(name) for name in opened))
 """
 
 
 def test_import_leaves_the_band_kernels_unloaded(tmp_path):
-    # the kernel module and its library load on the first factorization,
-    # so importing the package costs no set-up time for them
-    for code in ("import bhgs", "import bhgs.cli"):
+    # the minimizer binds the kernels at import, so only the commands that
+    # solve load it and them: importing the package, the closed-form
+    # commands and the sharp Sobolev constant load neither, and solve both
+    g = build_grid(5, 2049, 1000.0)
+    bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
+                    str(tmp_path / "gs.csv"))
+    cli = "import bhgs.cli; assert bhgs.cli.main({!r}) == 0"
+    for code in ("import bhgs", "import bhgs.cli",
+                 cli.format(["constants"]), cli.format(["landscape"]),
+                 cli.format(["fiber", "--field", "gs.csv"]),
+                 cli.format(["verify"])):
         out = run_fresh(KERNEL_PROBE.format(code=code), tmp_path)
-        assert out.split() == ["False", "False"], code
-    solve = ("import bhgs.cli; "
-             "assert bhgs.cli.main(['solve', '--c', '0.6']) == 0")
-    out = run_fresh(KERNEL_PROBE.format(code=solve), tmp_path)
-    assert out.splitlines()[-1].split() == ["True", "True"]
+        assert out.splitlines()[-1].split() == ["False"] * 3, code
+    sob = ("import bhgs; bhgs.estimate_sobolev_constant("
+           "bhgs.LandscapeParams(N=5, q=3.0)); "
+           "assert 'numpy' not in sys.modules")
+    out = run_fresh(KERNEL_PROBE.format(code=sob), tmp_path)
+    assert out.split() == ["False"] * 3
+    out = run_fresh(KERNEL_PROBE.format(
+        code=cli.format(["solve", "--c", "0.6"])), tmp_path)
+    assert out.splitlines()[-1].split() == ["True"] * 3
 
 
 @pytest.mark.parametrize("argv,env_extra,want", [

@@ -14,8 +14,9 @@ The code each cache replaced is kept below as the reference:
   profile;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
-- normal_band from the held shift-free band (rows 4-8 of the grid's
-  Newton band) against the loop that built the whole band on every call.
+- the preconditioner's band a W + L^T W L, which _banded_factor forms from
+  the held shift-free band (rows 4-8 of the grid's Newton band), against
+  the loop that built the whole band on every call.
 """
 import gc
 import math
@@ -56,7 +57,7 @@ def ref_seed(params, thresholds, c, grid):
         "seed contraction did not reach J < 0 and bend < rho0 in 60 halvings")
 
 
-def ref_normal_band(grid, a):
+def ref_precond_band(grid, a):
     n, D, w = grid.n, grid.lap_band, grid.weights
     DW = D * w
     ab = np.zeros((5, n))
@@ -470,13 +471,17 @@ def test_seed_profile_matches_the_full_grid_expression(N, n, r_max):
 
 
 @pytest.mark.parametrize("N,n,r_max", [(5, 1025, 12.0), (7, 2049, 1000.0)])
-def test_normal_band_matches_the_loop(N, n, r_max):
+def test_preconditioner_band_matches_the_loop(N, n, r_max, monkeypatch):
+    # the band _banded_factor hands to the Cholesky kernel, a fresh array
+    # per call, whose writes reach neither the next call nor the held band
     grid = build_grid(N, n, r_max)
+    seen = []
+    monkeypatch.setattr(minimizer, "cholesky_banded", seen.append)
     for a in (0.0, -0.0, 0.37, 1e3, -2.5e-3, -7.0):
-        got = grid.normal_band(a)
-        assert got.tobytes() == ref_normal_band(grid, a).tobytes()
-        got[:] = 1.0
-        assert grid.normal_band(a).tobytes() == \
-            ref_normal_band(grid, a).tobytes()
+        minimizer._banded_factor(grid, a)
+        assert seen[-1].tobytes() == ref_precond_band(grid, a).tobytes()
+        seen[-1][:] = 1.0
+        minimizer._banded_factor(grid, a)
+        assert seen[-1].tobytes() == ref_precond_band(grid, a).tobytes()
     with pytest.raises(ValueError):
         grid.newton_band[8, 0] = 1.0

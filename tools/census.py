@@ -1,24 +1,35 @@
-"""Census of the benchmark's domain ops: every op's outcome, bit for bit.
+"""Census of the solver's ops: every op's outcome, bit for bit.
 
     python3 tools/census.py --seeds 29811-29814 > census.jsonl
+    python3 tools/census.py --estimated > estimated.jsonl
     python3 tools/census.py --compare before.jsonl after.jsonl
 
-The first form runs `minimize` on each op of the domain workload: for each
-seed, the draws `domain_draws(seed, 217)` of bench/workloads.py, each on
-`build_grid(N, 2049, 1000.0)` at every mass fraction of DOMAIN_FRACTIONS
-times c0. It writes one JSON line per op: the op's seed, draw index and
-fraction, the draw itself, then its outcome (ok, or the error's type), the
-ConvergenceError's kind, the error message, m, lambda and q_residual as
-float hex, and iters. The package is imported from the src/ directory of
-the checkout that holds this script, so a copy of the script in another
-checkout censuses that checkout's code.
+The first form runs `minimize` on each op of the benchmark's domain
+workload: for each seed, the draws `domain_draws(seed, 217)` of
+bench/workloads.py, each on `build_grid(N, 2049, 1000.0)` at every mass
+fraction of DOMAIN_FRACTIONS times c0. It writes one JSON line per op: the
+op's seed, draw index and fraction, the draw (N, q, mu, C_gn, S_sob)
+itself, then its outcome (ok, or the error's type), the ConvergenceError's
+kind, the error message, m, lambda and q_residual as float hex, and iters.
+The package is imported from the src/ directory of the checkout that holds
+this script, so a copy of the script in another checkout censuses that
+checkout's code.
 
-The second form reads two such files and lists, by (seed, draw, fraction),
-the ops that moved (both ok with another m, lambda, q_residual or iters,
-or both failed with another outcome, kind or message), were lost (ok in
-the first, failed in the second) or were gained (the reverse), and the ops
-only one file has. It exits 0 when the two agree on every op and 1
-otherwise.
+The second form runs the 180 estimated-mode ops: mu = 1, C_gn from
+estimate_gn_constant, the sharp S_sob, N = 5..10, q = 2 + f 8/N at the q
+fractions f = 0.05, 0.15, ..., 0.95, and masses 0.1, 0.5 and 0.9 times
+c0, on the same grids. Its records have the first form's keys, with seed
+"estimated" and draw counting the (N, q) pairs in that order, plus
+"crit/bend" of the returned state as float hex. Where estimate_gn_constant
+or the threshold fails, the draw's C_gn is None and each of its three ops
+records that error.
+
+The third form reads two such files of one form and lists, by (seed,
+draw, fraction), the ops that moved (both ok with another m, lambda,
+q_residual or iters, or both failed with another outcome, kind or
+message), were lost (ok in the first, failed in the second) or were
+gained (the reverse), and the ops only one file has. It exits 0 when the
+two agree on every op and 1 otherwise.
 """
 import os
 import sys
@@ -43,33 +54,83 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def census(seeds: list[int], out) -> None:
+def load():
+    """The package and bench/workloads.py of this checkout."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import bhgs
-    from workloads import DOMAIN_FRACTIONS, domain_draws
+    import workloads
+    return bhgs, workloads
 
+
+def record(key: dict, exc=None) -> dict:
+    """An op's record, its key fields first, with the error exc's outcome,
+    kind and message where one is given."""
+    rec = {**key, "outcome": "ok", "kind": None, "message": None, "m": None,
+           "lambda": None, "q_residual": None, "iters": None}
+    if exc is not None:
+        rec.update(outcome=type(exc).__name__,
+                   kind=getattr(exc, "kind", None), message=str(exc))
+    return rec
+
+
+def solve(bhgs, params, grid, c: float, key: dict) -> tuple[dict, object]:
+    """The record of one op and its state (None on failure)."""
+    try:
+        st = bhgs.minimize(params, grid, c)
+    except (bhgs.ConvergenceError, bhgs.DomainError) as exc:
+        return record(key, exc), None
+    rec = record(key)
+    rec.update(m=st.m.hex(), q_residual=st.q_residual.hex(), iters=st.iters)
+    rec["lambda"] = st.lam.hex()
+    return rec, st
+
+
+def census(seeds: list[int], out) -> None:
+    bhgs, workloads = load()
     for seed in seeds:
-        for d, draw in enumerate(domain_draws(seed, DRAWS_PER_SEED)):
+        for d, draw in enumerate(workloads.domain_draws(seed,
+                                                        DRAWS_PER_SEED)):
             N, q, mu, c_gn, s_sob = draw
             params = bhgs.LandscapeParams(N=N, q=q, mu=mu, C_gn=c_gn,
                                           S_sob=s_sob)
             grid = bhgs.build_grid(N, 2049, 1000.0)
             c0 = bhgs.mass_threshold(params)[1]
-            for frac in DOMAIN_FRACTIONS:
-                rec = {"seed": seed, "draw": d, "frac": frac, "params": draw,
-                       "outcome": "ok", "kind": None, "message": None,
-                       "m": None, "lambda": None, "q_residual": None,
-                       "iters": None}
-                try:
-                    st = bhgs.minimize(params, grid, frac * c0)
-                except (bhgs.ConvergenceError, bhgs.DomainError) as exc:
-                    rec.update(outcome=type(exc).__name__,
-                               kind=getattr(exc, "kind", None),
-                               message=str(exc))
-                else:
-                    rec.update(m=st.m.hex(), q_residual=st.q_residual.hex(),
-                               iters=st.iters)
-                    rec["lambda"] = st.lam.hex()
+            for frac in workloads.DOMAIN_FRACTIONS:
+                rec, _ = solve(bhgs, params, grid, frac * c0,
+                               {"seed": seed, "draw": d, "frac": frac,
+                                "params": draw})
+                out.write(json.dumps(rec) + "\n")
+                out.flush()
+
+
+def census_estimated(out) -> None:
+    bhgs, workloads = load()
+    draw_index = 0
+    for N in range(5, 11):
+        grid = bhgs.build_grid(N, 2049, 1000.0)
+        for k in range(10):
+            q = 2.0 + (2 * k + 1) / 20 * 8.0 / N
+            probe = bhgs.LandscapeParams(N=N, q=q, mu=1.0)
+            s_sob = bhgs.estimate_sobolev_constant(probe)
+            draw = [N, q, 1.0, None, s_sob]
+            keys = [{"seed": "estimated", "draw": draw_index, "frac": frac,
+                     "params": draw} for frac in workloads.DOMAIN_FRACTIONS]
+            draw_index += 1
+            try:
+                c_gn = bhgs.estimate_gn_constant(probe)
+                draw[3] = c_gn
+                params = bhgs.LandscapeParams(N=N, q=q, mu=1.0, C_gn=c_gn,
+                                              S_sob=s_sob)
+                c0 = bhgs.mass_threshold(params)[1]
+            except (bhgs.ConvergenceError, bhgs.DomainError) as exc:
+                for key in keys:
+                    out.write(json.dumps({**record(key, exc),
+                                          "crit/bend": None}) + "\n")
+                continue
+            for key in keys:
+                rec, st = solve(bhgs, params, grid, key["frac"] * c0, key)
+                rec["crit/bend"] = (None if st is None
+                                    else (st.bundle.crit / st.bend).hex())
                 out.write(json.dumps(rec) + "\n")
                 out.flush()
 
@@ -120,17 +181,25 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--seeds", type=parse_seeds,
                       help="domain seeds, as 29811-29814 or 29811,29813")
+    mode.add_argument("--estimated", action="store_true",
+                      help="the 180 estimated-mode ops")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
                       help="two census files to compare")
     ap.add_argument("--out", help="census file to write (default stdout)")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    def run(out):
+        if args.estimated:
+            census_estimated(out)
+        else:
+            census(args.seeds, out)
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            census(args.seeds, fh)
+            run(fh)
     else:
-        census(args.seeds, sys.stdout)
+        run(sys.stdout)
     return 0
 
 
