@@ -1,64 +1,66 @@
-"""The four LAPACK band kernels the solver needs, without scipy.
+"""The solver's band kernels from two routines, dpbtrf (banded Cholesky
+factor) and dtbsv (triangular band solve), without scipy.
 
-pbtrf and pbtrs (banded Cholesky factor and solve) serve the descent
-preconditioner; gbsv (banded LU solve) and gbtrs (a solve with the LU
-factors gbsv left) serve Newton. numpy's wheels bundle an
-OpenBLAS, numpy.libs/libscipy_openblas64_*.so, that exports them as
-scipy_dpbtrf_64_, scipy_dpbtrs_64_, scipy_dgbsv_64_ and scipy_dgbtrs_64_
-with 64-bit integers; this module calls them through ctypes. That file name
-and those symbols are wheel internals, not an API, so where either is
-missing the module takes scipy.linalg's cholesky_banded and cho_solve_banded
-and scipy.linalg.lapack's dgbsv and dgbtrs instead. BACKEND names the one
-taken when the module was first imported. Where neither loads, importing
-the module raises landscape.KernelsUnavailable, which the CLI reports as
-no-lapack.
+numpy's wheels bundle an OpenBLAS, numpy.libs/libscipy_openblas64_*.so,
+that exports them as scipy_dpbtrf_64_ and scipy_dtbsv_64_ with 64-bit
+integers; this module calls them through ctypes. That file name and those
+symbols are wheel internals, not an API, so where either is missing the
+module takes scipy.linalg.lapack's dpbtrf and scipy.linalg.blas's dtbsv
+instead. BACKEND names the one taken when the module was first imported.
+Where neither loads, importing the module raises
+landscape.KernelsUnavailable, which the CLI reports as no-lapack.
 
-cholesky_banded and cho_solve_banded keep scipy.linalg's contract for the
-2-D band storage and the one or more right-hand sides the solver passes,
-with its default arguments: cholesky_banded takes the upper band,
-cho_solve_banded the (factor, lower) pair, ValueError on a non-finite entry,
-LinAlgError when LAPACK finds the matrix not positive definite, and inputs
-are never written. Each call copies its band and right-hand side into
-Fortran-ordered work arrays for LAPACK to overwrite.
+cholesky_banded and cho_solve_banded serve the descent preconditioner and
+keep scipy.linalg's contract for the 2-D band storage and the one or more
+right-hand sides the solver passes, with its default arguments:
+cholesky_banded takes the upper band, cho_solve_banded the (factor, lower)
+pair, ValueError on a non-finite entry, LinAlgError when LAPACK finds the
+matrix not positive definite, and inputs are never written. Each call
+copies its band and right-hand side into Fortran-ordered work arrays for
+LAPACK to overwrite. cho_solve_banded makes the two dtbsv calls per
+right-hand side that LAPACK's dpbtrs makes.
 
-gbsv is LAPACK's own contract instead: it works in place on a band its
-caller has already laid out in gbsv's (2 kl + ku + 1, n) Fortran storage,
-overwriting the band with its LU factors and the right-hand side with the
-solution, so a caller that solves many systems of one shape reuses two
-arrays and copies nothing. It raises ValueError on a non-finite entry or an
-array it cannot overwrite as it stands, and LinAlgError when singular.
-gbtrs keeps the same contract for b, and reads the factors and the pivots
-gbsv left as they stand.
+ldlt_banded and ldlt_solve_banded serve Newton: they factor and solve a
+symmetric band matrix K that need not be definite, in place, without
+pivots. ldlt_banded runs dpbtrf on the lower band, whose unit-stride rank-1
+updates OpenBLAS makes without a work buffer (0.31 ms against the upper
+band's 0.77 ms at n = 8193 on a 2-vCPU Xeon). Where it stops at a Schur
+pivot d < 0, it flips that column (pivot -d, the column r below it
+negated, 2 r r^T / |d| added to the trailing block) and resumes there.
+Then K = L S L^T, S diagonal, -1 at the flipped columns and +1 elsewhere,
+so by Sylvester's law of inertia the flips count K's negative eigenvalues.
+ldlt_solve_banded solves with L, S and two dtbsv calls per right-hand
+side. Both overwrite their arrays, which must be writeable, Fortran-ordered
+float64; they check the band's diagonal row and the right-hand side finite
+(ValueError), as dpbtrf does not stop on a NaN, and trust the off-diagonal
+rows. LinAlgError where a Schur pivot is zero or not finite.
 """
 import ctypes
 import glob
+import math
 import os
 
 import numpy as np
 
 from .landscape import KernelsUnavailable
 
-__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs"]
-
-
-# per routine: the count of its pointer arguments, info last, and of its
-# one-character flags, whose hidden Fortran lengths follow info
-_SIGNATURES = {"pbtrf": (6, 1), "pbtrs": (9, 1), "gbsv": (10, 0),
-               "gbtrs": (11, 1)}
+__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "ldlt_banded",
+           "ldlt_solve_banded"]
 
 
 def _bundled_routines():
-    # [pbtrf, pbtrs, gbsv, gbtrs] from the OpenBLAS in numpy.libs, or None
+    # [dpbtrf, dtbsv] from the OpenBLAS in numpy.libs, or None. Every
+    # argument is a pointer: dpbtrf's 6 (info last) are followed by the
+    # hidden length of its one flag, dtbsv's 9 by those of its three
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs", "libscipy_openblas64_*.so")
     for path in sorted(glob.glob(libs)):
         try:
             lib = ctypes.CDLL(path)
-            routines = [getattr(lib, f"scipy_d{name}_64_")
-                        for name in _SIGNATURES]
+            routines = [lib.scipy_dpbtrf_64_, lib.scipy_dtbsv_64_]
         except (OSError, AttributeError):
             continue
-        for fn, (pointers, flags) in zip(routines, _SIGNATURES.values()):
+        for fn, (pointers, flags) in zip(routines, ((6, 1), (9, 3))):
             fn.argtypes = ([ctypes.c_void_p] * pointers
                            + [ctypes.c_size_t] * flags)
             fn.restype = None
@@ -73,37 +75,73 @@ def _checked(a: np.ndarray) -> np.ndarray:
 
 
 def _ref(a):
-    # LAPACK takes every argument by reference: arrays as their buffers,
-    # a one-character flag as bytes, integers as int64
+    # BLAS and LAPACK take every argument by reference: arrays as their
+    # buffers, a one-character flag as bytes, integers as int64
     if isinstance(a, np.ndarray):
         return a.ctypes
     return a if isinstance(a, bytes) else ctypes.byref(ctypes.c_int64(a))
 
 
-def _call(routine, *args) -> int:
-    # returns info, raising on an illegal argument
+def _bundled_pbtrf(uplo: bytes, ab: np.ndarray) -> int:
+    # factor the band ab of the given uplo in place; LAPACK's info, raising
+    # on an illegal argument
+    kd1, n = ab.shape
     info = ctypes.c_int64()
-    routine(*map(_ref, args), ctypes.byref(info),
-            *(len(a) for a in args if isinstance(a, bytes)))
+    _dpbtrf(*map(_ref, (uplo, n, kd1 - 1, ab, kd1)), ctypes.byref(info), 1)
     if info.value < 0:
-        raise ValueError(
-            f"illegal value in argument {-info.value} of {routine.__name__}")
+        raise ValueError(f"illegal value in argument {-info.value} of dpbtrf")
     return info.value
 
 
-def _rhs(b, n: int) -> tuple[np.ndarray, int]:
-    # a Fortran-ordered copy of b for LAPACK to overwrite, and its columns
-    x = _checked(np.array(b, dtype=np.float64, order="F"))
+def _bundled_tbsv(uplo: bytes, trans: bytes, ab: np.ndarray,
+                  x: np.ndarray) -> None:
+    # x <- T^-1 x (trans N) or T^-T x (trans T), in place, T the triangular
+    # band factor ab of the given uplo; x contiguous
+    kd1, n = ab.shape
+    _dtbsv(*map(_ref, (uplo, trans, b"N", n, kd1 - 1, ab, kd1, x, 1)),
+           1, 1, 1)
+
+
+def _scipy_pbtrf(uplo: bytes, ab: np.ndarray) -> int:
+    # f2py writes in place to the Fortran-ordered float64 arrays both pass
+    info = _lapack_dpbtrf(ab, lower=uplo == b"L", overwrite_ab=1)[1]
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return info
+
+
+def _scipy_tbsv(uplo: bytes, trans: bytes, ab: np.ndarray,
+                x: np.ndarray) -> None:
+    _blas_dtbsv(ab.shape[0] - 1, ab, x, lower=uplo == b"L",
+                trans=trans == b"T", overwrite_x=1)
+
+
+def _triangular_solves(ab: np.ndarray, lower: bool, flips, b: np.ndarray):
+    # b <- K^-1 b in place, b Fortran-ordered, K = R^T S R with R = ab the
+    # upper factor, or K = L S L^T with L = ab the lower one; S is -1 at
+    # flips, +1 elsewhere
+    cols = [b] if b.ndim == 1 else [b[:, k] for k in range(b.shape[1])]
+    uplo, first, second = (b"L", b"N", b"T") if lower else (b"U", b"T", b"N")
+    for x in cols:
+        _tbsv(uplo, first, ab, x)
+    if len(flips):
+        b[flips] = -b[flips]
+    for x in cols:
+        _tbsv(uplo, second, ab, x)
+    return b
+
+
+def _fits(x: np.ndarray, n: int) -> np.ndarray:
+    # x, a right-hand side for a band of n columns
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not fit "
                          f"a band of {n} columns")
-    return x, 1 if x.ndim == 1 else x.shape[1]
+    return x
 
 
 def cholesky_banded(ab):
     c = _checked(np.array(ab, dtype=np.float64, order="F"))
-    kd1, n = c.shape
-    info = _call(_pbtrf, b"U", n, kd1 - 1, c, kd1)
+    info = _pbtrf(b"U", c)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor not positive definite")
@@ -112,117 +150,76 @@ def cholesky_banded(ab):
 
 def cho_solve_banded(cb_and_lower, b):
     cb, lower = cb_and_lower
-    # pbtrs only reads the factor, so a Fortran-ordered one is not copied
+    # dtbsv only reads the factor, so a Fortran-ordered one is not copied
     c = _checked(np.asfortranarray(cb, dtype=np.float64))
-    kd1, n = c.shape
-    x, nrhs = _rhs(b, n)
-    _call(_pbtrs, b"L" if lower else b"U", n, kd1 - 1, nrhs, c, kd1, x, n)
-    return x
+    # a Fortran-ordered copy of b for dtbsv to overwrite
+    x = _checked(np.array(b, dtype=np.float64, order="F"))
+    return _triangular_solves(c, lower, (), _fits(x, c.shape[1]))
 
 
-def gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
-         piv: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = b for the band matrix A, in place, as LAPACK gbsv.
+def _overwritable(a, what: str) -> np.ndarray:
+    # an array BLAS and LAPACK may overwrite as it stands
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError(f"{what} must be a writeable Fortran-ordered "
+                         f"float64 array")
+    return a
 
-    ab is a Fortran-ordered float64 array of shape (2 kl + ku + 1, n) with
-    A[i, j] at ab[kl + ku + i - j, j]; its first kl rows are LAPACK's
-    fill-in workspace, which it sets before use, so they need not be set
-    and are not read. b is a Fortran-ordered float64 array of shape (n,)
-    or (n, nrhs). On return ab holds the LU factors and b the solution,
-    which is also returned, and piv, an int64 array of n entries if given,
-    the row interchanges. ValueError on a non-finite entry of the band
-    or of b, or on an array of another shape, dtype or order; LinAlgError
-    when the matrix is singular.
+
+def ldlt_banded(ab: np.ndarray) -> np.ndarray:
+    """Factor the symmetric band matrix K as L S L^T, in place in ab.
+
+    ab is K's lower band in LAPACK's storage, K[i, j] at ab[i - j, j] for
+    the kd + 1 rows of ab, and is overwritten with the lower band of L.
+    Returns the int64 array of the columns where S is -1, as many as K has
+    negative eigenvalues. ValueError on a non-finite diagonal entry or an
+    array of another dtype or order; LinAlgError where a Schur pivot is
+    zero or not finite.
     """
-    _inplace(ab, 2, 2 * kl + ku + 1)
-    _inplace(b, np.ndim(b), ab.shape[1])
-    _checked(ab[kl:])
-    _checked(b)
-    if piv is None:
-        piv = np.empty(ab.shape[1], dtype=np.int64)
-    _inplace(piv, 1, ab.shape[1], np.int64)
-    if _gbsv_info(kl, ku, ab, b, piv):
-        raise np.linalg.LinAlgError("singular matrix")
-    return b
+    kd1, n = _overwritable(ab, "band").shape
+    _checked(ab[0])
+    flips = []
+    j = 0
+    while info := _pbtrf(b"L", ab[:, j:]):
+        j += info - 1
+        d = ab[0, j]
+        if not -math.inf < d < 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        # column j of the Schur complement below the pivot, r, and its
+        # trailing block's entry (j + a, j + b), a >= b, at ab[a - b, j + b]
+        m = min(kd1 - 1, n - 1 - j)
+        r = -ab[1:m + 1, j]
+        ab[0, j], ab[1:m + 1, j] = -d, r
+        a, b = np.tril_indices(m)
+        ab[a - b, j + 1 + b] += (2.0 / -d) * r[a] * r[b]
+        flips.append(j)
+    return np.array(flips, dtype=np.int64)
 
 
-def gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
-          b: np.ndarray) -> np.ndarray:
-    """Solve A x = b, in place in b, with the factors ab and the pivots piv
-    of A that gbsv left; b as for gbsv, and returned."""
-    _inplace(ab, 2, 2 * kl + ku + 1)
-    _inplace(piv, 1, ab.shape[1], np.int64)
-    _inplace(b, np.ndim(b), ab.shape[1])
-    _checked(b)
-    _gbtrs_info(kl, ku, ab, piv, b)
-    return b
-
-
-def _inplace(a, ndim: int, rows: int, dtype=np.float64) -> None:
-    # an array LAPACK may overwrite as it stands: of dtype, Fortran-ordered,
-    # writeable, of ndim 1 or 2 and with the given leading dimension
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype
-            and a.flags.f_contiguous and a.flags.writeable
-            and a.ndim == ndim and ndim in (1, 2) and a.shape[0] == rows):
-        raise ValueError(
-            f"gbsv and gbtrs need writeable Fortran-ordered {np.dtype(dtype)} "
-            f"arrays of {rows} rows; got {getattr(a, 'shape', a)!r}")
-
-
-def _bundled_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
-                  piv: np.ndarray) -> int:
-    n = ab.shape[1]
-    return _call(_gbsv, n, kl, ku, 1 if b.ndim == 1 else b.shape[1], ab,
-                 ab.shape[0], piv, b, n)
-
-
-def _bundled_gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
-                   b: np.ndarray) -> int:
-    n = ab.shape[1]
-    return _call(_gbtrs, b"N", n, kl, ku, 1 if b.ndim == 1 else b.shape[1],
-                 ab, ab.shape[0], piv, b, n)
-
-
-def _scipy_gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray,
-                piv: np.ndarray) -> int:
-    # f2py overwrites Fortran-ordered float64 arrays in place; should it
-    # ever copy, the results are written back
-    lu, ipiv, x, info = _dgbsv(kl, ku, ab, b, overwrite_ab=True,
-                               overwrite_b=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgbsv")
-    if lu is not ab:
-        ab[...] = lu
-    if x is not b:
-        b[...] = x
-    piv[...] = ipiv + 1                # f2py counts pivots from 0
-    return info
-
-
-def _scipy_gbtrs(kl: int, ku: int, ab: np.ndarray, piv: np.ndarray,
-                 b: np.ndarray) -> int:
-    x, info = _dgbtrs(ab, kl, ku, b.reshape(b.shape[0], -1, order="F"),
-                      (piv - 1).astype(np.int32), overwrite_b=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgbtrs")
-    b[...] = x.reshape(b.shape)
-    return info
+def ldlt_solve_banded(ab: np.ndarray, flips: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """Solve K x = b in place in b with the factor ab and the flips that
+    ldlt_banded left, and return b; b of shape (n,) or (n, k). ValueError
+    on a non-finite entry of b or an array of another dtype, order or
+    length."""
+    _fits(_overwritable(b, "right-hand side"),
+          _overwritable(ab, "factor").shape[1])
+    return _triangular_solves(ab, True, flips, _checked(b))
 
 
 _routines = _bundled_routines()
 if _routines is not None:
     BACKEND = "numpy.libs"
-    _pbtrf, _pbtrs, _gbsv, _gbtrs = _routines
-    _gbsv_info, _gbtrs_info = _bundled_gbsv, _bundled_gbtrs
+    _dpbtrf, _dtbsv = _routines
+    _pbtrf, _tbsv = _bundled_pbtrf, _bundled_tbsv
 else:
     BACKEND = "scipy.linalg"
     try:
-        from scipy.linalg import (  # noqa: F811
-            cho_solve_banded, cholesky_banded)
-        from scipy.linalg.lapack import dgbsv as _dgbsv, dgbtrs as _dgbtrs
+        from scipy.linalg.blas import dtbsv as _blas_dtbsv
+        from scipy.linalg.lapack import dpbtrf as _lapack_dpbtrf
     except ImportError as exc:
         raise KernelsUnavailable(
             "no LAPACK band kernels: numpy.libs holds no "
-            "libscipy_openblas64_ library with pbtrf, pbtrs, gbsv and gbtrs, "
-            "and scipy.linalg cannot be imported") from exc
-    _gbsv_info, _gbtrs_info = _scipy_gbsv, _scipy_gbtrs
+            "libscipy_openblas64_ library with dpbtrf and dtbsv, and "
+            "scipy.linalg cannot be imported") from exc
+    _pbtrf, _tbsv = _scipy_pbtrf, _scipy_tbsv

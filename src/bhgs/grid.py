@@ -29,13 +29,13 @@ limit, row 1 folds the even reflection of u_{-1} onto u_1, and entries whose
 column falls past R are zero. L u, L^T v and the band L^T W L are all
 computed by slicing this one array.
 
-Held per grid: L^T W L, once, in the layout LAPACK's gbsv takes for the
-minimizer's Newton step (newton_band: read-only, Fortran-ordered (13, n),
-the upper band and diagonal in rows 4-8, their mirror in rows 9-12, zero
-fill-in rows 0-3), from whose rows 4-8 the minimizer forms the
-preconditioner's band a W + L^T W L. It is filled on first use and lives
-and dies with the grid instance (cached_property writes the instance
-__dict__, which a frozen dataclass allows); no module-level cache holds it.
+Held per grid: L^T W L, once, in LAPACK's lower band storage
+(newton_band: read-only, Fortran-ordered (5, n), the diagonal in row 0),
+which the minimizer's Newton step copies and shifts on the diagonal, and
+from which its preconditioner forms the upper band a W + L^T W L. It is
+filled on first use and lives and dies with the grid instance
+(cached_property writes the instance __dict__, which a frozen dataclass
+allows); no module-level cache holds it.
 interpolate reads samples on a grid of spacing h at arbitrary radii by
 4-point cubic interpolation, with the even extension through the origin and
 the zero extension past R that the Laplacian's band uses. It reads the
@@ -212,24 +212,18 @@ class RadialGrid:
 
     @cached_property
     def newton_band(self) -> np.ndarray:
-        """L^T W L in gbsv's (13, n) layout for kl = ku = 4, Fortran-ordered
-        and read-only: K[i, j] at [8 + i - j, j], the upper band and the
-        diagonal in rows 4-8, their mirror in rows 9-12 with the corners
-        past the matrix zero, and gbsv's fill-in rows 0-3 zero. K[j, j+d]
-        sums (L[i, j] w_i) L[i, j+d] over the rows i = j - t in descending
-        order. The minimizer's Newton step copies it whole into its work
-        array and shifts row 8; its preconditioner copies rows 4-8 and
-        shifts row 4."""
+        """L^T W L in LAPACK's (5, n) lower band storage, Fortran-ordered
+        and read-only: K[j+d, j] at [d, j], the last d entries of row d
+        zero. K[j+d, j] sums (L[i, j] w_i) L[i, j+d] over the rows
+        i = j - t in descending order."""
         n, D, w = self.n, self.lap_band, self.weights
         DW = D * w
-        ab = np.zeros((13, n), order="F")
+        ab = np.zeros((5, n), order="F")
         for d in range(5):
             acc = np.zeros(n + 4)   # acc[2 + j] = P[j, j+d]; j < 0, j >= n: pad
             for t in range(-2, 3 - d):
                 acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
-            # P[j, j+d] and its mirror P[j+d, j]; at d = 0 both the diagonal
-            ab[8 - d, d:] = acc[2:n + 2 - d]
-            ab[8 + d, :n - d] = acc[2:n + 2 - d]
+            ab[d, :n - d] = acc[2:n + 2 - d]
         ab.flags.writeable = False
         return ab
 

@@ -9,22 +9,24 @@ provides.
 
 minimize tries Newton first (_newton_first): bordered Newton on (u,
 lambda) for grad J = lambda u on the mass sphere (Keller 1977). Each step
-is one banded LU of the Hessian K = L^T W L - lambda W - W f'(u) with two
-right-hand sides (_newton_step). The grid holds L^T W L once, read-only,
-in gbsv's own band layout (RadialGrid.newton_band); a step copies it whole
-into one work array, shifts its diagonal row and lets gbsv overwrite it,
-so no step mirrors the band or copies K or its right-hand sides. The
+is one pivot-free banded LDL^T of the Hessian K = L^T W L - lambda W -
+W f'(u) with two right-hand sides (_newton_step). The grid holds L^T W L
+once, read-only, in LAPACK's (5, n) lower band storage
+(RadialGrid.newton_band); a step copies it into one work array, shifts its
+diagonal row and lets the factor (_lapack.ldlt_banded) overwrite it. The
 ground state is a strict local minimum of J on the mass sphere, where the
-bordered system is nonsingular.
+bordered system is nonsingular: K has one negative eigenvalue and
+<W u, K^-1 W u> < 0 (Grillakis, Shatah & Strauss 1987). Each step's factor
+flips one column per negative eigenvalue of K, its Morse index.
 
 Every Newton run, the profile's, the try's and the finish's, is one loop
 (_newton) that stops at the first step that settles: gnorm <= GRAD_TOL and
 the simplified Newton correction at most FIRST_ERR_TOL (_correction), the
-residual solved with the last step's LU factors, one back-substitution,
-in |.|_W / sqrt(c). It measures the state's error on the grid itself
+residual solved with the last step's factor, one back-substitution, in
+|.|_W / sqrt(c). It measures the state's error on the grid itself
 (Deuflhard, Newton Methods for Nonlinear Problems, 2004); the absolute
 GRAD_TOL alone accepts states whose lambda is off by some 3e-7. Each
-caller judges the settled state the loop returns with its LU factors.
+caller judges the settled state the loop returns with its factor.
 
 The try starts from the profile of (N, q), moved to the op's (mu, c) by
 the exact dilation. While the critical term is negligible, the ground
@@ -48,7 +50,7 @@ The try keeps its settled state where it meets Q_TOL, the energy slack
 and the bend cap. One settled above Q_TOL sits on the grid's discrete
 Pohozaev floor, which falls like h^4; no later step can pass. At a ground
 state the bordered Hessian is invertible, so one more solve with the same
-LU factors bounds, to first order, how far q_residual can fall over
+factor bounds, to first order, how far q_residual can fall over
 tangent states whose projected gradient is within GRAD_TOL (_floor_reach).
 Where the try's q_residual - Q_TOL exceeds that reach, no state the
 fallback could accept is near, and the solve ends with ConvergenceError
@@ -89,8 +91,8 @@ trial. Of each trial's bundle only |P_k|_q^q depends on q; its mass, bend
 and critical norm are held per geometry in a table of 64 geometries
 (_trial_norms), so a new q on a geometry met before takes one power sum
 per trial and no Laplacian. No seed state lives on the grid, which holds
-only its band L^T W L, whose upper rows _banded_factor copies and shifts
-for the preconditioner.
+only its band L^T W L, which _banded_factor moves to upper storage and
+shifts for the preconditioner.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -112,13 +114,14 @@ reader of the text alone (the benchmark's classify) gets the same kind;
 the under-resolved message contains none of the words it reads, and reads
 as other.
 
-The four band kernels come from LAPACK through the private _lapack module,
-imported with this one: numpy's bundled OpenBLAS where the wheel ships it,
-scipy.linalg otherwise, and KernelsUnavailable from the import if neither
-loads. Only solve, sweep and estimated-mode constants import this module;
-the closed-form commands (synthetic constants, landscape, fiber, verify)
-load neither it nor the kernels. `cholesky_banded`, `cho_solve_banded`,
-`gbsv` and `gbtrs` are bound here from _lapack at import, and every call
+The four band kernels come from BLAS and LAPACK through the private
+_lapack module, imported with this one: numpy's bundled OpenBLAS where the
+wheel ships it, scipy.linalg otherwise, and KernelsUnavailable from the
+import if neither loads. Only solve, sweep and estimated-mode constants
+import this module; the closed-form commands (synthetic constants,
+landscape, fiber, verify) load neither it nor the kernels.
+`cholesky_banded`, `cho_solve_banded`, `ldlt_banded` and
+`ldlt_solve_banded` are bound here from _lapack at import, and every call
 site looks them up as globals at call time, so rebinding them (for tracing
 or testing) catches every call. estimate_sobolev_constant is the closed
 form landscape defines, bound here too.
@@ -131,7 +134,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import cho_solve_banded, cholesky_banded, gbsv, gbtrs
+from ._lapack import (cho_solve_banded, cholesky_banded, ldlt_banded,
+                      ldlt_solve_banded)
 from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
                           l2_gradient, lagrange_multiplier, nonneg_power,
@@ -365,10 +369,12 @@ def _trial_fails(trial: tuple, params: LandscapeParams, c: float,
 
 
 def _banded_factor(grid: RadialGrid, a: float):
-    # upper-banded Cholesky of P = a W + L^T W L, bandwidth 4: rows 4-8 of
-    # the grid's held band, row 4 - d holding P[j, j+d], with a w added to
-    # the diagonal last, in a fresh array
-    ab = grid.newton_band[4:9].copy()
+    # upper-banded Cholesky of P = a W + L^T W L: the grid's held band in
+    # a fresh upper band, P[j, j+d] in row 4 - d, with a w added last
+    n, low = grid.n, grid.newton_band
+    ab = np.zeros((5, n))
+    for d in range(5):
+        ab[4 - d, d:] = low[d, :n - d]
     ab[4] += a * grid.weights
     return cholesky_banded(ab)
 
@@ -394,69 +400,70 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
 
 def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
                  g_proj: np.ndarray, lam_hat: float, ab: np.ndarray,
-                 rhs: np.ndarray, piv: np.ndarray):
+                 rhs: np.ndarray):
     """One bordered Newton step in (u, lambda) from the mass-c iterate fld:
-    the next iterate's values at mass c, or None where they are not finite.
+    (the next iterate's values at mass c, or None where they are not
+    finite; the flipped columns of K's factor).
 
-    Solves K x = -R and K y = W u in one banded LU, where
+    Solves K x = -R and K y = W u with one banded LDL^T, where
     R = W (grad J - lambda_hat u) and K = L^T W L - lambda_hat W - W f'(u),
     then eliminates the multiplier update from the linearized mass
-    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c. gbsv's
-    errors (singular K, a non-finite entry) propagate.
+    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c. The
+    kernels' errors (a zero Schur pivot, a non-finite entry) propagate.
 
-    K is assembled in place in gbsv's layout, K[i, j] at ab[8 + i - j, j],
-    from the grid's held band L^T W L, in the (13, n) work array ab that
-    gbsv overwrites with its factors; the two right-hand sides share the
-    (n, 2) array rhs that gbsv overwrites with the solutions, and its
-    pivots in piv. The caller (_newton) reuses them for every step.
+    K is assembled from the grid's held band L^T W L in the (5, n) work
+    array ab, K[i, j] at ab[i - j, j], which ldlt_banded overwrites with
+    its factor, and the two right-hand sides in the (n, 2) array rhs,
+    which ldlt_solve_banded overwrites with the solutions; the caller
+    (_newton) reuses both for every step.
     """
     grid = fld.grid
     w = grid.weights
     q, p = params.q, params.p_crit
     u = fld.values
-    # the held L^T W L in gbsv's layout, then its diagonal, row 8, less
-    # lambda_hat W and W f'(u)
+    # the held L^T W L, then its diagonal, row 0, less lambda_hat W and
+    # W f'(u)
     np.copyto(ab, grid.newton_band)
-    ab[8] += -lam_hat * w
+    ab[0] += -lam_hat * w
     au = np.abs(u)
-    ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+    ab[0] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
                   + (p - 1.0) * nonneg_power(au, p - 2.0))
     wu = w * u
     rhs[:, 0] = -w * g_proj
     rhs[:, 1] = wu
-    gbsv(4, 4, ab, rhs, piv)
+    flips = ldlt_banded(ab)
+    ldlt_solve_banded(ab, flips, rhs)
     x, y = rhs[:, 0], rhs[:, 1]
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
     mass = _wdot(grid, cand, cand)
     if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
-        return None
+        return None, flips
     cand *= math.sqrt(c / mass)
-    return cand
+    return cand, flips
 
 
 def _newton(params: LandscapeParams, c: float, fld: RadialField,
             b: NormBundle, budget: int, loose: bool = False):
     """At most budget bordered Newton steps (_newton_step) from the mass-c
-    iterate fld with bundle b, in one held band, rhs and pivot array.
+    iterate fld with bundle b, in one held band and rhs array.
 
-    Returns ((fld, b, q_residual, (ab, piv, rhs)), steps) at the first step
-    that settles: gnorm <= GRAD_TOL and the simplified Newton correction
-    (_correction) at most FIRST_ERR_TOL; (ab, piv) are that step's LU
-    factors. With loose, also at a step with gnorm <= GRAD_TOL and
-    q_residual <= Q_TOL. Otherwise (None, steps): the budget ran out, or a
-    step was singular, not finite or left float range. steps counts the
-    linear solves; the correction's back-substitution is not one.
+    Returns ((fld, b, q_residual, (ab, flips, rhs)), steps) at the first
+    step that settles: gnorm <= GRAD_TOL and the simplified Newton
+    correction (_correction) at most FIRST_ERR_TOL; (ab, flips) is that
+    step's factor of K. With loose, also at a step with gnorm <= GRAD_TOL
+    and q_residual <= Q_TOL. Otherwise (None, steps): the budget ran out,
+    or a step was singular, not finite or left float range. steps counts
+    the linear solves; the correction's back-substitution is not one.
     """
     grid = fld.grid
-    ab = np.empty((13, grid.n), order="F")
+    ab = np.empty((5, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
-    piv = np.empty(grid.n, dtype=np.int64)
     g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
     for steps in range(1, budget + 1):
         try:
-            cand = _newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv)
-        except (np.linalg.LinAlgError, ValueError):
-            # singular K, or a non-finite entry
+            cand, flips = _newton_step(params, c, fld, g_proj, lam_hat, ab,
+                                       rhs)
+        except (np.linalg.LinAlgError, ValueError):   # singular, not finite
             return None, steps - 1
         if cand is None:
             return None, steps
@@ -466,10 +473,11 @@ def _newton(params: LandscapeParams, c: float, fld: RadialField,
         except DomainError:
             return None, steps
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
+        factor = (ab, flips, rhs)
         if gnorm <= GRAD_TOL and (
                 (loose and qres <= Q_TOL)
-                or _correction(fld, c, g_proj, ab, piv, rhs) <= FIRST_ERR_TOL):
-            return (fld, b, qres, (ab, piv, rhs)), steps
+                or _correction(fld, c, g_proj, *factor) <= FIRST_ERR_TOL):
+            return (fld, b, qres, factor), steps
     return None, budget
 
 
@@ -482,21 +490,21 @@ def _kept(params: LandscapeParams, J0: float, qres: float, b: NormBundle,
 
 
 def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
-                ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> float:
+                ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray) -> float:
     # |dbar|_W / sqrt(c), dbar the simplified Newton correction at fld: the
     # residual at fld solved with the last step's K (_kept_solve). It
     # estimates fld's error from the grid's own K (Deuflhard 2004)
     return math.sqrt(
-        _kept_solve(fld, ab, piv, rhs, -fld.grid.weights * g_proj) / c)
+        _kept_solve(fld, ab, flips, rhs, -fld.grid.weights * g_proj) / c)
 
 
-def _kept_solve(fld: RadialField, ab: np.ndarray, piv: np.ndarray,
+def _kept_solve(fld: RadialField, ab: np.ndarray, flips: np.ndarray,
                 rhs: np.ndarray, v: np.ndarray) -> float:
     # |x|_W^2, x = K^-1 v made tangent at fld: a back-substitution with the
-    # last step's LU factors (ab, piv), projected along its K^-1 W u
+    # last step's factor (ab, flips), projected along its K^-1 W u
     # (rhs[:, 1]) as the step was
     grid = fld.grid
-    x = gbtrs(4, 4, ab, piv, v)
+    x = ldlt_solve_banded(ab, flips, v)
     y, wu = rhs[:, 1], grid.weights * fld.values
     d = x - (np.dot(wu, x) / np.dot(wu, y)) * y
     return _wdot(grid, d, d)
@@ -520,13 +528,13 @@ def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
 
 
 def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
-                 ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> float:
+                 ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray) -> float:
     # GRAD_TOL |x|_W, x = K^-1 g made tangent at fld (_kept_solve), g the
     # gradient of q_residual (_q_residual_gradient): to first order, the
     # most q_residual can fall over tangent states whose projected gradient
     # is within GRAD_TOL
     return GRAD_TOL * math.sqrt(_kept_solve(
-        fld, ab, piv, rhs, _q_residual_gradient(params, fld, b)))
+        fld, ab, flips, rhs, _q_residual_gradient(params, fld, b)))
 
 
 def _start(params: LandscapeParams, grid: RadialGrid, c: float,
@@ -633,14 +641,14 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     done, steps = _newton(params, c, *start, NEWTON_STEPS)
     if done is None:
         return None
-    fld, b, qres, lu = done
+    fld, b, qres, factor = done
     if _kept(params, energy(params, start[1]), qres, b, bend_cap):
         return (fld, b), steps
     if qres > Q_TOL:
         # settled above Q_TOL, on the grid's Pohozaev floor: no later step
         # can pass, and where no state within GRAD_TOL can either, neither
         # can the fallback
-        reach = _floor_reach(params, fld, b, *lu)
+        reach = _floor_reach(params, fld, b, *factor)
         if qres - Q_TOL > reach:
             raise ConvergenceError(
                 "under-resolved",

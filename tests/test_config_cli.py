@@ -503,12 +503,12 @@ class TestCliSolveAndFiber:
 
     def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
                                              monkeypatch):
-        # at N = 14 the Pohozaev residual stalls near 3.4e2 with the
-        # gradient met; the message claims no discretization floor
+        # at N = 14, 0.1 c0, the Pohozaev residual stalls near 2.7e2 with
+        # the gradient met; the message claims no discretization floor
         env = {"BHGS_PROBLEM__N": "14", "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / 14)}
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        c = 0.5 * mass_threshold(load_config(env=env).problem())[1]
+        c = 0.1 * mass_threshold(load_config(env=env).problem())[1]
         rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
                                "--out", str(tmp_path / "no.csv"))
         assert rc == 4 and out == ""

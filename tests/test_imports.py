@@ -84,7 +84,8 @@ def test_kernels_and_sobolev_constant_have_one_owner():
     minimizer = importlib.import_module("bhgs.minimizer")
     landscape = importlib.import_module("bhgs.landscape")
     lapack = importlib.import_module("bhgs._lapack")
-    for name in ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs"):
+    for name in ("cholesky_banded", "cho_solve_banded", "ldlt_banded",
+                 "ldlt_solve_banded"):
         assert getattr(minimizer, name) is getattr(lapack, name)
     sob = landscape.estimate_sobolev_constant
     assert bhgs.estimate_sobolev_constant is sob

@@ -1,12 +1,15 @@
-"""The band kernels against scipy.linalg, their error contract, and the
-commands' runs without scipy, on the scipy fallback and with no backend.
+"""The band kernels against scipy.linalg and numpy.linalg, their error
+contract, and the commands' runs without scipy, on the scipy fallback and
+with no backend.
 
-bhgs._lapack calls pbtrf, pbtrs, gbsv and gbtrs in the OpenBLAS that
-numpy's wheel bundles. scipy.linalg is the reference: every kernel result
-must equal scipy's bit for bit, on the bands the solver factors and on the
-Newton matrices it solves. gbsv works in place on the band in its own
-layout, so its factors and pivots are checked against scipy's dgbsv as well
-as its solution, and gbtrs solves with them.
+bhgs._lapack calls dpbtrf and dtbsv in the OpenBLAS that numpy's wheel
+bundles. scipy.linalg is the reference for the Cholesky kernels: their
+results must equal scipy's bit for bit, on the bands the descent factors.
+The pivot-free LDL^T of the Newton matrix has no scipy counterpart: its
+count of flipped columns must equal the count of negative eigenvalues, and
+its solutions must solve the system, on random symmetric bands and on the
+Newton matrices the solver factors; the scipy fallback must give the same
+factor, flips and solutions bit for bit.
 """
 import ctypes
 import glob
@@ -28,34 +31,38 @@ from bhgs.minimizer import NEWTON_STEPS, _newton  # noqa: E402
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
-KERNELS = ("cholesky_banded", "cho_solve_banded", "gbsv", "gbtrs")
+KERNELS = ("cholesky_banded", "cho_solve_banded", "ldlt_banded",
+           "ldlt_solve_banded")
 
 
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
     """(grid, K, [-W g, W u]) of the first Newton step on the grid itself of
-    a solve at 0.5 c0, as the Newton loop passed them to gbsv; the (N, q)
-    profile is built first, so its steps are not seen. K is in
-    gbsv's (13, n) layout, with its fill-in rows, which gbsv does not read,
-    zeroed here; both arrays are Fortran-ordered."""
+    a solve at 0.5 c0, as the Newton loop passed them to the kernels; the
+    (N, q) profile is built first, so its steps are not seen. K is its
+    (5, n) lower band; both arrays are Fortran-ordered."""
     grid = build_grid(5, request.param, 1000.0)
     minimizer._profile(P53.N, P53.q)
     seen = []
 
-    def capture(kl, ku, ab, b, piv=None):
-        if ab.shape[1] == grid.n:
-            K = ab.copy(order="F")
-            K[:kl] = 0.0
-            seen.append((K, b.copy(order="F")))
-        return orig(kl, ku, ab, b, piv)
+    def capture_factor(ab):
+        if ab.shape[1] == grid.n and not seen:
+            seen.append(ab.copy(order="F"))
+        return factor(ab)
 
-    orig = minimizer.gbsv
-    minimizer.gbsv = capture
+    def capture_solve(ab, flips, b):
+        if ab.shape[1] == grid.n and len(seen) == 1:
+            seen.append(b.copy(order="F"))
+        return solve(ab, flips, b)
+
+    factor, solve = minimizer.ldlt_banded, minimizer.ldlt_solve_banded
+    minimizer.ldlt_banded = capture_factor
+    minimizer.ldlt_solve_banded = capture_solve
     try:
         minimizer.minimize(P53, grid, 0.5 * mass_threshold(P53)[1])
     finally:
-        minimizer.gbsv = orig
-    return (grid,) + seen[0]
+        minimizer.ldlt_banded, minimizer.ldlt_solve_banded = factor, solve
+    return (grid,) + tuple(seen)
 
 
 def precond_band(grid, a):
@@ -71,6 +78,49 @@ def precond_band(grid, a):
     return seen[0]
 
 
+def full_band(low):
+    """The (9, n) band of the symmetric matrix with lower band low, in
+    scipy.linalg.solve_banded's (4, 4) layout."""
+    n = low.shape[1]
+    ab = np.zeros((9, n))
+    for d in range(5):
+        ab[4 + d, :n - d] = low[d, :n - d]
+        ab[4 - d, d:] = low[d, :n - d]
+    return ab
+
+
+def band_matvec(low, x):
+    """K x for the symmetric matrix K with lower band low."""
+    n = low.shape[1]
+    y = low[0] * x
+    for d in range(1, 5):
+        y[d:] += low[d, :n - d] * x[:n - d]
+        y[:n - d] += low[d, :n - d] * x[d:]
+    return y
+
+
+def negative_count(low):
+    """K's count of negative eigenvalues, by scipy.linalg.eigvals_banded."""
+    return int(np.count_nonzero(sl.eigvals_banded(low, lower=True) < 0.0))
+
+
+def random_band(rng, n, negatives):
+    """The lower band of a random symmetric band matrix of bandwidth 4 and
+    size n with the given count of negative eigenvalues, and the matrix."""
+    K = np.zeros((n, n))
+    for d in range(5):
+        v = rng.standard_normal(n - d)
+        K += np.diag(v, d) + (np.diag(v, -d) if d else 0.0)
+    ev = np.linalg.eigvalsh(K)
+    # a shift between the eigenvalues negatives - 1 and negatives
+    K += np.eye(n) * (-(ev[negatives - 1] + ev[negatives]) / 2.0
+                      if negatives else 0.5 - ev[0])
+    low = np.zeros((5, n), order="F")
+    for d in range(5):
+        low[d, :n - d] = np.diagonal(K, d)
+    return low, K
+
+
 def frozen(*arrays):
     return [a.copy(order="K") for a in arrays]
 
@@ -83,20 +133,34 @@ def unchanged(before, *arrays):
     return all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
+def relative_residual(low, x, b):
+    return np.linalg.norm(band_matvec(low, x) - b) / np.linalg.norm(b)
+
+
+def solves_as_well_as_lu(low, x, b):
+    """Whether x, column by column, solves K x = b to a relative residual
+    at most twice that of scipy.linalg.solve_banded's pivoted LU: the
+    Newton matrices span many decades, and neither solves them to
+    roundoff in the Euclidean norm."""
+    want = sl.solve_banded((4, 4), full_band(low), b)
+    xs, bs, ws = (np.reshape(a, (len(a), -1)) for a in (x, b, want))
+    return all(relative_residual(low, xs[:, k], bs[:, k])
+               <= 2.0 * relative_residual(low, ws[:, k], bs[:, k])
+               for k in range(xs.shape[1]))
+
+
 # ------------------------------------------------------------------ backend
 
 
 def test_bundled_library_is_taken():
     # a lost speed-up must not hide behind the scipy fallback: where
-    # numpy.libs holds the library with all three routines, it is the backend
+    # numpy.libs holds the library with both routines, it is the backend
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs", "libscipy_openblas64_*.so")
-    names = ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dgbsv_64_",
-             "scipy_dgbtrs_64_")
+    names = ("scipy_dpbtrf_64_", "scipy_dtbsv_64_")
     if not any(all(hasattr(ctypes.CDLL(path), s) for s in names)
                for path in glob.glob(libs)):
-        pytest.skip("numpy.libs holds no OpenBLAS with pbtrf, pbtrs, gbsv, "
-                    "gbtrs")
+        pytest.skip("numpy.libs holds no OpenBLAS with dpbtrf and dtbsv")
     assert _lapack.BACKEND == "numpy.libs"
     for name in KERNELS:
         assert getattr(minimizer, name).__module__ == "bhgs._lapack"
@@ -107,6 +171,9 @@ def test_bundled_library_is_taken():
 
 @pytest.mark.parametrize("a", SHIFTS)
 def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
+    # cho_solve_banded makes dpbtrs's two dtbsv calls per right-hand side
+    # itself: its solutions are scipy's, which calls dpbtrs, bit for bit,
+    # with the upper factor the descent uses and with a lower one
     grid = newton_system[0]
     ab = precond_band(grid, a)
     b1 = grid.weights * rng.standard_normal(grid.n)
@@ -114,58 +181,85 @@ def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
     before = frozen(ab, b1, b2)
     cb = _lapack.cholesky_banded(ab)
     assert np.array_equal(cb, sl.cholesky_banded(ab))
+    low = np.zeros_like(ab)
+    for d in range(5):
+        low[d, :grid.n - d] = ab[4 - d, d:]
+    cl = sl.cholesky_banded(low, lower=True)
     for b in (b1, b2):
-        x = _lapack.cho_solve_banded((cb, False), b)
-        want = sl.cho_solve_banded((cb, False), b)
-        assert x.shape == want.shape and np.array_equal(x, want)
+        for factor in ((cb, False), (cl, True)):
+            x = _lapack.cho_solve_banded(factor, b)
+            want = sl.cho_solve_banded(factor, b)
+            assert x.shape == want.shape and np.array_equal(x, want)
     assert unchanged(before, ab, b1, b2)
 
 
+# ------------------------------------------------------ the pivot-free LDL^T
+
+
+@pytest.mark.parametrize("negatives", range(4))
+def test_flips_count_the_negative_eigenvalues(negatives):
+    # random symmetric bands with 0-3 negative eigenvalues: one flip per
+    # negative eigenvalue, and solutions with one and two right-hand sides
+    # that numpy.linalg.solve's match to a relative residual of 1e-10
+    rng = np.random.default_rng(4400 + negatives)
+    for _ in range(40):
+        n = int(rng.integers(8, 80))
+        low, K = random_band(rng, n, negatives)
+        assert int(np.count_nonzero(np.linalg.eigvalsh(K) < 0.0)) == negatives
+        ab = low.copy(order="F")
+        flips = _lapack.ldlt_banded(ab)
+        assert flips.dtype == np.int64 and len(flips) == negatives
+        b = rng.standard_normal((n, 2))
+        for rhs in (b, b[:, 0]):
+            x = _lapack.ldlt_solve_banded(ab, flips, np.array(rhs, order="F"))
+            want = np.linalg.solve(K, rhs)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def test_newton_solve_matches_scipy(newton_system):
-    # the solution equals scipy.linalg.solve_banded's on the 9-row band,
-    # and the factors gbsv leaves in the band equal scipy's dgbsv's
+    # on the Newton matrix of a solve, one flip, as many as K has negative
+    # eigenvalues, and solutions as good as scipy.linalg.solve_banded's
+    # pivoted LU; <W u, K^-1 W u> < 0, as at a local minimum on the mass
+    # sphere
     _, K, rhs = newton_system
+    ab = K.copy(order="F")
+    flips = _lapack.ldlt_banded(ab)
+    assert len(flips) == negative_count(K) == 1
     for b in (rhs, rhs[:, 0], rhs[:, 1]):
-        ab, x = fortran(K, b)
-        got = _lapack.gbsv(4, 4, ab, x)
-        want = sl.solve_banded((4, 4), K[4:], b)
-        assert got is x and x.shape == want.shape
-        assert np.array_equal(x, want)
-        lub, _, _, info = sl.lapack.dgbsv(4, 4, K, b)
-        assert info == 0 and np.array_equal(ab[4:], lub[4:])
+        x = np.array(b, order="F")
+        assert _lapack.ldlt_solve_banded(ab, flips, x) is x
+        assert solves_as_well_as_lu(K, x, b)
+    y = _lapack.ldlt_solve_banded(ab, flips, np.array(rhs[:, 1]))
+    assert np.dot(rhs[:, 1], y) < 0.0
 
 
 def test_solve_with_kept_factors_matches_scipy(newton_system, rng):
-    # gbtrs with the factors and pivots gbsv left solves as
-    # scipy.linalg.solve_banded does, in place, for one or two columns, and
-    # leaves the factors as they are; the pivots are scipy's dgbsv's, which
-    # count from 0
+    # ldlt_solve_banded with the factor and flips ldlt_banded left solves
+    # in place, for one or two columns, bit for bit the same per column,
+    # as well as scipy.linalg.solve_banded, and leaves the factor as it is
     grid, K, rhs = newton_system
-    ab, x = fortran(K, rhs)
-    piv = np.empty(grid.n, dtype=np.int64)
-    _lapack.gbsv(4, 4, ab, x, piv)
-    _, want_piv, _, _ = sl.lapack.dgbsv(4, 4, K, rhs)
-    assert np.array_equal(piv, want_piv + 1)
-    factors = frozen(ab, piv)
+    ab = K.copy(order="F")
+    flips = _lapack.ldlt_banded(ab)
+    factors = frozen(ab, flips)
     b1 = grid.weights * rng.standard_normal(grid.n)
-    for b in (b1, np.column_stack((b1, rhs[:, 1]))):
-        x = np.array(b, order="F")
-        assert _lapack.gbtrs(4, 4, ab, piv, x) is x
-        assert np.array_equal(x, sl.solve_banded((4, 4), K[4:], b))
-    assert unchanged(factors, ab, piv)
+    x1 = np.array(b1)
+    assert _lapack.ldlt_solve_banded(ab, flips, x1) is x1
+    assert solves_as_well_as_lu(K, x1, b1)
+    x2 = np.array(np.column_stack((b1, rhs[:, 1])), order="F")
+    _lapack.ldlt_solve_banded(ab, flips, x2)
+    assert np.array_equal(x2[:, 0], x1)
+    assert unchanged(factors, ab, flips)
     bad = np.array(b1)
     bad[7] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _lapack.gbtrs(4, 4, ab, piv, bad)
-    for p in (piv.astype(np.int32), piv[:-1]):
-        with pytest.raises(ValueError):
-            _lapack.gbtrs(4, 4, ab, p, np.array(b1))
+        _lapack.ldlt_solve_banded(ab, flips, bad)
 
 
 def test_fortran_ordered_inputs_are_not_written(newton_system):
     # a Fortran-ordered float64 input is exactly what LAPACK overwrites, so
-    # the Cholesky kernels must still copy it first; gbsv instead
-    # overwrites its band with the LU factors and b with the solution
+    # the Cholesky kernels must still copy it first; the LDL^T instead
+    # overwrites its band with the factor and b with the solution
     grid, K, rhs = newton_system
     ab, K, rhs = fortran(precond_band(grid, 0.37), K, rhs)
     before = frozen(ab, K, rhs)
@@ -173,12 +267,11 @@ def test_fortran_ordered_inputs_are_not_written(newton_system):
     _lapack.cho_solve_banded((cb, False), rhs)
     assert unchanged(before, ab, K, rhs)
     assert not np.shares_memory(cb, ab)
-    x = _lapack.gbsv(4, 4, K, rhs)
-    assert x is rhs
-    assert not np.array_equal(K[4:], before[1][4:])
+    flips = _lapack.ldlt_banded(K)
+    assert _lapack.ldlt_solve_banded(K, flips, rhs) is rhs
+    assert not np.array_equal(K, before[1])
     assert not np.array_equal(rhs, before[2])
-    assert np.array_equal(rhs, sl.solve_banded((4, 4), before[1][4:],
-                                               before[2]))
+    assert solves_as_well_as_lu(before[1], rhs, before[2])
 
 
 # ---------------------------------------------------------- error contract
@@ -189,6 +282,8 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
     grid, K, rhs = newton_system
     ab = precond_band(grid, 0.37)
     cb = _lapack.cholesky_banded(ab)
+    factor = K.copy(order="F")
+    flips = _lapack.ldlt_banded(factor)
 
     def planted(x, idx):
         x = x.copy(order="K")
@@ -200,19 +295,14 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
         lambda: _lapack.cho_solve_banded((planted(cb, (3, 9)), False),
                                          rhs[:, 1]),
         lambda: _lapack.cho_solve_banded((cb, False), planted(rhs, (5, 0))),
-        lambda: _lapack.gbsv(4, 4, planted(K, (10, 11)), rhs.copy(order="F")),
-        lambda: _lapack.gbsv(4, 4, K.copy(order="F"), planted(rhs, (13, 1))),
+        # dpbtrf does not stop on a NaN: the diagonal row is checked
+        lambda: _lapack.ldlt_banded(planted(K, (0, 11))),
+        lambda: _lapack.ldlt_solve_banded(factor, flips,
+                                          planted(rhs, (13, 1))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
             call()
-    # gbsv's first kl rows are workspace that LAPACK sets before use: what
-    # they hold, a non-finite value included, does not change the solution
-    for junk in (7.0, bad):
-        ws = K.copy(order="F")
-        ws[:4] = junk
-        x = _lapack.gbsv(4, 4, ws, rhs.copy(order="F"))
-        assert np.array_equal(x, sl.solve_banded((4, 4), K[4:], rhs))
 
 
 def test_band_that_is_not_positive_definite_raises(newton_system):
@@ -226,75 +316,98 @@ def test_band_that_is_not_positive_definite_raises(newton_system):
 
 
 def test_singular_newton_matrix_raises(newton_system):
+    # an exact zero Schur pivot: a zero first column, and a zero row and
+    # column 100, whose pivot is 0 less nothing
     _, K, rhs = newton_system
-    K = K.copy(order="F")
-    K[:, 100] = 0.0                  # column 100 of the matrix is zero
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _lapack.gbsv(4, 4, K.copy(order="F"), rhs.copy(order="F"))
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        sl.solve_banded((4, 4), K[4:], rhs)
+    first = K.copy(order="F")
+    first[:, 0] = 0.0
+    middle = K.copy(order="F")
+    middle[:, 100] = 0.0
+    for d in range(1, 5):
+        middle[d, 100 - d] = 0.0
+    for ab in (first, middle):
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _lapack.ldlt_banded(ab)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            sl.solve_banded((4, 4), full_band(ab), rhs)
 
 
 def test_misshapen_input_is_rejected_before_lapack(newton_system):
-    # LAPACK would read past the buffers; the shapes are checked first
+    # LAPACK would read past the buffers, or write the grid's held band;
+    # the arrays are checked first
     grid, K, rhs = newton_system
     cb = _lapack.cholesky_banded(precond_band(grid, 0.37))
     with pytest.raises(ValueError):
-        _lapack.gbsv(4, 3, K, rhs)
-    with pytest.raises(ValueError):
-        _lapack.gbsv(4, 4, K, rhs[1:].copy(order="F"))
-    with pytest.raises(ValueError):
         _lapack.cho_solve_banded((cb, False), rhs[1:])
-    # and gbsv takes only arrays it can overwrite as they stand
-    for ab, b in ((K, np.ascontiguousarray(rhs)), (np.ascontiguousarray(K), rhs),
-                  (K, rhs.astype(np.float32)), (K[:, :-1], rhs[:-1])):
-        before = frozen(ab, b)
+    for ab in (np.ascontiguousarray(K), K.astype(np.float32),
+               grid.newton_band):
+        before = frozen(ab)
         with pytest.raises(ValueError):
-            _lapack.gbsv(4, 4, ab, b)
-        assert unchanged(before, ab, b)
+            _lapack.ldlt_banded(ab)
+        assert unchanged(before, ab)
+    fixed = K.copy(order="F")
+    flips = _lapack.ldlt_banded(fixed)
+    for b in (rhs[1:].copy(order="F"), np.ascontiguousarray(rhs),
+              rhs.astype(np.float32), np.zeros((grid.n, 2, 1), order="F")):
+        before = frozen(b)
+        with pytest.raises(ValueError):
+            _lapack.ldlt_solve_banded(fixed, flips, b)
+        assert unchanged(before, b)
+    b = rhs.copy(order="F")
+    with pytest.raises(ValueError):
+        _lapack.ldlt_solve_banded(np.ascontiguousarray(fixed), flips, b)
+    assert np.array_equal(b, rhs)
 
 
-def test_scipy_fallback_gbsv_matches_in_place(newton_system, monkeypatch):
-    # the fallback through scipy.linalg.lapack.dgbsv leaves the same
-    # factors and solution, in the same arrays, and raises the same errors
+def scipy_fallback(monkeypatch):
+    """Route _lapack's two routines through scipy.linalg, as where
+    numpy.libs holds no bundled OpenBLAS."""
+    from scipy.linalg import blas, lapack
+    monkeypatch.setattr(_lapack, "_lapack_dpbtrf", lapack.dpbtrf,
+                        raising=False)
+    monkeypatch.setattr(_lapack, "_blas_dtbsv", blas.dtbsv, raising=False)
+    monkeypatch.setattr(_lapack, "_pbtrf", _lapack._scipy_pbtrf)
+    monkeypatch.setattr(_lapack, "_tbsv", _lapack._scipy_tbsv)
+
+
+def test_scipy_fallback_factor_matches_in_place(newton_system, monkeypatch):
+    # the fallback through scipy.linalg.lapack.dpbtrf leaves the same
+    # factor and flips, in the same array, and raises the same errors
     _, K, rhs = newton_system
-    ab, b = fortran(K, rhs)
-    _lapack.gbsv(4, 4, ab, b)
-    monkeypatch.setattr(_lapack, "_dgbsv", sl.lapack.dgbsv, raising=False)
-    monkeypatch.setattr(_lapack, "_gbsv_info", _lapack._scipy_gbsv)
-    ab2, b2 = fortran(K, rhs)
-    assert _lapack.gbsv(4, 4, ab2, b2) is b2
-    assert np.array_equal(ab2[4:], ab[4:]) and np.array_equal(b2, b)
+    ab = K.copy(order="F")
+    flips = _lapack.ldlt_banded(ab)
+    scipy_fallback(monkeypatch)
+    ab2 = K.copy(order="F")
+    assert np.array_equal(_lapack.ldlt_banded(ab2), flips)
+    assert np.array_equal(ab2, ab)
     singular = K.copy(order="F")
-    singular[:, 100] = 0.0
+    singular[:, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _lapack.gbsv(4, 4, singular, rhs.copy(order="F"))
-    bad = rhs.copy(order="F")
-    bad[13, 1] = np.nan
+        _lapack.ldlt_banded(singular)
+    bad = K.copy(order="F")
+    bad[0, 13] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _lapack.gbsv(4, 4, K.copy(order="F"), bad)
+        _lapack.ldlt_banded(bad)
 
 
-def test_scipy_fallback_gbtrs_matches(newton_system, monkeypatch):
-    # through scipy.linalg.lapack's dgbsv and dgbtrs the pivots and the
-    # solutions with the kept factors are the bundled kernels', bit for bit
+def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
+    # through scipy.linalg.blas.dtbsv the solutions with the kept factor,
+    # and the Cholesky kernels' factor and solutions, are the bundled
+    # kernels', bit for bit
     grid, K, rhs = newton_system
+    ab = K.copy(order="F")
+    flips = _lapack.ldlt_banded(ab)
+    pb = precond_band(grid, 0.37)
+    b1 = grid.weights * rng.standard_normal(grid.n)
     got = []
     for fallback in (False, True):
         if fallback:
-            monkeypatch.setattr(_lapack, "_dgbsv", sl.lapack.dgbsv,
-                                raising=False)
-            monkeypatch.setattr(_lapack, "_dgbtrs", sl.lapack.dgbtrs,
-                                raising=False)
-            monkeypatch.setattr(_lapack, "_gbsv_info", _lapack._scipy_gbsv)
-            monkeypatch.setattr(_lapack, "_gbtrs_info", _lapack._scipy_gbtrs)
-        ab, x = fortran(K, rhs)
-        piv = np.empty(grid.n, dtype=np.int64)
-        _lapack.gbsv(4, 4, ab, x, piv)
+            scipy_fallback(monkeypatch)
         y, y2 = np.array(grid.weights), np.array(rhs, order="F")
-        _lapack.gbtrs(4, 4, ab, piv, y)
-        _lapack.gbtrs(4, 4, ab, piv, y2)
-        got.append((piv, y, y2))
+        _lapack.ldlt_solve_banded(ab, flips, y)
+        _lapack.ldlt_solve_banded(ab, flips, y2)
+        cb = _lapack.cholesky_banded(pb)
+        got.append((y, y2, cb, _lapack.cho_solve_banded((cb, False), b1)))
     for a, b in zip(*got):
         assert np.array_equal(a, b)
 
@@ -304,13 +417,13 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     # loose-point finish returns (None, steps) and the descent carries on
     c = 0.5 * mass_threshold(P53)[1]
     fld, b = minimizer.seed(P53, mass_threshold(P53), c, grid_solve)
-    orig = minimizer.gbsv
+    orig = minimizer.ldlt_banded
 
-    def planted(kl, ku, ab, rhs, piv=None):
-        ab[8, 17] = np.nan           # a diagonal entry of K
-        return orig(kl, ku, ab, rhs, piv)
+    def planted(ab):
+        ab[0, 17] = np.nan           # a diagonal entry of K
+        return orig(ab)
 
-    monkeypatch.setattr(minimizer, "gbsv", planted)
+    monkeypatch.setattr(minimizer, "ldlt_banded", planted)
     done, steps = _newton(P53, c, fld, b, NEWTON_STEPS, loose=True)
     assert (done, steps) == (None, 0)
 

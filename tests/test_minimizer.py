@@ -39,12 +39,12 @@ GN_REF = 0.2820814898801601      # the (5, 3) profile's quotient
 DESCENT_M = "-0x1.d224874daeda2p-22"
 DESCENT_LAM = "-0x1.9f1224d8200c0p-19"
 # the default `bhgs solve --c 0.6`: energy and iteration count
-DEFAULT_M = "-0x1.7bbab4d239424p-22"
+DEFAULT_M = "-0x1.7bbab4d238ed2p-22"
 DEFAULT_ITERS = 7
 
 
-# Bitwise pins, recorded before the field held its Laplacian and the Newton
-# band was built in gbsv's layout: (m.hex(), lam.hex(), iters) or the
+# Bitwise pins, re-pinned when the Newton step moved from a pivoted banded
+# LU to the pivot-free banded LDL^T: (m.hex(), lam.hex(), iters) or the
 # failure kind, one draw per N at 0.1, 0.5 and 0.9 c0 on the benchmark's
 # domain grid (n = 2049, R = 1000), and three masses of N = 5, q = 3 on the
 # solve-fine grid (n = 8193, R = 1000). Any reordered sum moves some bit.
@@ -60,14 +60,14 @@ DEFAULT_ITERS = 7
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
-     [('-0x1.313a32929765ap-11', '-0x1.94658619581f1p-8', 2),
-      ('-0x1.3f11cdeaf1af1p-8', '-0x1.52305e16487b7p-7', 2),
+     [('-0x1.313a32929764bp-11', '-0x1.94658619581e9p-8', 2),
+      ('-0x1.3f11cdeaf1ae0p-8', '-0x1.52305e16487a9p-7', 2),
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f2c8p-18', '-0x1.1474ebc6658a1p-14', 2),
-      ('-0x1.0366a5eba90fap-13', '-0x1.43df6cac1c8a0p-12', 2),
-      ('-0x1.9a64e768759d7p-12', '-0x1.1ca9cb82b541fp-11', 2)]),
+     [('-0x1.62472eeb9f1d5p-18', '-0x1.1474ebc665858p-14', 2),
+      ('-0x1.0366a5eba91a4p-13', '-0x1.43df6cac1c8f5p-12', 2),
+      ('-0x1.9a64e768759cbp-12', '-0x1.1ca9cb82b5418p-11', 2)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['under-resolved',
@@ -92,9 +92,9 @@ PIN_DRAWS = [
 # The solve-fine grid's pins are Newton-first's from the params' reference
 # state: 1 solve on the grid, certified by the simplified correction.
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d49e2p-27', '-0x1.846040ac2a215p-22', 2)),
-    (0.5, ('-0x1.d224875867d62p-22', '-0x1.9f122ce1a4edap-19', 2)),
-    (0.9, ('-0x1.cb4c560e10d20p-20', '-0x1.c66b103fc2295p-18', 2)),
+    (0.1, ('-0x1.5cee30b3d7424p-27', '-0x1.846040ac2e008p-22', 2)),
+    (0.5, ('-0x1.d224875866340p-22', '-0x1.9f122ce1a3905p-19', 2)),
+    (0.9, ('-0x1.cb4c560e0ce02p-20', '-0x1.c66b103fc0b04p-18', 2)),
 ]
 # (draw N or "fine", c/c0) -> the pin before Newton-first
 PIN_BEFORE_FIRST = {
@@ -115,7 +115,7 @@ CANARY_ENV = {"BHGS_PROBLEM__N": "9",
               "BHGS_PROBLEM__MU": "3.808844990382272",
               "BHGS_CONSTANTS__C_GN": "0.9099146525260412",
               "BHGS_CONSTANTS__S_SOB": "0.6314746160371563"}
-CANARY_PIN = (7, 3.8082262619212204e-07, "-0x1.289b8792d46b7p-15")
+CANARY_PIN = (7, 3.808225349360106e-07, "-0x1.289b8792d46fbp-15")
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 # (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
@@ -342,7 +342,7 @@ class TestNewtonFinish:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(minimizer, "gbsv", singular)
+        monkeypatch.setattr(minimizer, "ldlt_banded", singular)
         _, c0, _ = thresholds53
         st = minimize(p53, grid_solve, 0.5 * c0)
         assert st.m.hex() == DESCENT_M
@@ -391,10 +391,10 @@ class TestNewtonFinish:
 
     @staticmethod
     def record_finishes(monkeypatch, n):
-        """Record (the loop's result, steps, gbsv solves on n nodes, last
+        """Record (the loop's result, steps, factors on n nodes, last
         simplified correction) of every loose-point finish."""
         runs, corrections = [], []
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         real, real_correction = minimizer._newton, minimizer._correction
 
         def recording(*args, **kwargs):
@@ -620,13 +620,12 @@ def polished_lambda(params, c, fld, b, steps=2):
     """lambda after `steps` more bordered Newton steps from the mass-c
     field fld with bundle b."""
     grid = fld.grid
-    ab = np.empty((13, grid.n), order="F")
+    ab = np.empty((5, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
-    piv = np.empty(grid.n, dtype=np.int64)
     for _ in range(steps):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld, b)
         fld = RadialField(grid, minimizer._newton_step(
-            params, c, fld, g_proj, lam_hat, ab, rhs, piv))
+            params, c, fld, g_proj, lam_hat, ab, rhs)[0])
         b = norm_bundle(params, fld)
     return lagrange_multiplier(params, b)
 
@@ -635,14 +634,13 @@ def polish_error(params, c, fld):
     """|v - u|_W / sqrt(c), u the mass-c field fld and v where three more
     bordered Newton steps take it."""
     grid = fld.grid
-    ab = np.empty((13, grid.n), order="F")
+    ab = np.empty((5, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
-    piv = np.empty(grid.n, dtype=np.int64)
     fld2, b2 = fld, norm_bundle(params, fld)
     for _ in range(3):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld2, b2)
         fld2 = RadialField(grid, minimizer._newton_step(
-            params, c, fld2, g_proj, lam_hat, ab, rhs, piv))
+            params, c, fld2, g_proj, lam_hat, ab, rhs)[0])
         b2 = norm_bundle(params, fld2)
     d = fld2.values - fld.values
     return math.sqrt(np.dot(grid.weights * d, d) / c)
@@ -701,17 +699,17 @@ class TestNewtonFirst:
         assert max(errs) <= 1e-10
 
     def test_absolute_tolerances_alone_accept_unconverged_lambda(
-            self, ops, monkeypatch):
+            self, monkeypatch):
         # with the error estimate always met, the try stops on GRAD_TOL and
-        # Q_TOL after one step from the profile; at 0.05 c0 on the
-        # solve-fine grid, where the profile moved farthest, that leaves
-        # lambda off by 1.6e-10
-        pin_profiles(monkeypatch, ops)
+        # Q_TOL after one step from the profile; on the DOMAIN_OPS, whose
+        # first steps leave the largest errors, that leaves lambda off by
+        # 1.3e-9 to 5.2e-8 (at 0.05 c0 on the solve-fine grid, where the
+        # profile moved farthest, by 8.1e-12)
+        ops = pin_profiles(monkeypatch, reference_ops())
         monkeypatch.setattr(minimizer, "FIRST_ERR_TOL", math.inf)
         results = self.first_results(ops)
-        assert [steps for _, _, (_, steps) in results] == (
-            [1] * (5 + len(FINE_FRACS)))
-        assert self.lambda_errors(results[5:6])[0] > 1e-10
+        assert [steps for _, _, (_, steps) in results] == [1] * len(ops)
+        assert min(self.lambda_errors(results[:len(DOMAIN_OPS)])) > 1e-9
 
     def test_narrow_draw_tries_newton_before_the_seed(self, monkeypatch,
                                                       fresh_profiles):
@@ -724,17 +722,17 @@ class TestNewtonFirst:
         p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
         grid = build_grid(N, 2049, 1000.0)
         events = []
-        real_gbsv, real_seed = minimizer.gbsv, minimizer.seed
+        real_factor, real_seed = minimizer.ldlt_banded, minimizer.seed
 
-        def counting_gbsv(*args):
-            events.append(args[2].shape[1])
-            return real_gbsv(*args)
+        def counting_factor(ab):
+            events.append(ab.shape[1])
+            return real_factor(ab)
 
         def counting_seed(*args):
             events.append("seed")
             return real_seed(*args)
 
-        monkeypatch.setattr(minimizer, "gbsv", counting_gbsv)
+        monkeypatch.setattr(minimizer, "ldlt_banded", counting_factor)
         monkeypatch.setattr(minimizer, "seed", counting_seed)
         c0 = mass_threshold(p)[1]
         got = []
@@ -749,16 +747,16 @@ class TestNewtonFirst:
         assert got[2][:2] == [2049, "seed"]
 
 
-def count_gbsv(monkeypatch):
-    """Record the column count of every band gbsv solves."""
+def count_factors(monkeypatch):
+    """Record the column count of every band Newton factors."""
     sizes = []
-    real = minimizer.gbsv
+    real = minimizer.ldlt_banded
 
-    def counting(kl, ku, ab, b, piv=None):
+    def counting(ab):
         sizes.append(ab.shape[1])
-        return real(kl, ku, ab, b, piv)
+        return real(ab)
 
-    monkeypatch.setattr(minimizer, "gbsv", counting)
+    monkeypatch.setattr(minimizer, "ldlt_banded", counting)
     return sizes
 
 
@@ -804,10 +802,10 @@ class TestNestedStart:
         # the first solve builds the profile in 3 steps on its n = 1025
         # grid, and from it the try is accepted after 1 step on the
         # n = 8193 grid, certified by the simplified correction on that
-        # step's LU; the profile's solves are not counted in iters
+        # step's factor; the profile's solves are not counted in iters
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         grid = build_grid(5, 8193, 1000.0)
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         st = minimize(p, grid, 0.5 * thresholds53[1])
         assert sizes == [1025] * 3 + [8193]
         assert st.iters == 2
@@ -817,7 +815,7 @@ class TestNestedStart:
 
     def test_one_lu_per_op(self, monkeypatch):
         # the solve-fine masses and every op a set of draws over N = 5..10
-        # solves by Newton first take one LU on the grid, but 0.05 c0 on
+        # solves by Newton first take one factor on the grid, but 0.05 c0 on
         # the solve-fine grid, the reference moved farthest, and the N = 5
         # draw k = 11 at 0.9 c0, which take two
         ops = pin_and_fine_ops()
@@ -861,7 +859,7 @@ class TestNestedStart:
         # the correction measures that error to 5e-3 on the solve-fine grid
         # and to 2e-2 on the DOMAIN_OPS, where the larger errors leave a
         # larger second-order term (up to 1.4e-2)
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         real = minimizer._correction
         measured = []
 
@@ -901,10 +899,10 @@ class TestNestedStart:
     ], ids=["N9-0.9", "N10-0.9", "N9-0.1"])
     def test_two_step_rate_does_not_settle(self, draw, frac):
         # benchmark domain ops whose second step from the reference passes
-        # Deuflhard's two-step estimate |d_2|^3 / |d_1|^2 while its state
-        # is 3.5e-10, 2.4e-10 and 2.0e-10 from its polish: the simplified
-        # correction rejects it, and the try settles one step later, within
-        # FIRST_ERR_TOL
+        # Deuflhard's two-step estimate |d_2|^3 / |d_1|^2: the try settles
+        # there because the simplified correction passes it too, its state
+        # within 7e-13 of its polish (the next test shows the estimate
+        # passing a state the correction rejects)
         N, q, mu, cgn, ssob = draw
         p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
         grid = build_grid(N, 2049, 1000.0)
@@ -912,9 +910,44 @@ class TestNestedStart:
         c = frac * c0
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
         (fld, _), steps = minimizer._newton_first(p, grid, c, cap)
-        assert steps == 3
+        assert steps == 2
+        assert polish_error(p, c, fld) <= 1e-12
+        assert minimize(p, grid, c).iters == 3
+
+    def test_two_step_estimate_passes_a_state_the_correction_rejects(
+            self, monkeypatch):
+        # at N = 14, q = 2 + 4/N, 0.9 c0 on the default grid, Newton's steps
+        # from the profile fall 1.9e-6, 2.3e-9, 1.1e-9: the two-step
+        # estimate passes the second step's state, 1.2e-9 from its polish;
+        # the simplified correction rejects it, and the try settles at its
+        # fourth step, within FIRST_ERR_TOL
+        cfg = load_config(env={"BHGS_PROBLEM__N": "14",
+                               "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / 14)})
+        p = resolve_params(cfg)
+        grid = cfg.solve_grid()
+        _, c0, rho0 = mass_threshold(p)
+        c = 0.9 * c0
+        minimizer._profile(p.N, p.q)
+        steps_taken = []
+        real = minimizer._newton_step
+
+        def recording(params, c, fld, *args):
+            cand, flips = real(params, c, fld, *args)
+            steps_taken.append((fld.values, cand.copy()))
+            return cand, flips
+
+        monkeypatch.setattr(minimizer, "_newton_step", recording)
+        cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
+        (fld, _), steps = minimizer._newton_first(p, grid, c, cap)
+        monkeypatch.undo()
+        assert steps == len(steps_taken) == 4
         assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
-        assert minimize(p, grid, c).iters == 4
+        w = grid.weights
+        d1, d2 = (math.sqrt(np.dot(w * (v - u), v - u) / c)
+                  for u, v in steps_taken[:2])
+        assert d2 ** 3 / d1 ** 2 <= minimizer.FIRST_ERR_TOL
+        second = RadialField(grid, steps_taken[1][1])
+        assert polish_error(p, c, second) > 10 * minimizer.FIRST_ERR_TOL
 
     def test_uncertified_try_falls_back(self, monkeypatch, p53,
                                         thresholds53):
@@ -924,11 +957,11 @@ class TestNestedStart:
         grid = build_grid(5, 8193, 1000.0)
         c = 0.5 * thresholds53[1]
         one = minimize(p53, grid, c)
-        real_trs = minimizer.gbtrs
-        monkeypatch.setattr(minimizer, "gbtrs",
-                            lambda *args: real_trs(*args) * 1e12)
+        real_correction = minimizer._correction
+        monkeypatch.setattr(minimizer, "_correction",
+                            lambda *args: real_correction(*args) * 1e12)
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         assert minimizer._newton_first(p53, grid, c, cap) is None
         assert sizes == [8193] * minimizer.NEWTON_STEPS
         fell_back = []
@@ -976,7 +1009,7 @@ class TestNestedStart:
         # Newton step on the grid, and m agrees with the try's
         grid = build_grid(5, 8193, 1000.0)
         patch_profile_solves(monkeypatch, lambda *a: (None, 0))
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         real_seed = minimizer.seed
 
         def marking_seed(*args):
@@ -999,7 +1032,7 @@ class TestNestedStart:
         # no other start is made and no Newton step is taken on the grid
         grid = build_grid(5, 2049, 1000.0)
         pin_profiles(monkeypatch, [(p53, grid, None)])
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         starts = []
         real_start = minimizer._start
 
@@ -1079,7 +1112,7 @@ class TestNestedStart:
         # N = 10 draws), the try ends on the step it settles at, the first
         # from the reference, not after NEWTON_STEPS; no floor here is
         # certified, so the fallback follows
-        sizes = count_gbsv(monkeypatch)
+        sizes = count_factors(monkeypatch)
         got = []
         for (N, q, mu, cgn, ssob), _ in (PIN_DRAWS[3], PIN_DRAWS[5]):
             p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
@@ -1421,13 +1454,13 @@ GN_POINTS = [(N, round(0.05 + 0.1 * k, 2)) for N in range(5, 11)
 # value's hex. At N = 5, f = 0.05 and N = 8, f = 0.15 the ascent oracle on
 # (1025, 40) does not settle in 500 steps
 GN_PINS = [
-    ((5, 0.05), '0x1.b70d6a4a03e37p-1'),
-    ((5, 0.15), '0x1.4f12dc51516f5p-1'),
-    ((6, 0.55), '0x1.16463093a8075p-2'),
-    ((7, 0.95), '0x1.0a34fedc7babep-3'),
-    ((8, 0.15), '0x1.35c6a724d18f7p-1'),
-    ((9, 0.45), '0x1.039053c9403d3p-2'),
-    ((10, 0.25), '0x1.b02c07df70c53p-2'),
+    ((5, 0.05), '0x1.b70d6a4a03e33p-1'),
+    ((5, 0.15), '0x1.4f12dc51516f2p-1'),
+    ((6, 0.55), '0x1.16463093a8083p-2'),
+    ((7, 0.95), '0x1.0a34fedc7badap-3'),
+    ((8, 0.15), '0x1.35c6a724d18f3p-1'),
+    ((9, 0.45), '0x1.039053c9403cbp-2'),
+    ((10, 0.25), '0x1.b02c07df70c5fp-2'),
 ]
 
 
@@ -1604,6 +1637,102 @@ class TestGroundStateCertificate:
                                                s * st.bend)
             assert certificate_deficit(p53, moved) == pytest.approx(
                 certificate_deficit(p53, st.bundle), abs=1e-12)
+
+
+def newton_states(monkeypatch, ops):
+    """(params, state, (ab, flips, rhs)) of every op of ops that minimize
+    returns through the Newton loop, with the last factor of K that loop
+    kept; the other ops, solved by the descent or failed, are left out."""
+    kept = []
+    real = minimizer._newton
+
+    def recording(*args, **kwargs):
+        done, steps = real(*args, **kwargs)
+        if done is not None:
+            kept.append(done)
+        return done, steps
+
+    monkeypatch.setattr(minimizer, "_newton", recording)
+    out = []
+    for p, grid, c in ops:
+        kept.clear()
+        try:
+            st = minimize(p, grid, c)
+        except ConvergenceError:
+            continue
+        out += [(p, st, done[3]) for done in kept if done[0] is st.field]
+    return out
+
+
+def morse_index(st, factor):
+    """(flips, <W u, K^-1 W u>) of a state's kept factor of K."""
+    ab, flips, _ = factor
+    wu = st.field.grid.weights * st.field.values
+    return len(flips), float(np.dot(wu, minimizer.ldlt_solve_banded(
+        ab, flips, np.array(wu))))
+
+
+class TestMorseIndex:
+    """A ground state is a strict local minimum of J on the mass sphere:
+    K = J''(u) - lambda has one negative eigenvalue and <W u, K^-1 W u> < 0
+    (Grillakis, Shatah & Strauss 1987). The Newton factor counts K's
+    negative eigenvalues as the columns it flips, so each state the Newton
+    loop returns carries its Morse index in its last factor."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        with pytest.MonkeyPatch.context() as mp:
+            return newton_states(mp, certificate_ops())
+
+    def test_every_newton_state_has_index_one(self, states):
+        # the PIN_DRAWS ops Newton first solves (N = 5 below 0.9 c0, N = 6)
+        # and the 6 estimated-mode points that converge, at q fraction 0.95
+        assert len(states) == 11
+        for _, st, factor in states:
+            flips, vk = morse_index(st, factor)
+            assert flips == 1 and vk < 0.0
+
+    def test_a_second_negative_eigenvalue_shows_two_flips(self, states):
+        # K less a spike on one diagonal entry past the state's support,
+        # where its eigenvector of the negative eigenvalue is ~0: K gains a
+        # second negative eigenvalue, and the factor flips two columns
+        for p, st, _ in states:
+            grid = st.field.grid
+            b = norm_bundle(p, st.field)
+            g_proj, lam_hat, _, _ = minimizer._residuals(p, st.c, st.field, b)
+            ab = np.empty((5, grid.n), order="F")
+            rhs = np.empty((grid.n, 2), order="F")
+            real = minimizer.ldlt_banded
+
+            def spiked(band):
+                band[0, grid.n - 3] -= 1e6 * np.abs(band).max()
+                return real(band)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(minimizer, "ldlt_banded", spiked)
+                _, flips = minimizer._newton_step(p, st.c, st.field, g_proj,
+                                                  lam_hat, ab, rhs)
+            assert morse_index(st, (ab, flips, rhs))[0] == 2
+
+    @pytest.mark.parametrize("N", [14, 16])
+    def test_high_dimension_converges(self, monkeypatch, N):
+        # q = 2 + 4/N, mu = 1 and the synthetic constants at 0.5 c0 on the
+        # default grid, where the weights span over 40 decades: Newton
+        # solves the op. Its K has a second negative eigenvalue there,
+        # whose eigenvector lies on the grid's first 10 nodes (the W-scaled
+        # band's two lowest eigenvalues are -2.3e-4 and -1.9e-5 at N = 14,
+        # by scipy.linalg.eig_banded), so the factor flips one column there
+        # and one at the state's own mode; up to N = 13 it flips one
+        env = {"BHGS_PROBLEM__N": str(N),
+               "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / N)}
+        cfg = load_config(env=env)
+        p = resolve_params(cfg)
+        grid = cfg.solve_grid()
+        ((_, st, factor),) = newton_states(
+            monkeypatch, [(p, grid, 0.5 * mass_threshold(p)[1])])
+        assert st.q_residual <= minimizer.Q_TOL
+        assert morse_index(st, factor)[1] < 0.0
+        assert [j < 16 for j in factor[1]] == [True, False]
 
 
 def bubble_sobolev_quotient(N: int) -> float:

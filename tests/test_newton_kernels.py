@@ -3,9 +3,9 @@
 Each kernel is held to the code it replaced, kept below as the reference:
 
 - the grid's held Newton band (RadialGrid.newton_band), which each Newton
-  step copies whole, against the (5, n) shift-free band and the loop that
-  mirrored it into gbsv's layout on every step, bit for bit; and the
-  Newton step itself against the step that assembled K that way;
+  step copies whole, against the (5, n) shift-free upper band and the loop
+  that mirrors it into lower storage, bit for bit; and the Newton step
+  itself against a step that assembles K that way on every step;
 - fiber.fiber_minimum, which brackets s1 alone, against analyze_fiber's
   s1 computed beside s2, by float.hex, also where psi' has no zero or a
   double one; and analyze_fiber, built on it, against the same reference;
@@ -43,37 +43,38 @@ def ref_upper_band0(grid):
 
 
 def ref_assemble(grid, ab, shift):
-    # rows 4-12 of K's band in gbsv's layout: the shift-free band, its
-    # diagonal shifted, and the lower band mirrored row by row
+    # K's lower band: the shift-free upper band mirrored row by row, its
+    # diagonal shifted
     n = grid.n
-    ab[4:9] = ref_upper_band0(grid)
-    ab[8] += shift
-    for d in range(1, 5):
-        ab[8 + d, :n - d] = ab[8 - d, d:]
-        ab[8 + d, n - d:] = 0.0
+    upper = ref_upper_band0(grid)
+    for d in range(5):
+        ab[d, :n - d] = upper[4 - d, d:]
+        ab[d, n - d:] = 0.0
+    ab[0] += shift
     return ab
 
 
-def ref_newton_step(params, c, fld, g_proj, lam_hat, ab, rhs, piv=None):
+def ref_newton_step(params, c, fld, g_proj, lam_hat, ab, rhs):
     grid = fld.grid
     w = grid.weights
     q, p = params.q, params.p_crit
     u = fld.values
     ref_assemble(grid, ab, -lam_hat * w)
     au = np.abs(u)
-    ab[8] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
+    ab[0] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
                   + (p - 1.0) * nonneg_power(au, p - 2.0))
     wu = w * u
     rhs[:, 0] = -w * g_proj
     rhs[:, 1] = wu
-    minimizer.gbsv(4, 4, ab, rhs, piv)
+    flips = minimizer.ldlt_banded(ab)
+    minimizer.ldlt_solve_banded(ab, flips, rhs)
     x, y = rhs[:, 0], rhs[:, 1]
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
     mass = float(np.add.reduce(grid.weights * cand * cand))
     if not 0.0 < mass < math.inf:
-        return None
+        return None, flips
     cand *= math.sqrt(c / mass)
-    return cand
+    return cand, flips
 
 
 def ref_analyze_fiber(params, b):
@@ -141,13 +142,12 @@ def hexes(fa):
 def test_held_band_matches_the_mirror_loop(N, n):
     grid = build_grid(N, n, 1000.0)
     band = grid.newton_band
-    assert band.shape == (13, n) and band.flags.f_contiguous
-    want = ref_assemble(grid, np.zeros((13, n), order="F"), 0.0)
+    assert band.shape == (5, n) and band.flags.f_contiguous
+    want = ref_assemble(grid, np.zeros((5, n), order="F"), 0.0)
     assert band.tobytes() == want.tobytes()
-    assert not band[:4].any()
     assert grid.newton_band is band
     with pytest.raises(ValueError):
-        band[8, 0] = 1.0
+        band[0, 0] = 1.0
     with pytest.raises(ValueError):
         np.copyto(band, 0.0)
 
@@ -183,19 +183,21 @@ def step_starts():
 
 def test_newton_step_matches_the_mirror_loop_step():
     # three steps from each start: the same iterates bit for bit, through
-    # the same LU factors and pivots
+    # the same factors and flips
     for p, c, fld in step_starts():
         n = fld.grid.n
-        work = [(np.empty((13, n), order="F"), np.empty((n, 2), order="F"),
-                 np.empty(n, dtype=np.int64)) for _ in range(2)]
+        work = [(np.empty((5, n), order="F"), np.empty((n, 2), order="F"))
+                for _ in range(2)]
         for _ in range(3):
             b = minimizer.norm_bundle(p, fld)
             g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld, b)
-            got = minimizer._newton_step(p, c, fld, g_proj, lam_hat, *work[0])
-            want = ref_newton_step(p, c, fld, g_proj, lam_hat, *work[1])
+            got, flips = minimizer._newton_step(p, c, fld, g_proj, lam_hat,
+                                                *work[0])
+            want, want_flips = ref_newton_step(p, c, fld, g_proj, lam_hat,
+                                               *work[1])
             assert got.tobytes() == want.tobytes()
-            assert work[0][0][4:].tobytes() == work[1][0][4:].tobytes()
-            assert work[0][2].tobytes() == work[1][2].tobytes()
+            assert work[0][0].tobytes() == work[1][0].tobytes()
+            assert flips.tobytes() == want_flips.tobytes()
             fld = RadialField(fld.grid, got)
 
 

@@ -271,7 +271,7 @@ import json, sys
 import numpy as np
 from bhgs import LandscapeParams, build_grid, mass_threshold, minimizer
 
-names = ("cholesky_banded", "cho_solve_banded", "gbsv")
+names = ("cholesky_banded", "cho_solve_banded", "ldlt_banded")
 resolved = [callable(getattr(minimizer, n)) for n in names]
 linalg_before = "scipy.linalg" in sys.modules
 
@@ -326,13 +326,13 @@ def test_banded_kernels_are_traceable_before_any_solve():
     calls = out["solve_calls"]
     # one linear solve per iteration but the last: preconditioned descent
     # steps, then the Newton finish
-    assert calls["cho_solve_banded"] + calls["gbsv"] == out["iters"] - 1
-    assert calls["gbsv"] >= 1
+    assert calls["cho_solve_banded"] + calls["ldlt_banded"] == out["iters"] - 1
+    assert calls["ldlt_banded"] >= 1
     assert calls["cholesky_banded"] >= 1
-    # Newton-first: one banded LU per iteration but the last, no descent;
-    # the profile's Newton steps are traced too, and not counted
-    assert out["first_calls"]["gbsv"] == out["first_iters"] - 1
-    assert out["ref_calls"]["gbsv"] >= 1
+    # Newton-first: one banded LDL^T per iteration but the last, no
+    # descent; the profile's Newton steps are traced too, and not counted
+    assert out["first_calls"]["ldlt_banded"] == out["first_iters"] - 1
+    assert out["ref_calls"]["ldlt_banded"] >= 1
     assert out["ref_calls"]["cho_solve_banded"] == 0
     assert out["first_calls"]["cho_solve_banded"] == 0
     # estimated C_gn reads the held profile: no band kernel runs
