@@ -54,11 +54,14 @@ factor bounds, to first order, how far q_residual can fall over
 tangent states whose projected gradient is within GRAD_TOL (_floor_reach).
 Where the try's q_residual - Q_TOL exceeds that reach, no state the
 fallback could accept is near, and the solve ends with ConvergenceError
-of kind under-resolved; the seed loop and the descent never run.
+of kind under-resolved; the seed loop and the descent never run. Where it
+does not, the try returns the state's floor record (_Floor: J*, q*, bend*,
+its values and G^2 = g^T d, g the gradient of q_residual and d = K^-1 g
+made tangent, the solve the reach already takes) for the fallback.
 
 Where the try is skipped or fails without that certificate, the fallback
-(_descend) runs bit for bit as without the try: the seed loop, then
-projected gradient descent on the mass sphere with a renormalization
+(_descend) runs bit for bit as without the try, up to where the floor
+record ends it (below): the seed loop, then projected gradient descent on the mass sphere with a renormalization
 retraction and Armijo backtracking. Raw
 descent is useless here: the bending term makes the gradient stiffness
 scale like h^{-4}, so steps are preconditioned by the banded SPD operator
@@ -72,7 +75,13 @@ LOOSE_Q. There the loop stops at the convergence test too, settled or
 not. If the finish fails, the descent resumes from the same iterate and
 state, so it ends where the descent alone would. STALL_ITERS accepted
 steps in a row without energy progress end the descent with a
-ConvergenceError.
+ConvergenceError of kind stall. So does, sooner, the energy-sublevel
+certificate (_sublevel_gap), once an iterate's energy shows, to second
+order, that no later iterate can reach Q_TOL. It reads the try's floor
+record or, where the try left none, that of a finish settled above Q_TOL
+(one more back-substitution pair). It runs after the iterate's own
+convergence test and the loose-point finish, so a success at that
+iterate wins, and it goes with the descent.
 
 A Newton result, first or finish, is kept only if it meets Q_TOL, its
 energy is not above the iterate it started from (up to NEWTON_J_SLACK
@@ -109,10 +118,11 @@ same as np.sum without its dispatch layer.
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
 seed, stall, line-search, budget, safeguard, invariant and under-resolved
 from minimize, no-profile from estimate_gn_constant and no-fiber-minimum
-from fiber_consistency. The first six messages keep their wording, so a
-reader of the text alone (the benchmark's classify) gets the same kind;
-the under-resolved message contains none of the words it reads, and reads
-as other.
+from fiber_consistency. The first six kinds' messages keep the words a
+reader of the text alone (the benchmark's classify) reads them by; stall
+has two messages, "stalled for" STALL_ITERS steps and "stalled inside the
+energy sublevel certificate", and both start with "stalled". The
+under-resolved message contains none of those words, and reads as other.
 
 The four band kernels come from BLAS and LAPACK through the private
 _lapack module, imported with this one: numpy's bundled OpenBLAS where the
@@ -131,6 +141,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,7 +163,8 @@ __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
            "fiber_consistency"]
 
 
-# the kinds a ConvergenceError carries: minimize's seed loop, descent stall,
+# the kinds a ConvergenceError carries: minimize's seed loop, descent stall
+# (STALL_ITERS steps without energy progress, or the sublevel certificate),
 # dead line search, iteration budget, bend safeguard, a broken invariant of
 # the converged state and a grid whose Pohozaev floor is certified above
 # Q_TOL; an (N, q) profile solve that does not settle, which leaves
@@ -203,6 +215,14 @@ NEWTON_STEPS = 4
 LOOSE_GRAD = 1e-6
 LOOSE_Q = 1e-3
 NEWTON_J_SLACK = 1e-12
+
+# the descent's energy-sublevel stall certificate (_sublevel_gap): it holds
+# only where its threshold exceeds SUBLEVEL_GUARD bend*, 2^10 ulps of the
+# terms of size bend that J cancels (see NEWTON_J_SLACK), and within
+# SUBLEVEL_REACH sqrt(c) of the settled state in |.|_W, where the
+# second-order model of J and q_residual holds
+SUBLEVEL_GUARD = 2.0 ** -42
+SUBLEVEL_REACH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -494,20 +514,18 @@ def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
     # |dbar|_W / sqrt(c), dbar the simplified Newton correction at fld: the
     # residual at fld solved with the last step's K (_kept_solve). It
     # estimates fld's error from the grid's own K (Deuflhard 2004)
-    return math.sqrt(
-        _kept_solve(fld, ab, flips, rhs, -fld.grid.weights * g_proj) / c)
+    d = _kept_solve(fld, ab, flips, rhs, -fld.grid.weights * g_proj)
+    return math.sqrt(_wdot(fld.grid, d, d) / c)
 
 
 def _kept_solve(fld: RadialField, ab: np.ndarray, flips: np.ndarray,
-                rhs: np.ndarray, v: np.ndarray) -> float:
-    # |x|_W^2, x = K^-1 v made tangent at fld: a back-substitution with the
-    # last step's factor (ab, flips), projected along its K^-1 W u
-    # (rhs[:, 1]) as the step was
-    grid = fld.grid
+                rhs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # K^-1 v made tangent at fld, solved in v's place: a back-substitution
+    # with the last step's factor (ab, flips), projected along its
+    # K^-1 W u (rhs[:, 1]) as the step was
     x = ldlt_solve_banded(ab, flips, v)
-    y, wu = rhs[:, 1], grid.weights * fld.values
-    d = x - (np.dot(wu, x) / np.dot(wu, y)) * y
-    return _wdot(grid, d, d)
+    y, wu = rhs[:, 1], fld.grid.weights * fld.values
+    return x - (np.dot(wu, x) / np.dot(wu, y)) * y
 
 
 def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
@@ -528,13 +546,65 @@ def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
 
 
 def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
-                 ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray) -> float:
-    # GRAD_TOL |x|_W, x = K^-1 g made tangent at fld (_kept_solve), g the
-    # gradient of q_residual (_q_residual_gradient): to first order, the
-    # most q_residual can fall over tangent states whose projected gradient
-    # is within GRAD_TOL
-    return GRAD_TOL * math.sqrt(_kept_solve(
-        fld, ab, flips, rhs, _q_residual_gradient(params, fld, b)))
+                 ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray):
+    # (reach, G^2) of one solve d = K^-1 g made tangent at fld (_kept_solve),
+    # g the gradient of q_residual (_q_residual_gradient). reach = GRAD_TOL
+    # |d|_W is, to first order, the most q_residual can fall over tangent
+    # states whose projected gradient is within GRAD_TOL; G^2 = g^T d
+    # bounds, to second order, how far it moves over an energy sublevel set
+    # of the settled state (_sublevel_gap)
+    g = _q_residual_gradient(params, fld, b)
+    d = _kept_solve(fld, ab, flips, rhs, g.copy())
+    return (GRAD_TOL * math.sqrt(_wdot(fld.grid, d, d)),
+            float(np.dot(g, d)))
+
+
+class _Floor(NamedTuple):
+    """A state Newton settled above Q_TOL that the under-resolved
+    certificate does not end the solve on: its energy J*, q_residual q*,
+    bend*, values and G^2 (_floor_reach), which _sublevel_gap reads."""
+    J: float
+    q: float
+    bend: float
+    values: np.ndarray
+    g2: float
+
+
+def _floor(params: LandscapeParams, fld: RadialField, b: NormBundle,
+           qres: float, factor: tuple):
+    # (reach, _Floor) of a state Newton settled at q_residual qres with the
+    # last step's factor (ab, flips, rhs)
+    reach, g2 = _floor_reach(params, fld, b, *factor)
+    return reach, _Floor(energy(params, b), qres, b.bend, fld.values, g2)
+
+
+def _sublevel_gap(floor: _Floor, fld: RadialField, J: float, c: float):
+    """(J - J*, thr) where the floor certifies that no state of energy at
+    most J, the iterate fld's, reaches Q_TOL; None where it does not.
+
+    On the tangent space of the mass sphere at the settled state u*, K is
+    positive definite (one negative eigenvalue, <W u, K^-1 W u> < 0), so
+    J - J* ~ 1/2 t^T K t and q_residual - q* ~ g^T t for a tangent offset
+    t: over the sublevel set {J <= J_k} q_residual moves at most
+    sqrt(2 (J_k - J*) G^2), to second order. Armijo keeps every later
+    iterate in that set. Below thr = (q* - Q_TOL)^2 / (8 G^2) that is at
+    most half the gap q* - Q_TOL; the other half is margin for third-order
+    terms. The certificate holds where G^2 is positive and finite, thr
+    exceeds SUBLEVEL_GUARD bend* (below it J's rounding decides), -thr <=
+    J - J* < thr (below -thr the iterate has left for a lower basin) and
+    |u - u*|_W <= SUBLEVEL_REACH sqrt(c).
+    """
+    g2 = floor.g2
+    if not 0.0 < g2 < math.inf:
+        return None
+    thr = (floor.q - Q_TOL) ** 2 / (8.0 * g2)
+    gap = J - floor.J
+    if not (thr > SUBLEVEL_GUARD * floor.bend and -thr <= gap < thr):
+        return None
+    off = fld.values - floor.values
+    if _wdot(fld.grid, off, off) > SUBLEVEL_REACH ** 2 * c:
+        return None
+    return gap, thr
 
 
 def _start(params: LandscapeParams, grid: RadialGrid, c: float,
@@ -606,8 +676,10 @@ def _profile(N: int, q: float):
 
 def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                   bend_cap: float):
-    """At most NEWTON_STEPS Newton steps on the grid (_newton): ((fld, b),
-    steps), or None where the try is skipped or fails.
+    """At most NEWTON_STEPS Newton steps on the grid (_newton): (((fld, b),
+    steps), None) for a kept state, else (None, floor), floor the _Floor of
+    a state settled above Q_TOL that is not certified under-resolved, or
+    None where the try is skipped or fails otherwise.
 
     They start from the (N, q) profile (_profile) read at r / L,
     L = mu^(1 / (N(q-2)/2 - 4)) (c / c_ref)^(1 / (N - 8/(q-2))) by
@@ -623,32 +695,33 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
     """
     s1 = _gaussian_s1(params, c, grid)
     if s1 is None:
-        return None
+        return None, None
     N, q = params.N, params.q
     try:
         prof = _profile(N, q)
     except DomainError:     # no profile grid builds at dimension N
         prof = None
     if prof is None:
-        return None
+        return None, None
     values, h, c_ref, _ = prof
     L = (params.mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
          * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
     start = _start(params, grid, c,
                    interpolate(values, h, grid.nodes / L), bend_cap)
     if start is None:
-        return None
+        return None, None
     done, steps = _newton(params, c, *start, NEWTON_STEPS)
     if done is None:
-        return None
-    fld, b, qres, factor = done
+        return None, None
+    fld, b, qres, _ = done
     if _kept(params, energy(params, start[1]), qres, b, bend_cap):
-        return (fld, b), steps
+        return ((fld, b), steps), None
     if qres > Q_TOL:
         # settled above Q_TOL, on the grid's Pohozaev floor: no later step
         # can pass, and where no state within GRAD_TOL can either, neither
-        # can the fallback
-        reach = _floor_reach(params, fld, b, *factor)
+        # can the fallback; otherwise its record may end the fallback's
+        # descent (_sublevel_gap)
+        reach, floor = _floor(params, *done)
         if qres - Q_TOL > reach:
             raise ConvergenceError(
                 "under-resolved",
@@ -657,7 +730,8 @@ def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
                 f"than the reach {reach:.3e} of states within "
                 f"GRAD_TOL={GRAD_TOL}; the fiber-minimum width spans "
                 f"{s1 ** -0.5 / grid.h:.3g} grid spacings")
-    return None
+        return None, floor
+    return None, None
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
@@ -673,7 +747,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     Newton first settles on a Pohozaev floor certified above Q_TOL
     (under-resolved; no fallback runs), the seed loop fails (seed), the
     residuals are not met within MAX_ITER iterations (budget), the line
-    search dies (line-search), the descent stalls (stall), the bend
+    search dies (line-search), the descent stalls or its energy certifies
+    that it cannot reach Q_TOL (stall, _sublevel_gap), the bend
     safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
     (safeguard), or the converged state breaks mass, bend or energy
     (invariant). iters counts the linear solves on the grid of the path
@@ -683,13 +758,13 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     rho0 = thresholds[2]
     _check_request(params, thresholds, c, grid)
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
-    first = _newton_first(params, grid, c, bend_cap)
+    first, floor = _newton_first(params, grid, c, bend_cap)
     if first is not None:
         (fld, b), solves = first
         n_safe = 0
     else:
         fld, b, solves, n_safe = _descend(params, grid, c, thresholds,
-                                          bend_cap)
+                                          bend_cap, floor)
     J = energy(params, b)
     mass_err = abs(b.mass - c) / c
     if mass_err > 1e-8:
@@ -710,10 +785,15 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
 
 
 def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
-             thresholds, bend_cap: float):
+             thresholds, bend_cap: float, floor: _Floor | None):
     """The seed loop, then preconditioned descent with one loose Newton
     finish (_newton) from the loose point; returns (fld, b, linear solves,
-    safeguard rejections)."""
+    safeguard rejections).
+
+    floor is the try's settled state above Q_TOL (_newton_first), or None;
+    where it is None and the finish settles above Q_TOL, the finish's
+    state becomes it. Once an iterate's energy certifies from it that no
+    later iterate can reach Q_TOL (_sublevel_gap), the descent stalls."""
     fld, b = seed(params, thresholds, c, grid)
     J = energy(params, b)
     tau = STEP0
@@ -736,10 +816,20 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
             loose = False
             done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=True)
             solves += steps
-            if done is not None and _kept(params, J, done[2], done[1],
-                                          bend_cap):
-                fld, b = done[:2]
-                break
+            if done is not None:
+                if _kept(params, J, done[2], done[1], bend_cap):
+                    fld, b = done[:2]
+                    break
+                if floor is None and done[2] > Q_TOL:
+                    floor = _floor(params, *done)[1]
+        if floor is not None and (
+                held := _sublevel_gap(floor, fld, J, c)) is not None:
+            raise ConvergenceError(
+                "stall",
+                f"stalled inside the energy sublevel certificate of a state "
+                f"settled at q_residual={floor.q:.3e}: J - J*={held[0]:.3e} "
+                f"within thr={held[1]:.3e}, so no later iterate reaches "
+                f"Q_TOL={Q_TOL}")
         u = fld.values
 
         a_new = max(abs(lam_hat), 1e-12)

@@ -2,7 +2,8 @@
 
 Two files that agree on every op exit 0; an op that moved, was lost, was
 gained or is in one file only exits 1, counted under its group and named
-by (seed, draw, fraction).
+by (seed, draw, fraction). Moved ops are also counted by transition of
+kind.
 """
 import json
 import subprocess
@@ -39,7 +40,8 @@ def compare(tmp_path, first, second):
         path.write_text("".join(json.dumps(r) + "\n" for r in recs))
         paths.append(str(path))
     return subprocess.run([sys.executable, str(CENSUS), "--compare", *paths],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8",
+                          timeout=60)
 
 
 def test_equal_files_exit_zero(tmp_path):
@@ -49,6 +51,7 @@ def test_equal_files_exit_zero(tmp_path):
     for group in ("moved", "lost", "gained", "only in first",
                   "only in second"):
         assert f"{group}: 0\n" in proc.stdout
+    assert proc.stdout.endswith("moved by kind: none\n")
 
 
 def test_estimated_records_compare(tmp_path):
@@ -85,3 +88,24 @@ def test_one_differing_op_exits_one_and_is_named(tmp_path, group, second,
                   "only in second"):
         if other != group:
             assert f"{other}: 0" in lines
+
+
+def test_moved_ops_are_counted_by_kind(tmp_path):
+    # two stall messages reworded, a line-search op now a stall and one
+    # success moved in m: counted by transition, most first; the lost op
+    # is not a move
+    fail = dict(ok=False)
+    first = [record(1, 0, 0.1, **fail), record(1, 1, 0.1, **fail),
+             record(1, 2, 0.1, **fail, kind="line-search",
+                    message="line search failed"),
+             record(1, 3, 0.1), record(1, 4, 0.1)]
+    second = [record(1, 0, 0.1, **fail, message="stalled inside"),
+              record(1, 1, 0.1, **fail, message="stalled inside"),
+              record(1, 2, 0.1, **fail, message="stalled inside"),
+              record(1, 3, 0.1, m=-0.3), record(1, 4, 0.1, **fail)]
+    proc = compare(tmp_path, first, second)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert "moved: 4" in lines and "lost: 1" in lines
+    assert lines[-1] == ("moved by kind: stall→stall 2, "
+                         "line-search→stall 1, ok→ok 1")

@@ -459,9 +459,9 @@ class TestCliSolveAndFiber:
         assert rec["q_residual"] <= 5e-7
 
     @staticmethod
-    def solve_draw_3(capsys, tmp_path, monkeypatch):
-        # `bhgs solve` on random_params draw 3 at 0.5 c0
-        p = random_params(np.random.default_rng(3))
+    def solve_draw(capsys, tmp_path, monkeypatch, k):
+        # `bhgs solve` on random_params draw k at 0.5 c0
+        p = random_params(np.random.default_rng(k))
         for name, value in (("PROBLEM__N", p.N), ("PROBLEM__Q", p.q),
                             ("PROBLEM__MU", p.mu), ("CONSTANTS__C_GN", p.C_gn),
                             ("CONSTANTS__S_SOB", p.S_sob)):
@@ -472,11 +472,10 @@ class TestCliSolveAndFiber:
 
     def test_solve_stall_at_discretization_floor(self, capsys, tmp_path,
                                                  monkeypatch):
-        # this draw's Pohozaev residual stays near 6e-5 on the default grid,
+        # draw 6's Pohozaev residual stays near 9.5e-7 on the default grid,
         # Newton steps included, while the gradient meets grad_tol; the
-        # seed loop and the descent alone run into that floor
-        monkeypatch.setattr(minimizer, "_newton_first", lambda *args: None)
-        rc, out, err = self.solve_draw_3(capsys, tmp_path, monkeypatch)
+        # descent runs into that floor with no sublevel certificate
+        rc, out, err = self.solve_draw(capsys, tmp_path, monkeypatch, 6)
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
@@ -492,7 +491,7 @@ class TestCliSolveAndFiber:
             self, capsys, tmp_path, monkeypatch):
         # by default Newton first settles on that floor and certifies that
         # no state within grad_tol passes q_tol: the solve ends there
-        rc, out, err = self.solve_draw_3(capsys, tmp_path, monkeypatch)
+        rc, out, err = self.solve_draw(capsys, tmp_path, monkeypatch, 3)
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
@@ -500,6 +499,26 @@ class TestCliSolveAndFiber:
         hit = re.match(r"under-resolved grid: Newton settled at "
                        r"q_residual=(\S+), above Q_TOL=5e-07 ", rec["message"])
         assert hit and float(hit.group(1)) > 5e-7
+
+    def test_solve_certified_stall(self, capsys, tmp_path, monkeypatch):
+        # the numpy-only CI job's op: the try settles on a floor it cannot
+        # certify, and the descent stops once its energy certifies, to
+        # second order, that no later iterate reaches q_tol
+        env = {"BHGS_PROBLEM__N": "7", "BHGS_PROBLEM__Q": "2.3527812399673467",
+               "BHGS_PROBLEM__MU": "0.685661305930885",
+               "BHGS_CONSTANTS__C_GN": "0.9898935216078489",
+               "BHGS_CONSTANTS__S_SOB": "1.3323311345551616"}
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        c = 0.5 * mass_threshold(resolve_params(load_config(env=env)))[1]
+        rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
+                               "--out", str(tmp_path / "no.csv"))
+        assert rc == 4 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["fail_kind"] == "stall"
+        assert rec["message"].startswith(
+            "stalled inside the energy sublevel certificate of a state "
+            "settled at q_residual=3.466e-06: ")
 
     def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
                                              monkeypatch):
@@ -615,7 +634,8 @@ class TestCliSweep:
                                                   monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         # the seed loop and the descent alone, on a budget of 2 iterations
-        monkeypatch.setattr(minimizer, "_newton_first", lambda *args: None)
+        monkeypatch.setattr(minimizer, "_newton_first",
+                            lambda *args: (None, None))
         monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)

@@ -412,6 +412,81 @@ def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
         assert np.array_equal(a, b)
 
 
+def test_held_integers_serve_alternating_sizes(monkeypatch):
+    # factors and solves that alternate n = 1025, 2049 and 8193, so that
+    # each call passes integers held for another size in between, are the
+    # scipy fallback's bit for bit: the LDL^T with a flip, the Cholesky
+    # factor of the definite band and the solves with both
+    rng = np.random.default_rng(4417)
+    bands = {}
+    for n in (1025, 2049, 8193):
+        low = np.zeros((5, n), order="F")
+        low[0] = 10.0 + rng.random(n)
+        for d in range(1, 5):
+            low[d, :n - d] = 0.5 * rng.standard_normal(n - d)
+        spd = np.array(low[::-1], order="F")    # as an upper band
+        low[0, n // 3] = -10.0
+        bands[n] = (low, spd, rng.standard_normal((n, 2)))
+
+    def run():
+        out = []
+        for n in (1025, 2049, 8193, 1025, 8193, 2049):
+            low, spd, b = bands[n]
+            ab = low.copy(order="F")
+            flips = _lapack.ldlt_banded(ab)
+            x = _lapack.ldlt_solve_banded(ab, flips, np.array(b, order="F"))
+            cb = _lapack.cholesky_banded(spd)
+            out += [ab, flips, x, cb, _lapack.cho_solve_banded((cb, False),
+                                                               b[:, 0])]
+        return out
+
+    bundled = run()
+    assert [len(f) for f in bundled[1::5]] == [1] * 6
+    scipy_fallback(monkeypatch)
+    for a, b in zip(bundled, run()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tail", [0, 1, 2, 3])
+def test_flips_near_the_end_of_the_band(tail):
+    # a negative pivot at column n - 1 - tail, where fewer than kd = 4 rows
+    # lie below it, alone and beside one at column 5: the flips name those
+    # columns, count eigvalsh's negative eigenvalues and solve K x = b
+    rng = np.random.default_rng(4500 + tail)
+    n = 23
+    for cols in ([n - 1 - tail], [5, n - 1 - tail]):
+        K = np.zeros((n, n))
+        for d in range(1, 5):
+            v = 0.3 * rng.uniform(-1.0, 1.0, n - d)
+            K += np.diag(v, d) + np.diag(v, -d)
+        # by Gershgorin, one negative eigenvalue per column set to -5
+        diag = np.full(n, 3.0)
+        diag[cols] = -5.0
+        K += np.diag(diag)
+        low = np.zeros((5, n), order="F")
+        for d in range(5):
+            low[d, :n - d] = np.diagonal(K, d)
+        flips = _lapack.ldlt_banded(low)
+        assert list(flips) == cols
+        assert len(flips) == np.count_nonzero(np.linalg.eigvalsh(K) < 0.0)
+        b = rng.standard_normal(n)
+        x = _lapack.ldlt_solve_banded(low, flips, b.copy())
+        assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_import_builds_no_table():
+    # the flip index tables and the held integers are built by the calls
+    # that first need them, not at import
+    code = ("import bhgs._lapack as k; "
+            "print(k._tril.cache_info().currsize, "
+            "k._int.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
     # the Newton loop reads the kernel's ValueError as "no step": the
     # loose-point finish returns (None, steps) and the descent carries on

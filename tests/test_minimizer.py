@@ -116,6 +116,10 @@ CANARY_ENV = {"BHGS_PROBLEM__N": "9",
               "BHGS_CONSTANTS__C_GN": "0.9099146525260412",
               "BHGS_CONSTANTS__S_SOB": "0.6314746160371563"}
 CANARY_PIN = (7, 3.808225349360106e-07, "-0x1.289b8792d46fbp-15")
+# (N, q, mu, C_gn, S_sob) of domain_draws(29812, 217) draw 159, which loses
+# the line search at 0.5 c0 on the default grid
+LINE_SEARCH_DRAW = (6, 2.5293094134468257, 1.5224039016322983,
+                    1.0056097930562284, 0.896766038244185)
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 # (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
@@ -157,7 +161,8 @@ def fallback06(p53, grid_solve):
 def fallback_only(monkeypatch):
     """Skip the Newton-first try: every solve takes the seed loop and the
     descent."""
-    monkeypatch.setattr(minimizer, "_newton_first", lambda *args: None)
+    monkeypatch.setattr(minimizer, "_newton_first",
+                        lambda *args: (None, None))
 
 
 @pytest.fixture(scope="module")
@@ -460,9 +465,11 @@ class TestNewtonFinish:
 
     def test_stall_raises_without_another_newton_attempt(self, monkeypatch):
         # this draw's fallback reaches the loose point, Newton fails there,
-        # and the resumed descent stalls: the stall is reported at once (by
-        # default its try certifies the grid's floor and ends the solve)
-        p = random_params(np.random.default_rng(3))
+        # and the resumed descent stalls at q_residual 9.5e-7 with no
+        # sublevel certificate: the stall is reported at once, as by default
+        # (draw 3, which did this before, now stalls on the certificate:
+        # TestSublevelCertificate)
+        p = random_params(np.random.default_rng(6))
         grid = build_grid(p.N, 2049, 1000.0)
         fallback_only(monkeypatch)
         calls = self.count_finishes(monkeypatch)
@@ -659,7 +666,7 @@ class TestNewtonFirst:
         for p, grid, c in ops:
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             try:
-                done = minimizer._newton_first(p, grid, c, cap)
+                done, _ = minimizer._newton_first(p, grid, c, cap)
             except ConvergenceError as exc:
                 assert exc.kind == "under-resolved"
                 continue
@@ -874,7 +881,7 @@ class TestNestedStart:
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             sizes.clear()
             measured.clear()
-            (fld, b), steps = minimizer._newton_first(p, grid, c, cap)
+            ((fld, b), steps), _ = minimizer._newton_first(p, grid, c, cap)
             assert sizes == [grid.n] * steps
             steps_taken.append(steps)
             assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
@@ -909,7 +916,7 @@ class TestNestedStart:
         _, c0, rho0 = mass_threshold(p)
         c = frac * c0
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        (fld, _), steps = minimizer._newton_first(p, grid, c, cap)
+        ((fld, _), steps), _ = minimizer._newton_first(p, grid, c, cap)
         assert steps == 2
         assert polish_error(p, c, fld) <= 1e-12
         assert minimize(p, grid, c).iters == 3
@@ -938,7 +945,7 @@ class TestNestedStart:
 
         monkeypatch.setattr(minimizer, "_newton_step", recording)
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        (fld, _), steps = minimizer._newton_first(p, grid, c, cap)
+        ((fld, _), steps), _ = minimizer._newton_first(p, grid, c, cap)
         monkeypatch.undo()
         assert steps == len(steps_taken) == 4
         assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
@@ -962,7 +969,7 @@ class TestNestedStart:
                             lambda *args: real_correction(*args) * 1e12)
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
         sizes = count_factors(monkeypatch)
-        assert minimizer._newton_first(p53, grid, c, cap) is None
+        assert minimizer._newton_first(p53, grid, c, cap) == (None, None)
         assert sizes == [8193] * minimizer.NEWTON_STEPS
         fell_back = []
         real_seed = minimizer.seed
@@ -1020,7 +1027,7 @@ class TestNestedStart:
         c = 0.5 * thresholds53[1]
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        assert minimizer._newton_first(p, grid, c, cap) is None
+        assert minimizer._newton_first(p, grid, c, cap) == (None, None)
         assert minimizer._profile(p.N, p.q) is None and sizes == []
         st = minimize(p, grid, c)
         assert sizes[0] == "seed"
@@ -1043,7 +1050,7 @@ class TestNestedStart:
         monkeypatch.setattr(minimizer, "_start", first_fails)
         c = 0.5 * thresholds53[1]
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        assert minimizer._newton_first(p53, grid, c, cap) is None
+        assert minimizer._newton_first(p53, grid, c, cap) == (None, None)
         assert starts == [2049] and sizes == []
 
     def test_held_reference_changes_no_bit(self, thresholds53,
@@ -1111,7 +1118,7 @@ class TestNestedStart:
         # where the grid's Pohozaev floor sits above Q_TOL (the N = 8 and
         # N = 10 draws), the try ends on the step it settles at, the first
         # from the reference, not after NEWTON_STEPS; no floor here is
-        # certified, so the fallback follows
+        # certified, so the fallback follows, handed the floor's record
         sizes = count_factors(monkeypatch)
         got = []
         for (N, q, mu, cgn, ssob), _ in (PIN_DRAWS[3], PIN_DRAWS[5]):
@@ -1121,7 +1128,8 @@ class TestNestedStart:
             cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
             for f in (0.1, 0.5, 0.9):
                 sizes.clear()
-                assert minimizer._newton_first(p, grid, f * c0, cap) is None
+                first, floor = minimizer._newton_first(p, grid, f * c0, cap)
+                assert first is None and floor.q > minimizer.Q_TOL
                 got.append(sizes.count(grid.n))
         assert got == [1] * 6
 
@@ -1139,9 +1147,9 @@ def record_floors(monkeypatch):
     real = minimizer._floor_reach
 
     def recording(params, fld, b, *args):
-        reach = real(params, fld, b, *args)
+        reach, g2 = real(params, fld, b, *args)
         seen.append((fld, b, reach))
-        return reach
+        return reach, g2
 
     monkeypatch.setattr(minimizer, "_floor_reach", recording)
     return seen
@@ -1187,7 +1195,8 @@ class TestFloorCertificate:
         ((_, b, reach),) = seen
         rho = abs(functionals.pohozaev(p, b)) / b.bend
         assert 0.0 < rho - minimizer.Q_TOL < reach
-        monkeypatch.setattr(minimizer, "_floor_reach", lambda *args: 0.0)
+        monkeypatch.setattr(minimizer, "_floor_reach",
+                            lambda *args: (0.0, 1.0))
         assert outcome(p, grid, c) == "under-resolved"
 
     @staticmethod
@@ -1241,6 +1250,124 @@ class TestFloorCertificate:
         ((_, b, reach),) = seen
         rho = abs(functionals.pohozaev(p, b)) / b.bend
         assert reach < rho - minimizer.Q_TOL < 2.0 * reach
+
+
+# the numpy-only CI job's certified stall: at 0.5 c0 on the default grid the
+# try settles on a floor at q_residual 3.47e-6 that it cannot certify, and
+# the fallback's descent comes back to it
+CERTIFIED_ENV = {"BHGS_PROBLEM__N": "7",
+                 "BHGS_PROBLEM__Q": "2.3527812399673467",
+                 "BHGS_PROBLEM__MU": "0.685661305930885",
+                 "BHGS_CONSTANTS__C_GN": "0.9898935216078489",
+                 "BHGS_CONSTANTS__S_SOB": "1.3323311345551616"}
+# domain_draws(2, 100) draw 82 at 0.1 c0: its try settles 3.0e-8 above
+# Q_TOL, where the certificate's threshold, 1.7e-19, is J's rounding, and
+# the descent goes on to a state under Q_TOL
+DRAW_82 = (6, 2.324967441054504, 0.11516191918370794, 0.8997416001501858,
+           0.737171221120439)
+CERTIFIED_MSG = (r"stalled inside the energy sublevel certificate of a state "
+                 r"settled at q_residual=(\S+): J - J\*=(\S+) within "
+                 r"thr=(\S+), so no later iterate reaches Q_TOL=5e-07")
+
+
+class TestSublevelCertificate:
+    @staticmethod
+    def count_residuals(monkeypatch):
+        calls = []
+        real = minimizer._residuals
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(minimizer, "_residuals", counting)
+        return calls
+
+    def test_ci_op_ends_certified(self, monkeypatch, classify):
+        # the descent stops at the loose point, where the finish re-finds
+        # the try's floor state, after 24 residual evaluations; without the
+        # certificate it runs on to the stall after 33
+        p = resolve_params(load_config(env=CERTIFIED_ENV))
+        grid = build_grid(p.N, 2049, 1000.0)
+        c = 0.5 * mass_threshold(p)[1]
+        minimizer._profile(p.N, p.q)
+        calls = self.count_residuals(monkeypatch)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, grid, c)
+        assert err.value.kind == "stall" and len(calls) <= 24
+        msg = str(err.value)
+        hit = re.fullmatch(CERTIFIED_MSG, msg)
+        assert hit, msg
+        q, gap, thr = map(float, hit.groups())
+        assert q > minimizer.Q_TOL and -thr <= gap < thr
+        assert classify(msg) == "stall"
+        calls.clear()
+        monkeypatch.setattr(minimizer, "_sublevel_gap", lambda *args: None)
+        with pytest.raises(ConvergenceError, match="stalled for 3 steps"):
+            minimize(p, grid, c)
+        assert len(calls) == 33
+
+    @staticmethod
+    def solve_draw_82():
+        p = LandscapeParams(*DRAW_82)
+        return outcome(p, build_grid(p.N, 2049, 1000.0),
+                       0.1 * mass_threshold(p)[1])
+
+    def test_draw_82_still_converges(self, monkeypatch):
+        # its floor's G^2 scaled by 1e-6 puts the threshold at 1.7e-13, and
+        # the certificate ends the descent before the state it converges to
+        assert self.solve_draw_82() == (
+            "-0x1.d1d9cf43e0945p-9", "-0x1.fa0bfceedea9fp-9", 23)
+        real = minimizer._floor_reach
+
+        def scaled(*args):
+            reach, g2 = real(*args)
+            return reach, g2 * 1e-6
+
+        monkeypatch.setattr(minimizer, "_floor_reach", scaled)
+        assert self.solve_draw_82() == "stall"
+
+    @pytest.fixture(scope="class")
+    def floor_state(self):
+        """(grid, c, _Floor) of a hand-made floor: a Gaussian at mass c on a
+        small grid, J* = 0 (so J - J* is exact), q* = 1e-6, G^2 = 1 and
+        bend* = 1e-3, so thr = (5e-7)^2 / 8 = 3.125e-14 lies above
+        SUBLEVEL_GUARD bend* = 2.3e-16."""
+        grid = build_grid(5, 257, 20.0)
+        u = np.exp(-grid.nodes ** 2 / 2.0)
+        c = float(np.dot(grid.weights * u, u))
+        return grid, c, minimizer._Floor(0.0, 1e-6, 1e-3, u, 1.0)
+
+    @staticmethod
+    def gap(floor_state, dJ, offset=0.0, **changes):
+        grid, c, floor = floor_state
+        floor = floor._replace(**changes)
+        fld = RadialField(grid, floor.values * (1.0 + offset))
+        return minimizer._sublevel_gap(floor, fld, floor.J + dJ, c)
+
+    def test_fires_inside_the_threshold(self, floor_state):
+        thr = 0.125 * (1e-6 - minimizer.Q_TOL) ** 2
+        for dJ in (-thr, 0.0, 0.5 * thr, 0.99 * thr):
+            assert self.gap(floor_state, dJ) == (dJ, thr)
+        assert self.gap(floor_state, 0.0, offset=0.9e-3) is not None
+
+    def test_does_not_fire_outside_it(self, floor_state):
+        thr = 0.125 * (1e-6 - minimizer.Q_TOL) ** 2
+        # at or above thr, below -thr (a lower basin), beyond the distance
+        # cap (|u - u*|_W = 1.1e-3 sqrt(c))
+        for dJ in (thr, 2.0 * thr, -1.01 * thr, -1.0):
+            assert self.gap(floor_state, dJ) is None
+        assert self.gap(floor_state, 0.0, offset=1.1e-3) is None
+
+    @pytest.mark.parametrize("g2", [0.0, -1.0, math.inf, math.nan])
+    def test_does_not_fire_without_a_positive_g2(self, floor_state, g2):
+        assert self.gap(floor_state, 0.0, g2=g2) is None
+
+    def test_does_not_fire_under_the_guard(self, floor_state):
+        # thr = 3.125e-14 against SUBLEVEL_GUARD bend*, which passes it
+        # between bend* = 0.1374 and 0.1375
+        assert self.gap(floor_state, 0.0, bend=0.1375) is None
+        assert self.gap(floor_state, 0.0, bend=0.1374) is not None
 
 
 class TestOneLaplacianPerField:
@@ -1298,7 +1425,10 @@ class TestFailureKinds:
                  + self.raise_sites(minimizer.minimize)
                  + self.raise_sites(minimizer._descend)
                  + self.raise_sites(minimizer._newton_first))
-        assert len(sites) == 9
+        # _descend raises stall twice: on STALL_ITERS steps without energy
+        # progress and on the sublevel certificate
+        assert len(sites) == 10
+        assert sum(k == "stall" for k, _ in sites) == 2
         assert {k for k, _ in sites} == {"seed", "stall", "line-search",
                                          "budget", "safeguard", "invariant",
                                          "under-resolved"}
@@ -1330,21 +1460,21 @@ class TestFailureKinds:
                                       "under-resolved"])
     def test_raised_kind_is_the_one_classify_reads(
             self, kind, monkeypatch, classify, p53, grid_solve, solved06):
-        # the stall and line-search draws' tries certify their floors, so
-        # those kinds come from the fallback alone
+        # the stall draw stalls with no sublevel certificate; the
+        # line-search op (domain_draws(29812, 217) draw 159) is one of the
+        # census's that still lose the line search
         p, c = p53, 0.5 * mass_threshold(p53)[1]
         if kind in ("seed", "stall"):
             p = random_params(np.random.default_rng(
-                {"seed": 1, "stall": 3}[kind]))
+                {"seed": 1, "stall": 6}[kind]))
             c = 0.5 * mass_threshold(p)[1]
-            if kind == "stall":
-                fallback_only(monkeypatch)
-        elif kind in ("line-search", "under-resolved"):
+        elif kind == "line-search":
+            p = LandscapeParams(*LINE_SEARCH_DRAW)
+            c = 0.5 * mass_threshold(p)[1]
+        elif kind == "under-resolved":
             N, q, mu, cgn, ssob = PIN_DRAWS[2][0]
             p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
             c = 0.5 * mass_threshold(p)[1]
-            if kind == "line-search":
-                fallback_only(monkeypatch)
         elif kind == "budget":
             fallback_only(monkeypatch)
             monkeypatch.setattr(minimizer, "MAX_ITER", 2)
@@ -1834,13 +1964,15 @@ class TestNonnegPowerEndToEnd:
     @pytest.mark.parametrize("case, outcome", [
         ("default", "ok"),
         (4, "ok"),
-        (3, "stalled for"),
+        (6, "stalled for"),
+        (3, "stalled inside"),
         (3, "under-resolved"),
         (1, "seed contraction"),
     ])
     def test_minimize(self, monkeypatch, case, outcome):
-        # draw 3's try certifies its floor; its stall is the fallback's
-        if outcome == "stalled for":
+        # draw 3's try certifies its floor; the fallback alone stalls on
+        # the sublevel certificate of its loose-point finish
+        if outcome == "stalled inside":
             fallback_only(monkeypatch)
         cfg = load_config(env={})
         params = (cfg.problem() if case == "default"

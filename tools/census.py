@@ -28,8 +28,10 @@ The third form reads two such files of one form and lists, by (seed,
 draw, fraction), the ops that moved (both ok with another m, lambda,
 q_residual or iters, or both failed with another outcome, kind or
 message), were lost (ok in the first, failed in the second) or were
-gained (the reverse), and the ops only one file has. It exits 0 when the
-two agree on every op and 1 otherwise.
+gained (the reverse), and the ops only one file has, then counts the
+moved ops by transition of kind (the outcome where there is no kind), as
+"moved by kind: stall→stall 204, line-search→stall 16". It exits 0 when
+the two agree on every op and 1 otherwise.
 """
 import os
 import sys
@@ -40,6 +42,7 @@ os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRAWS_PER_SEED = 217
@@ -173,7 +176,17 @@ def compare(path_a: str, path_b: str) -> int:
                 vb = None if rb is None else rb[f]
                 if va != vb:
                     print(f"    {f}: {va!r} -> {vb!r}")
+    moves = Counter(f"{kind(ra)}→{kind(rb)}" for _, ra, rb in groups["moved"])
+    print("moved by kind: " + (", ".join(
+        f"{t} {n}" for t, n in sorted(moves.items(), key=lambda i: -i[1]))
+        or "none"))
     return 0 if same == len(a) == len(b) else 1
+
+
+def kind(rec: dict) -> str:
+    """An op's failure kind, or its outcome where it has none (ok, or an
+    error without a kind)."""
+    return rec["kind"] or rec["outcome"]
 
 
 def main(argv=None) -> int:
