@@ -2,92 +2,94 @@
 the quotient of a held ground-state profile (S_sob's closed form is
 landscape's).
 
-Two residuals gate convergence: the weighted norm of the projected gradient
-and |Q|/bend, at most the module constants GRAD_TOL and Q_TOL. Both are
-cheap and the second is the necessary condition the analysis itself
-provides.
+The descent converges where the weighted norm of the projected gradient
+and |Q|/bend are at most the module constants GRAD_TOL and Q_TOL. Both
+are cheap, and the second is the necessary condition the analysis itself
+provides. A Newton run settles on its own error instead (below).
 
-minimize tries Newton first (_newton_first): bordered Newton on (u,
-lambda) for grad J = lambda u on the mass sphere (Keller 1977). Each step
-is one pivot-free banded LDL^T of the Hessian K = L^T W L - lambda W -
-W f'(u) with two right-hand sides (_newton_step). The grid holds L^T W L
-once, read-only, in LAPACK's (5, n) lower band storage
-(RadialGrid.newton_band); a step copies it into one work array, shifts its
-diagonal row and lets the factor (_lapack.ldlt_banded) overwrite it. The
-ground state is a strict local minimum of J on the mass sphere, where the
-bordered system is nonsingular: K has one negative eigenvalue and
-<W u, K^-1 W u> < 0 (Grillakis, Shatah & Strauss 1987). Each step's factor
-flips one column per negative eigenvalue of K, its Morse index.
+minimize tries Newton first: bordered Newton on (u, lambda) for
+grad J = lambda u on the mass sphere (Keller 1977). Each step is one
+pivot-free banded LDL^T of the Hessian K = L^T W L - lambda W - W f'(u)
+with two right-hand sides (_newton_step). The grid holds L^T W L once,
+read-only, in LAPACK's (5, n) lower band storage (RadialGrid.newton_band);
+a step copies it into one work array, shifts its diagonal row and lets the
+factor (_lapack.ldlt_banded) overwrite it. The ground state is a strict
+local minimum of J on the mass sphere, where the bordered system is
+nonsingular: K has one negative eigenvalue and <W u, K^-1 W u> < 0
+(Grillakis, Shatah & Strauss 1987). Each step's factor flips one column
+per negative eigenvalue of K, its Morse index.
 
 Every Newton run, the profile's, the try's and the finish's, is one loop
-(_newton) that stops at the first step that settles: gnorm <= GRAD_TOL and
-the simplified Newton correction at most FIRST_ERR_TOL (_correction), the
-residual solved with the last step's factor, one back-substitution, in
-|.|_W / sqrt(c). It measures the state's error on the grid itself
-(Deuflhard, Newton Methods for Nonlinear Problems, 2004); the absolute
-GRAD_TOL alone accepts states whose lambda is off by some 3e-7. Each
-caller judges the settled state the loop returns with its factor.
+(_newton) that stops at the first step that settles: the simplified Newton
+correction at most FIRST_ERR_TOL (_correction), the residual solved with
+the last step's factor, one back-substitution, in |.|_W / sqrt(c). It
+measures the state's error on the grid itself, at any scale (Deuflhard,
+Newton Methods for Nonlinear Problems, 2004). The profile keeps the
+settled state as it is; the try and the finish hand it to one judgment
+(_settle).
 
 The try starts from the profile of (N, q), moved to the op's (mu, c) by
-the exact dilation. While the critical term is negligible, the ground
-states at every mu and c are dilations of one subcritical profile per
-(N, q): u -> A u(r/L) maps a solution at (mu1, c1) to one at (mu2, c2)
-where A^(q-2) = mu1 / (mu2 L^4) and L^(N(q-2)/2 - 4) = (mu2/mu1)
-(c2/c1)^((q-2)/2). So one small table (_profile) holds, per (N, q), the
-state at mu = 1 and the synthetic constants, settled on its first use on
-a grid of its own (nested iteration, Deuflhard 2004, Hackbusch 1985). It
-holds the profile's values, spacing, mass and bundle, not its grid. Every
-params object of that (N, q) starts from it, whatever its mu and
-constants, and its bundle's Gagliardo-Nirenberg quotient is estimated
-C_gn (estimate_gn_constant), so the solver has one Newton method for
-every state it computes. Where there is no profile, or its moved start
+the exact dilation (_moved_start). While the critical term is negligible,
+the ground states at every mu and c are dilations of one subcritical
+profile per (N, q): u -> A u(r/L) maps a solution at (mu1, c1) to one at
+(mu2, c2) where A^(q-2) = mu1 / (mu2 L^4) and L^(N(q-2)/2 - 4) =
+(mu2/mu1) (c2/c1)^((q-2)/2). So one small table (_profile) holds, per
+(N, q), the state at mu = 1 and the synthetic constants, settled on its
+first use on a grid of its own (nested iteration, Deuflhard 2004,
+Hackbusch 1985). It holds the profile's values, spacing, mass and bundle,
+not its grid. Every params object of that (N, q) starts from it, whatever
+its mu and constants, and its bundle's Gagliardo-Nirenberg quotient is
+estimated C_gn (estimate_gn_constant), so the solver has one Newton method
+for every state it computes. Where there is no profile, or its moved start
 fails J < 0 or the bend cap, the try is skipped. It is skipped too where
 s1, the fiber minimum of the grid's unit Gaussian bundle scaled to mass c
-(fiber.fiber_minimum), does not exist; s1^(-1/2) is the width an
-under-resolved message names.
+(fiber.fiber_minimum), does not exist. minimize computes s1 once, and
+s1^(-1/2) is the width an under-resolved message names.
 
-The try keeps its settled state where it meets Q_TOL, the energy slack
-and the bend cap. One settled above Q_TOL sits on the grid's discrete
-Pohozaev floor, which falls like h^4; no later step can pass. At a ground
-state the bordered Hessian is invertible, so one more solve with the same
-factor bounds, to first order, how far q_residual can fall over
+The judgment (_settle) keeps the settled state where it meets Q_TOL, its
+energy is not above its start's (up to NEWTON_J_SLACK bend) and its bend
+is below the safeguard cap. One settled above Q_TOL sits on the grid's
+discrete Pohozaev floor, which falls like h^4; no later step can pass. At
+a ground state the bordered Hessian is invertible, so one more solve with
+the same factor bounds, to first order, how far q_residual can fall over
 tangent states whose projected gradient is within GRAD_TOL (_floor_reach).
-Where the try's q_residual - Q_TOL exceeds that reach, no state the
-fallback could accept is near, and the solve ends with ConvergenceError
-of kind under-resolved; the seed loop and the descent never run. Where it
-does not, the try returns the state's floor record (_Floor: J*, q*, bend*,
-its values and G^2 = g^T d, g the gradient of q_residual and d = K^-1 g
-made tangent, the solve the reach already takes) for the fallback.
+Where q_residual - Q_TOL exceeds that reach, no state the descent could
+accept is near, and the solve ends with ConvergenceError of kind
+under-resolved: after the try, the seed loop and the descent never run.
+Where it does not, the judgment returns the state's floor record (_Floor:
+J*, q*, bend*, its values and G^2 = g^T d, g the gradient of q_residual
+and d = K^-1 g made tangent, the solve the reach already takes).
 
-Where the try is skipped or fails without that certificate, the fallback
-(_descend) runs bit for bit as without the try, up to where the floor
-record ends it (below): the seed loop, then projected gradient descent on the mass sphere with a renormalization
-retraction and Armijo backtracking. Raw
-descent is useless here: the bending term makes the gradient stiffness
-scale like h^{-4}, so steps are preconditioned by the banded SPD operator
-P = a W + L^T W L (Cholesky factored once per shift regime, a tracks
-|lambda|). The descent direction is the tangent projection of P^{-1}
-applied to the weighted gradient; energy still decreases strictly every
-accepted step. The descent converges linearly, and its tail is most of its
-cost, so it hands the iterate to the Newton loop once, at the loose point:
-the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
-LOOSE_Q. There the loop stops at the convergence test too, settled or
-not. If the finish fails, the descent resumes from the same iterate and
-state, so it ends where the descent alone would. STALL_ITERS accepted
-steps in a row without energy progress end the descent with a
-ConvergenceError of kind stall. So does, sooner, the energy-sublevel
-certificate (_sublevel_gap), once an iterate's energy shows, to second
-order, that no later iterate can reach Q_TOL. It reads the try's floor
-record or, where the try left none, that of a finish settled above Q_TOL
-(one more back-substitution pair). It runs after the iterate's own
-convergence test and the loose-point finish, so a success at that
-iterate wins, and it goes with the descent.
+Where the try is skipped, fails or leaves a floor record, the fallback
+(_descend) runs bit for bit as without the try, up to where a judgment or
+the floor record ends it (below): the seed loop, then projected gradient
+descent on the mass sphere with a renormalization retraction and Armijo
+backtracking. Raw descent is useless here: the bending term makes the
+gradient stiffness scale like h^{-4}, so steps are preconditioned by the
+banded SPD operator P = a W + L^T W L (Cholesky factored once per shift
+regime, a tracks |lambda|). The descent direction is the tangent
+projection of P^{-1} applied to the weighted gradient; energy still
+decreases strictly every accepted step. The descent converges linearly,
+and its tail is most of its cost, so it hands the iterate, with its
+projected gradient and lambda_hat, to the judgment once, at the loose
+point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual
+<= LOOSE_Q. There the loop also stops, settled or not, at the descent's
+own convergence test (the loose stop): one benchmark op converges there
+alone, at a state whose correction is far above FIRST_ERR_TOL. If the
+finish keeps no state, the descent resumes from the same iterate and
+state, so it ends where the descent alone would, unless the finish
+settled on a floor beyond its reach. STALL_ITERS accepted steps in a row
+without energy progress end the descent with a ConvergenceError of kind
+stall. So does, sooner, the energy-sublevel certificate (_sublevel_gap),
+once an iterate's energy shows, to second order, that no later iterate
+can reach Q_TOL. It reads the try's floor record or, where the try left
+none, the finish's. It runs after the iterate's own convergence test and
+the loose-point finish, so a success at that iterate wins, and it goes
+with the descent.
 
-A Newton result, first or finish, is kept only if it meets Q_TOL, its
-energy is not above the iterate it started from (up to NEWTON_J_SLACK
-bend) and its bend is below the safeguard cap (_kept). GroundState.iters
-counts the linear solves on the grid of the path that returned the state,
-plus one: the profile's solves are not counted, nor a failed try's.
+GroundState.iters counts the linear solves on the grid of the path that
+returned the state, plus one: the profile's solves are not counted, nor a
+failed try's.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
@@ -193,12 +195,11 @@ MAX_ITER = 2000
 GRAD_TOL = 1e-8
 Q_TOL = 5e-7
 
-# Newton: a run has settled once gnorm <= GRAD_TOL and the simplified Newton
-# correction, an estimate of its error in |.|_W / sqrt(c), is at most
-# FIRST_ERR_TOL (_newton); the profile and Newton first keep only a settled
-# state, and a try settled above Q_TOL ends the solve as under-resolved
+# Newton: a run has settled once the simplified Newton correction, an
+# estimate of its error in |.|_W / sqrt(c), is at most FIRST_ERR_TOL
+# (_newton); a run settled above Q_TOL ends the solve as under-resolved
 # where q_residual - Q_TOL exceeds the first-order reach of states within
-# GRAD_TOL (_floor_reach); read at call time
+# GRAD_TOL (_settle, _floor_reach); read at call time
 FIRST_ERR_TOL = 1e-10
 
 # the (N, q) profile: solved at REF_FRACTION c0 on a grid with
@@ -463,22 +464,24 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
 
 
 def _newton(params: LandscapeParams, c: float, fld: RadialField,
-            b: NormBundle, budget: int, loose: bool = False):
+            b: NormBundle, budget: int, loose: bool = False,
+            residuals: tuple | None = None):
     """At most budget bordered Newton steps (_newton_step) from the mass-c
-    iterate fld with bundle b, in one held band and rhs array.
+    iterate fld with bundle b, in one held band and rhs array; residuals
+    is fld's (projected gradient, lambda_hat) where the caller holds them.
 
     Returns ((fld, b, q_residual, (ab, flips, rhs)), steps) at the first
-    step that settles: gnorm <= GRAD_TOL and the simplified Newton
-    correction (_correction) at most FIRST_ERR_TOL; (ab, flips) is that
-    step's factor of K. With loose, also at a step with gnorm <= GRAD_TOL
-    and q_residual <= Q_TOL. Otherwise (None, steps): the budget ran out,
-    or a step was singular, not finite or left float range. steps counts
-    the linear solves; the correction's back-substitution is not one.
+    step that settles: the simplified Newton correction (_correction) at
+    most FIRST_ERR_TOL; (ab, flips) is that step's factor of K. With loose,
+    also at a step with gnorm <= GRAD_TOL and q_residual <= Q_TOL.
+    Otherwise (None, steps): the budget ran out, or a step was singular,
+    not finite or left float range. steps counts the linear solves; the
+    correction's back-substitution is not one.
     """
     grid = fld.grid
     ab = np.empty((5, grid.n), order="F")
     rhs = np.empty((grid.n, 2), order="F")
-    g_proj, lam_hat, _, _ = _residuals(params, c, fld, b)
+    g_proj, lam_hat = residuals or _residuals(params, c, fld, b)[:2]
     for steps in range(1, budget + 1):
         try:
             cand, flips = _newton_step(params, c, fld, g_proj, lam_hat, ab,
@@ -494,19 +497,10 @@ def _newton(params: LandscapeParams, c: float, fld: RadialField,
             return None, steps
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
         factor = (ab, flips, rhs)
-        if gnorm <= GRAD_TOL and (
-                (loose and qres <= Q_TOL)
+        if ((loose and gnorm <= GRAD_TOL and qres <= Q_TOL)
                 or _correction(fld, c, g_proj, *factor) <= FIRST_ERR_TOL):
             return (fld, b, qres, factor), steps
     return None, budget
-
-
-def _kept(params: LandscapeParams, J0: float, qres: float, b: NormBundle,
-          bend_cap: float) -> bool:
-    # a Newton result meets Q_TOL, its energy is at most NEWTON_J_SLACK bend
-    # above J0, its start's, and its bend is below the cap
-    return (qres <= Q_TOL and energy(params, b) <= J0 + NEWTON_J_SLACK * b.bend
-            and b.bend < bend_cap)
 
 
 def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
@@ -570,12 +564,43 @@ class _Floor(NamedTuple):
     g2: float
 
 
-def _floor(params: LandscapeParams, fld: RadialField, b: NormBundle,
-           qres: float, factor: tuple):
-    # (reach, _Floor) of a state Newton settled at q_residual qres with the
-    # last step's factor (ab, flips, rhs)
+def _settle(params: LandscapeParams, c: float, fld: RadialField,
+            b: NormBundle, bend_cap: float, s1: float | None,
+            loose: bool = False, residuals: tuple | None = None):
+    """At most NEWTON_STEPS Newton steps (_newton) from the mass-c start
+    fld with bundle b, and the one judgment of the state they settle at:
+    (kept, steps, floor), kept the settled (fld, b) or None, floor a _Floor
+    or None; loose and residuals go to _newton.
+
+    The state is kept where it meets Q_TOL, its energy is at most
+    NEWTON_J_SLACK bend above the start's and its bend is below bend_cap.
+    One settled above Q_TOL sits on the grid's Pohozaev floor: where
+    q_residual - Q_TOL exceeds the first-order reach of states within
+    GRAD_TOL (_floor_reach), no state the descent could accept is near, and
+    ConvergenceError of kind under-resolved is raised, its message giving
+    the width s1^(-1/2) in grid spacings where s1 is known; otherwise the
+    state's _Floor is returned.
+    """
+    J0 = energy(params, b)
+    done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=loose,
+                          residuals=residuals)
+    if done is None:
+        return None, steps, None
+    fld, b, qres, factor = done
+    J = energy(params, b)
+    if qres <= Q_TOL:
+        kept = J <= J0 + NEWTON_J_SLACK * b.bend and b.bend < bend_cap
+        return (fld, b) if kept else None, steps, None
     reach, g2 = _floor_reach(params, fld, b, *factor)
-    return reach, _Floor(energy(params, b), qres, b.bend, fld.values, g2)
+    if qres - Q_TOL > reach:
+        width = ("" if s1 is None else f"; the fiber-minimum width spans "
+                 f"{s1 ** -0.5 / fld.grid.h:.3g} grid spacings")
+        raise ConvergenceError(
+            "under-resolved",
+            f"under-resolved grid: Newton settled at q_residual={qres:.3e}, "
+            f"above Q_TOL={Q_TOL} by more than the reach {reach:.3e} of "
+            f"states within GRAD_TOL={GRAD_TOL}{width}")
+    return None, steps, _Floor(J, qres, b.bend, fld.values, g2)
 
 
 def _sublevel_gap(floor: _Floor, fld: RadialField, J: float, c: float):
@@ -674,78 +699,41 @@ def _profile(N: int, q: float):
     return done[0].values, grid.h, c_ref, done[1]
 
 
-def _newton_first(params: LandscapeParams, grid: RadialGrid, c: float,
-                  bend_cap: float):
-    """At most NEWTON_STEPS Newton steps on the grid (_newton): (((fld, b),
-    steps), None) for a kept state, else (None, floor), floor the _Floor of
-    a state settled above Q_TOL that is not certified under-resolved, or
-    None where the try is skipped or fails otherwise.
-
-    They start from the (N, q) profile (_profile) read at r / L,
+def _moved_start(params: LandscapeParams, grid: RadialGrid, c: float,
+                 bend_cap: float):
+    """The try's start: the (N, q) profile (_profile) read at r / L,
     L = mu^(1 / (N(q-2)/2 - 4)) (c / c_ref)^(1 / (N - 8/(q-2))) by
-    grid.interpolate, and scaled to mass c; at mu = 1 the first factor is
-    1.0 and L is the mass factor bit for bit. The try is skipped where
-    there is no profile, where that start fails J < 0 or bend < bend_cap,
-    and where the grid's unit Gaussian bundle scaled to mass c has no
-    fiber minimum s1 (fiber_minimum). The settled state is kept where it
-    meets Q_TOL, the energy slack and the bend cap (_kept). A state settled
-    with q_residual - Q_TOL above the first-order reach of states within
-    GRAD_TOL (_floor_reach) raises ConvergenceError of kind under-resolved,
-    whose message gives the width s1^(-1/2) in grid spacings.
+    grid.interpolate, and scaled to mass c, with its bundle (_start); at
+    mu = 1 the first factor is 1.0 and L is the mass factor bit for bit.
+    None where there is no profile or that start fails J < 0 or bend <
+    bend_cap.
     """
-    s1 = _gaussian_s1(params, c, grid)
-    if s1 is None:
-        return None, None
     N, q = params.N, params.q
     try:
         prof = _profile(N, q)
     except DomainError:     # no profile grid builds at dimension N
         prof = None
     if prof is None:
-        return None, None
+        return None
     values, h, c_ref, _ = prof
     L = (params.mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
          * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
-    start = _start(params, grid, c,
-                   interpolate(values, h, grid.nodes / L), bend_cap)
-    if start is None:
-        return None, None
-    done, steps = _newton(params, c, *start, NEWTON_STEPS)
-    if done is None:
-        return None, None
-    fld, b, qres, _ = done
-    if _kept(params, energy(params, start[1]), qres, b, bend_cap):
-        return ((fld, b), steps), None
-    if qres > Q_TOL:
-        # settled above Q_TOL, on the grid's Pohozaev floor: no later step
-        # can pass, and where no state within GRAD_TOL can either, neither
-        # can the fallback; otherwise its record may end the fallback's
-        # descent (_sublevel_gap)
-        reach, floor = _floor(params, *done)
-        if qres - Q_TOL > reach:
-            raise ConvergenceError(
-                "under-resolved",
-                f"under-resolved grid: Newton settled at "
-                f"q_residual={qres:.3e}, above Q_TOL={Q_TOL} by more "
-                f"than the reach {reach:.3e} of states within "
-                f"GRAD_TOL={GRAD_TOL}; the fiber-minimum width spans "
-                f"{s1 ** -0.5 / grid.h:.3g} grid spacings")
-        return None, floor
-    return None, None
+    return _start(params, grid, c, interpolate(values, h, grid.nodes / L),
+                  bend_cap)
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Newton first, from the (N, q) profile moved to (mu, c)
-    (_newton_first); where that is skipped or fails, the seed loop and the
-    preconditioned descent, finished from the loose point by the same
-    Newton loop (_newton) as the try (_descend), until gnorm <= GRAD_TOL
+    Newton first, from the (N, q) profile moved to (mu, c) (_moved_start)
+    and judged by _settle; where that is skipped or keeps no state, the
+    seed loop and the preconditioned descent, finished from the loose
+    point through the same judgment (_descend), until gnorm <= GRAD_TOL
     and q_residual <= Q_TOL. Raises DomainError for a mass
     outside (0, c0) or a grid of another dimension, and ConvergenceError if
-    Newton first settles on a Pohozaev floor certified above Q_TOL
-    (under-resolved; no fallback runs), the seed loop fails (seed), the
+    Newton, first or finish, settles on a Pohozaev floor certified above
+    Q_TOL (under-resolved), the seed loop fails (seed), the
     residuals are not met within MAX_ITER iterations (budget), the line
     search dies (line-search), the descent stalls or its energy certifies
     that it cannot reach Q_TOL (stall, _sublevel_gap), the bend
@@ -758,13 +746,15 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     rho0 = thresholds[2]
     _check_request(params, thresholds, c, grid)
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
-    first, floor = _newton_first(params, grid, c, bend_cap)
-    if first is not None:
-        (fld, b), solves = first
-        n_safe = 0
+    s1 = _gaussian_s1(params, c, grid)
+    start = None if s1 is None else _moved_start(params, grid, c, bend_cap)
+    kept, solves, floor = (None, 0, None) if start is None else _settle(
+        params, c, *start, bend_cap, s1)
+    if kept is not None:
+        (fld, b), n_safe = kept, 0
     else:
         fld, b, solves, n_safe = _descend(params, grid, c, thresholds,
-                                          bend_cap, floor)
+                                          bend_cap, floor, s1)
     J = energy(params, b)
     mass_err = abs(b.mass - c) / c
     if mass_err > 1e-8:
@@ -785,15 +775,17 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
 
 
 def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
-             thresholds, bend_cap: float, floor: _Floor | None):
+             thresholds, bend_cap: float, floor: _Floor | None,
+             s1: float | None):
     """The seed loop, then preconditioned descent with one loose Newton
-    finish (_newton) from the loose point; returns (fld, b, linear solves,
+    finish (_settle) from the loose point; returns (fld, b, linear solves,
     safeguard rejections).
 
-    floor is the try's settled state above Q_TOL (_newton_first), or None;
-    where it is None and the finish settles above Q_TOL, the finish's
-    state becomes it. Once an iterate's energy certifies from it that no
-    later iterate can reach Q_TOL (_sublevel_gap), the descent stalls."""
+    floor is the try's settled state above Q_TOL, or None; where it is
+    None, the finish's floor becomes it. Once an iterate's energy
+    certifies from it that no later iterate can reach Q_TOL
+    (_sublevel_gap), the descent stalls. s1 is minimize's, for the
+    finish's under-resolved message."""
     fld, b = seed(params, thresholds, c, grid)
     J = energy(params, b)
     tau = STEP0
@@ -812,16 +804,17 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
         if gnorm <= GRAD_TOL and qres <= Q_TOL:
             break
         if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
-            # hand (fld, b) to Newton once; its solves count as iterations
+            # hand (fld, b) and its residuals to Newton once; its solves
+            # count as iterations
             loose = False
-            done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=True)
+            kept, steps, settled = _settle(params, c, fld, b, bend_cap, s1,
+                                           loose=True,
+                                           residuals=(g_proj, lam_hat))
             solves += steps
-            if done is not None:
-                if _kept(params, J, done[2], done[1], bend_cap):
-                    fld, b = done[:2]
-                    break
-                if floor is None and done[2] > Q_TOL:
-                    floor = _floor(params, *done)[1]
+            if kept is not None:
+                fld, b = kept
+                break
+            floor = floor or settled
         if floor is not None and (
                 held := _sublevel_gap(floor, fld, J, c)) is not None:
             raise ConvergenceError(

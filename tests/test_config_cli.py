@@ -486,6 +486,8 @@ class TestCliSolveAndFiber:
                        r"\(tolerances 1e-08, 5e-07\)", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
         assert msg.endswith("; the gradient criterion is met")
+        # a stall away from the bend cap names no safeguard
+        assert "safeguard" not in msg
 
     def test_solve_under_resolved_at_discretization_floor(
             self, capsys, tmp_path, monkeypatch):
@@ -634,8 +636,7 @@ class TestCliSweep:
                                                   monkeypatch):
         monkeypatch.setenv("BHGS_SWEEP__C_GRID", SMALL_GRID)
         # the seed loop and the descent alone, on a budget of 2 iterations
-        monkeypatch.setattr(minimizer, "_newton_first",
-                            lambda *args: (None, None))
+        monkeypatch.setattr(minimizer, "_moved_start", lambda *args: None)
         monkeypatch.setattr(minimizer, "MAX_ITER", 2)
         report = str(tmp_path / "rep.json")
         rc, out, err = run_cli(capsys, "sweep", "--out", report)

@@ -161,8 +161,15 @@ def fallback06(p53, grid_solve):
 def fallback_only(monkeypatch):
     """Skip the Newton-first try: every solve takes the seed loop and the
     descent."""
-    monkeypatch.setattr(minimizer, "_newton_first",
-                        lambda *args: (None, None))
+    monkeypatch.setattr(minimizer, "_moved_start", lambda *args: None)
+
+
+def newton_first(p, grid, c, cap):
+    """minimize's try: _settle's (kept, steps, floor) from the moved
+    profile (_moved_start), or None where the try is skipped."""
+    s1 = minimizer._gaussian_s1(p, c, grid)
+    start = None if s1 is None else minimizer._moved_start(p, grid, c, cap)
+    return None if start is None else minimizer._settle(p, c, *start, cap, s1)
 
 
 @pytest.fixture(scope="module")
@@ -323,19 +330,25 @@ class TestMinimize:
 
     def test_unreachable_tolerance_raises(self, p53, grid_solve, thresholds53,
                                           monkeypatch):
-        # progress dies at the grid's noise floor long before 1e-30
+        # Newton settles at the grid's noise floor, long before 1e-30, and
+        # no state within a projected gradient of 1e-30 can fall that far:
+        # the try ends the solve as under-resolved
         _, c0, _ = thresholds53
         monkeypatch.setattr(minimizer, "MAX_ITER", 400)
         monkeypatch.setattr(minimizer, "GRAD_TOL", 1e-30)
         monkeypatch.setattr(minimizer, "Q_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.5 * c0)
-        # gnorm is above grad_tol, so the message names no discretization floor
+        assert err.value.kind == "under-resolved"
         msg = str(err.value)
-        hit = re.fullmatch(rf"stalled for {minimizer.STALL_ITERS} steps at "
-                           r"gnorm=(\S+), q_residual=\S+ "
-                           r"\(tolerances 1e-30, 1e-30\)", msg)
-        assert hit and float(hit.group(1)) > minimizer.GRAD_TOL
+        hit = re.fullmatch(r"under-resolved grid: Newton settled at "
+                           r"q_residual=(\S+), above Q_TOL=1e-30 by more "
+                           r"than the reach (\S+) of states within "
+                           r"GRAD_TOL=1e-30; the fiber-minimum width spans "
+                           r"\S+ grid spacings", msg)
+        assert hit, msg
+        rho, reach = map(float, hit.groups())
+        assert rho - 1e-30 > reach
 
 
 class TestNewtonFinish:
@@ -447,11 +460,11 @@ class TestNewtonFinish:
                              ids=["N5-0.9-stall", "N8-0.5-solved"])
     def test_settled_finish_gives_up_at_its_settle_step(self, monkeypatch, i,
                                                         frac):
-        # the loose-point finish settles above Q_TOL (gnorm <= GRAD_TOL,
-        # the simplified correction within FIRST_ERR_TOL) before its budget
-        # runs out: the loop returns at that step, the state is not kept,
-        # and the resumed descent ends as the descent alone does, with the
-        # same kind and message or the same m and lambda
+        # the loose-point finish settles above Q_TOL (the simplified
+        # correction within FIRST_ERR_TOL), within its floor's reach, before
+        # its budget runs out: the loop returns at that step, the state is
+        # not kept, and the resumed descent ends as the descent alone does,
+        # with the same kind and message or the same m and lambda
         p, grid, c = draw_op(i, frac)
         runs = self.record_finishes(monkeypatch, grid.n)
         got = self.ending(p, grid, c)
@@ -542,12 +555,16 @@ class TestBendSafeguard:
     def test_stall_away_from_the_cap_names_no_safeguard(self, p53,
                                                         grid_solve,
                                                         monkeypatch):
+        # the try settles far from the cap, above Q_TOL = 1e-30 by more
+        # than its reach: the solve ends as under-resolved and names no
+        # safeguard
         monkeypatch.setattr(minimizer, "MAX_ITER", 400)
         monkeypatch.setattr(minimizer, "GRAD_TOL", 1e-30)
         monkeypatch.setattr(minimizer, "Q_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.6)
-        assert str(err.value).startswith("stalled for")
+        assert err.value.kind == "under-resolved"
+        assert str(err.value).startswith("under-resolved grid: ")
         assert "safeguard" not in str(err.value)
 
 
@@ -666,12 +683,12 @@ class TestNewtonFirst:
         for p, grid, c in ops:
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             try:
-                done, _ = minimizer._newton_first(p, grid, c, cap)
+                tried = newton_first(p, grid, c, cap)
             except ConvergenceError as exc:
                 assert exc.kind == "under-resolved"
                 continue
-            if done is not None:
-                out.append((p, c, done))
+            if tried is not None and tried[0] is not None:
+                out.append((p, c, tried[:2]))
         return out
 
     @staticmethod
@@ -707,8 +724,8 @@ class TestNewtonFirst:
 
     def test_absolute_tolerances_alone_accept_unconverged_lambda(
             self, monkeypatch):
-        # with the error estimate always met, the try stops on GRAD_TOL and
-        # Q_TOL after one step from the profile; on the DOMAIN_OPS, whose
+        # with the error estimate always met, the try settles after one
+        # step from the profile and Q_TOL accepts it; on the DOMAIN_OPS, whose
         # first steps leave the largest errors, that leaves lambda off by
         # 1.3e-9 to 5.2e-8 (at 0.05 c0 on the solve-fine grid, where the
         # profile moved farthest, by 8.1e-12)
@@ -773,10 +790,10 @@ def patch_profile_solves(monkeypatch, solve):
     they are."""
     real = minimizer._newton
 
-    def patched(params, c, fld, b, budget, loose=False):
+    def patched(params, c, fld, b, budget, **kwargs):
         if budget == 2 * minimizer.NEWTON_STEPS:
             return solve(real, params, c, fld, b, budget)
-        return real(params, c, fld, b, budget, loose)
+        return real(params, c, fld, b, budget, **kwargs)
 
     monkeypatch.setattr(minimizer, "_newton", patched)
 
@@ -860,7 +877,7 @@ class TestNestedStart:
         # more Newton steps, and its lambda within 1e-10 of the polished
         # one. The DOMAIN_OPS and 0.05 c0 take two steps on the grid, the
         # other FINE_FRACS masses one. The simplified correction is taken
-        # at every step that meets GRAD_TOL; each first step it rejects
+        # at every step; each first step it rejects
         # stands far above the roundoff floor (4.5e-10 at 0.05 c0, the
         # reference moved farthest; 3e-9 to 3e-7 on the DOMAIN_OPS), and
         # the correction measures that error to 5e-3 on the solve-fine grid
@@ -881,7 +898,7 @@ class TestNestedStart:
             cap = mass_threshold(p)[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
             sizes.clear()
             measured.clear()
-            ((fld, b), steps), _ = minimizer._newton_first(p, grid, c, cap)
+            (fld, b), steps, _ = newton_first(p, grid, c, cap)
             assert sizes == [grid.n] * steps
             steps_taken.append(steps)
             assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
@@ -916,7 +933,7 @@ class TestNestedStart:
         _, c0, rho0 = mass_threshold(p)
         c = frac * c0
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        ((fld, _), steps), _ = minimizer._newton_first(p, grid, c, cap)
+        (fld, _), steps, _ = newton_first(p, grid, c, cap)
         assert steps == 2
         assert polish_error(p, c, fld) <= 1e-12
         assert minimize(p, grid, c).iters == 3
@@ -945,7 +962,7 @@ class TestNestedStart:
 
         monkeypatch.setattr(minimizer, "_newton_step", recording)
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        ((fld, _), steps), _ = minimizer._newton_first(p, grid, c, cap)
+        (fld, _), steps, _ = newton_first(p, grid, c, cap)
         monkeypatch.undo()
         assert steps == len(steps_taken) == 4
         assert polish_error(p, c, fld) <= minimizer.FIRST_ERR_TOL
@@ -969,7 +986,8 @@ class TestNestedStart:
                             lambda *args: real_correction(*args) * 1e12)
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
         sizes = count_factors(monkeypatch)
-        assert minimizer._newton_first(p53, grid, c, cap) == (None, None)
+        assert newton_first(p53, grid, c, cap) == (
+            None, minimizer.NEWTON_STEPS, None)
         assert sizes == [8193] * minimizer.NEWTON_STEPS
         fell_back = []
         real_seed = minimizer.seed
@@ -1027,7 +1045,7 @@ class TestNestedStart:
         c = 0.5 * thresholds53[1]
         p = LandscapeParams(N=5, q=3.0, mu=1.0)
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        assert minimizer._newton_first(p, grid, c, cap) == (None, None)
+        assert newton_first(p, grid, c, cap) is None
         assert minimizer._profile(p.N, p.q) is None and sizes == []
         st = minimize(p, grid, c)
         assert sizes[0] == "seed"
@@ -1050,7 +1068,7 @@ class TestNestedStart:
         monkeypatch.setattr(minimizer, "_start", first_fails)
         c = 0.5 * thresholds53[1]
         cap = thresholds53[2] * (1.0 - minimizer.SAFEGUARD_MARGIN)
-        assert minimizer._newton_first(p53, grid, c, cap) == (None, None)
+        assert newton_first(p53, grid, c, cap) is None
         assert starts == [2049] and sizes == []
 
     def test_held_reference_changes_no_bit(self, thresholds53,
@@ -1128,7 +1146,7 @@ class TestNestedStart:
             cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
             for f in (0.1, 0.5, 0.9):
                 sizes.clear()
-                first, floor = minimizer._newton_first(p, grid, f * c0, cap)
+                first, _, floor = newton_first(p, grid, f * c0, cap)
                 assert first is None and floor.q > minimizer.Q_TOL
                 got.append(sizes.count(grid.n))
         assert got == [1] * 6
@@ -1139,6 +1157,14 @@ def draw_op(i, frac):
     (N, q, mu, cgn, ssob), _ = PIN_DRAWS[i]
     p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
     return p, build_grid(N, 2049, 1000.0), frac * mass_threshold(p)[1]
+
+
+# the under-resolved message at the default tolerances: (q_residual, reach,
+# width in grid spacings)
+UNDER_RESOLVED_MSG = (r"under-resolved grid: Newton settled at q_residual="
+                      r"(\S+), above Q_TOL=5e-07 by more than the reach (\S+) "
+                      r"of states within GRAD_TOL=1e-08; the fiber-minimum "
+                      r"width spans (\S+) grid spacings")
 
 
 def record_floors(monkeypatch):
@@ -1187,14 +1213,16 @@ class TestFloorCertificate:
 
     def test_uncertified_floor_falls_back_bit_for_bit(self, monkeypatch):
         # the N = 8 draw at 0.1 c0 settles above Q_TOL at 1.6e-7 past it,
-        # far within the reach 1.5e-4: the fallback solves it to its pin.
-        # With no reach the same floor ends the solve
+        # far within the reach 1.5e-4, and so does its loose-point finish:
+        # the fallback solves it to its pin. With no reach the same floor
+        # ends the solve
         seen = record_floors(monkeypatch)
         p, grid, c = draw_op(3, 0.1)
         assert outcome(p, grid, c) == PIN_DRAWS[3][1][0]
-        ((_, b, reach),) = seen
-        rho = abs(functionals.pohozaev(p, b)) / b.bend
-        assert 0.0 < rho - minimizer.Q_TOL < reach
+        assert len(seen) == 2
+        for _, b, reach in seen:
+            rho = abs(functionals.pohozaev(p, b)) / b.bend
+            assert 0.0 < rho - minimizer.Q_TOL < reach
         monkeypatch.setattr(minimizer, "_floor_reach",
                             lambda *args: (0.0, 1.0))
         assert outcome(p, grid, c) == "under-resolved"
@@ -1222,17 +1250,51 @@ class TestFloorCertificate:
         assert calls == [] and len(seen) == 1
         assert err.value.kind == "under-resolved"
         msg = str(err.value)
-        hit = re.fullmatch(
-            r"under-resolved grid: Newton settled at q_residual=(\S+), above "
-            r"Q_TOL=5e-07 by more than the reach (\S+) of states within "
-            r"GRAD_TOL=1e-08; the fiber-minimum width spans (\S+) grid "
-            r"spacings", msg)
+        hit = re.fullmatch(UNDER_RESOLVED_MSG, msg)
         assert hit, msg
         rho, reach, nodes = map(float, hit.groups())
         assert rho - 5e-7 > 2.0 * reach
         assert 0.0 < nodes < minimizer.MIN_NODES_PER_WIDTH
         assert "stalled" not in msg and "converged" not in msg
         assert classify(msg) == "other"
+
+    def test_certified_finish_ends_the_descent(self, monkeypatch):
+        # with the try skipped, the descent's loose-point finish settles on
+        # the floor the try certifies, and the same judgment ends the solve:
+        # under-resolved, with the try's width in grid spacings
+        p, grid, c = draw_op(2, 0.5)
+        with pytest.raises(ConvergenceError) as first:
+            minimize(p, grid, c)
+        fallback_only(monkeypatch)
+        calls = self.record_fallback(monkeypatch)
+        seen = record_floors(monkeypatch)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, grid, c)
+        assert err.value.kind == "under-resolved"
+        assert calls == ["_descend", "seed"] and len(seen) == 1
+        hit = re.fullmatch(UNDER_RESOLVED_MSG, str(err.value))
+        assert hit, str(err.value)
+        rho, reach, _ = map(float, hit.groups())
+        assert rho - 5e-7 > reach
+        width = re.fullmatch(UNDER_RESOLVED_MSG, str(first.value)).group(3)
+        assert hit.group(3) == width
+
+    def test_estimated_floor_is_under_resolved(self):
+        # estimated mode at N = 10, q = 2.52, 0.9 c0 on the default grid:
+        # the try settles on the correction alone at q_residual 6.0e-5,
+        # far beyond its reach of 2.7e-11 (with the try's settle test also
+        # asking gnorm <= GRAD_TOL, the descent stalled after 28 steps)
+        cfg = load_config(env={"BHGS_CONSTANTS__MODE": "estimated",
+                               "BHGS_PROBLEM__N": "10",
+                               "BHGS_PROBLEM__Q": "2.52"})
+        p = resolve_params(cfg)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, cfg.solve_grid(), 0.9 * mass_threshold(p)[1])
+        assert err.value.kind == "under-resolved"
+        hit = re.fullmatch(UNDER_RESOLVED_MSG, str(err.value))
+        assert hit, str(err.value)
+        rho, reach, _ = map(float, hit.groups())
+        assert rho - 5e-7 > 1e3 * reach
 
     def test_floor_within_twice_its_reach_is_certified(self, monkeypatch):
         # a domain_draws(25711, 217) draw whose try settles 1.53 reaches
@@ -1285,8 +1347,9 @@ class TestSublevelCertificate:
 
     def test_ci_op_ends_certified(self, monkeypatch, classify):
         # the descent stops at the loose point, where the finish re-finds
-        # the try's floor state, after 24 residual evaluations; without the
-        # certificate it runs on to the stall after 33
+        # the try's floor state, after 23 residual evaluations (the finish
+        # starts from the descent's own); without the certificate it runs
+        # on to the stall after 32
         p = resolve_params(load_config(env=CERTIFIED_ENV))
         grid = build_grid(p.N, 2049, 1000.0)
         c = 0.5 * mass_threshold(p)[1]
@@ -1294,7 +1357,7 @@ class TestSublevelCertificate:
         calls = self.count_residuals(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             minimize(p, grid, c)
-        assert err.value.kind == "stall" and len(calls) <= 24
+        assert err.value.kind == "stall" and len(calls) <= 23
         msg = str(err.value)
         hit = re.fullmatch(CERTIFIED_MSG, msg)
         assert hit, msg
@@ -1305,7 +1368,7 @@ class TestSublevelCertificate:
         monkeypatch.setattr(minimizer, "_sublevel_gap", lambda *args: None)
         with pytest.raises(ConvergenceError, match="stalled for 3 steps"):
             minimize(p, grid, c)
-        assert len(calls) == 33
+        assert len(calls) == 32
 
     @staticmethod
     def solve_draw_82():
@@ -1424,7 +1487,7 @@ class TestFailureKinds:
         sites = (self.raise_sites(minimizer.seed)
                  + self.raise_sites(minimizer.minimize)
                  + self.raise_sites(minimizer._descend)
-                 + self.raise_sites(minimizer._newton_first))
+                 + self.raise_sites(minimizer._settle))
         # _descend raises stall twice: on STALL_ITERS steps without energy
         # progress and on the sublevel certificate
         assert len(sites) == 10
@@ -1961,18 +2024,19 @@ class TestNonnegPowerEndToEnd:
             return ("error", str(exc))
         return ("ok", st.field.values.tobytes(), st.m, st.lam, st.iters)
 
-    @pytest.mark.parametrize("case, outcome", [
-        ("default", "ok"),
-        (4, "ok"),
-        (6, "stalled for"),
-        (3, "stalled inside"),
-        (3, "under-resolved"),
-        (1, "seed contraction"),
-    ])
-    def test_minimize(self, monkeypatch, case, outcome):
-        # draw 3's try certifies its floor; the fallback alone stalls on
-        # the sublevel certificate of its loose-point finish
-        if outcome == "stalled inside":
+    @pytest.mark.parametrize("case, outcome, fallback", [
+        ("default", "ok", False),
+        (4, "ok", False),
+        (6, "stalled for", False),
+        (3, "under-resolved", True),
+        (3, "under-resolved", False),
+        (1, "seed contraction", False),
+    ], ids=["default-ok", "4-ok", "6-stalled for", "3-finish under-resolved",
+            "3-under-resolved", "1-seed contraction"])
+    def test_minimize(self, monkeypatch, case, outcome, fallback):
+        # draw 3's try certifies its floor; so does, with the try skipped,
+        # the descent's loose-point finish
+        if fallback:
             fallback_only(monkeypatch)
         cfg = load_config(env={})
         params = (cfg.problem() if case == "default"
