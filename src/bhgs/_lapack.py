@@ -1,5 +1,6 @@
 """The solver's band kernels from two routines, dpbtrf (banded Cholesky
-factor) and dtbsv (triangular band solve), without scipy.
+factor) and dtbsv (triangular band solve), without scipy, both on the lower
+band in LAPACK's storage.
 
 numpy's wheels bundle an OpenBLAS, numpy.libs/libscipy_openblas64_*.so,
 that exports them as scipy_dpbtrf_64_ and scipy_dtbsv_64_ with 64-bit
@@ -10,21 +11,13 @@ instead. BACKEND names the one taken when the module was first imported.
 Where neither loads, importing the module raises
 landscape.KernelsUnavailable, which the CLI reports as no-lapack.
 
-cholesky_banded and cho_solve_banded serve the descent preconditioner and
-keep scipy.linalg's contract for the 2-D band storage and the one or more
-right-hand sides the solver passes, with its default arguments:
-cholesky_banded takes the upper band, cho_solve_banded the (factor, lower)
-pair, ValueError on a non-finite entry, LinAlgError when LAPACK finds the
-matrix not positive definite, and inputs are never written. Each call
-copies its band and right-hand side into Fortran-ordered work arrays for
-LAPACK to overwrite. cho_solve_banded makes the two dtbsv calls per
-right-hand side that LAPACK's dpbtrs makes.
-
-ldlt_banded and ldlt_solve_banded serve Newton: they factor and solve a
-symmetric band matrix K that need not be definite, in place, without
-pivots. ldlt_banded runs dpbtrf on the lower band, whose unit-stride rank-1
-updates OpenBLAS makes without a work buffer (0.31 ms against the upper
-band's 0.77 ms at n = 8193 on a 2-vCPU Xeon). Where it stops at a Schur
+ldlt_banded and ldlt_solve_banded serve every banded solve, Newton's and
+the descent preconditioner's: they factor and solve a symmetric band
+matrix K that need not be definite, in place, without pivots. ldlt_banded
+runs dpbtrf on the lower band, whose unit-stride rank-1 updates OpenBLAS
+makes without a work buffer (0.31 ms at n = 8193 on a 2-vCPU Xeon, against
+0.77 ms for dpbtrf's other storage). Where K is positive definite it flips no
+column and leaves dpbtrf's Cholesky factor. Where it stops at a Schur
 pivot d < 0, it flips that column (pivot -d, the column r below it
 negated, 2 r r^T / |d| added to the trailing block) and resumes there.
 Then K = L S L^T, S diagonal, -1 at the flipped columns and +1 elsewhere,
@@ -54,8 +47,7 @@ import numpy as np
 
 from .landscape import KernelsUnavailable
 
-__all__ = ["BACKEND", "cholesky_banded", "cho_solve_banded", "ldlt_banded",
-           "ldlt_solve_banded"]
+__all__ = ["BACKEND", "ldlt_banded", "ldlt_solve_banded"]
 
 
 def _bundled_routines():
@@ -78,10 +70,9 @@ def _bundled_routines():
     return None
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
+def _checked(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    return a
 
 
 @lru_cache(maxsize=64)
@@ -93,80 +84,44 @@ def _int(v: int):
     return ctypes.byref(ctypes.c_int64(v))
 
 
-def _bundled_pbtrf(uplo: bytes, ab: np.ndarray) -> int:
-    # factor the band ab of the given uplo in place; LAPACK's info, raising
-    # on an illegal argument
+def _bundled_pbtrf(ab: np.ndarray) -> int:
+    # factor the lower band ab in place; LAPACK's info, raising on an
+    # illegal argument
     kd1, n = ab.shape
     info = ctypes.c_int64()
-    _dpbtrf(uplo, _int(n), _int(kd1 - 1), ab.ctypes.data, _int(kd1),
+    _dpbtrf(b"L", _int(n), _int(kd1 - 1), ab.ctypes.data, _int(kd1),
             ctypes.byref(info), 1)
     if info.value < 0:
         raise ValueError(f"illegal value in argument {-info.value} of dpbtrf")
     return info.value
 
 
-def _bundled_tbsv(uplo: bytes, trans: bytes, ab: np.ndarray,
-                  x: np.ndarray) -> None:
-    # x <- T^-1 x (trans N) or T^-T x (trans T), in place, T the triangular
-    # band factor ab of the given uplo; x contiguous
+def _bundled_tbsv(trans: bytes, ab: np.ndarray, x: np.ndarray) -> None:
+    # x <- T^-1 x (trans N) or T^-T x (trans T), in place, T the lower
+    # triangular band factor ab; x contiguous
     kd1, n = ab.shape
-    _dtbsv(uplo, trans, b"N", _int(n), _int(kd1 - 1), ab.ctypes.data,
+    _dtbsv(b"L", trans, b"N", _int(n), _int(kd1 - 1), ab.ctypes.data,
            _int(kd1), x.ctypes.data, _int(1), 1, 1, 1)
 
 
-def _scipy_pbtrf(uplo: bytes, ab: np.ndarray) -> int:
+def _scipy_pbtrf(ab: np.ndarray) -> int:
     # f2py writes in place to the Fortran-ordered float64 arrays both pass
-    info = _lapack_dpbtrf(ab, lower=uplo == b"L", overwrite_ab=1)[1]
+    info = _lapack_dpbtrf(ab, lower=1, overwrite_ab=1)[1]
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
     return info
 
 
-def _scipy_tbsv(uplo: bytes, trans: bytes, ab: np.ndarray,
-                x: np.ndarray) -> None:
-    _blas_dtbsv(ab.shape[0] - 1, ab, x, lower=uplo == b"L",
-                trans=trans == b"T", overwrite_x=1)
+def _scipy_tbsv(trans: bytes, ab: np.ndarray, x: np.ndarray) -> None:
+    _blas_dtbsv(ab.shape[0] - 1, ab, x, lower=1, trans=trans == b"T",
+                overwrite_x=1)
 
 
-def _triangular_solves(ab: np.ndarray, lower: bool, flips, b: np.ndarray):
-    # b <- K^-1 b in place, b Fortran-ordered, K = R^T S R with R = ab the
-    # upper factor, or K = L S L^T with L = ab the lower one; S is -1 at
-    # flips, +1 elsewhere
-    cols = [b] if b.ndim == 1 else [b[:, k] for k in range(b.shape[1])]
-    uplo, first, second = (b"L", b"N", b"T") if lower else (b"U", b"T", b"N")
-    for x in cols:
-        _tbsv(uplo, first, ab, x)
-    if len(flips):
-        b[flips] = -b[flips]
-    for x in cols:
-        _tbsv(uplo, second, ab, x)
-    return b
-
-
-def _fits(x: np.ndarray, n: int) -> np.ndarray:
+def _fits(x: np.ndarray, n: int) -> None:
     # x, a right-hand side for a band of n columns
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not fit "
                          f"a band of {n} columns")
-    return x
-
-
-def cholesky_banded(ab):
-    c = _checked(np.array(ab, dtype=np.float64, order="F"))
-    info = _pbtrf(b"U", c)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor not positive definite")
-    return c
-
-
-def cho_solve_banded(cb_and_lower, b):
-    cb, lower = cb_and_lower
-    # dtbsv only reads the factor, so a Fortran-ordered one is not copied
-    c = _checked(np.asfortranarray(cb, dtype=np.float64))
-    # a Fortran-ordered copy of b for dtbsv to overwrite
-    x = _checked(np.array(b, dtype=np.float64, order="F"))
-    return _triangular_solves(c, lower, (), _fits(x, c.shape[1]))
 
 
 def _overwritable(a, what: str) -> np.ndarray:
@@ -204,7 +159,7 @@ def ldlt_banded(ab: np.ndarray) -> np.ndarray:
     _checked(ab[0])
     flips = []
     j = 0
-    while info := _pbtrf(b"L", ab[:, j:]):
+    while info := _pbtrf(ab[:, j:]):
         j += info - 1
         d = ab[0, j]
         if not -math.inf < d < 0.0:
@@ -225,10 +180,21 @@ def ldlt_solve_banded(ab: np.ndarray, flips: np.ndarray,
     """Solve K x = b in place in b with the factor ab and the flips that
     ldlt_banded left, and return b; b of shape (n,) or (n, k). ValueError
     on a non-finite entry of b or an array of another dtype, order or
-    length."""
+    length.
+
+    K = L S L^T with L = ab, S -1 at flips and +1 elsewhere: two dtbsv
+    calls per right-hand side, as LAPACK's dpbtrs makes, with S between."""
     _fits(_overwritable(b, "right-hand side"),
           _overwritable(ab, "factor").shape[1])
-    return _triangular_solves(ab, True, flips, _checked(b))
+    _checked(b)
+    cols = [b] if b.ndim == 1 else [b[:, k] for k in range(b.shape[1])]
+    for x in cols:
+        _tbsv(b"N", ab, x)
+    if len(flips):
+        b[flips] = -b[flips]
+    for x in cols:
+        _tbsv(b"T", ab, x)
+    return b
 
 
 _routines = _bundled_routines()

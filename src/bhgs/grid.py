@@ -31,11 +31,11 @@ computed by slicing this one array.
 
 Held per grid: L^T W L, once, in LAPACK's lower band storage
 (newton_band: read-only, Fortran-ordered (5, n), the diagonal in row 0),
-which the minimizer's Newton step copies and shifts on the diagonal, and
-from which its preconditioner forms the upper band a W + L^T W L. It is
-filled on first use and lives and dies with the grid instance
-(cached_property writes the instance __dict__, which a frozen dataclass
-allows); no module-level cache holds it.
+which the minimizer's Newton step and its preconditioner (a W + L^T W L)
+each copy and shift on the diagonal. It is filled on first use and lives
+and dies with the grid instance (cached_property writes the instance
+__dict__, which a frozen dataclass allows); no module-level cache holds
+it.
 interpolate reads samples on a grid of spacing h at arbitrary radii by
 4-point cubic interpolation, with the even extension through the origin and
 the zero extension past R that the Laplacian's band uses. It reads the

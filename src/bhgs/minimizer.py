@@ -102,8 +102,8 @@ trial. Of each trial's bundle only |P_k|_q^q depends on q; its mass, bend
 and critical norm are held per geometry in a table of 64 geometries
 (_trial_norms), so a new q on a geometry met before takes one power sum
 per trial and no Laplacian. No seed state lives on the grid, which holds
-only its band L^T W L, which _banded_factor moves to upper storage and
-shifts for the preconditioner.
+only its band L^T W L, which cholesky_banded copies and shifts for the
+preconditioner as _newton_step does for K.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -126,17 +126,19 @@ has two messages, "stalled for" STALL_ITERS steps and "stalled inside the
 energy sublevel certificate", and both start with "stalled". The
 under-resolved message contains none of those words, and reads as other.
 
-The four band kernels come from BLAS and LAPACK through the private
-_lapack module, imported with this one: numpy's bundled OpenBLAS where the
-wheel ships it, scipy.linalg otherwise, and KernelsUnavailable from the
-import if neither loads. Only solve, sweep and estimated-mode constants
-import this module; the closed-form commands (synthetic constants,
-landscape, fiber, verify) load neither it nor the kernels.
-`cholesky_banded`, `cho_solve_banded`, `ldlt_banded` and
-`ldlt_solve_banded` are bound here from _lapack at import, and every call
-site looks them up as globals at call time, so rebinding them (for tracing
-or testing) catches every call. estimate_sobolev_constant is the closed
-form landscape defines, bound here too.
+Every banded factor and solve, Newton's and the preconditioner's, runs
+on the two band kernels ldlt_banded and ldlt_solve_banded from BLAS and
+LAPACK through the private _lapack module, imported with this one: numpy's
+bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise, and
+KernelsUnavailable from the import if neither loads. Only solve, sweep and
+estimated-mode constants import this module; the closed-form commands
+(synthetic constants, landscape, fiber, verify) load neither it nor the
+kernels. The two kernels are bound here from _lapack at import, and the
+preconditioner's factor and solve (cholesky_banded, cho_solve_banded) are
+defined here on them; every call site looks these four up as globals at
+call time, so rebinding them (for tracing or testing) catches every call.
+estimate_sobolev_constant is the closed form landscape defines, bound here
+too.
 """
 from __future__ import annotations
 
@@ -147,8 +149,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import (cho_solve_banded, cholesky_banded, ldlt_banded,
-                      ldlt_solve_banded)
+from ._lapack import ldlt_banded, ldlt_solve_banded
 from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
                           l2_gradient, lagrange_multiplier, nonneg_power,
@@ -389,21 +390,27 @@ def _trial_fails(trial: tuple, params: LandscapeParams, c: float,
                 and bend < bend_cap)
 
 
-def _banded_factor(grid: RadialGrid, a: float):
-    # upper-banded Cholesky of P = a W + L^T W L: the grid's held band in
-    # a fresh upper band, P[j, j+d] in row 4 - d, with a w added last
-    n, low = grid.n, grid.newton_band
-    ab = np.zeros((5, n))
-    for d in range(5):
-        ab[4 - d, d:] = low[d, :n - d]
-    ab[4] += a * grid.weights
-    return cholesky_banded(ab)
+def cholesky_banded(grid: RadialGrid, a: float) -> np.ndarray:
+    """The Cholesky factor of the preconditioner P = a W + L^T W L, built
+    as _newton_step builds K: a Fortran-ordered copy of the grid's held
+    lower band with a w added to its diagonal row, factored in place by
+    ldlt_banded. LinAlgError where the factor flips a column, as P must be
+    positive definite, or a Schur pivot is zero; ValueError where a w is
+    not finite."""
+    ab = np.array(grid.newton_band, order="F")
+    ab[0] += a * grid.weights
+    if len(ldlt_banded(ab)):
+        raise np.linalg.LinAlgError("preconditioner not positive definite")
+    return ab
 
 
-def _precond_apply(factor, grid: RadialGrid, v: np.ndarray) -> np.ndarray:
-    # P^{-1} W v: the W makes the preconditioned step the gradient of J in
-    # the P-inner product, keeping quadrature weights consistent
-    return cho_solve_banded((factor, False), grid.weights * v)
+def cho_solve_banded(factor: np.ndarray, grid: RadialGrid,
+                     v: np.ndarray) -> np.ndarray:
+    """P^{-1} W v with the factor cholesky_banded left, in a fresh array:
+    the W makes the preconditioned step the gradient of J in the P-inner
+    product, keeping quadrature weights consistent. ValueError where v is
+    not finite."""
+    return ldlt_solve_banded(factor, (), grid.weights * v)
 
 
 def _residuals(params: LandscapeParams, c: float, fld: RadialField,
@@ -828,8 +835,8 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
         a_new = max(abs(lam_hat), 1e-12)
         if factor is None or not (0.5 < a_new / a_shift < 2.0):
             a_shift = a_new
-            factor = _banded_factor(grid, a_shift)
-        d = _precond_apply(factor, grid, g_proj)
+            factor = cholesky_banded(grid, a_shift)
+        d = cho_solve_banded(factor, grid, g_proj)
         solves += 1
         d = -(d - (_wdot(grid, d, u) / c) * u)
         slope = _wdot(grid, g_proj, d)

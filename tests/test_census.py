@@ -3,7 +3,8 @@
 Two files that agree on every op exit 0; an op that moved, was lost, was
 gained or is in one file only exits 1, counted under its group and named
 by (seed, draw, fraction). Moved ops are also counted by transition of
-kind.
+kind, and the last line gives the largest relative move of m and lambda
+among moved successes and how many changed iters.
 """
 import json
 import subprocess
@@ -51,7 +52,8 @@ def test_equal_files_exit_zero(tmp_path):
     for group in ("moved", "lost", "gained", "only in first",
                   "only in second"):
         assert f"{group}: 0\n" in proc.stdout
-    assert proc.stdout.endswith("moved by kind: none\n")
+    assert proc.stdout.endswith("moved by kind: none\n"
+                                "moved successes: none\n")
 
 
 def test_estimated_records_compare(tmp_path):
@@ -107,5 +109,26 @@ def test_moved_ops_are_counted_by_kind(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
     lines = proc.stdout.splitlines()
     assert "moved: 4" in lines and "lost: 1" in lines
-    assert lines[-1] == ("moved by kind: stall→stall 2, "
+    assert lines[-2] == ("moved by kind: stall→stall 2, "
                          "line-search→stall 1, ok→ok 1")
+
+
+def test_moved_successes_report_their_largest_moves(tmp_path):
+    # three successes moved: m by 2e-12 and 1e-11 relative, lambda by 4e-12
+    # relative on the first; the third changed iters alone. A failure that
+    # moved and a lost op are not counted
+    fail = dict(ok=False)
+    first = [record(1, 0, 0.1), record(1, 1, 0.1), record(1, 2, 0.1),
+             record(1, 3, 0.1, **fail), record(1, 4, 0.1)]
+    second = [record(1, 0, 0.1, m=-0.25 * (1 + 2e-12),
+                     **{"lambda": (-0.5 * (1 - 4e-12)).hex()}),
+              record(1, 1, 0.1, m=-0.25 * (1 - 1e-11)),
+              record(1, 2, 0.1, iters=3),
+              record(1, 3, 0.1, **fail, message="stalled inside"),
+              record(1, 4, 0.1, **fail)]
+    proc = compare(tmp_path, first, second)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert "moved: 4" in lines and "lost: 1" in lines
+    assert lines[-1] == ("moved successes: 3; largest relative move of m "
+                         "1e-11, of λ 4e-12; iters changed on 1")

@@ -79,14 +79,18 @@ def test_error_types_are_shared():
 
 
 def test_kernels_and_sobolev_constant_have_one_owner():
-    # the minimizer binds the band kernels from _lapack and the sharp
+    # the minimizer binds the two band kernels from _lapack, defines the
+    # preconditioner's factor and solve on them, and binds the sharp
     # Sobolev constant from landscape; the package exports landscape's
     minimizer = importlib.import_module("bhgs.minimizer")
     landscape = importlib.import_module("bhgs.landscape")
     lapack = importlib.import_module("bhgs._lapack")
-    for name in ("cholesky_banded", "cho_solve_banded", "ldlt_banded",
-                 "ldlt_solve_banded"):
+    assert lapack.__all__ == ["BACKEND", "ldlt_banded", "ldlt_solve_banded"]
+    for name in ("ldlt_banded", "ldlt_solve_banded"):
         assert getattr(minimizer, name) is getattr(lapack, name)
+    for name in ("cholesky_banded", "cho_solve_banded"):
+        assert getattr(minimizer, name).__module__ == "bhgs.minimizer"
+        assert not hasattr(lapack, name)
     sob = landscape.estimate_sobolev_constant
     assert bhgs.estimate_sobolev_constant is sob
     assert minimizer.estimate_sobolev_constant is sob

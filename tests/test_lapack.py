@@ -3,13 +3,15 @@ contract, and the commands' runs without scipy, on the scipy fallback and
 with no backend.
 
 bhgs._lapack calls dpbtrf and dtbsv in the OpenBLAS that numpy's wheel
-bundles. scipy.linalg is the reference for the Cholesky kernels: their
-results must equal scipy's bit for bit, on the bands the descent factors.
-The pivot-free LDL^T of the Newton matrix has no scipy counterpart: its
-count of flipped columns must equal the count of negative eigenvalues, and
-its solutions must solve the system, on random symmetric bands and on the
-Newton matrices the solver factors; the scipy fallback must give the same
-factor, flips and solutions bit for bit.
+bundles, on the lower band. The pivot-free LDL^T of the Newton matrix has
+no scipy counterpart: its count of flipped columns must equal the count of
+negative eigenvalues, and its solutions must solve the system, on random
+symmetric bands and on the Newton matrices the solver factors; the scipy
+fallback must give the same factor, flips and solutions bit for bit. The
+descent's preconditioner P = a W + L^T W L is factored and solved by the
+same kernels (minimizer.cholesky_banded, minimizer.cho_solve_banded):
+scipy.linalg's lower-band Cholesky is the reference its factor and solves
+must equal bit for bit, and a P that is not positive definite must raise.
 """
 import ctypes
 import glob
@@ -31,8 +33,7 @@ from bhgs.minimizer import NEWTON_STEPS, _newton  # noqa: E402
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
-KERNELS = ("cholesky_banded", "cho_solve_banded", "ldlt_banded",
-           "ldlt_solve_banded")
+KERNELS = ("ldlt_banded", "ldlt_solve_banded")
 
 
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
@@ -66,15 +67,23 @@ def newton_system(request):
 
 
 def precond_band(grid, a):
-    """a W + L^T W L in upper band storage, the band the descent factors
-    (minimizer._banded_factor; its build is pinned in test_seed_family)."""
+    """a W + L^T W L in lower band storage, Fortran-ordered, the band the
+    descent factors (minimizer.cholesky_banded; its build is pinned in
+    test_seed_family)."""
     seen = []
-    orig = minimizer.cholesky_banded
-    minimizer.cholesky_banded = seen.append
+    orig = minimizer.ldlt_banded
+
+    def capture(ab):
+        seen.append(ab.copy(order="F"))
+        return orig(ab)
+
+    minimizer.ldlt_banded = capture
     try:
-        minimizer._banded_factor(grid, a)
+        minimizer.cholesky_banded(grid, a)
+    except np.linalg.LinAlgError:
+        pass                # an indefinite P: its band was seen first
     finally:
-        minimizer.cholesky_banded = orig
+        minimizer.ldlt_banded = orig
     return seen[0]
 
 
@@ -171,26 +180,39 @@ def test_bundled_library_is_taken():
 
 @pytest.mark.parametrize("a", SHIFTS)
 def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
-    # cho_solve_banded makes dpbtrs's two dtbsv calls per right-hand side
-    # itself: its solutions are scipy's, which calls dpbtrs, bit for bit,
-    # with the upper factor the descent uses and with a lower one
+    # the descent's P = a W + L^T W L, factored by the LDL^T with no flip:
+    # its factor is scipy's lower-band Cholesky bit for bit, and its solve
+    # P^-1 W v makes dpbtrs's two dtbsv calls, so it is scipy's
+    # cho_solve_banded bit for bit; neither writes the grid's band or v
     grid = newton_system[0]
     ab = precond_band(grid, a)
-    b1 = grid.weights * rng.standard_normal(grid.n)
-    b2 = np.column_stack((b1, grid.weights))
-    before = frozen(ab, b1, b2)
-    cb = _lapack.cholesky_banded(ab)
-    assert np.array_equal(cb, sl.cholesky_banded(ab))
-    low = np.zeros_like(ab)
-    for d in range(5):
-        low[d, :grid.n - d] = ab[4 - d, d:]
-    cl = sl.cholesky_banded(low, lower=True)
-    for b in (b1, b2):
-        for factor in ((cb, False), (cl, True)):
-            x = _lapack.cho_solve_banded(factor, b)
-            want = sl.cho_solve_banded(factor, b)
-            assert x.shape == want.shape and np.array_equal(x, want)
-    assert unchanged(before, ab, b1, b2)
+    v = rng.standard_normal(grid.n)
+    before = frozen(grid.newton_band, v)
+    factor = minimizer.cholesky_banded(grid, a)
+    cl = sl.cholesky_banded(ab, lower=True)
+    assert np.array_equal(factor, cl)
+    x = minimizer.cho_solve_banded(factor, grid, v)
+    assert np.array_equal(x, sl.cho_solve_banded((cl, True),
+                                                 grid.weights * v))
+    assert unchanged(before, grid.newton_band, v)
+    assert np.array_equal(factor, cl)
+
+
+@pytest.mark.parametrize("N", range(5, 11))
+def test_preconditioner_solves_to_rounding(N, rng):
+    # on the default grid of every N = 5..10 and at each shift, the factor
+    # is scipy's lower-band Cholesky bit for bit, and P x = W v holds to
+    # the rounding of the terms P x sums: the solve is backward stable
+    grid = build_grid(N, 2049, 1000.0)
+    for a in SHIFTS:
+        ab = precond_band(grid, a)
+        factor = minimizer.cholesky_banded(grid, a)
+        assert np.array_equal(factor, sl.cholesky_banded(ab, lower=True))
+        v = rng.standard_normal(grid.n)
+        x = minimizer.cho_solve_banded(factor, grid, v)
+        wv = grid.weights * v
+        scale = band_matvec(np.abs(ab), np.abs(x)) + np.abs(wv)
+        assert np.all(np.abs(band_matvec(ab, x) - wv) <= 1e-14 * scale)
 
 
 # ------------------------------------------------------ the pivot-free LDL^T
@@ -257,21 +279,25 @@ def test_solve_with_kept_factors_matches_scipy(newton_system, rng):
 
 
 def test_fortran_ordered_inputs_are_not_written(newton_system):
-    # a Fortran-ordered float64 input is exactly what LAPACK overwrites, so
-    # the Cholesky kernels must still copy it first; the LDL^T instead
-    # overwrites its band with the factor and b with the solution
+    # the preconditioner's factor and solve write neither the grid's band,
+    # the factor nor v, though each is what LAPACK would overwrite; the
+    # LDL^T instead overwrites its band with the factor and b with the
+    # solution
     grid, K, rhs = newton_system
-    ab, K, rhs = fortran(precond_band(grid, 0.37), K, rhs)
-    before = frozen(ab, K, rhs)
-    cb = _lapack.cholesky_banded(ab)
-    _lapack.cho_solve_banded((cb, False), rhs)
-    assert unchanged(before, ab, K, rhs)
-    assert not np.shares_memory(cb, ab)
+    K, rhs = fortran(K, rhs)
+    v = rhs[:, 1]
+    before = frozen(K, rhs)
+    cb = minimizer.cholesky_banded(grid, 0.37)
+    held = frozen(cb)
+    x = minimizer.cho_solve_banded(cb, grid, v)
+    assert unchanged(before, K, rhs) and unchanged(held, cb)
+    assert not np.shares_memory(cb, grid.newton_band)
+    assert not np.shares_memory(x, v)
     flips = _lapack.ldlt_banded(K)
     assert _lapack.ldlt_solve_banded(K, flips, rhs) is rhs
-    assert not np.array_equal(K, before[1])
-    assert not np.array_equal(rhs, before[2])
-    assert solves_as_well_as_lu(before[1], rhs, before[2])
+    assert not np.array_equal(K, before[0])
+    assert not np.array_equal(rhs, before[1])
+    assert solves_as_well_as_lu(before[0], rhs, before[1])
 
 
 # ---------------------------------------------------------- error contract
@@ -280,8 +306,7 @@ def test_fortran_ordered_inputs_are_not_written(newton_system):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises_value_error(newton_system, bad):
     grid, K, rhs = newton_system
-    ab = precond_band(grid, 0.37)
-    cb = _lapack.cholesky_banded(ab)
+    cb = minimizer.cholesky_banded(grid, 0.37)
     factor = K.copy(order="F")
     flips = _lapack.ldlt_banded(factor)
 
@@ -291,10 +316,9 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
         return x
 
     calls = [
-        lambda: _lapack.cholesky_banded(planted(ab, (4, 7))),
-        lambda: _lapack.cho_solve_banded((planted(cb, (3, 9)), False),
-                                         rhs[:, 1]),
-        lambda: _lapack.cho_solve_banded((cb, False), planted(rhs, (5, 0))),
+        # the preconditioner's shift and right-hand side
+        lambda: minimizer.cholesky_banded(grid, bad),
+        lambda: minimizer.cho_solve_banded(cb, grid, planted(rhs[:, 1], 5)),
         # dpbtrf does not stop on a NaN: the diagonal row is checked
         lambda: _lapack.ldlt_banded(planted(K, (0, 11))),
         lambda: _lapack.ldlt_solve_banded(factor, flips,
@@ -306,13 +330,19 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
 
 
 def test_band_that_is_not_positive_definite_raises(newton_system):
+    # a negative shift leaves the descent's P with negative eigenvalues
+    # (the least shift has one, and P falls with a): the factor flips a
+    # column, and cholesky_banded raises LinAlgError, as scipy's lower-band
+    # Cholesky does on the same band
     grid = newton_system[0]
-    ab = -precond_band(grid, 0.37)
-    with pytest.raises(np.linalg.LinAlgError) as got:
-        _lapack.cholesky_banded(ab)
-    with pytest.raises(np.linalg.LinAlgError) as want:
-        sl.cholesky_banded(ab)
-    assert str(got.value) == str(want.value)
+    assert negative_count(precond_band(grid, -2.5e-3)) >= 1
+    for a in (-2.5e-3, -0.37, -7.0):
+        ab = precond_band(grid, a)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            minimizer.cholesky_banded(grid, a)
+        with pytest.raises(np.linalg.LinAlgError):
+            sl.cholesky_banded(ab, lower=True)
 
 
 def test_singular_newton_matrix_raises(newton_system):
@@ -336,9 +366,6 @@ def test_misshapen_input_is_rejected_before_lapack(newton_system):
     # LAPACK would read past the buffers, or write the grid's held band;
     # the arrays are checked first
     grid, K, rhs = newton_system
-    cb = _lapack.cholesky_banded(precond_band(grid, 0.37))
-    with pytest.raises(ValueError):
-        _lapack.cho_solve_banded((cb, False), rhs[1:])
     for ab in (np.ascontiguousarray(K), K.astype(np.float32),
                grid.newton_band):
         before = frozen(ab)
@@ -392,13 +419,12 @@ def test_scipy_fallback_factor_matches_in_place(newton_system, monkeypatch):
 
 def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
     # through scipy.linalg.blas.dtbsv the solutions with the kept factor,
-    # and the Cholesky kernels' factor and solutions, are the bundled
+    # and the preconditioner's factor and solutions, are the bundled
     # kernels', bit for bit
     grid, K, rhs = newton_system
     ab = K.copy(order="F")
     flips = _lapack.ldlt_banded(ab)
-    pb = precond_band(grid, 0.37)
-    b1 = grid.weights * rng.standard_normal(grid.n)
+    v = rng.standard_normal(grid.n)
     got = []
     for fallback in (False, True):
         if fallback:
@@ -406,8 +432,8 @@ def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
         y, y2 = np.array(grid.weights), np.array(rhs, order="F")
         _lapack.ldlt_solve_banded(ab, flips, y)
         _lapack.ldlt_solve_banded(ab, flips, y2)
-        cb = _lapack.cholesky_banded(pb)
-        got.append((y, y2, cb, _lapack.cho_solve_banded((cb, False), b1)))
+        cb = minimizer.cholesky_banded(grid, 0.37)
+        got.append((y, y2, cb, minimizer.cho_solve_banded(cb, grid, v)))
     for a, b in zip(*got):
         assert np.array_equal(a, b)
 
@@ -415,16 +441,16 @@ def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
 def test_held_integers_serve_alternating_sizes(monkeypatch):
     # factors and solves that alternate n = 1025, 2049 and 8193, so that
     # each call passes integers held for another size in between, are the
-    # scipy fallback's bit for bit: the LDL^T with a flip, the Cholesky
-    # factor of the definite band and the solves with both
+    # scipy fallback's bit for bit: the LDL^T with a flip and of the
+    # definite band, with no flip, and the solves with both
     rng = np.random.default_rng(4417)
     bands = {}
     for n in (1025, 2049, 8193):
-        low = np.zeros((5, n), order="F")
-        low[0] = 10.0 + rng.random(n)
+        spd = np.zeros((5, n), order="F")
+        spd[0] = 10.0 + rng.random(n)
         for d in range(1, 5):
-            low[d, :n - d] = 0.5 * rng.standard_normal(n - d)
-        spd = np.array(low[::-1], order="F")    # as an upper band
+            spd[d, :n - d] = 0.5 * rng.standard_normal(n - d)
+        low = spd.copy(order="F")
         low[0, n // 3] = -10.0
         bands[n] = (low, spd, rng.standard_normal((n, 2)))
 
@@ -435,13 +461,15 @@ def test_held_integers_serve_alternating_sizes(monkeypatch):
             ab = low.copy(order="F")
             flips = _lapack.ldlt_banded(ab)
             x = _lapack.ldlt_solve_banded(ab, flips, np.array(b, order="F"))
-            cb = _lapack.cholesky_banded(spd)
-            out += [ab, flips, x, cb, _lapack.cho_solve_banded((cb, False),
-                                                               b[:, 0])]
+            cb = spd.copy(order="F")
+            none = _lapack.ldlt_banded(cb)
+            out += [ab, flips, x, cb, none,
+                    _lapack.ldlt_solve_banded(cb, none, np.array(b[:, 0]))]
         return out
 
     bundled = run()
-    assert [len(f) for f in bundled[1::5]] == [1] * 6
+    assert [len(f) for f in bundled[1::6]] == [1] * 6
+    assert [len(f) for f in bundled[4::6]] == [0] * 6
     scipy_fallback(monkeypatch)
     for a, b in zip(bundled, run()):
         assert np.array_equal(a, b)

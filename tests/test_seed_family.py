@@ -14,9 +14,9 @@ The code each cache replaced is kept below as the reference:
   profile;
 - _seed_profile, with exp taken only where it does not underflow, against
   the full-grid expression;
-- the preconditioner's band a W + L^T W L, which _banded_factor forms from
-  the held shift-free band (rows 4-8 of the grid's Newton band), against
-  the loop that built the whole band on every call.
+- the preconditioner's band a W + L^T W L, which cholesky_banded forms
+  from the grid's held shift-free band (its Newton band), against the
+  loop that built the whole band on every call.
 """
 import gc
 import math
@@ -67,7 +67,7 @@ def ref_precond_band(grid, a):
             acc[t + 2:t + 2 + n] += DW[t + 2] * D[t + d + 2]
         if d == 0:
             acc[2:n + 2] += a * w
-        ab[4 - d, d:] = acc[2:n + 2 - d]
+        ab[d, :n - d] = acc[2:n + 2 - d]
     return ab
 
 
@@ -472,16 +472,21 @@ def test_seed_profile_matches_the_full_grid_expression(N, n, r_max):
 
 @pytest.mark.parametrize("N,n,r_max", [(5, 1025, 12.0), (7, 2049, 1000.0)])
 def test_preconditioner_band_matches_the_loop(N, n, r_max, monkeypatch):
-    # the band _banded_factor hands to the Cholesky kernel, a fresh array
-    # per call, whose writes reach neither the next call nor the held band
+    # the band cholesky_banded hands to the factor, a fresh array per
+    # call, whose writes reach neither the next call nor the held band
     grid = build_grid(N, n, r_max)
     seen = []
-    monkeypatch.setattr(minimizer, "cholesky_banded", seen.append)
+
+    def capture(ab):
+        seen.append(ab)
+        return np.empty(0, dtype=np.int64)
+
+    monkeypatch.setattr(minimizer, "ldlt_banded", capture)
     for a in (0.0, -0.0, 0.37, 1e3, -2.5e-3, -7.0):
-        minimizer._banded_factor(grid, a)
+        minimizer.cholesky_banded(grid, a)
         assert seen[-1].tobytes() == ref_precond_band(grid, a).tobytes()
         seen[-1][:] = 1.0
-        minimizer._banded_factor(grid, a)
+        minimizer.cholesky_banded(grid, a)
         assert seen[-1].tobytes() == ref_precond_band(grid, a).tobytes()
     with pytest.raises(ValueError):
         grid.newton_band[0, 0] = 1.0

@@ -30,8 +30,12 @@ q_residual or iters, or both failed with another outcome, kind or
 message), were lost (ok in the first, failed in the second) or were
 gained (the reverse), and the ops only one file has, then counts the
 moved ops by transition of kind (the outcome where there is no kind), as
-"moved by kind: stall→stall 204, line-search→stall 16". It exits 0 when
-the two agree on every op and 1 otherwise.
+"moved by kind: stall→stall 204, line-search→stall 16". Its last line
+says how far the moved successes moved: their count, the largest relative
+move of m and of lambda among them, and how many changed iters, as
+"moved successes: 263; largest relative move of m 2.8e-12, of λ 1.6e-12;
+iters changed on 0" ("moved successes: none" where none moved). It exits
+0 when the two agree on every op and 1 otherwise.
 """
 import os
 import sys
@@ -42,6 +46,7 @@ os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -180,7 +185,23 @@ def compare(path_a: str, path_b: str) -> int:
     print("moved by kind: " + (", ".join(
         f"{t} {n}" for t, n in sorted(moves.items(), key=lambda i: -i[1]))
         or "none"))
+    oks = [(ra, rb) for _, ra, rb in groups["moved"] if ra["outcome"] == "ok"]
+    if oks:
+        print(f"moved successes: {len(oks)}; largest relative move of m "
+              f"{max(rel_move(ra, rb, 'm') for ra, rb in oks):.2g}, of λ "
+              f"{max(rel_move(ra, rb, 'lambda') for ra, rb in oks):.2g}; "
+              f"iters changed on "
+              f"{sum(ra['iters'] != rb['iters'] for ra, rb in oks)}")
+    else:
+        print("moved successes: none")
     return 0 if same == len(a) == len(b) else 1
+
+
+def rel_move(ra: dict, rb: dict, f: str) -> float:
+    """|b - a| / |a| of the float-hex field f of two success records (inf
+    where a is 0 and b is not)."""
+    va, vb = float.fromhex(ra[f]), float.fromhex(rb[f])
+    return abs(vb - va) / abs(va) if va else (0.0 if vb == va else math.inf)
 
 
 def kind(rec: dict) -> str:
