@@ -524,27 +524,22 @@ class TestCliSolveAndFiber:
 
     def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
                                              monkeypatch):
-        # at N = 14, 0.1 c0, the descent stalls with the Pohozaev residual
-        # near 2.7e2 and the gradient met; the message claims no
-        # discretization floor. There the gradient is at J's rounding, so
-        # the last bits of the preconditioner's solves decide whether the
-        # stall shows as STALL_ITERS steps without energy progress or as a
-        # line search that finds none: either kind, at the same state
+        # at N = 14, 0.12 c0, the descent stalls with the Pohozaev residual
+        # near 2.8e2 and the gradient met; the message claims no
+        # discretization floor
         env = {"BHGS_PROBLEM__N": "14", "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / 14)}
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        c = 0.1 * mass_threshold(load_config(env=env).problem())[1]
+        c = 0.12 * mass_threshold(load_config(env=env).problem())[1]
         rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
                                "--out", str(tmp_path / "no.csv"))
         assert rc == 4 and out == ""
         (rec,) = json_lines(err)
         assert rec["error"] == "non-convergence"
-        kind, msg = rec["fail_kind"], rec["message"]
-        assert kind in ("stall", "line-search")
-        start = (rf"stalled for {minimizer.STALL_ITERS} steps at "
-                 if kind == "stall" else
-                 r"line search failed at iteration \d+ \(")
-        hit = re.match(start + r"gnorm=(\S+), q_residual=(\S+?)[ )]", msg)
+        assert rec["fail_kind"] == "stall"
+        msg = rec["message"]
+        hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
+                       r"gnorm=(\S+), q_residual=(\S+) ", msg)
         assert hit and float(hit.group(1)) <= minimizer.GRAD_TOL
         assert float(hit.group(2)) > 1e2
         assert "floor" not in msg

@@ -567,9 +567,8 @@ class TestBendSafeguard:
         # starts with "stalled" and counts the safeguard's rejections,
         # during the stalled steps and over the run, as counted from the
         # trial bundles: each iteration but the last accepts one step, so
-        # the stalled steps are the last STALL_ITERS iterations. Which caps
-        # see rejections during the stall moves with the descent's last
-        # bits; at 0.25 the stalled steps see one
+        # the stalled steps are the last STALL_ITERS iterations. Only at
+        # 0.25 do the stalled steps see a rejection
         fallback_only(monkeypatch)
         rho0 = self.cap_at(monkeypatch, p53, grid_solve, frac,
                            fallback06.bend)
@@ -588,6 +587,7 @@ class TestBendSafeguard:
         assert (during, total, accepted) == (
             sum(iterations[-minimizer.STALL_ITERS:]), sum(iterations),
             len(iterations))
+        assert (during > 0) == (frac == 0.25)
 
     def test_stall_away_from_the_cap_names_no_safeguard(self, p53,
                                                         grid_solve,
