@@ -78,8 +78,9 @@ own convergence test (the loose stop): one benchmark op converges there
 alone, at a state whose correction is far above FIRST_ERR_TOL. If the
 finish keeps no state, the descent resumes from the same iterate and
 state, so it ends where the descent alone would, unless the finish
-settled on a floor beyond its reach. STALL_ITERS accepted steps in a row
-without energy progress end the descent with a ConvergenceError of kind
+settled on a floor beyond its reach. The first step whose line search
+cannot lower J, because no trial passes Armijo or the one that does makes
+no energy progress, ends the descent with a ConvergenceError of kind
 stall. So does, sooner, the energy-sublevel certificate (_sublevel_gap),
 once an iterate's energy shows, to second order, that no later iterate
 can reach Q_TOL. It reads the try's floor record or, where the try left
@@ -118,13 +119,13 @@ norm_bundle. Weighted sums are np.add.reduce, numpy's pairwise sum, the
 same as np.sum without its dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
-seed, stall, line-search, budget, safeguard, invariant and under-resolved
-from minimize, no-profile from estimate_gn_constant and no-fiber-minimum
-from fiber_consistency. The first six kinds' messages keep the words a
-reader of the text alone (the benchmark's classify) reads them by; stall
-has two messages, "stalled for" STALL_ITERS steps and "stalled inside the
-energy sublevel certificate", and both start with "stalled". The
-under-resolved message contains none of those words, and reads as other.
+seed, stall, budget, safeguard, invariant and under-resolved from
+minimize, no-profile from estimate_gn_constant and no-fiber-minimum from
+fiber_consistency. The first five kinds' messages keep the words a reader
+of the text alone (the benchmark's classify) reads them by; stall has two
+messages, "stalled at iteration" and "stalled inside the energy sublevel
+certificate", and both start with "stalled". The under-resolved message
+contains none of those words, and reads as other.
 
 Every banded factor and solve, Newton's and the preconditioner's, runs
 on the two band kernels ldlt_banded and ldlt_solve_banded from BLAS and
@@ -167,25 +168,22 @@ __all__ = ["SolverConfig", "GroundState", "ConvergenceError",
 
 
 # the kinds a ConvergenceError carries: minimize's seed loop, descent stall
-# (STALL_ITERS steps without energy progress, or the sublevel certificate),
-# dead line search, iteration budget, bend safeguard, a broken invariant of
-# the converged state and a grid whose Pohozaev floor is certified above
-# Q_TOL; an (N, q) profile solve that does not settle, which leaves
-# estimate_gn_constant without a value; fiber_consistency's bundle without
-# a fiber minimum
-FAIL_KINDS = ("seed", "stall", "line-search", "budget", "safeguard",
-              "invariant", "under-resolved", "no-profile", "no-fiber-minimum")
+# (a step that cannot lower J, or the sublevel certificate), iteration
+# budget, bend safeguard, a broken invariant of the converged state and a
+# grid whose Pohozaev floor is certified above Q_TOL; an (N, q) profile
+# solve that does not settle, which leaves estimate_gn_constant without a
+# value; fiber_consistency's bundle without a fiber minimum
+FAIL_KINDS = ("seed", "stall", "budget", "safeguard", "invariant",
+              "under-resolved", "no-profile", "no-fiber-minimum")
 
 
 # fixed descent controls: initial step, line-search shrink/grow factors, the
-# bend-ball margin, the share of accepted steps the safeguard may bind, and
-# the count of steps without energy progress that stops the descent
+# bend-ball margin and the share of accepted steps the safeguard may bind
 STEP0 = 1.0
 SHRINK = 0.5
 GROW = 1.3
 SAFEGUARD_MARGIN = 1e-3
 SAFEGUARD_MAX_FRAC = 0.5
-STALL_ITERS = 3
 
 # the seed's trials: s = 2^-k for k < SEED_TRIALS
 SEED_TRIALS = 60
@@ -641,9 +639,12 @@ def _sublevel_gap(floor: _Floor, fld: RadialField, J: float, c: float):
 
 def _start(params: LandscapeParams, grid: RadialGrid, c: float,
            prof: np.ndarray, bend_cap: float):
-    # prof scaled to mass c on the grid, with its bundle, or None where it
-    # fails J < 0 or bend < bend_cap
-    prof *= math.sqrt(c / _wdot(grid, prof, prof))
+    # prof scaled to mass c on the grid, with its bundle, or None where its
+    # mass on the grid is 0 or it fails J < 0 or bend < bend_cap
+    mass = _wdot(grid, prof, prof)
+    if mass == 0.0:
+        return None
+    prof *= math.sqrt(c / mass)
     fld = RadialField(grid, prof)
     b = norm_bundle(params, fld)
     if not (energy(params, b) < 0.0 and b.bend < bend_cap):
@@ -741,9 +742,9 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     outside (0, c0) or a grid of another dimension, and ConvergenceError if
     Newton, first or finish, settles on a Pohozaev floor certified above
     Q_TOL (under-resolved), the seed loop fails (seed), the
-    residuals are not met within MAX_ITER iterations (budget), the line
-    search dies (line-search), the descent stalls or its energy certifies
-    that it cannot reach Q_TOL (stall, _sublevel_gap), the bend
+    residuals are not met within MAX_ITER iterations (budget), a descent
+    step cannot lower J or the descent's energy certifies that it cannot
+    reach Q_TOL (stall, _sublevel_gap), the bend
     safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
     (safeguard), or the converged state breaks mass, bend or energy
     (invariant). iters counts the linear solves on the grid of the path
@@ -791,8 +792,10 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
     floor is the try's settled state above Q_TOL, or None; where it is
     None, the finish's floor becomes it. Once an iterate's energy
     certifies from it that no later iterate can reach Q_TOL
-    (_sublevel_gap), the descent stalls. s1 is minimize's, for the
-    finish's under-resolved message."""
+    (_sublevel_gap), the descent stalls; so it does at the first step
+    whose line search leaves J lower by at most 1e-16 |J|, an Armijo step
+    without energy progress or 60 trials none of which passes Armijo. s1
+    is minimize's, for the finish's under-resolved message."""
     fld, b = seed(params, thresholds, c, grid)
     J = energy(params, b)
     tau = STEP0
@@ -800,8 +803,6 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
     factor = None
     n_safe = 0
     accepted = 0
-    stall = 0
-    stall_safe = 0      # safeguard rejections during the current stall
     solves = 0
     loose = True
 
@@ -857,32 +858,21 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
                 break
             tau *= SHRINK
         else:
-            raise ConvergenceError(
-                "line-search",
-                f"line search failed at iteration {iters} "
-                f"(gnorm={gnorm:.3e}, q_residual={qres:.3e})")
-
-        accepted += 1
+            J2 = J      # no trial passed Armijo: J is not lowered
         if J - J2 <= 1e-16 * abs(J):
-            stall += 1
-            stall_safe += n_safe - safe_before
-            if stall >= STALL_ITERS:
-                # a descent pinned at the bend cap stalls before the
-                # safeguard check after convergence can see it
-                capped = (f"; the bend safeguard rejected {stall_safe} trial "
-                          f"steps during them, {n_safe} over {accepted} "
-                          "accepted steps" if n_safe else "")
-                met = ("; the gradient criterion is met"
-                       if gnorm <= GRAD_TOL else "")
-                raise ConvergenceError(
-                    "stall",
-                    f"stalled for {STALL_ITERS} steps at "
-                    f"gnorm={gnorm:.3e}, q_residual={qres:.3e} "
-                    f"(tolerances {GRAD_TOL}, {Q_TOL})"
-                    f"{capped}{met}")
-        else:
-            stall = 0
-            stall_safe = 0
+            # a descent pinned at the bend cap stalls here before the
+            # safeguard check after convergence can see it
+            capped = (f"; the bend safeguard rejected {n_safe - safe_before} "
+                      f"trial steps at it, {n_safe} over {accepted} "
+                      "accepted steps" if n_safe else "")
+            met = ("; the gradient criterion is met"
+                   if gnorm <= GRAD_TOL else "")
+            raise ConvergenceError(
+                "stall",
+                f"stalled at iteration {iters}: gnorm={gnorm:.3e}, "
+                f"q_residual={qres:.3e} (tolerances {GRAD_TOL}, {Q_TOL})"
+                f"{capped}{met}")
+        accepted += 1
         fld, b, J = fld2, b2, J2
     else:
         raise ConvergenceError(

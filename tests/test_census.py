@@ -2,8 +2,8 @@
 
 Two files that agree on every op exit 0; an op that moved, was lost, was
 gained or is in one file only exits 1, counted under its group and named
-by (seed, draw, fraction). Moved ops are also counted by transition of
-kind, and the last line gives the largest relative move of m and lambda
+by (seed, draw, fraction). Each file's ops are counted by kind, and moved
+ops by transition of kind, and the last line gives the largest relative move of m and lambda
 among moved successes and how many changed iters.
 """
 import json
@@ -111,6 +111,28 @@ def test_moved_ops_are_counted_by_kind(tmp_path):
     assert "moved: 4" in lines and "lost: 1" in lines
     assert lines[-2] == ("moved by kind: stall→stall 2, "
                          "line-search→stall 1, ok→ok 1")
+
+
+def test_each_file_is_counted_by_kind(tmp_path):
+    # one line per file before the moves, most first: a line-search op now
+    # a stall and a success lost to a stall; the counts of equal files are
+    # equal
+    fail = dict(ok=False)
+    first = [record(1, 0, 0.1, **fail, kind="line-search",
+                    message="line search failed"),
+             record(1, 1, 0.1), record(1, 2, 0.1), record(1, 3, 0.1, **fail)]
+    second = [record(1, 0, 0.1, **fail), record(1, 1, 0.1),
+              record(1, 2, 0.1, **fail), record(1, 3, 0.1, **fail)]
+    proc = compare(tmp_path, first, second)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert lines[-4:-2] == [
+        f"kinds in {tmp_path / 'a.jsonl'}: ok 2, line-search 1, stall 1",
+        f"kinds in {tmp_path / 'b.jsonl'}: stall 3, ok 1"]
+    assert lines[-2] == "moved by kind: line-search→stall 1"
+    same = compare(tmp_path, BASE, BASE).stdout.splitlines()
+    assert same[-4:-2] == [f"kinds in {tmp_path / name}: ok 3, stall 1"
+                           for name in ("a.jsonl", "b.jsonl")]
 
 
 def test_moved_successes_report_their_largest_moves(tmp_path):

@@ -481,11 +481,10 @@ class TestCliSolveAndFiber:
         assert rec["error"] == "non-convergence"
         assert rec["fail_kind"] == "stall"
         msg = rec["message"]
-        hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
-                       r"gnorm=(\S+), q_residual=(\S+) "
-                       r"\(tolerances 1e-08, 5e-07\)", msg)
+        hit = re.fullmatch(r"stalled at iteration 25: gnorm=(\S+), "
+                           r"q_residual=(\S+) \(tolerances 1e-08, 5e-07\); "
+                           r"the gradient criterion is met", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
-        assert msg.endswith("; the gradient criterion is met")
         # a stall away from the bend cap names no safeguard
         assert "safeguard" not in msg
 
@@ -524,25 +523,30 @@ class TestCliSolveAndFiber:
 
     def test_solve_stall_far_above_any_floor(self, capsys, tmp_path,
                                              monkeypatch):
-        # at N = 14, 0.12 c0, the descent stalls with the Pohozaev residual
-        # near 2.8e2 and the gradient met; the message claims no
+        # at N = 14, 0.1 and 0.12 c0, the descent stalls with the Pohozaev
+        # residual near 2.7e2 and the gradient met; the message claims no
         # discretization floor
         env = {"BHGS_PROBLEM__N": "14", "BHGS_PROBLEM__Q": repr(2.0 + 4.0 / 14)}
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        c = 0.12 * mass_threshold(load_config(env=env).problem())[1]
-        rc, out, err = run_cli(capsys, "solve", "--c", repr(c),
-                               "--out", str(tmp_path / "no.csv"))
-        assert rc == 4 and out == ""
-        (rec,) = json_lines(err)
-        assert rec["error"] == "non-convergence"
-        assert rec["fail_kind"] == "stall"
-        msg = rec["message"]
-        hit = re.match(rf"stalled for {minimizer.STALL_ITERS} steps at "
-                       r"gnorm=(\S+), q_residual=(\S+) ", msg)
-        assert hit and float(hit.group(1)) <= minimizer.GRAD_TOL
-        assert float(hit.group(2)) > 1e2
-        assert "floor" not in msg
+        c0 = mass_threshold(load_config(env=env).problem())[1]
+        for frac, head in (
+                (0.1, "stalled at iteration 25: gnorm=1.020e-10, "
+                      "q_residual=2.681e+02"),
+                (0.12, "stalled at iteration 27: gnorm=7.036e-11, "
+                       "q_residual=2.754e+02")):
+            rc, out, err = run_cli(capsys, "solve", "--c", repr(frac * c0),
+                                   "--out", str(tmp_path / "no.csv"))
+            assert rc == 4 and out == ""
+            (rec,) = json_lines(err)
+            assert rec["error"] == "non-convergence"
+            assert rec["fail_kind"] == "stall"
+            msg = rec["message"]
+            assert msg == (f"{head} (tolerances 1e-08, 5e-07); the gradient "
+                           "criterion is met")
+            gnorm = float(re.search(r"gnorm=(\S+),", msg).group(1))
+            assert gnorm <= minimizer.GRAD_TOL
+            assert "floor" not in msg
 
     def test_solve_unwritable_output(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "solve", "--c", "0.655",
@@ -777,6 +781,21 @@ class TestCliGridRange:
         assert rec["error"] == "domain-error"
         assert "float range" in rec["message"]
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_seed_without_mass_on_the_grid(self, capsys, monkeypatch,
+                                           tmp_path):
+        # every seed trial's weighted mass underflows to 0 on this grid:
+        # the solve fails by name, one JSON object on stderr
+        for name, value in (("PROBLEM__N", "16"), ("PROBLEM__Q", "2.25"),
+                            ("GRID__R_MAX", "1e-16"), ("GRID__N", "64")):
+            monkeypatch.setenv(f"BHGS_{name}", value)
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(capsys, "solve", "--c", "1e-30")
+        assert rc == 4 and out == ""
+        (rec,) = json_lines(err)
+        assert rec["error"] == "non-convergence"
+        assert rec["fail_kind"] == "seed"
 
 
 class TestCliLargeDimension:

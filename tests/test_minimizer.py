@@ -56,8 +56,8 @@ DEFAULT_ITERS = 7
 # grid) pin its results, from the (N, q) profile moved to the op's mu and
 # c; PIN_BEFORE_FIRST keeps their pins by the seed loop and the descent,
 # the path the other solved ops still take. The N = 7
-# draw's tries settle on a Pohozaev floor certified above Q_TOL; the seed
-# loop and the descent alone fail them as stall, line-search and stall.
+# draw's tries settle on a Pohozaev floor certified above Q_TOL; with the
+# try skipped, the descent's loose-point finish certifies it too.
 # The N = 8 and N = 10 draws' loose-point finishes settle above Q_TOL and
 # give up at that step, so their iters count 1-3 fewer Newton solves than
 # the finish's whole budget.
@@ -120,11 +120,32 @@ CANARY_ENV = {"BHGS_PROBLEM__N": "9",
               "BHGS_CONSTANTS__C_GN": "0.9099146525260412",
               "BHGS_CONSTANTS__S_SOB": "0.6314746160371563"}
 CANARY_PIN = (7, 3.808225311551644e-07, "-0x1.289b8792d4679p-15")
-# (N, q, mu, C_gn, S_sob) of domain_draws(33514, 217) draw 126, which loses
-# the line search at 0.5 c0 on the default grid at gnorm 4e-13, its
-# q_residual 1.1e-2
+# (N, q, mu, C_gn, S_sob) of domain_draws(33514, 217) draw 126, whose
+# descent at 0.5 c0 on the default grid stalls at gnorm 4e-13, its
+# q_residual 1.1e-2, on a line search none of whose 60 trials passes Armijo
 LINE_SEARCH_DRAW = (9, 2.6121566992120178, 1.947056744052402,
                     1.1276668991672965, 0.9957100471847832)
+# (draw, c/c0) of descents that end where J's rounding decides whether a
+# step lowers it, on the default grid: domain_draws(seed, 217) ops whose end
+# a last-bit change of the preconditioner solve once moved between a dead
+# line search and a run of steps without progress, keyed "seed-draw-frac",
+# the N = 14 CLI op and LINE_SEARCH_DRAW
+ROUNDING_ENDS = {
+    "35811-101-0.9": ((5, 2.116356760812761, 0.17783827331116472,
+                       1.659830621600535, 0.6646524038827782), 0.9),
+    "35814-166-0.9": ((6, 2.333217129041608, 0.10844366439240777,
+                       1.864884586206135, 1.6849884941139814), 0.9),
+    "35812-8-0.1": ((8, 2.6739915258865032, 4.625606954194777,
+                     1.0901555838884267, 1.883034149127085), 0.1),
+    "35813-122-0.5": ((10, 2.5143912190292395, 1.6153134475982858,
+                       1.1781196117612267, 1.6512957624729092), 0.5),
+    "35815-191-0.5": ((10, 2.0601979579815946, 3.2824079732866442,
+                       1.528536294345884, 0.5866134309350396), 0.5),
+    "35818-129-0.1": ((10, 2.158775753314451, 0.10526617110631645,
+                       1.582524200006564, 1.2007580603413508), 0.1),
+    "N14-0.1": ((14, 2.0 + 4.0 / 14, 1.0, 1.0, 1.0), 0.1),
+    "line-search-draw": (LINE_SEARCH_DRAW, 0.5),
+}
 # c/c0 of the solve-fine masses the Newton-first tests solve
 FINE_FRACS = (0.05, 0.16618, 0.3, 0.61466, 0.95)
 # (draw, c/c0) of benchmark domain ops (n = 2049, R = 1000) whose first
@@ -262,6 +283,16 @@ class TestSeed:
         for bad in (0.0, -1.0, c0, 2.0 * c0):
             with pytest.raises(DomainError):
                 seed(p53, thresholds53, bad, grid_solve)
+
+    def test_trials_without_mass_on_the_grid_fail_by_name(self):
+        # on 64 nodes within r = 1e-16 at N = 16 every trial's weighted
+        # mass underflows to 0: no trial scales to mass c, so each is
+        # skipped and the seed loop fails as seed
+        p = LandscapeParams(N=16, q=2.25)
+        grid = build_grid(16, 64, 1e-16)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p, grid, 1e-30)
+        assert err.value.kind == "seed"
 
 
 class TestMinimize:
@@ -492,7 +523,8 @@ class TestNewtonFinish:
         grid = build_grid(p.N, 2049, 1000.0)
         fallback_only(monkeypatch)
         calls = self.count_finishes(monkeypatch)
-        with pytest.raises(ConvergenceError, match="stalled for"):
+        with pytest.raises(ConvergenceError,
+                           match="stalled at iteration 25: "):
             minimize(p, grid, 0.5 * mass_threshold(p)[1])
         assert len(calls) == 1
 
@@ -558,17 +590,23 @@ class TestBendSafeguard:
         monkeypatch.setattr(minimizer, "norm_bundle", bundle)
         return iterations
 
-    @pytest.mark.parametrize("frac", [0.25, 0.3, 0.95])
+    # per cap fraction: (stalled iteration, rejections at it, rejections
+    # over the run, accepted steps)
+    CAP_STALLS = {0.25: (23, 1, 61, 22), 0.3: (21, 0, 58, 20),
+                  0.4: (23, 60, 109, 22), 0.5: (25, 6, 58, 24),
+                  0.9: (23, 60, 112, 22), 0.95: (25, 0, 41, 24)}
+
+    @pytest.mark.parametrize("frac", CAP_STALLS)
     def test_stall_at_the_cap_counts_the_rejections(self, monkeypatch, p53,
                                                     grid_solve, fallback06,
                                                     frac):
         # under the default tolerances a descent pinned at the cap stalls
         # before the safeguard check can run; the stall message still
-        # starts with "stalled" and counts the safeguard's rejections,
-        # during the stalled steps and over the run, as counted from the
-        # trial bundles: each iteration but the last accepts one step, so
-        # the stalled steps are the last STALL_ITERS iterations. Only at
-        # 0.25 do the stalled steps see a rejection
+        # starts with "stalled" and counts the safeguard's rejections, at
+        # the stalled step and over the run, as counted from the trial
+        # bundles: each iteration but the last accepts one step, and the
+        # last is the stalled one. At 0.4 and 0.9 the cap rejects all 60
+        # trials of that step's line search; at 0.3 and 0.95 none
         fallback_only(monkeypatch)
         rho0 = self.cap_at(monkeypatch, p53, grid_solve, frac,
                            fallback06.bend)
@@ -576,18 +614,17 @@ class TestBendSafeguard:
             monkeypatch, rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN))
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, 0.6)
+        assert err.value.kind == "stall"
         hit = re.fullmatch(
-            rf"stalled for {minimizer.STALL_ITERS} steps at gnorm=\S+, "
-            r"q_residual=\S+ \(tolerances 1e-08, 5e-07\); the bend "
-            r"safeguard rejected (\d+) trial steps during them, (\d+) over "
-            r"(\d+) accepted steps", str(err.value))
+            r"stalled at iteration (\d+): gnorm=\S+, q_residual=\S+ "
+            r"\(tolerances 1e-08, 5e-07\); the bend safeguard rejected "
+            r"(\d+) trial steps at it, (\d+) over (\d+) accepted steps",
+            str(err.value))
         assert hit, str(err.value)
-        during, total, accepted = map(int, hit.groups())
-        assert during <= total and total > 0 and accepted > 0
-        assert (during, total, accepted) == (
-            sum(iterations[-minimizer.STALL_ITERS:]), sum(iterations),
-            len(iterations))
-        assert (during > 0) == (frac == 0.25)
+        got = tuple(map(int, hit.groups()))
+        assert got == (len(iterations), iterations[-1], sum(iterations),
+                       len(iterations) - 1)
+        assert got == self.CAP_STALLS[frac]
 
     def test_stall_away_from_the_cap_names_no_safeguard(self, p53,
                                                         grid_solve,
@@ -1387,7 +1424,7 @@ class TestSublevelCertificate:
         # the descent stops at the loose point, where the finish re-finds
         # the try's floor state, after 23 residual evaluations (the finish
         # starts from the descent's own); without the certificate it runs
-        # on to the stall after 33
+        # on to the stall at iteration 25, after 28
         p = resolve_params(load_config(env=CERTIFIED_ENV))
         grid = build_grid(p.N, 2049, 1000.0)
         c = 0.5 * mass_threshold(p)[1]
@@ -1404,9 +1441,10 @@ class TestSublevelCertificate:
         assert classify(msg) == "stall"
         calls.clear()
         monkeypatch.setattr(minimizer, "_sublevel_gap", lambda *args: None)
-        with pytest.raises(ConvergenceError, match="stalled for 3 steps"):
+        with pytest.raises(ConvergenceError,
+                           match="stalled at iteration 25: "):
             minimize(p, grid, c)
-        assert len(calls) == 33
+        assert len(calls) == 28
 
     @staticmethod
     def solve_draw_82():
@@ -1526,13 +1564,14 @@ class TestFailureKinds:
                  + self.raise_sites(minimizer.minimize)
                  + self.raise_sites(minimizer._descend)
                  + self.raise_sites(minimizer._settle))
-        # _descend raises stall twice: on STALL_ITERS steps without energy
-        # progress and on the sublevel certificate
-        assert len(sites) == 10
+        # _descend raises stall twice: at a step that cannot lower J and
+        # on the sublevel certificate
+        assert len(sites) == 9
         assert sum(k == "stall" for k, _ in sites) == 2
-        assert {k for k, _ in sites} == {"seed", "stall", "line-search",
-                                         "budget", "safeguard", "invariant",
+        assert {k for k, _ in sites} == {"seed", "stall", "budget",
+                                         "safeguard", "invariant",
                                          "under-resolved"}
+        assert "line-search" not in minimizer.FAIL_KINDS
         for kind, text in sites:
             assert kind in minimizer.FAIL_KINDS
             assert classify(text) == CLASSIFIED.get(kind, kind), text
@@ -1556,21 +1595,16 @@ class TestFailureKinds:
 
         monkeypatch.setattr(minimizer, "norm_bundle", misreported)
 
-    @pytest.mark.parametrize("kind", ["seed", "stall", "line-search",
-                                      "budget", "safeguard", "invariant",
+    @pytest.mark.parametrize("kind", ["seed", "stall", "budget",
+                                      "safeguard", "invariant",
                                       "under-resolved"])
     def test_raised_kind_is_the_one_classify_reads(
             self, kind, monkeypatch, classify, p53, grid_solve, solved06):
-        # the stall draw stalls with no sublevel certificate; the
-        # line-search op (domain_draws(33514, 217) draw 126) is one of the
-        # census's that still lose the line search
+        # the stall draw stalls with no sublevel certificate
         p, c = p53, 0.5 * mass_threshold(p53)[1]
         if kind in ("seed", "stall"):
             p = random_params(np.random.default_rng(
                 {"seed": 1, "stall": 6}[kind]))
-            c = 0.5 * mass_threshold(p)[1]
-        elif kind == "line-search":
-            p = LandscapeParams(*LINE_SEARCH_DRAW)
             c = 0.5 * mass_threshold(p)[1]
         elif kind == "under-resolved":
             N, q, mu, cgn, ssob = PIN_DRAWS[2][0]
@@ -1591,6 +1625,27 @@ class TestFailureKinds:
             minimize(p, grid, c)
         assert err.value.kind == kind
         assert classify(str(err.value)) == CLASSIFIED.get(kind, kind)
+
+
+@pytest.mark.parametrize("op", ROUNDING_ENDS)
+def test_stall_kind_does_not_turn_on_the_last_bit(op, monkeypatch):
+    # the descent ends at the first step that cannot lower J, whether its
+    # line search dies or accepts a step without progress, so scaling each
+    # preconditioner solve by 1 + 2^-52 moves none of these ends off stall
+    draw, frac = ROUNDING_ENDS[op]
+    p = LandscapeParams(*draw)
+    grid = build_grid(p.N, 2049, 1000.0)
+    c = frac * mass_threshold(p)[1]
+    assert outcome(p, grid, c) == "stall"
+    solves = []
+    real = minimizer.cho_solve_banded
+
+    def nudged(factor, g, v):
+        solves.append(1)
+        return real(factor, g, v) * (1.0 + 2.0 ** -52)
+
+    monkeypatch.setattr(minimizer, "cho_solve_banded", nudged)
+    assert outcome(p, grid, c) == "stall" and solves
 
 
 class TestScalingLaw:
@@ -1829,14 +1884,13 @@ class TestGroundStateCertificate:
         # (params, state) of every op minimize solves; the others fail by
         # name. 10 of the 18 PIN_DRAWS ops solve, and 6 of the 60
         # estimated-mode points, those at q fraction 0.95: the rest fail as
-        # under-resolved, stall or line-search on this grid
+        # under-resolved, stall or seed on this grid
         out = []
         for p, grid, c in certificate_ops():
             try:
                 out.append((p, minimize(p, grid, c)))
             except ConvergenceError as exc:
-                assert exc.kind in ("under-resolved", "stall", "seed",
-                                    "line-search")
+                assert exc.kind in ("under-resolved", "stall", "seed")
         return out
 
     def test_every_returned_state_is_certified(self, states):
@@ -2065,12 +2119,13 @@ class TestNonnegPowerEndToEnd:
     @pytest.mark.parametrize("case, outcome, fallback", [
         ("default", "ok", False),
         (4, "ok", False),
-        (6, "stalled for", False),
+        (6, "stalled at iteration", False),
         (3, "under-resolved", True),
         (3, "under-resolved", False),
         (1, "seed contraction", False),
-    ], ids=["default-ok", "4-ok", "6-stalled for", "3-finish under-resolved",
-            "3-under-resolved", "1-seed contraction"])
+    ], ids=["default-ok", "4-ok", "6-stalled at iteration",
+            "3-finish under-resolved", "3-under-resolved",
+            "1-seed contraction"])
     def test_minimize(self, monkeypatch, case, outcome, fallback):
         # draw 3's try certifies its floor; so does, with the try skipped,
         # the descent's loose-point finish
