@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid
+from .grid import RadialField
 from .landscape import DomainError, LandscapeParams, derive_exponents
 
 __all__ = [
@@ -85,53 +85,21 @@ def nonneg_power(au: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _integrands(params: LandscapeParams, w: np.ndarray, u: np.ndarray,
-                lu: np.ndarray):
-    # the four weighted integrands of a bundle: w u^2, w (L u)^2, w |u|^q
-    # and w |u|^4*, elementwise, so for a block of fields row by row
-    au = np.abs(u)
-    return (w * u * u, w * lu * lu, w * nonneg_power(au, params.q),
-            w * nonneg_power(au, params.p_crit))
-
-
 def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     g = fld.grid
+    u = fld.values
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
-    mass, bend, subcrit, crit = _integrands(params, g.weights, fld.values,
-                                            fld.lap)
+    lu = fld.lap
+    w = g.weights
+    au = np.abs(u)
     total = np.add.reduce
-    return NormBundle(mass=float(total(mass)), bend=float(total(bend)),
-                      subcrit=float(total(subcrit)), crit=float(total(crit)))
-
-
-def _block_bundles(params: LandscapeParams, grid: RadialGrid, lo: int,
-                   block: np.ndarray) -> list[NormBundle]:
-    """norm_bundle of each row of a (count, m) block of fields, bit for bit.
-
-    Row i is a field given on the nodes lo..lo+m-1 and zero elsewhere, and
-    zero on the block's two outermost nodes at each end that are not the
-    grid's, so its L u vanishes outside the block too. L and the powers act
-    on the block at once; each norm is np.add.reduce over a full-length row
-    that is zero outside the block, so every sum adds the same terms in the
-    same pairwise order as norm_bundle's.
-    """
-    if grid.dim != params.N:
-        raise DomainError(f"grid dim {grid.dim} does not match params N={params.N}")
-    m = block.shape[1]
-    terms = _integrands(params, grid.weights[lo:lo + m], block,
-                        grid.lap_apply(block, lo))
-    row = np.zeros(grid.n)
-    seg = row[lo:lo + m]
-    total = np.add.reduce
-    bundles = []
-    for i in range(block.shape[0]):
-        norms = []
-        for t in terms:
-            seg[:] = t[i]
-            norms.append(float(total(row)))
-        bundles.append(NormBundle(*norms))
-    return bundles
+    return NormBundle(
+        mass=float(total(w * u * u)),
+        bend=float(total(w * lu * lu)),
+        subcrit=float(total(w * nonneg_power(au, params.q))),
+        crit=float(total(w * nonneg_power(au, params.p_crit))),
+    )
 
 
 def energy(params: LandscapeParams, b: NormBundle) -> float:

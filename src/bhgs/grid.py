@@ -184,20 +184,15 @@ class RadialGrid:
     def h(self) -> float:
         return self.r_max / (self.n - 1)
 
-    def lap_apply(self, u: np.ndarray, lo: int = 0) -> np.ndarray:
-        """L u; each row sums its stencil terms by ascending column.
-
-        u may also be a (count, m) block of fields, each given on the nodes
-        lo..lo+m-1 and zero elsewhere; the result holds L u on those nodes,
-        bit for bit as on the whole grid.
-        """
-        m = u.shape[-1]
-        padded = np.zeros(u.shape[:-1] + (m + 4,))
-        padded[..., 2:m + 2] = u
-        band = self.lap_band[:, lo:lo + m]
-        out, term = np.zeros(u.shape), np.empty(u.shape)
+    def lap_apply(self, u: np.ndarray) -> np.ndarray:
+        """L u of the n samples u; each row sums its stencil terms by
+        ascending column."""
+        n = self.n
+        padded = np.zeros(n + 4)
+        padded[2:n + 2] = u
+        out, term = np.zeros(n), np.empty(n)
         for k in range(5):
-            np.multiply(band[k], padded[..., k:k + m], out=term)
+            np.multiply(self.lap_band[k], padded[k:k + n], out=term)
             out += term
         return out
 

@@ -163,46 +163,28 @@ _BUMP_REACH = math.sqrt(EXP_REACH)
 
 
 def bump_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
-    """Random sum of three Gaussians centred in [0, 20], supported well
-    inside the domain."""
-    lo, block = _bump_block(grid, rng, 1)
-    u = np.zeros(grid.n)
-    u[lo:lo + block.shape[1]] = block[0]
-    return RadialField(grid, u)
+    """Random sum of three Gaussians amp exp(-((r - center)/width)^2),
+    centres in [0, 20], widths in [1, 3] and |amp| in [0.5, 1.5] with a
+    random sign, drawn from rng in that order and added to zeros in draw
+    order.
 
-
-def _bump_block(grid: RadialGrid, rng: np.random.Generator,
-                count: int) -> tuple[int, np.ndarray]:
-    """(lo, block): count bump fields, drawn from rng as count calls of
-    bump_field draw them, as the rows of a (count, m) block on the nodes
-    lo..lo+m-1. Those are the fields' joint support and two more nodes at
-    each end, within the grid; off them every field is zero.
-
-    Each field adds its three Gaussians amp exp(-((r - center)/width)^2),
-    in draw order, to zeros. exp(-z^2) is +0 for z^2 > 745.2, so adding it
-    there changes no node: each Gaussian is evaluated only on its support,
-    the nodes with z^2 <= _BUMP_REACH^2, and adds +0 elsewhere.
+    exp(-z^2) is +0 for z^2 > 745.2, so adding it there changes no node:
+    each Gaussian is evaluated only on its support, the nodes with z^2 <=
+    _BUMP_REACH^2, and the field equals the sum evaluated on every node bit
+    for bit.
     """
-    # per Gaussian: center, width and amp, which takes the sign that
-    # rng.choice([-1.0, 1.0]) draws, without its overhead
-    draws = [(rng.uniform(0.0, 20.0), rng.uniform(1.0, 3.0),
-              rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(2)])
-             for _ in range(3 * count)]
-    center, width, amp = np.array(draws).T.reshape(3, count, 3, 1)
     r = grid.nodes
-    reach = _BUMP_REACH * width
-    first = np.searchsorted(r, center - reach, side="right")
-    stop = np.searchsorted(r, center + reach, side="right")
-    lo = max(int(first.min()) - 2, 0)
-    hi = min(int(stop.max()) + 2, grid.n)
-    nodes, idx = r[lo:hi], np.arange(lo, hi)
-    block = np.zeros((count, hi - lo))
-    for k in range(3):
-        gauss = np.zeros_like(block)
-        np.exp(-((nodes - center[:, k]) / width[:, k]) ** 2, out=gauss,
-               where=(first[:, k] <= idx) & (idx < stop[:, k]))
-        block += amp[:, k] * gauss
-    return lo, block
+    u = np.zeros_like(r)
+    for _ in range(3):
+        center = rng.uniform(0.0, 20.0)
+        width = rng.uniform(1.0, 3.0)
+        # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
+        amp = rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(2)]
+        lo, hi = np.searchsorted(r, (center - _BUMP_REACH * width,
+                                     center + _BUMP_REACH * width),
+                                 side="right")
+        u[lo:hi] += amp * np.exp(-((r[lo:hi] - center) / width) ** 2)
+    return RadialField(grid, u)
 
 
 # ------------------------------------------------------------------ checks

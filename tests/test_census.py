@@ -2,9 +2,11 @@
 
 Two files that agree on every op exit 0; an op that moved, was lost, was
 gained or is in one file only exits 1, counted under its group and named
-by (seed, draw, fraction). Each file's ops are counted by kind, and moved
-ops by transition of kind, and the last line gives the largest relative move of m and lambda
-among moved successes and how many changed iters.
+by (seed, draw, fraction). The ops' wall times are left out of the
+comparison and summed by kind per file. Each file's ops are counted by
+kind, and moved ops by transition of kind, and the last line gives the
+largest relative move of m and lambda among moved successes and how many
+changed iters.
 """
 import json
 import subprocess
@@ -154,3 +156,19 @@ def test_moved_successes_report_their_largest_moves(tmp_path):
     assert "moved: 4" in lines and "lost: 1" in lines
     assert lines[-1] == ("moved successes: 3; largest relative move of m "
                          "1e-11, of λ 4e-12; iters changed on 1")
+
+
+def test_wall_times_are_summed_by_kind_and_not_compared(tmp_path):
+    # the same ops timed differently are equal; each file's wall time is
+    # summed by kind, most first, and a file without wall times reads none
+    timed = [dict(r, wall_s=w) for r, w in zip(BASE, (1.0, 0.5, 2.5, 1.5))]
+    retimed = [dict(r, wall_s=w) for r, w in zip(BASE, (0.1, 0.2, 0.3, 0.4))]
+    proc = compare(tmp_path, timed, retimed)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "4 equal on every field" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[-6:-4] == [
+        f"wall time by kind in {tmp_path / 'a.jsonl'}: ok 3.0 s, stall 2.5 s",
+        f"wall time by kind in {tmp_path / 'b.jsonl'}: ok 0.7 s, stall 0.3 s"]
+    untimed = compare(tmp_path, BASE, timed).stdout.splitlines()
+    assert untimed[-6] == f"wall time by kind in {tmp_path / 'a.jsonl'}: none"

@@ -6,12 +6,14 @@ reference:
 - golden_argmax, which decides each comparison by the sign of the float
   difference F(y) - F(x), against the search that evaluates F in 40-digit
   decimals at every point: they agree to 1e-12 relative;
-- bump_field evaluated on the whole grid, against the field evaluated on
-  each Gaussian's support only, bit for bit, and so the rows of the
-  landscape scan's block of bump fields;
-- the landscape command's boundary scan, which draws and bundles each
-  mass's fields as one block, against one bump_field and norm_bundle per
-  field: stdout and both CSV tables byte for byte;
+- bump_field, which evaluates each Gaussian on its support only, against
+  the field evaluated on the whole grid, bit for bit and with the same
+  draws from its stream;
+- the landscape command, which bundles one sample of bump fields once and
+  rescales it to every mass, against the command written out with one
+  reference field and norm_bundle at a time: stdout and both CSV tables
+  byte for byte. Its boundary_min_j falls strictly down the masses, as
+  the exact rescale demands;
 - comparison_check, which evaluates its segment as one array, against the
   loop of scalar f_landscape calls: the same abscissae bit for bit, and the
   same verdict;
@@ -21,6 +23,7 @@ reference:
   step, against the ones taken once per analysis, bit for bit.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -29,9 +32,11 @@ from hypothesis import given, settings, strategies as st
 
 from bhgs import (LandscapeParams, RadialField, analyze_fiber, build_grid,
                   comparison_check, derive_exponents, energy, f_landscape,
-                  mass_threshold, norm_bundle, rescale_bundle, rho_star)
+                  load_config, mass_threshold, norm_bundle, rescale_bundle,
+                  resolve_params, rho_star)
 from bhgs import cli, fiber, landscape, verify
-from bhgs.functionals import _block_bundles, pohozaev_coefficient
+from bhgs.config import sweep_masses
+from bhgs.functionals import pohozaev_coefficient
 from bhgs.landscape import _exp_total
 from propstrat import bundle_st, params_st
 
@@ -92,19 +97,44 @@ def ref_bump_field(grid, rng):
     return u
 
 
-def ref_boundary_scan(params, grid, c, rho0, count, seed):
-    # one field at a time: draw, bundle, rescale onto the slice
-    rng = np.random.default_rng(seed)
-    min_j = math.inf
-    positives = 0
-    for _ in range(count):
-        b = norm_bundle(params, RadialField(grid, ref_bump_field(grid, rng)))
-        j = energy(params, rescale_bundle(params, b, c, rho0))
-        min_j = min(min_j, j)
-        if j > 0:
-            positives += 1
-    bound = rho0 * f_landscape(params, c, rho0)
-    return positives, min_j, bound
+def ref_landscape(out_dir):
+    """stdout, summary CSV and grid CSV of `bhgs landscape --out-dir
+    out_dir` under the configuration in the environment, written out: one
+    stream of reference fields, each bundled by norm_bundle, and the list
+    rescaled onto the slice mass = c, bend = rho0 of every mass."""
+    cfg = load_config(None)
+    params = resolve_params(cfg)
+    M, c0, rho0 = mass_threshold(params)
+    cs = [float(c) for c in sweep_masses(cfg, c0)]
+    grid = cfg.solve_grid()
+    rng = np.random.default_rng(cli._SAMPLE_SEED)
+    sample = [norm_bundle(params, RadialField(grid, ref_bump_field(grid, rng)))
+              for _ in range(100)]
+    header = f"# M={M!r} c0={c0!r} rho0={rho0!r}\n"
+    summary = header + ("c,rho_c,h_at_rho_c,boundary_min_j,boundary_bound,"
+                        "boundary_positive\n")
+    for c in cs:
+        min_j, positives = math.inf, 0
+        for b in sample:
+            j = energy(params, rescale_bundle(params, b, c, rho0))
+            min_j = min(min_j, j)
+            positives += j > 0
+        rc = rho_star(params, c)
+        summary += (f"{c!r},{rc!r},{f_landscape(params, c, rc)!r},{min_j!r},"
+                    f"{rho0 * f_landscape(params, c, rho0)!r},"
+                    f"{str(positives == len(sample)).lower()}\n")
+    rhos = np.exp(np.linspace(math.log(rho0 / 30.0), math.log(rho0 * 30.0),
+                              41))
+    table = header + "c,rho,f\n"
+    for c in cs:
+        for rho in map(float, rhos):
+            table += f"{c!r},{rho!r},{f_landscape(params, c, rho)!r}\n"
+    record = {"record": "landscape", "M": M, "c0": c0, "rho0": rho0,
+              "summary_csv": f"{out_dir}/landscape_summary.csv",
+              "grid_csv": f"{out_dir}/landscape_grid.csv",
+              **cli._header(cfg, params)}
+    return (json.dumps(record, sort_keys=True) + "\n", summary.encode(),
+            table.encode())
 
 
 def ref_comparison_check(params, c1, rho1, c2):
@@ -261,12 +291,14 @@ def test_golden_argmax_prescan_ties():
 
 # --------------------------------------------------------------- bump field
 
-@pytest.mark.parametrize("n,r_max", [(2049, 1000.0), (1025, 30.0),
-                                     (1025, 12.0)],
-                         ids=["solve-grid", "R30", "R12"])
-def test_bump_field_matches_the_full_grid_expression(n, r_max):
-    # on the R = 12 grid the support of most Gaussians reaches past R
-    grid = build_grid(5, n, r_max)
+@pytest.mark.parametrize("dim,n,r_max", [
+    (5, 2049, 1000.0), (5, 1025, 30.0), (5, 1025, 12.0), (5, 257, 60.0),
+    (6, 2049, 1000.0), (9, 2049, 1000.0)],
+    ids=["solve-grid", "R30", "R12", "R60", "N6", "N9"])
+def test_bump_field_matches_the_full_grid_expression(dim, n, r_max):
+    # on the R = 12 grid the support of most Gaussians reaches past R, and
+    # on the R = 60 one, the coarse grid of the landscape test, some do
+    grid = build_grid(dim, n, r_max)
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(300):
         got = verify.bump_field(grid, rng).values
@@ -274,63 +306,6 @@ def test_bump_field_matches_the_full_grid_expression(n, r_max):
         assert got.tobytes() == want.tobytes()
     # both drew the same numbers from the stream
     assert rng.random() == ref_rng.random()
-
-
-# grids of the block tests: the solve grid, one where most supports reach
-# past R = 12, and the coarse R = 60 one of the landscape test
-BLOCK_GRIDS = [(5, 2049, 1000.0), (5, 1025, 12.0), (5, 257, 60.0),
-               (6, 2049, 1000.0), (9, 2049, 1000.0)]
-
-
-@pytest.mark.parametrize("dim,n,r_max", BLOCK_GRIDS)
-def test_bump_block_rows_match_the_full_grid_expression(dim, n, r_max):
-    grid = build_grid(dim, n, r_max)
-    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
-    for count in (1, 7, 100):
-        lo, block = verify._bump_block(grid, rng, count)
-        m = block.shape[1]
-        assert block.shape == (count, m) and 0 <= lo and lo + m <= n
-        for row in block:
-            full = np.zeros(n)
-            full[lo:lo + m] = row
-            assert full.tobytes() == ref_bump_field(grid, ref_rng).tobytes()
-        # the two outermost block nodes at each end that are not the
-        # grid's end nodes are zero in every row
-        if lo > 0:
-            assert not block[:, :2].any()
-        if lo + m < n:
-            assert not block[:, -2:].any()
-    assert rng.random() == ref_rng.random()
-
-
-def assert_block_bundles_exact(params, grid, lo, block):
-    m = block.shape[1]
-    got = _block_bundles(params, grid, lo, block)
-    assert len(got) == len(block)
-    for row, b in zip(block, got):
-        full = np.zeros(grid.n)
-        full[lo:lo + m] = row
-        assert b == norm_bundle(params, RadialField(grid, full))
-
-
-@pytest.mark.parametrize("dim,n,r_max", BLOCK_GRIDS)
-def test_block_bundles_match_norm_bundle(dim, n, r_max):
-    grid = build_grid(dim, n, r_max)
-    params = LandscapeParams(N=dim, q=2.0 + 4.0 / dim)
-    rng = np.random.default_rng(43)
-    lo, block = verify._bump_block(grid, rng, 100)
-    assert_block_bundles_exact(params, grid, lo, block)
-    # dense rows, nonzero up to two zero nodes at each end that is not the
-    # grid's, at either end of the grid and inside it: the pairwise sums
-    # over a block and over the whole grid add in different orders
-    for lo, hi in [(0, 211), (3, 214), (n // 3, n // 3 + 97), (n - 150, n),
-                   (0, n)]:
-        block = rng.standard_normal((20, hi - lo))
-        if lo > 0:
-            block[:, :2] = 0.0
-        if hi < n:
-            block[:, -2:] = 0.0
-        assert_block_bundles_exact(params, grid, lo, block)
 
 
 LANDSCAPE_CONFIGS = {
@@ -341,25 +316,38 @@ LANDSCAPE_CONFIGS = {
 }
 
 
+def run_landscape(config, monkeypatch, capsys, out_dir):
+    """(stdout, summary CSV, grid CSV) of `bhgs landscape` under config."""
+    for key, value in LANDSCAPE_CONFIGS[config].items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["landscape", "--out-dir", str(out_dir)]) == 0
+    return (capsys.readouterr().out,
+            (out_dir / "landscape_summary.csv").read_bytes(),
+            (out_dir / "landscape_grid.csv").read_bytes())
+
+
 @pytest.mark.parametrize("config", list(LANDSCAPE_CONFIGS))
 def test_landscape_matches_the_one_field_scan(config, capsys, monkeypatch,
                                               tmp_path):
-    for key, value in LANDSCAPE_CONFIGS[config].items():
-        monkeypatch.setenv(key, value)
-
-    def run():
-        assert cli.main(["landscape", "--out-dir", str(tmp_path)]) == 0
-        return (capsys.readouterr().out,
-                (tmp_path / "landscape_summary.csv").read_bytes(),
-                (tmp_path / "landscape_grid.csv").read_bytes())
-
-    got = run()
-    with monkeypatch.context() as mp:
-        mp.setattr(cli, "_boundary_scan", ref_boundary_scan)
-        want = run()
-    assert got == want
+    got = run_landscape(config, monkeypatch, capsys, tmp_path)
+    assert got == ref_landscape(tmp_path)
     # every mass row of the summary is there
     assert got[1].count(b"\n") == 2 + 8
+
+
+@pytest.mark.parametrize("config", list(LANDSCAPE_CONFIGS))
+def test_boundary_min_j_falls_down_the_masses(config, capsys, monkeypatch,
+                                              tmp_path):
+    # at bend rho0 each field's J(c) is rho0/2 - A c^alpha1 - C with A > 0
+    # and alpha1 > 0, so the least J of one sample falls strictly as c
+    # rises, and every J on the slice is positive below c0
+    _, summary, _ = run_landscape(config, monkeypatch, capsys, tmp_path)
+    rows = summary.decode().splitlines()[2:]
+    cs = [float(row.split(",")[0]) for row in rows]
+    min_j = [float(row.split(",")[3]) for row in rows]
+    assert cs == sorted(cs) and len(set(cs)) == len(cs) == 8
+    assert all(a > b for a, b in zip(min_j, min_j[1:])), min_j
+    assert all(row.endswith(",true") for row in rows), rows
 
 
 def comparison_draws(seed, count, theta=None):

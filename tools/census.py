@@ -10,7 +10,8 @@ bench/workloads.py, each on `build_grid(N, 2049, 1000.0)` at every mass
 fraction of DOMAIN_FRACTIONS times c0. It writes one JSON line per op: the
 op's seed, draw index and fraction, the draw (N, q, mu, C_gn, S_sob)
 itself, then its outcome (ok, or the error's type), the ConvergenceError's
-kind, the error message, m, lambda and q_residual as float hex, and iters.
+kind, the error message, m, lambda and q_residual as float hex, iters, and
+the wall time of its `minimize` call in seconds as wall_s.
 The package is imported from the src/ directory of the checkout that holds
 this script, so a copy of the script in another checkout censuses that
 checkout's code.
@@ -28,11 +29,14 @@ The third form reads two such files of one form and lists, by (seed,
 draw, fraction), the ops that moved (both ok with another m, lambda,
 q_residual or iters, or both failed with another outcome, kind or
 message), were lost (ok in the first, failed in the second) or were
-gained (the reverse), and the ops only one file has. It then counts each
-file's ops by kind (the outcome where there is no kind), one line per
-file, as "kinds in a.jsonl: ok 2172, seed 1840, under-resolved 1639, stall
-859", and the moved ops by transition of kind, as "moved by kind:
-stall→stall 204, line-search→stall 16". Its last line
+gained (the reverse), and the ops only one file has; wall_s differs from
+run to run and is left out of the comparison. It then sums each file's
+wall time by kind, one line per file, as "wall time by kind in a.jsonl:
+stall 10.6 s, ok 5.5 s, ..." ("none" for a file without wall times),
+counts each file's ops by kind (the outcome where there is no kind), one
+line per file, as "kinds in a.jsonl: ok 2172, seed 1840, under-resolved
+1639, stall 859", and the moved ops by transition of kind, as "moved by
+kind: stall→stall 204, line-search→stall 16". Its last line
 says how far the moved successes moved: their count, the largest relative
 move of m and of lambda among them, and how many changed iters, as
 "moved successes: 263; largest relative move of m 2.8e-12, of λ 1.6e-12;
@@ -49,6 +53,7 @@ os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import time  # noqa: E402
 from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,7 +81,7 @@ def record(key: dict, exc=None) -> dict:
     """An op's record, its key fields first, with the error exc's outcome,
     kind and message where one is given."""
     rec = {**key, "outcome": "ok", "kind": None, "message": None, "m": None,
-           "lambda": None, "q_residual": None, "iters": None}
+           "lambda": None, "q_residual": None, "iters": None, "wall_s": None}
     if exc is not None:
         rec.update(outcome=type(exc).__name__,
                    kind=getattr(exc, "kind", None), message=str(exc))
@@ -85,13 +90,17 @@ def record(key: dict, exc=None) -> dict:
 
 def solve(bhgs, params, grid, c: float, key: dict) -> tuple[dict, object]:
     """The record of one op and its state (None on failure)."""
+    start = time.perf_counter()
     try:
         st = bhgs.minimize(params, grid, c)
     except (bhgs.ConvergenceError, bhgs.DomainError) as exc:
-        return record(key, exc), None
-    rec = record(key)
-    rec.update(m=st.m.hex(), q_residual=st.q_residual.hex(), iters=st.iters)
-    rec["lambda"] = st.lam.hex()
+        rec, st = record(key, exc), None
+    else:
+        rec = record(key)
+        rec.update(m=st.m.hex(), q_residual=st.q_residual.hex(),
+                   iters=st.iters)
+        rec["lambda"] = st.lam.hex()
+    rec["wall_s"] = time.perf_counter() - start
     return rec, st
 
 
@@ -184,6 +193,13 @@ def compare(path_a: str, path_b: str) -> int:
                 if va != vb:
                     print(f"    {f}: {va!r} -> {vb!r}")
     for path, recs in ((path_a, a), (path_b, b)):
+        walls = Counter()
+        for r in recs.values():
+            if r.get("wall_s") is not None:
+                walls[kind(r)] += r["wall_s"]
+        print(f"wall time by kind in {path}: "
+              + counted(walls, lambda s: f"{s:.1f} s"))
+    for path, recs in ((path_a, a), (path_b, b)):
         print(f"kinds in {path}: "
               + counted(Counter(kind(r) for r in recs.values())))
     print("moved by kind: " + counted(Counter(
@@ -200,10 +216,10 @@ def compare(path_a: str, path_b: str) -> int:
     return 0 if same == len(a) == len(b) else 1
 
 
-def counted(counts: Counter) -> str:
-    """'name count' pairs, most first (ties in the order first met), or
-    'none'."""
-    return ", ".join(f"{name} {n}" for name, n in sorted(
+def counted(counts: Counter, fmt=str) -> str:
+    """'name count' pairs, most first (ties in the order first met), each
+    count written by fmt, or 'none'."""
+    return ", ".join(f"{name} {fmt(n)}" for name, n in sorted(
         counts.items(), key=lambda i: -i[1])) or "none"
 
 
