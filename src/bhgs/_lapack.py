@@ -22,18 +22,16 @@ pivot d < 0, it flips that column (pivot -d, the column r below it
 negated, 2 r r^T / |d| added to the trailing block) and resumes there.
 Then K = L S L^T, S diagonal, -1 at the flipped columns and +1 elsewhere,
 so by Sylvester's law of inertia the flips count K's negative eigenvalues.
-ldlt_solve_banded solves with L, S and two dtbsv calls per right-hand
-side. Both overwrite their arrays, which must be writeable, Fortran-ordered
-float64; they check the band's diagonal row and the right-hand side finite
-(ValueError), as dpbtrf does not stop on a NaN, and trust the off-diagonal
-rows. LinAlgError where a Schur pivot is zero or not finite.
+ldlt_solve_banded solves for one right-hand side of shape (n,) with L, S
+and two dtbsv calls. Both overwrite their arrays, which must be writeable,
+Fortran-ordered float64; they check the band's diagonal row and the
+right-hand side finite (ValueError), as dpbtrf does not stop on a NaN, and
+trust the off-diagonal rows. LinAlgError where a Schur pivot is zero or
+not finite.
 
-A call through the bundled library costs little beyond its routine: the
-integers it passes by reference (n, kd, kd + 1 and the increment 1) are
-held per value (_int), and arrays go as their buffers' addresses (one
-dtbsv at n = 2049 on a 2-vCPU Xeon: 32 us against 30 us for the routine
-alone, 47 us when every argument was built per call). A flip reads the
-index tables of its trailing block, held per size (_tril) and built at
+The bundled routines take every argument by reference: arrays as their
+buffers' addresses, integers as ctypes int64s built per call. A flip reads
+the index tables of its trailing block, held per size (_tril) and built at
 the first flip that needs one, not at import. Every check above runs on
 every call.
 """
@@ -75,11 +73,9 @@ def _checked(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-@lru_cache(maxsize=64)
 def _int(v: int):
-    # BLAS and LAPACK take every argument by reference: an integer as a
-    # held int64, which the reference keeps alive, one per value met (the
-    # band's n, kd, kd + 1 and the increment 1); a one-character flag as
+    # BLAS and LAPACK take every argument by reference: an integer as an
+    # int64, which the reference keeps alive; a one-character flag as
     # bytes, an array as its buffer's address
     return ctypes.byref(ctypes.c_int64(v))
 
@@ -118,8 +114,8 @@ def _scipy_tbsv(trans: bytes, ab: np.ndarray, x: np.ndarray) -> None:
 
 
 def _fits(x: np.ndarray, n: int) -> None:
-    # x, a right-hand side for a band of n columns
-    if x.ndim not in (1, 2) or x.shape[0] != n:
+    # x, one right-hand side for a band of n columns
+    if x.shape != (n,):
         raise ValueError(f"right-hand side of shape {x.shape} does not fit "
                          f"a band of {n} columns")
 
@@ -178,22 +174,18 @@ def ldlt_banded(ab: np.ndarray) -> np.ndarray:
 def ldlt_solve_banded(ab: np.ndarray, flips: np.ndarray,
                       b: np.ndarray) -> np.ndarray:
     """Solve K x = b in place in b with the factor ab and the flips that
-    ldlt_banded left, and return b; b of shape (n,) or (n, k). ValueError
-    on a non-finite entry of b or an array of another dtype, order or
-    length.
+    ldlt_banded left, and return b; b of shape (n,). ValueError on a
+    non-finite entry of b or an array of another dtype, order or shape.
 
     K = L S L^T with L = ab, S -1 at flips and +1 elsewhere: two dtbsv
-    calls per right-hand side, as LAPACK's dpbtrs makes, with S between."""
+    calls, as LAPACK's dpbtrs makes, with S between."""
     _fits(_overwritable(b, "right-hand side"),
           _overwritable(ab, "factor").shape[1])
     _checked(b)
-    cols = [b] if b.ndim == 1 else [b[:, k] for k in range(b.shape[1])]
-    for x in cols:
-        _tbsv(b"N", ab, x)
+    _tbsv(b"N", ab, b)
     if len(flips):
         b[flips] = -b[flips]
-    for x in cols:
-        _tbsv(b"T", ab, x)
+    _tbsv(b"T", ab, b)
     return b
 
 

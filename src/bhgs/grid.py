@@ -185,15 +185,14 @@ class RadialGrid:
         return self.r_max / (self.n - 1)
 
     def lap_apply(self, u: np.ndarray) -> np.ndarray:
-        """L u of the n samples u; each row sums its stencil terms by
-        ascending column."""
-        n = self.n
+        """L u of the n samples u: each row sums its five stencil terms,
+        band row times shifted samples, by ascending column."""
+        n, D = self.n, self.lap_band
         padded = np.zeros(n + 4)
         padded[2:n + 2] = u
-        out, term = np.zeros(n), np.empty(n)
+        out = np.zeros(n)
         for k in range(5):
-            np.multiply(self.lap_band[k], padded[k:k + n], out=term)
-            out += term
+            out += D[k] * padded[k:k + n]
         return out
 
     def lap_t_apply(self, v: np.ndarray) -> np.ndarray:
@@ -299,7 +298,7 @@ def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
 
 def interpolate(v: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
     """Samples v on a grid of spacing h read at radii r >= 0 by 4-point
-    cubic (Lagrange) interpolation in r.
+    cubic (Lagrange) interpolation in r, its four weights written out.
 
     A radius in the cell [j h, (j + 1) h] reads nodes j-1..j+2, with v
     extended as lap_band extends fields: evenly through the origin
@@ -318,31 +317,11 @@ def interpolate(v: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
     padded = np.zeros(n + 3)        # nodes -1..n+1
     padded[0] = v[1]
     padded[1:n + 1] = v
-    # the four Lagrange weights share the products t(t-1), (t+1)(t-1) and
-    # (t+1)t; each term is formed in place, by the float operations of
-    # -t(t-1)(t-2)/6 v_(j-1) + (t+1)(t-1)(t-2)/2 v_j - (t+1)t(t-2)/2 v_(j+1)
-    # + (t+1)t(t-1)/6 v_(j+2) written out, so no term holds a temporary
-    tm1, tm2, tp1 = t - 1.0, t - 2.0, t + 1.0
-    acc = np.negative(t * tm1)
-    acc *= tm2
-    acc /= 6.0
-    acc *= padded[j]
-    term = tp1 * tm1
-    term *= tm2
-    term /= 2.0
-    term *= padded[j + 1]
-    acc += term
-    tp1 *= t
-    np.multiply(tp1, tm2, out=term)
-    term /= 2.0
-    term *= padded[j + 2]
-    acc -= term
-    tp1 *= tm1
-    tp1 /= 6.0
-    tp1 *= padded[j + 3]
-    acc += tp1
     out = np.zeros(inside.shape)
-    out[inside] = acc
+    out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
+                   + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
+                   - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
+                   + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
     return out
 
 

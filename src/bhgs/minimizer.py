@@ -10,21 +10,23 @@ provides. A Newton run settles on its own error instead (below).
 minimize tries Newton first: bordered Newton on (u, lambda) for
 grad J = lambda u on the mass sphere (Keller 1977). Each step is one
 pivot-free banded LDL^T of the Hessian K = L^T W L - lambda W - W f'(u)
-with two right-hand sides (_newton_step). The grid holds L^T W L once,
-read-only, in LAPACK's (5, n) lower band storage (RadialGrid.newton_band);
-a step copies it into one work array, shifts its diagonal row and lets the
-factor (_lapack.ldlt_banded) overwrite it. The ground state is a strict
-local minimum of J on the mass sphere, where the bordered system is
-nonsingular: K has one negative eigenvalue and <W u, K^-1 W u> < 0
-(Grillakis, Shatah & Strauss 1987). Each step's factor flips one column
-per negative eigenvalue of K, its Morse index.
+and two one-column solves with it (_newton_step). The grid holds L^T W L
+once, read-only, in LAPACK's (5, n) lower band storage
+(RadialGrid.newton_band); a step copies it into one work array, shifts its
+diagonal row and lets the factor (_lapack.ldlt_banded) overwrite it. The
+step's factor record is (ab, flips, y): K's factor, its flipped columns
+and y = K^-1 W u. The ground state is a strict local minimum of J on the
+mass sphere, where the bordered system is nonsingular: K has one negative
+eigenvalue and <W u, K^-1 W u> = W u . y < 0 (Grillakis, Shatah & Strauss
+1987). Each step's factor flips one column per negative eigenvalue of K,
+its Morse index.
 
 Every Newton run, the profile's, the try's and the finish's, is one loop
 (_newton) that stops at the first step that settles: the simplified Newton
 correction at most FIRST_ERR_TOL (_correction), the residual solved with
-the last step's factor, one back-substitution, in |.|_W / sqrt(c). It
-measures the state's error on the grid itself, at any scale (Deuflhard,
-Newton Methods for Nonlinear Problems, 2004). The profile keeps the
+the last step's factor record, one back-substitution, in |.|_W / sqrt(c).
+It measures the state's error on the grid itself, at any scale
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004). The profile keeps the
 settled state as it is; the try and the finish hand it to one judgment
 (_settle).
 
@@ -128,10 +130,11 @@ certificate", and both start with "stalled". The under-resolved message
 contains none of those words, and reads as other.
 
 Every banded factor and solve, Newton's and the preconditioner's, runs
-on the two band kernels ldlt_banded and ldlt_solve_banded from BLAS and
-LAPACK through the private _lapack module, imported with this one: numpy's
-bundled OpenBLAS where the wheel ships it, scipy.linalg otherwise, and
-KernelsUnavailable from the import if neither loads. Only solve, sweep and
+on the two band kernels ldlt_banded and ldlt_solve_banded, one right-hand
+side per solve, from BLAS and LAPACK through the private _lapack module,
+imported with this one: numpy's bundled OpenBLAS where the wheel ships
+it, scipy.linalg otherwise, and KernelsUnavailable from the import if
+neither loads. Only solve, sweep and
 estimated-mode constants import this module; the closed-form commands
 (synthetic constants, landscape, fiber, verify) load neither it nor the
 kernels. The two kernels are bound here from _lapack at import, and the
@@ -425,23 +428,22 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
 
 
 def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
-                 g_proj: np.ndarray, lam_hat: float, ab: np.ndarray,
-                 rhs: np.ndarray):
+                 g_proj: np.ndarray, lam_hat: float, ab: np.ndarray):
     """One bordered Newton step in (u, lambda) from the mass-c iterate fld:
     (the next iterate's values at mass c, or None where they are not
-    finite; the flipped columns of K's factor).
+    finite; the factor record (ab, flips, y)).
 
-    Solves K x = -R and K y = W u with one banded LDL^T, where
-    R = W (grad J - lambda_hat u) and K = L^T W L - lambda_hat W - W f'(u),
-    then eliminates the multiplier update from the linearized mass
-    constraint (W u)^T (x + dlam y) = 0 and renormalizes onto mass c. The
-    kernels' errors (a zero Schur pivot, a non-finite entry) propagate.
+    Solves K x = -R and K y = W u with one banded LDL^T and two one-column
+    solves, where R = W (grad J - lambda_hat u) and
+    K = L^T W L - lambda_hat W - W f'(u), then eliminates the multiplier
+    update from the linearized mass constraint (W u)^T (x + dlam y) = 0 and
+    renormalizes onto mass c. The kernels' errors (a zero Schur pivot, a
+    non-finite entry) propagate.
 
     K is assembled from the grid's held band L^T W L in the (5, n) work
     array ab, K[i, j] at ab[i - j, j], which ldlt_banded overwrites with
-    its factor, and the two right-hand sides in the (n, 2) array rhs,
-    which ldlt_solve_banded overwrites with the solutions; the caller
-    (_newton) reuses both for every step.
+    its factor; the caller (_newton) reuses ab for every step. The record
+    holds ab, the flipped columns of K's factor and y = K^-1 W u.
     """
     grid = fld.grid
     w = grid.weights
@@ -455,42 +457,39 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     ab[0] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
                   + (p - 1.0) * nonneg_power(au, p - 2.0))
     wu = w * u
-    rhs[:, 0] = -w * g_proj
-    rhs[:, 1] = wu
     flips = ldlt_banded(ab)
-    ldlt_solve_banded(ab, flips, rhs)
-    x, y = rhs[:, 0], rhs[:, 1]
+    x = ldlt_solve_banded(ab, flips, -w * g_proj)
+    y = ldlt_solve_banded(ab, flips, wu.copy())
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
     mass = _wdot(grid, cand, cand)
+    record = (ab, flips, y)
     if not 0.0 < mass < math.inf:     # NaN or inf anywhere in cand
-        return None, flips
+        return None, record
     cand *= math.sqrt(c / mass)
-    return cand, flips
+    return cand, record
 
 
 def _newton(params: LandscapeParams, c: float, fld: RadialField,
             b: NormBundle, budget: int, loose: bool = False,
             residuals: tuple | None = None):
     """At most budget bordered Newton steps (_newton_step) from the mass-c
-    iterate fld with bundle b, in one held band and rhs array; residuals
-    is fld's (projected gradient, lambda_hat) where the caller holds them.
+    iterate fld with bundle b, in one held band array; residuals is fld's
+    (projected gradient, lambda_hat) where the caller holds them.
 
-    Returns ((fld, b, q_residual, (ab, flips, rhs)), steps) at the first
+    Returns ((fld, b, q_residual, (ab, flips, y)), steps) at the first
     step that settles: the simplified Newton correction (_correction) at
-    most FIRST_ERR_TOL; (ab, flips) is that step's factor of K. With loose,
-    also at a step with gnorm <= GRAD_TOL and q_residual <= Q_TOL.
+    most FIRST_ERR_TOL; (ab, flips, y) is that step's factor record. With
+    loose, also at a step with gnorm <= GRAD_TOL and q_residual <= Q_TOL.
     Otherwise (None, steps): the budget ran out, or a step was singular,
     not finite or left float range. steps counts the linear solves; the
     correction's back-substitution is not one.
     """
     grid = fld.grid
     ab = np.empty((5, grid.n), order="F")
-    rhs = np.empty((grid.n, 2), order="F")
     g_proj, lam_hat = residuals or _residuals(params, c, fld, b)[:2]
     for steps in range(1, budget + 1):
         try:
-            cand, flips = _newton_step(params, c, fld, g_proj, lam_hat, ab,
-                                       rhs)
+            cand, factor = _newton_step(params, c, fld, g_proj, lam_hat, ab)
         except (np.linalg.LinAlgError, ValueError):   # singular, not finite
             return None, steps - 1
         if cand is None:
@@ -501,7 +500,6 @@ def _newton(params: LandscapeParams, c: float, fld: RadialField,
         except DomainError:
             return None, steps
         g_proj, lam_hat, gnorm, qres = _residuals(params, c, fld, b)
-        factor = (ab, flips, rhs)
         if ((loose and gnorm <= GRAD_TOL and qres <= Q_TOL)
                 or _correction(fld, c, g_proj, *factor) <= FIRST_ERR_TOL):
             return (fld, b, qres, factor), steps
@@ -509,21 +507,21 @@ def _newton(params: LandscapeParams, c: float, fld: RadialField,
 
 
 def _correction(fld: RadialField, c: float, g_proj: np.ndarray,
-                ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray) -> float:
+                ab: np.ndarray, flips: np.ndarray, y: np.ndarray) -> float:
     # |dbar|_W / sqrt(c), dbar the simplified Newton correction at fld: the
     # residual at fld solved with the last step's K (_kept_solve). It
     # estimates fld's error from the grid's own K (Deuflhard 2004)
-    d = _kept_solve(fld, ab, flips, rhs, -fld.grid.weights * g_proj)
+    d = _kept_solve(fld, ab, flips, y, -fld.grid.weights * g_proj)
     return math.sqrt(_wdot(fld.grid, d, d) / c)
 
 
 def _kept_solve(fld: RadialField, ab: np.ndarray, flips: np.ndarray,
-                rhs: np.ndarray, v: np.ndarray) -> np.ndarray:
+                y: np.ndarray, v: np.ndarray) -> np.ndarray:
     # K^-1 v made tangent at fld, solved in v's place: a back-substitution
-    # with the last step's factor (ab, flips), projected along its
-    # K^-1 W u (rhs[:, 1]) as the step was
+    # with the last step's factor record (ab, flips, y), projected along
+    # its y = K^-1 W u as the step was
     x = ldlt_solve_banded(ab, flips, v)
-    y, wu = rhs[:, 1], fld.grid.weights * fld.values
+    wu = fld.grid.weights * fld.values
     return x - (np.dot(wu, x) / np.dot(wu, y)) * y
 
 
@@ -545,7 +543,7 @@ def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
 
 
 def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
-                 ab: np.ndarray, flips: np.ndarray, rhs: np.ndarray):
+                 ab: np.ndarray, flips: np.ndarray, y: np.ndarray):
     # (reach, G^2) of one solve d = K^-1 g made tangent at fld (_kept_solve),
     # g the gradient of q_residual (_q_residual_gradient). reach = GRAD_TOL
     # |d|_W is, to first order, the most q_residual can fall over tangent
@@ -553,7 +551,7 @@ def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
     # bounds, to second order, how far it moves over an energy sublevel set
     # of the settled state (_sublevel_gap)
     g = _q_residual_gradient(params, fld, b)
-    d = _kept_solve(fld, ab, flips, rhs, g.copy())
+    d = _kept_solve(fld, ab, flips, y, g.copy())
     return (GRAD_TOL * math.sqrt(_wdot(fld.grid, d, d)),
             float(np.dot(g, d)))
 

@@ -39,7 +39,8 @@ KERNELS = ("ldlt_banded", "ldlt_solve_banded")
 @pytest.fixture(scope="module", params=[1025, 2049, 8193])
 def newton_system(request):
     """(grid, K, [-W g, W u]) of the first Newton step on the grid itself of
-    a solve at 0.5 c0, as the Newton loop passed them to the kernels; the
+    a solve at 0.5 c0, as the Newton loop passed them to the kernels, its
+    two one-column solves stacked as the columns of one (n, 2) array; the
     (N, q) profile is built first, so its steps are not seen. K is its
     (5, n) lower band; both arrays are Fortran-ordered."""
     grid = build_grid(5, request.param, 1000.0)
@@ -52,8 +53,8 @@ def newton_system(request):
         return factor(ab)
 
     def capture_solve(ab, flips, b):
-        if ab.shape[1] == grid.n and len(seen) == 1:
-            seen.append(b.copy(order="F"))
+        if ab.shape[1] == grid.n and 1 <= len(seen) <= 2:
+            seen.append(b.copy())
         return solve(ab, flips, b)
 
     factor, solve = minimizer.ldlt_banded, minimizer.ldlt_solve_banded
@@ -63,7 +64,7 @@ def newton_system(request):
         minimizer.minimize(P53, grid, 0.5 * mass_threshold(P53)[1])
     finally:
         minimizer.ldlt_banded, minimizer.ldlt_solve_banded = factor, solve
-    return (grid,) + tuple(seen)
+    return grid, seen[0], np.array(np.column_stack(seen[1:]), order="F")
 
 
 def precond_band(grid, a):
@@ -221,7 +222,7 @@ def test_preconditioner_solves_to_rounding(N, rng):
 @pytest.mark.parametrize("negatives", range(4))
 def test_flips_count_the_negative_eigenvalues(negatives):
     # random symmetric bands with 0-3 negative eigenvalues: one flip per
-    # negative eigenvalue, and solutions with one and two right-hand sides
+    # negative eigenvalue, and solutions for each of two right-hand sides
     # that numpy.linalg.solve's match to a relative residual of 1e-10
     rng = np.random.default_rng(4400 + negatives)
     for _ in range(40):
@@ -232,8 +233,8 @@ def test_flips_count_the_negative_eigenvalues(negatives):
         flips = _lapack.ldlt_banded(ab)
         assert flips.dtype == np.int64 and len(flips) == negatives
         b = rng.standard_normal((n, 2))
-        for rhs in (b, b[:, 0]):
-            x = _lapack.ldlt_solve_banded(ab, flips, np.array(rhs, order="F"))
+        for rhs in (b[:, 0], b[:, 1]):
+            x = _lapack.ldlt_solve_banded(ab, flips, np.array(rhs))
             want = np.linalg.solve(K, rhs)
             assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
             assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -248,8 +249,8 @@ def test_newton_solve_matches_scipy(newton_system):
     ab = K.copy(order="F")
     flips = _lapack.ldlt_banded(ab)
     assert len(flips) == negative_count(K) == 1
-    for b in (rhs, rhs[:, 0], rhs[:, 1]):
-        x = np.array(b, order="F")
+    for b in (rhs[:, 0], rhs[:, 1]):
+        x = np.array(b)
         assert _lapack.ldlt_solve_banded(ab, flips, x) is x
         assert solves_as_well_as_lu(K, x, b)
     y = _lapack.ldlt_solve_banded(ab, flips, np.array(rhs[:, 1]))
@@ -258,8 +259,8 @@ def test_newton_solve_matches_scipy(newton_system):
 
 def test_solve_with_kept_factors_matches_scipy(newton_system, rng):
     # ldlt_solve_banded with the factor and flips ldlt_banded left solves
-    # in place, for one or two columns, bit for bit the same per column,
-    # as well as scipy.linalg.solve_banded, and leaves the factor as it is
+    # in place, as well as scipy.linalg.solve_banded, and leaves the factor
+    # as it is: a solve after another solve is the first's bit for bit
     grid, K, rhs = newton_system
     ab = K.copy(order="F")
     flips = _lapack.ldlt_banded(ab)
@@ -268,9 +269,9 @@ def test_solve_with_kept_factors_matches_scipy(newton_system, rng):
     x1 = np.array(b1)
     assert _lapack.ldlt_solve_banded(ab, flips, x1) is x1
     assert solves_as_well_as_lu(K, x1, b1)
-    x2 = np.array(np.column_stack((b1, rhs[:, 1])), order="F")
-    _lapack.ldlt_solve_banded(ab, flips, x2)
-    assert np.array_equal(x2[:, 0], x1)
+    _lapack.ldlt_solve_banded(ab, flips, np.array(rhs[:, 1]))
+    assert np.array_equal(_lapack.ldlt_solve_banded(ab, flips, np.array(b1)),
+                          x1)
     assert unchanged(factors, ab, flips)
     bad = np.array(b1)
     bad[7] = np.nan
@@ -294,7 +295,9 @@ def test_fortran_ordered_inputs_are_not_written(newton_system):
     assert not np.shares_memory(cb, grid.newton_band)
     assert not np.shares_memory(x, v)
     flips = _lapack.ldlt_banded(K)
-    assert _lapack.ldlt_solve_banded(K, flips, rhs) is rhs
+    for k in range(2):
+        col = rhs[:, k]
+        assert _lapack.ldlt_solve_banded(K, flips, col) is col
     assert not np.array_equal(K, before[0])
     assert not np.array_equal(rhs, before[1])
     assert solves_as_well_as_lu(before[0], rhs, before[1])
@@ -322,7 +325,7 @@ def test_non_finite_input_raises_value_error(newton_system, bad):
         # dpbtrf does not stop on a NaN: the diagonal row is checked
         lambda: _lapack.ldlt_banded(planted(K, (0, 11))),
         lambda: _lapack.ldlt_solve_banded(factor, flips,
-                                          planted(rhs, (13, 1))),
+                                          planted(rhs[:, 1], 13)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -364,7 +367,8 @@ def test_singular_newton_matrix_raises(newton_system):
 
 def test_misshapen_input_is_rejected_before_lapack(newton_system):
     # LAPACK would read past the buffers, or write the grid's held band;
-    # the arrays are checked first
+    # the arrays are checked first. A solve takes one right-hand side of
+    # shape (n,): an (n, 2) array is rejected too
     grid, K, rhs = newton_system
     for ab in (np.ascontiguousarray(K), K.astype(np.float32),
                grid.newton_band):
@@ -374,16 +378,18 @@ def test_misshapen_input_is_rejected_before_lapack(newton_system):
         assert unchanged(before, ab)
     fixed = K.copy(order="F")
     flips = _lapack.ldlt_banded(fixed)
-    for b in (rhs[1:].copy(order="F"), np.ascontiguousarray(rhs),
-              rhs.astype(np.float32), np.zeros((grid.n, 2, 1), order="F")):
+    col = rhs[:, 1]
+    for b in (col[1:].copy(), np.ascontiguousarray(rhs)[:, 1],
+              col.astype(np.float32), np.zeros((grid.n, 2, 1), order="F"),
+              rhs.copy(order="F")):
         before = frozen(b)
         with pytest.raises(ValueError):
             _lapack.ldlt_solve_banded(fixed, flips, b)
         assert unchanged(before, b)
-    b = rhs.copy(order="F")
+    b = col.copy()
     with pytest.raises(ValueError):
         _lapack.ldlt_solve_banded(np.ascontiguousarray(fixed), flips, b)
-    assert np.array_equal(b, rhs)
+    assert np.array_equal(b, col)
 
 
 def scipy_fallback(monkeypatch):
@@ -429,49 +435,12 @@ def test_scipy_fallback_solves_match(newton_system, monkeypatch, rng):
     for fallback in (False, True):
         if fallback:
             scipy_fallback(monkeypatch)
-        y, y2 = np.array(grid.weights), np.array(rhs, order="F")
-        _lapack.ldlt_solve_banded(ab, flips, y)
-        _lapack.ldlt_solve_banded(ab, flips, y2)
+        ys = [np.array(b) for b in (grid.weights, rhs[:, 0], rhs[:, 1])]
+        for y in ys:
+            _lapack.ldlt_solve_banded(ab, flips, y)
         cb = minimizer.cholesky_banded(grid, 0.37)
-        got.append((y, y2, cb, minimizer.cho_solve_banded(cb, grid, v)))
+        got.append(ys + [cb, minimizer.cho_solve_banded(cb, grid, v)])
     for a, b in zip(*got):
-        assert np.array_equal(a, b)
-
-
-def test_held_integers_serve_alternating_sizes(monkeypatch):
-    # factors and solves that alternate n = 1025, 2049 and 8193, so that
-    # each call passes integers held for another size in between, are the
-    # scipy fallback's bit for bit: the LDL^T with a flip and of the
-    # definite band, with no flip, and the solves with both
-    rng = np.random.default_rng(4417)
-    bands = {}
-    for n in (1025, 2049, 8193):
-        spd = np.zeros((5, n), order="F")
-        spd[0] = 10.0 + rng.random(n)
-        for d in range(1, 5):
-            spd[d, :n - d] = 0.5 * rng.standard_normal(n - d)
-        low = spd.copy(order="F")
-        low[0, n // 3] = -10.0
-        bands[n] = (low, spd, rng.standard_normal((n, 2)))
-
-    def run():
-        out = []
-        for n in (1025, 2049, 8193, 1025, 8193, 2049):
-            low, spd, b = bands[n]
-            ab = low.copy(order="F")
-            flips = _lapack.ldlt_banded(ab)
-            x = _lapack.ldlt_solve_banded(ab, flips, np.array(b, order="F"))
-            cb = spd.copy(order="F")
-            none = _lapack.ldlt_banded(cb)
-            out += [ab, flips, x, cb, none,
-                    _lapack.ldlt_solve_banded(cb, none, np.array(b[:, 0]))]
-        return out
-
-    bundled = run()
-    assert [len(f) for f in bundled[1::6]] == [1] * 6
-    assert [len(f) for f in bundled[4::6]] == [0] * 6
-    scipy_fallback(monkeypatch)
-    for a, b in zip(bundled, run()):
         assert np.array_equal(a, b)
 
 
@@ -503,16 +472,14 @@ def test_flips_near_the_end_of_the_band(tail):
 
 
 def test_import_builds_no_table():
-    # the flip index tables and the held integers are built by the calls
-    # that first need them, not at import
-    code = ("import bhgs._lapack as k; "
-            "print(k._tril.cache_info().currsize, "
-            "k._int.cache_info().currsize)")
+    # the flip index tables are built by the flips that first need them,
+    # not at import
+    code = "import bhgs._lapack as k; print(k._tril.cache_info().currsize)"
     src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):

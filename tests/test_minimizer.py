@@ -16,6 +16,7 @@ from bhgs import (
     DomainError,
     GroundState,
     LandscapeParams,
+    NormBundle,
     RadialField,
     RadialGrid,
     SolverConfig,
@@ -719,11 +720,10 @@ def polished_lambda(params, c, fld, b, steps=2):
     field fld with bundle b."""
     grid = fld.grid
     ab = np.empty((5, grid.n), order="F")
-    rhs = np.empty((grid.n, 2), order="F")
     for _ in range(steps):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld, b)
         fld = RadialField(grid, minimizer._newton_step(
-            params, c, fld, g_proj, lam_hat, ab, rhs)[0])
+            params, c, fld, g_proj, lam_hat, ab)[0])
         b = norm_bundle(params, fld)
     return lagrange_multiplier(params, b)
 
@@ -733,12 +733,11 @@ def polish_error(params, c, fld):
     bordered Newton steps take it."""
     grid = fld.grid
     ab = np.empty((5, grid.n), order="F")
-    rhs = np.empty((grid.n, 2), order="F")
     fld2, b2 = fld, norm_bundle(params, fld)
     for _ in range(3):
         g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld2, b2)
         fld2 = RadialField(grid, minimizer._newton_step(
-            params, c, fld2, g_proj, lam_hat, ab, rhs)[0])
+            params, c, fld2, g_proj, lam_hat, ab)[0])
         b2 = norm_bundle(params, fld2)
     d = fld2.values - fld.values
     return math.sqrt(np.dot(grid.weights * d, d) / c)
@@ -1031,9 +1030,9 @@ class TestNestedStart:
         real = minimizer._newton_step
 
         def recording(params, c, fld, *args):
-            cand, flips = real(params, c, fld, *args)
+            cand, record = real(params, c, fld, *args)
             steps_taken.append((fld.values, cand.copy()))
-            return cand, flips
+            return cand, record
 
         monkeypatch.setattr(minimizer, "_newton_step", recording)
         cap = rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN)
@@ -1595,6 +1594,30 @@ class TestFailureKinds:
 
         monkeypatch.setattr(minimizer, "norm_bundle", misreported)
 
+    @pytest.mark.parametrize("broken", ["mass", "bend", "energy"])
+    def test_every_invariant_raise_fires(self, broken, monkeypatch, p53,
+                                         grid_solve, thresholds53):
+        # the try keeps a state whose bundle breaks one invariant: a mass
+        # 1e-6 high, a bend of rho0, or a bend below rho0 with no
+        # subcritical and critical norm, so J = bend / 2 >= 0; each raises
+        # its own invariant message
+        _, c0, rho0 = thresholds53
+        c = 0.5 * c0
+        b = {"mass": NormBundle(c * (1.0 + 1e-6), 0.5 * rho0, 1.0, 1.0),
+             "bend": NormBundle(c, rho0, 1.0, 1.0),
+             "energy": NormBundle(c, 0.5 * rho0, 0.0, 0.0)}[broken]
+        monkeypatch.setattr(minimizer, "_settle",
+                            lambda p, c, fld, *args, **kwargs:
+                            ((fld, b), 1, None))
+        with pytest.raises(ConvergenceError) as err:
+            minimize(p53, grid_solve, c)
+        assert err.value.kind == "invariant"
+        assert str(err.value) == {
+            "mass": "converged mass drifted: rel err 1.000e-06",
+            "bend": f"converged bend {rho0} is not below rho0 {rho0}",
+            "energy": f"converged energy {energy(p53, b)} is not "
+                      "negative"}[broken]
+
     @pytest.mark.parametrize("kind", ["seed", "stall", "budget",
                                       "safeguard", "invariant",
                                       "under-resolved"])
@@ -1646,6 +1669,37 @@ def test_stall_kind_does_not_turn_on_the_last_bit(op, monkeypatch):
 
     monkeypatch.setattr(minimizer, "cho_solve_banded", nudged)
     assert outcome(p, grid, c) == "stall" and solves
+
+
+class TestEnvelopeIdentity:
+    """m'(c) = lambda / 2: lambda is the Lagrange multiplier of the mass
+    constraint, so the central difference of m over masses c +- dc, dc =
+    1e-3 c, matches lambda / 2 at c on the default config."""
+
+    @pytest.fixture(scope="class")
+    def slopes(self):
+        cfg = load_config(env={})
+        p, grid = resolve_params(cfg), cfg.solve_grid()
+        c0 = mass_threshold(p)[1]
+        out = []
+        for f in (0.1, 0.5, 0.9):
+            c = f * c0
+            dc = 1e-3 * c
+            lo, mid, hi = (minimize(p, grid, x) for x in (c - dc, c, c + dc))
+            out.append(((hi.m - lo.m) / (2.0 * dc), mid.lam))
+        return out
+
+    @staticmethod
+    def deficit(slope, lam):
+        return abs(slope - lam / 2.0) / abs(lam / 2.0)
+
+    def test_central_difference_matches_half_lambda(self, slopes):
+        for slope, lam in slopes:
+            assert self.deficit(slope, lam) <= 1e-6
+
+    def test_scaled_lambda_fails(self, slopes):
+        for slope, lam in slopes:
+            assert self.deficit(slope, 1.01 * lam) > 1e-6
 
 
 class TestScalingLaw:
@@ -1925,9 +1979,10 @@ class TestGroundStateCertificate:
 
 
 def newton_states(monkeypatch, ops):
-    """(params, state, (ab, flips, rhs)) of every op of ops that minimize
-    returns through the Newton loop, with the last factor of K that loop
-    kept; the other ops, solved by the descent or failed, are left out."""
+    """(params, state, (ab, flips, y)) of every op of ops that minimize
+    returns through the Newton loop, with the last factor record of K that
+    loop kept; the other ops, solved by the descent or failed, are left
+    out."""
     kept = []
     real = minimizer._newton
 
@@ -1950,11 +2005,12 @@ def newton_states(monkeypatch, ops):
 
 
 def morse_index(st, factor):
-    """(flips, <W u, K^-1 W u>) of a state's kept factor of K."""
-    ab, flips, _ = factor
+    """(flips, <W u, K^-1 W u>) of a state's kept factor record of K, the
+    second read as W u . y off the record: y = K^-1 W u at the iterate the
+    record's step started from, which the state settled next to."""
+    _, flips, y = factor
     wu = st.field.grid.weights * st.field.values
-    return len(flips), float(np.dot(wu, minimizer.ldlt_solve_banded(
-        ab, flips, np.array(wu))))
+    return len(flips), float(np.dot(wu, y))
 
 
 class TestMorseIndex:
@@ -1986,7 +2042,6 @@ class TestMorseIndex:
             b = norm_bundle(p, st.field)
             g_proj, lam_hat, _, _ = minimizer._residuals(p, st.c, st.field, b)
             ab = np.empty((5, grid.n), order="F")
-            rhs = np.empty((grid.n, 2), order="F")
             real = minimizer.ldlt_banded
 
             def spiked(band):
@@ -1995,9 +2050,9 @@ class TestMorseIndex:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(minimizer, "ldlt_banded", spiked)
-                _, flips = minimizer._newton_step(p, st.c, st.field, g_proj,
-                                                  lam_hat, ab, rhs)
-            assert morse_index(st, (ab, flips, rhs))[0] == 2
+                _, record = minimizer._newton_step(p, st.c, st.field, g_proj,
+                                                   lam_hat, ab)
+            assert morse_index(st, record)[0] == 2
 
     @pytest.mark.parametrize("N", [14, 16])
     def test_high_dimension_converges(self, monkeypatch, N):

@@ -4,13 +4,14 @@ Each kernel is held to the code it replaced, kept below as the reference:
 
 - the grid's held Newton band (RadialGrid.newton_band), which each Newton
   step copies whole, against the (5, n) shift-free upper band and the loop
-  that mirrors it into lower storage, bit for bit; and the Newton step
-  itself against a step that assembles K that way on every step;
+  that mirrors it into lower storage, bit for bit; the Newton step itself
+  against a step that assembles K that way on every step; and its factor
+  record's y = K^-1 W u against K assembled that way;
 - fiber.fiber_minimum, which brackets s1 alone, against analyze_fiber's
   s1 computed beside s2, by float.hex, also where psi' has no zero or a
   double one; and analyze_fiber, built on it, against the same reference;
-- grid.interpolate, whose four Lagrange weights share three products,
-  against the weights written out one by one, bit for bit.
+- grid.interpolate against the four Lagrange weights written out one by
+  one, bit for bit, which pins its formula against later edits.
 """
 import math
 
@@ -54,7 +55,7 @@ def ref_assemble(grid, ab, shift):
     return ab
 
 
-def ref_newton_step(params, c, fld, g_proj, lam_hat, ab, rhs):
+def ref_newton_step(params, c, fld, g_proj, lam_hat, ab):
     grid = fld.grid
     w = grid.weights
     q, p = params.q, params.p_crit
@@ -64,17 +65,15 @@ def ref_newton_step(params, c, fld, g_proj, lam_hat, ab, rhs):
     ab[0] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
                   + (p - 1.0) * nonneg_power(au, p - 2.0))
     wu = w * u
-    rhs[:, 0] = -w * g_proj
-    rhs[:, 1] = wu
     flips = minimizer.ldlt_banded(ab)
-    minimizer.ldlt_solve_banded(ab, flips, rhs)
-    x, y = rhs[:, 0], rhs[:, 1]
+    x = minimizer.ldlt_solve_banded(ab, flips, -w * g_proj)
+    y = minimizer.ldlt_solve_banded(ab, flips, wu.copy())
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
     mass = float(np.add.reduce(grid.weights * cand * cand))
     if not 0.0 < mass < math.inf:
-        return None, flips
+        return None, (ab, flips, y)
     cand *= math.sqrt(c / mass)
-    return cand, flips
+    return cand, (ab, flips, y)
 
 
 def ref_analyze_fiber(params, b):
@@ -183,22 +182,61 @@ def step_starts():
 
 def test_newton_step_matches_the_mirror_loop_step():
     # three steps from each start: the same iterates bit for bit, through
-    # the same factors and flips
+    # the same factor records
     for p, c, fld in step_starts():
         n = fld.grid.n
-        work = [(np.empty((5, n), order="F"), np.empty((n, 2), order="F"))
-                for _ in range(2)]
+        work = [np.empty((5, n), order="F") for _ in range(2)]
         for _ in range(3):
             b = minimizer.norm_bundle(p, fld)
             g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld, b)
-            got, flips = minimizer._newton_step(p, c, fld, g_proj, lam_hat,
-                                                *work[0])
-            want, want_flips = ref_newton_step(p, c, fld, g_proj, lam_hat,
-                                               *work[1])
+            got, record = minimizer._newton_step(p, c, fld, g_proj, lam_hat,
+                                                 work[0])
+            want, want_record = ref_newton_step(p, c, fld, g_proj, lam_hat,
+                                                work[1])
             assert got.tobytes() == want.tobytes()
-            assert work[0][0].tobytes() == work[1][0].tobytes()
-            assert flips.tobytes() == want_flips.tobytes()
+            assert record[0] is work[0]
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(record, want_record))
             fld = RadialField(fld.grid, got)
+
+
+def band_matvec(low, x):
+    """K x for the symmetric matrix K with lower band low."""
+    n = low.shape[1]
+    y = low[0] * x
+    for d in range(1, 5):
+        y[d:] += low[d, :n - d] * x[:n - d]
+        y[:n - d] += low[d, :n - d] * x[d:]
+    return y
+
+
+def test_factor_record_solves_k_and_projects_onto_the_tangent():
+    # from each start, on both grids: the record's y solves K y = W u
+    # against K's band assembled by the mirror loop, to 1e-10 of the terms
+    # K y sums (K spans 20 decades at n = 8193, and the Euclidean relative
+    # residual reads 1e-5 there), and the kept solve at the step's result,
+    # the simplified correction's, is W-orthogonal to it
+    for p, c, fld in step_starts():
+        grid, u = fld.grid, fld.values
+        w = grid.weights
+        b = minimizer.norm_bundle(p, fld)
+        g_proj, lam_hat, _, _ = minimizer._residuals(p, c, fld, b)
+        cand, (ab, flips, y) = minimizer._newton_step(
+            p, c, fld, g_proj, lam_hat, np.empty((5, grid.n), order="F"))
+        K = ref_assemble(grid, np.zeros((5, grid.n), order="F"),
+                         -lam_hat * w)
+        au = np.abs(u)
+        K[0] -= w * (p.mu * (p.q - 1.0) * nonneg_power(au, p.q - 2.0)
+                     + (p.p_crit - 1.0) * nonneg_power(au, p.p_crit - 2.0))
+        wu = w * u
+        scale = band_matvec(np.abs(K), np.abs(y)) + np.abs(wu)
+        assert np.all(np.abs(band_matvec(K, y) - wu) <= 1e-10 * scale)
+        nxt = RadialField(grid, cand)
+        g2 = minimizer._residuals(p, c, nxt, minimizer.norm_bundle(p, nxt))[0]
+        d = minimizer._kept_solve(nxt, ab, flips, y, -w * g2)
+        v = nxt.values
+        assert abs(np.dot(w * v, d)) <= 1e-12 * math.sqrt(
+            np.dot(w * v, v) * np.dot(w * d, d))
 
 
 # ------------------------------------------------------------ fiber minimum
