@@ -39,9 +39,9 @@ it.
 interpolate reads samples on a grid of spacing h at arbitrary radii by
 4-point cubic interpolation, with the even extension through the origin and
 the zero extension past R that the Laplacian's band uses. It reads the
-samples and h alone, so the minimizer holds its per-(N, q) profile
-(minimizer._profile) as values and spacing, without a grid, and Newton
-first starts from that profile read this way.
+samples and h alone, so the minimizer holds its unit-frame (N, q) profile
+(minimizer._profile) without a grid, and reads every Newton-first start
+from it at the op's own width.
 
 Held per field: a RadialField's values are a read-only view, checked
 finite once when the field is made, and its L u (RadialField.lap) is

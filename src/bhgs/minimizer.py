@@ -30,23 +30,23 @@ It measures the state's error on the grid itself, at any scale
 settled state as it is; the try and the finish hand it to one judgment
 (_settle).
 
-The try starts from the profile of (N, q), moved to the op's (mu, c) by
-the exact dilation (_moved_start). While the critical term is negligible,
-the ground states at every mu and c are dilations of one subcritical
-profile per (N, q): u -> A u(r/L) maps a solution at (mu1, c1) to one at
-(mu2, c2) where A^(q-2) = mu1 / (mu2 L^4) and L^(N(q-2)/2 - 4) =
-(mu2/mu1) (c2/c1)^((q-2)/2). So one small table (_profile) holds, per
-(N, q), the state at mu = 1 and the synthetic constants, settled on its
-first use on a grid of its own (nested iteration, Deuflhard 2004,
-Hackbusch 1985). It holds the profile's values, spacing, mass and bundle,
-not its grid. Every params object of that (N, q) starts from it, whatever
-its mu and constants, and its bundle's Gagliardo-Nirenberg quotient is
-estimated C_gn (estimate_gn_constant), so the solver has one Newton method
-for every state it computes. Where there is no profile, or its moved start
-fails J < 0 or the bend cap, the try is skipped. It is skipped too where
-s1, the fiber minimum of the grid's unit Gaussian bundle scaled to mass c
-(fiber.fiber_minimum), does not exist. minimize computes s1 once, and
-s1^(-1/2) is the width an under-resolved message names.
+The try starts from the profile of (N, q), read at the op's own width
+(_moved_start). The critical dilation u -> L^(-(N-4)/2) u(r/L) keeps
+bend, the critical norm and J and maps (mu, c) to (mu L^(N - (N-4)q/2),
+c / L^4); while the critical term is negligible, the ground states of one
+(N, q) are one profile up to it and amplitude (Weinstein 1983). So one
+small table (_profile) holds, per (N, q), that profile in the unit frame,
+where the unit Gaussian sits at its fiber minimum, solved on first use on
+one grid per N (nested iteration, Deuflhard 2004, Hackbusch 1985). An op
+reads it at r sqrt(s1), s1 the closed-form fiber minimum of the unit
+Gaussian at mass c (_gaussian_s1). Its bundle's Gagliardo-Nirenberg
+quotient, which the dilation keeps, is estimated C_gn
+(estimate_gn_constant), so the solver has one Newton method for every
+state it computes. The try is skipped where there is no profile or
+closed-form s1, where the start fails J < 0 or the bend cap, and where the
+grid's s1 (fiber.fiber_minimum of the grid's unit Gaussian bundle at mass
+c) does not exist; minimize computes that s1 once, and s1^(-1/2) is the
+width an under-resolved message names.
 
 The judgment (_settle) keeps the settled state where it meets Q_TOL, its
 energy is not above its start's (up to NEWTON_J_SLACK bend) and its bend
@@ -204,10 +204,11 @@ Q_TOL = 5e-7
 # GRAD_TOL (_settle, _floor_reach); read at call time
 FIRST_ERR_TOL = 1e-10
 
-# the (N, q) profile: solved at REF_FRACTION c0 on a grid with
-# MIN_NODES_PER_WIDTH nodes per fiber-minimum width (_profile)
+# the (N, q) profile: at REF_FRACTION c0, dilated into the unit frame and
+# solved on build_grid(N, PROFILE_NODES, PROFILE_R) (_profile)
 REF_FRACTION = 0.2
-MIN_NODES_PER_WIDTH = 24
+PROFILE_NODES = 1025
+PROFILE_R = 30.0
 
 # Newton: the step budget of the try and the finish, half the profile
 # solve's; the loose point (gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
@@ -667,23 +668,24 @@ def _gaussian_s1(params: LandscapeParams, c: float,
 
 @lru_cache(maxsize=2)
 def _profile(N: int, q: float):
-    """(values, h, c_ref, bundle): the settled state of LandscapeParams(N,
-    q), mu = 1 with the synthetic constants, at c_ref = REF_FRACTION c0 on
-    a grid of 30 widths s1^(-1/2), s1 the closed-form Gaussian bundle's
-    fiber minimum at c_ref, with the fewest 2^k + 1 nodes giving
-    MIN_NODES_PER_WIDTH per width (1025); h is that grid's spacing and
-    bundle the values' norm bundle. The solve is at most 2 NEWTON_STEPS
-    steps (_newton) from exp(-s1 r^2 / 2) at mass c_ref, kept once they
-    settle, whatever q_residual or the energy do: on the profile's grid
-    the Pohozaev floor may sit above Q_TOL. None where the start fails J <
+    """(values, bundle): the settled (N, q) profile in the unit frame, on
+    build_grid(N, PROFILE_NODES, PROFILE_R), and its norm bundle.
+
+    It is the state at mu = 1, the synthetic constants and c_ref =
+    REF_FRACTION c0, dilated by L = s1^(-1/2), s1 the closed-form Gaussian
+    fiber minimum at c_ref (_gaussian_s1): the problem at mu' = L^(N -
+    (N-4)q/2) and c' = c_ref / L^4, solved from exp(-r^2 / 2) by at most 2
+    NEWTON_STEPS steps (_newton), kept once they settle, whatever
+    q_residual or the energy do: on the profile's grid the Pohozaev floor
+    may sit above Q_TOL. None where s1 does not exist, the start fails J <
     0 or the bend cap, or the run does not settle; where no grid of
     dimension N builds, build_grid's DomainError propagates.
 
-    Held for the last two (N, q), as read-only values and floats that
-    reference no grid: every params object of that (N, q) starts Newton
-    first from it, and estimate_gn_constant reads its bundle. A command
-    and each draw of the benchmark's domain workload use one (N, q), and a
-    larger table only holds memory (8 KB of values per entry).
+    Held for the last two (N, q), as read-only values and a bundle that
+    reference no grid; the spacing is PROFILE_R / (len(values) - 1). A
+    command and each draw of the benchmark's domain workload use one
+    (N, q), and a larger table only holds memory (8 KB of values per
+    entry).
     """
     params = LandscapeParams(N, q)
     _, c0, rho0 = mass_threshold(params)
@@ -691,49 +693,45 @@ def _profile(N: int, q: float):
     s1 = _gaussian_s1(params, c_ref)
     if s1 is None:
         return None
-    n = 2 ** math.ceil(math.log2(30 * MIN_NODES_PER_WIDTH)) + 1
-    grid = build_grid(N, n, 30.0 * s1 ** -0.5)
+    grid = build_grid(N, PROFILE_NODES, PROFILE_R)
     try:
-        start = _start(params, grid, c_ref, _gaussian(grid, s1),
+        ell = s1 ** -0.5
+        unit = LandscapeParams(N, q, mu=ell ** (N - (N - 4) * q / 2.0))
+        c = c_ref / ell ** 4
+        start = _start(unit, grid, c, _gaussian(grid, 1.0),
                        rho0 * (1.0 - SAFEGUARD_MARGIN))
         done = None if start is None else _newton(
-            params, c_ref, *start, 2 * NEWTON_STEPS)[0]
+            unit, c, *start, 2 * NEWTON_STEPS)[0]
     except (DomainError, OverflowError):
         return None
-    if done is None:
-        return None
-    return done[0].values, grid.h, c_ref, done[1]
+    return None if done is None else (done[0].values, done[1])
 
 
 def _moved_start(params: LandscapeParams, grid: RadialGrid, c: float,
-                 bend_cap: float):
-    """The try's start: the (N, q) profile (_profile) read at r / L,
-    L = mu^(1 / (N(q-2)/2 - 4)) (c / c_ref)^(1 / (N - 8/(q-2))) by
-    grid.interpolate, and scaled to mass c, with its bundle (_start); at
-    mu = 1 the first factor is 1.0 and L is the mass factor bit for bit.
-    None where there is no profile or that start fails J < 0 or bend <
-    bend_cap.
+                 s1: float | None, bend_cap: float):
+    """The try's start: the unit-frame (N, q) profile (_profile) read at
+    r sqrt(s1) by grid.interpolate, s1 the op's closed-form Gaussian fiber
+    minimum, and scaled to mass c, with its bundle (_start). None where s1
+    or the profile is None or that start fails J < 0 or bend < bend_cap.
     """
-    N, q = params.N, params.q
     try:
-        prof = _profile(N, q)
+        prof = _profile(params.N, params.q)
     except DomainError:     # no profile grid builds at dimension N
         prof = None
-    if prof is None:
+    if prof is None or s1 is None:
         return None
-    values, h, c_ref, _ = prof
-    L = (params.mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
-         * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
-    return _start(params, grid, c, interpolate(values, h, grid.nodes / L),
-                  bend_cap)
+    values = prof[0]
+    return _start(params, grid, c, interpolate(
+        values, PROFILE_R / (len(values) - 1), grid.nodes * math.sqrt(s1)),
+        bend_cap)
 
 
 def minimize(params: LandscapeParams, grid: RadialGrid,
              c: float) -> GroundState:
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
-    Newton first, from the (N, q) profile moved to (mu, c) (_moved_start)
-    and judged by _settle; where that is skipped or keeps no state, the
+    Newton first, from the (N, q) profile read at the op's width
+    (_moved_start) and judged by _settle; where that is skipped or keeps no state, the
     seed loop and the preconditioned descent, finished from the loose
     point through the same judgment (_descend), until gnorm <= GRAD_TOL
     and q_residual <= Q_TOL. Raises DomainError for a mass
@@ -753,7 +751,8 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     _check_request(params, thresholds, c, grid)
     bend_cap = rho0 * (1.0 - SAFEGUARD_MARGIN)
     s1 = _gaussian_s1(params, c, grid)
-    start = None if s1 is None else _moved_start(params, grid, c, bend_cap)
+    start = None if s1 is None else _moved_start(
+        params, grid, c, _gaussian_s1(params, c), bend_cap)
     kept, solves, floor = (None, 0, None) if start is None else _settle(
         params, c, *start, bend_cap, s1)
     if kept is not None:
@@ -901,7 +900,7 @@ def estimate_gn_constant(params: LandscapeParams) -> float:
         raise ConvergenceError(
             "no-profile", f"no settled profile at N={params.N}, "
             f"q={params.q}: its Newton solve gave up")
-    return gn_quotient(params, prof[3])
+    return gn_quotient(params, prof[1])
 
 
 def fiber_consistency(params: LandscapeParams, state: GroundState) -> float:

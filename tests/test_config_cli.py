@@ -815,6 +815,20 @@ class TestCliLargeDimension:
         assert why in rec["message"] and f"dim-{N}" in rec["message"]
 
 
+class TestCliHighDimensionEstimate:
+    # near q = 2 + 8/N at N = 14, 15 and 16 the (N, q) profile settles in
+    # the unit frame, so estimated-mode constants have a value
+    @pytest.mark.parametrize("N", [14, 15, 16])
+    def test_estimated_constants_exit_0(self, capsys, monkeypatch, N):
+        monkeypatch.setenv("BHGS_PROBLEM__N", str(N))
+        monkeypatch.setenv("BHGS_PROBLEM__Q", repr(2.0 + 0.95 * 8.0 / N))
+        monkeypatch.setenv("BHGS_CONSTANTS__MODE", "estimated")
+        rc, out, err = run_cli(capsys, "constants")
+        assert rc == 0 and err == ""
+        (rec,) = json_lines(out)
+        assert rec["N"] == N and 0.0 < rec["C_gn"] < float("inf")
+
+
 class TestCliParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as exc:

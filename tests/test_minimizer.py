@@ -65,14 +65,14 @@ DEFAULT_ITERS = 7
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
-     [('-0x1.313a32929764bp-11', '-0x1.94658619581e9p-8', 2),
-      ('-0x1.3f11cdeaf1ae0p-8', '-0x1.52305e16487a9p-7', 2),
+     [('-0x1.313a329297674p-11', '-0x1.946586195820cp-8', 2),
+      ('-0x1.3f11cdeaf1ae0p-8', '-0x1.52305e16487abp-7', 2),
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f1d5p-18', '-0x1.1474ebc665858p-14', 2),
-      ('-0x1.0366a5eba91a4p-13', '-0x1.43df6cac1c8f5p-12', 2),
-      ('-0x1.9a64e768759cbp-12', '-0x1.1ca9cb82b5418p-11', 2)]),
+     [('-0x1.62472eeb9f19dp-18', '-0x1.1474ebc66580dp-14', 2),
+      ('-0x1.0366a5eba912ep-13', '-0x1.43df6cac1c8c3p-12', 2),
+      ('-0x1.9a64e768759dbp-12', '-0x1.1ca9cb82b540fp-11', 2)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['under-resolved',
@@ -97,9 +97,9 @@ PIN_DRAWS = [
 # The solve-fine grid's pins are Newton-first's from the params' reference
 # state: 1 solve on the grid, certified by the simplified correction.
 PIN_FINE = [
-    (0.1, ('-0x1.5cee30b3d7424p-27', '-0x1.846040ac2e008p-22', 2)),
-    (0.5, ('-0x1.d224875866340p-22', '-0x1.9f122ce1a3905p-19', 2)),
-    (0.9, ('-0x1.cb4c560e0ce02p-20', '-0x1.c66b103fc0b04p-18', 2)),
+    (0.1, ('-0x1.5cee30b3d2b5ap-27', '-0x1.846040ac26ceep-22', 2)),
+    (0.5, ('-0x1.d224875868370p-22', '-0x1.9f122ce1a46f1p-19', 2)),
+    (0.9, ('-0x1.cb4c560e0c5e0p-20', '-0x1.c66b103fbfec7p-18', 2)),
 ]
 # (draw N or "fine", c/c0) -> the pin before Newton-first
 PIN_BEFORE_FIRST = {
@@ -195,7 +195,8 @@ def newton_first(p, grid, c, cap):
     """minimize's try: _settle's (kept, steps, floor) from the moved
     profile (_moved_start), or None where the try is skipped."""
     s1 = minimizer._gaussian_s1(p, c, grid)
-    start = None if s1 is None else minimizer._moved_start(p, grid, c, cap)
+    start = None if s1 is None else minimizer._moved_start(
+        p, grid, c, minimizer._gaussian_s1(p, c), cap)
     return None if start is None else minimizer._settle(p, c, *start, cap, s1)
 
 
@@ -1190,20 +1191,25 @@ class TestNestedStart:
     @pytest.mark.parametrize("k", [None, 0, 16, 21])
     def test_start_at_the_answer_keeps_its_newton_result(self, monkeypatch,
                                                          k):
-        # at mu = 1, on the profile's own grid at its own mass, the start
+        # at the profile's own mu' and mass c' (F9's dilation of mu = 1 and
+        # REF_FRACTION c0 into the unit frame), on its own grid, the start
         # is the profile, within ~1e-10 of the answer: Newton's result
         # passes the energy test (J at most NEWTON_J_SLACK bend above the
         # start's) and neither the seed loop nor the descent runs
         p = (LandscapeParams(N=5, q=3.0, mu=1.0) if k is None
              else random_params(np.random.default_rng(k)))
-        p = LandscapeParams(N=p.N, q=p.q)
-        values, h, c_ref, _ = minimizer._profile(p.N, p.q)
-        grid = build_grid(p.N, len(values), h * (len(values) - 1))
+        N, q = p.N, p.q
+        c_ref = minimizer.REF_FRACTION * mass_threshold(
+            LandscapeParams(N=N, q=q))[1]
+        ell = minimizer._gaussian_s1(LandscapeParams(N=N, q=q), c_ref) ** -0.5
+        p = LandscapeParams(N=N, q=q, mu=ell ** (N - (N - 4) * q / 2.0))
+        values, _ = minimizer._profile(N, q)
+        grid = build_grid(N, len(values), minimizer.PROFILE_R)
         calls = []
         for name in ("seed", "_descend"):
             monkeypatch.setattr(minimizer, name,
                                 lambda *a, name=name: calls.append(name))
-        st = minimize(p, grid, c_ref)
+        st = minimize(p, grid, c_ref / ell ** 4)
         assert calls == [] and st.iters == 2
 
     def test_settled_try_ends_above_q_tol(self, monkeypatch):
@@ -1328,7 +1334,9 @@ class TestFloorCertificate:
         assert hit, msg
         rho, reach, nodes = map(float, hit.groups())
         assert rho - 5e-7 > 2.0 * reach
-        assert 0.0 < nodes < minimizer.MIN_NODES_PER_WIDTH
+        # fewer than 24 spacings per width, below the profile grid's
+        # (1025 - 1) / 30 = 34
+        assert 0.0 < nodes < 24.0
         assert "stalled" not in msg and "converged" not in msg
         assert classify(msg) == "other"
 
@@ -1794,13 +1802,13 @@ GN_POINTS = [(N, round(0.05 + 0.1 * k, 2)) for N in range(5, 11)
 # value's hex. At N = 5, f = 0.05 and N = 8, f = 0.15 the ascent oracle on
 # (1025, 40) does not settle in 500 steps
 GN_PINS = [
-    ((5, 0.05), '0x1.b70d6a4a03e33p-1'),
-    ((5, 0.15), '0x1.4f12dc51516f2p-1'),
-    ((6, 0.55), '0x1.16463093a8083p-2'),
-    ((7, 0.95), '0x1.0a34fedc7badap-3'),
-    ((8, 0.15), '0x1.35c6a724d18f3p-1'),
-    ((9, 0.45), '0x1.039053c9403cbp-2'),
-    ((10, 0.25), '0x1.b02c07df70c5fp-2'),
+    ((5, 0.05), '0x1.b70d6a4a03e0ep-1'),
+    ((5, 0.15), '0x1.4f12dc5151677p-1'),
+    ((6, 0.55), '0x1.16463093a80c9p-2'),
+    ((7, 0.95), '0x1.0a34fedc7b9f4p-3'),
+    ((8, 0.15), '0x1.35c6a724d18bdp-1'),
+    ((9, 0.45), '0x1.039053c940362p-2'),
+    ((10, 0.25), '0x1.b02c07df70c5ep-2'),
 ]
 
 
@@ -1821,11 +1829,10 @@ class TestGnEstimate:
 
     @pytest.fixture(scope="class")
     def fine_estimates(self):
-        # the profiles at 8 times the nodes per width, n = 8193
+        # the profiles at 8 times the nodes, n = 8193
         with pytest.MonkeyPatch.context() as mp:
             minimizer._profile.cache_clear()
-            mp.setattr(minimizer, "MIN_NODES_PER_WIDTH",
-                       8 * minimizer.MIN_NODES_PER_WIDTH)
+            mp.setattr(minimizer, "PROFILE_NODES", 8193)
             try:
                 return gn_estimates(GN_POINTS)
             finally:
@@ -1842,7 +1849,7 @@ class TestGnEstimate:
     def test_grid_estimate_can_lie_above_the_finer_grid(self,
                                                         fine_estimates):
         # no lower bound: at N = 5, q = 2.24 the estimate exceeds the
-        # profile's at 8 times the nodes per width by 2.4e-9 relative
+        # profile's at 8 times the nodes by 2.4e-9 relative
         k = GN_POINTS.index((5, 0.15))
         rel = gn_estimates([(5, 0.15)])[0] / fine_estimates[k] - 1.0
         assert rel == pytest.approx(2.4e-9, rel=0.01)
@@ -1893,6 +1900,83 @@ class TestGnEstimate:
         u = np.exp(-0.5 * gn_grid.nodes ** 2)
         assert estimate_gn_constant(p53) >= gn_quotient(
             p53, gn_grid, u) - 1e-15
+
+
+# N of the profiles that leave float range or do not settle in the
+# physical frame at q fraction 0.95 (ROADMAP F25), and settle in the unit
+# frame
+HIGH_N = (14, 15, 16)
+
+
+def high_q(N):
+    """q = 2 + 0.95 8/N, near the L2-critical end."""
+    return 2.0 + 0.95 * 8.0 / N
+
+
+class TestUnitFrameProfile:
+    """The (N, q) profile is solved in the unit frame, where its grid does
+    not depend on the width of the state it holds."""
+
+    @pytest.fixture(scope="class")
+    def fine_estimates(self):
+        # the HIGH_N profiles on n = 4097
+        with pytest.MonkeyPatch.context() as mp:
+            minimizer._profile.cache_clear()
+            mp.setattr(minimizer, "PROFILE_NODES", 4097)
+            try:
+                return {N: estimate_gn_constant(LandscapeParams(N, high_q(N)))
+                        for N in HIGH_N}
+            finally:
+                minimizer._profile.cache_clear()
+
+    @pytest.mark.parametrize("N", HIGH_N)
+    def test_high_dimension_profile_settles(self, fine_estimates, N):
+        # within 1.3e-7, 2.8e-7 and 4.6e-7 of the n = 4097 profile's
+        got = estimate_gn_constant(LandscapeParams(N, high_q(N)))
+        assert got == pytest.approx(fine_estimates[N], rel=1e-6)
+
+    def test_unsettled_profile_at_n12_is_named(self, fresh_profiles):
+        # on n = 1025 the N = 12 profile's corrections hover between 1e-7
+        # and 1e-3 without settling (ROADMAP F25)
+        with pytest.raises(ConvergenceError) as err:
+            estimate_gn_constant(LandscapeParams(12, high_q(12)))
+        assert err.value.kind == "no-profile"
+
+    @staticmethod
+    def moved_start(p, c, r_max, widen=1.0):
+        # _moved_start on build_grid(N, 2049, r_max), read at r sqrt(s1)
+        # widen, s1 the op's closed-form Gaussian fiber minimum
+        rho0 = mass_threshold(p)[2]
+        s1 = minimizer._gaussian_s1(p, c) * widen ** 2
+        return minimizer._moved_start(
+            p, build_grid(p.N, 2049, r_max), c, s1,
+            rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN))
+
+    @pytest.mark.parametrize("i", [0, 1, 5])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+    def test_moved_start_commutes_with_the_dilation(self, i, k):
+        # the op at 0.4 c0 on radius R and its image under F9's dilation by
+        # k, (mu k^(N - (N-4)q/2), c / k^4) on radius R / k: the starts are
+        # u and v with u = k^(-(N-4)/2) v node by node, to 3.2e-15 in
+        # |.|_W, and J agrees to 3e-14. A start read 1e-6 wider is 1.7e-6
+        # to 2.3e-6 away, so the test fails for it
+        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[i]
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        image = LandscapeParams(N=N, q=q, mu=mu * k ** (N - (N - 4) * q / 2.0),
+                                C_gn=cgn, S_sob=ssob)
+        c = 0.4 * mass_threshold(p)[1]
+        u, bu = self.moved_start(p, c, 1000.0)
+        w = u.grid.weights
+
+        def distance(v):
+            d = u.values - k ** (-(N - 4) / 2.0) * v.values
+            return math.sqrt(np.dot(w * d, d) / np.dot(w * u.values, u.values))
+
+        v, bv = self.moved_start(image, c / k ** 4, 1000.0 / k)
+        assert distance(v) <= 1e-12
+        assert energy(p, bu) == pytest.approx(energy(image, bv), rel=1e-12)
+        wider, _ = self.moved_start(image, c / k ** 4, 1000.0 / k, 1.0 + 1e-6)
+        assert distance(wider) > 1e-8
 
 
 # the ground-state certificate's bound on |1 - quotient / C*|: 10 times the

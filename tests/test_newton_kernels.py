@@ -168,12 +168,12 @@ def step_starts():
         p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
         grid = build_grid(N, n, 1000.0)
         c0 = mass_threshold(p)[1]
-        values, h, c_ref, _ = minimizer._profile(N, q)
+        values, _ = minimizer._profile(N, q)
+        h = minimizer.PROFILE_R / (len(values) - 1)
         for f in (0.1, 0.9):
             c = f * c0
-            L = (mu ** (1.0 / (N * (q - 2.0) / 2.0 - 4.0))
-                 * (c / c_ref) ** (1.0 / (N - 8.0 / (q - 2.0))))
-            prof = grid_mod.interpolate(values, h, grid.nodes / L)
+            s1 = minimizer._gaussian_s1(p, c)
+            prof = grid_mod.interpolate(values, h, grid.nodes * math.sqrt(s1))
             out.append((p, c, at_mass(grid, prof, c)))
         prof = minimizer._gaussian(grid, 1e-3)
         out.append((p, 0.5 * c0, at_mass(grid, prof, 0.5 * c0)))
@@ -298,7 +298,8 @@ def test_interpolate_matches_the_written_out_weights(p53, N, n):
     # (N, n) grid over L for 53 random L, log-uniform over four decades
     rng = np.random.default_rng(5300 + N)
     grid = build_grid(N, n, 1000.0)
-    values, h, _, _ = minimizer._profile(p53.N, p53.q)
+    values, _ = minimizer._profile(p53.N, p53.q)
+    h = minimizer.PROFILE_R / (len(values) - 1)
     noise = rng.standard_normal(len(values))
     for L in 10.0 ** rng.uniform(-2.0, 2.0, 53):
         r = grid.nodes / L
