@@ -22,15 +22,19 @@ energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
 profiles this coincides with L(Lu) to the scheme order, but unlike the plain
 composition it passes directional-derivative tests down to solver precision.
 
-Every nonlinear term is a power |u|^e (e = q, 4*, q-1, 4*-1; 4* = 10 at
-N = 5), and on the decaying tails of seeds and iterates these powers
-underflow. On AVX-512 hosts numpy's vectorized power sends each lane whose
-result underflows, and each exact zero, to a scalar fallback: at n = 2049 a
-power that underflows everywhere costs about 25x one on O(1) values.
-nonneg_power writes those lanes itself. Where |u| <= 2^(-1080/e) the true
-power is below 2^-1075, half the smallest subnormal, so the rounded result
-is +0 and numpy returns +0 as well. Every other lane, NaN included, still
-goes through np.power, so the result equals |u| ** e bit for bit.
+Every nonlinear term reads two powers, |u|^(q-2) and |u|^(4*-2) (4* = 10
+at N = 5): the bundle sums (w u u) |u|^(e-2) on the w u u mass sums, the
+gradient reads u |u|^(e-2) and Newton's K the powers. nonlinear_powers
+takes the pair once per field and holds it on the field, as L u is held,
+until its last reader drops it. On the decaying tails of seeds and
+iterates the powers underflow. On AVX-512 hosts numpy's vectorized power
+sends each lane whose result underflows, and each exact zero, to a scalar
+fallback: at n = 2049 a power that underflows everywhere costs about 25x
+one on O(1) values. nonneg_power writes those lanes itself. Where
+|u| <= 2^(-1080/e) the true power is below 2^-1075, half the smallest
+subnormal, so the rounded result is +0 and numpy returns +0 as well.
+Every other lane, NaN included, still goes through np.power, so the
+result equals |u| ** e bit for bit.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ __all__ = [
     "NormBundle",
     "norm_bundle",
     "nonneg_power",
+    "nonlinear_powers",
     "energy",
     "pohozaev",
     "pohozaev_coefficient",
@@ -75,7 +80,8 @@ class NormBundle:
 
 def nonneg_power(au: np.ndarray, e: float) -> np.ndarray:
     """au ** e, bitwise, for au >= 0 and e > 0, without numpy's underflow
-    slow path: lanes at or below 2^(-1080/e) are set to +0 directly."""
+    slow path: lanes at or below 2^(-1080/e) (0.0 for e <= 1080/1075) are
+    set to +0 directly. The one place a power of a field is taken."""
     cut = 2.0 ** (-1080.0 / e)
     if au.min(initial=np.inf) > cut:
         return au ** e
@@ -85,6 +91,22 @@ def nonneg_power(au: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
+def nonlinear_powers(params: LandscapeParams, fld: RadialField,
+                     release: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(|u|^(q-2), |u|^(4*-2)) of fld, the two powers every nonlinear term
+    reads: taken on the first call for these exponents and held on the
+    field until a call with release, which returns the pair and drops it."""
+    key, slot = (params.q, params.p_crit), vars(fld)
+    held = slot.pop("powers", None) if release else slot.get("powers")
+    if held is None or held[0] != key:
+        au = np.abs(fld.values)
+        held = (key, nonneg_power(au, params.q - 2.0),
+                nonneg_power(au, params.p_crit - 2.0))
+        if not release:
+            slot["powers"] = held
+    return held[1], held[2]
+
+
 def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
     g = fld.grid
     u = fld.values
@@ -92,13 +114,14 @@ def norm_bundle(params: LandscapeParams, fld: RadialField) -> NormBundle:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
     lu = fld.lap
     w = g.weights
-    au = np.abs(u)
+    pq, pc = nonlinear_powers(params, fld)
+    wuu = w * u * u
     total = np.add.reduce
     return NormBundle(
-        mass=float(total(w * u * u)),
+        mass=float(total(wuu)),
         bend=float(total(w * lu * lu)),
-        subcrit=float(total(w * nonneg_power(au, params.q))),
-        crit=float(total(w * nonneg_power(au, params.p_crit))),
+        subcrit=float(total(wuu * pq)),
+        crit=float(total(wuu * pc)),
     )
 
 
@@ -121,19 +144,17 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     """Gradient of J in the weighted-quadrature inner product.
 
     The constraint multiplier term lambda*u is deliberately absent; it lives
-    in the projection. The nonlinear terms read sign(u)|u|^{p-1}, which is 0
-    at u = 0 since p > 2.
+    in the projection. The nonlinear terms read u |u|^(p-2) from the held
+    pair (nonlinear_powers), which is 0 at u = 0 since p > 2.
     """
     g = fld.grid
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
     u = fld.values
     w = g.weights
-    au = np.abs(u)
-    sgn = np.sign(u)
+    pq, pc = nonlinear_powers(params, fld)
     return RadialField(g, g.lap_t_apply(w * fld.lap) / w
-                       - params.mu * sgn * nonneg_power(au, params.q - 1.0)
-                       - sgn * nonneg_power(au, params.p_crit - 1.0))
+                       - params.mu * (u * pq) - u * pc)
 
 
 def scaled_norms(params: LandscapeParams, b: NormBundle, t2: float,

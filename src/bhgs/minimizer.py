@@ -114,11 +114,15 @@ rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
 
 One evaluation per iterate: the descent and Newton carry the iterate as a
-RadialField, whose L u norm_bundle computes once and the field holds, so
-the residuals' gradient (l2_gradient) reuses it and the field's one
-finiteness check. Every trial field, accepted or not, goes through
-norm_bundle. Weighted sums are np.add.reduce, numpy's pairwise sum, the
-same as np.sum without its dispatch layer.
+RadialField, whose L u and two powers |u|^(q-2), |u|^(4*-2)
+(functionals.nonlinear_powers) norm_bundle computes once and the field
+holds, so the residuals' gradient (l2_gradient), Newton's K and the
+gradient of q_residual reuse them and the field's one finiteness check.
+The pair's last reader drops it: K, the descent before its line search and
+minimize before it returns, so no returned state holds it. Every trial
+field, accepted or not, goes through norm_bundle. Weighted sums are
+np.add.reduce, numpy's pairwise sum, the same as np.sum without its
+dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
 seed, stall, budget, safeguard, invariant and under-resolved from
@@ -156,9 +160,9 @@ import numpy as np
 from ._lapack import ldlt_banded, ldlt_solve_banded
 from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
-                          l2_gradient, lagrange_multiplier, nonneg_power,
-                          norm_bundle, pohozaev, pohozaev_coefficient,
-                          scaled_norms)
+                          l2_gradient, lagrange_multiplier, nonlinear_powers,
+                          nonneg_power, norm_bundle, pohozaev,
+                          pohozaev_coefficient, scaled_norms)
 from .grid import EXP_REACH, RadialField, RadialGrid, build_grid, interpolate
 from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
                         LandscapeParams, estimate_sobolev_constant,
@@ -354,16 +358,17 @@ def _hold_trial(params: LandscapeParams, grid: RadialGrid,
     norms, trials = held
     k = len(trials)
     prof = _seed_profile(grid, k)
-    w = grid.weights
+    total = np.add.reduce
+    # the bundle's sums (functionals.norm_bundle); prof >= 0 is its own |P|
     with np.errstate(over="ignore", invalid="ignore"):
+        wpp = grid.weights * prof * prof
         if k == len(norms):
             lap = RadialField(grid, prof).lap
             norms.append((
-                _wdot(grid, prof, prof), _wdot(grid, lap, lap),
-                float(np.add.reduce(
-                    w * nonneg_power(np.abs(prof), params.p_crit)))))
+                float(total(wpp)), _wdot(grid, lap, lap),
+                float(total(wpp * nonneg_power(prof, params.p_crit - 2.0)))))
         mass, bend, crit = norms[k]
-        sub = float(np.add.reduce(w * nonneg_power(np.abs(prof), params.q)))
+        sub = float(total(wpp * nonneg_power(prof, params.q - 2.0)))
     try:
         b = NormBundle(mass, bend, sub, crit)
     except DomainError:
@@ -424,6 +429,7 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
     grad = l2_gradient(params, fld).values
     lam_hat = _wdot(grid, grad, u) / c
     g_proj = grad - lam_hat * u
+    del grad        # one n-array fewer while gnorm's products are live
     gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
     return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
 
@@ -451,12 +457,13 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     q, p = params.q, params.p_crit
     u = fld.values
     # the held L^T W L, then its diagonal, row 0, less lambda_hat W and
-    # W f'(u)
+    # W f'(u), read from the pair fld's bundle took; K reads it last, and
+    # the solves below run without it
     np.copyto(ab, grid.newton_band)
     ab[0] += -lam_hat * w
-    au = np.abs(u)
-    ab[0] -= w * (params.mu * (q - 1.0) * nonneg_power(au, q - 2.0)
-                  + (p - 1.0) * nonneg_power(au, p - 2.0))
+    pq, pc = nonlinear_powers(params, fld, release=True)
+    ab[0] -= w * (params.mu * (q - 1.0) * pq + (p - 1.0) * pc)
+    del pq, pc
     wu = w * u
     flips = ldlt_banded(ab)
     x = ldlt_solve_banded(ab, flips, -w * g_proj)
@@ -523,22 +530,22 @@ def _kept_solve(fld: RadialField, ab: np.ndarray, flips: np.ndarray,
     # its y = K^-1 W u as the step was
     x = ldlt_solve_banded(ab, flips, v)
     wu = fld.grid.weights * fld.values
-    return x - (np.dot(wu, x) / np.dot(wu, y)) * y
+    x -= (np.dot(wu, x) / np.dot(wu, y)) * y      # in place: no third array
+    return x
 
 
 def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
                          b: NormBundle) -> np.ndarray:
     """Euclidean gradient of q_residual = |Q| / bend at fld, b its bundle:
     (sign(Q) grad Q - q_residual grad bend) / bend, with grad bend =
-    2 L^T W L u and grad Q = grad bend - a q W sgn(u)|u|^(q-1)
-    - 4* W sgn(u)|u|^(4*-1), a = pohozaev_coefficient; Q != 0."""
+    2 L^T W L u and grad Q = grad bend - a q W u|u|^(q-2)
+    - 4* W u|u|^(4*-2), a = pohozaev_coefficient; Q != 0."""
     w, u = fld.grid.weights, fld.values
     q, p = params.q, params.p_crit
-    au = np.abs(u)
+    pq, pc = nonlinear_powers(params, fld)
     d_bend = 2.0 * fld.grid.lap_t_apply(w * fld.lap)
-    d_q = d_bend - w * np.sign(u) * (
-        pohozaev_coefficient(params) * q * nonneg_power(au, q - 1.0)
-        + p * nonneg_power(au, p - 1.0))
+    d_q = d_bend - w * (pohozaev_coefficient(params) * q * (u * pq)
+                        + p * (u * pc))
     Q = pohozaev(params, b)
     return (math.copysign(1.0, Q) * d_q - abs(Q) / b.bend * d_bend) / b.bend
 
@@ -760,6 +767,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     else:
         fld, b, solves, n_safe = _descend(params, grid, c, thresholds,
                                           bend_cap, floor, s1)
+    nonlinear_powers(params, fld, release=True)     # the state holds no pair
     J = energy(params, b)
     mass_err = abs(b.mass - c) / c
     if mass_err > 1e-8:
@@ -829,6 +837,7 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
                 f"within thr={held[1]:.3e}, so no later iterate reaches "
                 f"Q_TOL={Q_TOL}")
         u = fld.values
+        nonlinear_powers(params, fld, release=True)     # the step reads none
 
         a_new = max(abs(lam_hat), 1e-12)
         if factor is None or not (0.5 < a_new / a_shift < 2.0):

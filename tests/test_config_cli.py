@@ -481,7 +481,7 @@ class TestCliSolveAndFiber:
         assert rec["error"] == "non-convergence"
         assert rec["fail_kind"] == "stall"
         msg = rec["message"]
-        hit = re.fullmatch(r"stalled at iteration 25: gnorm=(\S+), "
+        hit = re.fullmatch(r"stalled at iteration 24: gnorm=(\S+), "
                            r"q_residual=(\S+) \(tolerances 1e-08, 5e-07\); "
                            r"the gradient criterion is met", msg)
         assert hit and float(hit.group(1)) <= 1e-8 < 5e-7 < float(hit.group(2))
@@ -531,9 +531,9 @@ class TestCliSolveAndFiber:
             monkeypatch.setenv(name, value)
         c0 = mass_threshold(load_config(env=env).problem())[1]
         for frac, head in (
-                (0.1, "stalled at iteration 25: gnorm=1.020e-10, "
+                (0.1, "stalled at iteration 26: gnorm=6.631e-11, "
                       "q_residual=2.681e+02"),
-                (0.12, "stalled at iteration 27: gnorm=7.036e-11, "
+                (0.12, "stalled at iteration 26: gnorm=3.044e-10, "
                        "q_residual=2.754e+02")):
             rc, out, err = run_cli(capsys, "solve", "--c", repr(frac * c0),
                                    "--out", str(tmp_path / "no.csv"))

@@ -65,14 +65,14 @@ DEFAULT_ITERS = 7
 PIN_DRAWS = [
     ((5, 2.4567214733190155, 0.39535049494030794, 1.5459048035584495,
       0.567948446104368),
-     [('-0x1.313a329297674p-11', '-0x1.946586195820cp-8', 2),
-      ('-0x1.3f11cdeaf1ae0p-8', '-0x1.52305e16487abp-7', 2),
+     [('-0x1.313a329297675p-11', '-0x1.946586195820dp-8', 2),
+      ('-0x1.3f11cdeaf1adap-8', '-0x1.52305e16487a3p-7', 2),
       'stall']),
     ((6, 2.7867872978254513, 2.864976431462965, 0.6487804026934516,
       0.5397238160315453),
-     [('-0x1.62472eeb9f19dp-18', '-0x1.1474ebc66580dp-14', 2),
-      ('-0x1.0366a5eba912ep-13', '-0x1.43df6cac1c8c3p-12', 2),
-      ('-0x1.9a64e768759dbp-12', '-0x1.1ca9cb82b540fp-11', 2)]),
+     [('-0x1.62472eeb9f28ep-18', '-0x1.1474ebc66586bp-14', 2),
+      ('-0x1.0366a5eba9162p-13', '-0x1.43df6cac1c8c6p-12', 2),
+      ('-0x1.9a64e768759cfp-12', '-0x1.1ca9cb82b5439p-11', 2)]),
     ((7, 2.3399684927033535, 2.064743129941107, 1.090153527460728,
       0.6156253422462954),
      ['under-resolved',
@@ -80,9 +80,9 @@ PIN_DRAWS = [
       'under-resolved']),
     ((8, 2.439367711724308, 2.1806933396881933, 0.8984868826434553,
       1.2027766774176487),
-     [('-0x1.7e3b3302ca09ap-18', '-0x1.ddac42f2a0bb3p-11', 19),
-      ('-0x1.c0d89dc624d87p-15', '-0x1.c0bca98530e75p-10', 19),
-      ('-0x1.fc973d30b55d6p-14', '-0x1.1a7b51477bd2bp-9', 24)]),
+     [('-0x1.7e3b3302ca073p-18', '-0x1.ddac42f2a0b85p-11', 19),
+      ('-0x1.c0d89dc624d1fp-15', '-0x1.c0bca98530e2bp-10', 19),
+      ('-0x1.fc973d30b55c6p-14', '-0x1.1a7b51477bd26p-9', 24)]),
     ((9, 2.818393206439386, 2.323430278063605, 0.8605015321594385,
       0.6481974002195141),
      ['seed',
@@ -90,8 +90,8 @@ PIN_DRAWS = [
       'seed']),
     ((10, 2.289091679211648, 1.052281528926512, 1.7200122250850587,
       1.4652307514352931),
-     [('-0x1.b1b2782055300p-21', '-0x1.471de913c4274p-10', 25),
-      ('-0x1.862ed13fc3886p-18', '-0x1.d6dfafc44b994p-10', 22),
+     [('-0x1.b1b278205529cp-21', '-0x1.471de913c4231p-10', 25),
+      ('-0x1.862ed13fc3874p-18', '-0x1.d6dfafc44b97fp-10', 22),
       'stall']),
 ]
 # The solve-fine grid's pins are Newton-first's from the params' reference
@@ -120,7 +120,7 @@ CANARY_ENV = {"BHGS_PROBLEM__N": "9",
               "BHGS_PROBLEM__MU": "3.808844990382272",
               "BHGS_CONSTANTS__C_GN": "0.9099146525260412",
               "BHGS_CONSTANTS__S_SOB": "0.6314746160371563"}
-CANARY_PIN = (7, 3.808225311551644e-07, "-0x1.289b8792d4679p-15")
+CANARY_PIN = (7, 3.808225619175674e-07, "-0x1.289b8792d4732p-15")
 # (N, q, mu, C_gn, S_sob) of domain_draws(33514, 217) draw 126, whose
 # descent at 0.5 c0 on the default grid stalls at gnorm 4e-13, its
 # q_residual 1.1e-2, on a line search none of whose 60 trials passes Armijo
@@ -517,7 +517,7 @@ class TestNewtonFinish:
 
     def test_stall_raises_without_another_newton_attempt(self, monkeypatch):
         # this draw's fallback reaches the loose point, Newton fails there,
-        # and the resumed descent stalls at q_residual 9.5e-7 with no
+        # and the resumed descent stalls at q_residual 9.2e-7 with no
         # sublevel certificate: the stall is reported at once, as by default
         # (draw 3, which did this before, now stalls on the certificate:
         # TestSublevelCertificate)
@@ -526,7 +526,7 @@ class TestNewtonFinish:
         fallback_only(monkeypatch)
         calls = self.count_finishes(monkeypatch)
         with pytest.raises(ConvergenceError,
-                           match="stalled at iteration 25: "):
+                           match="stalled at iteration 24: "):
             minimize(p, grid, 0.5 * mass_threshold(p)[1])
         assert len(calls) == 1
 
@@ -1404,11 +1404,14 @@ CERTIFIED_ENV = {"BHGS_PROBLEM__N": "7",
                  "BHGS_PROBLEM__MU": "0.685661305930885",
                  "BHGS_CONSTANTS__C_GN": "0.9898935216078489",
                  "BHGS_CONSTANTS__S_SOB": "1.3323311345551616"}
-# domain_draws(2, 100) draw 82 at 0.1 c0: its try settles 3.0e-8 above
-# Q_TOL, where the certificate's threshold, 1.7e-19, is J's rounding, and
-# the descent goes on to a state under Q_TOL
-DRAW_82 = (6, 2.324967441054504, 0.11516191918370794, 0.8997416001501858,
-           0.737171221120439)
+# domain_draws(2, 100) draw 61 at 0.1 c0: its try settles 3.4e-7 above
+# Q_TOL, where the certificate's threshold, 3.0e-19, is below its guard
+# (J's rounding), and the descent goes on to a state under Q_TOL. Draw 82,
+# pinned here before, converged only on a last-bit line search that its
+# descent no longer takes: it now stalls plainly at iteration 30, at
+# q_residual 5.3e-7, its try's floor
+DRAW_61 = (10, 2.3738848951563383, 3.589604047856749, 0.7665442449371546,
+           0.8521645348270087)
 CERTIFIED_MSG = (r"stalled inside the energy sublevel certificate of a state "
                  r"settled at q_residual=(\S+): J - J\*=(\S+) within "
                  r"thr=(\S+), so no later iterate reaches Q_TOL=5e-07")
@@ -1431,7 +1434,7 @@ class TestSublevelCertificate:
         # the descent stops at the loose point, where the finish re-finds
         # the try's floor state, after 23 residual evaluations (the finish
         # starts from the descent's own); without the certificate it runs
-        # on to the stall at iteration 25, after 28
+        # on to the stall at iteration 28, after 31
         p = resolve_params(load_config(env=CERTIFIED_ENV))
         grid = build_grid(p.N, 2049, 1000.0)
         c = 0.5 * mass_threshold(p)[1]
@@ -1449,21 +1452,20 @@ class TestSublevelCertificate:
         calls.clear()
         monkeypatch.setattr(minimizer, "_sublevel_gap", lambda *args: None)
         with pytest.raises(ConvergenceError,
-                           match="stalled at iteration 25: "):
+                           match="stalled at iteration 28: "):
             minimize(p, grid, c)
-        assert len(calls) == 28
+        assert len(calls) == 31
 
     @staticmethod
-    def solve_draw_82():
-        p = LandscapeParams(*DRAW_82)
-        return outcome(p, build_grid(p.N, 2049, 1000.0),
-                       0.1 * mass_threshold(p)[1])
+    def draw_61_op():
+        p = LandscapeParams(*DRAW_61)
+        return p, build_grid(p.N, 2049, 1000.0), 0.1 * mass_threshold(p)[1]
 
-    def test_draw_82_still_converges(self, monkeypatch):
-        # its floor's G^2 scaled by 1e-6 puts the threshold at 1.7e-13, and
+    def test_draw_61_still_converges(self, monkeypatch):
+        # its floor's G^2 scaled by 1e-6 puts the threshold at 3.0e-13, and
         # the certificate ends the descent before the state it converges to
-        assert self.solve_draw_82() == (
-            "-0x1.d1d9cf43e0909p-9", "-0x1.fa0bfceedea68p-9", 23)
+        assert outcome(*self.draw_61_op()) == (
+            "-0x1.ab6edea4f1cacp-17", "-0x1.314093fcf0292p-10", 23)
         real = minimizer._floor_reach
 
         def scaled(*args):
@@ -1471,7 +1473,10 @@ class TestSublevelCertificate:
             return reach, g2 * 1e-6
 
         monkeypatch.setattr(minimizer, "_floor_reach", scaled)
-        assert self.solve_draw_82() == "stall"
+        with pytest.raises(ConvergenceError) as err:
+            minimize(*self.draw_61_op())
+        assert err.value.kind == "stall"
+        assert re.fullmatch(CERTIFIED_MSG, str(err.value))
 
     @pytest.fixture(scope="class")
     def floor_state(self):
@@ -1802,13 +1807,13 @@ GN_POINTS = [(N, round(0.05 + 0.1 * k, 2)) for N in range(5, 11)
 # value's hex. At N = 5, f = 0.05 and N = 8, f = 0.15 the ascent oracle on
 # (1025, 40) does not settle in 500 steps
 GN_PINS = [
-    ((5, 0.05), '0x1.b70d6a4a03e0ep-1'),
-    ((5, 0.15), '0x1.4f12dc5151677p-1'),
-    ((6, 0.55), '0x1.16463093a80c9p-2'),
-    ((7, 0.95), '0x1.0a34fedc7b9f4p-3'),
+    ((5, 0.05), '0x1.b70d6a4a03e11p-1'),
+    ((5, 0.15), '0x1.4f12dc515167ep-1'),
+    ((6, 0.55), '0x1.16463093a8094p-2'),
+    ((7, 0.95), '0x1.0a34fedc7b9eep-3'),
     ((8, 0.15), '0x1.35c6a724d18bdp-1'),
-    ((9, 0.45), '0x1.039053c940362p-2'),
-    ((10, 0.25), '0x1.b02c07df70c5ep-2'),
+    ((9, 0.45), '0x1.039053c940349p-2'),
+    ((10, 0.25), '0x1.b02c07df70c59p-2'),
 ]
 
 
@@ -2289,6 +2294,36 @@ class TestNonnegPowerEndToEnd:
             assert real[0] == "ok"
         else:
             assert real[0] == "error" and outcome in real[1]
+
+    def test_newton_first_takes_two_powers_per_bundled_field(
+            self, monkeypatch):
+        # every nonlinear term reads the pair |u|^(q-2), |u|^(4*-2) its
+        # field's bundle took (functionals.nonlinear_powers): the gradient
+        # and K add no power, so Newton-first solves of the N = 6 draw of
+        # PIN_DRAWS, with the descent patched out, take at most 2 powers
+        # per bundled field (a bundle, a gradient and K took 6 per iterate)
+        (N, q, mu, cgn, ssob), _ = PIN_DRAWS[1]
+        p = LandscapeParams(N=N, q=q, mu=mu, C_gn=cgn, S_sob=ssob)
+        grid = build_grid(N, 2049, 1000.0)
+        minimizer._profile(N, q)
+        powers, bundles = [], []
+        nonneg_power, bundle = functionals.nonneg_power, norm_bundle
+
+        def counted_bundle(params, fld):
+            bundles.append(fld)
+            return bundle(params, fld)
+
+        def no_descent(*args):
+            raise AssertionError("the descent ran")
+
+        self.rebind(monkeypatch,
+                    lambda au, e: powers.append(e) or nonneg_power(au, e))
+        monkeypatch.setattr(minimizer, "norm_bundle", counted_bundle)
+        monkeypatch.setattr(minimizer, "_descend", no_descent)
+        for f in (0.1, 0.5, 0.9):
+            minimize(p, grid, f * mass_threshold(p)[1])
+        assert len(bundles) >= 9
+        assert len(powers) <= 2 * len(bundles)
 
     def test_estimators(self, monkeypatch, fresh_profiles):
         # the Sobolev constant is a closed form with no field to mask; each

@@ -11,7 +11,12 @@ Each kernel is held to the code it replaced, kept below as the reference:
   s1 computed beside s2, by float.hex, also where psi' has no zero or a
   double one; and analyze_fiber, built on it, against the same reference;
 - grid.interpolate against the four Lagrange weights written out one by
-  one, bit for bit, which pins its formula against later edits.
+  one, bit for bit, which pins its formula against later edits;
+- the nonlinear terms, which read one held pair |u|^(q-2), |u|^(4*-2)
+  (functionals.nonlinear_powers), against the six powers they took before:
+  the bundle's subcrit and crit, the gradient, K's diagonal and the
+  gradient of q_residual, each within 8 ulps of the magnitude of the terms
+  it sums, componentwise for vectors.
 """
 import math
 
@@ -23,7 +28,8 @@ from bhgs import (LandscapeParams, NormBundle, RadialField, build_grid,
                   mass_threshold, minimizer)
 from bhgs import fiber, grid as grid_mod
 from bhgs.fiber import FiberAnalysis
-from bhgs.functionals import nonneg_power, pohozaev_coefficient
+from bhgs.functionals import (l2_gradient, nonneg_power, norm_bundle,
+                              pohozaev, pohozaev_coefficient)
 from bhgs.landscape import DomainError, derive_exponents
 from propstrat import bundle_st, params_st
 
@@ -306,3 +312,100 @@ def test_interpolate_matches_the_written_out_weights(p53, N, n):
         for v in (values, noise):
             got = grid_mod.interpolate(v, h, r)
             assert got.tobytes() == ref_interpolate(v, h, r).tobytes()
+
+
+# ---------------------------------------------------------- nonlinear terms
+
+def ref_six_powers(params, u):
+    """|u|^e at e = q, 4*, q-1, 4*-1, q-2 and 4*-2, each taken on its own."""
+    au = np.abs(u)
+    q, p = params.q, params.p_crit
+    return [nonneg_power(au, e) for e in (q, p, q - 1.0, p - 1.0,
+                                          q - 2.0, p - 2.0)]
+
+
+def power_fields(N, f):
+    """(params, fld) on an (N, 1025, 40) grid, mu = 1.7: an oscillating
+    Gaussian whose tail runs through the subnormals to exact zeros (exp
+    itself underflows past r = 38.6), with every fifth node 0, at amplitude
+    30, where the nonlinear terms outweigh the bending term, and 1e-100,
+    where most powers underflow."""
+    params = LandscapeParams(N=N, q=2.0 + f * 8.0 / N, mu=1.7)
+    grid = build_grid(N, 1025, 40.0)
+    r = grid.nodes
+    u = 3.0 * np.cos(2.0 * r) * np.exp(-r * r / 2.0)
+    u[::5] = 0.0
+    return [(params, RadialField(grid, amp * u)) for amp in (30.0, 1e-100)]
+
+
+# the ulp of a power in the subnormal range, where the mirror's powers lose
+# their relative precision; a term carries it times the power's factor
+TINY = 2.0 ** -1074
+
+
+def within_8_ulps(got, want, scale, floor):
+    """|got - want| within 8 ulps of the terms' magnitude scale, the ulps of
+    their underflowed powers (floor, in units of TINY) included."""
+    return np.all(np.abs(np.asarray(got) - want)
+                  <= 8.0 * (np.spacing(scale) + TINY * floor))
+
+
+def k_diagonal(monkeypatch, params, fld):
+    """(lambda_hat, K's diagonal as _newton_step assembles it at fld)."""
+    c = float(np.add.reduce(fld.grid.weights * fld.values ** 2))
+    g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld,
+                                                 norm_bundle(params, fld))
+    seen = []
+
+    def capture(ab):
+        seen.append(ab[0].copy())
+        raise np.linalg.LinAlgError("captured")
+
+    with monkeypatch.context() as m:
+        m.setattr(minimizer, "ldlt_banded", capture)
+        with pytest.raises(np.linalg.LinAlgError, match="captured"):
+            minimizer._newton_step(params, c, fld, g_proj, lam_hat,
+                                   np.empty((5, fld.grid.n), order="F"))
+    return lam_hat, seen[0]
+
+
+@pytest.mark.parametrize("f", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("N", range(5, 11))
+def test_nonlinear_terms_match_the_six_powers(monkeypatch, N, f):
+    for params, fld in power_fields(N, f):
+        grid, u = fld.grid, fld.values
+        w, mu, q, p = grid.weights, params.mu, params.q, params.p_crit
+        pq, pc, pq1, pc1, pq2, pc2 = ref_six_powers(params, u)
+        sgn = np.sign(u)
+        # the bundle's power norms: sums of w |u|^e >= 0
+        b = norm_bundle(params, fld)
+        for got, terms in ((b.subcrit, w * pq), (b.crit, w * pc)):
+            total = float(np.add.reduce(terms))
+            assert within_8_ulps(got, total, total, float(np.add.reduce(w)))
+        # the gradient: the bending term less mu sgn|u|^(q-1) + sgn|u|^(4*-1)
+        bend = grid.lap_t_apply(w * fld.lap) / w
+        assert within_8_ulps(
+            l2_gradient(params, fld).values,
+            bend - mu * sgn * pq1 - sgn * pc1,
+            np.abs(bend) + mu * pq1 + pc1, mu + 1.0)
+        # K's diagonal: L^T W L less lambda_hat W and W f'(u)
+        lam_hat, got = k_diagonal(monkeypatch, params, fld)
+        band, shift = grid.newton_band[0], lam_hat * w
+        nonlin = w * (mu * (q - 1.0) * pq2 + (p - 1.0) * pc2)
+        assert within_8_ulps(got, band - shift - nonlin,
+                             np.abs(band) + np.abs(shift) + nonlin,
+                             w * (mu * (q - 1.0) + p - 1.0))
+        # the gradient of q_residual, d_q reading a q sgn|u|^(q-1) and
+        # 4* sgn|u|^(4*-1), a = pohozaev_coefficient
+        d_bend = 2.0 * grid.lap_t_apply(w * fld.lap)
+        a = pohozaev_coefficient(params)
+        nonlin = w * (a * q * pq1 + p * pc1)
+        Q = pohozaev(params, b)
+        rho = abs(Q) / b.bend
+        want = (math.copysign(1.0, Q) * (d_bend - w * sgn * (a * q * pq1
+                                                            + p * pc1))
+                - rho * d_bend) / b.bend
+        assert within_8_ulps(
+            minimizer._q_residual_gradient(params, fld, b), want,
+            ((1.0 + rho) * np.abs(d_bend) + nonlin) / b.bend,
+            w * (a * q + p) / b.bend)
