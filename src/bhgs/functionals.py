@@ -25,8 +25,8 @@ composition it passes directional-derivative tests down to solver precision.
 Every nonlinear term reads two powers, |u|^(q-2) and |u|^(4*-2) (4* = 10
 at N = 5): the bundle sums (w u u) |u|^(e-2) on the w u u mass sums, the
 gradient reads u |u|^(e-2) and Newton's K the powers. nonlinear_powers
-takes the pair once per field and holds it on the field, as L u is held,
-until its last reader drops it. On the decaying tails of seeds and
+takes the pair once per field and holds it on the field, read-only, for
+the field's lifetime, as L u is held. On the decaying tails of seeds and
 iterates the powers underflow. On AVX-512 hosts numpy's vectorized power
 sends each lane whose result underflows, and each exact zero, to a scalar
 fallback: at n = 2049 a power that underflows everywhere costs about 25x
@@ -91,19 +91,18 @@ def nonneg_power(au: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def nonlinear_powers(params: LandscapeParams, fld: RadialField,
-                     release: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def nonlinear_powers(params: LandscapeParams,
+                     fld: RadialField) -> tuple[np.ndarray, np.ndarray]:
     """(|u|^(q-2), |u|^(4*-2)) of fld, the two powers every nonlinear term
     reads: taken on the first call for these exponents and held on the
-    field until a call with release, which returns the pair and drops it."""
-    key, slot = (params.q, params.p_crit), vars(fld)
-    held = slot.pop("powers", None) if release else slot.get("powers")
+    field, read-only, for its lifetime, as its L u is."""
+    key, held = (params.q, params.p_crit), vars(fld).get("powers")
     if held is None or held[0] != key:
         au = np.abs(fld.values)
         held = (key, nonneg_power(au, params.q - 2.0),
                 nonneg_power(au, params.p_crit - 2.0))
-        if not release:
-            slot["powers"] = held
+        held[1].flags.writeable = held[2].flags.writeable = False
+        vars(fld)["powers"] = held
     return held[1], held[2]
 
 

@@ -48,7 +48,7 @@ finite once when the field is made, and its L u (RadialField.lap) is
 computed on first use and held, read-only, for the field's lifetime. So
 norm_bundle, l2_gradient and laplacian share one Laplacian per field, and
 the nonlinear terms one pair of powers (functionals.nonlinear_powers),
-held in the same __dict__ until its last reader drops it.
+held, read-only, in the same __dict__ for the same lifetime.
 integrate sums with np.add.reduce, the pairwise sum np.sum makes, without
 its Python dispatch.
 """
@@ -61,7 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .landscape import DomainError
+from .landscape import DomainError, _integer_at_least
 
 __all__ = [
     "EXP_REACH",
@@ -258,18 +258,15 @@ class RadialField:
 def build_grid(dim: int, n: int, r_max: float) -> RadialGrid:
     """Uniform radial grid with spherical quadrature weights.
 
-    dim >= 5 integer, n >= 64 nodes, r_max positive and finite, with
-    every quadrature weight a positive normal float. The float range is
-    checked from logarithms before the exact-rational weight work; the
-    sign after it, naming the first node whose weight is not positive.
-    The left corrections make a weight near the origin negative at dims 17,
-    18, 22, 23, 26, 27 and every dim from 29 to 91 (the largest checked),
-    on every n; dims 5-16, 19-21, 24, 25 and 28 build.
+    dim >= 5 and n >= 64 integers (any integral but a bool, held as a
+    Python int), r_max positive and finite, with every quadrature weight a
+    positive normal float. The float range is checked from logarithms
+    before the exact-rational weight work; the sign after it, naming the
+    first node whose weight is not positive (the module docstring lists
+    the dims where a left correction makes one negative).
     """
-    if not isinstance(dim, int) or dim < 5:
-        raise DomainError(f"dim must be an integer >= 5, got {dim!r}")
-    if not isinstance(n, int) or n < 64:
-        raise DomainError(f"n must be an integer >= 64, got {n!r}")
+    dim = _integer_at_least(dim, "dim", 5)
+    n = _integer_at_least(n, "n", 64)
     if not 0 < float(r_max) < math.inf:
         raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     r_max = float(r_max)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,17 @@ class KernelsUnavailable(RuntimeError):
     """Neither numpy's bundled LAPACK nor scipy.linalg can be loaded."""
 
 
+def _integer_at_least(x, name: str, least: int) -> int:
+    # x as a Python int (operator.index: numpy's integers pass, 5.0 and
+    # bools do not) where it is at least least, else DomainError
+    try:
+        if not isinstance(x, bool) and (i := operator.index(x)) >= least:
+            return i
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {least}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class LandscapeParams:
     """Problem data: dimension N, subcritical exponent q, coefficient mu,
@@ -66,8 +78,7 @@ class LandscapeParams:
     S_sob: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 5:
-            raise DomainError(f"N must be an integer >= 5, got {self.N!r}")
+        object.__setattr__(self, "N", _integer_at_least(self.N, "N", 5))
         if not (2.0 < self.q < 2.0 + 8.0 / self.N):
             raise DomainError(
                 f"q must lie in (2, 2+8/N) = (2, {2 + 8 / self.N}), got {self.q}")

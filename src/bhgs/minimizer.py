@@ -114,15 +114,12 @@ rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
 
 One evaluation per iterate: the descent and Newton carry the iterate as a
-RadialField, whose L u and two powers |u|^(q-2), |u|^(4*-2)
-(functionals.nonlinear_powers) norm_bundle computes once and the field
-holds, so the residuals' gradient (l2_gradient), Newton's K and the
-gradient of q_residual reuse them and the field's one finiteness check.
-The pair's last reader drops it: K, the descent before its line search and
-minimize before it returns, so no returned state holds it. Every trial
-field, accepted or not, goes through norm_bundle. Weighted sums are
-np.add.reduce, numpy's pairwise sum, the same as np.sum without its
-dispatch layer.
+RadialField, which holds the L u and the two powers norm_bundle takes
+(functionals.nonlinear_powers) for its lifetime, so the residuals'
+gradient (l2_gradient), Newton's K and the gradient of q_residual reuse
+them and the field's one finiteness check. Every trial field, accepted or
+not, goes through norm_bundle. Weighted sums are np.add.reduce, numpy's
+pairwise sum, the same as np.sum without its dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
 seed, stall, budget, safeguard, invariant and under-resolved from
@@ -429,7 +426,6 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
     grad = l2_gradient(params, fld).values
     lam_hat = _wdot(grid, grad, u) / c
     g_proj = grad - lam_hat * u
-    del grad        # one n-array fewer while gnorm's products are live
     gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
     return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
 
@@ -457,13 +453,11 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     q, p = params.q, params.p_crit
     u = fld.values
     # the held L^T W L, then its diagonal, row 0, less lambda_hat W and
-    # W f'(u), read from the pair fld's bundle took; K reads it last, and
-    # the solves below run without it
+    # W f'(u), read from the pair fld's bundle took
     np.copyto(ab, grid.newton_band)
     ab[0] += -lam_hat * w
-    pq, pc = nonlinear_powers(params, fld, release=True)
+    pq, pc = nonlinear_powers(params, fld)
     ab[0] -= w * (params.mu * (q - 1.0) * pq + (p - 1.0) * pc)
-    del pq, pc
     wu = w * u
     flips = ldlt_banded(ab)
     x = ldlt_solve_banded(ab, flips, -w * g_proj)
@@ -767,7 +761,6 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     else:
         fld, b, solves, n_safe = _descend(params, grid, c, thresholds,
                                           bend_cap, floor, s1)
-    nonlinear_powers(params, fld, release=True)     # the state holds no pair
     J = energy(params, b)
     mass_err = abs(b.mass - c) / c
     if mass_err > 1e-8:
@@ -837,7 +830,6 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
                 f"within thr={held[1]:.3e}, so no later iterate reaches "
                 f"Q_TOL={Q_TOL}")
         u = fld.values
-        nonlinear_powers(params, fld, release=True)     # the step reads none
 
         a_new = max(abs(lam_hat), 1e-12)
         if factor is None or not (0.5 < a_new / a_shift < 2.0):

@@ -655,6 +655,18 @@ class TestCliSweep:
         assert on_disk["fail_kind"] == "budget"
         assert on_disk["c"] == []
 
+    # the known defect, kept visible: on the default grid the
+    # estimated-mode sweep stalls at 0.15 c0 (ROADMAP F21) and exits 4;
+    # the unit-grid solve of ROADMAP item 1 makes this a plain test
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="estimated-mode sweep stalls at 0.15 c0")
+    def test_estimated_default_sweep_exits_0(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("BHGS_CONSTANTS__MODE", "estimated")
+        report = str(tmp_path / "rep.json")
+        rc, out, err = run_cli(capsys, "sweep", "--out", report)
+        assert rc == 0, err
+
 
 class TestCliLandscape:
     def test_tables(self, capsys, tmp_path, monkeypatch):

@@ -33,6 +33,8 @@ class TestBuildValidation:
     def test_rejects_float_dim(self):
         with pytest.raises(DomainError):
             build_grid(5.0, 128, 10.0)
+        with pytest.raises(DomainError, match="dim must be .* got True"):
+            build_grid(True, 128, 10.0)
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
@@ -41,6 +43,20 @@ class TestBuildValidation:
     def test_rejects_float_n(self):
         with pytest.raises(DomainError):
             build_grid(5, 128.0, 10.0)
+        with pytest.raises(DomainError, match="n must be .* got True"):
+            build_grid(5, True, 10.0)
+
+    def test_accepts_numpy_integers(self):
+        # dim and n are held as Python ints, the keys the weight cache and
+        # the field CSV header read
+        g = build_grid(np.int64(5), np.int64(2049), 1000.0)
+        plain = build_grid(5, 2049, 1000.0)
+        assert type(g.dim) is int and type(g.n) is int
+        assert (g.dim, g.n) == (5, 2049)
+        assert g.weights.tobytes() == plain.weights.tobytes()
+        assert g.lap_band.tobytes() == plain.lap_band.tobytes()
+        g = build_grid(np.int32(6), np.uint16(128), 10.0)
+        assert (type(g.dim), type(g.n)) == (int, int)
 
     def test_rejects_bad_r_max(self):
         with pytest.raises(DomainError):

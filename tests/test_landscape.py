@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -30,6 +31,16 @@ class TestParamsValidation:
     def test_rejects_non_integer_dimension(self):
         with pytest.raises(DomainError):
             LandscapeParams(N=5.0, q=3.0)
+        with pytest.raises(DomainError, match="got True"):
+            LandscapeParams(N=True, q=3.0)
+
+    def test_accepts_numpy_integer_dimension(self):
+        # held as the Python int, so records and cache keys stay plain
+        np = pytest.importorskip("numpy")
+        for N in (np.int64(5), np.int32(7), np.uint8(6)):
+            p = LandscapeParams(N=N, q=2.5)
+            assert type(p.N) is int and p == LandscapeParams(N=int(N), q=2.5)
+            assert json.dumps(dataclasses.asdict(p))
 
     def test_rejects_q_at_left_endpoint(self):
         with pytest.raises(DomainError):

@@ -1520,6 +1520,27 @@ class TestSublevelCertificate:
         assert self.gap(floor_state, 0.0, bend=0.1375) is None
         assert self.gap(floor_state, 0.0, bend=0.1374) is not None
 
+    def test_reach_guard_on_the_ci_floor(self):
+        # the floor the try leaves on the CI certified-stall op: at J = J*,
+        # a tangent offset of |.|_W just inside SUBLEVEL_REACH sqrt(c) keeps
+        # the certificate, one just past it drops it
+        p = resolve_params(load_config(env=CERTIFIED_ENV))
+        grid = build_grid(p.N, 2049, 1000.0)
+        _, c0, rho0 = mass_threshold(p)
+        c = 0.5 * c0
+        kept, _, floor = newton_first(
+            p, grid, c, rho0 * (1.0 - minimizer.SAFEGUARD_MARGIN))
+        assert kept is None and floor is not None
+        w, u = grid.weights, floor.values
+        t = u * np.exp(-grid.nodes / 10.0)      # a bump, made tangent at u*
+        t -= np.dot(w * u, t) / np.dot(w * u, u) * u
+        t /= math.sqrt(np.dot(w * t, t))
+        thr = (floor.q - minimizer.Q_TOL) ** 2 / (8.0 * floor.g2)
+        reach = minimizer.SUBLEVEL_REACH * math.sqrt(c)
+        for scale, held in ((0.999, (0.0, thr)), (1.001, None)):
+            fld = RadialField(grid, u + scale * reach * t)
+            assert minimizer._sublevel_gap(floor, fld, floor.J, c) == held
+
 
 class TestOneLaplacianPerField:
     def test_minimize_applies_l_once_per_field(self, monkeypatch, p53,
@@ -2324,6 +2345,31 @@ class TestNonnegPowerEndToEnd:
             minimize(p, grid, f * mass_threshold(p)[1])
         assert len(bundles) >= 9
         assert len(powers) <= 2 * len(bundles)
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["newton-first", "descent"])
+    def test_returned_state_holds_its_pair_read_only(
+            self, monkeypatch, p53, thresholds53, fallback):
+        # the pair lives as long as the field, as its L u does: reading it
+        # from a returned state takes no power, a second read returns the
+        # same arrays, and neither can be written
+        if fallback:
+            fallback_only(monkeypatch)
+        st = minimize(p53, build_grid(5, 2049, 1000.0), 0.5 * thresholds53[1])
+        powers = []
+        nonneg_power = functionals.nonneg_power
+        with monkeypatch.context() as m:
+            self.rebind(m, lambda au, e: powers.append(e)
+                        or nonneg_power(au, e))
+            pair = functionals.nonlinear_powers(p53, st.field)
+            again = functionals.nonlinear_powers(p53, st.field)
+        assert powers == []
+        assert pair[0] is again[0] and pair[1] is again[1]
+        au = np.abs(st.field.values)
+        for held, e in zip(pair, (p53.q - 2.0, p53.p_crit - 2.0)):
+            assert held.tobytes() == nonneg_power(au, e).tobytes()
+            with pytest.raises(ValueError):
+                held[0] = 1.0
 
     def test_estimators(self, monkeypatch, fresh_profiles):
         # the Sobolev constant is a closed form with no field to mask; each
