@@ -1,40 +1,42 @@
-"""Scalar functionals and gradients on the mass sphere.
+"""Scalar functionals and their derivatives on the mass sphere.
 
 Everything downstream (fiber analysis, the constrained minimizer, the
 verification suite) consumes fields only through the four norms collected in
-a NormBundle, the energy J, the Pohozaev value Q, and the energy gradient.
+a NormBundle, J, Q, q_residual = |Q|/bend and three derivatives: the energy
+gradient, W f'(u) (the nonlinear diagonal of J's second variation) and the
+gradient of q_residual. Only they and norm_bundle read a field's powers.
 rescale_bundle moves a bundle along the exact amplitude and fiber-dilation
 laws, so no rescaled field is ever materialized; scaled_norms is the one
 copy of those laws, which fiber's psi, psi_prime and xi and the
-minimizer's seed also use. gn_quotient is
-the one copy of the Gagliardo-Nirenberg quotient, read from a bundle's
-mass, bend and subcrit; estimated C_gn is its value on the minimizer's held
-profile.
+minimizer's seed also use. gn_quotient is the one copy of the
+Gagliardo-Nirenberg quotient, read from a bundle's mass, bend and
+subcrit; estimated C_gn is its value on the minimizer's held profile.
 
-norm_bundle and l2_gradient read L u from the field (RadialField.lap),
-where it is computed once and held, so a field that is bundled and then
-differentiated costs one Laplacian. norm_bundle's four weighted sums are
-np.add.reduce, the same pairwise sum as np.sum, without its dispatch layer;
-NormBundle checks each norm with math.isfinite.
+norm_bundle, l2_gradient and q_residual_gradient read L u from the field
+(RadialField.lap), where it is computed once and held, so a field that is
+bundled and then differentiated costs one Laplacian; both gradients read
+L^T W L u from one expression (_bend_term). norm_bundle's four weighted
+sums are np.add.reduce, the same pairwise sum as np.sum, without its
+dispatch layer; NormBundle checks each norm with math.isfinite.
 
 The bending term of the gradient is the exact gradient of the *discrete*
 energy 1/2 sum_i w_i (Lu)_i^2, namely W^{-1} L^T W (L u). On smooth interior
 profiles this coincides with L(Lu) to the scheme order, but unlike the plain
 composition it passes directional-derivative tests down to solver precision.
 
-Every nonlinear term reads two powers, |u|^(q-2) and |u|^(4*-2) (4* = 10
-at N = 5): the bundle sums (w u u) |u|^(e-2) on the w u u mass sums, the
-gradient reads u |u|^(e-2) and Newton's K the powers. nonlinear_powers
-takes the pair once per field and holds it on the field, read-only, for
-the field's lifetime, as L u is held. On the decaying tails of seeds and
-iterates the powers underflow. On AVX-512 hosts numpy's vectorized power
-sends each lane whose result underflows, and each exact zero, to a scalar
-fallback: at n = 2049 a power that underflows everywhere costs about 25x
-one on O(1) values. nonneg_power writes those lanes itself. Where
-|u| <= 2^(-1080/e) the true power is below 2^-1075, half the smallest
-subnormal, so the rounded result is +0 and numpy returns +0 as well.
-Every other lane, NaN included, still goes through np.power, so the
-result equals |u| ** e bit for bit.
+Every nonlinear term reads two powers, |u|^(q-2) and |u|^(4*-2) (4* = 10 at
+N = 5): the bundle sums (w u u) |u|^(e-2) on the w u u mass sums, the two
+gradients read u |u|^(e-2) and nonlinear_diagonal the powers.
+nonlinear_powers takes the pair once per field and holds it on the field,
+read-only, for the field's lifetime, as L u is held. On the decaying tails
+of seeds and iterates the powers underflow. On AVX-512 hosts numpy's
+vectorized power sends each lane whose result underflows, and each exact
+zero, to a scalar fallback: at n = 2049 a power that underflows everywhere
+costs about 25x one on O(1) values. nonneg_power writes those lanes itself.
+Where |u| <= 2^(-1080/e) the true power is below 2^-1075, half the smallest
+subnormal, so the rounded result is +0 and numpy returns +0 as well. Every
+other lane, NaN included, still goes through np.power, so the result equals
+|u| ** e bit for bit.
 """
 from __future__ import annotations
 
@@ -46,21 +48,11 @@ import numpy as np
 from .grid import RadialField
 from .landscape import DomainError, LandscapeParams, derive_exponents
 
-__all__ = [
-    "NormBundle",
-    "norm_bundle",
-    "nonneg_power",
-    "nonlinear_powers",
-    "energy",
-    "pohozaev",
-    "pohozaev_coefficient",
-    "l2_gradient",
-    "rescale_bundle",
-    "scaled_norms",
-    "lagrange_multiplier",
-    "gaussian_bundle",
-    "gn_quotient",
-]
+__all__ = ["NormBundle", "norm_bundle", "nonneg_power", "nonlinear_powers",
+           "energy", "pohozaev", "pohozaev_coefficient", "q_residual",
+           "l2_gradient", "nonlinear_diagonal", "q_residual_gradient",
+           "rescale_bundle", "scaled_norms", "lagrange_multiplier",
+           "gaussian_bundle", "gn_quotient"]
 
 
 @dataclass(frozen=True)
@@ -139,6 +131,16 @@ def pohozaev(params: LandscapeParams, b: NormBundle) -> float:
     return b.bend - pohozaev_coefficient(params) * b.subcrit - b.crit
 
 
+def q_residual(params: LandscapeParams, b: NormBundle) -> float:
+    """|Q| / bend, the Pohozaev residual of the field with bundle b."""
+    return abs(pohozaev(params, b)) / b.bend
+
+
+def _bend_term(fld: RadialField) -> np.ndarray:
+    # L^T W L u, half the Euclidean gradient of bend, from the held L u
+    return fld.grid.lap_t_apply(fld.grid.weights * fld.lap)
+
+
 def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     """Gradient of J in the weighted-quadrature inner product.
 
@@ -150,10 +152,35 @@ def l2_gradient(params: LandscapeParams, fld: RadialField) -> RadialField:
     if g.dim != params.N:
         raise DomainError(f"grid dim {g.dim} does not match params N={params.N}")
     u = fld.values
-    w = g.weights
     pq, pc = nonlinear_powers(params, fld)
-    return RadialField(g, g.lap_t_apply(w * fld.lap) / w
+    return RadialField(g, _bend_term(fld) / g.weights
                        - params.mu * (u * pq) - u * pc)
+
+
+def nonlinear_diagonal(params: LandscapeParams,
+                       fld: RadialField) -> np.ndarray:
+    """W f'(u) = w (mu (q-1) |u|^(q-2) + (4*-1) |u|^(4*-2)), the nonlinear
+    part of the second variation of J at fld, a diagonal in the quadrature
+    weights; it reads the held pair (nonlinear_powers)."""
+    q, p = params.q, params.p_crit
+    pq, pc = nonlinear_powers(params, fld)
+    return fld.grid.weights * (params.mu * (q - 1.0) * pq + (p - 1.0) * pc)
+
+
+def q_residual_gradient(params: LandscapeParams, fld: RadialField,
+                        b: NormBundle) -> np.ndarray:
+    """Euclidean gradient of q_residual at fld, b its bundle:
+    (sign(Q) grad Q - q_residual grad bend) / bend, with grad bend =
+    2 L^T W L u and grad Q = grad bend - a q W u|u|^(q-2)
+    - 4* W u|u|^(4*-2), a = pohozaev_coefficient; Q != 0."""
+    w, u = fld.grid.weights, fld.values
+    q, p = params.q, params.p_crit
+    pq, pc = nonlinear_powers(params, fld)
+    d_bend = 2.0 * _bend_term(fld)
+    d_q = d_bend - w * (pohozaev_coefficient(params) * q * (u * pq)
+                        + p * (u * pc))
+    sign = math.copysign(1.0, pohozaev(params, b))
+    return (sign * d_q - q_residual(params, b) * d_bend) / b.bend
 
 
 def scaled_norms(params: LandscapeParams, b: NormBundle, t2: float,

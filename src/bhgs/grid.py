@@ -46,9 +46,9 @@ from it at the op's own width.
 Held per field: a RadialField's values are a read-only view, checked
 finite once when the field is made, and its L u (RadialField.lap) is
 computed on first use and held, read-only, for the field's lifetime. So
-norm_bundle, l2_gradient and laplacian share one Laplacian per field, and
-the nonlinear terms one pair of powers (functionals.nonlinear_powers),
-held, read-only, in the same __dict__ for the same lifetime.
+norm_bundle, laplacian and functionals' two gradients share one Laplacian
+per field, and functionals' nonlinear terms one pair of powers
+(nonlinear_powers), held, read-only, in the same __dict__ and lifetime.
 integrate sums with np.add.reduce, the pairwise sum np.sum makes, without
 its Python dispatch.
 """

@@ -7,16 +7,16 @@ and |Q|/bend are at most the module constants GRAD_TOL and Q_TOL. Both
 are cheap, and the second is the necessary condition the analysis itself
 provides. A Newton run settles on its own error instead (below).
 
-minimize tries Newton first: bordered Newton on (u, lambda) for
-grad J = lambda u on the mass sphere (Keller 1977). Each step is one
-pivot-free banded LDL^T of the Hessian K = L^T W L - lambda W - W f'(u)
-and two one-column solves with it (_newton_step). The grid holds L^T W L
-once, read-only, in LAPACK's (5, n) lower band storage
-(RadialGrid.newton_band); a step copies it into one work array, shifts its
-diagonal row and lets the factor (_lapack.ldlt_banded) overwrite it. The
-step's factor record is (ab, flips, y): K's factor, its flipped columns
-and y = K^-1 W u. The ground state is a strict local minimum of J on the
-mass sphere, where the bordered system is nonsingular: K has one negative
+minimize tries Newton first: bordered Newton on (u, lambda) for grad J =
+lambda u on the mass sphere (Keller 1977). Each step is one pivot-free
+banded LDL^T of the Hessian K = L^T W L - lambda W - W f'(u) and two
+one-column solves with it (_newton_step). The grid holds L^T W L once,
+read-only, in LAPACK's (5, n) lower band storage (RadialGrid.newton_band);
+_assemble_k, which takes no step, copies it into one work array and shifts
+its diagonal row, and the factor (_lapack.ldlt_banded) overwrites it. The
+step's factor record is (ab, flips, y): K's factor, its flipped columns and
+y = K^-1 W u. The ground state is a strict local minimum of J on the mass
+sphere, where the bordered system is nonsingular: K has one negative
 eigenvalue and <W u, K^-1 W u> = W u . y < 0 (Grillakis, Shatah & Strauss
 1987). Each step's factor flips one column per negative eigenvalue of K,
 its Morse index.
@@ -69,30 +69,24 @@ descent on the mass sphere with a renormalization retraction and Armijo
 backtracking. Raw descent is useless here: the bending term makes the
 gradient stiffness scale like h^{-4}, so steps are preconditioned by the
 banded SPD operator P = a W + L^T W L (Cholesky factored once per shift
-regime, a tracks |lambda|). The descent direction is the tangent
-projection of P^{-1} applied to the weighted gradient; energy still
-decreases strictly every accepted step. The descent converges linearly,
-and its tail is most of its cost, so it hands the iterate, with its
-projected gradient and lambda_hat, to the judgment once, at the loose
-point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual
-<= LOOSE_Q. There the loop also stops, settled or not, at the descent's
-own convergence test (the loose stop): one benchmark op converges there
-alone, at a state whose correction is far above FIRST_ERR_TOL. If the
-finish keeps no state, the descent resumes from the same iterate and
-state, so it ends where the descent alone would, unless the finish
-settled on a floor beyond its reach. The first step whose line search
-cannot lower J, because no trial passes Armijo or the one that does makes
-no energy progress, ends the descent with a ConvergenceError of kind
-stall. So does, sooner, the energy-sublevel certificate (_sublevel_gap),
-once an iterate's energy shows, to second order, that no later iterate
-can reach Q_TOL. It reads the try's floor record or, where the try left
-none, the finish's. It runs after the iterate's own convergence test and
-the loose-point finish, so a success at that iterate wins, and it goes
-with the descent.
-
-GroundState.iters counts the linear solves on the grid of the path that
-returned the state, plus one: the profile's solves are not counted, nor a
-failed try's.
+regime, a tracks |lambda|). The descent direction is the tangent projection
+of P^{-1} applied to the weighted gradient; energy still decreases strictly
+every accepted step. The descent converges linearly, and its tail is most
+of its cost, so it hands the iterate to the judgment once, at the loose
+point: the first iterate with gnorm <= LOOSE_GRAD sqrt(c) and q_residual <=
+LOOSE_Q. There the loop also stops, settled or not, at the descent's own
+convergence test (the loose stop): one benchmark op converges there alone,
+at a state whose correction is far above FIRST_ERR_TOL. If the finish keeps
+no state, the descent resumes from the same iterate and state, so it ends
+where the descent alone would, unless the finish settled on a floor beyond
+its reach. The first step whose line search cannot lower J, because no
+trial passes Armijo or the one that does makes no energy progress, ends the
+descent with a ConvergenceError of kind stall. So does, sooner, the
+energy-sublevel certificate (_sublevel_gap), once an iterate's energy
+shows, to second order, that no later iterate can reach Q_TOL. It reads the
+try's floor record or, where the try left none, the finish's. It runs after
+the iterate's own convergence test and the loose-point finish, so a success
+at that iterate wins, and it goes with the descent.
 
 The fallback's seed halves the width parameter of a Gaussian until J < 0
 and bend is below the cap. Its unnormalized trial profiles depend on the
@@ -106,7 +100,7 @@ and critical norm are held per geometry in a table of 64 geometries
 (_trial_norms), so a new q on a geometry met before takes one power sum
 per trial and no Laplacian. No seed state lives on the grid, which holds
 only its band L^T W L, which cholesky_banded copies and shifts for the
-preconditioner as _newton_step does for K.
+preconditioner as _assemble_k does for K.
 
 Iterates never leave the admissible ball: a candidate whose bend reaches
 rho0 (1 - margin) is rejected and the step shrunk. The count of such
@@ -114,12 +108,12 @@ rejections is reported; a run dominated by them signals constants that are
 inconsistent with the requested mass.
 
 One evaluation per iterate: the descent and Newton carry the iterate as a
-RadialField, which holds the L u and the two powers norm_bundle takes
-(functionals.nonlinear_powers) for its lifetime, so the residuals'
-gradient (l2_gradient), Newton's K and the gradient of q_residual reuse
-them and the field's one finiteness check. Every trial field, accepted or
-not, goes through norm_bundle. Weighted sums are np.add.reduce, numpy's
-pairwise sum, the same as np.sum without its dispatch layer.
+RadialField, which holds its L u and two powers for its lifetime; every
+term that reads them (the bundle, l2_gradient, K's W f'(u) and the
+gradient of q_residual) is functionals', so each is taken once per field.
+Every trial field, accepted or not, goes through norm_bundle. Weighted
+sums are np.add.reduce, numpy's pairwise sum, the same as np.sum without
+its dispatch layer.
 
 Each ConvergenceError carries a kind (FAIL_KINDS) beside its message:
 seed, stall, budget, safeguard, invariant and under-resolved from
@@ -157,9 +151,9 @@ import numpy as np
 from ._lapack import ldlt_banded, ldlt_solve_banded
 from .fiber import fiber_minimum
 from .functionals import (NormBundle, energy, gaussian_bundle, gn_quotient,
-                          l2_gradient, lagrange_multiplier, nonlinear_powers,
-                          nonneg_power, norm_bundle, pohozaev,
-                          pohozaev_coefficient, scaled_norms)
+                          l2_gradient, lagrange_multiplier,
+                          nonlinear_diagonal, nonneg_power, norm_bundle,
+                          q_residual, q_residual_gradient, scaled_norms)
 from .grid import EXP_REACH, RadialField, RadialGrid, build_grid, interpolate
 from .landscape import (ConvergenceError, DomainError, KernelsUnavailable,
                         LandscapeParams, estimate_sobolev_constant,
@@ -396,7 +390,7 @@ def _trial_fails(trial: tuple, params: LandscapeParams, c: float,
 
 def cholesky_banded(grid: RadialGrid, a: float) -> np.ndarray:
     """The Cholesky factor of the preconditioner P = a W + L^T W L, built
-    as _newton_step builds K: a Fortran-ordered copy of the grid's held
+    as _assemble_k builds K: a Fortran-ordered copy of the grid's held
     lower band with a w added to its diagonal row, factored in place by
     ldlt_banded. LinAlgError where the factor flips a column, as P must be
     positive definite, or a Schur pivot is zero; ValueError where a w is
@@ -427,7 +421,18 @@ def _residuals(params: LandscapeParams, c: float, fld: RadialField,
     lam_hat = _wdot(grid, grad, u) / c
     g_proj = grad - lam_hat * u
     gnorm = math.sqrt(_wdot(grid, g_proj, g_proj))
-    return g_proj, lam_hat, gnorm, abs(pohozaev(params, b)) / b.bend
+    return g_proj, lam_hat, gnorm, q_residual(params, b)
+
+
+def _assemble_k(params: LandscapeParams, fld: RadialField, lam_hat: float,
+                ab: np.ndarray) -> np.ndarray:
+    """K = L^T W L - lambda_hat W - W f'(u) at fld, unfactored, in the
+    (5, n) lower band array ab (K[i, j] at ab[i - j, j]), which it returns:
+    the grid's held band less lambda_hat W and nonlinear_diagonal on row 0."""
+    np.copyto(ab, fld.grid.newton_band)
+    ab[0] += -lam_hat * fld.grid.weights
+    ab[0] -= nonlinear_diagonal(params, fld)
+    return ab
 
 
 def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
@@ -436,30 +441,19 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
     (the next iterate's values at mass c, or None where they are not
     finite; the factor record (ab, flips, y)).
 
-    Solves K x = -R and K y = W u with one banded LDL^T and two one-column
-    solves, where R = W (grad J - lambda_hat u) and
-    K = L^T W L - lambda_hat W - W f'(u), then eliminates the multiplier
-    update from the linearized mass constraint (W u)^T (x + dlam y) = 0 and
+    Solves K x = -R and K y = W u, R = W (grad J - lambda_hat u), with one
+    banded LDL^T of K, assembled by _assemble_k in the work array ab that
+    the factor overwrites (the caller, _newton, reuses ab for every step),
+    and two one-column solves; then eliminates the multiplier update from
+    the linearized mass constraint (W u)^T (x + dlam y) = 0 and
     renormalizes onto mass c. The kernels' errors (a zero Schur pivot, a
-    non-finite entry) propagate.
-
-    K is assembled from the grid's held band L^T W L in the (5, n) work
-    array ab, K[i, j] at ab[i - j, j], which ldlt_banded overwrites with
-    its factor; the caller (_newton) reuses ab for every step. The record
-    holds ab, the flipped columns of K's factor and y = K^-1 W u.
+    non-finite entry) propagate. The record holds ab, the flipped columns
+    of K's factor and y = K^-1 W u.
     """
-    grid = fld.grid
+    grid, u = fld.grid, fld.values
     w = grid.weights
-    q, p = params.q, params.p_crit
-    u = fld.values
-    # the held L^T W L, then its diagonal, row 0, less lambda_hat W and
-    # W f'(u), read from the pair fld's bundle took
-    np.copyto(ab, grid.newton_band)
-    ab[0] += -lam_hat * w
-    pq, pc = nonlinear_powers(params, fld)
-    ab[0] -= w * (params.mu * (q - 1.0) * pq + (p - 1.0) * pc)
     wu = w * u
-    flips = ldlt_banded(ab)
+    flips = ldlt_banded(_assemble_k(params, fld, lam_hat, ab))
     x = ldlt_solve_banded(ab, flips, -w * g_proj)
     y = ldlt_solve_banded(ab, flips, wu.copy())
     cand = u + x - (np.dot(wu, x) / np.dot(wu, y)) * y
@@ -472,11 +466,9 @@ def _newton_step(params: LandscapeParams, c: float, fld: RadialField,
 
 
 def _newton(params: LandscapeParams, c: float, fld: RadialField,
-            b: NormBundle, budget: int, loose: bool = False,
-            residuals: tuple | None = None):
+            b: NormBundle, budget: int, loose: bool = False):
     """At most budget bordered Newton steps (_newton_step) from the mass-c
-    iterate fld with bundle b, in one held band array; residuals is fld's
-    (projected gradient, lambda_hat) where the caller holds them.
+    iterate fld with bundle b, in one held band array.
 
     Returns ((fld, b, q_residual, (ab, flips, y)), steps) at the first
     step that settles: the simplified Newton correction (_correction) at
@@ -488,7 +480,7 @@ def _newton(params: LandscapeParams, c: float, fld: RadialField,
     """
     grid = fld.grid
     ab = np.empty((5, grid.n), order="F")
-    g_proj, lam_hat = residuals or _residuals(params, c, fld, b)[:2]
+    g_proj, lam_hat = _residuals(params, c, fld, b)[:2]
     for steps in range(1, budget + 1):
         try:
             cand, factor = _newton_step(params, c, fld, g_proj, lam_hat, ab)
@@ -528,31 +520,15 @@ def _kept_solve(fld: RadialField, ab: np.ndarray, flips: np.ndarray,
     return x
 
 
-def _q_residual_gradient(params: LandscapeParams, fld: RadialField,
-                         b: NormBundle) -> np.ndarray:
-    """Euclidean gradient of q_residual = |Q| / bend at fld, b its bundle:
-    (sign(Q) grad Q - q_residual grad bend) / bend, with grad bend =
-    2 L^T W L u and grad Q = grad bend - a q W u|u|^(q-2)
-    - 4* W u|u|^(4*-2), a = pohozaev_coefficient; Q != 0."""
-    w, u = fld.grid.weights, fld.values
-    q, p = params.q, params.p_crit
-    pq, pc = nonlinear_powers(params, fld)
-    d_bend = 2.0 * fld.grid.lap_t_apply(w * fld.lap)
-    d_q = d_bend - w * (pohozaev_coefficient(params) * q * (u * pq)
-                        + p * (u * pc))
-    Q = pohozaev(params, b)
-    return (math.copysign(1.0, Q) * d_q - abs(Q) / b.bend * d_bend) / b.bend
-
-
 def _floor_reach(params: LandscapeParams, fld: RadialField, b: NormBundle,
                  ab: np.ndarray, flips: np.ndarray, y: np.ndarray):
     # (reach, G^2) of one solve d = K^-1 g made tangent at fld (_kept_solve),
-    # g the gradient of q_residual (_q_residual_gradient). reach = GRAD_TOL
-    # |d|_W is, to first order, the most q_residual can fall over tangent
+    # g = functionals.q_residual_gradient at fld. reach = GRAD_TOL |d|_W
+    # is, to first order, the most q_residual can fall over tangent
     # states whose projected gradient is within GRAD_TOL; G^2 = g^T d
     # bounds, to second order, how far it moves over an energy sublevel set
     # of the settled state (_sublevel_gap)
-    g = _q_residual_gradient(params, fld, b)
+    g = q_residual_gradient(params, fld, b)
     d = _kept_solve(fld, ab, flips, y, g.copy())
     return (GRAD_TOL * math.sqrt(_wdot(fld.grid, d, d)),
             float(np.dot(g, d)))
@@ -571,11 +547,11 @@ class _Floor(NamedTuple):
 
 def _settle(params: LandscapeParams, c: float, fld: RadialField,
             b: NormBundle, bend_cap: float, s1: float | None,
-            loose: bool = False, residuals: tuple | None = None):
+            loose: bool = False):
     """At most NEWTON_STEPS Newton steps (_newton) from the mass-c start
     fld with bundle b, and the one judgment of the state they settle at:
     (kept, steps, floor), kept the settled (fld, b) or None, floor a _Floor
-    or None; loose and residuals go to _newton.
+    or None; loose goes to _newton.
 
     The state is kept where it meets Q_TOL, its energy is at most
     NEWTON_J_SLACK bend above the start's and its bend is below bend_cap.
@@ -587,8 +563,7 @@ def _settle(params: LandscapeParams, c: float, fld: RadialField,
     state's _Floor is returned.
     """
     J0 = energy(params, b)
-    done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=loose,
-                          residuals=residuals)
+    done, steps = _newton(params, c, fld, b, NEWTON_STEPS, loose=loose)
     if done is None:
         return None, steps, None
     fld, b, qres, factor = done
@@ -732,20 +707,20 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     """Local minimizer of J on the mass-c sphere inside the bend ball.
 
     Newton first, from the (N, q) profile read at the op's width
-    (_moved_start) and judged by _settle; where that is skipped or keeps no state, the
-    seed loop and the preconditioned descent, finished from the loose
-    point through the same judgment (_descend), until gnorm <= GRAD_TOL
-    and q_residual <= Q_TOL. Raises DomainError for a mass
-    outside (0, c0) or a grid of another dimension, and ConvergenceError if
-    Newton, first or finish, settles on a Pohozaev floor certified above
-    Q_TOL (under-resolved), the seed loop fails (seed), the
-    residuals are not met within MAX_ITER iterations (budget), a descent
-    step cannot lower J or the descent's energy certifies that it cannot
-    reach Q_TOL (stall, _sublevel_gap), the bend
-    safeguard bound more than SAFEGUARD_MAX_FRAC of accepted steps
-    (safeguard), or the converged state breaks mass, bend or energy
-    (invariant). iters counts the linear solves on the grid of the path
-    that returned the state, plus one.
+    (_moved_start) and judged by _settle; where that is skipped or keeps no
+    state, the seed loop and the preconditioned descent, finished from the
+    loose point through the same judgment (_descend), until gnorm <=
+    GRAD_TOL and q_residual <= Q_TOL. Raises DomainError for a mass outside
+    (0, c0) or a grid of another dimension, and ConvergenceError if Newton,
+    first or finish, settles on a Pohozaev floor certified above Q_TOL
+    (under-resolved), the seed loop fails (seed), the residuals are not met
+    within MAX_ITER iterations (budget), a descent step cannot lower J or
+    the descent's energy certifies that it cannot reach Q_TOL (stall,
+    _sublevel_gap), the bend safeguard bound more than SAFEGUARD_MAX_FRAC
+    of accepted steps (safeguard), or the converged state breaks mass, bend
+    or energy (invariant). iters counts the linear solves on the grid of
+    the path that returned the state, plus one: not the profile's, nor a
+    failed try's.
     """
     thresholds = mass_threshold(params)
     rho0 = thresholds[2]
@@ -775,7 +750,7 @@ def minimize(params: LandscapeParams, grid: RadialGrid,
     return GroundState(
         field=fld, bundle=b, c=c, m=J,
         lam=lagrange_multiplier(params, b),
-        q_residual=abs(pohozaev(params, b)) / b.bend,
+        q_residual=q_residual(params, b),
         bend=b.bend, iters=solves + 1,
         constraint_active=n_safe > 0)
 
@@ -810,12 +785,10 @@ def _descend(params: LandscapeParams, grid: RadialGrid, c: float,
         if gnorm <= GRAD_TOL and qres <= Q_TOL:
             break
         if loose and gnorm <= LOOSE_GRAD * math.sqrt(c) and qres <= LOOSE_Q:
-            # hand (fld, b) and its residuals to Newton once; its solves
-            # count as iterations
+            # hand (fld, b) to Newton once; its solves count as iterations
             loose = False
             kept, steps, settled = _settle(params, c, fld, b, bend_cap, s1,
-                                           loose=True,
-                                           residuals=(g_proj, lam_hat))
+                                           loose=True)
             solves += steps
             if kept is not None:
                 fld, b = kept

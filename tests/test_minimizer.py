@@ -771,20 +771,28 @@ class TestNewtonFirst:
                     / polished_lambda(p, c, fld, b) - 1.0)
                 for p, c, ((fld, b), _) in results]
 
+    @staticmethod
+    def checked_m(p, st):
+        # the state's m, once its q_residual shows one law: the state's, the
+        # fourth of _residuals and functionals' of its bundle are one float
+        got = minimizer._residuals(p, st.c, st.field, st.bundle)[3]
+        assert st.q_residual == got == functionals.q_residual(p, st.bundle)
+        return st.m
+
     def test_solves_every_op_the_fallback_solves(self, ops, monkeypatch):
         # no op the seed loop and the descent solve is lost, and both land
         # on the same m
         got = []
         for p, grid, c in ops:
             try:
-                got.append(minimize(p, grid, c).m)
+                got.append(self.checked_m(p, minimize(p, grid, c)))
             except ConvergenceError:
                 got.append(None)
         fallback_only(monkeypatch)
         solved = 0
         for (p, grid, c), m in zip(ops, got):
             try:
-                want = minimize(p, grid, c).m
+                want = self.checked_m(p, minimize(p, grid, c))
             except ConvergenceError:
                 continue
             solved += 1
@@ -1279,7 +1287,7 @@ class TestFloorCertificate:
             bv = norm_bundle(p, RadialField(grid, v))
             return abs(functionals.pohozaev(p, bv)) / bv.bend
 
-        g = minimizer._q_residual_gradient(p, fld, b)
+        g = functionals.q_residual_gradient(p, fld, b)
         rho = q_residual(u)
         d_bend = 2.0 * grid.lap_t_apply(w * fld.lap)
         eps = 1e-6
@@ -1432,9 +1440,9 @@ class TestSublevelCertificate:
 
     def test_ci_op_ends_certified(self, monkeypatch, classify):
         # the descent stops at the loose point, where the finish re-finds
-        # the try's floor state, after 23 residual evaluations (the finish
-        # starts from the descent's own); without the certificate it runs
-        # on to the stall at iteration 28, after 31
+        # the try's floor state, after 24 residual evaluations (the finish
+        # takes its start's own, as every Newton run does); without the
+        # certificate it runs on to the stall at iteration 28, after 32
         p = resolve_params(load_config(env=CERTIFIED_ENV))
         grid = build_grid(p.N, 2049, 1000.0)
         c = 0.5 * mass_threshold(p)[1]
@@ -1442,7 +1450,7 @@ class TestSublevelCertificate:
         calls = self.count_residuals(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             minimize(p, grid, c)
-        assert err.value.kind == "stall" and len(calls) <= 23
+        assert err.value.kind == "stall" and len(calls) <= 24
         msg = str(err.value)
         hit = re.fullmatch(CERTIFIED_MSG, msg)
         assert hit, msg
@@ -1454,7 +1462,7 @@ class TestSublevelCertificate:
         with pytest.raises(ConvergenceError,
                            match="stalled at iteration 28: "):
             minimize(p, grid, c)
-        assert len(calls) == 31
+        assert len(calls) == 32
 
     @staticmethod
     def draw_61_op():
@@ -2150,19 +2158,11 @@ class TestMorseIndex:
         for p, st, _ in states:
             grid = st.field.grid
             b = norm_bundle(p, st.field)
-            g_proj, lam_hat, _, _ = minimizer._residuals(p, st.c, st.field, b)
-            ab = np.empty((5, grid.n), order="F")
-            real = minimizer.ldlt_banded
-
-            def spiked(band):
-                band[0, grid.n - 3] -= 1e6 * np.abs(band).max()
-                return real(band)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(minimizer, "ldlt_banded", spiked)
-                _, record = minimizer._newton_step(p, st.c, st.field, g_proj,
-                                                   lam_hat, ab)
-            assert morse_index(st, record)[0] == 2
+            lam_hat = minimizer._residuals(p, st.c, st.field, b)[1]
+            ab = minimizer._assemble_k(p, st.field, lam_hat,
+                                       np.empty((5, grid.n), order="F"))
+            ab[0, grid.n - 3] -= 1e6 * np.abs(ab).max()
+            assert len(minimizer.ldlt_banded(ab)) == 2
 
     @pytest.mark.parametrize("N", [14, 16])
     def test_high_dimension_converges(self, monkeypatch, N):

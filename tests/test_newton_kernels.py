@@ -14,9 +14,10 @@ Each kernel is held to the code it replaced, kept below as the reference:
   one, bit for bit, which pins its formula against later edits;
 - the nonlinear terms, which read one held pair |u|^(q-2), |u|^(4*-2)
   (functionals.nonlinear_powers), against the six powers they took before:
-  the bundle's subcrit and crit, the gradient, K's diagonal and the
-  gradient of q_residual, each within 8 ulps of the magnitude of the terms
-  it sums, componentwise for vectors.
+  the bundle's subcrit and crit, the gradient, W f'(u), the diagonal of K
+  as minimizer._assemble_k builds it and the gradient of q_residual, each
+  within 8 ulps of the magnitude of the terms it sums, componentwise for
+  vectors.
 """
 import math
 
@@ -28,8 +29,9 @@ from bhgs import (LandscapeParams, NormBundle, RadialField, build_grid,
                   mass_threshold, minimizer)
 from bhgs import fiber, grid as grid_mod
 from bhgs.fiber import FiberAnalysis
-from bhgs.functionals import (l2_gradient, nonneg_power, norm_bundle,
-                              pohozaev, pohozaev_coefficient)
+from bhgs.functionals import (l2_gradient, nonlinear_diagonal, nonneg_power,
+                              norm_bundle, pohozaev, pohozaev_coefficient,
+                              q_residual_gradient)
 from bhgs.landscape import DomainError, derive_exponents
 from propstrat import bundle_st, params_st
 
@@ -350,28 +352,9 @@ def within_8_ulps(got, want, scale, floor):
                   <= 8.0 * (np.spacing(scale) + TINY * floor))
 
 
-def k_diagonal(monkeypatch, params, fld):
-    """(lambda_hat, K's diagonal as _newton_step assembles it at fld)."""
-    c = float(np.add.reduce(fld.grid.weights * fld.values ** 2))
-    g_proj, lam_hat, _, _ = minimizer._residuals(params, c, fld,
-                                                 norm_bundle(params, fld))
-    seen = []
-
-    def capture(ab):
-        seen.append(ab[0].copy())
-        raise np.linalg.LinAlgError("captured")
-
-    with monkeypatch.context() as m:
-        m.setattr(minimizer, "ldlt_banded", capture)
-        with pytest.raises(np.linalg.LinAlgError, match="captured"):
-            minimizer._newton_step(params, c, fld, g_proj, lam_hat,
-                                   np.empty((5, fld.grid.n), order="F"))
-    return lam_hat, seen[0]
-
-
 @pytest.mark.parametrize("f", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("N", range(5, 11))
-def test_nonlinear_terms_match_the_six_powers(monkeypatch, N, f):
+def test_nonlinear_terms_match_the_six_powers(N, f):
     for params, fld in power_fields(N, f):
         grid, u = fld.grid, fld.values
         w, mu, q, p = grid.weights, params.mu, params.q, params.p_crit
@@ -388,13 +371,18 @@ def test_nonlinear_terms_match_the_six_powers(monkeypatch, N, f):
             l2_gradient(params, fld).values,
             bend - mu * sgn * pq1 - sgn * pc1,
             np.abs(bend) + mu * pq1 + pc1, mu + 1.0)
-        # K's diagonal: L^T W L less lambda_hat W and W f'(u)
-        lam_hat, got = k_diagonal(monkeypatch, params, fld)
-        band, shift = grid.newton_band[0], lam_hat * w
+        # W f'(u), and K's diagonal: L^T W L less lambda_hat W and W f'(u)
         nonlin = w * (mu * (q - 1.0) * pq2 + (p - 1.0) * pc2)
+        floor = w * (mu * (q - 1.0) + p - 1.0)
+        assert within_8_ulps(nonlinear_diagonal(params, fld), nonlin, nonlin,
+                             floor)
+        c = float(np.add.reduce(w * u * u))
+        lam_hat = minimizer._residuals(params, c, fld, b)[1]
+        got = minimizer._assemble_k(params, fld, lam_hat,
+                                    np.empty((5, grid.n), order="F"))[0]
+        band, shift = grid.newton_band[0], lam_hat * w
         assert within_8_ulps(got, band - shift - nonlin,
-                             np.abs(band) + np.abs(shift) + nonlin,
-                             w * (mu * (q - 1.0) + p - 1.0))
+                             np.abs(band) + np.abs(shift) + nonlin, floor)
         # the gradient of q_residual, d_q reading a q sgn|u|^(q-1) and
         # 4* sgn|u|^(4*-1), a = pohozaev_coefficient
         d_bend = 2.0 * grid.lap_t_apply(w * fld.lap)
@@ -406,6 +394,6 @@ def test_nonlinear_terms_match_the_six_powers(monkeypatch, N, f):
                                                             + p * pc1))
                 - rho * d_bend) / b.bend
         assert within_8_ulps(
-            minimizer._q_residual_gradient(params, fld, b), want,
+            q_residual_gradient(params, fld, b), want,
             ((1.0 + rho) * np.abs(d_bend) + nonlin) / b.bend,
             w * (a * q + p) / b.bend)
