@@ -5,7 +5,8 @@ the landscape lower-bound function f(c, rho), its maximizer rho_star, and the
 mass threshold c0 below which the local minimization region exists, and the
 sharp Sobolev constant S_sob in closed form (estimate_sobolev_constant). No
 grids, no fields, no solver: a params object holds only its exponents and
-log coefficients, and the minimizer keeps its reference profile per (N, q)
+the logarithms of f's two coefficients, and f, rho_star, M, c0 and rho0 all
+read that pair; the minimizer keeps its reference profile per (N, q)
 itself. f_landscape also takes an array of rho, which the comparison
 lemma's segment uses; only that path imports numpy.
 
@@ -96,7 +97,16 @@ class LandscapeParams:
     # builds a new instance with an empty cache.
     @cached_property
     def _exponents(self) -> ExponentSet:
-        return _exponent_set(self)
+        N, q = self.N, self.q
+        es = ExponentSet(
+            alpha0=N * (q - 2) / 8.0 - 1.0, alpha1=(2 * N - q * (N - 4)) / 8.0,
+            alpha2=4.0 / (N - 4), beta=N * (q - 2) / (4.0 * q),
+            p_crit=self.p_crit, gamma_q=N * (q - 2) / 4.0)
+        # range sanity pinned by the parameter domain; alpha2 hits 4 only
+        # at N=5
+        assert -1.0 < es.alpha0 < 0.0 and 4.0 / N < es.alpha1 < 1.0
+        assert 0.0 < es.alpha2 <= 4.0
+        return es
 
     @cached_property
     def _log_coefs(self) -> tuple[float, float]:
@@ -125,20 +135,6 @@ def derive_exponents(params: LandscapeParams) -> ExponentSet:
     Computed once per params instance and held on it.
     """
     return params._exponents
-
-
-def _exponent_set(params: LandscapeParams) -> ExponentSet:
-    N, q = params.N, params.q
-    alpha0 = N * (q - 2) / 8.0 - 1.0
-    alpha1 = (2 * N - q * (N - 4)) / 8.0
-    alpha2 = 4.0 / (N - 4)
-    beta = N * (q - 2) / (4.0 * q)
-    gamma_q = N * (q - 2) / 4.0
-    es = ExponentSet(alpha0, alpha1, alpha2, beta, params.p_crit, gamma_q)
-    # range sanity pinned by the parameter domain; alpha2 hits 4 only at N=5
-    assert -1.0 < es.alpha0 < 0.0 and 4.0 / N < es.alpha1 < 1.0
-    assert 0.0 < es.alpha2 <= 4.0
-    return es
 
 
 def _exp_total(x: float) -> float:
@@ -192,10 +188,10 @@ def f_landscape(params: LandscapeParams, c: float, rho):
 
 def _log_D(params: LandscapeParams, es: ExponentSet) -> float:
     # log of the constant D in rho_star(c) = (D c^alpha1)^{1/(alpha2 - alpha0)}
-    return (math.log(-es.alpha0 / es.alpha2)
-            + math.log(params.mu) + params.q * math.log(params.C_gn)
-            + math.log(es.p_crit) - math.log(params.q)
-            - es.p_crit * math.log(params.S_sob))
+    # from f's two held log coefficients: at the maximizer the two terms
+    # balance, -alpha0 t_sub = alpha2 t_crit
+    log_sub, log_crit = params._log_coefs
+    return math.log(-es.alpha0 / es.alpha2) + log_sub - log_crit
 
 
 def _in_range(name: str, x: float) -> float:

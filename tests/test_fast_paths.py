@@ -18,7 +18,8 @@ reference:
   loop of scalar f_landscape calls: the same abscissae bit for bit, and the
   same verdict;
 - f_landscape and mass_threshold with every logarithm retaken per call,
-  against the sums held on the params, bit for bit;
+  against the two log coefficients held on the params, from which
+  mass_threshold also takes log D, bit for bit;
 - analyze_fiber with the bundle's logarithms retaken at every bisection
   step, against the ones taken once per analysis, bit for bit.
 """
@@ -162,18 +163,15 @@ def ref_f_landscape(params, c, rho):
 
 
 def ref_mass_threshold_M(params):
+    # log D from the two log coefficients, each retaken here: at the
+    # maximizer -alpha0 t_sub = alpha2 t_crit
     es = derive_exponents(params)
-    log_D = (math.log(-es.alpha0 / es.alpha2)
-             + math.log(params.mu) + params.q * math.log(params.C_gn)
-             + math.log(es.p_crit) - math.log(params.q)
-             - es.p_crit * math.log(params.S_sob))
+    log_sub = math.log(params.mu / params.q) + params.q * math.log(params.C_gn)
+    log_crit = math.log(1.0 / es.p_crit) + es.p_crit * math.log(params.S_sob)
+    log_D = math.log(-es.alpha0 / es.alpha2) + log_sub - log_crit
     span = es.alpha2 - es.alpha0
-    m_sub = math.exp(math.log(params.mu / params.q)
-                     + params.q * math.log(params.C_gn)
-                     + es.alpha0 * log_D / span)
-    m_crit = math.exp(math.log(1.0 / es.p_crit)
-                      + es.p_crit * math.log(params.S_sob)
-                      + es.alpha2 * log_D / span)
+    m_sub = math.exp(log_sub + es.alpha0 * log_D / span)
+    m_crit = math.exp(log_crit + es.alpha2 * log_D / span)
     return m_sub + m_crit
 
 

@@ -14,6 +14,7 @@ from bhgs import (
     mass_threshold,
     rho_star,
 )
+from bhgs.landscape import _terms
 from propstrat import params_st
 
 # independently derived reference values for N=5, q=3, mu=1, C_gn=S_sob=1
@@ -167,6 +168,17 @@ class TestRhoStar:
         for bump in (1.0 - 1e-4, 1.0 + 1e-4):
             assert peak >= f_landscape(params, c, rs * bump)
 
+    @given(params_st(), st.floats(min_value=-2.0, max_value=2.0))
+    def test_terms_balance_at_the_maximizer(self, params, logc):
+        # f's rho-derivative vanishes at rho_star: -alpha0 t_sub = alpha2
+        # t_crit to the last bits, where the 1e-4 bumps above are second
+        # order and cannot see them
+        es = derive_exponents(params)
+        c = math.exp(logc)
+        t_sub, t_crit = _terms(params, c, rho_star(params, c))
+        balance = es.alpha0 * t_sub + es.alpha2 * t_crit
+        assert abs(balance) <= 1e-14 * -es.alpha0 * t_sub
+
     def test_domain_error(self, p53):
         with pytest.raises(DomainError):
             rho_star(p53, 0.0)
@@ -193,6 +205,11 @@ class TestMassThreshold:
         below, above = 0.999 * c0, 1.001 * c0
         assert f_landscape(p53, below, rho_star(p53, below)) > 0.0
         assert f_landscape(p53, above, rho_star(p53, above)) < 0.0
+
+    @given(params_st())
+    def test_peak_vanishes_at_every_threshold(self, params):
+        _, c0, rho0 = mass_threshold(params)
+        assert abs(f_landscape(params, c0, rho0)) <= 4e-15
 
     @given(params_st(), st.floats(min_value=-2.0, max_value=2.0))
     def test_peak_value_identity(self, params, logc):

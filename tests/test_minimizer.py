@@ -1842,7 +1842,7 @@ GN_PINS = [
     ((7, 0.95), '0x1.0a34fedc7b9eep-3'),
     ((8, 0.15), '0x1.35c6a724d18bdp-1'),
     ((9, 0.45), '0x1.039053c940349p-2'),
-    ((10, 0.25), '0x1.b02c07df70c59p-2'),
+    ((10, 0.25), '0x1.b02c07df70c5fp-2'),
 ]
 
 
