@@ -502,9 +502,10 @@ class TestCliSolveAndFiber:
         assert hit and float(hit.group(1)) > 5e-7
 
     def test_solve_certified_stall(self, capsys, tmp_path, monkeypatch):
-        # the numpy-only CI job's op: the try settles on a floor it cannot
-        # certify, and the descent stops once its energy certifies, to
-        # second order, that no later iterate reaches q_tol
+        # the certified-stall draw (test_minimizer.py's CERTIFIED_ENV) at
+        # 0.5 c0: the try settles on a floor it cannot certify, and the
+        # descent stops once its energy certifies, to second order, that
+        # no later iterate reaches q_tol
         env = {"BHGS_PROBLEM__N": "7", "BHGS_PROBLEM__Q": "2.3527812399673467",
                "BHGS_PROBLEM__MU": "0.685661305930885",
                "BHGS_CONSTANTS__C_GN": "0.9898935216078489",

@@ -112,9 +112,10 @@ PIN_BEFORE_FIRST = {
     ("fine", 0.5): ('-0x1.d224875868f06p-22', '-0x1.9f122ce1c914cp-19', 8),
     ("fine", 0.9): ('-0x1.cb4c560e10d40p-20', '-0x1.c66b103fc830cp-18', 10),
 }
-# the draw of the numpy-only CI job's loose-point canary: at 0.5 c0 on the
-# default grid its try fails, and the fallback's loose-point finish
-# converges at its first step, q_residual under Q_TOL by 24 %
+# the loose-point canary, an N = 9 draw: at 0.5 c0 on the default grid its
+# try fails, and the fallback's loose-point finish converges at its first
+# step, q_residual under Q_TOL by 24 %, which
+# test_ci_canary_converges_at_the_finish_first_step pins
 CANARY_ENV = {"BHGS_PROBLEM__N": "9",
               "BHGS_PROBLEM__Q": "2.4686392387130165",
               "BHGS_PROBLEM__MU": "3.808844990382272",
@@ -1404,9 +1405,11 @@ class TestFloorCertificate:
         assert reach < rho - minimizer.Q_TOL < 2.0 * reach
 
 
-# the numpy-only CI job's certified stall: at 0.5 c0 on the default grid the
+# the certified stall, an N = 7 draw: at 0.5 c0 on the default grid the
 # try settles on a floor at q_residual 3.47e-6 that it cannot certify, and
-# the fallback's descent comes back to it
+# the fallback's descent comes back to it and stalls inside its energy
+# sublevel certificate (TestSublevelCertificate; the CLI's exit 4, kind and
+# message: test_config_cli.py's test_solve_certified_stall)
 CERTIFIED_ENV = {"BHGS_PROBLEM__N": "7",
                  "BHGS_PROBLEM__Q": "2.3527812399673467",
                  "BHGS_PROBLEM__MU": "0.685661305930885",
@@ -1529,7 +1532,7 @@ class TestSublevelCertificate:
         assert self.gap(floor_state, 0.0, bend=0.1374) is not None
 
     def test_reach_guard_on_the_ci_floor(self):
-        # the floor the try leaves on the CI certified-stall op: at J = J*,
+        # the floor the try leaves on the CERTIFIED_ENV op: at J = J*,
         # a tangent offset of |.|_W just inside SUBLEVEL_REACH sqrt(c) keeps
         # the certificate, one just past it drops it
         p = resolve_params(load_config(env=CERTIFIED_ENV))
