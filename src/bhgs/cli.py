@@ -41,6 +41,16 @@ _SAMPLE_SEED = 20260816
 SWEEP_TOLERANCES = {"mono_tol": 1e-8, "add_tol": 1e-6,
                     "triple_match_tol": 1e-9}
 
+# a solved state's record: each key and the GroundState field it holds;
+# solve and sweep-point write one, the sweep report a list per key
+_STATE_FIELDS = {"c": "c", "m": "m", "lambda": "lam", "bend": "bend",
+                 "q_residual": "q_residual", "iters": "iters",
+                 "constraint_active": "constraint_active"}
+
+
+def _state_record(state) -> dict:
+    return {key: getattr(state, name) for key, name in _STATE_FIELDS.items()}
+
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -191,15 +201,9 @@ def _cmd_solve(args, cfg, params) -> int:
     state = minimize(params, grid, c)
     out = args.out or f"ground_state_c{c:.6g}.csv"
     save_field(state.field, out)
-    rec = {
-        "record": "ground_state",
-        "c": state.c, "m": state.m, "lambda": state.lam,
-        "q_residual": state.q_residual, "bend": state.bend,
-        "iters": state.iters, "constraint_active": state.constraint_active,
-        "fiber_s1_err": fiber_consistency(params, state),
-        "field_csv": out, **_header(cfg, params),
-    }
-    _emit(rec)
+    _emit({"record": "ground_state", **_state_record(state),
+           "fiber_s1_err": fiber_consistency(params, state),
+           "field_csv": out, **_header(cfg, params)})
     return EXIT_OK
 
 
@@ -209,19 +213,13 @@ def _cmd_sweep(args, cfg, params) -> int:
     cs = [float(c) for c in sweep_masses(cfg, c0)]
     grid = cfg.solve_grid()
 
-    states = []
+    points = []
     def report(partial: bool, **extra) -> dict:
         # the lemma flags over the solved masses, written to args.out
-        done = len(states)
-        ms = [s.m for s in states]
-        rep = evaluate_sweep_flags(cs[:done], ms)
+        cols = {key: [p[key] for p in points] for key in _STATE_FIELDS}
+        rep = evaluate_sweep_flags(cols["c"], cols["m"])
         rep.update({
-            "record": "sweep", "c": cs[:done], "m": ms,
-            "lambda": [s.lam for s in states],
-            "bend": [s.bend for s in states],
-            "q_residual": [s.q_residual for s in states],
-            "iters": [s.iters for s in states],
-            "constraint_active": [s.constraint_active for s in states],
+            "record": "sweep", **cols,
             "tolerances": SWEEP_TOLERANCES, "partial": partial,
             "M": M, "c0": c0, "rho0": rho0, **_header(cfg, params), **extra})
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -238,11 +236,8 @@ def _cmd_sweep(args, cfg, params) -> int:
                          f"solve at c={c} failed ({exc}); partial report "
                          f"written to {args.out}", EXIT_NONCONV,
                          fail_kind=exc.kind)
-        states.append(state)
-        _emit({"record": "sweep-point", "c": state.c, "m": state.m,
-               "lambda": state.lam, "bend": state.bend,
-               "q_residual": state.q_residual, "iters": state.iters,
-               "constraint_active": state.constraint_active})
+        points.append(_state_record(state))
+        _emit({"record": "sweep-point", **points[-1]})
 
     rep = report(partial=False)
     _emit(rep)

@@ -1,7 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bhgs import LandscapeParams, build_grid, mass_threshold, minimizer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args, env=None, cwd=None, check=True):
+    """The finished run of `python *args` in a fresh interpreter that
+    imports bhgs from this checkout's src/, put ahead of PYTHONPATH, and
+    sees no BHGS_ variable but those in `env`; with `check` it must exit
+    0."""
+    full = {k: v for k, v in os.environ.items() if not k.startswith("BHGS_")}
+    full["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), full.get("PYTHONPATH")]))
+    full.update(env or {})
+    proc = subprocess.run([sys.executable, *args], env=full, cwd=cwd,
+                          capture_output=True, encoding="utf-8", timeout=300)
+    assert not check or proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.fixture(autouse=True)
+def default_config(monkeypatch):
+    """Every test starts from the default configuration: the BHGS_
+    overrides of the shell that runs pytest are removed for its length."""
+    for name in [k for k in os.environ if k.startswith("BHGS_")]:
+        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,11 @@ largest relative move of m and lambda among moved successes and how many
 changed iters.
 """
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 
@@ -42,9 +42,7 @@ def compare(tmp_path, first, second):
         path = tmp_path / name
         path.write_text("".join(json.dumps(r) + "\n" for r in recs))
         paths.append(str(path))
-    return subprocess.run([sys.executable, str(CENSUS), "--compare", *paths],
-                          capture_output=True, text=True, encoding="utf-8",
-                          timeout=60)
+    return fresh_python(str(CENSUS), "--compare", *paths, check=False)
 
 
 def test_equal_files_exit_zero(tmp_path):

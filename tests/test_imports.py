@@ -7,22 +7,27 @@ package.
 """
 import importlib
 import json
-import os
-import subprocess
 import sys
 
 import pytest
 
 import bhgs
+from conftest import SRC, fresh_python
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
 
-
-def python(*args, **env_extra):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BHGS_")}
-    env.update(PYTHONPATH=SRC, **env_extra)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
+def test_fresh_python_puts_src_first_and_passes_no_overrides(
+        tmp_path, monkeypatch):
+    # this checkout's src/ goes ahead of the caller's PYTHONPATH, whose
+    # entries stay on the path, and no BHGS_ variable of the caller passes
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    monkeypatch.setenv("BHGS_PROBLEM__MU", "2.0")
+    paths = [str(SRC), str(tmp_path)]
+    proc = fresh_python("-c", "import json, os, sys, bhgs\n"
+                        f"print(json.dumps([bhgs.__file__, [p for p in "
+                        f"sys.path if p in {paths!r}], [k for k in "
+                        "os.environ if k.startswith('BHGS_')]]))")
+    assert json.loads(proc.stdout) == [str(SRC / "bhgs" / "__init__.py"),
+                                       paths, []]
 
 
 def imported(stderr):
@@ -32,17 +37,15 @@ def imported(stderr):
 
 
 def test_import_bhgs_loads_no_numpy():
-    proc = python("-c", "import sys, bhgs\n"
-                        "assert 'numpy' not in sys.modules\n"
-                        "print(sorted(m for m in sys.modules "
-                        "if m.startswith('bhgs')))")
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python("-c", "import sys, bhgs\n"
+                              "assert 'numpy' not in sys.modules\n"
+                              "print(sorted(m for m in sys.modules "
+                              "if m.startswith('bhgs')))")
     assert proc.stdout.strip() == "['bhgs']"
 
 
 def test_constants_command_loads_no_numpy(tmp_path):
-    proc = python("-X", "importtime", "-m", "bhgs.cli", "constants")
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python("-X", "importtime", "-m", "bhgs.cli", "constants")
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["record"] == "constants"
     names = imported(proc.stderr)
@@ -52,9 +55,8 @@ def test_constants_command_loads_no_numpy(tmp_path):
 
 def test_estimated_constants_do_load_numpy():
     # the check above can fail: the C_gn profile solve runs on numpy
-    proc = python("-X", "importtime", "-m", "bhgs.cli", "constants",
-                  BHGS_CONSTANTS__MODE="estimated")
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python("-X", "importtime", "-m", "bhgs.cli", "constants",
+                        env={"BHGS_CONSTANTS__MODE": "estimated"})
     assert "numpy" in imported(proc.stderr)
 
 

@@ -12,24 +12,31 @@ descent's preconditioner P = a W + L^T W L is factored and solved by the
 same kernels (minimizer.cholesky_banded, minimizer.cho_solve_banded):
 scipy.linalg's lower-band Cholesky is the reference its factor and solves
 must equal bit for bit, and a P that is not positive definite must raise.
+
+Only the comparisons with scipy.linalg need scipy, and each imports it
+where it compares. Without scipy these skip:
+test_cholesky_factor_and_solve_match_scipy,
+test_preconditioner_solves_to_rounding, test_newton_solve_matches_scipy
+and the two test_scipy_fallback_* tests; these skip after their
+scipy-free checks: test_solve_with_kept_factors_matches_scipy,
+test_fortran_ordered_inputs_are_not_written,
+test_band_that_is_not_positive_definite_raises,
+test_singular_newton_matrix_raises and the fallback run of
+test_commands_agree_without_scipy_and_on_the_fallback. The rest, the
+flip count among them, run on numpy alone.
 """
 import ctypes
 import glob
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-sl = pytest.importorskip("scipy.linalg")
-
-import bhgs  # noqa: E402
-from bhgs import (LandscapeParams, build_grid, mass_threshold,  # noqa: E402
+from bhgs import (LandscapeParams, _lapack, build_grid, mass_threshold,
                   minimizer)
-from bhgs import _lapack  # noqa: E402
-from bhgs.minimizer import NEWTON_STEPS, _newton  # noqa: E402
+from bhgs.minimizer import NEWTON_STEPS, _newton
+from conftest import fresh_python
 
 P53 = LandscapeParams(N=5, q=3.0, mu=1.0)
 SHIFTS = (1e-12, 0.37, 5.0)
@@ -111,6 +118,7 @@ def band_matvec(low, x):
 
 def negative_count(low):
     """K's count of negative eigenvalues, by scipy.linalg.eigvals_banded."""
+    sl = pytest.importorskip("scipy.linalg")
     return int(np.count_nonzero(sl.eigvals_banded(low, lower=True) < 0.0))
 
 
@@ -152,6 +160,7 @@ def solves_as_well_as_lu(low, x, b):
     at most twice that of scipy.linalg.solve_banded's pivoted LU: the
     Newton matrices span many decades, and neither solves them to
     roundoff in the Euclidean norm."""
+    sl = pytest.importorskip("scipy.linalg")
     want = sl.solve_banded((4, 4), full_band(low), b)
     xs, bs, ws = (np.reshape(a, (len(a), -1)) for a in (x, b, want))
     return all(relative_residual(low, xs[:, k], bs[:, k])
@@ -185,6 +194,7 @@ def test_cholesky_factor_and_solve_match_scipy(newton_system, a, rng):
     # its factor is scipy's lower-band Cholesky bit for bit, and its solve
     # P^-1 W v makes dpbtrs's two dtbsv calls, so it is scipy's
     # cho_solve_banded bit for bit; neither writes the grid's band or v
+    sl = pytest.importorskip("scipy.linalg")
     grid = newton_system[0]
     ab = precond_band(grid, a)
     v = rng.standard_normal(grid.n)
@@ -204,6 +214,7 @@ def test_preconditioner_solves_to_rounding(N, rng):
     # on the default grid of every N = 5..10 and at each shift, the factor
     # is scipy's lower-band Cholesky bit for bit, and P x = W v holds to
     # the rounding of the terms P x sums: the solve is backward stable
+    sl = pytest.importorskip("scipy.linalg")
     grid = build_grid(N, 2049, 1000.0)
     for a in SHIFTS:
         ab = precond_band(grid, a)
@@ -338,19 +349,22 @@ def test_band_that_is_not_positive_definite_raises(newton_system):
     # column, and cholesky_banded raises LinAlgError, as scipy's lower-band
     # Cholesky does on the same band
     grid = newton_system[0]
-    assert negative_count(precond_band(grid, -2.5e-3)) >= 1
-    for a in (-2.5e-3, -0.37, -7.0):
-        ab = precond_band(grid, a)
+    shifts = (-2.5e-3, -0.37, -7.0)
+    for a in shifts:
         with pytest.raises(np.linalg.LinAlgError,
                            match="not positive definite"):
             minimizer.cholesky_banded(grid, a)
+    sl = pytest.importorskip("scipy.linalg")
+    assert negative_count(precond_band(grid, shifts[0])) >= 1
+    for a in shifts:
         with pytest.raises(np.linalg.LinAlgError):
-            sl.cholesky_banded(ab, lower=True)
+            sl.cholesky_banded(precond_band(grid, a), lower=True)
 
 
 def test_singular_newton_matrix_raises(newton_system):
     # an exact zero Schur pivot: a zero first column, and a zero row and
-    # column 100, whose pivot is 0 less nothing
+    # column 100, whose pivot is 0 less nothing; scipy's pivoted LU finds
+    # both singular too
     _, K, rhs = newton_system
     first = K.copy(order="F")
     first[:, 0] = 0.0
@@ -360,7 +374,9 @@ def test_singular_newton_matrix_raises(newton_system):
         middle[d, 100 - d] = 0.0
     for ab in (first, middle):
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-            _lapack.ldlt_banded(ab)
+            _lapack.ldlt_banded(ab.copy(order="F"))
+    sl = pytest.importorskip("scipy.linalg")
+    for ab in (first, middle):
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             sl.solve_banded((4, 4), full_band(ab), rhs)
 
@@ -395,10 +411,11 @@ def test_misshapen_input_is_rejected_before_lapack(newton_system):
 def scipy_fallback(monkeypatch):
     """Route _lapack's two routines through scipy.linalg, as where
     numpy.libs holds no bundled OpenBLAS."""
-    from scipy.linalg import blas, lapack
-    monkeypatch.setattr(_lapack, "_lapack_dpbtrf", lapack.dpbtrf,
+    sl = pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(_lapack, "_lapack_dpbtrf", sl.lapack.dpbtrf,
                         raising=False)
-    monkeypatch.setattr(_lapack, "_blas_dtbsv", blas.dtbsv, raising=False)
+    monkeypatch.setattr(_lapack, "_blas_dtbsv", sl.blas.dtbsv,
+                        raising=False)
     monkeypatch.setattr(_lapack, "_pbtrf", _lapack._scipy_pbtrf)
     monkeypatch.setattr(_lapack, "_tbsv", _lapack._scipy_tbsv)
 
@@ -474,12 +491,9 @@ def test_flips_near_the_end_of_the_band(tail):
 def test_import_builds_no_table():
     # the flip index tables are built by the flips that first need them,
     # not at import
-    code = "import bhgs._lapack as k; print(k._tril.cache_info().currsize)"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    proc = fresh_python("-c", "import bhgs._lapack as k; "
+                        "print(k._tril.cache_info().currsize)")
+    assert (proc.stdout, proc.stderr) == ("0\n", "")
 
 
 def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
@@ -518,45 +532,48 @@ class Disabled:
 ctypes.CDLL = Disabled
 """
 
-
-def run_command(name, setup, cwd):
-    """The finished process of command `name`, run in a fresh interpreter
-    after the lines `setup`, reporting the kernel backend it took last."""
-    argv, env_extra, _ = RUNS[name]
-    code = (f"import sys\n{setup}\nimport bhgs.cli\n"
-            f"rc = bhgs.cli.main({argv!r})\n"
-            "lapack = sys.modules.get('bhgs._lapack')\n"
-            "print(getattr(lapack, 'BACKEND', None))\n"
-            "sys.exit(rc)")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, **env_extra)
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                          capture_output=True, text=True)
+# runs command {argv} after the lines {setup}, then prints the kernel
+# backend it took last
+COMMAND = """
+import sys
+{setup}
+import bhgs.cli
+rc = bhgs.cli.main({argv!r})
+print(getattr(sys.modules.get("bhgs._lapack"), "BACKEND", None))
+sys.exit(rc)
+"""
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_commands_agree_without_scipy_and_on_the_fallback(name, tmp_path):
     # byte-identical stdout and output files from a normal run, a run with
-    # scipy unimportable, and a run on the scipy fallback
+    # scipy unimportable, and, where scipy is installed, a run on the
+    # scipy fallback
+    argv, env, files = RUNS[name]
     runs = []
-    for setup in ("", NO_SCIPY, NO_BUNDLE):
+    for setup, backend in (("", "numpy.libs"), (NO_SCIPY, "numpy.libs"),
+                           (NO_BUNDLE, "scipy.linalg")):
+        if setup == NO_BUNDLE:
+            pytest.importorskip("scipy.linalg")
         cwd = tmp_path / f"run{len(runs)}"
         cwd.mkdir()
-        proc = run_command(name, setup, cwd)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        *records, backend = proc.stdout.splitlines()
-        runs.append((backend, records,
-                     [(cwd / f).read_bytes() for f in RUNS[name][2]]))
-    assert [r[0] for r in runs] == ["numpy.libs", "numpy.libs",
-                                    "scipy.linalg"]
-    assert runs[0][1:] == runs[1][1:] == runs[2][1:]
+        proc = fresh_python("-c", COMMAND.format(setup=setup, argv=argv),
+                            env=env, cwd=cwd)
+        assert proc.stderr == ""
+        *records, took = proc.stdout.splitlines()
+        assert took == backend
+        runs.append((records, [(cwd / f).read_bytes() for f in files]))
+        assert runs[-1] == runs[0]
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_no_backend_is_a_named_failure(name, tmp_path):
     # neither the bundled library nor scipy.linalg: exit 2 with one
     # no-lapack JSON line on stderr, not a traceback
-    proc = run_command(name, NO_SCIPY + NO_BUNDLE, tmp_path)
+    argv, env, _ = RUNS[name]
+    proc = fresh_python("-c", COMMAND.format(setup=NO_SCIPY + NO_BUNDLE,
+                                             argv=argv),
+                        env=env, cwd=tmp_path, check=False)
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
     rec = json.loads(line)

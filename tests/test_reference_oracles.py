@@ -12,7 +12,6 @@ import importlib.util
 import json
 import math
 import os
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ import pytest
 import bhgs
 from bhgs import build_grid, minimizer
 from bhgs.grid import _bernoulli, _solve5, _weight_core
+from conftest import fresh_python
 
 # ---------------------------------------------------------------- references
 
@@ -168,30 +168,6 @@ LAZY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate", "mpmath",
         "bhgs.verify")
 
 
-def run_fresh(code, cwd=None, env_extra=None):
-    """stdout of `code` run in a fresh interpreter that imports bhgs from
-    this checkout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bhgs.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    env.update(env_extra or {})
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                          check=True, capture_output=True, text=True).stdout
-
-
-def loaded_after(code, cwd=None, env_extra=None):
-    report = f"import sys; print(sorted(m for m in {LAZY!r} if m in sys.modules))"
-    out = run_fresh(code + "\n" + report, cwd, env_extra)
-    return out.strip().splitlines()[-1]
-
-
-def test_cli_import_skips_sparse_and_interpolate():
-    # nor scipy.linalg: no command loads it; nor bhgs.verify
-    for code in ("import bhgs", "import bhgs.cli"):
-        assert loaded_after(code) == "[]", code
-
-
 # runs {code}, recording the libraries ctypes opens, then prints whether
 # bhgs.minimizer and bhgs._lapack are loaded and whether an OpenBLAS
 # library was opened
@@ -221,15 +197,17 @@ def test_import_leaves_the_band_kernels_unloaded(tmp_path):
                  cli.format(["constants"]), cli.format(["landscape"]),
                  cli.format(["fiber", "--field", "gs.csv"]),
                  cli.format(["verify"])):
-        out = run_fresh(KERNEL_PROBE.format(code=code), tmp_path)
+        out = fresh_python("-c", KERNEL_PROBE.format(code=code),
+                           cwd=tmp_path).stdout
         assert out.splitlines()[-1].split() == ["False"] * 3, code
     sob = ("import bhgs; bhgs.estimate_sobolev_constant("
            "bhgs.LandscapeParams(N=5, q=3.0)); "
            "assert 'numpy' not in sys.modules")
-    out = run_fresh(KERNEL_PROBE.format(code=sob), tmp_path)
+    out = fresh_python("-c", KERNEL_PROBE.format(code=sob),
+                       cwd=tmp_path).stdout
     assert out.split() == ["False"] * 3
-    out = run_fresh(KERNEL_PROBE.format(
-        code=cli.format(["solve", "--c", "0.6"])), tmp_path)
+    out = fresh_python("-c", KERNEL_PROBE.format(
+        code=cli.format(["solve", "--c", "0.6"])), cwd=tmp_path).stdout
     assert out.splitlines()[-1].split() == ["True"] * 3
 
 
@@ -246,13 +224,16 @@ def test_import_leaves_the_band_kernels_unloaded(tmp_path):
 def test_command_import_footprint(argv, env_extra, want, tmp_path):
     # the band kernels come from numpy's bundled LAPACK, so no command
     # loads scipy.linalg, scipy.sparse or scipy.interpolate; none loads
-    # mpmath; only landscape and verify load bhgs.verify
+    # mpmath; only landscape and verify load bhgs.verify. Each run imports
+    # bhgs.cli first, so constants' empty list covers that import too
     if argv[0] == "fiber":
         g = build_grid(5, 2049, 1000.0)
         bhgs.save_field(bhgs.RadialField(g, np.exp(-0.5 * g.nodes ** 2)),
                         str(tmp_path / "gs.csv"))
-    code = f"import bhgs.cli; rc = bhgs.cli.main({argv!r}); assert rc == 0, rc"
-    assert loaded_after(code, tmp_path, env_extra) == want
+    code = (f"import sys, bhgs.cli; assert bhgs.cli.main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {LAZY!r} if m in sys.modules))")
+    out = fresh_python("-c", code, cwd=tmp_path, env=env_extra).stdout
+    assert out.splitlines()[-1] == want
 
 
 # -------------------------------------------------------------- trace contract
@@ -329,7 +310,7 @@ print(json.dumps({"resolved": resolved, "linalg_before": linalg_before,
 
 
 def test_banded_kernels_are_traceable_before_any_solve():
-    out = json.loads(run_fresh(TRACE_CONTRACT))
+    out = json.loads(fresh_python("-c", TRACE_CONTRACT).stdout)
     assert out["resolved"] == [True, True, True]
     assert out["linalg_before"] is False
     calls = out["solve_calls"]
