@@ -18,11 +18,14 @@ s1 on the rising branch (psi' changes - to +, a local minimum of psi with
 psi(s1) < 0) and an s2 on the falling branch (local maximum). No fields are
 materialized; grid error never enters the zero structure.
 
-Zero-finding never evaluates the power laws directly: bisection works on a
+Zero-finding never evaluates the power laws directly: it works on a
 rescaled copy of xi whose three terms are exponentiated relative to their
 common maximum, so bundles anywhere in float range bracket without overflow.
-fiber_minimum brackets s1 alone, for callers that read nothing else (the
-minimizer); analyze_fiber goes on from it to s2 and the two energies.
+The bundle's logarithms are taken once (_xi_logs), and one bisection on
+ln s (_xi_zero) serves both zeros; it takes the sign at its lower end
+from the branch, so it evaluates xi once per halving. fiber_minimum
+brackets s1 alone, for callers that read nothing else (the minimizer);
+analyze_fiber goes on from it to s2 and the two energies.
 """
 from __future__ import annotations
 
@@ -104,63 +107,69 @@ def xi_turning_point(params: LandscapeParams, b: NormBundle) -> float:
     return math.exp(log_ratio / (2.0 * (ex.alpha2 - ex.alpha0)))
 
 
-def _xi_scaled(params: LandscapeParams, b: NormBundle):
-    # s -> xi(s) divided by its largest term in magnitude; same sign and
-    # zeros as xi, bounded in [-2, 1], immune to overflow anywhere in float
-    # range. The bundle's logarithms are taken once, here
+def _xi_logs(params: LandscapeParams, b: NormBundle) -> tuple:
+    # the logarithms the scaled xi reads, taken once per bundle: (log bend,
+    # log(k subcrit), log crit, 2 alpha0, 2 alpha2), -inf for a zero bend
     ex = derive_exponents(params)
     k = pohozaev_coefficient(params)
-    l1 = math.log(b.bend) if b.bend > 0 else -math.inf
-    l2_0 = math.log(k * b.subcrit)
-    l3_0 = math.log(b.crit)
-    e2, e3 = 2.0 * ex.alpha0, 2.0 * ex.alpha2
-
-    def scaled(s: float) -> float:
-        ls = math.log(s)
-        l2 = l2_0 + e2 * ls
-        l3 = l3_0 + e3 * ls
-        m = max(l1, l2, l3)
-        return math.exp(l1 - m) - math.exp(l2 - m) - math.exp(l3 - m)
-    return scaled
+    return (math.log(b.bend) if b.bend > 0 else -math.inf,
+            math.log(k * b.subcrit), math.log(b.crit),
+            2.0 * ex.alpha0, 2.0 * ex.alpha2)
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    # fn(lo) and fn(hi) straddle zero. Bisection runs on ln s: near the
-    # mass-critical endpoint s1 sits many decades below s_turn, and halving
-    # the log interval reaches relative width _BISECT_REL from any bracket
-    # in float range within the evaluation budget, where halving s itself
-    # cannot
+def _xi_scaled(logs: tuple, s: float) -> float:
+    # xi(s) divided by its largest term in magnitude, from the bundle's
+    # logarithms (_xi_logs); same sign and zeros as xi, bounded in [-2, 1],
+    # immune to overflow anywhere in float range
+    l1, l2_0, l3_0, e2, e3 = logs
+    ls = math.log(s)
+    l2 = l2_0 + e2 * ls
+    l3 = l3_0 + e3 * ls
+    m = max(l1, l2, l3)
+    return math.exp(l1 - m) - math.exp(l2 - m) - math.exp(l3 - m)
+
+
+def _xi_zero(logs: tuple, lo: float, hi: float, rising: bool) -> float:
+    """The zero of the scaled xi (_xi_scaled) in [lo, hi]: on the rising
+    branch (s1) xi is not positive at lo, on the falling branch (s2) it is
+    positive there.
+
+    Bisection runs on ln s: near the mass-critical endpoint s1 sits many
+    decades below s_turn, and halving the log interval reaches relative
+    width _BISECT_REL from any bracket in float range within _BISECT_MAX
+    halvings, where halving s itself cannot. The sign at lo is known from
+    the branch, so each halving evaluates xi once, at its midpoint.
+    """
     tlo, thi = math.log(lo), math.log(hi)
-    flo = fn(lo)
     for _ in range(_BISECT_MAX):
         if thi - tlo <= _BISECT_REL:
             break
         tmid = 0.5 * (tlo + thi)
-        fmid = fn(math.exp(tmid))
-        if (fmid > 0) == (flo > 0):
-            tlo, flo = tmid, fmid
-        else:
+        if (_xi_scaled(logs, math.exp(tmid)) > 0) == rising:
             thi = tmid
+        else:
+            tlo = tmid
     return math.exp(0.5 * (tlo + thi))
 
 
 def _rising_zero(params: LandscapeParams, b: NormBundle):
-    # (s_turn, the scaled xi, its value at s_turn, s1), s1 None where xi's
-    # maximum is negative and s_turn where it vanishes (analyze_fiber)
+    # (s_turn, the scaled xi's logarithms, its value at s_turn, s1), s1
+    # None where xi's maximum is negative and s_turn where it vanishes
+    # (analyze_fiber)
     _require_nondegenerate(b)
     s_star = xi_turning_point(params, b)
-    f = _xi_scaled(params, b)
-    xs = f(s_star)
+    logs = _xi_logs(params, b)
+    xs = _xi_scaled(logs, s_star)
     if abs(xs) <= 1e-12:
-        return s_star, f, xs, s_star
+        return s_star, logs, xs, s_star
     if xs < 0:
-        return s_star, f, xs, None
+        return s_star, logs, xs, None
     lo = s_star
-    while f(lo) > 0:
+    while _xi_scaled(logs, lo) > 0:
         lo /= 10.0          # xi -> -inf as s -> 0+ because alpha0 < 0
         if lo < 1e-300:
             raise DomainError("fiber zero below float range")
-    return s_star, f, xs, _bisect(f, lo, s_star)
+    return s_star, logs, xs, _xi_zero(logs, lo, s_star, True)
 
 
 def fiber_minimum(params: LandscapeParams, b: NormBundle) -> float | None:
@@ -180,7 +189,7 @@ def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
     to the term magnitudes, is the repeated-zero case and both kinds read
     "degenerate-tangency".
     """
-    s_star, f, xs, s1 = _rising_zero(params, b)
+    s_star, logs, xs, s1 = _rising_zero(params, b)
     if abs(xs) <= 1e-12:
         p = psi(params, b, s_star)
         return FiberAnalysis(s_turn=s_star, s1=s_star, s2=s_star,
@@ -191,11 +200,11 @@ def analyze_fiber(params: LandscapeParams, b: NormBundle) -> FiberAnalysis:
                              kind1=None, kind2=None,
                              psi_at_s1=None, psi_at_s2=None)
     hi = s_star
-    while f(hi) > 0:
+    while _xi_scaled(logs, hi) > 0:
         hi *= 2.0           # xi -> -inf as s -> inf because alpha2 > 0
         if hi > 1e300:
             raise DomainError("fiber zero above float range")
-    s2 = _bisect(f, s_star, hi)
+    s2 = _xi_zero(logs, s_star, hi, False)
     return FiberAnalysis(s_turn=s_star, s1=s1, s2=s2,
                          kind1=KIND_MIN, kind2=KIND_MAX,
                          psi_at_s1=psi(params, b, s1),

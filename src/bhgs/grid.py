@@ -35,7 +35,11 @@ which the minimizer's Newton step and its preconditioner (a W + L^T W L)
 each copy and shift on the diagonal. It is filled on first use and lives
 and dies with the grid instance (cached_property writes the instance
 __dict__, which a frozen dataclass allows); no module-level cache holds
-it.
+it. Nothing that references the grid is held on it: a field held there
+would reference its grid back, a cycle only the garbage collector frees.
+So the minimizer holds the one field it reads at every op, the grid's unit
+Gaussian, in a module slot of its own for the last grid it was passed
+(minimizer._unit_gaussian).
 interpolate reads samples on a grid of spacing h at arbitrary radii by
 4-point cubic interpolation, with the even extension through the origin and
 the zero extension past R that the Laplacian's band uses. It reads the
@@ -304,23 +308,46 @@ def interpolate(v: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
     (v_{-1} = v_1) and by zero past R = (len(v) - 1) h; a radius past R
     reads zero. A radius with r / h an integer reads that node's sample
     exactly; the rule is exact on cubics in r away from both ends, and on 1
-    and r^2 away from R. Only v and h are read, so a caller may hold a
-    profile without its grid.
+    and r^2 away from R. The radii may come in any order and any shape,
+    and the result takes r's shape (0-d for a scalar). Only v and h are
+    read, so a caller may hold a profile without its grid.
     """
     n = len(v)
     x = np.asarray(r, dtype=float) / h
     inside = x <= n - 1
     x = x[inside]
-    j = np.floor(x).astype(np.intp)
-    t = x - j
+    t = np.floor(x)
+    j = t.astype(np.intp)
+    np.subtract(x, t, out=t)        # x - j: j is floor(x) exactly
     padded = np.zeros(n + 3)        # nodes -1..n+1
     padded[0] = v[1]
     padded[1:n + 1] = v
+    # the four terms in their written order, each product and quotient
+    # evaluated left to right as in -t (t - 1) (t - 2) / 6 v[j-1] + (t + 1)
+    # (t - 1) (t - 2) / 2 v[j] - (t + 1) t (t - 2) / 2 v[j+1] + (t + 1) t
+    # (t - 1) / 6 v[j+2], in place; node j + k - 1 is padded[k:][j]
+    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
+    acc = np.negative(t)
+    acc *= tm1
+    acc *= tm2
+    acc /= 6.0
+    acc *= padded.take(j)
+    term = tp1 * tm1
+    term *= tm2
+    term /= 2.0
+    term *= padded[1:].take(j)
+    acc += term
+    tp1 *= t                        # (t + 1) t, read by the last two terms
+    np.multiply(tp1, tm2, out=term)
+    term /= 2.0
+    term *= padded[2:].take(j)
+    acc -= term
+    tp1 *= tm1
+    tp1 /= 6.0
+    tp1 *= padded[3:].take(j)
+    acc += tp1
     out = np.zeros(inside.shape)
-    out[inside] = (-t * (t - 1.0) * (t - 2.0) / 6.0 * padded[j]
-                   + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * padded[j + 1]
-                   - (t + 1.0) * t * (t - 2.0) / 2.0 * padded[j + 2]
-                   + (t + 1.0) * t * (t - 1.0) / 6.0 * padded[j + 3])
+    out[inside] = acc
     return out
 
 

@@ -39,7 +39,7 @@ from bhgs import cli, fiber, landscape, verify
 from bhgs.config import sweep_masses
 from bhgs.functionals import pohozaev_coefficient
 from bhgs.landscape import _exp_total
-from propstrat import bundle_st, params_st
+from propstrat import bundle_st, params_st, ref_bisect
 
 # ---------------------------------------------------------------- references
 
@@ -203,7 +203,7 @@ def ref_fiber_zeros(params, b):
     hi = s_star
     while f(hi) > 0:
         hi *= 2.0
-    return s_star, fiber._bisect(f, lo, s_star), fiber._bisect(f, s_star, hi)
+    return s_star, ref_bisect(f, lo, s_star), ref_bisect(f, s_star, hi)
 
 
 # ------------------------------------------------------------ golden argmax
@@ -433,7 +433,7 @@ def test_f_landscape_matches_the_reference_expression(params, log_c, log_rho):
 @given(params_st(), bundle_st(), st.floats(min_value=-50.0, max_value=50.0))
 def test_xi_scaled_matches_the_reference_expression(params, b, log_s):
     s = math.exp(log_s)
-    got = fiber._xi_scaled(params, b)(s)
+    got = fiber._xi_scaled(fiber._xi_logs(params, b), s)
     assert got.hex() == ref_xi_scaled(params, b, s).hex()
 
 

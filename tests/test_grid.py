@@ -8,6 +8,7 @@ import pytest
 import bhgs.grid as grid_mod
 from bhgs import (
     DomainError,
+    LandscapeParams,
     RadialField,
     build_grid,
     integrate,
@@ -16,6 +17,8 @@ from bhgs import (
     save_field,
     sphere_area,
 )
+from bhgs import minimizer
+from bhgs.functionals import gaussian_bundle, norm_bundle
 
 PI_52 = math.pi ** 2.5                    # integral of e^{-r^2} over R^5
 BEND_GAUSS = 8.75 * PI_52                 # |Delta e^{-r^2/2}|_2^2 over R^5
@@ -169,6 +172,23 @@ class TestQuadrature:
 
 
 class TestLaplacian:
+    def test_held_unit_gaussian_bundle_on_the_default_grid(self):
+        # the minimizer's held unit Gaussian exp(-r^2/2) on the N = 5
+        # default grid (h = 0.49, two nodes per width) against its closed
+        # form (functionals.gaussian_bundle at s = 1), mass PI_52 and bend
+        # BEND_GAUSS. The grid reads them 2.6e-4 and 3.9e-3 low, the error
+        # of the weights and of the fourth-order Laplacian at this spacing;
+        # a field built at s = 1.01 reads 2.5e-2 and 8.9e-3 low, and fails
+        # both bounds
+        p = LandscapeParams(N=5, q=3.0)
+        want = gaussian_bundle(p, 1.0)
+        assert want.mass == pytest.approx(PI_52, rel=1e-15)
+        assert want.bend == pytest.approx(BEND_GAUSS, rel=1e-15)
+        b = norm_bundle(p, minimizer._unit_gaussian(build_grid(5, 2049,
+                                                               1000.0)))
+        assert b.mass == pytest.approx(PI_52, rel=1e-3)
+        assert b.bend == pytest.approx(BEND_GAUSS, rel=5e-3)
+
     def test_gaussian_symbolic(self, grid12):
         # Delta e^{-r^2/2} = (r^2 - 5) e^{-r^2/2} in five dimensions
         r = grid12.nodes

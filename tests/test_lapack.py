@@ -508,7 +508,7 @@ def test_nan_in_newton_matrix_gives_up_the_finish(grid_solve, monkeypatch):
         return orig(ab)
 
     monkeypatch.setattr(minimizer, "ldlt_banded", planted)
-    done, steps = _newton(P53, c, fld, b, NEWTON_STEPS, loose=True)
+    done, steps = _newton(P53, c, [fld, b], NEWTON_STEPS, loose=True)
     assert (done, steps) == (None, 0)
 
 

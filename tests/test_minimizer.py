@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def newton_first(p, grid, c, cap):
     s1 = minimizer._gaussian_s1(p, c, grid)
     start = None if s1 is None else minimizer._moved_start(
         p, grid, c, minimizer._gaussian_s1(p, c), cap)
-    return None if start is None else minimizer._settle(p, c, *start, cap, s1)
+    return None if start is None else minimizer._settle(p, c, start, cap, s1)
 
 
 @pytest.fixture(scope="module")
@@ -853,6 +854,29 @@ class TestNewtonFirst:
         assert got[:2] == [[1025] * 3 + [2049], [2049]]
         assert got[2][:2] == [2049, "seed"]
 
+    def test_newton_run_frees_its_start_after_the_first_step(
+            self, monkeypatch, p53, thresholds53, grid_solve):
+        # the try hands its start to _newton, which empties the list it is
+        # given: at the first settle test, one step on, no frame holds the
+        # start's field, so its values, L u and powers are already freed
+        starts, freed = [], []
+        real_start, real_correction = minimizer._start, minimizer._correction
+
+        def recording_start(*args):
+            got = real_start(*args)
+            if got is not None:
+                starts.append(weakref.ref(got[0]))
+            return got
+
+        def correction(*args):
+            freed.append([ref() is None for ref in starts])
+            return real_correction(*args)
+
+        monkeypatch.setattr(minimizer, "_start", recording_start)
+        monkeypatch.setattr(minimizer, "_correction", correction)
+        minimize(p53, grid_solve, 0.5 * thresholds53[1])
+        assert freed[0] == [True]
+
 
 def count_factors(monkeypatch):
     """Record the column count of every band ldlt_banded factors: Newton's
@@ -870,14 +894,14 @@ def count_factors(monkeypatch):
 
 def patch_profile_solves(monkeypatch, solve):
     """Run every profile solve, the Newton loop's run of 2 NEWTON_STEPS
-    steps, as solve(real, params, c, fld, b, budget); other runs as
-    they are."""
+    steps, as solve(real, params, c, start, budget); other runs as they
+    are."""
     real = minimizer._newton
 
-    def patched(params, c, fld, b, budget, **kwargs):
+    def patched(params, c, start, budget, **kwargs):
         if budget == 2 * minimizer.NEWTON_STEPS:
-            return solve(real, params, c, fld, b, budget)
-        return real(params, c, fld, b, budget, **kwargs)
+            return solve(real, params, c, start, budget)
+        return real(params, c, start, budget, **kwargs)
 
     monkeypatch.setattr(minimizer, "_newton", patched)
 
@@ -1652,8 +1676,8 @@ class TestFailureKinds:
              "bend": NormBundle(c, rho0, 1.0, 1.0),
              "energy": NormBundle(c, 0.5 * rho0, 0.0, 0.0)}[broken]
         monkeypatch.setattr(minimizer, "_settle",
-                            lambda p, c, fld, *args, **kwargs:
-                            ((fld, b), 1, None))
+                            lambda p, c, start, *args, **kwargs:
+                            ((start[0], b), 1, None))
         with pytest.raises(ConvergenceError) as err:
             minimize(p53, grid_solve, c)
         assert err.value.kind == "invariant"

@@ -9,9 +9,18 @@ Each kernel is held to the code it replaced, kept below as the reference:
   record's y = K^-1 W u against K assembled that way;
 - fiber.fiber_minimum, which brackets s1 alone, against analyze_fiber's
   s1 computed beside s2, by float.hex, also where psi' has no zero or a
-  double one; and analyze_fiber, built on it, against the same reference;
-- grid.interpolate against the four Lagrange weights written out one by
-  one, bit for bit, which pins its formula against later edits;
+  double one; and analyze_fiber, built on it, against the same reference.
+  The reference bisects a closure over the scaled xi with the generic
+  loop (propstrat.ref_bisect), so both also pin fiber's one bisection
+  (fiber._xi_zero), which takes the sign at its lower end from the
+  branch;
+- grid.interpolate, which accumulates in place on offset views, against
+  the four Lagrange weights written out one by one, bit for bit, on
+  ascending and shuffled radii, inside and past R, and on a scalar radius;
+- minimizer._gaussian_s1 on a grid, which bundles the held unit Gaussian
+  (minimizer._unit_gaussian), against a field built for every call, by
+  float.hex; with the held field one per grid, read-only, and, with the
+  cycle collector off, no dropped grid kept alive but the last;
 - the nonlinear terms, which read one held pair |u|^(q-2), |u|^(4*-2)
   (functionals.nonlinear_powers), against the six powers they took before:
   the bundle's subcrit and crit, the gradient, W f'(u), the diagonal of K
@@ -19,7 +28,9 @@ Each kernel is held to the code it replaced, kept below as the reference:
   within 8 ulps of the magnitude of the terms it sums, componentwise for
   vectors.
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,13 +38,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bhgs import (LandscapeParams, NormBundle, RadialField, build_grid,
                   mass_threshold, minimizer)
-from bhgs import fiber, grid as grid_mod
+from bhgs import fiber, functionals, grid as grid_mod
 from bhgs.fiber import FiberAnalysis
 from bhgs.functionals import (l2_gradient, nonlinear_diagonal, nonneg_power,
                               norm_bundle, pohozaev, pohozaev_coefficient,
-                              q_residual_gradient)
-from bhgs.landscape import DomainError, derive_exponents
-from propstrat import bundle_st, params_st
+                              q_residual_gradient, scaled_norms)
+from bhgs.landscape import ConvergenceError, DomainError, derive_exponents
+from propstrat import bundle_st, params_st, ref_bisect
 
 # ---------------------------------------------------------------- references
 
@@ -88,7 +99,11 @@ def ref_analyze_fiber(params, b):
     # analyze_fiber as it bracketed s1 and s2 in one body
     fiber._require_nondegenerate(b)
     s_star = fiber.xi_turning_point(params, b)
-    f = fiber._xi_scaled(params, b)
+    logs = fiber._xi_logs(params, b)
+
+    def f(s):
+        return fiber._xi_scaled(logs, s)
+
     xs = f(s_star)
     if abs(xs) <= 1e-12:
         p = fiber.psi(params, b, s_star)
@@ -105,13 +120,13 @@ def ref_analyze_fiber(params, b):
         lo /= 10.0
         if lo < 1e-300:
             raise DomainError("fiber zero below float range")
-    s1 = fiber._bisect(f, lo, s_star)
+    s1 = ref_bisect(f, lo, s_star)
     hi = s_star
     while f(hi) > 0:
         hi *= 2.0
         if hi > 1e300:
             raise DomainError("fiber zero above float range")
-    s2 = fiber._bisect(f, s_star, hi)
+    s2 = ref_bisect(f, s_star, hi)
     return FiberAnalysis(s_turn=s_star, s1=s1, s2=s2,
                          kind1=fiber.KIND_MIN, kind2=fiber.KIND_MAX,
                          psi_at_s1=fiber.psi(params, b, s1),
@@ -304,16 +319,107 @@ def test_fiber_minimum_reads_the_tangency_and_no_zero():
 def test_interpolate_matches_the_written_out_weights(p53, N, n):
     # the (5, 3) profile and a random vector, read at the nodes of an
     # (N, n) grid over L for 53 random L, log-uniform over four decades
+    # (every node inside R at the largest L, a few at the smallest), in
+    # ascending and in shuffled order; radii past R read zero
     rng = np.random.default_rng(5300 + N)
     grid = build_grid(N, n, 1000.0)
     values, _ = minimizer._profile(p53.N, p53.q)
     h = minimizer.PROFILE_R / (len(values) - 1)
     noise = rng.standard_normal(len(values))
     for L in 10.0 ** rng.uniform(-2.0, 2.0, 53):
-        r = grid.nodes / L
-        for v in (values, noise):
-            got = grid_mod.interpolate(v, h, r)
-            assert got.tobytes() == ref_interpolate(v, h, r).tobytes()
+        for r in (grid.nodes / L, rng.permutation(grid.nodes / L)):
+            for v in (values, noise):
+                got = grid_mod.interpolate(v, h, r)
+                assert got.tobytes() == ref_interpolate(v, h, r).tobytes()
+                assert not got[r > minimizer.PROFILE_R].any()
+    # a scalar radius reads a 0-d array, inside R and past it
+    for r in (0.37 * h, 0.5 * minimizer.PROFILE_R, minimizer.PROFILE_R + h):
+        got = grid_mod.interpolate(values, h, r)
+        assert got.shape == ()
+        assert got.tobytes() == ref_interpolate(values, h, r).tobytes()
+
+
+# --------------------------------------------------- held unit Gaussian
+
+def ref_gaussian_s1(params, c, grid):
+    """minimizer._gaussian_s1 on grid from a unit Gaussian field built for
+    the call, as every op built it before the field was held."""
+    unit = norm_bundle(params, RadialField(grid,
+                                           minimizer._seed_profile(grid, 0)))
+    return fiber.fiber_minimum(params, NormBundle(*scaled_norms(
+        params, unit, c / unit.mass, 1.0)))
+
+
+@pytest.mark.parametrize("q", [2.2, 3.0])
+def test_gaussian_s1_on_the_held_field_matches_a_fresh_one(q):
+    # both solve-fine's grid and the default one, seven masses each,
+    # twice, so the second pass reads the field the first one held
+    p = LandscapeParams(N=5, q=q)
+    c0 = mass_threshold(p)[1]
+    for grid in (build_grid(5, 8193, 1000.0), build_grid(5, 2049, 1000.0)):
+        for _ in range(2):
+            for f in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99):
+                got = minimizer._gaussian_s1(p, f * c0, grid)
+                assert got.hex() == ref_gaussian_s1(p, f * c0, grid).hex()
+
+
+def test_ops_on_one_grid_read_one_read_only_field(monkeypatch, p53,
+                                                  thresholds53):
+    # two solves on one grid bundle one held unit Gaussian, whose values,
+    # L u and powers cannot be written; another grid, though equal, gets
+    # its own field
+    grid = build_grid(5, 2049, 1000.0)
+    seen = []
+    bundle = minimizer.norm_bundle
+
+    def recording(params, fld):
+        seen.append(fld)
+        return bundle(params, fld)
+
+    monkeypatch.setattr(minimizer, "norm_bundle", recording)
+    for f in (0.3, 0.7):
+        minimizer.minimize(p53, grid, f * thresholds53[1])
+    held = minimizer._unit_gaussian(grid)
+    assert held.grid is grid
+    assert sum(fld is held for fld in seen) == 2
+    unit = minimizer._seed_profile(grid, 0)
+    assert [fld for fld in seen if fld is not held
+            and fld.values.tobytes() == unit.tobytes()] == []
+    for arr in (held.values, held.lap,
+                *functionals.nonlinear_powers(p53, held)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    twin = build_grid(5, 2049, 1000.0)
+    assert twin == grid
+    moved = minimizer._unit_gaussian(twin)
+    assert moved is not held and moved.grid is twin
+    assert moved.values.tobytes() == held.values.tobytes()
+
+
+def test_dropped_grids_are_freed_without_the_collector():
+    # 21 solves on grids of N = 5, 6, 7 and seven geometries each, every
+    # grid dropped after its solve: with the cycle collector off, reference
+    # counting alone must free all but the one grid the held unit Gaussian
+    # keeps. A field held on its own grid (a cached property) makes a
+    # cycle, and a cache of 8 keyed on grid equality keeps 8: both fail
+    refs = []
+    gc.disable()
+    try:
+        for N, q in ((5, 3.0), (6, 2.8), (7, 2.5)):
+            p = LandscapeParams(N=N, q=q)
+            c0 = mass_threshold(p)[1]
+            for k in range(7):
+                grid = build_grid(N, 257 + 64 * k, 100.0)
+                try:
+                    minimizer.minimize(p, grid, 0.5 * c0)
+                except ConvergenceError:
+                    pass
+                refs.append(weakref.ref(grid))
+                del grid
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(alive) <= 1
 
 
 # ---------------------------------------------------------- nonlinear terms
